@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench check fleet chaos overload stress churn multipath grayfail crashsafe pressure telemetry
+.PHONY: build test vet race bench check golden golden-check fleet chaos overload stress churn multipath grayfail crashsafe pressure telemetry
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,32 @@ telemetry:
 stress:
 	$(GO) test -race -count=5 ./internal/sched/
 
+# Golden outputs: the stdout of every single-driver example and of the
+# 15 detourbench figures and tables, pinned byte for byte under
+# testdata/golden/. chaos and fleet are left out: their worker pools
+# interleave for real, so two runs differ. `make golden` rewrites the
+# files after an intended output change; `make golden-check` compares.
+GOLDEN_EXAMPLES = churn crashsafe detour-selection grayfail multipath overlay-monitor \
+	overload pressure provider-sweep quickstart science-dmz telemetry
+GOLDEN_EXPERIMENTS = fig2 table2 fig3 fig4 fig5 fig6 fig7 table3 fig8 fig9 table4 \
+	fig10 fig11 table1 table5
+GOLDEN_BIN = .golden-bin
+GOLDEN_BUILD = $(GO) build -o $(GOLDEN_BIN)/ ./cmd/detourbench $(addprefix ./examples/,$(GOLDEN_EXAMPLES))
+
+golden:
+	$(GOLDEN_BUILD)
+	mkdir -p testdata/golden
+	for e in $(GOLDEN_EXAMPLES); do $(GOLDEN_BIN)/$$e >testdata/golden/example-$$e.txt || exit 1; done
+	for x in $(GOLDEN_EXPERIMENTS); do \
+		$(GOLDEN_BIN)/detourbench -experiment $$x >testdata/golden/detourbench-$$x.txt || exit 1; done
+
+golden-check:
+	$(GOLDEN_BUILD)
+	for e in $(GOLDEN_EXAMPLES); do $(GOLDEN_BIN)/$$e >$(GOLDEN_BIN)/out.txt && \
+		cmp $(GOLDEN_BIN)/out.txt testdata/golden/example-$$e.txt || exit 1; done
+	for x in $(GOLDEN_EXPERIMENTS); do $(GOLDEN_BIN)/detourbench -experiment $$x >$(GOLDEN_BIN)/out.txt && \
+		cmp $(GOLDEN_BIN)/out.txt testdata/golden/detourbench-$$x.txt || exit 1; done
+
 # The gate PRs must pass: everything compiles, vets clean, the full
 # test suite (including the really-concurrent scheduler) is race-clean,
 # the delta-encoding and journal-decode fuzzers hold up for a short
@@ -97,9 +123,10 @@ stress:
 # multipath, grayfail, crashsafe, pressure, and telemetry replays are
 # byte-identical across two runs of the same seed — for telemetry that
 # covers the whole observability plane: metric dumps, time series,
-# sparklines, and flight-recorder traces. The eviction-safety suites
-# get an explicit race pass (cheap, and kept even if the blanket ./...
-# leg above is ever narrowed).
+# sparklines, and flight-recorder traces — and every deterministic
+# example and paper figure/table matches its golden output. The
+# eviction-safety suites get an explicit race pass (cheap, and kept even
+# if the blanket ./... leg above is ever narrowed).
 check:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/
@@ -131,3 +158,4 @@ check:
 	$(GO) run ./examples/telemetry >.tlm.b.tmp
 	cmp .tlm.a.tmp .tlm.b.tmp
 	rm -f .tlm.a.tmp .tlm.b.tmp
+	$(MAKE) --no-print-directory golden-check

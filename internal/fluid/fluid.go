@@ -10,11 +10,21 @@
 // below its fair share: receive windows, slow-start ramping (driven by
 // package tcpmodel), and application pacing. Cross-traffic (package
 // xtraffic) modulates the capacity a link has left for foreground flows.
+//
+// Reallocation is global and bit-exact by contract: every event settles
+// every flow, recomputes max-min over the whole network with the float
+// operations of the textbook progressive-filling loop in the same order,
+// and recomputes every completion time in flow-id order, so replays do
+// not depend on how the allocator is implemented. Recomputing only the
+// link component an event touches, or skipping flows whose rate did not
+// move, would change float rounding and the order of same-time events,
+// and is deliberately not done.
 package fluid
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,6 +53,12 @@ type Link struct {
 	PropDelay float64
 
 	flows []*Flow // active flows crossing this link, ordered by flow id
+
+	// progressive-filling scratch state: unfrozen entries of flows (a
+	// flow counts once per occurrence of this link on its path), and
+	// the sum of their rates as of the last freeze pass.
+	unfrozen int
+	used     float64
 }
 
 // maxLoad bounds cross-traffic so foreground flows always make progress;
@@ -110,9 +126,12 @@ type Flow struct {
 
 	onComplete func(*Flow)
 	onAbort    func(*Flow)
-	completion *simclock.Event
+	fire       func()          // completion callback, built once per flow
+	completion *simclock.Event // pending completion, rescheduled in place
 
-	// progressive-filling scratch state
+	// progressive-filling scratch state: the external cap combined with
+	// the path's FlowCaps, and whether the flow's rate is settled.
+	effCap float64
 	frozen bool
 }
 
@@ -142,6 +161,11 @@ type Network struct {
 	flows    []*Flow // active flows, ordered by id
 	nextFlow int
 	nextLink int
+
+	// progressive-filling scratch slices, reused across reallocations:
+	// the flows still rising and the links that still carry them.
+	live    []*Flow
+	hotLink []*Link
 
 	// Reallocations counts global rate recomputations, exposed for
 	// performance tests and benchmarks.
@@ -210,6 +234,13 @@ type FlowOpts struct {
 // StartFlow begins transferring bytes over path and returns the flow.
 // The path must be non-empty and bytes positive.
 func (n *Network) StartFlow(path []*Link, bytes float64, opts FlowOpts) *Flow {
+	f := n.attach(path, bytes, opts)
+	n.reallocate()
+	return f
+}
+
+// attach validates and registers a new flow without reallocating.
+func (n *Network) attach(path []*Link, bytes float64, opts FlowOpts) *Flow {
 	if len(path) == 0 {
 		panic("fluid: empty path")
 	}
@@ -231,12 +262,12 @@ func (n *Network) StartFlow(path []*Link, bytes float64, opts FlowOpts) *Flow {
 		onComplete: opts.OnComplete,
 		onAbort:    opts.OnAbort,
 	}
+	f.fire = func() { n.complete(f) }
 	n.nextFlow++
 	n.flows = append(n.flows, f)
 	for _, l := range path {
 		l.flows = append(l.flows, f)
 	}
-	n.reallocate()
 	return f
 }
 
@@ -397,6 +428,10 @@ func (n *Network) detach(f *Flow) {
 // reallocate recomputes the global max-min fair allocation and
 // reschedules completion events. It must be called whenever the flow
 // set, a link's available capacity, or a flow cap changes.
+//
+// Every flow is settled and every completion time recomputed, in flow-id
+// order, whatever the change touched: the rates and the (time, sequence)
+// order of completion events then do not depend on which flows moved.
 func (n *Network) reallocate() {
 	n.Reallocations++
 	now := n.eng.Now()
@@ -408,21 +443,24 @@ func (n *Network) reallocate() {
 
 	n.computeMaxMin()
 
-	// Reschedule completions under the new rates.
+	// Reschedule completions under the new rates. Moving a pending event
+	// takes a fresh sequence number, exactly as cancelling it and
+	// scheduling a new one would, so event order is the same either way.
 	for _, f := range n.flows {
-		var at simclock.Time
-		if f.rate <= 0 {
-			at = simclock.Infinity
-		} else {
+		at := simclock.Infinity
+		if f.rate > 0 {
 			at = now + simclock.Time(f.remaining/f.rate)
 		}
-		if f.completion != nil {
-			n.eng.Cancel(f.completion)
-			f.completion = nil
-		}
-		if at != simclock.Infinity {
-			f := f
-			f.completion = n.eng.Schedule(at, func() { n.complete(f) })
+		switch {
+		case at == simclock.Infinity:
+			if f.completion != nil {
+				n.eng.Cancel(f.completion)
+				f.completion = nil
+			}
+		case f.completion != nil:
+			n.eng.Reschedule(f.completion, at)
+		default:
+			f.completion = n.eng.Schedule(at, f.fire)
 		}
 	}
 }
@@ -447,56 +485,56 @@ func (n *Network) complete(f *Flow) {
 // flows' rates rise together; a flow freezes when a link on its path
 // saturates or when it reaches its own cap. The result is the unique
 // max-min fair allocation.
+//
+// It performs the float operations of the textbook loop (every round:
+// per-link headroom over all links, per-flow cap slack, raise every
+// unfrozen rate, freeze) in the same order, so the rates are bit for bit
+// the same, without its waste:
+//   - every unfrozen flow starts at 0 and receives the same sequence of
+//     += delta, so its rate is one shared level;
+//   - a link's used sum is taken once per round, over its flows in id
+//     order, in the freeze pass; the next round's headroom reuses it,
+//     because no rate changes in between;
+//   - only links that still carry unfrozen flows are scanned, and only
+//     unfrozen flows are visited, from scratch slices reused across calls.
 func (n *Network) computeMaxMin() {
 	if len(n.flows) == 0 {
 		return
 	}
+	live := n.live[:0]
 	for _, f := range n.flows {
 		f.rate = 0
 		f.frozen = false
-	}
-	// Effective per-flow ceiling: the external cap combined with any
-	// per-flow caps (firewalls) on the path.
-	effCap := func(f *Flow) float64 {
-		c := f.cap
+		// Effective per-flow ceiling: the external cap combined with any
+		// per-flow caps (firewalls) on the path.
+		f.effCap = f.cap
 		for _, l := range f.path {
-			if l.FlowCap > 0 && l.FlowCap < c {
-				c = l.FlowCap
+			if l.FlowCap > 0 && l.FlowCap < f.effCap {
+				f.effCap = l.FlowCap
 			}
 		}
-		return c
+		live = append(live, f)
 	}
-	caps := make(map[*Flow]float64, len(n.flows))
-	for _, f := range n.flows {
-		caps[f] = effCap(f)
+	hot := n.hotLink[:0]
+	for _, l := range n.links {
+		if len(l.flows) > 0 {
+			l.unfrozen = len(l.flows)
+			l.used = 0
+			hot = append(hot, l)
+		}
 	}
-	unfrozen := len(n.flows)
-	for unfrozen > 0 {
+	level := 0.0
+	for len(live) > 0 {
 		// Smallest headroom-per-flow across links with unfrozen flows,
 		// and smallest cap slack across unfrozen flows.
 		delta := math.Inf(1)
-		for _, l := range n.links {
-			cnt := 0
-			used := 0.0
-			for _, f := range l.flows {
-				used += f.rate
-				if !f.frozen {
-					cnt++
-				}
-			}
-			if cnt == 0 {
-				continue
-			}
-			d := (l.Available() - used) / float64(cnt)
-			if d < delta {
+		for _, l := range hot {
+			if d := (l.Available() - l.used) / float64(l.unfrozen); d < delta {
 				delta = d
 			}
 		}
-		for _, f := range n.flows {
-			if f.frozen {
-				continue
-			}
-			if slack := caps[f] - f.rate; slack < delta {
+		for _, f := range live {
+			if slack := f.effCap - level; slack < delta {
 				delta = slack
 			}
 		}
@@ -509,50 +547,55 @@ func (n *Network) computeMaxMin() {
 			// capacity, so this is unreachable.
 			panic("fluid: unbounded allocation")
 		}
-		for _, f := range n.flows {
-			if !f.frozen {
-				f.rate += delta
-			}
+		level += delta
+		for _, f := range live {
+			f.rate = level
 		}
 		// Freeze flows at saturated links or at their caps.
-		for _, l := range n.links {
-			used := 0.0
-			hasUnfrozen := false
-			for _, f := range l.flows {
-				used += f.rate
-				if !f.frozen {
-					hasUnfrozen = true
-				}
-			}
-			if !hasUnfrozen {
+		for _, l := range hot {
+			if l.unfrozen == 0 {
 				continue
 			}
-			if l.Available()-used <= 1e-9*math.Max(1, l.Available()) {
+			used := 0.0
+			for _, f := range l.flows {
+				used += f.rate
+			}
+			l.used = used
+			if avail := l.Available(); avail-used <= 1e-9*max(1, avail) {
 				for _, f := range l.flows {
 					if !f.frozen {
-						f.frozen = true
-						unfrozen--
+						f.freeze()
 					}
 				}
 			}
 		}
-		for _, f := range n.flows {
-			c := caps[f]
-			if !f.frozen && !math.IsInf(c, 1) && c-f.rate <= 1e-12*math.Max(1, c) {
-				f.frozen = true
-				unfrozen--
+		for _, f := range live {
+			c := f.effCap
+			if !f.frozen && !math.IsInf(c, 1) && c-f.rate <= 1e-12*max(1, c) {
+				f.freeze()
 			}
 		}
 		if delta == 0 {
 			// No headroom anywhere: freeze everything still live to
 			// guarantee termination (their rates stay as allocated).
-			for _, f := range n.flows {
+			for _, f := range live {
 				if !f.frozen {
-					f.frozen = true
-					unfrozen--
+					f.freeze()
 				}
 			}
 		}
+		live = slices.DeleteFunc(live, func(f *Flow) bool { return f.frozen })
+		hot = slices.DeleteFunc(hot, func(l *Link) bool { return l.unfrozen == 0 })
+	}
+	n.live, n.hotLink = live, hot
+}
+
+// freeze settles the flow's rate, taking it off every link on its path
+// (once per occurrence, matching the link's flow list).
+func (f *Flow) freeze() {
+	f.frozen = true
+	for _, l := range f.path {
+		l.unfrozen--
 	}
 }
 

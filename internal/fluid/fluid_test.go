@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -437,25 +438,31 @@ func TestPerFlowCapOnlyOnFirewalledPath(t *testing.T) {
 }
 
 func BenchmarkMaxMinReallocation(b *testing.B) {
-	eng := simclock.NewEngine()
-	n := New(eng)
-	links := make([]*Link, 20)
-	for i := range links {
-		links[i] = n.AddLink("l", 1e9, 0.001)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 50; i++ {
-		k := 1 + rng.Intn(3)
-		path := make([]*Link, k)
-		for j := 0; j < k; j++ {
-			path[j] = links[rng.Intn(len(links))]
-		}
-		// Enormous flows so none complete during the benchmark.
-		n.StartFlow(dedupLinks(path), 1e18, FlowOpts{})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.SetLinkLoad(links[i%len(links)], float64(i%50)/100)
+	for _, flows := range []int{50, 1000, 10000} {
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			eng := simclock.NewEngine()
+			n := New(eng)
+			links := make([]*Link, 20)
+			for i := range links {
+				links[i] = n.AddLink("l", 1e9, 0.001)
+			}
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < flows; i++ {
+				k := 1 + rng.Intn(3)
+				path := make([]*Link, k)
+				for j := 0; j < k; j++ {
+					path[j] = links[rng.Intn(len(links))]
+				}
+				// Enormous flows so none complete during the benchmark.
+				n.attach(dedupLinks(path), 1e18, FlowOpts{})
+			}
+			n.reallocate()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.SetLinkLoad(links[i%len(links)], float64(i%50)/100)
+			}
+		})
 	}
 }
 
@@ -543,5 +550,425 @@ func TestPropertyMaxMinCharacterization(t *testing.T) {
 		for _, f := range flows {
 			n.CancelFlow(f)
 		}
+	}
+}
+
+// referenceMaxMin is the textbook progressive-filling loop the allocator
+// must reproduce bit for bit: every round it scans every link for the
+// smallest headroom per unfrozen flow and every unfrozen flow for its
+// cap slack, raises every unfrozen rate by that delta, then freezes the
+// flows on saturated links and at their caps. It reads the network's
+// links and flows and returns the rates without touching them.
+func referenceMaxMin(links []*Link, flows []*Flow) map[*Flow]float64 {
+	rate := make(map[*Flow]float64, len(flows))
+	frozen := make(map[*Flow]bool, len(flows))
+	if len(flows) == 0 {
+		return rate
+	}
+	for _, f := range flows {
+		rate[f] = 0
+		frozen[f] = false
+	}
+	effCap := func(f *Flow) float64 {
+		c := f.cap
+		for _, l := range f.path {
+			if l.FlowCap > 0 && l.FlowCap < c {
+				c = l.FlowCap
+			}
+		}
+		return c
+	}
+	caps := make(map[*Flow]float64, len(flows))
+	for _, f := range flows {
+		caps[f] = effCap(f)
+	}
+	unfrozen := len(flows)
+	for unfrozen > 0 {
+		delta := math.Inf(1)
+		for _, l := range links {
+			cnt := 0
+			used := 0.0
+			for _, f := range l.flows {
+				used += rate[f]
+				if !frozen[f] {
+					cnt++
+				}
+			}
+			if cnt == 0 {
+				continue
+			}
+			d := (l.Available() - used) / float64(cnt)
+			if d < delta {
+				delta = d
+			}
+		}
+		for _, f := range flows {
+			if frozen[f] {
+				continue
+			}
+			if slack := caps[f] - rate[f]; slack < delta {
+				delta = slack
+			}
+		}
+		if delta < 0 {
+			delta = 0
+		}
+		if math.IsInf(delta, 1) {
+			panic("fluid: unbounded allocation")
+		}
+		for _, f := range flows {
+			if !frozen[f] {
+				rate[f] += delta
+			}
+		}
+		for _, l := range links {
+			used := 0.0
+			hasUnfrozen := false
+			for _, f := range l.flows {
+				used += rate[f]
+				if !frozen[f] {
+					hasUnfrozen = true
+				}
+			}
+			if !hasUnfrozen {
+				continue
+			}
+			if l.Available()-used <= 1e-9*math.Max(1, l.Available()) {
+				for _, f := range l.flows {
+					if !frozen[f] {
+						frozen[f] = true
+						unfrozen--
+					}
+				}
+			}
+		}
+		for _, f := range flows {
+			c := caps[f]
+			if !frozen[f] && !math.IsInf(c, 1) && c-rate[f] <= 1e-12*math.Max(1, c) {
+				frozen[f] = true
+				unfrozen--
+			}
+		}
+		if delta == 0 {
+			for _, f := range flows {
+				if !frozen[f] {
+					frozen[f] = true
+					unfrozen--
+				}
+			}
+		}
+	}
+	return rate
+}
+
+// refNet drives a Network the way the textbook simulator does: rates
+// from referenceMaxMin, and on every reallocation each completion event
+// is cancelled and a new one scheduled. Its mutators shadow Network's.
+type refNet struct {
+	*Network
+	events map[*Flow]*simclock.Event
+}
+
+func (r *refNet) StartFlow(path []*Link, bytes float64, opts FlowOpts) *Flow {
+	f := r.attach(path, bytes, opts)
+	r.reallocate()
+	return f
+}
+
+func (r *refNet) SetFlowCap(f *Flow, cap float64) {
+	if f.state != FlowActive {
+		return
+	}
+	if cap <= 0 {
+		cap = Inf
+	}
+	if cap != f.cap {
+		f.cap = cap
+		r.reallocate()
+	}
+}
+
+func (r *refNet) SetLinkLoad(l *Link, fraction float64) {
+	fraction = math.Max(0, math.Min(maxLoad, fraction))
+	if fraction != l.load {
+		l.load = fraction
+		if len(l.flows) > 0 {
+			r.reallocate()
+		}
+	}
+}
+
+func (r *refNet) SetLinkCapacity(l *Link, capacity float64) {
+	if capacity != l.Capacity {
+		l.Capacity = capacity
+		if len(l.flows) > 0 {
+			r.reallocate()
+		}
+	}
+}
+
+func (r *refNet) CancelFlow(f *Flow) bool { return r.end(f, FlowCancelled, nil) }
+
+func (r *refNet) KillFlow(f *Flow) bool { return r.end(f, FlowCancelled, f.onAbort) }
+
+func (r *refNet) end(f *Flow, state FlowState, then func(*Flow)) bool {
+	if f.state != FlowActive {
+		return false
+	}
+	f.settleProgress(r.eng.Now())
+	if state == FlowDone {
+		f.remaining = 0
+	}
+	f.state = state
+	f.finishedAt = r.eng.Now()
+	r.eng.Cancel(r.events[f])
+	delete(r.events, f)
+	r.detach(f)
+	r.reallocate()
+	if then != nil {
+		then(f)
+	}
+	return true
+}
+
+func (r *refNet) reallocate() {
+	r.Reallocations++
+	now := r.eng.Now()
+	for _, f := range r.flows {
+		f.settleProgress(now)
+	}
+	for f, rate := range referenceMaxMin(r.links, r.flows) {
+		f.rate = rate
+	}
+	for _, f := range r.flows {
+		var at simclock.Time
+		if f.rate <= 0 {
+			at = simclock.Infinity
+		} else {
+			at = now + simclock.Time(f.remaining/f.rate)
+		}
+		r.eng.Cancel(r.events[f])
+		delete(r.events, f)
+		if at != simclock.Infinity {
+			r.events[f] = r.eng.Schedule(at, func() { r.end(f, FlowDone, f.onComplete) })
+		}
+	}
+}
+
+// flowNet is the mutator surface the differential script drives.
+type flowNet interface {
+	StartFlow(path []*Link, bytes float64, opts FlowOpts) *Flow
+	SetFlowCap(f *Flow, cap float64)
+	SetLinkLoad(l *Link, fraction float64)
+	SetLinkCapacity(l *Link, capacity float64)
+	CancelFlow(f *Flow) bool
+	KillFlow(f *Flow) bool
+}
+
+// diffOp is one scripted mutation. Flow targets are indices into the
+// flows started so far, so both runs pick the same flow.
+type diffOp struct {
+	at     simclock.Time
+	kind   int // 0 start, 1 cap, 2 load, 3 capacity, 4 cancel, 5 kill
+	path   []int
+	bytes  float64
+	value  float64
+	target int
+}
+
+// diffScript draws a random network and mutation script: links with
+// FlowCaps, paths that repeat a link, uncapped flows, loads past the
+// 0.98 clamp, and bursts of identical flows that tie to the instant.
+func diffScript(seed int64) (caps, flowCaps []float64, ops []diffOp) {
+	rng := rand.New(rand.NewSource(seed))
+	nl := 2 + rng.Intn(6)
+	for i := 0; i < nl; i++ {
+		caps = append(caps, float64(10+rng.Intn(4)*30))
+		fc := 0.0
+		if rng.Intn(4) == 0 {
+			fc = float64(5 + rng.Intn(3)*10)
+		}
+		flowCaps = append(flowCaps, fc)
+	}
+	for i := 0; i < 40; i++ {
+		at := simclock.Time(rng.Intn(60)) / 2
+		op := diffOp{at: at, kind: rng.Intn(6), target: rng.Intn(64)}
+		if rng.Intn(2) == 0 {
+			op.kind = 0 // starts dominate
+		}
+		switch op.kind {
+		case 0:
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				op.path = append(op.path, rng.Intn(nl)) // repeats allowed
+			}
+			op.bytes = float64(50 + rng.Intn(4)*100)
+			if rng.Intn(2) == 0 {
+				op.value = float64(1 + rng.Intn(40))
+			}
+			for k := rng.Intn(3); k >= 0; k-- {
+				ops = append(ops, op) // identical flows, same instant
+			}
+			continue
+		case 1:
+			op.value = float64(rng.Intn(50)) // 0 lifts the cap
+		case 2:
+			op.value = []float64{-0.5, 0, 0.3, 0.5, 0.97, 0.98, 1.5}[rng.Intn(7)]
+		case 3:
+			op.value = float64(5 + rng.Intn(6)*25)
+		}
+		ops = append(ops, op)
+	}
+	return caps, flowCaps, ops
+}
+
+// runDiffScript plays the script on net (built over n) and returns the
+// log of completions and aborts: label, state and the finish time bits.
+// When check is set it asserts, after every mutation and completion,
+// that each active flow's rate equals referenceMaxMin's bit for bit.
+func runDiffScript(t *testing.T, seed int64, n *Network, net flowNet, check bool) []string {
+	t.Helper()
+	caps, flowCaps, ops := diffScript(seed)
+	links := make([]*Link, len(caps))
+	for i := range caps {
+		links[i] = n.AddLink(fmt.Sprint("l", i), caps[i], 0)
+		links[i].FlowCap = flowCaps[i]
+	}
+	var log []string
+	verify := func(what string) {
+		if !check {
+			return
+		}
+		want := referenceMaxMin(n.links, n.flows)
+		for _, f := range n.flows {
+			if math.Float64bits(f.rate) != math.Float64bits(want[f]) {
+				t.Fatalf("seed %d after %s at t=%v: flow %s rate %v, reference %v",
+					seed, what, n.eng.Now(), f.Label, f.rate, want[f])
+			}
+		}
+	}
+	record := func(f *Flow) {
+		log = append(log, fmt.Sprintf("%s %d %x", f.Label, f.state, math.Float64bits(float64(f.finishedAt))))
+		verify("completion of " + f.Label)
+	}
+	var started []*Flow
+	for i, op := range ops {
+		n.eng.Schedule(op.at, func() {
+			var target *Flow
+			if len(started) > 0 {
+				target = started[op.target%len(started)]
+			}
+			l := links[op.target%len(links)]
+			switch {
+			case op.kind == 0:
+				path := make([]*Link, len(op.path))
+				for k, p := range op.path {
+					path[k] = links[p]
+				}
+				started = append(started, net.StartFlow(path, op.bytes, FlowOpts{
+					Label: fmt.Sprint("f", i), RateCap: op.value, OnComplete: record, OnAbort: record,
+				}))
+			case op.kind == 2:
+				net.SetLinkLoad(l, op.value)
+			case op.kind == 3:
+				net.SetLinkCapacity(l, op.value)
+			case target == nil:
+				return
+			case op.kind == 1:
+				net.SetFlowCap(target, op.value)
+			case op.kind == 4:
+				if net.CancelFlow(target) {
+					log = append(log, fmt.Sprintf("%s cancelled", target.Label))
+				}
+			case op.kind == 5:
+				net.KillFlow(target)
+			}
+			verify(fmt.Sprintf("op %d (kind %d)", i, op.kind))
+		})
+	}
+	n.eng.Run()
+	if n.ActiveFlows() != 0 {
+		t.Fatalf("seed %d: %d flows still active after the run", seed, n.ActiveFlows())
+	}
+	return append(log, fmt.Sprintf("reallocations %d events %d", n.Reallocations, n.eng.Processed()))
+}
+
+// TestAllocatorMatchesReference is the allocator's differential test: on
+// seeded random networks, every rate after every mutation equals the
+// textbook loop's bit for bit, and a full run gives the same completion
+// and abort sequence, with the same finish-time bits, as a simulator that
+// cancels and reschedules every completion on every reallocation.
+func TestAllocatorMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 150; seed++ {
+		n := New(simclock.NewEngine())
+		got := runDiffScript(t, seed, n, n, true)
+		r := &refNet{Network: New(simclock.NewEngine()), events: map[*Flow]*simclock.Event{}}
+		want := runDiffScript(t, seed, r.Network, r, false)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d log lines, reference %d:\n%v\n%v", seed, len(got), len(want), got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: line %d is %q, reference %q", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestReallocateAllocFree pins the steady state: on a 300-flow network,
+// a capacity change reallocates and moves every completion without a
+// single heap allocation.
+func TestReallocateAllocFree(t *testing.T) {
+	n := New(simclock.NewEngine())
+	links := make([]*Link, 12)
+	for i := range links {
+		links[i] = n.AddLink("l", 1e6, 0)
+		if i%4 == 0 {
+			links[i].FlowCap = 2e4
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		path := []*Link{links[rng.Intn(len(links))], links[rng.Intn(len(links))]}
+		opts := FlowOpts{}
+		if i%3 == 0 {
+			opts.RateCap = 1e3 + rng.Float64()*1e4
+		}
+		n.StartFlow(path, 1e18, opts)
+	}
+	// Each visit to a link flips its load between 0.5 and 0, so every
+	// call reallocates.
+	calls := 0
+	before := n.Reallocations
+	allocs := testing.AllocsPerRun(100, func() {
+		n.SetLinkLoad(links[calls%len(links)], float64(1-calls/len(links)%2)*0.5)
+		calls++
+	})
+	if n.Reallocations-before != uint64(calls) {
+		t.Fatalf("%d calls reallocated %d times", calls, n.Reallocations-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("SetLinkLoad allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestEqualTimeCompletionsRunInFlowOrder pins the tie order a full
+// reschedule gives: completions due at the same instant run in flow-id
+// order, even when only one of them moved. Flow b shares its link with c
+// until c completes at t=5, which moves b's completion from t=15 to
+// t=10, the instant a's has been due at since t=0. An allocator that
+// skipped a's unchanged completion would run a before b.
+func TestEqualTimeCompletionsRunInFlowOrder(t *testing.T) {
+	eng := simclock.NewEngine()
+	n := New(eng)
+	l1 := n.AddLink("l1", 100, 0)
+	l2 := n.AddLink("l2", 100, 0)
+	var order []string
+	done := func(f *Flow) { order = append(order, fmt.Sprintf("%s@%v", f.Label, f.FinishedAt())) }
+	n.StartFlow([]*Link{l1}, 750, FlowOpts{Label: "b", OnComplete: done})
+	n.StartFlow([]*Link{l1}, 250, FlowOpts{Label: "c", OnComplete: done})
+	n.StartFlow([]*Link{l2}, 1000, FlowOpts{Label: "a", OnComplete: done})
+	eng.Run()
+	if got := fmt.Sprint(order); got != "[c@5 b@10 a@10]" {
+		t.Fatalf("completion order %s, want [c@5 b@10 a@10]", got)
 	}
 }

@@ -131,6 +131,12 @@ func (e *Engine) Cancel(ev *Event) bool {
 // Reschedule moves a pending event to a new absolute time, preserving
 // nothing but its callback. It reports whether the event was still
 // pending. A fired or cancelled event is left alone.
+//
+// The event takes a fresh sequence number, exactly as Schedule would,
+// so it runs after every event already due at the same instant: the
+// execution order is the one Cancel followed by Schedule of the same
+// callback gives, equal-time ties included. Package fluid relies on
+// this to move flow completions in place without changing replays.
 func (e *Engine) Reschedule(ev *Event, at Time) bool {
 	if ev == nil || ev.fired || ev.cancel || ev.index < 0 {
 		return false

@@ -294,6 +294,67 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 }
 
+// Property: moving pending events with Reschedule gives the same
+// execution order as cancelling them and scheduling their callbacks
+// anew, including equal-time ties and moves made from inside running
+// events. One engine reschedules in place; its twin cancels and
+// schedules; both follow the same seeded script.
+func TestPropertyRescheduleMatchesCancelSchedule(t *testing.T) {
+	run := func(seed int64, inPlace bool) []int {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		var evs []*Event
+		var got []int
+		var fire func(id int) func()
+		// move shifts event i to now+d; d is a small integer, so moved
+		// events tie with pending ones.
+		move := func(i int, d Time) {
+			at := e.Now() + d
+			if inPlace {
+				e.Reschedule(evs[i], at)
+			} else if e.Cancel(evs[i]) {
+				evs[i] = e.Schedule(at, fire(i))
+			}
+		}
+		add := func(at Time) { evs = append(evs, e.Schedule(at, fire(len(evs)))) }
+		fire = func(id int) func() {
+			return func() {
+				got = append(got, id)
+				// Each firing moves a few events, sometimes schedules a
+				// fresh one, sometimes cancels one.
+				for k := rng.Intn(4); k > 0; k-- {
+					move(rng.Intn(len(evs)), Time(rng.Intn(4)))
+				}
+				if rng.Intn(3) == 0 && len(evs) < 120 {
+					add(e.Now() + Time(rng.Intn(3)))
+				}
+				if rng.Intn(5) == 0 {
+					e.Cancel(evs[rng.Intn(len(evs))])
+				}
+			}
+		}
+		for i := 10 + rng.Intn(30); i > 0; i-- {
+			add(Time(rng.Intn(6)))
+		}
+		for k := rng.Intn(10); k > 0; k-- {
+			move(rng.Intn(len(evs)), Time(rng.Intn(6)))
+		}
+		e.Run()
+		return got
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		inPlace, fresh := run(seed, true), run(seed, false)
+		if len(inPlace) != len(fresh) {
+			t.Fatalf("seed %d: %d events ran in place, %d with cancel+schedule", seed, len(inPlace), len(fresh))
+		}
+		for i := range inPlace {
+			if inPlace[i] != fresh[i] {
+				t.Fatalf("seed %d: order diverges at %d:\n in place %v\n fresh    %v", seed, i, inPlace, fresh)
+			}
+		}
+	}
+}
+
 func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
