@@ -15,12 +15,12 @@ race:
 	$(GO) test -race ./...
 
 # Bench: every Go benchmark (scheduler drain bare vs instrumented,
-# registry hot path, transfer kernels), then the seeded detourbench
-# sweep that writes the machine-readable BENCH_10.json (storm goodput,
-# drain wall time with/without telemetry, dispatch ns/job).
+# registry hot path, transfer kernels), then the performance ledger
+# (detourledger/): four workloads, end-to-end and per-layer metrics,
+# written to ledger.json.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
-	$(GO) run ./cmd/detourbench -experiment bench -out BENCH_10.json
+	bash detourledger/run.sh
 
 fleet:
 	$(GO) run ./examples/fleet
@@ -41,20 +41,20 @@ overload:
 # push invalidation, make-before-break reroute/reattach), then the BGP
 # reconvergence storm replayed with and without the churn stack.
 churn:
-	$(GO) test -race ./internal/bgppol/ ./internal/sched/ ./internal/core/
+	$(GO) test -race ./internal/bgppol/ ./internal/sched/ ./internal/core/ ./internal/replay/
 	$(GO) run ./examples/churn
 
 # Multipath: the striping tests race-clean (chunk ledger, hedging,
 # drains, churn digest property), then the striped-vs-single replay.
 multipath:
-	$(GO) test -race ./internal/multipath/ ./internal/stats/ ./internal/sched/
+	$(GO) test -race ./internal/multipath/ ./internal/stats/ ./internal/sched/ ./internal/replay/
 	$(GO) run ./examples/multipath
 
 # Grayfail: the gray-failure detection tests race-clean (stall
 # watchdogs, outlier ejection with canary re-admission, retry budgets),
 # then the silent-degradation replay with and without the health stack.
 grayfail:
-	$(GO) test -race ./internal/health/ ./internal/faults/ ./internal/sched/
+	$(GO) test -race ./internal/health/ ./internal/faults/ ./internal/sched/ ./internal/replay/
 	$(GO) run ./examples/grayfail
 
 # Crashsafe: the crash-consistency tests race-clean (journal framing,
@@ -63,7 +63,7 @@ grayfail:
 # run, then the sweep replay: kill at every crash point, restart on the
 # journal, converge byte-identical with zero duplicate commits.
 crashsafe:
-	$(GO) test -race ./internal/journal/ ./internal/sched/
+	$(GO) test -race ./internal/journal/ ./internal/sched/ ./internal/replay/
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
 	$(GO) run ./examples/crashsafe
 
@@ -73,7 +73,7 @@ crashsafe:
 # disks fill, quota drains, the journal device fills — the full stack
 # vs the no-mitigation ablation.
 pressure:
-	$(GO) test -race ./internal/rsyncx/ ./internal/sched/ ./internal/cloudsim/ ./internal/journal/
+	$(GO) test -race ./internal/rsyncx/ ./internal/sched/ ./internal/cloudsim/ ./internal/journal/ ./internal/replay/
 	$(GO) run ./examples/pressure
 
 # Telemetry: the observability-plane tests race-clean (registry hot
@@ -82,7 +82,7 @@ pressure:
 # flash-crowd replay: live dumps, dashboard sparklines, failed-job
 # decision traces, Prometheus dump.
 telemetry:
-	$(GO) test -race ./internal/telemetry/ ./internal/sched/
+	$(GO) test -race ./internal/telemetry/ ./internal/sched/ ./internal/replay/
 	$(GO) run ./examples/telemetry
 
 # Stress: the scheduler suite repeated under the race detector to
@@ -119,14 +119,14 @@ golden-check:
 # The gate PRs must pass: everything compiles, vets clean, the full
 # test suite (including the really-concurrent scheduler) is race-clean,
 # the delta-encoding and journal-decode fuzzers hold up for a short
-# smoke run, the chaos and overload replays complete, and the churn,
-# multipath, grayfail, crashsafe, pressure, and telemetry replays are
-# byte-identical across two runs of the same seed — for telemetry that
-# covers the whole observability plane: metric dumps, time series,
-# sparklines, and flight-recorder traces — and every deterministic
-# example and paper figure/table matches its golden output. The
-# eviction-safety suites get an explicit race pass (cheap, and kept even
-# if the blanket ./... leg above is ever narrowed).
+# smoke run, the chaos and overload replays complete, and every
+# deterministic example — the churn, multipath, grayfail, crashsafe,
+# pressure and telemetry replays included, for telemetry the whole
+# observability plane: metric dumps, time series, sparklines, and
+# flight-recorder traces — and every paper figure/table matches its
+# golden output. The eviction-safety suites get an explicit race pass
+# (cheap, and kept even if the blanket ./... leg above is ever
+# narrowed).
 check:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/
@@ -134,28 +134,4 @@ check:
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
 	$(GO) run ./examples/chaos >/dev/null
 	$(GO) run ./examples/overload >/dev/null
-	$(GO) run ./examples/churn >.churn.a.tmp
-	$(GO) run ./examples/churn >.churn.b.tmp
-	cmp .churn.a.tmp .churn.b.tmp
-	rm -f .churn.a.tmp .churn.b.tmp
-	$(GO) run ./examples/multipath >.mp.a.tmp
-	$(GO) run ./examples/multipath >.mp.b.tmp
-	cmp .mp.a.tmp .mp.b.tmp
-	rm -f .mp.a.tmp .mp.b.tmp
-	$(GO) run ./examples/grayfail >.gray.a.tmp
-	$(GO) run ./examples/grayfail >.gray.b.tmp
-	cmp .gray.a.tmp .gray.b.tmp
-	rm -f .gray.a.tmp .gray.b.tmp
-	$(GO) run ./examples/crashsafe >.cs.a.tmp
-	$(GO) run ./examples/crashsafe >.cs.b.tmp
-	cmp .cs.a.tmp .cs.b.tmp
-	rm -f .cs.a.tmp .cs.b.tmp
-	$(GO) run ./examples/pressure >.pr.a.tmp
-	$(GO) run ./examples/pressure >.pr.b.tmp
-	cmp .pr.a.tmp .pr.b.tmp
-	rm -f .pr.a.tmp .pr.b.tmp
-	$(GO) run ./examples/telemetry >.tlm.a.tmp
-	$(GO) run ./examples/telemetry >.tlm.b.tmp
-	cmp .tlm.a.tmp .tlm.b.tmp
-	rm -f .tlm.a.tmp .tlm.b.tmp
 	$(MAKE) --no-print-directory golden-check

@@ -11,6 +11,7 @@ package detournet
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -23,6 +24,7 @@ import (
 	"detournet/internal/fluid"
 	"detournet/internal/measure"
 	"detournet/internal/overlay"
+	"detournet/internal/replay"
 	"detournet/internal/rsyncx"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
@@ -639,11 +641,9 @@ func BenchmarkBGPRoutesToCold(b *testing.B) {
 // stack runs, the examples/churn workload) once per iteration and
 // reports the stack's survival rate over storm-touched transfers.
 func BenchmarkChurnReplay(b *testing.B) {
-	var v sched.ChurnVerdict
+	var v replay.ChurnVerdict
 	for i := 0; i < b.N; i++ {
-		control := sched.RunChurn(sched.ChurnOptions{Seed: 2015, Stack: false})
-		stack := sched.RunChurn(sched.ChurnOptions{Seed: 2015, Stack: true})
-		v = sched.CompareChurn(control, stack)
+		v = replay.WriteChurn(io.Discard, 2015, 0)
 	}
 	printOnce("churn", fmt.Sprintf(
 		"Churn: storm touched %d transfers — control failed %.0f%%, stack survived %.0f%%, %.1f MB re-sent (budget %.1f MB)",

@@ -25,24 +25,15 @@ import (
 
 func main() {
 	var (
-		which  = flag.String("experiment", "all", "which experiment to run (all, fig2..fig11, table1..table5, dump, workload, download, sensitivity, contention, report, bench)")
+		which  = flag.String("experiment", "all", "which experiment to run (all, fig2..fig11, table1..table5, dump, workload, download, sensitivity, contention, report)")
 		seed   = flag.Int64("seed", 2015, "world seed (cross-traffic, jitter)")
 		runs   = flag.Int("runs", 7, "runs per measurement cell")
 		keep   = flag.Int("keep", 5, "runs retained for the mean (last N)")
 		sizes  = flag.String("sizes", "", "comma-separated file sizes in MB (default: paper's 10,20,30,40,50,60,100)")
 		quick  = flag.Bool("quick", false, "reduced protocol (3 sizes, 3 runs) for a fast smoke run")
 		format = flag.String("format", "csv", "output format for -experiment dump: csv or json")
-		out    = flag.String("out", "BENCH_10.json", "output path for -experiment bench")
 	)
 	flag.Parse()
-
-	if *which == "bench" {
-		if err := runBenchSweep(*seed, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "detourbench: bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	o := experiments.Options{Seed: *seed, Runs: *runs, Keep: *keep}
 	if *quick {

@@ -29,7 +29,7 @@
 // state a restarted scheduler would recover — finished jobs, pending
 // jobs with their checkpoints and idempotent attempt IDs, spent retry
 // tokens, held cap slots. Point it at the file a `detourd`-style
-// deployment (or sched.RunCrashsafe with JournalPath) writes. Transfer
+// deployment (or replay.Crashsafe with a CrashLeg.JournalPath) writes. Transfer
 // flags are ignored in this mode.
 //
 // With -health, the tool instead replays the gray-failure schedule with
@@ -48,7 +48,7 @@
 // this mode.
 //
 // With -dash, the tool instead replays the instrumented flash crowd
-// (see internal/sched.RunTelemetry) and prints the operator's terminal
+// (see internal/replay.WriteDashboard) and prints the operator's terminal
 // dashboard: headline delivery and churn counters, every sampled time
 // series as a sparkline with min/max/last, and a one-line summary of
 // each failed job's flight-recorder trace. Transfer flags are ignored
@@ -64,6 +64,7 @@ import (
 	"detournet/internal/detourselect"
 	"detournet/internal/fileutil"
 	"detournet/internal/multipath"
+	"detournet/internal/replay"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
 	"detournet/internal/sdk"
@@ -89,8 +90,7 @@ func main() {
 	flag.Parse()
 
 	if *dash {
-		o := sched.RunTelemetry(sched.TelemetryOptions{Seed: *seed})
-		sched.WriteTelemetryDash(os.Stdout, o)
+		replay.WriteDashboard(os.Stdout, *seed)
 		return
 	}
 
@@ -103,11 +103,13 @@ func main() {
 	}
 
 	if *healthTab {
-		os.Exit(runHealthTable(*seed))
+		replay.HealthTable(os.Stdout, *seed)
+		return
 	}
 
 	if *capTab {
-		os.Exit(runCapacityTable(*seed))
+		replay.CapacityTable(os.Stdout, *seed)
+		return
 	}
 
 	if _, ok := scenario.Providers[*provider]; !ok {
@@ -195,65 +197,6 @@ func main() {
 	})
 	writeTrace(w, *traceOut, exit)
 	os.Exit(exit)
-}
-
-// runHealthTable replays the gray-failure scenario with the health
-// stack armed and renders the tracker's final state the way a real
-// deployment's `detourctl health` would read the control plane.
-func runHealthTable(seed int64) int {
-	out := sched.RunGrayfail(sched.GrayfailOptions{Seed: seed, Stack: true})
-	st := out.Stats
-	fmt.Printf("health after %d transfers, %.0f virtual s: %d stalls, %d stall-reroutes, %d canaries, %d budget-parked\n",
-		len(out.Results), out.VirtualSeconds, st.Stalls, st.StallReroutes, st.Canaries, st.BudgetParks)
-	fmt.Println("entities:")
-	for _, e := range out.Table {
-		state := "healthy"
-		if e.Probation {
-			state = "probation"
-		}
-		fmt.Printf("  %-9s %-16s baseline %6.2f MB/s  %-9s stalls %d  obs %d\n",
-			e.Class, e.Entity, e.Baseline/1e6, state, e.Stalls, e.Observations)
-	}
-	fmt.Println("transitions:")
-	for _, tr := range out.Health {
-		fmt.Printf("  %s\n", tr)
-	}
-	fmt.Println("retry budgets:")
-	for _, b := range out.Budgets {
-		fmt.Printf("  %-12s tokens %.1f  spent %d  denied %d\n",
-			b.Provider, b.Tokens, b.Spent, b.Denied)
-	}
-	return 0
-}
-
-// runCapacityTable replays the storage-exhaustion scenario with the
-// mitigation stack armed and renders the final storage accounting the
-// way a real deployment's `detourctl capacity` would read the control
-// plane.
-func runCapacityTable(seed int64) int {
-	out := sched.RunPressure(sched.PressureOptions{Seed: seed, Stack: true})
-	st := out.Stats
-	fmt.Printf("storage after %d transfers, %.0f virtual s: %d quota failures, %d reclaims, %d spills, %d quota-parked; journal degraded=%v enospc-saves=%d dropped=%d\n",
-		len(out.Results), out.VirtualSeconds,
-		st.QuotaFailures, st.QuotaReclaims, st.ProviderSpills, st.QuotaParks,
-		st.JournalDegraded, st.JournalENOSPCSaves, st.JournalDropped)
-	fmt.Println("staging disks:")
-	for _, sn := range out.Staging {
-		fmt.Printf("  %-9s cap %4.0f MB used %4.0f MB headroom %4.0f MB reserved %4.0f MB | %d staged %d partials %d orphans | %d evictions (%.0f MB) %d orphans swept\n",
-			sn.DTN, sn.Capacity/1e6, sn.Used/1e6, sn.Headroom/1e6, sn.Reserved/1e6,
-			sn.Staged, sn.Partials, sn.Orphans, sn.Evictions, sn.EvictedBytes/1e6, sn.OrphansSwept)
-	}
-	fmt.Println("provider quota:")
-	for _, q := range out.Quota {
-		fmt.Printf("  %-12s quota %4.0f MB used %4.0f MB pending %4.0f MB free %4.0f MB | %d sessions reclaimed\n",
-			q.Provider, q.Quota/1e6, q.Used/1e6, q.Pending/1e6,
-			(q.Quota-q.Used-q.Pending)/1e6, q.SessionsReclaimed)
-	}
-	fmt.Println("warnings:")
-	for _, tr := range out.Health {
-		fmt.Printf("  %s\n", tr)
-	}
-	return 0
 }
 
 func writeTrace(w *scenario.World, path string, exit int) {

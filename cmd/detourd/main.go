@@ -56,27 +56,30 @@
 // scheduler flags are ignored in this mode.
 //
 // With -crashsafe, the daemon instead runs the crash-consistency sweep
-// (see internal/sched.RunCrashsafeSweep): a journaled scheduler killed
+// (see internal/replay.WriteCrashsafe): a journaled scheduler killed
 // at every enumerated control-plane crash point, restarted on the same
 // journal, and required to converge byte-identical to the crash-free
 // control with zero duplicate provider commits — plus the storage-decay
 // arm. Other scheduler flags are ignored in this mode.
 //
 // With -multipath, the daemon instead runs the striped-transfer
-// comparison (see internal/sched.RunMultipath): every site/provider
+// comparison (see internal/replay.WriteMultipath): every site/provider
 // pair measured over each single route and then striped across direct
 // + detours through JobMultipath, plus the churn leg that drives one
 // large striped transfer into the reconvergence storm. Other scheduler
 // flags are ignored in this mode.
 //
 // With -telemetry, the daemon instead replays the instrumented flash
-// crowd (see internal/sched.RunTelemetry) against the reconvergence
+// crowd (see internal/replay.WriteTelemetry) against the reconvergence
 // storm with the full observability plane attached — metrics registry,
 // virtual-clock sampler, per-job flight recorder — printing a compact
-// telemetry line every -dump-every virtual seconds while it drains and
-// the full deterministic report (time series, failed-job decision
-// traces, Prometheus dump) at the end. Other scheduler flags are
-// ignored in this mode.
+// telemetry line every -dump-every virtual seconds while it drains,
+// then the dashboard and the full deterministic report (time series,
+// failed-job decision traces, Prometheus dump). Other scheduler flags
+// are ignored in this mode.
+//
+// Each replay mode prints exactly what its program under examples/
+// prints for the same seed.
 package main
 
 import (
@@ -84,10 +87,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"time"
 
 	"detournet/internal/faults"
+	"detournet/internal/replay"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
 	"detournet/internal/workload"
@@ -114,56 +117,24 @@ func main() {
 	)
 	flag.Parse()
 
-	if *telem {
-		o := sched.RunTelemetry(sched.TelemetryOptions{
-			Seed: *seed, DumpEvery: *dumpEvery, DumpTo: os.Stdout,
-		})
-		fmt.Println()
-		sched.WriteTelemetryReport(os.Stdout, o)
+	switch {
+	case *telem:
+		replay.WriteTelemetry(os.Stdout, *seed, 0, *dumpEvery)
 		return
-	}
-
-	if *crashsafe {
-		control, legs := sched.RunCrashsafeSweep(*seed)
-		sched.WriteCrashsafeReport(os.Stdout, control, legs)
-		decay := sched.RunCrashsafe(sched.CrashsafeOptions{Seed: *seed, Decay: true})
-		sched.WriteCrashsafeDecayReport(os.Stdout, decay)
-		if err := sched.CrashsafeSanity(control, legs); err != nil {
-			fmt.Fprintf(os.Stderr, "detourd: crashsafe: %v\n", err)
-			os.Exit(1)
-		}
+	case *crashsafe:
+		exitOn("crashsafe", replay.WriteCrashsafe(os.Stdout, *seed))
 		return
-	}
-
-	if *mpath {
-		o := sched.RunMultipath(sched.MultipathOptions{Seed: *seed})
-		mc := sched.RunMultipathChurn(*seed, 0)
-		sched.WriteMultipathReport(os.Stdout, o, mc)
-		if err := sched.MultipathSanity(o); err != nil {
-			fmt.Fprintf(os.Stderr, "detourd: multipath: %v\n", err)
-			os.Exit(1)
-		}
+	case *mpath:
+		exitOn("multipath", replay.WriteMultipath(os.Stdout, *seed, 0, 0))
 		return
-	}
-
-	if *churn {
-		control := sched.RunChurn(sched.ChurnOptions{Seed: *seed, Stack: false})
-		stack := sched.RunChurn(sched.ChurnOptions{Seed: *seed, Stack: true})
-		sched.WriteChurnReport(os.Stdout, control, stack)
+	case *churn:
+		replay.WriteChurn(os.Stdout, *seed, 0)
 		return
-	}
-
-	if *grayfail {
-		control := sched.RunGrayfail(sched.GrayfailOptions{Seed: *seed, Stack: false})
-		stack := sched.RunGrayfail(sched.GrayfailOptions{Seed: *seed, Stack: true})
-		sched.WriteGrayfailReport(os.Stdout, control, stack)
+	case *grayfail:
+		replay.WriteGrayfail(os.Stdout, *seed, 0)
 		return
-	}
-
-	if *pressure {
-		control := sched.RunPressure(sched.PressureOptions{Seed: *seed, Stack: false})
-		stack := sched.RunPressure(sched.PressureOptions{Seed: *seed, Stack: true})
-		sched.WritePressureReport(os.Stdout, control, stack)
+	case *pressure:
+		replay.WritePressure(os.Stdout, *seed, 0)
 		return
 	}
 
@@ -280,35 +251,19 @@ func main() {
 			st.Hedges, st.HedgeWins, st.BrownoutEnters, st.BrownoutExits, st.BrownoutDirect, st.StaleServes)
 	}
 
-	routes := make([]string, 0, len(st.PerRoute))
-	for r := range st.PerRoute {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
 	fmt.Println("  per-route totals:")
-	for _, r := range routes {
-		rs := st.PerRoute[r]
-		fmt.Printf("    %-16s %4d jobs  %8.1f MB  %6.2f MB/s\n",
-			r, rs.Jobs, rs.Bytes/1e6, rs.Throughput()/1e6)
-	}
+	replay.WriteRoutes(os.Stdout, "    ", st)
 	fmt.Println("  concurrency peaks (cap enforcement high-water marks):")
-	provs := make([]string, 0, len(st.ProviderPeak))
-	for p := range st.ProviderPeak {
-		provs = append(provs, p)
-	}
-	sort.Strings(provs)
-	for _, p := range provs {
-		fmt.Printf("    provider %-12s peak %d\n", p, st.ProviderPeak[p])
-	}
-	dtns := make([]string, 0, len(st.DTNPeak))
-	for d := range st.DTNPeak {
-		dtns = append(dtns, d)
-	}
-	sort.Strings(dtns)
-	for _, d := range dtns {
-		fmt.Printf("    dtn      %-12s peak %d\n", d, st.DTNPeak[d])
-	}
+	replay.WritePeaks(os.Stdout, "    ", st)
 	if st.Failed > 0 && !*chaos && !*overload {
+		os.Exit(1)
+	}
+}
+
+// exitOn fails the process when a replay mode's acceptance check broke.
+func exitOn(mode string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "detourd: %s: %v\n", mode, err)
 		os.Exit(1)
 	}
 }

@@ -11,9 +11,11 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 
 	"detournet/internal/faults"
+	"detournet/internal/replay"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
 	"detournet/internal/workload"
@@ -32,37 +34,20 @@ func main() {
 		panic(err)
 	}
 
-	w := scenario.Build(2015)
-	inj := faults.NewInjector(w, 2015, faults.CannedSchedule()...)
-	exec := sched.NewSimExecutor(w)
-	defer exec.Close()
-	s := sched.New(sched.Config{
-		Workers: 8, Executor: exec, Planner: exec,
-		ProviderCap: 4, DTNCap: 2,
-		MaxAttempts: 5,
-		Now:         exec.VirtualNow,
-		Sleep:       exec.SleepVirtual,
-	})
-	s.Start()
-	defer s.Close()
-
 	var totalBytes float64
 	for _, fj := range trace {
 		totalBytes += fj.Size
-		err := s.Submit(sched.Job{
-			Tenant: fj.Tenant, Client: fj.Client, Provider: fj.Provider,
-			Name: fj.Name, Size: fj.Size, Priority: fj.Priority,
-		})
-		if err != nil {
-			panic(err)
-		}
 	}
 	fmt.Printf("Chaos: %d jobs (%.0f MB) submitted under %d scripted faults\n",
 		len(trace), totalBytes/1e6, len(faults.CannedSchedule()))
-	s.Drain()
+	o := replay.Run(replay.Spec{
+		Seed:   2015,
+		Faults: faults.CannedSchedule(),
+		Config: sched.Config{Workers: 8, ProviderCap: 4, DTNCap: 2, MaxAttempts: 5},
+		Fleet:  replay.Batch(trace),
+	})
 
-	st := s.Stats()
-	virt := exec.VirtualNow()
+	st, virt := o.Stats, o.VirtualSeconds
 	fmt.Printf("drained: %d done, %d failed — %d retries, %d fallbacks, %d failovers, %d breaker diversions\n",
 		st.Done, st.Failed, st.Retries, st.Fallbacks, st.Failovers, st.BreakerSkips)
 	var goodBytes float64
@@ -74,7 +59,7 @@ func main() {
 	fmt.Printf("recovery: %.1f MB resumed from checkpoints, %.1f MB rewritten (%.1f%% of delivered)\n",
 		st.BytesResumed/1e6, st.BytesRewritten/1e6, 100*st.BytesRewritten/goodBytes)
 	fmt.Printf("faults injected: %d schedule transitions, %d breaker transitions\n",
-		inj.Injected, st.BreakerTransitions)
+		o.Injector.Injected, st.BreakerTransitions)
 
 	fmt.Println("breakers at drain:")
 	keys := make([]string, 0, len(st.Breakers))
@@ -87,21 +72,12 @@ func main() {
 	}
 
 	fmt.Println("per-route totals:")
-	routes := make([]string, 0, len(st.PerRoute))
-	for r := range st.PerRoute {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	for _, r := range routes {
-		rs := st.PerRoute[r]
-		fmt.Printf("  %-16s %4d jobs  %8.1f MB  %6.2f MB/s\n",
-			r, rs.Jobs, rs.Bytes/1e6, rs.Throughput()/1e6)
-	}
+	replay.WriteRoutes(os.Stdout, "  ", st)
 
 	fmt.Println("fault timeline (first 12 transitions):")
-	for i, tr := range inj.Transitions() {
+	for i, tr := range o.Transitions {
 		if i == 12 {
-			fmt.Printf("  ... %d more\n", len(inj.Transitions())-12)
+			fmt.Printf("  ... %d more\n", len(o.Transitions)-12)
 			break
 		}
 		fmt.Printf("  %s\n", tr)

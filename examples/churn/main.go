@@ -6,14 +6,14 @@
 // rerouting of in-flight transfers, parking on total route loss, and a
 // DTN drain. The report contrasts survival, re-sent bytes, and parked
 // (blackhole) seconds; output is byte-identical per seed, which `make
-// check` verifies by running this program twice.
+// golden-check` verifies against testdata/golden.
 package main
 
 import (
 	"flag"
 	"os"
 
-	"detournet/internal/sched"
+	"detournet/internal/replay"
 )
 
 func main() {
@@ -21,7 +21,5 @@ func main() {
 	jobs := flag.Int("jobs", 36, "transfers in the fleet")
 	flag.Parse()
 
-	control := sched.RunChurn(sched.ChurnOptions{Seed: *seed, Jobs: *jobs, Stack: false})
-	stack := sched.RunChurn(sched.ChurnOptions{Seed: *seed, Jobs: *jobs, Stack: true})
-	sched.WriteChurnReport(os.Stdout, control, stack)
+	replay.WriteChurn(os.Stdout, *seed, *jobs)
 }

@@ -10,8 +10,10 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 
+	"detournet/internal/replay"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
 	"detournet/internal/workload"
@@ -30,32 +32,23 @@ func main() {
 		panic(err)
 	}
 
-	w := scenario.Build(2015)
-	exec := sched.NewSimExecutor(w)
-	defer exec.Close()
-	s := sched.New(sched.Config{
-		Workers: 8, Executor: exec, Planner: exec,
-		ProviderCap: 4, DTNCap: 2,
-	})
-	s.Start()
-	defer s.Close()
-
 	perClient := map[string]int{}
 	for _, fj := range trace {
 		perClient[fj.Client]++
-		err := s.Submit(sched.Job{
-			Tenant: fj.Tenant, Client: fj.Client, Provider: fj.Provider,
-			Name: fj.Name, Size: fj.Size, Priority: fj.Priority,
-		})
-		if err != nil {
-			panic(err)
-		}
 	}
 	fmt.Printf("Fleet: %d jobs submitted across %d clients and 3 providers\n",
 		len(trace), len(perClient))
-	s.Drain()
+	o := replay.Run(replay.Spec{
+		Seed:   2015,
+		Config: sched.Config{Workers: 8, ProviderCap: 4, DTNCap: 2},
+		// The scheduler keeps the wall clock: the whole trace drains well
+		// inside one route-cache TTL, so each (client, provider,
+		// size-bucket) is probed about once and amortized across the fleet.
+		Setup: func(e *replay.Env) { e.Config.Now, e.Config.Sleep = nil, nil },
+		Fleet: replay.Batch(trace),
+	})
 
-	st := s.Stats()
+	st := o.Stats
 	fmt.Printf("drained: %d done, %d failed (%d retries, %d detour->direct fallbacks)\n",
 		st.Done, st.Failed, st.Retries, st.Fallbacks)
 	clients := make([]string, 0, len(perClient))
@@ -69,35 +62,10 @@ func main() {
 	fmt.Printf("route cache: %.0f%% hit rate — %d probes served %d route decisions\n",
 		st.CacheHitRate()*100, st.CacheMisses, st.CacheHits+st.CacheMisses)
 	fmt.Printf("virtual transfer time: %.1f s across %d simulated uploads\n",
-		exec.VirtualNow(), exec.Transfers)
+		o.VirtualSeconds, o.Exec.Transfers)
 
 	fmt.Println("per-route totals:")
-	routes := make([]string, 0, len(st.PerRoute))
-	for r := range st.PerRoute {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	for _, r := range routes {
-		rs := st.PerRoute[r]
-		fmt.Printf("  %-16s %4d jobs  %8.1f MB  %6.2f MB/s\n",
-			r, rs.Jobs, rs.Bytes/1e6, rs.Throughput()/1e6)
-	}
-
+	replay.WriteRoutes(os.Stdout, "  ", st)
 	fmt.Println("concurrency peaks (caps: provider 4, dtn 2):")
-	provs := make([]string, 0, len(st.ProviderPeak))
-	for p := range st.ProviderPeak {
-		provs = append(provs, p)
-	}
-	sort.Strings(provs)
-	for _, p := range provs {
-		fmt.Printf("  provider %-12s peak %d\n", p, st.ProviderPeak[p])
-	}
-	dtns := make([]string, 0, len(st.DTNPeak))
-	for d := range st.DTNPeak {
-		dtns = append(dtns, d)
-	}
-	sort.Strings(dtns)
-	for _, d := range dtns {
-		fmt.Printf("  dtn      %-12s peak %d\n", d, st.DTNPeak[d])
-	}
+	replay.WritePeaks(os.Stdout, "  ", st)
 }

@@ -8,15 +8,14 @@
 // degradations return an error; the ablation only escapes them through
 // the bandit's slow relearning. The report contrasts goodput, shows
 // detection latency per silent window, and dumps the final health
-// table; output is byte-identical per seed, which `make check`
-// verifies by running this program twice.
+// table; output is byte-identical per seed, which `make golden-check` compares against testdata/golden.
 package main
 
 import (
 	"flag"
 	"os"
 
-	"detournet/internal/sched"
+	"detournet/internal/replay"
 )
 
 func main() {
@@ -24,7 +23,5 @@ func main() {
 	jobs := flag.Int("jobs", 60, "transfers in the fleet")
 	flag.Parse()
 
-	control := sched.RunGrayfail(sched.GrayfailOptions{Seed: *seed, Jobs: *jobs, Stack: false})
-	stack := sched.RunGrayfail(sched.GrayfailOptions{Seed: *seed, Jobs: *jobs, Stack: true})
-	sched.WriteGrayfailReport(os.Stdout, control, stack)
+	replay.WriteGrayfail(os.Stdout, *seed, *jobs)
 }

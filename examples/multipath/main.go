@@ -19,8 +19,7 @@
 // the ledger, and per-path checkpoints bound re-sent bytes to at most
 // one chunk per failure.
 //
-// Output is byte-identical per seed, which `make check` verifies by
-// running this program twice.
+// Output is byte-identical per seed, which `make golden-check` compares against testdata/golden.
 package main
 
 import (
@@ -28,7 +27,7 @@ import (
 	"fmt"
 	"os"
 
-	"detournet/internal/sched"
+	"detournet/internal/replay"
 )
 
 func main() {
@@ -37,10 +36,7 @@ func main() {
 	churnMB := flag.Float64("churn-size", 480, "MB for the churn leg")
 	flag.Parse()
 
-	o := sched.RunMultipath(sched.MultipathOptions{Seed: *seed, Size: *sizeMB * 1e6})
-	churn := sched.RunMultipathChurn(*seed, *churnMB*1e6)
-	sched.WriteMultipathReport(os.Stdout, o, churn)
-	if err := sched.MultipathSanity(o); err != nil {
+	if err := replay.WriteMultipath(os.Stdout, *seed, *sizeMB*1e6, *churnMB*1e6); err != nil {
 		fmt.Fprintf(os.Stderr, "multipath: %v\n", err)
 		os.Exit(1)
 	}

@@ -7,15 +7,14 @@
 // spill to alternate providers, and journal degradation to in-memory
 // folding when the log device fills. The report contrasts goodput and
 // dumps the final staging-disk and quota accounting; output is
-// byte-identical per seed, which `make check` verifies by running this
-// program twice.
+// byte-identical per seed, which `make golden-check` compares against testdata/golden.
 package main
 
 import (
 	"flag"
 	"os"
 
-	"detournet/internal/sched"
+	"detournet/internal/replay"
 )
 
 func main() {
@@ -23,7 +22,5 @@ func main() {
 	jobs := flag.Int("jobs", 60, "transfers in the fleet")
 	flag.Parse()
 
-	control := sched.RunPressure(sched.PressureOptions{Seed: *seed, Jobs: *jobs, Stack: false})
-	stack := sched.RunPressure(sched.PressureOptions{Seed: *seed, Jobs: *jobs, Stack: true})
-	sched.WritePressureReport(os.Stdout, control, stack)
+	replay.WritePressure(os.Stdout, *seed, *jobs)
 }

@@ -16,15 +16,14 @@
 // then the full report: headline stats, every time series, the failed
 // jobs' decision traces event by event, and the Prometheus text dump.
 // Output is byte-identical per seed — the whole plane rides the virtual
-// clock — which `make check` verifies by running this program twice.
+// clock — which `make golden-check` compares against testdata/golden.
 package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 
-	"detournet/internal/sched"
+	"detournet/internal/replay"
 )
 
 func main() {
@@ -36,17 +35,5 @@ func main() {
 	dumpEvery := flag.Float64("dump-every", 120, "virtual seconds between live telemetry lines (0 = quiet)")
 	flag.Parse()
 
-	fmt.Println("== live telemetry ==")
-	o := sched.RunTelemetry(sched.TelemetryOptions{
-		Seed: *seed, Jobs: *jobs,
-		DumpEvery: *dumpEvery, DumpTo: os.Stdout,
-	})
-
-	fmt.Println()
-	fmt.Println("== dashboard ==")
-	sched.WriteTelemetryDash(os.Stdout, o)
-
-	fmt.Println()
-	fmt.Println("== full report ==")
-	sched.WriteTelemetryReport(os.Stdout, o)
+	replay.WriteTelemetry(os.Stdout, *seed, *jobs, *dumpEvery)
 }

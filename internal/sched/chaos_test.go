@@ -1,49 +1,39 @@
-package sched
+package sched_test
 
 import (
 	"testing"
 
 	"detournet/internal/core"
 	"detournet/internal/faults"
+	"detournet/internal/replay"
 	"detournet/internal/scenario"
+	"detournet/internal/sched"
 )
 
-// pinDetour is a planner that always picks the UAlberta detour, with
-// the full candidate set available for failover.
-func pinDetour() Planner {
-	return PlannerFunc(func(c, p string, s float64) (core.Route, []core.Route, error) {
-		return core.ViaRoute(scenario.UAlberta), scenario.Routes(), nil
-	})
-}
-
-// chaosRun executes one UBC → Google Drive job through the scheduler
-// while the given fault schedule plays, and returns its result and the
-// scheduler stats.
-func chaosRun(t *testing.T, disableRecovery bool, specs ...faults.Spec) (Result, Stats) {
+// chaosRun executes one UBC → Google Drive job, pinned to the UAlberta
+// detour with the full candidate set available for failover, while the
+// given fault schedule plays, and returns its result and the scheduler
+// stats.
+func chaosRun(t *testing.T, disableRecovery bool, specs ...faults.Spec) (sched.Result, sched.Stats) {
 	t.Helper()
-	w := scenario.Build(3)
-	exec := NewSimExecutor(w)
-	faults.NewInjector(w, 3, specs...)
-	var res Result
-	s := New(Config{
-		Workers: 1, Executor: exec, Planner: pinDetour(),
-		MaxAttempts:     4,
-		Now:             exec.VirtualNow,
-		Sleep:           exec.SleepVirtual,
-		DisableRecovery: disableRecovery,
-		OnResult:        func(r Result) { res = r },
+	o := replay.Run(replay.Spec{
+		Seed:   3,
+		Faults: specs,
+		Config: sched.Config{MaxAttempts: 4, DisableRecovery: disableRecovery},
+		Setup: func(e *replay.Env) {
+			e.Config.Planner = sched.PlannerFunc(func(c, p string, s float64) (core.Route, []core.Route, error) {
+				return core.ViaRoute(scenario.UAlberta), scenario.Routes(), nil
+			})
+		},
+		Fleet: []replay.Arrival{{Job: sched.Job{
+			Tenant: "chaos", Client: scenario.UBC, Provider: scenario.GoogleDrive,
+			Name: "chaos.bin", Size: 100e6,
+		}}},
 	})
-	s.Start()
-	if err := s.Submit(Job{
-		Tenant: "chaos", Client: scenario.UBC, Provider: scenario.GoogleDrive,
-		Name: "chaos.bin", Size: 100e6,
-	}); err != nil {
-		t.Fatalf("submit: %v", err)
+	if len(o.Results) != 1 {
+		t.Fatalf("%d results, want 1", len(o.Results))
 	}
-	s.Drain()
-	st := s.Stats()
-	s.Close()
-	return res, st
+	return o.Results[0], o.Stats
 }
 
 // TestChaosResumeAcrossLinkFlap is the PR's acceptance scenario: the

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -145,68 +144,6 @@ func TestInjectorLinkRestorePublishes(t *testing.T) {
 	}
 }
 
-// TestChurnAcceptance is the PR's headline claim, asserted at the
-// example's default seed: of the transfers the storm touches, the
-// control run (one attempt, no recovery) fails at least half, the full
-// stack saves at least 95%, and the bytes re-sent stay within one
-// checkpoint chunk per reroute/retry/failover.
-func TestChurnAcceptance(t *testing.T) {
-	control := RunChurn(ChurnOptions{Seed: 2015, Stack: false})
-	stack := RunChurn(ChurnOptions{Seed: 2015, Stack: true})
-	v := CompareChurn(control, stack)
-
-	if v.Affected == 0 {
-		t.Fatal("storm touched no transfers; the schedule missed the fleet")
-	}
-	if got := v.ControlFailRate(); got < 0.50 {
-		t.Errorf("control failure rate = %.0f%%, want >= 50%% (failed %d of %d affected)",
-			100*got, v.ControlFailed, v.Affected)
-	}
-	if got := v.StackSurvivalRate(); got < 0.95 {
-		t.Errorf("stack survival rate = %.0f%%, want >= 95%% (survived %d of %d affected)",
-			100*got, v.StackSurvived, v.Affected)
-	}
-	if v.ResentBytes > v.ResentBudget {
-		t.Errorf("re-sent %.1f MB exceeds the make-before-break budget %.1f MB",
-			v.ResentBytes/1e6, v.ResentBudget/1e6)
-	}
-	if stack.Stats.Reroutes == 0 {
-		t.Error("stack run recorded no make-before-break reroutes")
-	}
-	if stack.Stats.Parks == 0 || stack.Stats.ParkSeconds <= 0 {
-		t.Errorf("stack run recorded no parking (parks=%d, %.0fs); the blackhole window went unexercised",
-			stack.Stats.Parks, stack.Stats.ParkSeconds)
-	}
-	if stack.Stats.RouteEvents == 0 || stack.Stats.RouteConverges == 0 {
-		t.Errorf("invalidation bus idle: %d events, %d converges",
-			stack.Stats.RouteEvents, stack.Stats.RouteConverges)
-	}
-	if len(stack.Events) == 0 {
-		t.Error("no routing-plane events recorded")
-	}
-}
-
-// TestChurnDeterminism: the full report — both runs, verdict, event
-// log, per-route totals — must be byte-identical for one seed and must
-// differ across seeds. `make check` re-asserts this on the built
-// example binary.
-func TestChurnDeterminism(t *testing.T) {
-	render := func(seed int64) string {
-		var b bytes.Buffer
-		control := RunChurn(ChurnOptions{Seed: seed, Stack: false})
-		stack := RunChurn(ChurnOptions{Seed: seed, Stack: true})
-		WriteChurnReport(&b, control, stack)
-		return b.String()
-	}
-	a, b := render(2015), render(2015)
-	if a != b {
-		t.Fatalf("churn replay diverged for one seed:\n--- run 1\n%s--- run 2\n%s", a, b)
-	}
-	if render(7) == a {
-		t.Fatal("different seeds produced identical reports; the storm ignores its seed")
-	}
-}
-
 // TestParkExhaustionIsTyped: when every route to the provider stays
 // withdrawn past the park budget, the transfer fails with an error
 // wrapping core.ErrNoRoute — the typed outcome detourctl and operators
@@ -219,5 +156,31 @@ func TestParkExhaustionIsTyped(t *testing.T) {
 	}
 	if got := Classify(err); got != FailTransient {
 		t.Fatalf("Classify(%v) = %v, want transient (so the scheduler retries and parks again)", err, got)
+	}
+}
+
+// TestRerouteNeverDetoursViaSelf: a job whose client is itself a DTN
+// (UAlberta) must not be offered "detour via UAlberta" when its current
+// route keeps failing — that route's first hop is a path of one node,
+// and the transfer would die with an untyped error. It must settle on
+// another DTN instead.
+func TestRerouteNeverDetoursViaSelf(t *testing.T) {
+	w := scenario.Build(1)
+	exec := NewSimExecutor(w)
+	defer exec.Close()
+	job := Job{Tenant: "t", Client: scenario.UAlberta, Provider: scenario.GoogleDrive, Name: "self.bin", Size: 60e6}
+	var got core.Route
+	var ok bool
+	w.RunWorkload("await", func(p *simproc.Proc) {
+		got, _, ok = exec.awaitRoute(p, job, &core.Checkpoint{}, core.DirectRoute, 10, true)
+	})
+	if !ok {
+		t.Fatal("no route found with every DTN path up")
+	}
+	if got.Kind == core.Detour && got.Via == job.Client {
+		t.Fatalf("rerouted %s via itself (%s)", job.Client, got)
+	}
+	if got != core.ViaRoute(scenario.UMich) {
+		t.Fatalf("reroute = %s, want via %s", got, scenario.UMich)
 	}
 }

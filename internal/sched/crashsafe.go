@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"sync"
@@ -37,8 +38,8 @@ import (
 	"detournet/internal/sdk"
 )
 
-// Enumerated control-plane crash points. RunCrashsafe sweeps all of
-// them; the coverage test asserts every one is actually reached.
+// Enumerated control-plane crash points. The crashsafe replay sweeps
+// all of them; the coverage test asserts every one is actually reached.
 const (
 	// CrashAfterSubmit dies after a submit record hits the journal but
 	// before the job runs.
@@ -1005,4 +1006,79 @@ func (cj *ControlJournal) DeviceSize() int {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
 	return cj.w.Device().Size()
+}
+
+// journalRecName names the wire record types for the -journal dump.
+var journalRecName = map[byte]string{
+	recSubmit: "submit", recAttempt: "attempt", recCkpt: "ckpt",
+	recCap: "cap", recRetry: "retry", recLanes: "lanes",
+	recFinish: "finish", recSnapshot: "snapshot",
+}
+
+// WriteJournalDump replays a control journal file and prints the
+// operator's view of it: the record census, any truncated tail, and
+// the folded state a restart would recover — finished jobs, pending
+// jobs with their checkpoints and idempotent attempt IDs, spent retry
+// tokens, held cap slots. The detourctl -journal flag drives this.
+func WriteJournalDump(out io.Writer, path string) error {
+	dev, err := journal.OpenFileDevice(path)
+	if err != nil {
+		return err
+	}
+	recs, truncated, err := journal.Replay(dev)
+	if err != nil {
+		return err
+	}
+	counts := make(map[string]int)
+	for _, r := range recs {
+		name := journalRecName[r.Type]
+		if name == "" {
+			name = fmt.Sprintf("type-%d", r.Type)
+		}
+		counts[name]++
+	}
+	_, rec, err := NewControlJournal(dev)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "journal %s: %d records, %d B", path, len(recs), dev.Size())
+	if truncated > 0 {
+		fmt.Fprintf(out, " (torn tail: %d B truncated)", truncated)
+	}
+	fmt.Fprintln(out)
+	names := make([]string, 0, len(counts))
+	for n := range counts {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(out, "  %-9s %d\n", n, counts[n])
+	}
+	fmt.Fprintf(out, "recovered state: %d finished, %d pending, %d duplicate finishes\n",
+		len(rec.Finished), len(rec.Pending), rec.DupFinishes)
+	for _, pj := range rec.Pending {
+		line := fmt.Sprintf("  pending %s seq=%d id=%s attempts=%d", pj.Job.Name, pj.Seq, pj.AttemptID, pj.PriorAttempts)
+		if pj.HasCkpt {
+			line += fmt.Sprintf(" ckpt[hop1=%s@%.0f session=%v watermark=%.0f]",
+				pj.Ck.Hop1Via, pj.Ck.Hop1High, pj.Ck.HasSession, pj.Ck.Watermark)
+		}
+		fmt.Fprintln(out, line)
+	}
+	provs := make([]string, 0, len(rec.RetrySpent))
+	for p := range rec.RetrySpent {
+		provs = append(provs, p)
+	}
+	sort.Strings(provs)
+	for _, p := range provs {
+		fmt.Fprintf(out, "  retries spent %s: %d\n", p, rec.RetrySpent[p])
+	}
+	keys := make([]string, 0, len(rec.CapsHeld))
+	for k := range rec.CapsHeld {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(out, "  cap held %s: %d\n", k, rec.CapsHeld[k])
+	}
+	return nil
 }

@@ -1,10 +1,7 @@
 package sched
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"sync"
+	"fmt"
 	"testing"
 
 	"detournet/internal/core"
@@ -12,234 +9,6 @@ import (
 	"detournet/internal/rsyncx"
 	"detournet/internal/sdk"
 )
-
-// The full sweep (control + 11 legs) is deterministic and shared by
-// every acceptance test below: run it once.
-var (
-	sweepOnce    sync.Once
-	sweepControl CrashsafeOutcome
-	sweepLegs    []CrashsafeLeg
-)
-
-func crashsafeSweep(t *testing.T) (CrashsafeOutcome, []CrashsafeLeg) {
-	t.Helper()
-	sweepOnce.Do(func() { sweepControl, sweepLegs = RunCrashsafeSweep(7) })
-	return sweepControl, sweepLegs
-}
-
-func TestCrashsafeControlArm(t *testing.T) {
-	control, _ := crashsafeSweep(t)
-	if control.Crashed {
-		t.Fatal("control arm crashed")
-	}
-	if got := control.Done(); got != 60 {
-		t.Fatalf("control done = %d, want 60", got)
-	}
-	if got := len(control.Listing); got != 60 {
-		t.Fatalf("control listing = %d objects, want 60", got)
-	}
-	if control.Compactions < 1 {
-		t.Fatal("control run never compacted the journal")
-	}
-	if control.MaxCommits != 1 {
-		t.Fatalf("control MaxCommits = %d, want 1", control.MaxCommits)
-	}
-	if control.IntegrityRetries != 0 {
-		t.Fatalf("control IntegrityRetries = %d, want 0", control.IntegrityRetries)
-	}
-}
-
-// TestCrashsafeSweepAcceptance is the tentpole's acceptance gate: a
-// scheduler killed at ANY enumerated crash point (plus the bit-rot
-// restart and the corrupted-journal leg) restarts, replays, and
-// completes the fleet byte-identical with zero duplicate provider
-// commits and a bounded re-send cost.
-func TestCrashsafeSweepAcceptance(t *testing.T) {
-	_, legs := crashsafeSweep(t)
-	// Re-send bound: a crash costs at most a rewind of in-flight work —
-	// never a whole-fleet rewrite. The bit-rot leg re-fetches exactly
-	// the corrupted chunks (2), so two manifest chunks plus slack.
-	maxResent := float64(2*rsyncx.ManifestChunk) + 1e5
-	for _, l := range legs {
-		o, v := l.Outcome, l.Verdict
-		if !o.Crashed {
-			t.Errorf("%s: kill never fired", l.label())
-			continue
-		}
-		if got := o.Done(); got != 60 {
-			t.Errorf("%s: done = %d, want 60", l.label(), got)
-		}
-		if got := len(o.Results); got != 60 {
-			t.Errorf("%s: results = %d, want 60", l.label(), got)
-		}
-		names := make(map[string]bool, len(o.Results))
-		for _, r := range o.Results {
-			if names[r.Job.Name] {
-				t.Errorf("%s: duplicate result for %s", l.label(), r.Job.Name)
-			}
-			names[r.Job.Name] = true
-		}
-		if !v.ByteIdentical {
-			t.Errorf("%s: provider listing diverged from control", l.label())
-		}
-		if v.MaxCommits != 1 {
-			t.Errorf("%s: MaxCommits = %d, want 1 (duplicate provider commit)", l.label(), v.MaxCommits)
-		}
-		if o.IntegrityRetries != 0 {
-			t.Errorf("%s: IntegrityRetries = %d, want 0 (whole-transfer discard)", l.label(), o.IntegrityRetries)
-		}
-		if v.ResentBytes > maxResent {
-			t.Errorf("%s: resent %.0f B > bound %.0f B", l.label(), v.ResentBytes, maxResent)
-		}
-	}
-}
-
-// TestCrashsafeCoverage asserts the sweep actually exercises every
-// enumerated crash point — a point nothing reaches is dead injection.
-func TestCrashsafeCoverage(t *testing.T) {
-	_, legs := crashsafeSweep(t)
-	totals := make(map[string]int)
-	for _, l := range legs {
-		for pt, n := range l.Outcome.Hits {
-			totals[pt] += n
-		}
-	}
-	for _, pt := range CrashPoints() {
-		if totals[pt] == 0 {
-			t.Errorf("crash point %q never reached across the sweep", pt)
-		}
-	}
-}
-
-// TestCrashsafeBitRotRepair pins the chunk-level repair contract: a
-// decayed-disk restart re-fetches only the damaged chunks and never
-// falls back to whole-transfer discard.
-func TestCrashsafeBitRotRepair(t *testing.T) {
-	_, legs := crashsafeSweep(t)
-	found := false
-	for _, l := range legs {
-		if !l.BitRot {
-			continue
-		}
-		found = true
-		o := l.Outcome
-		if o.RottedChunks == 0 {
-			t.Fatalf("%s: no chunks rotted — the leg tests nothing", l.label())
-		}
-		if o.ChunkRepairs == 0 {
-			t.Errorf("%s: ChunkRepairs = 0, want > 0", l.label())
-		}
-		if o.ChunkRepairs != o.RottedChunks {
-			t.Errorf("%s: ChunkRepairs = %d, RottedChunks = %d — repair granularity drifted",
-				l.label(), o.ChunkRepairs, o.RottedChunks)
-		}
-		if o.IntegrityRetries != 0 {
-			t.Errorf("%s: IntegrityRetries = %d, want 0", l.label(), o.IntegrityRetries)
-		}
-		// The re-send cost is the repaired chunks, not the transfer.
-		bound := float64(o.ChunkRepairs*rsyncx.ManifestChunk) + 1e5
-		if l.Verdict.ResentBytes > bound {
-			t.Errorf("%s: resent %.0f B > %d repaired chunks (%.0f B)",
-				l.label(), l.Verdict.ResentBytes, o.ChunkRepairs, bound)
-		}
-	}
-	if !found {
-		t.Fatal("sweep has no bit-rot leg")
-	}
-}
-
-// TestCrashsafeJournalRot pins recovery from a damaged journal: bit
-// rot flips log bytes mid-run, a torn append kills the control plane,
-// and the restart — holding only the longest valid prefix — still
-// converges byte-identical with no duplicate commits (the lost-record
-// window is covered by the provider precheck).
-func TestCrashsafeJournalRot(t *testing.T) {
-	_, legs := crashsafeSweep(t)
-	found := false
-	for _, l := range legs {
-		if !l.JournalFaults {
-			continue
-		}
-		found = true
-		o := l.Outcome
-		if !o.Crashed {
-			t.Fatal("journal-faults leg: torn append never killed")
-		}
-		if o.TruncatedBytes == 0 {
-			t.Errorf("journal-faults leg: replay truncated nothing — the rot missed the log")
-		}
-		if !l.Verdict.ByteIdentical || l.Verdict.MaxCommits != 1 {
-			t.Errorf("journal-faults leg: identical=%v maxCommits=%d",
-				l.Verdict.ByteIdentical, l.Verdict.MaxCommits)
-		}
-	}
-	if !found {
-		t.Fatal("sweep has no journal-faults leg")
-	}
-}
-
-// TestCrashsafeDeterminism renders the full report twice from
-// independent runs: same seed, same binary ⇒ byte-identical output.
-func TestCrashsafeDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full second sweep")
-	}
-	var a, b bytes.Buffer
-	control, legs := crashsafeSweep(t)
-	WriteCrashsafeReport(&a, control, legs)
-	control2, legs2 := RunCrashsafeSweep(7)
-	WriteCrashsafeReport(&b, control2, legs2)
-	if a.String() != b.String() {
-		t.Fatalf("sweep report not deterministic:\n--- first ---\n%s--- second ---\n%s", a.String(), b.String())
-	}
-	var da, db bytes.Buffer
-	WriteCrashsafeDecayReport(&da, RunCrashsafe(CrashsafeOptions{Seed: 7, Decay: true}))
-	WriteCrashsafeDecayReport(&db, RunCrashsafe(CrashsafeOptions{Seed: 7, Decay: true}))
-	if da.String() != db.String() {
-		t.Fatalf("decay report not deterministic:\n%s\nvs\n%s", da.String(), db.String())
-	}
-}
-
-// TestCrashsafeDecay runs the storage-decay arm: DTN torn writes, a
-// mid-fleet DTN crash, and staged-chunk rot under a live journal. The
-// fleet must still converge exactly once per object.
-func TestCrashsafeDecay(t *testing.T) {
-	o := RunCrashsafe(CrashsafeOptions{Seed: 7, Decay: true})
-	if got := o.Done(); got != 60 {
-		t.Fatalf("decay done = %d, want 60", got)
-	}
-	if o.MaxCommits != 1 {
-		t.Fatalf("decay MaxCommits = %d, want 1", o.MaxCommits)
-	}
-	if len(o.Transitions) == 0 {
-		t.Fatal("decay arm injected nothing")
-	}
-}
-
-// TestCrashsafeFileDevice runs the torn-append kill against a real
-// file-backed journal: the torn tail hits the filesystem and the
-// restart truncates it in place.
-func TestCrashsafeFileDevice(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "control.wal")
-	o := RunCrashsafe(CrashsafeOptions{
-		Seed: 7, Point: CrashTornAppend, Occurrence: 600, JournalPath: path,
-	})
-	if !o.Crashed {
-		t.Fatal("file-backed torn-append never fired")
-	}
-	if o.TruncatedBytes == 0 {
-		t.Fatal("file-backed replay truncated nothing")
-	}
-	control, _ := crashsafeSweep(t)
-	v := CompareCrashsafe(control, o)
-	if !v.ByteIdentical || v.MaxCommits != 1 {
-		t.Fatalf("file-backed leg: identical=%v maxCommits=%d", v.ByteIdentical, v.MaxCommits)
-	}
-	fi, err := os.Stat(path)
-	if err != nil || fi.Size() == 0 {
-		t.Fatalf("journal file missing or empty: %v", err)
-	}
-}
 
 func csJob(name string) Job {
 	return Job{
@@ -357,16 +126,16 @@ func TestControlJournalCompactEquivalence(t *testing.T) {
 	cjB.SetCompactEvery(0)
 	for _, cj := range []*ControlJournal{cjA, cjB} {
 		for i := 0; i < 5; i++ {
-			cj.NoteSubmit(csJob(crashsafeJobName(i)))
+			cj.NoteSubmit(csJob(fmt.Sprintf("crash-%03d.bin", i)))
 		}
 		for i := 0; i < 4; i++ {
-			j := csJob(crashsafeJobName(i))
+			j := csJob(fmt.Sprintf("crash-%03d.bin", i))
 			cj.NoteAttempt(j, 1, core.DirectRoute)
 			cj.NoteFinish(&Result{Job: j, Route: core.DirectRoute, Attempts: 1})
 		}
 		cj.NoteRetry("gdrive")
 		ck := &core.Checkpoint{Hop1Via: "vncv1", Hop1High: 5e5}
-		cj.NoteCkpt(csJob(crashsafeJobName(4)), ck, 5e5)
+		cj.NoteCkpt(csJob(fmt.Sprintf("crash-%03d.bin", 4)), ck, 5e5)
 	}
 	if cjA.Compactions() != 2 {
 		t.Fatalf("compactions = %d, want 2", cjA.Compactions())

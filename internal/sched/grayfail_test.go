@@ -1,47 +1,38 @@
-package sched
+package sched_test
 
 import (
-	"bytes"
 	"testing"
+
+	"detournet/internal/replay"
 )
 
-// grayfailPair runs the ablation and the stack once for the canonical
-// seed, shared across the acceptance assertions below.
-func grayfailPair(t *testing.T) (GrayfailOutcome, GrayfailOutcome) {
-	t.Helper()
-	control := RunGrayfail(GrayfailOptions{Seed: 2015, Stack: false})
-	stack := RunGrayfail(GrayfailOptions{Seed: 2015, Stack: true})
-	return control, stack
-}
-
-// TestGrayfailAcceptance is the PR's acceptance gate for seed 2015: the
+// TestGrayfailAcceptance is the gray-failure gate for seed 2015: the
 // health stack completes the fleet with materially better goodput than
-// the DisableHealth ablation, every silent degradation window is
-// detected by a watchdog abort within a bounded latency, and the
-// mitigation machinery (stalls, reroutes, canaries, metered retries)
-// demonstrably ran.
+// the no-health ablation, every silent degradation window is detected
+// by a watchdog abort within a bounded latency, and the mitigation
+// machinery (stalls, reroutes, canaries, metered retries) demonstrably
+// ran.
 func TestGrayfailAcceptance(t *testing.T) {
-	control, stack := grayfailPair(t)
-	v := CompareGrayfail(control, stack)
-
-	if v.ControlFailed != 0 || v.StackFailed != 0 {
-		t.Fatalf("failures: control %d, stack %d — gray failures must not hard-fail jobs", v.ControlFailed, v.StackFailed)
+	control, stack := replay.Grayfail(2015, 0)
+	if control.Stats.Failed != 0 || stack.Stats.Failed != 0 {
+		t.Fatalf("failures: control %d, stack %d — gray failures must not hard-fail jobs", control.Stats.Failed, stack.Stats.Failed)
 	}
-	if s := v.Speedup(); s < 1.2 {
+	if s := stack.Goodput() / control.Goodput(); s < 1.2 {
 		t.Errorf("speedup = %.3fx, want >= 1.2x (control %.0fs, stack %.0fs)",
 			s, control.VirtualSeconds, stack.VirtualSeconds)
 	}
-	if len(v.Detections) != 2 {
-		t.Fatalf("detections = %+v, want the provider-slow and dtn-disk-slow windows", v.Detections)
+	dets := replay.GrayDetections(stack)
+	if len(dets) != 2 {
+		t.Fatalf("detections = %+v, want the provider-slow and dtn-disk-slow windows", dets)
 	}
-	for _, d := range v.Detections {
+	for _, d := range dets {
 		if d.DetectedAt < 0 {
 			t.Errorf("%s window at t=%.0f never detected", d.Fault, d.Start)
 			continue
 		}
 		// The bound: one DefaultBudget is the worst admissible first
 		// catch; in practice the adaptive budgets land far below it.
-		if lat := d.Latency(); lat > 600 {
+		if lat := d.DetectedAt - d.Start; lat > 600 {
 			t.Errorf("%s detection latency %.1fs, want <= 600", d.Fault, lat)
 		}
 	}
@@ -51,35 +42,25 @@ func TestGrayfailAcceptance(t *testing.T) {
 	if stack.Stats.Canaries == 0 {
 		t.Error("no canary probes ran — probation re-admission untested by the replay")
 	}
-	if len(stack.Health) == 0 {
+	h := stack.Config.Health
+	if len(h.Transitions()) == 0 {
 		t.Error("no health transitions recorded")
 	}
 	// Retries stayed within the metered budget: something was spent,
 	// nothing exceeded the bucket (Tokens never goes negative and Spent
 	// minus earn-backs is bounded by the burst, which denial enforces).
-	if v.RetrySpent == 0 {
-		t.Error("retry budget never spent — the hard-error burst should meter at least one retry")
-	}
-	for _, b := range stack.Budgets {
+	spent := 0
+	for _, b := range h.RetryBudgets() {
+		spent += b.Spent
 		if b.Tokens < 0 {
 			t.Errorf("provider %s bucket at %.1f tokens — overdrawn", b.Provider, b.Tokens)
 		}
 	}
-	// The ablation, blind to gray failures, must show none of this.
-	if control.Stats.Stalls != 0 || control.Stats.Canaries != 0 || len(control.Health) != 0 {
-		t.Errorf("ablation ran health machinery: %+v", control.Stats)
+	if spent == 0 {
+		t.Error("retry budget never spent — the hard-error burst should meter at least one retry")
 	}
-}
-
-// TestGrayfailDeterminism: same seed, same binary, byte-identical
-// report — the property `make check` re-verifies across processes.
-func TestGrayfailDeterminism(t *testing.T) {
-	c1, s1 := grayfailPair(t)
-	c2, s2 := grayfailPair(t)
-	var a, b bytes.Buffer
-	WriteGrayfailReport(&a, c1, s1)
-	WriteGrayfailReport(&b, c2, s2)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("same-seed replays diverged:\n--- run 1\n%s\n--- run 2\n%s", a.String(), b.String())
+	// The ablation, blind to gray failures, must show none of this.
+	if control.Stats.Stalls != 0 || control.Stats.Canaries != 0 || control.Config.Health != nil {
+		t.Errorf("ablation ran health machinery: %+v", control.Stats)
 	}
 }

@@ -1,15 +1,15 @@
-package sched
+package sched_test
 
 import (
-	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"detournet/internal/faults"
 	"detournet/internal/multipath"
+	"detournet/internal/replay"
 	"detournet/internal/rsyncx"
 	"detournet/internal/scenario"
+	"detournet/internal/sched"
 )
 
 // chunkCoverage asserts the ledger invariant end-to-end: every chunk of
@@ -33,28 +33,44 @@ func chunkCoverage(t *testing.T, rep *multipath.Report) {
 	}
 }
 
+// layout recomputes a report's chunk sizes and asserts they are the
+// report's chunks and cover exactly its bytes.
+func layout(t *testing.T, rep *multipath.Report) []float64 {
+	t.Helper()
+	sizes := multipath.Layout(rep.Size, rep.Chunk, len(rep.Paths), rep.TailSplit)
+	var sum float64
+	for _, sz := range sizes {
+		sum += sz
+	}
+	if len(sizes) != rep.NumChunks || sum != rep.Size {
+		t.Fatalf("Layout gives %d chunks over %.0f B, report says %d over %.0f B", len(sizes), sum, rep.NumChunks, rep.Size)
+	}
+	return sizes
+}
+
 // TestMultipathAcceptance pins the issue's acceptance numbers at seed
 // 2015: striping beats the best single path by >=1.4x on at least one
 // pair, never lands more than 5% below it on any pair, and no pair
 // silently degrades to a single lane.
 func TestMultipathAcceptance(t *testing.T) {
-	o := RunMultipath(MultipathOptions{Seed: 2015})
-	if err := MultipathSanity(o); err != nil {
+	o, pairs := replay.Multipath(2015, 0)
+	if err := replay.MultipathSanity(pairs); err != nil {
 		t.Fatalf("sanity: %v", err)
 	}
-	if best := o.BestSpeedup(); best < 1.4 {
+	best, worst := replay.Speedups(pairs)
+	if best < 1.4 {
 		t.Errorf("best speedup %.2fx, want >= 1.4x", best)
 	}
-	if worst := o.WorstSpeedup(); worst < 1/1.05 {
+	if worst < 1/1.05 {
 		t.Errorf("worst speedup %.2fx, want >= %.3fx (<=1.05x worse guard)", worst, 1/1.05)
 	}
-	if o.Stats.MultipathJobs != int64(len(o.Pairs)) {
-		t.Errorf("MultipathJobs = %d, want %d", o.Stats.MultipathJobs, len(o.Pairs))
+	if o.Stats.MultipathJobs != int64(len(pairs)) {
+		t.Errorf("MultipathJobs = %d, want %d", o.Stats.MultipathJobs, len(pairs))
 	}
 	if o.Stats.MultipathDegraded != 0 {
 		t.Errorf("MultipathDegraded = %d, want 0", o.Stats.MultipathDegraded)
 	}
-	for _, pr := range o.Pairs {
+	for _, pr := range pairs {
 		if pr.Striped.Err != nil {
 			t.Errorf("%s->%s striped failed: %v", pr.Client, pr.Provider, pr.Striped.Err)
 			continue
@@ -68,77 +84,28 @@ func TestMultipathAcceptance(t *testing.T) {
 // and keep re-sent bytes within one chunk per failure on every path.
 func TestMultipathChurnBound(t *testing.T) {
 	for _, seed := range []int64{7, 42, 2015} {
-		c := RunMultipathChurn(seed, 0)
-		if c.Result.Err != nil {
-			t.Fatalf("seed %d: churn transfer failed: %v", seed, c.Result.Err)
+		res := replay.MultipathChurn(seed, 0).Results[0]
+		if res.Err != nil {
+			t.Fatalf("seed %d: churn transfer failed: %v", seed, res.Err)
 		}
-		rep := c.Result.Multipath
+		rep := res.Multipath
 		if rep == nil {
 			t.Fatalf("seed %d: degraded to single-path under churn", seed)
 		}
 		chunkCoverage(t, rep)
-		if !c.WithinResendBound() {
+		if !replay.WithinResendBound(res) {
 			t.Errorf("seed %d: re-sent bytes exceed one chunk per failure: %+v", seed, rep.Paths)
 		}
-		sizes := multipath.Layout(rep.Size, rep.Chunk, len(rep.Paths), rep.TailSplit)
-		if len(sizes) != rep.NumChunks {
-			t.Errorf("seed %d: Layout gives %d chunks, report says %d", seed, len(sizes), rep.NumChunks)
+		layout(t, rep)
+		// At the pinned seed the first withdraw (t=60) is guaranteed to
+		// land mid-transfer; the scheduler must have actually absorbed it.
+		churned := 0
+		for _, pr := range rep.Paths {
+			churned += pr.Failures + pr.Drains
 		}
-		var sum float64
-		for _, sz := range sizes {
-			sum += sz
+		if seed == 2015 && churned == 0 {
+			t.Error("seed 2015: churn storm caused no failures or drains — schedule not exercised")
 		}
-		if sum != rep.Size {
-			t.Errorf("seed %d: Layout covers %.0f of %.0f bytes", seed, sum, rep.Size)
-		}
-	}
-	// At the pinned seed the first withdraw (t=60) is guaranteed to
-	// land mid-transfer; the scheduler must have actually absorbed it.
-	c := RunMultipathChurn(2015, 0)
-	rep := c.Result.Multipath
-	if rep == nil {
-		t.Fatal("seed 2015: no multipath report")
-	}
-	churned := 0
-	for _, pr := range rep.Paths {
-		churned += pr.Failures + pr.Drains
-	}
-	if churned == 0 {
-		t.Error("seed 2015: churn storm caused no failures or drains — schedule not exercised")
-	}
-}
-
-// TestMultipathDeterminismRegression is the regression the issue asks
-// for: the same seed must produce a byte-identical report and identical
-// per-path chunk assignments across independent runs.
-func TestMultipathDeterminismRegression(t *testing.T) {
-	run := func() (MultipathOutcome, MultipathChurnOutcome, string) {
-		o := RunMultipath(MultipathOptions{Seed: 2015})
-		c := RunMultipathChurn(2015, 0)
-		var buf bytes.Buffer
-		WriteMultipathReport(&buf, o, c)
-		return o, c, buf.String()
-	}
-	o1, c1, txt1 := run()
-	o2, c2, txt2 := run()
-	if txt1 != txt2 {
-		t.Fatalf("report differs across runs of the same seed:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", txt1, txt2)
-	}
-	for i := range o1.Pairs {
-		m1, m2 := o1.Pairs[i].Striped.Multipath, o2.Pairs[i].Striped.Multipath
-		if m1 == nil || m2 == nil {
-			t.Fatalf("pair %d: missing multipath report", i)
-		}
-		for j := range m1.Paths {
-			if !reflect.DeepEqual(m1.Paths[j].Chunks, m2.Paths[j].Chunks) {
-				t.Errorf("pair %s->%s path %d: chunk assignment differs: %v vs %v",
-					o1.Pairs[i].Client, o1.Pairs[i].Provider, j, m1.Paths[j].Chunks, m2.Paths[j].Chunks)
-			}
-		}
-	}
-	r1, r2 := c1.Result.Multipath, c2.Result.Multipath
-	if r1 == nil || r2 == nil || !reflect.DeepEqual(r1.Paths, r2.Paths) {
-		t.Error("churn leg per-path reports differ across runs of the same seed")
 	}
 }
 
@@ -158,29 +125,19 @@ func TestMultipathChurnDigestProperty(t *testing.T) {
 	rand.New(rand.NewSource(seed)).Read(buf)
 	md5 := rsyncx.Checksum(buf)
 
-	w := scenario.Build(seed, scenario.WithDynamicRouting())
-	faults.NewInjector(w, seed, faults.ChurnSchedule()...)
-	exec := NewSimExecutor(w)
-	defer exec.Close()
-
-	var res Result
-	s := New(Config{
-		Workers:  1,
-		Executor: exec, Planner: exec,
-		Now:      exec.VirtualNow,
-		Sleep:    exec.SleepVirtual,
-		OnResult: func(r Result) { res = r },
+	o := replay.Run(replay.Spec{
+		Seed:   seed,
+		World:  []scenario.Option{scenario.WithDynamicRouting()},
+		Faults: faults.ChurnSchedule(),
+		Fleet: []replay.Arrival{{Job: sched.Job{
+			Tenant: "digest", Client: scenario.UBC, Provider: scenario.GoogleDrive,
+			Name: "digest.bin", Size: size, MD5: md5, Mode: sched.JobMultipath,
+		}}},
 	})
-	s.Start()
-	if err := s.Submit(Job{
-		Tenant: "digest", Client: scenario.UBC, Provider: scenario.GoogleDrive,
-		Name: "digest.bin", Size: size, MD5: md5, Mode: JobMultipath,
-	}); err != nil {
+	if err := o.Check(); err != nil {
 		t.Fatal(err)
 	}
-	s.Drain()
-	s.Close()
-
+	res := o.Results[0]
 	if res.Err != nil {
 		t.Fatalf("striped transfer failed under churn: %v", res.Err)
 	}
@@ -190,18 +147,12 @@ func TestMultipathChurnDigestProperty(t *testing.T) {
 	}
 	chunkCoverage(t, rep)
 
-	sizes := multipath.Layout(rep.Size, rep.Chunk, len(rep.Paths), rep.TailSplit)
-	if len(sizes) != rep.NumChunks {
-		t.Fatalf("Layout gives %d chunks, report says %d", len(sizes), rep.NumChunks)
-	}
+	sizes := layout(t, rep)
 	parts := make([][]byte, len(sizes))
 	off := 0
 	for i, sz := range sizes {
 		parts[i] = buf[off : off+int(sz)]
 		off += int(sz)
-	}
-	if off != len(buf) {
-		t.Fatalf("layout covers %d of %d bytes", off, len(buf))
 	}
 	if got := rsyncx.ChecksumCat(parts...); got != md5 {
 		t.Fatalf("reassembled digest %s != source digest %s", got, md5)

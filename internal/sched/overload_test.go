@@ -675,6 +675,14 @@ func TestIntegrityMismatchRetried(t *testing.T) {
 	}
 }
 
+// pinDetour is a planner that always picks the UAlberta detour, with
+// the full candidate set available for failover.
+func pinDetour() Planner {
+	return PlannerFunc(func(c, p string, s float64) (core.Route, []core.Route, error) {
+		return core.ViaRoute(scenario.UAlberta), scenario.Routes(), nil
+	})
+}
+
 // TestSimHedgedTransfer runs the hedge race on the real simulated
 // topology: two warm-up transfers teach the scheduler the healthy
 // detour's pace, then the detour's first-hop link degrades to a crawl

@@ -1,6 +1,6 @@
 //go:build !race
 
-package sched
+package sched_test
 
 // raceEnabled reports whether this test binary was built with the race
 // detector; timing-sensitive guards skip themselves under it.

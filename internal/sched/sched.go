@@ -536,6 +536,9 @@ type Scheduler struct {
 	// crashKilled mirrors the journal's kill switch under s.mu so Drain
 	// can wake on it.
 	crashKilled bool
+	// delivering counts finished results not yet handed to OnResult:
+	// Drain waits for them too.
+	delivering int
 	// Counters (all guarded by mu).
 	submitted, rateLimited int64
 	queueFullRej, quotaRej int64
@@ -826,7 +829,7 @@ func (s *Scheduler) brownoutActive() bool {
 // Drain blocks until every admitted job has reached a terminal state.
 func (s *Scheduler) Drain() {
 	s.mu.Lock()
-	for s.pending > 0 && !s.closed && !s.crashKilled {
+	for (s.pending > 0 || s.delivering > 0) && !s.closed && !s.crashKilled {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
@@ -913,6 +916,7 @@ func (s *Scheduler) finish(res Result) {
 	}
 	s.mu.Lock()
 	s.pending--
+	s.delivering++
 	if s.running > 0 {
 		s.running--
 	}
@@ -963,12 +967,15 @@ func (s *Scheduler) finish(res Result) {
 		}
 	}
 	s.noteDepthLocked()
-	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.recordTerminal(res)
 	if s.cfg.OnResult != nil {
 		s.cfg.OnResult(res)
 	}
+	s.mu.Lock()
+	s.delivering--
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // runJob is a worker's whole handling of one job: route decision

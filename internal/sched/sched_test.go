@@ -464,8 +464,8 @@ func TestRetryBackoff(t *testing.T) {
 	var got collector
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: plan, MaxAttempts: 4,
-		Backoff: Backoff{Base: 0.1, Max: 10, Factor: 2, Jitter: 0.5},
-		Sleep:   func(sec float64) { delays = append(delays, sec) },
+		Backoff:  Backoff{Base: 0.1, Max: 10, Factor: 2, Jitter: 0.5},
+		Sleep:    func(sec float64) { delays = append(delays, sec) },
 		OnResult: got.add,
 	})
 	s.Start()
@@ -515,6 +515,25 @@ func TestPermanentFailure(t *testing.T) {
 	}
 	if st := s.Stats(); st.Failed != 1 || st.Done != 0 {
 		t.Errorf("failed=%d done=%d, want 1/0", st.Failed, st.Done)
+	}
+}
+
+// TestDrainWaitsForOnResult: Drain returns only once every finished
+// result has been handed to OnResult, however slow the callback.
+func TestDrainWaitsForOnResult(t *testing.T) {
+	var got collector
+	s := New(Config{
+		Workers: 1, Executor: newCountingExec(0), Planner: &staticPlanner{route: core.DirectRoute}, Sleep: noSleep,
+		OnResult: func(r Result) { time.Sleep(20 * time.Millisecond); got.add(r) },
+	})
+	s.Start()
+	defer s.Close()
+	if err := s.Submit(Job{Tenant: "t", Client: "c", Provider: "p", Name: "slow.bin", Size: 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	if n := len(got.all()); n != 1 {
+		t.Fatalf("Drain returned with %d results delivered, want 1", n)
 	}
 }
 

@@ -482,7 +482,11 @@ func (e *SimExecutor) ExecuteRerouting(job Job, route core.Route, ck *core.Check
 func (e *SimExecutor) awaitRoute(p *simproc.Proc, job Job, ck *core.Checkpoint, cur core.Route, budget float64, exclude bool) (core.Route, float64, bool) {
 	cands := make([]core.Route, 0, len(scenario.DTNs))
 	for _, dtn := range scenario.DTNs {
-		cands = append(cands, core.ViaRoute(dtn))
+		// A client that is itself a DTN cannot detour via itself: the
+		// "first hop" would be a path of one node.
+		if dtn != job.Client {
+			cands = append(cands, core.ViaRoute(dtn))
+		}
 	}
 	order := core.RerouteOrder(ck, cur, cands)
 	stickyUntil := -1.0

@@ -1,10 +1,12 @@
-package sched
+package sched_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"detournet/internal/replay"
 	"detournet/internal/scenario"
+	"detournet/internal/sched"
 	"detournet/internal/workload"
 )
 
@@ -13,16 +15,6 @@ import (
 // probe decisions, transfers in virtual time. This is the miniature of
 // examples/fleet that CI (and the race detector) always runs.
 func TestSimExecutorFleet(t *testing.T) {
-	w := scenario.Build(7)
-	exec := NewSimExecutor(w)
-	defer exec.Close()
-	s := New(Config{
-		Workers: 6, Executor: exec, Planner: exec,
-		ProviderCap: 2, DTNCap: 2,
-	})
-	s.Start()
-	defer s.Close()
-
 	trace, err := workload.GenerateFleet(workload.FleetSpec{
 		Jobs:    36,
 		Clients: []string{scenario.UBC, scenario.Purdue, scenario.UCLA},
@@ -34,25 +26,26 @@ func TestSimExecutorFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fj := range trace {
-		err := s.Submit(Job{
-			Tenant: fj.Tenant, Client: fj.Client, Provider: fj.Provider,
-			Name: fj.Name, Size: fj.Size, Priority: fj.Priority,
-		})
-		if err != nil {
-			t.Fatalf("submit %s: %v", fj.Name, err)
-		}
+	o := replay.Run(replay.Spec{
+		Seed:   7,
+		Config: sched.Config{Workers: 6, ProviderCap: 2, DTNCap: 2},
+		// The wall clock, as in examples/fleet: no cache TTL expires
+		// mid-trace, so the probe bound below holds.
+		Setup: func(e *replay.Env) { e.Config.Now, e.Config.Sleep = nil, nil },
+		Fleet: replay.Batch(trace),
+	})
+	if err := o.Check(); err != nil {
+		t.Fatal(err)
 	}
-	s.Drain()
 
-	st := s.Stats()
+	st := o.Stats
 	if st.Done != int64(len(trace)) || st.Failed != 0 {
 		t.Fatalf("done=%d failed=%d, want %d/0 (stats: %s)", st.Done, st.Failed, len(trace), st)
 	}
-	if exec.Transfers != int64(len(trace)) {
-		t.Errorf("sim transfers = %d, want %d", exec.Transfers, len(trace))
+	if o.Exec.Transfers != int64(len(trace)) {
+		t.Errorf("sim transfers = %d, want %d", o.Exec.Transfers, len(trace))
 	}
-	if exec.VirtualNow() <= 0 {
+	if o.VirtualSeconds <= 0 {
 		t.Error("virtual clock did not advance")
 	}
 	// Fixed 2 MB sizes land in one bucket per (client, provider): at
