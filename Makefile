@@ -116,8 +116,9 @@ golden-check:
 	for x in $(GOLDEN_EXPERIMENTS); do $(GOLDEN_BIN)/detourbench -experiment $$x >$(GOLDEN_BIN)/out.txt && \
 		cmp $(GOLDEN_BIN)/out.txt testdata/golden/detourbench-$$x.txt || exit 1; done
 
-# The gate PRs must pass: everything compiles, vets clean, the full
-# test suite (including the really-concurrent scheduler) is race-clean,
+# The gate PRs must pass: every Go file is gofmt-clean, everything
+# compiles, vets clean, the full test suite (including the
+# really-concurrent scheduler) is race-clean,
 # the delta-encoding and journal-decode fuzzers hold up for a short
 # smoke run, the chaos and overload replays complete, and every
 # deterministic example — the churn, multipath, grayfail, crashsafe,
@@ -128,6 +129,7 @@ golden-check:
 # (cheap, and kept even if the blanket ./... leg above is ever
 # narrowed).
 check:
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx

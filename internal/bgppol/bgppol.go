@@ -482,16 +482,20 @@ func expandDomainPath(g *topology.Graph, src, dst *topology.Node, doms []string)
 
 // nearestBorder finds the shortest intra-domain path from start to a
 // router in domain dom that has an edge into domain next, returning the
-// path and the first node on the far side.
+// path and the first node on the far side. One search from start gives
+// every candidate's distance, the same left-to-right sum of hop delays
+// a per-candidate search would; equal distances go to the
+// lexicographically smaller far-side node.
 func nearestBorder(g *topology.Graph, start *topology.Node, dom, next string) ([]*topology.Node, *topology.Node, error) {
-	type cand struct {
-		path []*topology.Node
-		exit *topology.Node
-		cost float64
+	t, err := inDomain(dom).Run(g, start, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	bestC := cand{cost: math.Inf(1)}
+	var border, exit *topology.Node
+	cost := math.Inf(1)
 	for _, n := range g.Nodes() {
-		if n.Domain != dom {
+		d, ok := t.Dist(n) // settled nodes are dom's
+		if !ok {
 			continue
 		}
 		var far *topology.Node
@@ -504,71 +508,32 @@ func nearestBorder(g *topology.Graph, start *topology.Node, dom, next string) ([
 		if far == nil {
 			continue
 		}
-		seg, err := intraPath(g, start, n, dom)
-		if err != nil {
-			continue
-		}
-		cost := 0.0
-		for i := 0; i+1 < len(seg); i++ {
-			e, _ := g.Edge(seg[i].Name, seg[i+1].Name)
-			cost += e.Link.PropDelay
-		}
-		if cost < bestC.cost || (cost == bestC.cost && far.Name < bestC.exit.Name) {
-			bestC = cand{path: seg, exit: far, cost: cost}
+		if d < cost || (d == cost && far.Name < exit.Name) {
+			border, exit, cost = n, far, d
 		}
 	}
-	if bestC.exit == nil {
+	if exit == nil {
 		return nil, nil, fmt.Errorf("no border router towards %s", next)
 	}
-	return bestC.path, bestC.exit, nil
+	return t.Path(border), exit, nil
 }
 
-// intraPath is delay-weighted Dijkstra restricted to one domain's nodes.
+// intraPath is the delay-shortest path from src to dst that stays in
+// one domain's nodes.
 func intraPath(g *topology.Graph, src, dst *topology.Node, dom string) ([]*topology.Node, error) {
-	if src == dst {
-		return []*topology.Node{src}, nil
+	t, err := inDomain(dom).Run(g, src, dst)
+	if err != nil {
+		return nil, err
 	}
-	dist := map[string]float64{src.Name: 0}
-	prev := map[string]string{}
-	visited := map[string]bool{}
-	for {
-		cur := ""
-		best := math.Inf(1)
-		for _, n := range g.Nodes() {
-			if n.Domain != dom || visited[n.Name] {
-				continue
-			}
-			if d, ok := dist[n.Name]; ok && d < best {
-				best = d
-				cur = n.Name
-			}
-		}
-		if cur == "" {
-			return nil, fmt.Errorf("no intra-domain route %s -> %s in %s", src.Name, dst.Name, dom)
-		}
-		if cur == dst.Name {
-			break
-		}
-		visited[cur] = true
-		for _, e := range g.Edges(cur) {
-			if e.To.Domain != dom {
-				continue
-			}
-			nd := dist[cur] + e.Link.PropDelay
-			if d, ok := dist[e.To.Name]; !ok || nd < d {
-				dist[e.To.Name] = nd
-				prev[e.To.Name] = cur
-			}
-		}
+	if p := t.Path(dst); p != nil {
+		return p, nil
 	}
-	var rev []string
-	for at := dst.Name; at != src.Name; at = prev[at] {
-		rev = append(rev, at)
-	}
-	out := []*topology.Node{src}
-	for i := len(rev) - 1; i >= 0; i-- {
-		n, _ := g.Node(rev[i])
-		out = append(out, n)
-	}
-	return out, nil
+	return nil, fmt.Errorf("no intra-domain route %s -> %s in %s", src.Name, dst.Name, dom)
+}
+
+// inDomain is the intra-domain search: delay-weighted, confined to dom's
+// nodes. It has no edge filter, so administratively down edges stay
+// usable inside a domain (TestIntraDomainUsesDownEdges pins this).
+func inDomain(dom string) topology.Search {
+	return topology.Search{Node: func(n *topology.Node) bool { return n.Domain == dom }}
 }

@@ -233,15 +233,15 @@ type pathState struct {
 	current   int     // chunk in flight, -1 when idle
 	startedAt float64 // when the in-flight dispatch began
 	busy      float64
-	bytes    float64 // committed bytes (first completions only)
-	dup      float64 // duplicate bytes this path moved and lost
-	chunks   []int   // committed chunk ids in commit order
-	fails    int
-	consec   int
-	steals   int
-	drains   int
-	draining bool
-	retired  bool
+	bytes     float64 // committed bytes (first completions only)
+	dup       float64 // duplicate bytes this path moved and lost
+	chunks    []int   // committed chunk ids in commit order
+	fails     int
+	consec    int
+	steals    int
+	drains    int
+	draining  bool
+	retired   bool
 }
 
 // state is the shared chunk ledger. Path processes are cooperative

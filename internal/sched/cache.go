@@ -115,12 +115,12 @@ type entry struct {
 // invalidation, and bandit-driven refresh. It is safe for concurrent
 // use.
 type RouteCache struct {
-	mu          sync.Mutex
-	ttl         float64
-	quarantine  float64
-	now         func() float64
-	rng         *rand.Rand
-	entries     map[CacheKey]*entry
+	mu         sync.Mutex
+	ttl        float64
+	quarantine float64
+	now        func() float64
+	rng        *rand.Rand
+	entries    map[CacheKey]*entry
 	// weight, when set, multiplies each candidate's bandit score at
 	// election time — the health layer's probation down-weighting hook.
 	weight      func(core.Route) float64

@@ -57,9 +57,9 @@ type jobQueue struct {
 	space *sync.Cond // waiters in pushWait (queue full)
 	opts  queueOpts
 
-	h      jobHeap            // strict mode
-	levels map[int]*drrLevel  // fair mode, by priority
-	prios  []int              // fair mode: non-empty priorities, descending
+	h      jobHeap           // strict mode
+	levels map[int]*drrLevel // fair mode, by priority
+	prios  []int             // fair mode: non-empty priorities, descending
 
 	size     int
 	byTenant map[string]int

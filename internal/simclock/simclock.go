@@ -7,7 +7,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -43,33 +42,82 @@ func (e *Event) At() Time { return e.at }
 // Cancelled reports whether Cancel was called before the event fired.
 func (e *Event) Cancelled() bool { return e.cancel }
 
+// eventHeap is a binary min-heap on (at, seq). Sequence numbers are
+// unique, so the pop order is the (at, seq) order whatever the heap's
+// internal layout.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
 }
-func (h *eventHeap) Pop() any {
+
+func (h eventHeap) down(i int) bool {
+	i0, n := i, len(h)
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 { // j < 0 after int overflow
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) push(ev *Event) {
+	ev.index = len(*h)
+	*h = append(*h, ev)
+	h.up(ev.index)
+}
+
+// remove takes out and returns the event at index i.
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	if n != i {
+		old.swap(i, n)
+		if !old[:n].down(i) {
+			old[:n].up(i)
+		}
+	}
+	ev := old[n]
+	old[n] = nil
+	ev.index = -1
+	*h = old[:n]
+	return ev
+}
+
+// fix restores the heap after the event at index i changed its key.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
@@ -108,7 +156,7 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	}
 	ev := &Event{at: at, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -124,7 +172,7 @@ func (e *Engine) Cancel(ev *Event) bool {
 		return false
 	}
 	ev.cancel = true
-	heap.Remove(&e.queue, ev.index)
+	e.queue.remove(ev.index)
 	return true
 }
 
@@ -147,7 +195,30 @@ func (e *Engine) Reschedule(ev *Event, at Time) bool {
 	ev.at = at
 	ev.seq = e.seq
 	e.seq++
-	heap.Fix(&e.queue, ev.index)
+	e.queue.fix(ev.index)
+	return true
+}
+
+// Rearm queues a fired event again at absolute time at, with the same
+// callback, and reports whether it did. A periodic process re-arms its
+// one event instead of allocating a new one per period. The event takes
+// a fresh sequence number, so it runs exactly where Schedule of the
+// same callback at the same moment would have put it. Rearm refuses a
+// pending or cancelled event (use Reschedule or Schedule); a re-armed
+// event is pending again and can be cancelled or rescheduled. Re-arming
+// in the past panics, as Schedule does.
+func (e *Engine) Rearm(ev *Event, at Time) bool {
+	if ev == nil || !ev.fired || ev.cancel {
+		return false
+	}
+	if at < e.now {
+		panic(fmt.Sprintf("simclock: rearm at %v before now %v", at, e.now))
+	}
+	ev.at = at
+	ev.seq = e.seq
+	e.seq++
+	ev.fired = false
+	e.queue.push(ev)
 	return true
 }
 
@@ -169,7 +240,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
+	ev := e.queue.remove(0)
 	e.now = ev.at
 	ev.fired = true
 	e.processed++

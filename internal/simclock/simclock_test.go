@@ -1,6 +1,8 @@
 package simclock
 
 import (
+	"container/heap"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -352,6 +354,238 @@ func TestPropertyRescheduleMatchesCancelSchedule(t *testing.T) {
 				t.Fatalf("seed %d: order diverges at %d:\n in place %v\n fresh    %v", seed, i, inPlace, fresh)
 			}
 		}
+	}
+}
+
+// refQueue is a container/heap queue on (at, seq): the structure the
+// engine's typed heap replaced, kept as the oracle for its pop order.
+type refQueue []*refItem
+
+type refItem struct {
+	at    Time
+	seq   uint64
+	id    int
+	index int // -1 when not queued
+}
+
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q refQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index, q[j].index = i, j
+}
+func (q *refQueue) Push(x any) {
+	it := x.(*refItem)
+	it.index = len(*q)
+	*q = append(*q, it)
+}
+func (q *refQueue) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	it.index = -1
+	*q = old[:len(old)-1]
+	return it
+}
+
+// Property: under random Schedule/Cancel/Reschedule/Rearm/Step scripts
+// with many equal-time ties, the engine runs events in exactly the
+// order a container/heap queue on (at, seq) pops them, and every call
+// reports what the reference model says it should.
+func TestPropertyHeapMatchesContainerHeap(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		var ref refQueue
+		var seq uint64
+		var evs []*Event
+		var items []*refItem
+		fired := map[int]bool{}
+		cancelled := map[int]bool{}
+		var ran []int
+		queue := func(it *refItem, at Time) {
+			it.at, it.seq = at, seq
+			seq++
+			heap.Push(&ref, it)
+		}
+		step := func() {
+			want := heap.Pop(&ref).(*refItem)
+			fired[want.id] = true
+			if !e.Step() || ran[len(ran)-1] != want.id || e.Now() != want.at {
+				t.Fatalf("seed %d: engine ran %v at %v, reference pops %d at %v", seed, ran, e.Now(), want.id, want.at)
+			}
+		}
+		for op := 0; op < 400; op++ {
+			at := e.Now() + Time(rng.Intn(4))
+			var id int
+			if len(evs) > 0 {
+				id = rng.Intn(len(evs))
+			}
+			switch k := rng.Intn(10); {
+			case k < 3 || len(evs) == 0:
+				id = len(evs)
+				evs = append(evs, e.Schedule(at, func() { ran = append(ran, id) }))
+				items = append(items, &refItem{id: id, index: -1})
+				queue(items[id], at)
+			case k == 3:
+				want := items[id].index >= 0
+				if got := e.Cancel(evs[id]); got != want {
+					t.Fatalf("seed %d: Cancel(%d) = %v, reference %v", seed, id, got, want)
+				}
+				if want {
+					heap.Remove(&ref, items[id].index)
+					cancelled[id] = true
+				}
+			case k == 4:
+				want := items[id].index >= 0
+				if got := e.Reschedule(evs[id], at); got != want {
+					t.Fatalf("seed %d: Reschedule(%d) = %v, reference %v", seed, id, got, want)
+				}
+				if want {
+					items[id].at, items[id].seq = at, seq
+					seq++
+					heap.Fix(&ref, items[id].index)
+				}
+			case k == 5:
+				want := items[id].index < 0 && fired[id] && !cancelled[id]
+				if got := e.Rearm(evs[id], at); got != want {
+					t.Fatalf("seed %d: Rearm(%d) = %v, reference %v", seed, id, got, want)
+				}
+				if want {
+					fired[id] = false
+					queue(items[id], at)
+				}
+			default:
+				if ref.Len() > 0 {
+					step()
+				}
+			}
+			if e.Pending() != ref.Len() {
+				t.Fatalf("seed %d: %d pending, reference %d", seed, e.Pending(), ref.Len())
+			}
+		}
+		for ref.Len() > 0 {
+			step()
+		}
+		if e.Step() {
+			t.Fatalf("seed %d: engine has events the reference does not", seed)
+		}
+	}
+}
+
+func TestRearmRefusesPendingAndCancelled(t *testing.T) {
+	e := NewEngine()
+	if e.Rearm(nil, 1) {
+		t.Fatal("Rearm(nil) = true")
+	}
+	ev := e.Schedule(1, func() {})
+	if e.Rearm(ev, 2) {
+		t.Fatal("Rearm of a pending event = true")
+	}
+	e.Cancel(ev)
+	if e.Rearm(ev, 2) {
+		t.Fatal("Rearm of a cancelled event = true")
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events pending", e.Pending())
+	}
+}
+
+func TestRearmedEventCanBeCancelled(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	ev := e.Schedule(1, func() { n++ })
+	e.Run()
+	if !e.Rearm(ev, 5) || e.Pending() != 1 || ev.At() != 5 {
+		t.Fatalf("Rearm after firing: pending %d at %v", e.Pending(), ev.At())
+	}
+	if !e.Cancel(ev) || !ev.Cancelled() {
+		t.Fatal("re-armed event not cancellable")
+	}
+	if e.Run(); n != 1 {
+		t.Fatalf("cancelled re-armed event ran: %d runs", n)
+	}
+	if e.Rearm(ev, 6) {
+		t.Fatal("Rearm after Cancel = true")
+	}
+}
+
+func TestRearmPastPanics(t *testing.T) {
+	e := NewEngine()
+	ev := e.Schedule(2, func() {})
+	e.Run()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-arming in the past did not panic")
+		}
+	}()
+	e.Rearm(ev, 1)
+}
+
+// A periodic event that re-arms itself from its own callback runs in the
+// same order, equal-time ties included, as one that schedules a fresh
+// event: re-arming takes a sequence number exactly where Schedule would.
+func TestRearmOrdersLikeSchedule(t *testing.T) {
+	run := func(rearm bool) []string {
+		e := NewEngine()
+		var got []string
+		var tick *Event
+		var fn func()
+		fn = func() {
+			got = append(got, fmt.Sprintf("tick@%v", e.Now()))
+			if e.Now() >= 6 {
+				return
+			}
+			// Ties before the re-arm (already queued) and after it.
+			e.Schedule(e.Now()+2, func() { got = append(got, fmt.Sprintf("after@%v", e.Now())) })
+			if rearm {
+				if !e.Rearm(tick, e.Now()+2) {
+					panic("Rearm refused a fired event")
+				}
+			} else {
+				tick = e.Schedule(e.Now()+2, fn)
+			}
+			e.Schedule(e.Now()+2, func() { got = append(got, fmt.Sprintf("later@%v", e.Now())) })
+		}
+		e.Schedule(2, func() { got = append(got, "first@2") })
+		tick = e.Schedule(0, fn)
+		e.Run()
+		return got
+	}
+	a, b := fmt.Sprint(run(true)), fmt.Sprint(run(false))
+	if a != b {
+		t.Fatalf("Rearm order %s\nSchedule order %s", a, b)
+	}
+	if want := "[tick@0 first@2 after@2 tick@2 later@2 after@4 tick@4 later@4 after@6 tick@6 later@6]"; a != want {
+		t.Fatalf("order %s, want %s", a, want)
+	}
+}
+
+// BenchmarkEngineStep measures one Step at a steady queue size: every
+// event re-arms itself at a pseudo-random later time, so each op is one
+// pop and one push with the given number of events pending.
+func BenchmarkEngineStep(b *testing.B) {
+	for _, pending := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			e := NewEngine()
+			x := uint64(1)
+			evs := make([]*Event, pending)
+			for i := range evs {
+				evs[i] = e.Schedule(Time(i%97), func() {
+					x = x*6364136223846793005 + 1442695040888963407
+					e.Rearm(evs[i], e.Now()+Time(x>>40)/(1<<20))
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }
 

@@ -3,10 +3,10 @@
 // the paper's traceroutes), unidirectional links realized as fluid links,
 // per-domain ownership, and route computation.
 //
-// Route selection is pluggable: the default is delay-weighted Dijkstra,
-// package bgppol layers valley-free inter-domain policy on top, and
-// explicit per-pair overrides pin the handful of paths the paper observed
-// directly (e.g. UBC's PacificWave hand-off to Google).
+// Route selection is pluggable: the default is delay-weighted shortest
+// paths (Search), package bgppol layers valley-free inter-domain policy
+// on top, and explicit per-pair overrides pin the handful of paths the
+// paper observed directly (e.g. UBC's PacificWave hand-off to Google).
 package topology
 
 import (
@@ -47,6 +47,9 @@ type Node struct {
 	// RespondsICMP controls traceroute visibility; false renders the
 	// paper's "* * *" hops (Fig 6 hops 2 and 10).
 	RespondsICMP bool
+
+	g   *Graph // the graph AddNode registered the node in
+	idx int    // dense index in g.order, the route search's array slot
 }
 
 // Edge is one direction of an adjacency, carrying the fluid link that
@@ -76,8 +79,8 @@ type LinkSpec struct {
 type Graph struct {
 	fl    *fluid.Network
 	nodes map[string]*Node
-	order []string           // node names in insertion order, for determinism
-	out   map[string][]*Edge // adjacency, sorted by target name
+	order []*Node   // insertion order, for determinism; Node.idx indexes it
+	out   [][]*Edge // adjacency by Node.idx, sorted by target name
 
 	overrides    map[pair][]string // explicit routed node paths
 	overridesOff map[pair]bool     // administratively suspended pins
@@ -101,7 +104,7 @@ type PathFinder interface {
 }
 
 // New returns an empty graph over the fluid network. The default router
-// is delay-weighted Dijkstra.
+// is MinDelay.
 func New(fl *fluid.Network) *Graph {
 	if fl == nil {
 		panic("topology: nil fluid network")
@@ -109,7 +112,6 @@ func New(fl *fluid.Network) *Graph {
 	return &Graph{
 		fl:        fl,
 		nodes:     make(map[string]*Node),
-		out:       make(map[string][]*Edge),
 		overrides: make(map[pair][]string),
 		router:    MinDelay{},
 	}
@@ -126,10 +128,15 @@ func (g *Graph) SetRouter(r PathFinder) {
 	g.router = r
 }
 
-// AddNode registers a node. Duplicate names are an error.
+// AddNode registers a node. Duplicate names are an error, and so is a
+// node already registered in a graph: its dense index belongs to that
+// graph.
 func (g *Graph) AddNode(n *Node) (*Node, error) {
 	if n == nil || n.Name == "" {
 		return nil, fmt.Errorf("topology: node must have a name")
+	}
+	if n.g != nil {
+		return nil, fmt.Errorf("topology: node %q already belongs to a graph", n.Name)
 	}
 	if _, ok := g.nodes[n.Name]; ok {
 		return nil, fmt.Errorf("topology: duplicate node %q", n.Name)
@@ -137,8 +144,10 @@ func (g *Graph) AddNode(n *Node) (*Node, error) {
 	if n.Hostname == "" {
 		n.Hostname = n.Name
 	}
+	n.g, n.idx = g, len(g.order)
 	g.nodes[n.Name] = n
-	g.order = append(g.order, n.Name)
+	g.order = append(g.order, n)
+	g.out = append(g.out, nil)
 	return n, nil
 }
 
@@ -169,9 +178,7 @@ func (g *Graph) MustNode(name string) *Node {
 // Nodes returns all nodes in insertion order.
 func (g *Graph) Nodes() []*Node {
 	out := make([]*Node, len(g.order))
-	for i, name := range g.order {
-		out[i] = g.nodes[name]
-	}
+	copy(out, g.order)
 	return out
 }
 
@@ -203,7 +210,7 @@ func (g *Graph) ConnectAsym(from, to string, spec LinkSpec) error {
 	if from == to {
 		return fmt.Errorf("topology: self-link at %q", from)
 	}
-	for _, e := range g.out[from] {
+	for _, e := range g.out[fn.idx] {
 		if e.To == tn {
 			return fmt.Errorf("topology: duplicate edge %s->%s", from, to)
 		}
@@ -220,8 +227,9 @@ func (g *Graph) ConnectAsym(from, to string, spec LinkSpec) error {
 	}
 	link := g.fl.AddLink(fmt.Sprintf("%s->%s", from, to), spec.CapacityBps, delay)
 	link.FlowCap = spec.PerFlowCapBps
-	g.out[from] = append(g.out[from], &Edge{From: fn, To: tn, Link: link})
-	sort.Slice(g.out[from], func(i, j int) bool { return g.out[from][i].To.Name < g.out[from][j].To.Name })
+	out := append(g.out[fn.idx], &Edge{From: fn, To: tn, Link: link})
+	sort.Slice(out, func(i, j int) bool { return out[i].To.Name < out[j].To.Name })
+	g.out[fn.idx] = out
 	return nil
 }
 
@@ -234,12 +242,16 @@ func (g *Graph) MustConnectAsym(from, to string, spec LinkSpec) {
 
 // Edges returns the out-edges of a node, sorted by target name.
 func (g *Graph) Edges(name string) []*Edge {
-	return g.out[name]
+	n, ok := g.nodes[name]
+	if !ok {
+		return nil
+	}
+	return g.out[n.idx]
 }
 
 // Edge returns the directed edge from->to.
 func (g *Graph) Edge(from, to string) (*Edge, bool) {
-	for _, e := range g.out[from] {
+	for _, e := range g.Edges(from) {
 		if e.To.Name == to {
 			return e, true
 		}
@@ -363,8 +375,8 @@ func (g *Graph) KillEdgeFlows(from, to string) int {
 // killed.
 func (g *Graph) KillDomainBoundaryFlows(a, b string) int {
 	n := 0
-	for _, name := range g.order {
-		for _, e := range g.out[name] {
+	for _, out := range g.out {
+		for _, e := range out {
 			ad, bd := e.From.Domain, e.To.Domain
 			if (ad == a && bd == b) || (ad == b && bd == a) {
 				n += g.KillEdgeFlows(e.From.Name, e.To.Name)
@@ -460,23 +472,22 @@ func (g *Graph) RTT(a, b string) (float64, error) {
 	return fluid.PathDelay(fwd) + fluid.PathDelay(rev), nil
 }
 
-// MinDelay is the default PathFinder: Dijkstra weighted by link propagation
-// delay, with deterministic lexicographic tie-breaking.
+// MinDelay is the default PathFinder: shortest paths by link
+// propagation delay, with deterministic tie-breaking (see Search).
 type MinDelay struct{}
 
 // Path implements PathFinder.
 func (MinDelay) Path(g *Graph, src, dst *Node) ([]*Node, error) {
-	return dijkstra(g, src, dst, func(e *Edge) float64 { return e.Link.PropDelay }, nil)
+	return route(g, src, dst, nil, nil)
 }
 
 // EdgeFilter decides whether a route from src to dst may use edge e.
 type EdgeFilter func(e *Edge, src, dst *Node) bool
 
-// MinDelayFiltered is delay-weighted Dijkstra restricted to edges the
-// filter admits — the hook for lightweight routing policy such as
-// "provider (stub) domains do not carry transit traffic", which on the
-// real Internet is enforced by BGP export rules (see package bgppol for
-// the full model).
+// MinDelayFiltered is MinDelay restricted to edges the filter admits —
+// the hook for lightweight routing policy such as "provider (stub)
+// domains do not carry transit traffic", which on the real Internet is
+// enforced by BGP export rules (see package bgppol for the full model).
 type MinDelayFiltered struct {
 	Allow EdgeFilter
 }
@@ -486,7 +497,7 @@ func (r MinDelayFiltered) Path(g *Graph, src, dst *Node) ([]*Node, error) {
 	if r.Allow == nil {
 		return nil, fmt.Errorf("topology: MinDelayFiltered with nil filter")
 	}
-	return dijkstra(g, src, dst, func(e *Edge) float64 { return e.Link.PropDelay }, r.Allow)
+	return route(g, src, dst, nil, r.Allow)
 }
 
 // NoStubTransit returns an EdgeFilter that keeps routes out of the given
@@ -516,66 +527,130 @@ func (r MinWeight) Path(g *Graph, src, dst *Node) ([]*Node, error) {
 	if r.Weight == nil {
 		return nil, fmt.Errorf("topology: MinWeight with nil weight func")
 	}
-	return dijkstra(g, src, dst, r.Weight, nil)
+	return route(g, src, dst, r.Weight, nil)
 }
 
-func dijkstra(g *Graph, src, dst *Node, w WeightFunc, allow EdgeFilter) ([]*Node, error) {
+// route is the routers' search: down edges are never used, and allow,
+// when set, vets every other edge.
+func route(g *Graph, src, dst *Node, w WeightFunc, allow EdgeFilter) ([]*Node, error) {
+	t, err := Search{Weight: w, Edge: func(e *Edge) bool {
+		return !e.down && (allow == nil || allow(e, src, dst))
+	}}.Run(g, src, dst)
+	if err != nil {
+		return nil, err
+	}
+	if p := t.Path(dst); p != nil {
+		return p, nil
+	}
+	return nil, fmt.Errorf("topology: no route %s -> %s", src.Name, dst.Name)
+}
+
+// Search is single-source shortest-path search (Dijkstra) over a Graph's
+// dense node indices. Extract-min is a linear scan in node insertion
+// order and relaxation needs a strictly shorter distance, so of equally
+// short paths the search keeps the one it found first: ties are
+// deterministic. Topologies here have tens of nodes, where the scan is
+// cheaper than a heap.
+type Search struct {
+	// Weight scores an edge; nil means the link's propagation delay. A
+	// negative weight fails the search.
+	Weight WeightFunc
+	// Node admits the nodes the search may enter; nil admits all. A
+	// source it rejects reaches nothing.
+	Node func(n *Node) bool
+	// Edge admits the edges the search may relax; nil admits all,
+	// down edges included.
+	Edge func(e *Edge) bool
+}
+
+// Tree is a finished search: the distance to every settled node and the
+// predecessor links that rebuild its path from the source.
+type Tree struct {
+	g     *Graph
+	src   *Node
+	slots []slot // by Node.idx
+}
+
+type slot struct {
+	dist    float64
+	prev    int32 // predecessor's Node.idx
+	settled bool
+}
+
+// Run searches g from src until dst is settled or, when dst is nil,
+// until every node src reaches is. Both nodes must belong to g. A node
+// settled before the search stops has its final distance and path.
+func (s Search) Run(g *Graph, src, dst *Node) (Tree, error) {
+	for _, n := range [2]*Node{src, dst} {
+		if n != nil && n.g != g {
+			return Tree{}, fmt.Errorf("topology: node %q is not in this graph", n.Name)
+		}
+	}
 	const unreached = math.MaxFloat64
-	dist := make(map[string]float64, len(g.nodes))
-	prev := make(map[string]string, len(g.nodes))
-	visited := make(map[string]bool, len(g.nodes))
-	for name := range g.nodes {
-		dist[name] = unreached
+	t := Tree{g: g, src: src, slots: make([]slot, len(g.order))}
+	for i := range t.slots {
+		t.slots[i] = slot{dist: unreached, prev: -1}
 	}
-	dist[src.Name] = 0
+	if s.Node != nil && !s.Node(src) {
+		return t, nil
+	}
+	t.slots[src.idx].dist = 0
 	for {
-		// Linear extract-min over insertion order: topologies here have
-		// tens of nodes, and insertion order makes ties deterministic.
-		cur := ""
-		best := unreached
-		for _, name := range g.order {
-			if !visited[name] && dist[name] < best {
-				best = dist[name]
-				cur = name
+		cur, best := -1, unreached
+		for i := range t.slots {
+			if sl := &t.slots[i]; !sl.settled && sl.dist < best {
+				cur, best = i, sl.dist
 			}
 		}
-		if cur == "" {
-			return nil, fmt.Errorf("topology: no route %s -> %s", src.Name, dst.Name)
+		if cur < 0 {
+			return t, nil
 		}
-		if cur == dst.Name {
-			break
+		t.slots[cur].settled = true
+		if dst != nil && cur == dst.idx {
+			return t, nil
 		}
-		visited[cur] = true
 		for _, e := range g.out[cur] {
-			if e.down {
+			if (s.Edge != nil && !s.Edge(e)) || (s.Node != nil && !s.Node(e.To)) {
 				continue
 			}
-			if allow != nil && !allow(e, src, dst) {
-				continue
+			w := e.Link.PropDelay
+			if s.Weight != nil {
+				w = s.Weight(e)
 			}
-			ew := w(e)
-			if ew < 0 {
-				return nil, fmt.Errorf("topology: negative weight on %s->%s", e.From.Name, e.To.Name)
+			if w < 0 {
+				return Tree{}, fmt.Errorf("topology: negative weight on %s->%s", e.From.Name, e.To.Name)
 			}
-			if nd := dist[cur] + ew; nd < dist[e.To.Name] {
-				dist[e.To.Name] = nd
-				prev[e.To.Name] = cur
+			if to := &t.slots[e.To.idx]; best+w < to.dist {
+				to.dist, to.prev = best+w, int32(cur)
 			}
 		}
 	}
-	var rev []string
-	for at := dst.Name; at != src.Name; at = prev[at] {
-		rev = append(rev, at)
-		if _, ok := prev[at]; !ok && at != src.Name {
-			return nil, fmt.Errorf("topology: no route %s -> %s", src.Name, dst.Name)
-		}
+}
+
+// Dist returns the search distance to n and whether n was settled.
+func (t Tree) Dist(n *Node) (float64, bool) {
+	if n.g != t.g || !t.slots[n.idx].settled {
+		return 0, false
 	}
-	out := make([]*Node, 0, len(rev)+1)
-	out = append(out, src)
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, g.nodes[rev[i]])
+	return t.slots[n.idx].dist, true
+}
+
+// Path returns the node path from the source to n, or nil when n was
+// not settled.
+func (t Tree) Path(n *Node) []*Node {
+	if n.g != t.g || !t.slots[n.idx].settled {
+		return nil
 	}
-	return out, nil
+	k := 1
+	for i := n.idx; i != t.src.idx; i = int(t.slots[i].prev) {
+		k++
+	}
+	out := make([]*Node, k)
+	for i := n.idx; k > 0; i = int(t.slots[i].prev) {
+		k--
+		out[k] = t.g.order[i]
+	}
+	return out
 }
 
 // PathNames renders a node path as names, for tests and diagnostics.

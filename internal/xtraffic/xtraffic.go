@@ -97,12 +97,16 @@ func clampLoad(x float64) float64 {
 	return math.Max(0, math.Min(0.95, x))
 }
 
+// schedule queues the next re-sample. A running process re-arms its
+// fired event in place; only a just-attached one schedules a new event.
 func (p *Process) schedule() {
 	eng := p.fl.Engine()
 	// Slightly jitter the interval so many processes never re-sample in
 	// lockstep, which would create artificial global synchronization.
 	d := p.cfg.Interval * (0.9 + 0.2*p.rng.Float64())
-	p.next = eng.After(d, p.step)
+	if !eng.Rearm(p.next, eng.Now()+simclock.Time(d)) {
+		p.next = eng.After(d, p.step)
+	}
 }
 
 func (p *Process) step() {
@@ -180,12 +184,18 @@ func (p *OnOffProcess) apply() {
 	p.fl.SetLinkLoad(p.link, clampLoad(load))
 }
 
+// schedule queues the next state flip, re-arming in place as
+// Process.schedule does.
 func (p *OnOffProcess) schedule() {
 	mean := p.cfg.MeanGood
 	if p.bad {
 		mean = p.cfg.MeanBad
 	}
-	p.next = p.fl.Engine().After(p.rng.ExpFloat64()*mean, p.step)
+	eng := p.fl.Engine()
+	d := p.rng.ExpFloat64() * mean
+	if !eng.Rearm(p.next, eng.Now()+simclock.Time(d)) {
+		p.next = eng.After(d, p.step)
+	}
 }
 
 func (p *OnOffProcess) step() {

@@ -173,3 +173,27 @@ func TestConfigClamping(t *testing.T) {
 		t.Fatalf("default interval = %v", c.Interval)
 	}
 }
+
+// A running process re-arms its one event in place, so a steady-state
+// re-sample on a link without flows allocates nothing: no Event, no
+// callback closure. Each engine runs one process, so every Step is one
+// re-sample (AllocsPerRun rounds the average down).
+func TestSteadyStepAllocatesNothing(t *testing.T) {
+	for name, attach := range map[string]func(*fluid.Network, *fluid.Link){
+		"ar1": func(fl *fluid.Network, l *fluid.Link) {
+			Attach(fl, l, Config{MeanLoad: 0.5, Burstiness: 1}, rand.New(rand.NewSource(1)))
+		},
+		"onoff": func(fl *fluid.Network, l *fluid.Link) {
+			AttachOnOff(fl, l, OnOffConfig{GoodLoad: 0.1, BadLoad: 0.8, MeanGood: 3, MeanBad: 2}, rand.New(rand.NewSource(2)))
+		},
+	} {
+		eng, fl, l := setup()
+		attach(fl, l)
+		if n := testing.AllocsPerRun(200, func() { eng.Step() }); n != 0 {
+			t.Errorf("%s: steady-state step allocates %v times", name, n)
+		}
+		if eng.Pending() != 1 {
+			t.Errorf("%s: %d events pending, want 1", name, eng.Pending())
+		}
+	}
+}
