@@ -86,9 +86,12 @@ telemetry:
 	$(GO) run ./examples/telemetry
 
 # Stress: the scheduler suite repeated under the race detector to
-# shake out ordering-dependent bugs in the queue and overload layer.
+# shake out ordering-dependent bugs in the queue and overload layer,
+# with the telemetry registry (the scheduler's counters are its
+# lock-free atomics, read outside the scheduler lock) and the replay
+# driver that runs every mode through it.
 stress:
-	$(GO) test -race -count=5 ./internal/sched/
+	$(GO) test -race -count=5 ./internal/sched/ ./internal/telemetry/ ./internal/replay/
 
 # Golden outputs: the stdout of every single-driver example and of the
 # 15 detourbench figures and tables, pinned byte for byte under

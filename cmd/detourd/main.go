@@ -40,7 +40,7 @@
 //
 // With -grayfail, the daemon instead replays the gray-failure schedule
 // (see internal/faults.GrayfailSchedule) twice over the same fleet and
-// seed — once as the DisableHealth ablation and once with the health
+// seed — once as the Health == nil ablation and once with the health
 // stack: stall watchdogs with adaptive budgets, outlier ejection with
 // canary re-admission, and per-provider retry budgets — and prints the
 // deterministic with/without report. Other scheduler flags are ignored

@@ -1,5 +1,5 @@
 // Grayfail: the gray-failure schedule replayed twice over the same
-// fleet and seed — once as the DisableHealth ablation (same scheduler,
+// fleet and seed — once as the Health == nil ablation (same scheduler,
 // same retries, no detection layer) and once with the health stack:
 // stall watchdogs that abort-with-checkpoint transfers blowing their
 // adaptive time budget or making no byte progress, outlier ejection

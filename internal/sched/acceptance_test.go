@@ -3,6 +3,7 @@ package sched_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -362,6 +363,12 @@ func TestTelemetryNoObserverEffect(t *testing.T) {
 	}
 	if bare.Sampler != nil || bare.Config.Telemetry != nil || bare.Config.Recorder != nil {
 		t.Error("bare run attached part of the observability plane")
+	}
+	// Stats is a view of the metric handles; the bare run keeps them in
+	// a private registry, which must count exactly what the exported one
+	// does.
+	if !reflect.DeepEqual(bare.Stats, inst.Stats) {
+		t.Errorf("stats differ:\n  instrumented %+v\n  bare         %+v", inst.Stats, bare.Stats)
 	}
 }
 

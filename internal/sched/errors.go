@@ -22,7 +22,7 @@ import (
 //     alone — quarantine is for route-level failures only.
 //
 // Untyped errors keep the legacy behavior (route-level counting with
-// DetourFailLimit fallback), so executors that don't classify are
+// a fallback to direct after two detour failures), so executors that don't classify are
 // unaffected.
 var (
 	// ErrTransient tags a retryable failure of a healthy route.

@@ -69,7 +69,7 @@ func (s *Scheduler) runMultipath(j Job, key CacheKey, route core.Route, hit bool
 	for n, i := range idx {
 		lanes[n] = routes[i]
 	}
-	rep, err := mx.ExecuteMultipath(j, lanes, s.cfg.MultipathChunk)
+	rep, err := mx.ExecuteMultipath(j, lanes, multipathChunk)
 	for _, r := range lanes {
 		s.caps.release(j.Provider, r.Via)
 	}
@@ -132,7 +132,7 @@ func (s *Scheduler) runMultipath(j Job, key CacheKey, route core.Route, hit bool
 func (s *Scheduler) multipathRoutes(key CacheKey, j Job, primary core.Route) []core.Route {
 	maxPaths := j.MaxPaths
 	if maxPaths <= 0 {
-		maxPaths = s.cfg.MultipathMaxPaths
+		maxPaths = multipathMaxPaths
 	}
 	// A striped job can never hold more provider slots than the cap —
 	// asking for more would just burn admission attempts.

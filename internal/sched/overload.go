@@ -29,9 +29,6 @@ func newCodel(target, alpha float64) *codel {
 	if target <= 0 {
 		return nil
 	}
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
 	return &codel{target: target, alpha: alpha}
 }
 

@@ -14,11 +14,10 @@ type queueOpts struct {
 	limit       int
 	tenantLimit int
 	// fair switches draining from strict (priority, deadline, FIFO) to
-	// weighted deficit-round-robin across tenants *within* each priority
-	// level — priorities still strictly dominate each other.
+	// equal-weight deficit-round-robin across tenants *within* each
+	// priority level — priorities still strictly dominate each other.
 	fair    bool
-	quantum float64            // DRR deficit refill per visit (bytes)
-	weights map[string]float64 // per-tenant DRR weight (default 1)
+	quantum float64 // DRR deficit refill per visit (bytes)
 	// now is the scheduler clock; it drives the proactive expiry sweep.
 	now func() float64
 }
@@ -33,17 +32,10 @@ func (o queueOpts) withDefaults() queueOpts {
 	return o
 }
 
-func (o queueOpts) weight(tenant string) float64 {
-	if w := o.weights[tenant]; w > 0 {
-		return w
-	}
-	return 1
-}
-
 // jobQueue is the blocking queue between Submit and the worker pool:
 // higher priority first, then — in strict mode — earlier deadline (no
 // deadline sorts last) and FIFO within ties, or — in fair mode —
-// weighted deficit-round-robin across the tenants of the level.
+// equal-weight deficit-round-robin across the tenants of the level.
 //
 // The queue is bounded when opts.limit is set: push rejects with
 // ErrQueueFull / ErrTenantQuota, pushWait blocks until space frees.
@@ -346,7 +338,7 @@ func (lv *drrLevel) add(it queued) {
 }
 
 // take runs the DRR scan: visit tenants round-robin, refilling each
-// visited tenant's deficit by quantum×weight until one can afford its
+// visited tenant's deficit by quantum until one can afford its
 // head job (cost = bytes). An idle tenant leaves the ring and its
 // deficit resets, per classic DRR. Caller guarantees lv.size > 0.
 func (lv *drrLevel) take(opts queueOpts) queued {
@@ -366,7 +358,7 @@ func (lv *drrLevel) take(opts queueOpts) queued {
 			lv.size--
 			return heap.Pop(&tq.h).(queued)
 		}
-		tq.deficit += opts.quantum * opts.weight(t)
+		tq.deficit += opts.quantum
 		lv.pos++
 	}
 }

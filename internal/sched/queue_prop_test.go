@@ -220,8 +220,7 @@ func TestQueuePropertyFairConservation(t *testing.T) {
 		now := 0.0
 		q := newJobQueue(queueOpts{
 			fair: true, quantum: 2, limit: 16,
-			weights: map[string]float64{"t0": 3},
-			now:     func() float64 { return now },
+			now: func() float64 { return now },
 		})
 		admitted := map[string]bool{}
 		accounted := map[string]int{}

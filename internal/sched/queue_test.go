@@ -187,28 +187,3 @@ func TestQueueDRRPriorityDominates(t *testing.T) {
 		t.Fatalf("pops = %q, %q; want both high-priority first", first, second)
 	}
 }
-
-func TestQueueDRRWeights(t *testing.T) {
-	q := newJobQueue(queueOpts{
-		fair:    true,
-		quantum: 1e6,
-		weights: map[string]float64{"gold": 3, "bronze": 1},
-	})
-	const size = 1e6
-	for i := 0; i < 40; i++ {
-		mustPush(t, q, Job{Tenant: "gold", Name: fmt.Sprintf("g%02d", i), Size: size}, 0)
-		mustPush(t, q, Job{Tenant: "bronze", Name: fmt.Sprintf("b%02d", i), Size: size}, 0)
-	}
-	counts := map[string]int{}
-	for i := 0; i < 20; i++ {
-		it, _, ok := q.pop()
-		if !ok || it == nil {
-			t.Fatal("pop failed")
-		}
-		counts[it.job.Tenant]++
-	}
-	if counts["gold"] < 2*counts["bronze"] {
-		t.Fatalf("gold/bronze = %d/%d; 3:1 weights should skew service (counts=%v)",
-			counts["gold"], counts["bronze"], counts)
-	}
-}

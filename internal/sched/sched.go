@@ -64,7 +64,7 @@ type Job struct {
 	// under brownout or on an unsupporting executor).
 	Mode JobMode
 	// MaxPaths caps a multipath job's concurrent routes (0 = the
-	// Config.MultipathMaxPaths default).
+	// scheduler default of 3).
 	MaxPaths int
 	// Priority orders the queue: higher drains sooner.
 	Priority int
@@ -275,10 +275,6 @@ type Config struct {
 	// MaxAttempts bounds executions per job, first try included
 	// (default 3).
 	MaxAttempts int
-	// DetourFailLimit is how many detour failures a job tolerates
-	// before the cached detour is invalidated and the job falls back to
-	// direct (default 2).
-	DetourFailLimit int
 
 	// TenantRate admits jobs per tenant at this sustained rate in
 	// jobs/sec (0 = unlimited). TenantBurst is the bucket depth
@@ -287,17 +283,8 @@ type Config struct {
 	TenantBurst float64
 
 	// CacheTTL is the route-cache entry lifetime in scheduler-clock
-	// seconds (default 300). QuarantineTTL is how long a failed detour
-	// stays benched (default CacheTTL).
-	CacheTTL      float64
-	QuarantineTTL float64
-
-	// BreakerThreshold is how many consecutive route-level failures open
-	// a route's circuit breaker (default 3). BreakerCooldown is how many
-	// scheduler-clock seconds an open breaker rejects traffic before
-	// admitting a half-open probe (default 30).
-	BreakerThreshold int
-	BreakerCooldown  float64
+	// seconds (default 300); a failed detour stays benched as long.
+	CacheTTL float64
 
 	// DisableRecovery turns off checkpointed resume even when the
 	// Executor supports it: every attempt restarts from byte zero. For
@@ -313,12 +300,6 @@ type Config struct {
 	Reroute    bool
 	ParkBudget float64
 
-	// MultipathMaxPaths caps how many routes a JobMultipath job stripes
-	// across — direct plus detours (default 3). MultipathChunk is the
-	// stripe unit in bytes (default core.DefaultResumeChunk).
-	MultipathMaxPaths int
-	MultipathChunk    float64
-
 	// --- Overload control (all off by default) ---
 
 	// QueueLimit bounds total queue occupancy: Submit rejects with
@@ -330,53 +311,41 @@ type Config struct {
 	// ErrQueueFull). 0 = unbounded.
 	TenantQueueLimit int
 	// FairQueue switches draining within each priority level from
-	// strict FIFO/deadline order to weighted deficit-round-robin across
-	// tenants, so a bursty tenant cannot starve its peers.
+	// strict FIFO/deadline order to equal-weight deficit-round-robin
+	// across tenants, so a bursty tenant cannot starve its peers.
 	FairQueue bool
-	// TenantWeights are DRR weights (default 1 per tenant);
 	// DRRQuantumBytes is the per-visit deficit refill (default 32 MB).
-	TenantWeights   map[string]float64
 	DRRQuantumBytes float64
-	// CoDelTarget enables CoDel-style shedding: when the EWMA of
-	// time-in-queue exceeds this many seconds, jobs whose own delay also
-	// exceeds it are dropped at dequeue with a *ShedError (retry-after).
-	// 0 disables shedding. CoDelAlpha is the EWMA smoothing factor
-	// (default 0.3).
+	// CoDelTarget enables CoDel-style shedding: when the EWMA (smoothing
+	// factor 0.3) of time-in-queue exceeds this many seconds, jobs whose
+	// own delay also exceeds it are dropped at dequeue with a *ShedError
+	// (retry-after). 0 disables shedding.
 	CoDelTarget float64
-	CoDelAlpha  float64
 	// Hedge enables hedged transfers when the Executor implements
-	// HedgedExecutor: a detour attempt that outlives its learned
-	// percentile budget races a direct-route hedge, loser cancelled.
+	// HedgedExecutor: a detour attempt that outlives its learned p95
+	// budget races a direct-route hedge, loser cancelled.
 	Hedge bool
-	// HedgePercentile is the per-route latency percentile that prices
-	// the budget (default 0.95); HedgeMinSamples is how many completed
-	// transfers a route needs before hedging trusts its distribution
-	// (default 8); HedgeMaxFrac caps launched hedges as a fraction of
-	// submitted jobs so hedging cannot amplify overload (default 0.1).
-	HedgePercentile float64
+	// HedgeMinSamples is how many completed transfers a route needs
+	// before hedging trusts its distribution (default 8); HedgeMaxFrac
+	// caps launched hedges as a fraction of submitted jobs so hedging
+	// cannot amplify overload (default 0.1).
 	HedgeMinSamples int
 	HedgeMaxFrac    float64
 	// BrownoutEnter, as a fraction of QueueLimit occupancy, turns on
 	// brownout mode: optional work — bandit exploration, probe-based
-	// cache refresh, detour planning for small size-buckets, hedging —
+	// cache refresh, detour planning for small size-buckets (files
+	// under ~4 MB, where detour gains are smallest, go direct), hedging —
 	// is shed first. BrownoutExit (default Enter/2) restores it
 	// hysteretically. 0 disables brownout; requires QueueLimit > 0.
 	BrownoutEnter float64
 	BrownoutExit  float64
-	// BrownoutSmallBucket: during brownout, jobs in size buckets ≤ this
-	// skip detour planning entirely and go direct (default 1 ≈ files
-	// under ~4 MB, where detour gains are smallest; -1 = none).
-	BrownoutSmallBucket int
 
 	// Capacity, when set, arms spill-aware placement: detour routes
-	// through DTNs whose staging headroom sits below CapacityFloor are
+	// through DTNs whose staging headroom sits below a 64 MB floor are
 	// down-weighted in route election (not excluded — a nearly-full
 	// DTN still serves small jobs), composing multiplicatively with
 	// the health layer's probation weights. nil turns it off.
 	Capacity CapacityOracle
-	// CapacityFloor is the headroom (bytes) below which a DTN is
-	// considered under storage pressure (default 64 MB).
-	CapacityFloor float64
 
 	// Health, when set, arms the gray-failure layer: stall watchdogs on
 	// supporting executors (aborted transfers surface core.ErrStall and
@@ -384,11 +353,8 @@ type Config struct {
 	// route cache's bandit weights (probation routes are down-weighted,
 	// not excluded, and re-admitted by canary transfers), and
 	// per-provider retry budgets (exhaustion parks the job with a
-	// *BudgetError). nil turns all of it off.
+	// *BudgetError). nil turns all of it off — the ablation arm.
 	Health *health.Tracker
-	// DisableHealth ignores Health even when set — the ablation switch,
-	// so A/B harnesses can share one config constructor.
-	DisableHealth bool
 
 	// Journal, when set, makes the control plane crash-consistent:
 	// submissions, attempt starts, checkpoint watermarks, cap and
@@ -402,11 +368,9 @@ type Config struct {
 	// off.
 	Journal *ControlJournal
 
-	// Backoff shapes the retry delays.
+	// Backoff shapes the retry delays; its jitter and the cache's bandit
+	// draw from fixed-seed sources, so runs are reproducible.
 	Backoff Backoff
-	// Rand seeds backoff jitter and the cache's bandit (default a
-	// fixed-seed source, so runs are reproducible).
-	Rand *rand.Rand
 	// Now is the scheduler clock in seconds (default: monotonic wall
 	// time since New). Tests inject fake clocks here.
 	Now func() float64
@@ -420,8 +384,9 @@ type Config struct {
 	// Telemetry, when set, is the metrics registry the scheduler reports
 	// into: job outcomes, queue occupancy, retry/reroute/park/spill
 	// counters, queue-delay and transfer-time histograms, and per-route
-	// byte totals. nil disables metric export at a single branch per
-	// observation site.
+	// byte totals. Stats is a view of these same handles, so the two
+	// never disagree. nil keeps them in a private registry that is
+	// never exported.
 	Telemetry *telemetry.Registry
 	// Recorder, when set, keeps a per-job flight-recorder trace of every
 	// control-plane decision (election, attempts, failure classes,
@@ -446,15 +411,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.DetourFailLimit <= 0 {
-		c.DetourFailLimit = 2
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30
-	}
 	if c.TenantBurst <= 0 {
 		c.TenantBurst = c.TenantRate
 		if c.TenantBurst < 1 {
@@ -464,40 +420,16 @@ func (c Config) withDefaults() Config {
 	if c.CacheTTL <= 0 {
 		c.CacheTTL = 300
 	}
-	if c.QuarantineTTL <= 0 {
-		c.QuarantineTTL = c.CacheTTL
-	}
-	if c.CoDelAlpha <= 0 || c.CoDelAlpha > 1 {
-		c.CoDelAlpha = 0.3
-	}
-	if c.HedgePercentile <= 0 || c.HedgePercentile > 1 {
-		c.HedgePercentile = 0.95
-	}
 	if c.HedgeMinSamples <= 0 {
 		c.HedgeMinSamples = 8
 	}
 	if c.HedgeMaxFrac <= 0 || c.HedgeMaxFrac > 1 {
 		c.HedgeMaxFrac = 0.1
 	}
-	if c.BrownoutSmallBucket == 0 {
-		c.BrownoutSmallBucket = 1
-	}
 	if c.ParkBudget <= 0 {
 		c.ParkBudget = 90
 	}
-	if c.MultipathMaxPaths <= 0 {
-		c.MultipathMaxPaths = 3
-	}
-	if c.DisableHealth {
-		c.Health = nil
-	}
-	if c.CapacityFloor <= 0 {
-		c.CapacityFloor = 64e6
-	}
 	c.Backoff = c.Backoff.withDefaults()
-	if c.Rand == nil {
-		c.Rand = rand.New(rand.NewSource(1))
-	}
 	if c.Now == nil {
 		start := time.Now()
 		c.Now = func() float64 { return time.Since(start).Seconds() }
@@ -507,6 +439,35 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// Fixed tunables: the defaults no caller has needed to change.
+const (
+	// detourFailLimit is how many untyped detour failures a job
+	// tolerates before the cached detour is invalidated and the job
+	// falls back to direct.
+	detourFailLimit = 2
+	// breakerThreshold consecutive route-level failures open a route's
+	// circuit breaker; it rejects traffic for breakerCooldown
+	// scheduler-clock seconds before admitting a half-open probe.
+	breakerThreshold = 3
+	breakerCooldown  = 30
+	// multipathMaxPaths caps the routes a JobMultipath job stripes across
+	// (direct plus detours) when the job sets no MaxPaths;
+	// multipathChunk is the stripe unit in bytes.
+	multipathMaxPaths = 3
+	multipathChunk    = core.DefaultResumeChunk
+	// codelAlpha is the smoothing factor of CoDel's queue-delay EWMA.
+	codelAlpha = 0.3
+	// hedgePercentile is the per-route latency percentile that prices a
+	// hedge budget.
+	hedgePercentile = 0.95
+	// brownoutSmallBucket: during brownout, jobs in size buckets ≤ this
+	// (files under ~4 MB) skip detour planning and go direct.
+	brownoutSmallBucket = 1
+	// capacityFloor is the staging headroom (bytes) below which a DTN is
+	// under storage pressure.
+	capacityFloor = 64e6
+)
 
 // planCall coalesces concurrent cache misses on one key so a probe is
 // paid once per key, not once per in-flight job.
@@ -539,28 +500,17 @@ type Scheduler struct {
 	// delivering counts finished results not yet handed to OnResult:
 	// Drain waits for them too.
 	delivering int
-	// Counters (all guarded by mu).
-	submitted, rateLimited int64
-	queueFullRej, quotaRej int64
+	// Occupancy and the counts with no registry family (all guarded by
+	// mu); every other count lives in met.
 	pending, running       int64
-	done, failed, expired  int64
-	shed, late             int64
-	retries, fallbacks     int64
-	failovers, breakerSkip int64
-	hedges, hedgeWins      int64
+	breakerSkip            int64
 	brownDirect, staleHits int64
 	integrityRetries       int64
-	reroutes, parks        int64
 	parkSeconds            float64
 	mpJobs, mpDegraded     int64
 	mpHedged, mpResent     int64
 	mpDuplicateBytes       float64
 	routeEvents            int64
-	stalls, stallRerouted  int64
-	canaries, budgetParks  int64
-	quotaFails, quotaParks int64
-	quotaReclaims          int64
-	providerSpills         int64
 	bytesResumed           float64
 	bytesRewritten         float64
 	chunkRepairs           int64
@@ -571,8 +521,10 @@ type Scheduler struct {
 	delays                 *delayRing
 	jitterRng              *rand.Rand
 
-	// met/rec are the telemetry hooks (nil when observability is off);
-	// set once in New, read without locks on hot paths.
+	// met holds the registry handles — Config.Telemetry's, or a private
+	// registry's — and is the only copy of the counts it covers; rec is
+	// the flight recorder (nil when recording is off). Both are set once
+	// in New and read without locks on hot paths.
 	met *schedMetrics
 	rec *telemetry.FlightRecorder
 }
@@ -587,27 +539,28 @@ func New(cfg Config) *Scheduler {
 			tenantLimit: cfg.TenantQueueLimit,
 			fair:        cfg.FairQueue,
 			quantum:     cfg.DRRQuantumBytes,
-			weights:     cfg.TenantWeights,
 			now:         cfg.Now,
 		}),
 		caps:     newCapTable(cfg.ProviderCap, cfg.DTNCap),
 		buckets:  newTenantBuckets(cfg.TenantRate, cfg.TenantBurst, cfg.Now),
-		codel:    newCodel(cfg.CoDelTarget, cfg.CoDelAlpha),
+		codel:    newCodel(cfg.CoDelTarget, codelAlpha),
 		planning: make(map[CacheKey]*planCall),
 		perRoute: make(map[string]*RouteStats),
 		lat:      newLatencyTracker(0),
 		delays:   newDelayRing(0),
-		// The cache's bandit and the backoff jitter draw from separate
-		// streams so their consumption patterns can't perturb each other.
-		jitterRng: rand.New(rand.NewSource(cfg.Rand.Int63())),
+		met:      newSchedMetrics(cfg.Telemetry),
+		rec:      cfg.Recorder,
 	}
-	s.met = newSchedMetrics(cfg.Telemetry)
-	s.rec = cfg.Recorder
+	// The backoff jitter and the cache's bandit draw from separate
+	// streams, both seeded from one fixed source, so their consumption
+	// patterns can't perturb each other.
+	seeds := rand.New(rand.NewSource(1))
+	s.jitterRng = rand.New(rand.NewSource(seeds.Int63()))
 	if cfg.QueueLimit > 0 {
 		s.brown = newBrownout(cfg.BrownoutEnter, cfg.BrownoutExit)
 	}
-	s.cache = NewRouteCache(cfg.CacheTTL, cfg.QuarantineTTL, cfg.Now, rand.New(rand.NewSource(cfg.Rand.Int63())))
-	s.breakers = newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now)
+	s.cache = NewRouteCache(cfg.CacheTTL, cfg.CacheTTL, cfg.Now, rand.New(rand.NewSource(seeds.Int63())))
+	s.breakers = newBreakerSet(breakerThreshold, breakerCooldown, cfg.Now)
 	if cfg.Health != nil {
 		if ha, ok := cfg.Executor.(HealthAware); ok {
 			ha.SetHealth(cfg.Health)
@@ -666,9 +619,9 @@ func (s *Scheduler) capacityWeight(r core.Route) float64 {
 	}
 	h := o.DTNHeadroom(r.Via)
 	switch {
-	case h <= s.cfg.CapacityFloor:
+	case h <= capacityFloor:
 		return capWeightCritical
-	case h <= 2*s.cfg.CapacityFloor:
+	case h <= 2*capacityFloor:
 		return capWeightLow
 	}
 	return 1
@@ -737,11 +690,8 @@ func (s *Scheduler) submit(j Job, wait bool) error {
 		return ErrClosed
 	}
 	if !allowed {
-		s.rateLimited++
 		s.mu.Unlock()
-		if s.met != nil {
-			s.met.rejected.With("rate-limited").Inc()
-		}
+		s.met.rejected.With("rate-limited").Inc()
 		return ErrRateLimited
 	}
 	s.pending++
@@ -761,21 +711,12 @@ func (s *Scheduler) submit(j Job, wait bool) error {
 		s.pending--
 		switch {
 		case errors.Is(err, ErrTenantQuota):
-			s.quotaRej++
-			if s.met != nil {
-				s.met.rejected.With("tenant-quota").Inc()
-			}
+			s.met.rejected.With("tenant-quota").Inc()
 		case errors.Is(err, ErrQueueFull):
-			s.queueFullRej++
-			if s.met != nil {
-				s.met.rejected.With("queue-full").Inc()
-			}
+			s.met.rejected.With("queue-full").Inc()
 		}
 	} else {
-		s.submitted++
-		if s.met != nil {
-			s.met.submitted.Inc()
-		}
+		s.met.submitted.Inc()
 	}
 	s.noteDepthLocked()
 	s.mu.Unlock()
@@ -921,16 +862,18 @@ func (s *Scheduler) finish(res Result) {
 		s.running--
 	}
 	m := s.met
-	if m != nil {
-		m.queueDelay.Observe(res.QueueDelay)
-		m.attempts.Observe(float64(res.Attempts))
-	}
+	m.queueDelay.Observe(res.QueueDelay)
+	m.attempts.Observe(float64(res.Attempts))
 	switch {
 	case res.Err == nil:
-		s.done++
+		m.done.Inc()
 		if res.Late {
-			s.late++
+			m.late.Inc()
 		}
+		m.transferSec.Observe(res.Seconds)
+		bm, jm := m.routeMetrics(res.Route)
+		bm.Add(res.Job.Size)
+		jm.Inc()
 		rs := s.perRoute[res.Route.String()]
 		if rs == nil {
 			rs = &RouteStats{}
@@ -940,31 +883,12 @@ func (s *Scheduler) finish(res Result) {
 		rs.Bytes += res.Job.Size
 		rs.Seconds += res.Seconds
 		s.lat.note(res.Route.String(), res.Seconds, res.Job.Size)
-		if m != nil {
-			m.done.Inc()
-			if res.Late {
-				m.late.Inc()
-			}
-			m.transferSec.Observe(res.Seconds)
-			bm, jm := m.routeMetrics(res.Route)
-			bm.Add(res.Job.Size)
-			jm.Inc()
-		}
 	case errors.Is(res.Err, ErrShed):
-		s.shed++
-		if m != nil {
-			m.shed.Inc()
-		}
+		m.shed.Inc()
 	case errors.Is(res.Err, ErrDeadline):
-		s.expired++
-		if m != nil {
-			m.expired.Inc()
-		}
+		m.expired.Inc()
 	default:
-		s.failed++
-		if m != nil {
-			m.failed.Inc()
-		}
+		m.failed.Inc()
 	}
 	s.noteDepthLocked()
 	s.mu.Unlock()
@@ -1007,12 +931,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// trickle rate so re-admission doesn't wait on the bandit
 			// happening to explore a down-weighted arm.
 			route = cr
-			s.mu.Lock()
-			s.canaries++
-			s.mu.Unlock()
-			if s.met != nil {
-				s.met.canaries.Inc()
-			}
+			s.met.canaries.Inc()
 			if tr != nil {
 				tr.Note("job.canary", "route", route.String())
 			}
@@ -1140,17 +1059,9 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					sec, winner, launched, won, err = hx.ExecuteHedged(j, route, budget, ck)
 					if launched {
 						jobHedged = true
-						s.mu.Lock()
-						s.hedges++
+						s.met.hedges.Inc()
 						if won {
-							s.hedgeWins++
-						}
-						s.mu.Unlock()
-						if s.met != nil {
-							s.met.hedges.Inc()
-							if won {
-								s.met.hedgeWins.Inc()
-							}
+							s.met.hedgeWins.Inc()
 						}
 						if tr != nil {
 							if won {
@@ -1179,18 +1090,12 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					jobReroutes += nr
 					jobParked += parked
 					if nr > 0 || parked > 0 {
-						s.mu.Lock()
-						s.reroutes += int64(nr)
+						s.met.reroutes.Add(float64(nr))
 						if parked > 0 {
-							s.parks++
+							s.met.parks.Inc()
+							s.mu.Lock()
 							s.parkSeconds += parked
-						}
-						s.mu.Unlock()
-						if s.met != nil {
-							s.met.reroutes.Add(float64(nr))
-							if parked > 0 {
-								s.met.parks.Inc()
-							}
+							s.mu.Unlock()
 						}
 						if tr != nil {
 							tr.Note("job.reroute", "n", strconv.Itoa(nr),
@@ -1257,12 +1162,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// without burning an attempt slot or sleeping — the stall itself
 			// already cost the job its time. A separate reroute cap bounds
 			// ping-ponging when every path is gray.
-			s.mu.Lock()
-			s.stalls++
-			s.mu.Unlock()
-			if s.met != nil {
-				s.met.stalls.Inc()
-			}
+			s.met.stalls.Inc()
 			if h := s.cfg.Health; h != nil {
 				h.NoteStall(health.ClassRoute, route.String())
 				if route.Kind == core.Detour {
@@ -1275,12 +1175,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					attempts--
 					route = next
 					backoff = false
-					s.mu.Lock()
-					s.stallRerouted++
-					s.mu.Unlock()
-					if s.met != nil {
-						s.met.stallReroutes.Inc()
-					}
+					s.met.stallReroutes.Inc()
 					if tr != nil {
 						tr.Note("job.stall-failover", "route", next.String())
 					}
@@ -1296,12 +1191,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// provider's hint; (2) spill to an allowed alternate provider,
 			// keeping hop-1 staging progress but starting a fresh session;
 			// (3) park with a typed *QuotaError.
-			s.mu.Lock()
-			s.quotaFails++
-			s.mu.Unlock()
-			if s.met != nil {
-				s.met.quotaFails.Inc()
-			}
+			s.met.quotaFails.Inc()
 			recovered := false
 			if !reclaimTried[j.Provider] {
 				if reclaimTried == nil {
@@ -1310,12 +1200,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 				reclaimTried[j.Provider] = true
 				if qr, ok := s.cfg.Executor.(QuotaReclaimer); ok {
 					if freed := qr.ReclaimQuota(j.Provider); freed > 0 {
-						s.mu.Lock()
-						s.quotaReclaims++
-						s.mu.Unlock()
-						if s.met != nil {
-							s.met.quotaReclaims.Inc()
-						}
+						s.met.quotaReclaims.Inc()
 						if tr != nil {
 							tr.Note("job.quota-reclaim", "provider", j.Provider,
 								"freed", strconv.FormatFloat(freed, 'g', -1, 64))
@@ -1348,12 +1233,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					attempts--
 					backoff = false
 					recovered = true
-					s.mu.Lock()
-					s.providerSpills++
-					s.mu.Unlock()
-					if s.met != nil {
-						s.met.spills.Inc()
-					}
+					s.met.spills.Inc()
 				}
 			}
 			if !recovered {
@@ -1361,12 +1241,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 				if ra <= 0 {
 					ra = defaultQuotaParkAfter
 				}
-				s.mu.Lock()
-				s.quotaParks++
-				s.mu.Unlock()
-				if s.met != nil {
-					s.met.quotaParks.Inc()
-				}
+				s.met.quotaParks.Inc()
 				if tr != nil {
 					tr.Note("job.park", "kind", "quota", "provider", j.Provider,
 						"retry_after", strconv.FormatFloat(ra, 'g', -1, 64))
@@ -1381,9 +1256,6 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 				route = next
 				// The new route is presumed healthy: no point sleeping.
 				backoff = false
-				if s.met != nil {
-					s.met.failovers.Inc()
-				}
 				if tr != nil {
 					tr.Note("job.failover", "route", next.String())
 				}
@@ -1394,17 +1266,12 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			s.breakers.failure(breakerKey(j.Provider, route))
 			if route.Kind == core.Detour {
 				detourFails++
-				if detourFails >= s.cfg.DetourFailLimit {
+				if detourFails >= detourFailLimit {
 					// Repeated DTN failures: bench the detour for every
 					// follower of this key and fall back to direct ourselves.
 					s.cache.Invalidate(key, route)
 					route = core.DirectRoute
-					s.mu.Lock()
-					s.fallbacks++
-					s.mu.Unlock()
-					if s.met != nil {
-						s.met.fallbacks.Inc()
-					}
+					s.met.fallbacks.Inc()
 					tr.Note("job.fallback")
 				}
 			}
@@ -1414,60 +1281,46 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			s.noteRecovery(ck, &res)
 			return res
 		}
-		if backoff {
+		if h := s.cfg.Health; backoff && h != nil {
 			// Backoff retries spend the provider's retry budget: tokens only
 			// successes earn back, so a sick provider's budget drains and the
 			// job parks instead of joining a retry storm. Failover reroutes
 			// (backoff=false) are free — they move work away from the
 			// problem rather than hammering it.
-			if h := s.cfg.Health; h != nil {
-				if ok, after := h.AllowRetry(j.Provider); !ok {
-					s.mu.Lock()
-					s.budgetParks++
-					s.mu.Unlock()
-					if s.met != nil {
-						s.met.budgetParks.Inc()
-					}
-					if tr != nil {
-						tr.Note("job.park", "kind", "budget", "provider", j.Provider,
-							"retry_after", strconv.FormatFloat(after, 'g', -1, 64))
-					}
-					res := Result{Job: j, Route: route, Attempts: attempts, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked, Err: &BudgetError{Provider: j.Provider, RetryAfter: after}}
-					s.noteRecovery(ck, &res)
-					return res
+			if ok, after := h.AllowRetry(j.Provider); !ok {
+				s.met.budgetParks.Inc()
+				if tr != nil {
+					tr.Note("job.park", "kind", "budget", "provider", j.Provider,
+						"retry_after", strconv.FormatFloat(after, 'g', -1, 64))
 				}
-				if cj != nil {
-					// The spent token is journaled so a restart can drain the
-					// fresh tracker's budget to match (RestoreSpentRetries) —
-					// a crash must not refill a sick provider's bucket.
-					cj.NoteRetry(j.Provider)
-				}
+				res := Result{Job: j, Route: route, Attempts: attempts, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked, Err: &BudgetError{Provider: j.Provider, RetryAfter: after}}
+				s.noteRecovery(ck, &res)
+				return res
 			}
-			s.mu.Lock()
-			s.retries++
-			u := s.jitterRng.Float64()
-			s.mu.Unlock()
-			delay := s.cfg.Backoff.Delay(attempts, u)
-			// A provider's Retry-After on a 429 floors the delay: backing
-			// off into the same throttle window just burns an attempt.
-			if ra := retryAfterHint(lastErr); ra > delay {
-				delay = ra
-			}
-			if s.met != nil {
-				s.met.retries.Inc()
-			}
-			if tr != nil {
-				tr.Note("job.backoff", "delay_s", strconv.FormatFloat(delay, 'g', -1, 64))
-			}
-			s.cfg.Sleep(delay)
-		} else {
-			s.mu.Lock()
-			s.retries++
-			s.mu.Unlock()
-			if s.met != nil {
-				s.met.retries.Inc()
+			if cj != nil {
+				// The spent token is journaled so a restart can drain the
+				// fresh tracker's budget to match (RestoreSpentRetries) —
+				// a crash must not refill a sick provider's bucket.
+				cj.NoteRetry(j.Provider)
 			}
 		}
+		s.met.retries.Inc()
+		if !backoff {
+			continue
+		}
+		s.mu.Lock()
+		u := s.jitterRng.Float64()
+		s.mu.Unlock()
+		delay := s.cfg.Backoff.Delay(attempts, u)
+		// A provider's Retry-After on a 429 floors the delay: backing
+		// off into the same throttle window just burns an attempt.
+		if ra := retryAfterHint(lastErr); ra > delay {
+			delay = ra
+		}
+		if tr != nil {
+			tr.Note("job.backoff", "delay_s", strconv.FormatFloat(delay, 'g', -1, 64))
+		}
+		s.cfg.Sleep(delay)
 	}
 }
 
@@ -1580,17 +1433,16 @@ func (s *Scheduler) hedgeBudget(route core.Route, size float64) (float64, bool) 
 		s.mu.Unlock()
 		return 0, false
 	}
-	submitted := s.submitted
-	hedges := s.hedges
 	if s.lat.count(route.String()) < s.cfg.HedgeMinSamples {
 		s.mu.Unlock()
 		return 0, false
 	}
-	spb, ok := s.lat.percentile(route.String(), s.cfg.HedgePercentile)
+	spb, ok := s.lat.percentile(route.String(), hedgePercentile)
 	s.mu.Unlock()
 	if !ok {
 		return 0, false
 	}
+	submitted, hedges := int64(s.met.submitted.Value()), int64(s.met.hedges.Value())
 	if submitted < 1 {
 		submitted = 1
 	}
@@ -1636,10 +1488,8 @@ func (s *Scheduler) gateRoute(key CacheKey, provider string, route core.Route) c
 func (s *Scheduler) failover(key CacheKey, provider string, failed core.Route) (core.Route, bool) {
 	if failed.Kind == core.Detour {
 		s.cache.Invalidate(key, failed)
-		s.mu.Lock()
-		s.failovers++
-		s.fallbacks++
-		s.mu.Unlock()
+		s.met.failovers.Inc()
+		s.met.fallbacks.Inc()
 		// Direct is the route of last resort — take it even if its
 		// breaker objects.
 		s.breakers.allow(breakerKey(provider, core.DirectRoute))
@@ -1650,9 +1500,7 @@ func (s *Scheduler) failover(key CacheKey, provider string, failed core.Route) (
 			continue
 		}
 		if s.breakers.allow(breakerKey(provider, cand)) {
-			s.mu.Lock()
-			s.failovers++
-			s.mu.Unlock()
+			s.met.failovers.Inc()
 			return cand, true
 		}
 	}
@@ -1683,7 +1531,7 @@ func (s *Scheduler) routeFor(key CacheKey, j Job) (core.Route, bool) {
 		// files go straight to direct (their detour gain is marginal);
 		// everything else rides a stale cache entry rather than paying a
 		// re-probe. Only a key with no decision at all still plans.
-		if s.cfg.BrownoutSmallBucket >= 0 && key.SizeBucket <= s.cfg.BrownoutSmallBucket {
+		if key.SizeBucket <= brownoutSmallBucket {
 			s.mu.Lock()
 			s.brownDirect++
 			s.mu.Unlock()
@@ -1771,7 +1619,9 @@ func (r RouteStats) Throughput() float64 {
 	return r.Bytes / r.Seconds
 }
 
-// Stats is a consistent snapshot of the control plane.
+// Stats is a snapshot of the control plane. Every count that has a
+// registry family is read back from the scheduler's metric handles, so
+// it equals the exported sched_* metric.
 type Stats struct {
 	Submitted, RateLimited int64
 	Queued, Running        int64
@@ -1898,30 +1748,35 @@ func (st Stats) String() string {
 }
 
 // Stats returns a snapshot of counters, per-route aggregates, and the
-// concurrency high-water marks the caps enforce.
+// concurrency high-water marks the caps enforce. Rejections are read
+// with Family.Get, which creates no label child for an unseen reason.
 func (s *Scheduler) Stats() Stats {
+	m := s.met
 	s.mu.Lock()
 	st := Stats{
-		Submitted: s.submitted, RateLimited: s.rateLimited,
-		Running: s.running,
-		Done:    s.done, Failed: s.failed, Expired: s.expired,
-		Shed: s.shed, Late: s.late,
-		QueueFullRejects: s.queueFullRej, TenantQuotaRejects: s.quotaRej,
-		Hedges: s.hedges, HedgeWins: s.hedgeWins,
+		Submitted:   int64(m.submitted.Value()),
+		RateLimited: int64(m.rejected.Get("rate-limited").Value()),
+		Running:     s.running,
+		Done:        int64(m.done.Value()), Failed: int64(m.failed.Value()),
+		Expired: int64(m.expired.Value()),
+		Shed:    int64(m.shed.Value()), Late: int64(m.late.Value()),
+		QueueFullRejects:   int64(m.rejected.Get("queue-full").Value()),
+		TenantQuotaRejects: int64(m.rejected.Get("tenant-quota").Value()),
+		Hedges:             int64(m.hedges.Value()), HedgeWins: int64(m.hedgeWins.Value()),
 		BrownoutDirect: s.brownDirect, StaleServes: s.staleHits,
 		IntegrityRetries: s.integrityRetries,
-		Reroutes:         s.reroutes, Parks: s.parks,
+		Reroutes:         int64(m.reroutes.Value()), Parks: int64(m.parks.Value()),
 		ParkSeconds: s.parkSeconds, RouteEvents: s.routeEvents,
 		MultipathJobs: s.mpJobs, MultipathDegraded: s.mpDegraded,
 		MultipathHedged: s.mpHedged, MultipathResent: s.mpResent,
 		MultipathDuplicateBytes: s.mpDuplicateBytes,
-		Stalls:                  s.stalls, StallReroutes: s.stallRerouted,
-		Canaries: s.canaries, BudgetParks: s.budgetParks,
-		QuotaFailures: s.quotaFails, QuotaReclaims: s.quotaReclaims,
-		ProviderSpills: s.providerSpills, QuotaParks: s.quotaParks,
+		Stalls:                  int64(m.stalls.Value()), StallReroutes: int64(m.stallReroutes.Value()),
+		Canaries: int64(m.canaries.Value()), BudgetParks: int64(m.budgetParks.Value()),
+		QuotaFailures: int64(m.quotaFails.Value()), QuotaReclaims: int64(m.quotaReclaims.Value()),
+		ProviderSpills: int64(m.spills.Value()), QuotaParks: int64(m.quotaParks.Value()),
 		QueueDelayP99: s.delays.percentile(0.99),
-		Retries:       s.retries, Fallbacks: s.fallbacks,
-		Failovers: s.failovers, BreakerSkips: s.breakerSkip,
+		Retries:       int64(m.retries.Value()), Fallbacks: int64(m.fallbacks.Value()),
+		Failovers: int64(m.failovers.Value()), BreakerSkips: s.breakerSkip,
 		BytesResumed: s.bytesResumed, BytesRewritten: s.bytesRewritten,
 		ChunkRepairs: s.chunkRepairs,
 		CacheHits:    s.cacheHits, CacheMisses: s.cacheMiss,

@@ -281,8 +281,7 @@ func TestInvalidationOnFailure(t *testing.T) {
 	var got collector
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: plan,
-		MaxAttempts: 5, DetourFailLimit: 2,
-		Sleep: noSleep, OnResult: got.add,
+		MaxAttempts: 5, Sleep: noSleep, OnResult: got.add,
 	})
 	s.Start()
 	defer s.Close()

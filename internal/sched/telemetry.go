@@ -9,8 +9,9 @@ import (
 
 // schedMetrics holds pre-resolved registry handles for the scheduler's
 // hot paths: one family lookup at construction, one atomic op per
-// observation after that. A nil *schedMetrics (telemetry off) makes
-// every method a cheap no-op — call sites guard with a single nil check.
+// observation after that. The handles are the scheduler's only copy of
+// every count they cover — Stats reads them back — so they always
+// exist, in a private registry when Config.Telemetry is nil.
 type schedMetrics struct {
 	submitted, done, failed, expired, shed, late *telemetry.Metric
 	rejected                                     *telemetry.Family // reason
@@ -29,7 +30,7 @@ type schedMetrics struct {
 
 func newSchedMetrics(reg *telemetry.Registry) *schedMetrics {
 	if reg == nil {
-		return nil
+		reg = telemetry.NewRegistry()
 	}
 	m := &schedMetrics{
 		submitted: reg.Counter("sched_jobs_submitted_total", "Jobs admitted to the queue.").With(),
@@ -88,9 +89,6 @@ func (m *schedMetrics) routeMetrics(r core.Route) (bytes, jobs *telemetry.Metric
 // noteDepth refreshes the occupancy gauges from the counters already
 // guarded by s.mu; callers must hold s.mu.
 func (s *Scheduler) noteDepthLocked() {
-	if s.met == nil {
-		return
-	}
 	q := s.pending - s.running
 	if q < 0 {
 		q = 0

@@ -152,6 +152,19 @@ func (f *Family) With(values ...string) *Metric {
 	return m
 }
 
+// Get returns the child metric for the given label values if it exists,
+// and nil otherwise — a read that, unlike With, never creates a child
+// (and so never adds a zero-valued line to a snapshot). A nil *Metric
+// reads as 0.
+func (f *Family) Get(values ...string) *Metric {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.children[strings.Join(values, labelSep)]
+}
+
 // Add increments a counter or gauge by v. Counters reject negative
 // deltas (silently dropped — the hot path carries no error return).
 func (m *Metric) Add(v float64) {

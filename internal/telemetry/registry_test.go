@@ -28,6 +28,32 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+func TestFamilyGetDoesNotCreate(t *testing.T) {
+	reg := NewRegistry()
+	f := reg.Counter("rejects_total", "Rejects.", "reason")
+	if m := f.Get("queue-full"); m != nil {
+		t.Fatalf("Get on an absent child = %v, want nil", m)
+	}
+	if v := f.Get("queue-full").Value(); v != 0 {
+		t.Fatalf("absent child reads %g, want 0", v)
+	}
+	snap := reg.Snapshot()
+	if len(snap.Families) != 1 || len(snap.Families[0].Metrics) != 0 {
+		t.Fatalf("reading through Get added children: %+v", snap.Families)
+	}
+	f.With("queue-full").Add(2)
+	if got := f.Get("queue-full"); got != f.With("queue-full") || got.Value() != 2 {
+		t.Fatalf("Get after With = %v (%g), want the created child at 2", got, got.Value())
+	}
+	if n := len(reg.Snapshot().Families[0].Metrics); n != 1 {
+		t.Fatalf("snapshot has %d children, want 1", n)
+	}
+	var nf *Family
+	if nf.Get("x") != nil {
+		t.Fatal("Get on a nil family should return nil")
+	}
+}
+
 func TestFamilyReuseAndMismatchPanics(t *testing.T) {
 	reg := NewRegistry()
 	a := reg.Counter("x_total", "X.", "route")
