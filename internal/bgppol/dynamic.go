@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"detournet/internal/topology"
@@ -127,6 +128,19 @@ type Dynamic struct {
 	versions []*Policy            // versions[0] is the base policy
 	adoptAt  map[string][]float64 // domain -> adoption time per version
 	events   []Event
+
+	// The DynamicFinder's hot-potato expansions by node pair, one entry
+	// per AS path seen, valid for graph memoG at generation memoGen.
+	memoG   *topology.Graph
+	memoGen uint64
+	memo    map[[2]*topology.Node][]expansion
+}
+
+// expansion is one memoized expandDomainPath result.
+type expansion struct {
+	doms []string
+	path []*topology.Node
+	err  error
 }
 
 // NewDynamic wraps base in a staged-convergence layer. now supplies the
@@ -357,5 +371,29 @@ func (f DynamicFinder) Path(g *topology.Graph, src, dst *topology.Node) ([]*topo
 	if err != nil {
 		return nil, err
 	}
-	return expandDomainPath(g, src, dst, doms)
+	return f.D.expand(g, src, dst, doms)
+}
+
+// expand is expandDomainPath through d's memo. The AS path moves with
+// the virtual clock, so DomainPathAt runs on every call; the node-level
+// expansion of one AS path depends only on g's nodes, edges and link
+// delays, which g.Gen() versions, so the memo is dropped whenever the
+// graph or its generation changes. Callers get their own copy of the
+// path.
+func (d *Dynamic) expand(g *topology.Graph, src, dst *topology.Node, doms []string) ([]*topology.Node, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.memoG != g || d.memoGen != g.Gen() {
+		d.memoG, d.memoGen = g, g.Gen()
+		d.memo = make(map[[2]*topology.Node][]expansion)
+	}
+	k := [2]*topology.Node{src, dst}
+	for _, e := range d.memo[k] {
+		if slices.Equal(e.doms, doms) {
+			return slices.Clone(e.path), e.err
+		}
+	}
+	path, err := expandDomainPath(g, src, dst, doms)
+	d.memo[k] = append(d.memo[k], expansion{doms: doms, path: path, err: err})
+	return slices.Clone(path), err
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -265,73 +266,95 @@ func newFoldState() *foldState {
 	}
 }
 
-// apply folds one record. Folding is idempotent where replay can see a
-// record twice (a finish re-journaled after a crash-before-ack).
-func (st *foldState) apply(r journal.Rec) error {
+// decode turns one replayed record back into the typed value its
+// append folded: replay's half of the fold. A record that does not
+// decode, or has an unknown type, is an error.
+func decode(r journal.Rec) (any, error) {
 	switch r.Type {
 	case recSubmit:
-		var m submitRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+		return decodeAs[submitRec](r.Data)
+	case recAttempt:
+		return decodeAs[attemptRec](r.Data)
+	case recCkpt:
+		return decodeAs[ckptRec](r.Data)
+	case recCap:
+		return decodeAs[capRec](r.Data)
+	case recRetry:
+		return decodeAs[retryRec](r.Data)
+	case recLanes:
+		return decodeAs[lanesRec](r.Data)
+	case recFinish:
+		return decodeAs[finishRec](r.Data)
+	case recSnapshot:
+		return decodeAs[snapshotRec](r.Data)
+	}
+	return nil, fmt.Errorf("sched: unknown journal record type %d", r.Type)
+}
+
+// decodeAs unmarshals one record payload as a T.
+func decodeAs[T any](data []byte) (any, error) {
+	var m T
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// apply decodes and folds one replayed record.
+func (st *foldState) apply(r journal.Rec) error {
+	v, err := decode(r)
+	if err != nil {
+		return err
+	}
+	st.fold(v)
+	return nil
+}
+
+// fold folds one typed record: the value a live append was handed, or
+// the value replay decoded. Both paths share this one body, so the live
+// state is the replay fold of what the device holds. Folding is
+// idempotent where replay can see a record twice (a finish re-journaled
+// after a crash-before-ack).
+func (st *foldState) fold(v any) {
+	switch m := v.(type) {
+	case submitRec:
 		if _, ok := st.seqByName[m.Job.Name]; ok {
-			return nil // resubmission of a recovered job: already folded
+			return // resubmission of a recovered job: already folded
 		}
+		m.Job.AltProviders = slices.Clone(m.Job.AltProviders) // alias no caller memory
 		st.seqByName[m.Job.Name] = m.Seq
 		st.jobs[m.Seq] = m.Job
 		st.pending[m.Seq] = &PendingJob{Seq: m.Seq, Job: m.Job}
 		if m.Seq >= st.nextSeq {
 			st.nextSeq = m.Seq + 1
 		}
-	case recAttempt:
-		var m attemptRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+	case attemptRec:
 		if pj := st.pending[m.Seq]; pj != nil {
 			if m.Attempt > pj.PriorAttempts {
 				pj.PriorAttempts = m.Attempt
 			}
 			pj.AttemptID = m.AttemptID
 		}
-	case recCkpt:
-		var m ckptRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+	case ckptRec:
 		if pj := st.pending[m.Seq]; pj != nil {
 			pj.HasCkpt, pj.Ck = true, m
 		}
-	case recCap:
-		var m capRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+	case capRec:
 		k := m.Provider + "|" + m.Via
 		if m.Acquire {
 			st.capsHeld[k]++
 		} else if st.capsHeld[k]--; st.capsHeld[k] <= 0 {
 			delete(st.capsHeld, k)
 		}
-	case recRetry:
-		var m retryRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+	case retryRec:
 		st.retrySpent[m.Provider]++
-	case recLanes:
+	case lanesRec:
 		// Lane state is observational (the stripe parts are provider
 		// objects; a recovered multipath job re-stripes); nothing folds.
-		var m lanesRec
-		return json.Unmarshal(r.Data, &m)
-	case recFinish:
-		var m finishRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+	case finishRec:
 		if st.finishSeqs[m.Seq] {
 			st.dupFinish++ // idempotent replay: count the attempt once
-			return nil
+			return
 		}
 		st.finishSeqs[m.Seq] = true
 		job := st.jobs[m.Seq]
@@ -340,11 +363,7 @@ func (st *foldState) apply(r journal.Rec) error {
 		}
 		st.finished = append(st.finished, finishedJob{Job: job, Finish: m})
 		delete(st.pending, m.Seq)
-	case recSnapshot:
-		var m snapshotRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+	case snapshotRec:
 		*st = *newFoldState()
 		st.nextSeq = m.NextSeq
 		for i := range m.Pending {
@@ -366,9 +385,8 @@ func (st *foldState) apply(r journal.Rec) error {
 			st.capsHeld[k] = v
 		}
 	default:
-		return fmt.Errorf("sched: unknown journal record type %d", r.Type)
+		panic(fmt.Sprintf("sched: journal fold of %T", v))
 	}
-	return nil
 }
 
 // snapshot renders the folded state as a compaction record.
@@ -719,10 +737,7 @@ func (cj *ControlJournal) appendLocked(typ byte, v any) {
 	if cj.degraded {
 		cj.droppedAppends++
 	}
-	rec := journal.Rec{Type: typ, Data: data}
-	if err := cj.state.apply(rec); err != nil {
-		panic(fmt.Sprintf("sched: journal fold: %v", err))
-	}
+	cj.state.fold(v)
 }
 
 // enterDegradedLocked flips the journal into in-memory-only mode and
@@ -975,6 +990,9 @@ func (cj *ControlJournal) compactLocked() error {
 	}
 	cj.sinceCompact = 0
 	cj.compactions++
+	// The device now holds the snapshot alone, whose replay counts no
+	// duplicate finishes; so does the live state.
+	cj.state.dupFinish = 0
 	return nil
 }
 

@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"detournet/internal/core"
 	"detournet/internal/health"
@@ -683,6 +684,9 @@ func (s *Scheduler) submit(j Job, wait bool) error {
 	if j.Size <= 0 {
 		return fmt.Errorf("sched: job %q has non-positive size", j.Name)
 	}
+	if field := invalidUTF8Field(j); field != "" {
+		return fmt.Errorf("sched: job %q has a %s that is not valid UTF-8", j.Name, field)
+	}
 	allowed := s.buckets.allow(j.Tenant)
 	s.mu.Lock()
 	if s.closed {
@@ -729,6 +733,27 @@ func (s *Scheduler) submit(j Job, wait bool) error {
 	s.expireQueued(expired)
 	s.noteQueueDepth()
 	return err
+}
+
+// invalidUTF8Field names the first job string that is not valid UTF-8,
+// or returns "". The control journal encodes jobs as JSON, which turns
+// invalid bytes into U+FFFD: such a job would be journaled under a name
+// that no later record of it matches.
+func invalidUTF8Field(j Job) string {
+	for _, f := range [...]struct{ name, v string }{
+		{"tenant", j.Tenant}, {"client", j.Client}, {"provider", j.Provider},
+		{"name", j.Name}, {"MD5", j.MD5},
+	} {
+		if !utf8.ValidString(f.v) {
+			return f.name
+		}
+	}
+	for _, p := range j.AltProviders {
+		if !utf8.ValidString(p) {
+			return "alternate provider"
+		}
+	}
+	return ""
 }
 
 // expireQueued finishes jobs a queue sweep expired in place: their

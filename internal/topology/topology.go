@@ -88,6 +88,10 @@ type Graph struct {
 
 	router PathFinder
 
+	// gen counts structural changes (nodes, edges, edge up/down flips);
+	// route memos keyed on it stay valid while it holds still.
+	gen uint64
+
 	// OnFlowKilled, when set, observes every in-flight fluid flow torn
 	// down by SetLinkState taking an edge down, KillEdgeFlows, or
 	// KillDomainBoundaryFlows. It runs inside the simulation, after the
@@ -148,6 +152,7 @@ func (g *Graph) AddNode(n *Node) (*Node, error) {
 	g.nodes[n.Name] = n
 	g.order = append(g.order, n)
 	g.out = append(g.out, nil)
+	g.gen++
 	return n, nil
 }
 
@@ -159,6 +164,12 @@ func (g *Graph) MustAddNode(n *Node) *Node {
 	}
 	return node
 }
+
+// Gen returns the graph's structural generation. AddNode, ConnectAsym
+// and every SetLinkState that flips an edge move it; nothing else does.
+// A route computed from the graph's nodes, edges, edge states and link
+// propagation delays stays valid for as long as Gen holds still.
+func (g *Graph) Gen() uint64 { return g.gen }
 
 // Node returns a node by name.
 func (g *Graph) Node(name string) (*Node, bool) {
@@ -230,6 +241,7 @@ func (g *Graph) ConnectAsym(from, to string, spec LinkSpec) error {
 	out := append(g.out[fn.idx], &Edge{From: fn, To: tn, Link: link})
 	sort.Slice(out, func(i, j int) bool { return out[i].To.Name < out[j].To.Name })
 	g.out[fn.idx] = out
+	g.gen++
 	return nil
 }
 
@@ -272,6 +284,9 @@ func (g *Graph) SetLinkState(from, to string, up bool) bool {
 	e, ok := g.Edge(from, to)
 	if !ok {
 		return false
+	}
+	if e.down == up {
+		g.gen++
 	}
 	e.down = !up
 	if up {

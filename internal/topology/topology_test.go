@@ -378,3 +378,45 @@ func TestSetLinkStateDisconnects(t *testing.T) {
 		t.Fatal("missing edge reported as toggled")
 	}
 }
+
+// TestGenCountsStructuralChanges: Gen moves on every change a route
+// can depend on (a node, an edge, an edge flipping up or down) and on
+// nothing else, so memos keyed on it are neither stale nor churned.
+func TestGenCountsStructuralChanges(t *testing.T) {
+	g := newGraph()
+	gen := g.Gen()
+	step := func(what string, moved bool) {
+		t.Helper()
+		if now := g.Gen(); (now != gen) != moved {
+			t.Fatalf("%s: Gen %d -> %d, want moved=%v", what, gen, now, moved)
+		}
+		gen = g.Gen()
+	}
+	g.MustAddNode(&Node{Name: "a"})
+	step("AddNode", true)
+	g.MustAddNode(&Node{Name: "b"})
+	step("AddNode", true)
+	if _, err := g.AddNode(&Node{Name: "a"}); err == nil {
+		t.Fatal("duplicate node accepted")
+	}
+	step("rejected AddNode", false)
+	g.MustConnectAsym("a", "b", LinkSpec{CapacityBps: 1, DelaySec: 0.001})
+	step("ConnectAsym", true)
+	if err := g.ConnectAsym("a", "b", LinkSpec{CapacityBps: 1}); err == nil {
+		t.Fatal("duplicate edge accepted")
+	}
+	step("rejected ConnectAsym", false)
+	g.SetLinkState("a", "b", true)
+	step("SetLinkState up on an up edge", false)
+	g.SetLinkState("a", "b", false)
+	step("SetLinkState down", true)
+	g.SetLinkState("a", "b", false)
+	step("SetLinkState down on a down edge", false)
+	g.SetLinkState("a", "b", true)
+	step("SetLinkState up", true)
+	g.SetLinkState("b", "a", false)
+	step("SetLinkState on a missing edge", false)
+	g.MustSetOverride("a", "b")
+	g.SetOverrideEnabled("a", "b", false)
+	step("route pins", false)
+}
