@@ -47,20 +47,26 @@ func printOnce(key, text string) {
 	}
 }
 
-// benchPair reproduces one figure backed by a client→provider grid.
+// benchPair reproduces one figure backed by a client→provider grid. It
+// reports the simulation events one grid runs (events/op) next to its
+// wall time.
 func benchPair(b *testing.B, key, client, provider string, render func(*experiments.Suite) string) {
 	b.Helper()
 	var lastDirect, lastBest float64
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		s := &experiments.Suite{Options: experiments.Default()}
 		out := render(s)
 		printOnce(key, out)
-		g := s.Pair(client, provider).Grid
+		pr := s.Pair(client, provider)
+		events += pr.Events
+		g := pr.Grid
 		lastDirect = g.Cell(100, core.DirectRoute).Summary.Mean
 		best := g.Fastest(100)
 		lastBest = g.Cell(100, best).Summary.Mean
 	}
 	b.ReportMetric(lastDirect/lastBest, "speedup@100MB")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 func BenchmarkFig2UBCGoogleDrive(b *testing.B) {

@@ -49,6 +49,8 @@ type PairResult struct {
 	Client   string
 	Provider string
 	Grid     *measure.Grid
+	// Events is the number of virtual-clock events the pair's world ran.
+	Events uint64
 }
 
 // pairSeed derives a stable per-pair world seed.
@@ -70,7 +72,7 @@ func RunPair(o Options, client, provider string) *PairResult {
 		SizesMB: o.SizesMB, Runs: o.Runs, Keep: o.Keep,
 		Seed: o.Seed,
 	})
-	return &PairResult{Client: client, Provider: provider, Grid: g}
+	return &PairResult{Client: client, Provider: provider, Grid: g, Events: w.Eng.Processed()}
 }
 
 // Suite holds every grid of the evaluation (3 clients × 3 providers).

@@ -11,6 +11,12 @@
 // package tcpmodel), and application pacing. Cross-traffic (package
 // xtraffic) modulates the capacity a link has left for foreground flows.
 //
+// A link's cross-traffic may be computed lazily by its LoadSource: while
+// the link carries no flow, nothing can see its load except the exported
+// reads (Load, Available, Utilization), SetLinkLoad and a flow starting
+// on it, so each of those first asks the source to Sync. The allocator
+// only reads links that carry flows and never syncs.
+//
 // Reallocation is global and bit-exact by contract: every event settles
 // every flow, recomputes max-min over the whole network with the float
 // operations of the textbook progressive-filling loop in the same order,
@@ -52,7 +58,8 @@ type Link struct {
 	// computed from it by higher layers.
 	PropDelay float64
 
-	flows []*Flow // active flows crossing this link, ordered by flow id
+	flows  []*Flow    // active flows crossing this link, ordered by flow id
+	source LoadSource // lazy cross-traffic writer, synced while idle; may be nil
 
 	// progressive-filling scratch state: unfrozen entries of flows (a
 	// flow counts once per occurrence of this link on its path), and
@@ -65,13 +72,44 @@ type Link struct {
 // a fully starved link would make completion times infinite.
 const maxLoad = 0.98
 
+// LoadSource is a link's lazy cross-traffic writer. While the link
+// carries no flow the source may leave its load stale; Sync must bring
+// the load up to the current virtual time (through SetLinkLoad) and keep
+// it current from then on, until the link is idle again. Fluid calls
+// Sync only on an idle link, before its load is read or written and
+// before a flow is attached to it.
+type LoadSource interface{ Sync() }
+
+// SetSource installs the link's load source; nil removes it.
+func (l *Link) SetSource(s LoadSource) { l.source = s }
+
+// Source returns the link's load source, or nil.
+func (l *Link) Source() LoadSource { return l.source }
+
+// sync lets an idle link's load source catch up before the load is seen.
+func (l *Link) sync() {
+	if l.source != nil && len(l.flows) == 0 {
+		l.source.Sync()
+	}
+}
+
 // Available returns the capacity currently left for foreground flows.
 func (l *Link) Available() float64 {
+	l.sync()
+	return l.avail()
+}
+
+// avail is Available without the sync: the allocator reads only links
+// that carry flows, whose sources are always current.
+func (l *Link) avail() float64 {
 	return l.Capacity * (1 - l.load)
 }
 
 // Load returns the current cross-traffic fraction.
-func (l *Link) Load() float64 { return l.load }
+func (l *Link) Load() float64 {
+	l.sync()
+	return l.load
+}
 
 // Utilization returns the fraction of capacity in use right now:
 // cross-traffic load plus the allocated rates of every foreground flow
@@ -80,6 +118,7 @@ func (l *Link) Utilization() float64 {
 	if l.Capacity <= 0 {
 		return 0
 	}
+	l.sync()
 	used := l.load * l.Capacity
 	for _, f := range l.flows {
 		used += f.rate
@@ -200,10 +239,13 @@ func (n *Network) AddLink(name string, capacity, propDelay float64) *Link {
 
 // SetLinkLoad sets the fraction of a link's capacity consumed by
 // cross-traffic and reallocates. The fraction is clamped to [0, 0.98].
+// An idle link's load source syncs first, so the write lands after every
+// re-sample it had skipped.
 func (n *Network) SetLinkLoad(l *Link, fraction float64) {
 	if math.IsNaN(fraction) {
 		panic("fluid: NaN link load")
 	}
+	l.sync()
 	fraction = math.Max(0, math.Min(maxLoad, fraction))
 	if fraction == l.load {
 		return
@@ -266,6 +308,7 @@ func (n *Network) attach(path []*Link, bytes float64, opts FlowOpts) *Flow {
 	n.nextFlow++
 	n.flows = append(n.flows, f)
 	for _, l := range path {
+		l.sync()
 		l.flows = append(l.flows, f)
 	}
 	return f
@@ -529,7 +572,7 @@ func (n *Network) computeMaxMin() {
 		// and smallest cap slack across unfrozen flows.
 		delta := math.Inf(1)
 		for _, l := range hot {
-			if d := (l.Available() - l.used) / float64(l.unfrozen); d < delta {
+			if d := (l.avail() - l.used) / float64(l.unfrozen); d < delta {
 				delta = d
 			}
 		}
@@ -561,7 +604,7 @@ func (n *Network) computeMaxMin() {
 				used += f.rate
 			}
 			l.used = used
-			if avail := l.Available(); avail-used <= 1e-9*max(1, avail) {
+			if avail := l.avail(); avail-used <= 1e-9*max(1, avail) {
 				for _, f := range l.flows {
 					if !f.frozen {
 						f.freeze()

@@ -972,3 +972,60 @@ func TestEqualTimeCompletionsRunInFlowOrder(t *testing.T) {
 		t.Fatalf("completion order %s, want [c@5 b@10 a@10]", got)
 	}
 }
+
+// countingSource records how often fluid asks it to sync.
+type countingSource struct{ syncs int }
+
+func (s *countingSource) Sync() { s.syncs++ }
+
+// An idle link's load source syncs before each exported read, each
+// SetLinkLoad (early returns included) and a flow attaching to the link;
+// a link that carries a flow never syncs, and reallocation never syncs.
+func TestLoadSourceSyncPoints(t *testing.T) {
+	eng := simclock.NewEngine()
+	n := New(eng)
+	busy, idle := n.AddLink("busy", 100, 0), n.AddLink("idle", 100, 0)
+	bs, is := &countingSource{}, &countingSource{}
+	busy.SetSource(bs)
+	idle.SetSource(is)
+	if busy.Source() != LoadSource(bs) {
+		t.Fatal("Source does not return the installed source")
+	}
+
+	step := func(name string, want int, do func()) {
+		t.Helper()
+		before := is.syncs
+		do()
+		if got := is.syncs - before; got != want {
+			t.Errorf("%s: idle link synced %d times, want %d", name, got, want)
+		}
+	}
+	step("Load", 1, func() { idle.Load() })
+	step("Available", 1, func() { idle.Available() })
+	step("Utilization", 1, func() { idle.Utilization() })
+	step("BottleneckCapacity", 1, func() { BottleneckCapacity([]*Link{idle}) })
+	step("SetLinkLoad", 1, func() { n.SetLinkLoad(idle, 0.5) })
+	step("SetLinkLoad unchanged", 1, func() { n.SetLinkLoad(idle, 0.5) })
+	step("flow elsewhere", 0, func() { n.StartFlow([]*Link{busy}, 1e6, FlowOpts{}) })
+
+	busySyncs := bs.syncs
+	f := n.StartFlow([]*Link{busy}, 1e6, FlowOpts{})
+	n.SetLinkLoad(busy, 0.3)
+	busy.Load()
+	busy.Available()
+	busy.Utilization()
+	n.SetFlowCap(f, 10)
+	eng.Advance(1)
+	if bs.syncs != busySyncs {
+		t.Errorf("a link carrying flows synced %d times", bs.syncs-busySyncs)
+	}
+
+	var g *Flow
+	step("flow attach", 1, func() { g = n.StartFlow([]*Link{idle, busy}, 1e6, FlowOpts{}) })
+	step("read with a flow", 0, func() { idle.Load() })
+	n.CancelFlow(g)
+	step("read after the flow left", 1, func() { idle.Load() })
+
+	idle.SetSource(nil)
+	step("no source", 0, func() { idle.Load() })
+}

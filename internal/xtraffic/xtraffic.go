@@ -6,9 +6,21 @@
 // noisy one in Table IV: run-to-run variance, overlapping ±1σ error
 // bars, and the file-size-dependent exceptions in Figs 8–9 all come from
 // the foreground transfer sampling this process at different times.
+//
+// Processes are lazy. Only a link that carries a foreground flow needs
+// its re-samples on time, so a re-sample that finds its link idle queues
+// no next event: the process goes dormant. Package fluid asks an idle
+// link's process to Sync before anything can see the load (a read, an
+// external SetLinkLoad, a flow starting), and Sync draws the re-samples
+// that fell due meanwhile from the process's own RNG, in the order the
+// events would have drawn them. Each process owns its stream and an
+// idle link's load is unseen between syncs, so every load a flow meets,
+// and every output, is what a process re-sampled by events at every
+// interval would give.
 package xtraffic
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -59,27 +71,32 @@ func (c Config) withDefaults() Config {
 
 // Process is one link's running load generator.
 type Process struct {
-	fl      *fluid.Network
-	link    *fluid.Link
-	cfg     Config
-	rng     *rand.Rand
-	load    float64
-	stopped bool
-	next    *simclock.Event
+	source
+	cfg  Config
+	rng  *rand.Rand
+	load float64
 }
 
 // Attach starts a load process on link, seeding the link's load
 // immediately and re-sampling every Interval until Stop. The rng is
-// owned by the process afterwards; give each process its own.
+// owned by the process afterwards; give each live process its own, since
+// a dormant process draws its skipped re-samples only when it syncs. A
+// link carries at most one live process: attaching a second panics.
 func Attach(fl *fluid.Network, link *fluid.Link, cfg Config, rng *rand.Rand) *Process {
-	if fl == nil || link == nil || rng == nil {
-		panic("xtraffic: nil argument")
-	}
-	p := &Process{fl: fl, link: link, cfg: cfg.withDefaults(), rng: rng}
-	p.load = p.sampleStationary()
-	fl.SetLinkLoad(link, p.load)
-	p.schedule()
+	checkArgs(fl, link, rng)
+	p := &Process{source: source{fl: fl, link: link}, cfg: cfg.withDefaults(), rng: rng}
+	p.m = p
+	p.restart()
 	return p
+}
+
+// restart is Attach's work after the allocation: it seeds the link's
+// load from the stationary distribution and starts re-sampling.
+// Controller.Restart calls it to reuse a stopped process.
+func (p *Process) restart() {
+	p.claim()
+	p.load = p.sampleStationary()
+	p.start()
 }
 
 // sampleStationary draws an initial load from around the stationary
@@ -97,42 +114,26 @@ func clampLoad(x float64) float64 {
 	return math.Max(0, math.Min(0.95, x))
 }
 
-// schedule queues the next re-sample. A running process re-arms its
-// fired event in place; only a just-attached one schedules a new event.
-func (p *Process) schedule() {
-	eng := p.fl.Engine()
-	// Slightly jitter the interval so many processes never re-sample in
-	// lockstep, which would create artificial global synchronization.
-	d := p.cfg.Interval * (0.9 + 0.2*p.rng.Float64())
-	if !eng.Rearm(p.next, eng.Now()+simclock.Time(d)) {
-		p.next = eng.After(d, p.step)
-	}
-}
-
+// step draws one AR(1) re-sample.
 func (p *Process) step() {
-	if p.stopped {
-		return
-	}
 	c := p.cfg
 	p.load = clampLoad(c.MeanLoad + c.Alpha*(p.load-c.MeanLoad) + p.noise())
-	p.fl.SetLinkLoad(p.link, p.load)
-	p.schedule()
 }
 
-// Load returns the process's current load fraction.
-func (p *Process) Load() float64 { return p.load }
+// interval draws the time to the next re-sample. The interval is
+// slightly jittered so many processes never re-sample in lockstep, which
+// would create artificial global synchronization.
+func (p *Process) interval() float64 {
+	return p.cfg.Interval * (0.9 + 0.2*p.rng.Float64())
+}
 
-// Stop halts the process and releases the link back to zero load.
-func (p *Process) Stop() {
-	if p.stopped {
-		return
-	}
-	p.stopped = true
-	if p.next != nil {
-		p.fl.Engine().Cancel(p.next)
-		p.next = nil
-	}
-	p.fl.SetLinkLoad(p.link, 0)
+func (p *Process) value() float64 { return p.load }
+
+// Load returns the process's current load fraction, syncing a dormant
+// process first.
+func (p *Process) Load() float64 {
+	p.Sync()
+	return p.load
 }
 
 // OnOffConfig shapes a two-state Markov-modulated load process: the link
@@ -150,98 +151,198 @@ type OnOffConfig struct {
 
 // OnOffProcess is a running two-state load generator.
 type OnOffProcess struct {
-	fl      *fluid.Network
-	link    *fluid.Link
-	cfg     OnOffConfig
-	rng     *rand.Rand
-	bad     bool
-	stopped bool
-	next    *simclock.Event
+	source
+	cfg OnOffConfig
+	rng *rand.Rand
+	bad bool
 }
 
 // AttachOnOff starts a two-state process on link. The initial state is
-// drawn from the stationary distribution.
+// drawn from the stationary distribution. The rng and link rules of
+// Attach apply.
 func AttachOnOff(fl *fluid.Network, link *fluid.Link, cfg OnOffConfig, rng *rand.Rand) *OnOffProcess {
-	if fl == nil || link == nil || rng == nil {
-		panic("xtraffic: nil argument")
-	}
+	checkArgs(fl, link, rng)
 	if cfg.MeanGood <= 0 || cfg.MeanBad <= 0 {
 		panic("xtraffic: OnOff holding times must be positive")
 	}
-	p := &OnOffProcess{fl: fl, link: link, cfg: cfg, rng: rng}
-	pBad := cfg.MeanBad / (cfg.MeanGood + cfg.MeanBad)
-	p.bad = rng.Float64() < pBad
-	p.apply()
-	p.schedule()
+	p := &OnOffProcess{source: source{fl: fl, link: link}, cfg: cfg, rng: rng}
+	p.m = p
+	p.restart()
 	return p
 }
 
-func (p *OnOffProcess) apply() {
-	load := p.cfg.GoodLoad
-	if p.bad {
-		load = p.cfg.BadLoad
-	}
-	p.fl.SetLinkLoad(p.link, clampLoad(load))
+// restart draws the initial state and starts flipping, as Process.restart.
+func (p *OnOffProcess) restart() {
+	p.claim()
+	pBad := p.cfg.MeanBad / (p.cfg.MeanGood + p.cfg.MeanBad)
+	p.bad = p.rng.Float64() < pBad
+	p.start()
 }
 
-// schedule queues the next state flip, re-arming in place as
-// Process.schedule does.
-func (p *OnOffProcess) schedule() {
+// step flips the state.
+func (p *OnOffProcess) step() { p.bad = !p.bad }
+
+// interval draws the holding time of the current state.
+func (p *OnOffProcess) interval() float64 {
 	mean := p.cfg.MeanGood
 	if p.bad {
 		mean = p.cfg.MeanBad
 	}
-	eng := p.fl.Engine()
-	d := p.rng.ExpFloat64() * mean
-	if !eng.Rearm(p.next, eng.Now()+simclock.Time(d)) {
-		p.next = eng.After(d, p.step)
+	return p.rng.ExpFloat64() * mean
+}
+
+func (p *OnOffProcess) value() float64 {
+	if p.bad {
+		return clampLoad(p.cfg.BadLoad)
+	}
+	return clampLoad(p.cfg.GoodLoad)
+}
+
+// Bad reports whether the link is currently in a congestion episode,
+// syncing a dormant process first.
+func (p *OnOffProcess) Bad() bool {
+	p.Sync()
+	return p.bad
+}
+
+// model is one process's random stream: step draws a re-sample (an
+// AR(1) step or a state flip), interval the virtual seconds to the next
+// one, and value is the link load the process holds now.
+type model interface {
+	step()
+	interval() float64
+	value() float64
+}
+
+// source schedules a model's re-samples on its link and is the link's
+// fluid.LoadSource. While the link carries a flow it re-arms its one
+// event at every re-sample. A re-sample that finds the link idle queues
+// nothing and leaves the process dormant; Sync then draws the re-samples
+// that fell due meanwhile, in stream order, and re-arms.
+type source struct {
+	fl      *fluid.Network
+	link    *fluid.Link
+	m       model
+	due     simclock.Time   // time of the next re-sample
+	next    *simclock.Event // the one re-sample event, re-armed in place
+	dormant bool            // no event queued: the link was idle at the last re-sample
+	stopped bool
+}
+
+func checkArgs(fl *fluid.Network, link *fluid.Link, rng *rand.Rand) {
+	if fl == nil || link == nil || rng == nil {
+		panic("xtraffic: nil argument")
 	}
 }
 
-func (p *OnOffProcess) step() {
-	if p.stopped {
-		return
+// claim panics if the link already has a live load process.
+func (s *source) claim() {
+	if s.link.Source() != nil {
+		panic(fmt.Sprintf("xtraffic: link %q already has a live load process; Stop it before attaching another", s.link.Name))
 	}
-	p.bad = !p.bad
-	p.apply()
-	p.schedule()
 }
 
-// Bad reports whether the link is currently in a congestion episode.
-func (p *OnOffProcess) Bad() bool { return p.bad }
+// start writes the model's initial load, takes over the link's load and
+// queues the first re-sample. That one is queued whether or not the link
+// carries flows, so the process's one event is allocated when it is
+// attached and re-armed after a restart where it can be (a dormant
+// process's event has fired; an awake one's was cancelled by Stop).
+func (s *source) start() {
+	s.stopped = false
+	s.fl.SetLinkLoad(s.link, s.m.value())
+	s.link.SetSource(s)
+	eng := s.fl.Engine()
+	s.due = eng.Now() + simclock.Time(s.m.interval())
+	if !eng.Rearm(s.next, s.due) {
+		s.next = eng.Schedule(s.due, s.fire)
+	}
+}
 
-// Stop halts the process and releases the link.
-func (p *OnOffProcess) Stop() {
-	if p.stopped {
+// fire is the re-sample event.
+func (s *source) fire() {
+	s.m.step()
+	s.fl.SetLinkLoad(s.link, s.m.value())
+	s.due += simclock.Time(s.m.interval())
+	s.arm()
+}
+
+// arm queues the next re-sample if the link carries flows and goes
+// dormant otherwise.
+func (s *source) arm() {
+	if s.link.NumFlows() == 0 {
+		s.dormant = true
 		return
 	}
-	p.stopped = true
-	if p.next != nil {
-		p.fl.Engine().Cancel(p.next)
-		p.next = nil
+	s.fl.Engine().Rearm(s.next, s.due)
+}
+
+// catchUp draws every re-sample due by now and reports whether there
+// was one. A re-sample due exactly now counts as already run.
+func (s *source) catchUp() bool {
+	now := s.fl.Engine().Now()
+	drew := false
+	for s.due <= now {
+		s.m.step()
+		s.due += simclock.Time(s.m.interval())
+		drew = true
 	}
-	p.fl.SetLinkLoad(p.link, 0)
+	return drew
+}
+
+// Sync wakes a dormant process: it catches up, writes the load only if
+// it drew a re-sample (so an external write made since the last one
+// stands), and re-arms. Fluid calls it before the idle link's load is
+// read or written and before a flow starts on the link.
+func (s *source) Sync() {
+	if !s.dormant {
+		return
+	}
+	drew := s.catchUp()
+	s.dormant = false // before the write, which syncs the link again
+	if drew {
+		s.fl.SetLinkLoad(s.link, s.m.value())
+	}
+	s.fl.Engine().Rearm(s.next, s.due)
+}
+
+// Stop halts the process and releases the link back to zero load. A
+// dormant process first draws the re-samples it skipped, so a process
+// restarted on the same rng continues the stream where it would be.
+func (s *source) Stop() {
+	if s.stopped {
+		return
+	}
+	if s.dormant {
+		s.catchUp()
+		s.dormant = false
+	}
+	s.stopped = true
+	s.fl.Engine().Cancel(s.next) // a no-op when dormant: the event has fired
+	if s.link.Source() == s {
+		s.link.SetSource(nil)
+	}
+	s.fl.SetLinkLoad(s.link, 0)
 }
 
 // Controller manages the cross-traffic processes of one experiment run
-// so they can be torn down together when the foreground transfer ends
-// (otherwise their re-sample events would keep the simulation alive
-// forever) and restarted for the next run.
+// so they can be torn down together when the foreground transfer ends,
+// releasing every link's load and queuing no more re-samples, and
+// restarted for the next run.
 type Controller struct {
-	starters []func() stopper
-	procs    []stopper
-	stopped  bool
+	procs   []process
+	stopped bool
 }
 
-type stopper interface{ Stop() }
+type process interface {
+	Stop()
+	restart()
+}
 
 // NewController returns an empty controller.
 func NewController() *Controller { return &Controller{} }
 
 // Attach starts an AR(1) process and tracks it for StopAll/Restart.
 func (c *Controller) Attach(fl *fluid.Network, link *fluid.Link, cfg Config, rng *rand.Rand) *Process {
-	start := func() stopper { return Attach(fl, link, cfg, rng) }
-	c.starters = append(c.starters, start)
 	p := Attach(fl, link, cfg, rng)
 	c.procs = append(c.procs, p)
 	return p
@@ -249,8 +350,6 @@ func (c *Controller) Attach(fl *fluid.Network, link *fluid.Link, cfg Config, rng
 
 // AttachOnOff starts a two-state process and tracks it.
 func (c *Controller) AttachOnOff(fl *fluid.Network, link *fluid.Link, cfg OnOffConfig, rng *rand.Rand) *OnOffProcess {
-	start := func() stopper { return AttachOnOff(fl, link, cfg, rng) }
-	c.starters = append(c.starters, start)
 	p := AttachOnOff(fl, link, cfg, rng)
 	c.procs = append(c.procs, p)
 	return p
@@ -265,15 +364,16 @@ func (c *Controller) StopAll() {
 	c.stopped = true
 }
 
-// Restart re-attaches every tracked process after StopAll, continuing
-// each link's seeded random sequence. It is a no-op while running.
+// Restart starts every tracked process again after StopAll, as
+// re-attaching it would, continuing each link's seeded random sequence.
+// The processes (and the events of those that were dormant) are reused,
+// so a restart allocates next to nothing. It is a no-op while running.
 func (c *Controller) Restart() {
 	if !c.stopped {
 		return
 	}
-	c.procs = c.procs[:0]
-	for _, start := range c.starters {
-		c.procs = append(c.procs, start())
+	for _, p := range c.procs {
+		p.restart()
 	}
 	c.stopped = false
 }

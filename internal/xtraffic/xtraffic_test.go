@@ -1,7 +1,9 @@
 package xtraffic
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"detournet/internal/fluid"
@@ -174,10 +176,10 @@ func TestConfigClamping(t *testing.T) {
 	}
 }
 
-// A running process re-arms its one event in place, so a steady-state
-// re-sample on a link without flows allocates nothing: no Event, no
-// callback closure. Each engine runs one process, so every Step is one
-// re-sample (AllocsPerRun rounds the average down).
+// A process on a link that carries a flow re-arms its one event in
+// place, so a steady-state re-sample allocates nothing: no Event, no
+// callback closure. On an idle link it queues nothing at all, and the
+// catch-up a read triggers allocates nothing either.
 func TestSteadyStepAllocatesNothing(t *testing.T) {
 	for name, attach := range map[string]func(*fluid.Network, *fluid.Link){
 		"ar1": func(fl *fluid.Network, l *fluid.Link) {
@@ -187,13 +189,80 @@ func TestSteadyStepAllocatesNothing(t *testing.T) {
 			AttachOnOff(fl, l, OnOffConfig{GoodLoad: 0.1, BadLoad: 0.8, MeanGood: 3, MeanBad: 2}, rand.New(rand.NewSource(2)))
 		},
 	} {
+		// Loaded link: a flow too large to finish keeps the process
+		// awake, so the queue holds the flow's completion and exactly
+		// one re-sample, and every Step below is one re-sample.
 		eng, fl, l := setup()
 		attach(fl, l)
+		fl.StartFlow([]*fluid.Link{l}, 1e15, fluid.FlowOpts{})
 		if n := testing.AllocsPerRun(200, func() { eng.Step() }); n != 0 {
 			t.Errorf("%s: steady-state step allocates %v times", name, n)
 		}
-		if eng.Pending() != 1 {
-			t.Errorf("%s: %d events pending, want 1", name, eng.Pending())
+		if eng.Pending() != 2 {
+			t.Errorf("%s: %d events pending, want the completion and one re-sample", name, eng.Pending())
 		}
+
+		// Idle link: after the first re-sample nothing is queued; a
+		// read catches up on demand.
+		eng, fl, l = setup()
+		attach(fl, l)
+		eng.Step()
+		if eng.Pending() != 0 {
+			t.Errorf("%s: idle link has %d events pending, want 0", name, eng.Pending())
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			eng.Advance(20) // runs the re-sample the last read armed, then idles
+			l.Load()        // catches up the rest and re-arms
+		}); n != 0 {
+			t.Errorf("%s: steady catch-up allocates %v times", name, n)
+		}
+	}
+}
+
+// A link takes one live load process: a second Attach panics until the
+// first is stopped, and stopping a process leaves another's source alone.
+func TestOneLiveSourcePerLink(t *testing.T) {
+	_, fl, l := setup()
+	first := Attach(fl, l, Config{MeanLoad: 0.3}, rand.New(rand.NewSource(1)))
+	mustPanic := func(name string, attach func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil {
+				t.Errorf("%s on a link with a live process did not panic", name)
+			} else if msg := fmt.Sprint(r); !strings.Contains(msg, `"l"`) || !strings.Contains(msg, "live load process") {
+				t.Errorf("%s panic %q does not name the link and the live process", name, msg)
+			}
+		}()
+		attach()
+	}
+	mustPanic("Attach", func() { Attach(fl, l, Config{MeanLoad: 0.5}, rand.New(rand.NewSource(2))) })
+	mustPanic("AttachOnOff", func() {
+		AttachOnOff(fl, l, OnOffConfig{GoodLoad: 0.1, BadLoad: 0.8, MeanGood: 3, MeanBad: 2}, rand.New(rand.NewSource(3)))
+	})
+	if l.Source() == nil {
+		t.Fatal("a refused Attach cleared the live source")
+	}
+
+	first.Stop()
+	if l.Source() != nil {
+		t.Fatal("Stop left its source on the link")
+	}
+	second := AttachOnOff(fl, l, OnOffConfig{GoodLoad: 0.1, BadLoad: 0.8, MeanGood: 3, MeanBad: 2}, rand.New(rand.NewSource(4)))
+	first.Stop() // already stopped: must not touch the new source
+	if l.Source() == nil {
+		t.Fatal("stopping an old process removed the new one's source")
+	}
+	second.Stop()
+	if l.Source() != nil {
+		t.Fatal("Stop left its source on the link")
+	}
+
+	// A source installed over a live process stays when that process stops.
+	third := Attach(fl, l, Config{MeanLoad: 0.3}, rand.New(rand.NewSource(5)))
+	other := &Process{}
+	l.SetSource(other)
+	third.Stop()
+	if l.Source() != fluid.LoadSource(other) {
+		t.Fatal("Stop removed a source that was not its own")
 	}
 }
