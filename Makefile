@@ -121,7 +121,8 @@ golden-check:
 
 # The gate PRs must pass: every Go file is gofmt-clean, everything
 # compiles, vets clean, the full test suite (including the
-# really-concurrent scheduler) is race-clean,
+# really-concurrent scheduler) is race-clean, the nested detourledger
+# module (which `./...` skips) compiles and vets against the scheduler,
 # the delta-encoding and journal-decode fuzzers hold up for a short
 # smoke run, the chaos and overload replays complete, and every
 # deterministic example — the churn, multipath, grayfail, crashsafe,
@@ -134,6 +135,7 @@ golden-check:
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
+	$(GO) -C detourledger vet ./...
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal

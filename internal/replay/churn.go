@@ -23,9 +23,13 @@ func churnSpec(seed int64, jobs int, stack bool) Spec {
 	if jobs <= 0 {
 		jobs = 36
 	}
-	cfg := sched.Config{MaxAttempts: 1, DisableRecovery: true}
-	if stack {
-		cfg = sched.Config{MaxAttempts: 5, Reroute: true, ParkBudget: 120}
+	cfg := sched.Config{MaxAttempts: 5, Reroute: true, ParkBudget: 120}
+	var setup func(*Env)
+	if !stack {
+		// The control runs every attempt from byte zero: an Execute-only
+		// executor offers the scheduler no checkpoint to resume from.
+		cfg = sched.Config{MaxAttempts: 1}
+		setup = func(e *Env) { e.Config.Executor = sched.ExecutorFunc(e.Exec.Execute) }
 	}
 	// A fixed two-site fleet on the storm's target provider: UBC rides
 	// the pinned PacificWave path that flips away and back, UAlberta
@@ -37,6 +41,7 @@ func churnSpec(seed int64, jobs int, stack bool) Spec {
 		Seed:   seed,
 		World:  []scenario.Option{scenario.WithDynamicRouting()},
 		Faults: faults.ChurnSchedule(),
+		Setup:  setup,
 		Config: cfg,
 		Fleet: fleet(jobs, func(i int) sched.Job {
 			return sched.Job{

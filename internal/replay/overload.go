@@ -86,7 +86,6 @@ func overloadSpec(seed int64, trace []Arrival, stack bool) Spec {
 		cfg.CoDelTarget = 6
 		cfg.Hedge = true
 		cfg.HedgeMinSamples = 4
-		cfg.HedgeMaxFrac = 0.1
 		cfg.BrownoutEnter = 0.8
 	}
 	return Spec{

@@ -14,11 +14,12 @@
 //   - jobs due at the start are all submitted before the worker starts,
 //     so enqueue order, journal record order and submit-time crash
 //     points are fixed;
-//   - later arrivals are fed at virtual-time boundaries: every executor
-//     call that advances the clock completes, then offers the new clock
-//     to the trace, so arrivals interleave with service by virtual
-//     time, not by goroutine timing — through the same executor path
-//     whatever the trace's shape;
+//   - later arrivals are fed at virtual-time boundaries: the simulation
+//     executor offers the clock to the trace each time a call that
+//     advances it returns (sched.SimExecutor.OnAdvance), so arrivals
+//     interleave with service by virtual time, not by goroutine timing —
+//     whatever the trace's shape, and whatever wrapper a Setup puts
+//     between the scheduler and the executor;
 //   - faults, convergence delays and the sampler are pure functions of
 //     the virtual clock and the seeded RNGs;
 //   - the report renderers iterate only sorted or fixed-order data.
@@ -35,9 +36,7 @@ import (
 	"sync"
 
 	"detournet/internal/bgppol"
-	"detournet/internal/core"
 	"detournet/internal/faults"
-	"detournet/internal/multipath"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
 	"detournet/internal/telemetry"
@@ -126,8 +125,7 @@ func drive(w *scenario.World, inj *faults.Injector, sp Spec) Outcome {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	fd := &feeder{SimExecutor: exec}
-	cfg.Executor, cfg.Planner, cfg.Sleep, cfg.Now = fd, fd, fd.SleepVirtual, exec.VirtualNow
+	cfg.Executor, cfg.Planner, cfg.Sleep, cfg.Now = exec, exec, exec.SleepVirtual, exec.VirtualNow
 	// A killed control plane is dead: nothing it produces is observed,
 	// and nothing more is submitted to it. The journal is the witness.
 	killed := func() bool { return cfg.Journal != nil && cfg.Journal.Killed() }
@@ -185,7 +183,7 @@ func drive(w *scenario.World, inj *faults.Injector, sp Spec) Outcome {
 		}
 		return sp.Fleet[next].At
 	}
-	fd.feed = feed
+	exec.OnAdvance(feed)
 	feed(exec.VirtualNow())
 	s.Start()
 	for {
@@ -194,10 +192,8 @@ func drive(w *scenario.World, inj *faults.Injector, sp Spec) Outcome {
 		if at < 0 {
 			break
 		}
-		if now := exec.VirtualNow(); at > now {
-			exec.SleepVirtual(at - now)
-		}
-		feed(exec.VirtualNow())
+		// The sleep feeds through OnAdvance, also when at is already due.
+		exec.SleepVirtual(at - exec.VirtualNow())
 	}
 	st := s.Stats()
 	s.Close()
@@ -355,63 +351,4 @@ func (o Outcome) Check() error {
 		}
 	}
 	return nil
-}
-
-// feeder is the simulation executor with every virtual-time advance —
-// transfer, probe, hedge, reroute, striped upload, precheck, quota
-// reclaim, backoff sleep — followed by an offer of the new clock to the
-// arrival feed. Every other capability (route paths, health, capacity)
-// is the embedded executor's own, so the scheduler sees all of it.
-type feeder struct {
-	*sched.SimExecutor
-	feed func(now float64)
-}
-
-// after feeds the clock once the wrapped call has returned: each method
-// defers it, so it runs after the call's results are computed.
-func (f *feeder) after() { f.feed(f.VirtualNow()) }
-
-func (f *feeder) Execute(j sched.Job, r core.Route) (float64, error) {
-	defer f.after()
-	return f.SimExecutor.Execute(j, r)
-}
-
-func (f *feeder) ExecuteResumable(j sched.Job, r core.Route, ck *core.Checkpoint) (float64, error) {
-	defer f.after()
-	return f.SimExecutor.ExecuteResumable(j, r, ck)
-}
-
-func (f *feeder) ExecuteHedged(j sched.Job, r core.Route, budget float64, ck *core.Checkpoint) (float64, core.Route, bool, bool, error) {
-	defer f.after()
-	return f.SimExecutor.ExecuteHedged(j, r, budget, ck)
-}
-
-func (f *feeder) ExecuteRerouting(j sched.Job, r core.Route, ck *core.Checkpoint, parkBudget float64) (float64, core.Route, int, float64, error) {
-	defer f.after()
-	return f.SimExecutor.ExecuteRerouting(j, r, ck, parkBudget)
-}
-
-func (f *feeder) ExecuteMultipath(j sched.Job, routes []core.Route, chunk float64) (multipath.Report, error) {
-	defer f.after()
-	return f.SimExecutor.ExecuteMultipath(j, routes, chunk)
-}
-
-func (f *feeder) Precheck(j sched.Job) bool {
-	defer f.after()
-	return f.SimExecutor.Precheck(j)
-}
-
-func (f *feeder) ReclaimQuota(provider string) float64 {
-	defer f.after()
-	return f.SimExecutor.ReclaimQuota(provider)
-}
-
-func (f *feeder) Plan(client, provider string, size float64) (core.Route, []core.Route, error) {
-	defer f.after()
-	return f.SimExecutor.Plan(client, provider, size)
-}
-
-func (f *feeder) SleepVirtual(sec float64) {
-	defer f.after()
-	f.SimExecutor.SleepVirtual(sec)
 }

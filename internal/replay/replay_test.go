@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"detournet/internal/scenario"
+	"detournet/internal/sched"
 )
 
 // TestDeterminism: every mode's report is byte-identical across two
@@ -112,6 +115,14 @@ func TestInvariants(t *testing.T) {
 		"overload/control": func() Outcome {
 			return Run(overloadSpec(2015, overloadTrace(2015), false))
 		},
+		// Open loop on four workers: arrivals are fed from several
+		// workers' executor calls at once. Worker interleaving is real,
+		// so only the invariants are stable here, not the report.
+		"overload/control/workers-4": func() Outcome {
+			sp := overloadSpec(2015, overloadTrace(2015), false)
+			sp.Config.Workers = 4
+			return Run(sp)
+		},
 	}
 	for name, run := range arms {
 		t.Run(name, func(t *testing.T) {
@@ -123,5 +134,43 @@ func TestInvariants(t *testing.T) {
 				t.Fatal("no results")
 			}
 		})
+	}
+}
+
+// TestArrivalsFeedThroughWrappers: an arrival due while a transfer runs
+// reaches the scheduler as soon as that transfer returns, whatever a
+// Setup wraps around the executor. a and b queue at t=0; c arrives at
+// t=10, while a is still uploading, and its higher priority must take
+// the worker before b does.
+func TestArrivalsFeedThroughWrappers(t *testing.T) {
+	job := func(name string, prio int) sched.Job {
+		return sched.Job{
+			Tenant: "feed", Client: scenario.UBC, Provider: scenario.GoogleDrive,
+			Name: name, Size: 30e6, Priority: prio,
+		}
+	}
+	trace := []Arrival{{Job: job("a", 0)}, {Job: job("b", 0)}, {At: 10, Job: job("c", 5)}}
+	arms := []struct {
+		name  string
+		setup func(*Env)
+	}{
+		{"plain", nil},
+		{"wrapped", func(e *Env) { e.Config.Executor = struct{ *sched.SimExecutor }{e.Exec} }},
+	}
+	for _, arm := range arms {
+		o := Run(Spec{Seed: 1, Setup: arm.setup, Fleet: trace})
+		if err := o.Check(); err != nil {
+			t.Fatalf("%s: %v", arm.name, err)
+		}
+		var order []string
+		for _, r := range o.Results {
+			if r.Err != nil {
+				t.Fatalf("%s: %s failed: %v", arm.name, r.Job.Name, r.Err)
+			}
+			order = append(order, r.Job.Name)
+		}
+		if got := strings.Join(order, " "); got != "a c b" {
+			t.Errorf("%s: completion order [%s], want [a c b]", arm.name, got)
+		}
 	}
 }

@@ -2,43 +2,31 @@ package sched
 
 import "math"
 
-// Backoff shapes retry delays: capped exponential growth with
+// backoffCurve shapes retry delays: capped exponential growth with
 // proportional jitter, the standard shape for not synchronizing a
 // fleet's retries into waves.
-type Backoff struct {
-	// Base is the first delay in seconds (default 0.05).
+type backoffCurve struct {
+	// Base is the first delay in seconds.
 	Base float64
-	// Max caps the delay (default 2).
+	// Max caps the delay.
 	Max float64
-	// Factor multiplies the delay per attempt (default 2).
+	// Factor multiplies the delay per attempt.
 	Factor float64
 	// Jitter is the fraction of the delay randomized away: 0 is fully
-	// deterministic, 0.5 (the default) spreads delays over
-	// [0.5d, d).
+	// deterministic, 0.5 spreads delays over [0.5d, d).
 	Jitter float64
 }
 
-func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 0.05
-	}
-	if b.Max <= 0 {
-		b.Max = 2
-	}
-	if b.Factor <= 1 {
-		b.Factor = 2
-	}
-	if b.Jitter <= 0 || b.Jitter > 1 {
-		b.Jitter = 0.5
-	}
-	return b
-}
+// retryBackoff is the scheduler's retry curve. Its jitter and the
+// cache's bandit draw from fixed-seed sources, so runs are
+// reproducible.
+var retryBackoff = backoffCurve{Base: 0.05, Max: 2, Factor: 2, Jitter: 0.5}
 
 // Delay returns the delay before retry number attempt (1-based: the
 // delay after the first failure is Delay(1, ·)). u is a uniform [0,1)
 // draw supplied by the caller, which keeps this type stateless and the
 // caller in charge of rng locking and seeding.
-func (b Backoff) Delay(attempt int, u float64) float64 {
+func (b backoffCurve) Delay(attempt int, u float64) float64 {
 	if attempt < 1 {
 		attempt = 1
 	}

@@ -7,24 +7,24 @@ import (
 
 // TestBackoffDelayTable pins Delay's edge behavior case by case:
 // attempt clamping, cap saturation (including absurd attempt numbers
-// that would overflow a naive accumulator), and the documented
-// defaults.
+// that would overflow a naive accumulator), and the scheduler's
+// retryBackoff curve.
 func TestBackoffDelayTable(t *testing.T) {
 	cases := []struct {
 		name    string
-		b       Backoff
+		b       backoffCurve
 		attempt int
 		u       float64
 		want    float64
 	}{
-		{"attempt 0 clamps to 1", Backoff{Base: 1, Max: 100, Factor: 2, Jitter: 0.5}, 0, 0, 1},
-		{"negative attempt clamps to 1", Backoff{Base: 1, Max: 100, Factor: 2, Jitter: 0.5}, -3, 0, 1},
-		{"second retry doubles", Backoff{Base: 1, Max: 100, Factor: 2, Jitter: 0.5}, 2, 0, 2},
-		{"cap saturates", Backoff{Base: 1, Max: 8, Factor: 2, Jitter: 0.5}, 5, 0, 8},
-		{"huge attempt stays at cap", Backoff{Base: 1, Max: 8, Factor: 2, Jitter: 0.5}, 500, 0, 8},
-		{"defaults: first delay is 0.05", Backoff{}.withDefaults(), 1, 0, 0.05},
-		{"defaults: cap is 2", Backoff{}.withDefaults(), 50, 0, 2},
-		{"full jitter draw halves the delay", Backoff{Base: 1, Max: 100, Factor: 2, Jitter: 0.5}, 1, 1, 0.5},
+		{"attempt 0 clamps to 1", backoffCurve{Base: 1, Max: 100, Factor: 2, Jitter: 0.5}, 0, 0, 1},
+		{"negative attempt clamps to 1", backoffCurve{Base: 1, Max: 100, Factor: 2, Jitter: 0.5}, -3, 0, 1},
+		{"second retry doubles", backoffCurve{Base: 1, Max: 100, Factor: 2, Jitter: 0.5}, 2, 0, 2},
+		{"cap saturates", backoffCurve{Base: 1, Max: 8, Factor: 2, Jitter: 0.5}, 5, 0, 8},
+		{"huge attempt stays at cap", backoffCurve{Base: 1, Max: 8, Factor: 2, Jitter: 0.5}, 500, 0, 8},
+		{"defaults: first delay is 0.05", retryBackoff, 1, 0, 0.05},
+		{"defaults: cap is 2", retryBackoff, 50, 0, 2},
+		{"full jitter draw halves the delay", backoffCurve{Base: 1, Max: 100, Factor: 2, Jitter: 0.5}, 1, 1, 0.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -35,28 +35,11 @@ func TestBackoffDelayTable(t *testing.T) {
 	}
 }
 
-// TestBackoffDefaults pins withDefaults: every zero field takes its
-// documented value, and set fields survive.
-func TestBackoffDefaults(t *testing.T) {
-	d := Backoff{}.withDefaults()
-	if d.Base != 0.05 || d.Max != 2 || d.Factor != 2 || d.Jitter != 0.5 {
-		t.Errorf("zero-value defaults = %+v, want {0.05 2 2 0.5}", d)
-	}
-	set := Backoff{Base: 1, Max: 30, Factor: 3, Jitter: 0.25}.withDefaults()
-	if set.Base != 1 || set.Max != 30 || set.Factor != 3 || set.Jitter != 0.25 {
-		t.Errorf("explicit fields clobbered: %+v", set)
-	}
-	// A Factor of exactly 1 would never grow; it defaults away.
-	if f := (Backoff{Factor: 1}.withDefaults()).Factor; f != 2 {
-		t.Errorf("Factor 1 -> %v, want default 2", f)
-	}
-}
-
 // TestBackoffJitterBound: for any u in [0,1), the jittered delay stays
 // within (d·(1-Jitter), d] of the deterministic curve — never zero,
 // never above the un-jittered value.
 func TestBackoffJitterBound(t *testing.T) {
-	b := Backoff{Base: 0.2, Max: 10, Factor: 2, Jitter: 0.5}
+	b := backoffCurve{Base: 0.2, Max: 10, Factor: 2, Jitter: 0.5}
 	rng := rand.New(rand.NewSource(42))
 	for attempt := 1; attempt <= 8; attempt++ {
 		full := b.Delay(attempt, 0)

@@ -13,17 +13,21 @@ import (
 // chaosRun executes one UBC → Google Drive job, pinned to the UAlberta
 // detour with the full candidate set available for failover, while the
 // given fault schedule plays, and returns its result and the scheduler
-// stats.
-func chaosRun(t *testing.T, disableRecovery bool, specs ...faults.Spec) (sched.Result, sched.Stats) {
+// stats. noCheckpoint hands the scheduler an Execute-only executor, so
+// every attempt restarts from byte zero.
+func chaosRun(t *testing.T, noCheckpoint bool, specs ...faults.Spec) (sched.Result, sched.Stats) {
 	t.Helper()
 	o := replay.Run(replay.Spec{
 		Seed:   3,
 		Faults: specs,
-		Config: sched.Config{MaxAttempts: 4, DisableRecovery: disableRecovery},
+		Config: sched.Config{MaxAttempts: 4},
 		Setup: func(e *replay.Env) {
 			e.Config.Planner = sched.PlannerFunc(func(c, p string, s float64) (core.Route, []core.Route, error) {
 				return core.ViaRoute(scenario.UAlberta), scenario.Routes(), nil
 			})
+			if noCheckpoint {
+				e.Config.Executor = sched.ExecutorFunc(e.Exec.Execute)
+			}
 		},
 		Fleet: []replay.Arrival{{Job: sched.Job{
 			Tenant: "chaos", Client: scenario.UBC, Provider: scenario.GoogleDrive,
@@ -63,7 +67,7 @@ func TestChaosResumeAcrossLinkFlap(t *testing.T) {
 		t.Fatal("scheduler stats recorded no resumed bytes")
 	}
 
-	// Negative control: same schedule with recovery disabled. The job
+	// Negative control: same schedule, Execute-only executor. The job
 	// must show no checkpoint accounting (it restarted from byte zero on
 	// every attempt) — and redoing the work costs it real transfer time.
 	nres, nst := chaosRun(t, true, flap)

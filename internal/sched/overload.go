@@ -76,14 +76,11 @@ type brownout struct {
 	exits       int64
 }
 
-func newBrownout(enter, exit float64) *brownout {
+func newBrownout(enter float64) *brownout {
 	if enter <= 0 {
 		return nil
 	}
-	if exit <= 0 || exit >= enter {
-		exit = enter / 2
-	}
-	return &brownout{enter: enter, exit: exit}
+	return &brownout{enter: enter, exit: enter / 2}
 }
 
 // observe feeds the current utilization (queued / limit) through the

@@ -421,7 +421,7 @@ func TestShedErrorShape(t *testing.T) {
 }
 
 func TestBrownoutHysteresis(t *testing.T) {
-	b := newBrownout(0.7, 0.3)
+	b := newBrownout(0.7) // exits at 0.35
 	if b.observe(0.5) {
 		t.Fatal("brownout below enter threshold")
 	}
@@ -470,7 +470,7 @@ func TestBrownoutShedsOptionalWork(t *testing.T) {
 	clock := &vclock{}
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: planner,
-		QueueLimit: 10, BrownoutEnter: 0.2, BrownoutExit: 0.05,
+		QueueLimit: 10, BrownoutEnter: 0.2,
 		CacheTTL: 1e9, Now: clock.now, Sleep: func(float64) {},
 	})
 	s.Start()
@@ -514,7 +514,7 @@ func TestBrownoutServesStaleCache(t *testing.T) {
 	clock := &vclock{}
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: planner,
-		QueueLimit: 10, BrownoutEnter: 0.2, BrownoutExit: 0.05,
+		QueueLimit: 10, BrownoutEnter: 0.2,
 		CacheTTL: 5, Now: clock.now, Sleep: func(float64) {},
 	})
 	s.Start()
@@ -585,7 +585,7 @@ func TestHedgeBudgetAndCap(t *testing.T) {
 	col := &collector{}
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: planner,
-		Hedge: true, HedgeMinSamples: 2, HedgeMaxFrac: 0.25,
+		Hedge: true, HedgeMinSamples: 2,
 		CacheTTL: 1e9, MaxAttempts: 1,
 		Now: clock.now, Sleep: func(float64) {},
 		OnResult: col.add,
@@ -617,7 +617,7 @@ func TestHedgeBudgetAndCap(t *testing.T) {
 	if !last.Hedged || !last.HedgeWon || last.Route.Kind != core.Direct {
 		t.Fatalf("winning hedge not reflected in result: %+v", last)
 	}
-	// Cap: with 4 submissions and MaxFrac 0.25, one hedge exhausts the
+	// Cap: with 4 submissions and a 0.1 cap, one hedge exhausts the
 	// budget — the fourth job must run unhedged.
 	submit("capped")
 	if got := s.Stats().Hedges; got != 1 {
@@ -703,7 +703,7 @@ func TestSimHedgedTransfer(t *testing.T) {
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: pinDetour(),
 		MaxAttempts: 1,
-		Hedge:       true, HedgeMinSamples: 2, HedgeMaxFrac: 1,
+		Hedge:       true, HedgeMinSamples: 2,
 		Now:      exec.VirtualNow,
 		Sleep:    exec.SleepVirtual,
 		OnResult: col.add,

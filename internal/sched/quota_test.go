@@ -61,8 +61,8 @@ func TestQuotaReclaimRetryFloorsBackoff(t *testing.T) {
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: &staticPlanner{route: core.DirectRoute},
 		MaxAttempts: 3,
-		// Tiny curve: a delay near the hint provably came from the floor.
-		Backoff:  Backoff{Base: 0.01, Max: 0.02, Factor: 2, Jitter: 0.5},
+		// The retry curve's first delay is at most 0.05 s: a delay near
+		// the hint provably came from the floor.
 		Sleep:    func(sec float64) { delays = append(delays, sec) },
 		OnResult: got.add,
 	})
@@ -103,7 +103,6 @@ func TestQuotaSpillSwitchesProvider(t *testing.T) {
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: &staticPlanner{route: core.DirectRoute},
 		MaxAttempts: 3,
-		Backoff:     Backoff{Base: 0.01, Max: 0.02, Factor: 2, Jitter: 0.5},
 		Sleep:       func(sec float64) { delays = append(delays, sec) },
 		OnResult:    got.add,
 	})
@@ -147,7 +146,6 @@ func TestQuotaParksWithTypedError(t *testing.T) {
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: &staticPlanner{route: core.DirectRoute},
 		MaxAttempts: 4,
-		Backoff:     Backoff{Base: 0.01, Max: 0.02, Factor: 2, Jitter: 0.5},
 		Sleep:       func(float64) {},
 		OnResult:    got.add,
 	})
@@ -189,7 +187,6 @@ func TestQuotaParkDefaultHint(t *testing.T) {
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: &staticPlanner{route: core.DirectRoute},
 		MaxAttempts: 2,
-		Backoff:     Backoff{Base: 0.01, Max: 0.02, Factor: 2, Jitter: 0.5},
 		Sleep:       func(float64) {},
 		OnResult:    got.add,
 	})
@@ -219,7 +216,6 @@ func TestQuotaReclaimOnlyOnce(t *testing.T) {
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: &staticPlanner{route: core.DirectRoute},
 		MaxAttempts: 4,
-		Backoff:     Backoff{Base: 0.01, Max: 0.02, Factor: 2, Jitter: 0.5},
 		Sleep:       func(float64) {},
 		OnResult:    got.add,
 	})

@@ -29,9 +29,8 @@ func retryAfterSchedRun(t *testing.T, failErr error) []float64 {
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: &staticPlanner{route: core.DirectRoute},
 		MaxAttempts: 3,
-		// A deliberately tiny backoff curve, so any delay near the hint
-		// provably came from the Retry-After floor and not the curve.
-		Backoff:  Backoff{Base: 0.01, Max: 0.02, Factor: 2, Jitter: 0.5},
+		// The retry curve's first delay is at most 0.05 s, so any delay
+		// near a hint provably came from the Retry-After floor.
 		Sleep:    func(sec float64) { delays = append(delays, sec) },
 		OnResult: got.add,
 	})
@@ -71,12 +70,12 @@ func TestRetryAfterFloorCapped(t *testing.T) {
 }
 
 // TestRetryAfterIgnoredForOtherErrors: the floor only honors a 429's
-// hint; a plain 500 keeps the configured backoff curve.
+// hint; a plain 500 keeps the retry curve.
 func TestRetryAfterIgnoredForOtherErrors(t *testing.T) {
 	delays := retryAfterSchedRun(t, Transient(&httpsim.StatusError{
 		Status: httpsim.StatusInternalServerError, RetryAfter: 30,
 	}))
-	if len(delays) != 1 || delays[0] > 0.02 {
-		t.Fatalf("sleeps = %v, want one curve-sized delay (<= 0.02)", delays)
+	if curve := retryBackoff.Delay(1, 0); len(delays) != 1 || delays[0] > curve {
+		t.Fatalf("sleeps = %v, want one curve-sized delay (<= %v)", delays, curve)
 	}
 }

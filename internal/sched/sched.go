@@ -278,19 +278,12 @@ type Config struct {
 	MaxAttempts int
 
 	// TenantRate admits jobs per tenant at this sustained rate in
-	// jobs/sec (0 = unlimited). TenantBurst is the bucket depth
-	// (default max(1, TenantRate)).
-	TenantRate  float64
-	TenantBurst float64
+	// jobs/sec (0 = unlimited), from a bucket max(1, TenantRate) deep.
+	TenantRate float64
 
 	// CacheTTL is the route-cache entry lifetime in scheduler-clock
 	// seconds (default 300); a failed detour stays benched as long.
 	CacheTTL float64
-
-	// DisableRecovery turns off checkpointed resume even when the
-	// Executor supports it: every attempt restarts from byte zero. For
-	// ablations and negative tests.
-	DisableRecovery bool
 
 	// Reroute enables make-before-break rerouting when the Executor
 	// implements ReroutingExecutor: an attempt whose path is withdrawn
@@ -327,19 +320,17 @@ type Config struct {
 	// budget races a direct-route hedge, loser cancelled.
 	Hedge bool
 	// HedgeMinSamples is how many completed transfers a route needs
-	// before hedging trusts its distribution (default 8); HedgeMaxFrac
-	// caps launched hedges as a fraction of submitted jobs so hedging
-	// cannot amplify overload (default 0.1).
+	// before hedging trusts its distribution (default 8). Launched hedges
+	// are capped at hedgeMaxFrac of submitted jobs.
 	HedgeMinSamples int
-	HedgeMaxFrac    float64
 	// BrownoutEnter, as a fraction of QueueLimit occupancy, turns on
 	// brownout mode: optional work — bandit exploration, probe-based
 	// cache refresh, detour planning for small size-buckets (files
 	// under ~4 MB, where detour gains are smallest, go direct), hedging —
-	// is shed first. BrownoutExit (default Enter/2) restores it
-	// hysteretically. 0 disables brownout; requires QueueLimit > 0.
+	// is shed first, and restored hysteretically once occupancy falls
+	// to half of BrownoutEnter. 0 disables brownout; requires
+	// QueueLimit > 0.
 	BrownoutEnter float64
-	BrownoutExit  float64
 
 	// Capacity, when set, arms spill-aware placement: detour routes
 	// through DTNs whose staging headroom sits below a 64 MB floor are
@@ -369,9 +360,6 @@ type Config struct {
 	// off.
 	Journal *ControlJournal
 
-	// Backoff shapes the retry delays; its jitter and the cache's bandit
-	// draw from fixed-seed sources, so runs are reproducible.
-	Backoff Backoff
 	// Now is the scheduler clock in seconds (default: monotonic wall
 	// time since New). Tests inject fake clocks here.
 	Now func() float64
@@ -412,25 +400,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.TenantBurst <= 0 {
-		c.TenantBurst = c.TenantRate
-		if c.TenantBurst < 1 {
-			c.TenantBurst = 1
-		}
-	}
 	if c.CacheTTL <= 0 {
 		c.CacheTTL = 300
 	}
 	if c.HedgeMinSamples <= 0 {
 		c.HedgeMinSamples = 8
 	}
-	if c.HedgeMaxFrac <= 0 || c.HedgeMaxFrac > 1 {
-		c.HedgeMaxFrac = 0.1
-	}
 	if c.ParkBudget <= 0 {
 		c.ParkBudget = 90
 	}
-	c.Backoff = c.Backoff.withDefaults()
 	if c.Now == nil {
 		start := time.Now()
 		c.Now = func() float64 { return time.Since(start).Seconds() }
@@ -462,6 +440,9 @@ const (
 	// hedgePercentile is the per-route latency percentile that prices a
 	// hedge budget.
 	hedgePercentile = 0.95
+	// hedgeMaxFrac caps launched hedges as a fraction of submitted jobs,
+	// so hedging cannot amplify overload.
+	hedgeMaxFrac = 0.1
 	// brownoutSmallBucket: during brownout, jobs in size buckets ≤ this
 	// (files under ~4 MB) skip detour planning and go direct.
 	brownoutSmallBucket = 1
@@ -543,7 +524,7 @@ func New(cfg Config) *Scheduler {
 			now:         cfg.Now,
 		}),
 		caps:     newCapTable(cfg.ProviderCap, cfg.DTNCap),
-		buckets:  newTenantBuckets(cfg.TenantRate, cfg.TenantBurst, cfg.Now),
+		buckets:  newTenantBuckets(cfg.TenantRate, max(1, cfg.TenantRate), cfg.Now),
 		codel:    newCodel(cfg.CoDelTarget, codelAlpha),
 		planning: make(map[CacheKey]*planCall),
 		perRoute: make(map[string]*RouteStats),
@@ -558,7 +539,7 @@ func New(cfg Config) *Scheduler {
 	seeds := rand.New(rand.NewSource(1))
 	s.jitterRng = rand.New(rand.NewSource(seeds.Int63()))
 	if cfg.QueueLimit > 0 {
-		s.brown = newBrownout(cfg.BrownoutEnter, cfg.BrownoutExit)
+		s.brown = newBrownout(cfg.BrownoutEnter)
 	}
 	s.cache = NewRouteCache(cfg.CacheTTL, cfg.CacheTTL, cfg.Now, rand.New(rand.NewSource(seeds.Int63())))
 	s.breakers = newBreakerSet(breakerThreshold, breakerCooldown, cfg.Now)
@@ -637,10 +618,6 @@ func (s *Scheduler) crashed() bool {
 // Cache exposes the scheduler's route cache (read-mostly; for
 // inspection and tests).
 func (s *Scheduler) Cache() *RouteCache { return s.cache }
-
-// Health exposes the scheduler's gray-failure tracker (nil when the
-// health layer is off) for inspection, reports, and the health table.
-func (s *Scheduler) Health() *health.Tracker { return s.cfg.Health }
 
 // RouteEvent feeds one routing-plane event (withdraw or announce) into
 // the control plane. It is the push half of route invalidation: wire it
@@ -982,7 +959,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 	// route, resumes from it.
 	var ck *core.Checkpoint
 	rex, resumable := s.cfg.Executor.(ResumableExecutor)
-	if resumable && !s.cfg.DisableRecovery {
+	if resumable {
 		ck = &core.Checkpoint{}
 	}
 
@@ -1045,8 +1022,14 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 
 	var lastErr error
 	attempts, detourFails, stallReroutes := priorAttempts, 0, 0
-	jobHedged, jobHedgeWon := false, false
-	jobReroutes, jobParked := 0, 0.0
+	// res accumulates the hedge, reroute and park tallies across
+	// attempts; end completes it for a terminal exit.
+	var res Result
+	end := func(attempts int, sec float64, err error) Result {
+		res.Job, res.Route, res.Seconds, res.Attempts, res.CacheHit, res.Err = j, route, sec, attempts, hit, err
+		s.noteRecovery(ck, &res)
+		return res
+	}
 	// Quota-mitigation state: reclaim runs at most once per provider per
 	// job; spilledFrom remembers providers already abandoned as full so
 	// the spill chain never revisits one.
@@ -1067,9 +1050,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			err = ProviderDown(fmt.Errorf("breaker open for provider %s", j.Provider))
 		} else {
 			if cerr := s.caps.acquire(j.Provider, route.Via); cerr != nil {
-				res := Result{Job: j, Route: route, Attempts: attempts - 1, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked, Err: cerr}
-				s.noteRecovery(ck, &res)
-				return res
+				return end(attempts-1, 0, cerr)
 			}
 			// A winning hedge swaps route below; release what was acquired.
 			acquiredVia := route.Via
@@ -1083,7 +1064,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					var launched, won bool
 					sec, winner, launched, won, err = hx.ExecuteHedged(j, route, budget, ck)
 					if launched {
-						jobHedged = true
+						res.Hedged = true
 						s.met.hedges.Inc()
 						if won {
 							s.met.hedgeWins.Inc()
@@ -1097,7 +1078,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 						}
 					}
 					if won {
-						jobHedgeWon = true
+						res.HedgeWon = true
 						route = winner
 					}
 					ran = true
@@ -1112,8 +1093,8 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					var nr int
 					var parked float64
 					sec, final, nr, parked, err = rrx.ExecuteRerouting(j, route, ck, s.cfg.ParkBudget)
-					jobReroutes += nr
-					jobParked += parked
+					res.Reroutes += nr
+					res.Parked += parked
 					if nr > 0 || parked > 0 {
 						s.met.reroutes.Add(float64(nr))
 						if parked > 0 {
@@ -1155,9 +1136,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 				// optional work, the decision we have is good enough.
 				s.cache.Observe(key, route, j.Size, sec)
 			}
-			res := Result{Job: j, Route: route, Seconds: sec, Attempts: attempts, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked}
-			s.noteRecovery(ck, &res)
-			return res
+			return end(attempts, sec, nil)
 		}
 		lastErr = err
 		if errors.Is(err, core.ErrIntegrity) {
@@ -1271,9 +1250,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					tr.Note("job.park", "kind", "quota", "provider", j.Provider,
 						"retry_after", strconv.FormatFloat(ra, 'g', -1, 64))
 				}
-				res := Result{Job: j, Route: route, Attempts: attempts, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked, Err: &QuotaError{Provider: j.Provider, RetryAfter: ra}}
-				s.noteRecovery(ck, &res)
-				return res
+				return end(attempts, 0, &QuotaError{Provider: j.Provider, RetryAfter: ra})
 			}
 		case FailRouteDown:
 			s.breakers.failure(breakerKey(j.Provider, route))
@@ -1302,9 +1279,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			}
 		}
 		if attempts >= s.cfg.MaxAttempts {
-			res := Result{Job: j, Route: route, Attempts: attempts, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked, Err: lastErr}
-			s.noteRecovery(ck, &res)
-			return res
+			return end(attempts, 0, lastErr)
 		}
 		if h := s.cfg.Health; backoff && h != nil {
 			// Backoff retries spend the provider's retry budget: tokens only
@@ -1318,9 +1293,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					tr.Note("job.park", "kind", "budget", "provider", j.Provider,
 						"retry_after", strconv.FormatFloat(after, 'g', -1, 64))
 				}
-				res := Result{Job: j, Route: route, Attempts: attempts, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked, Err: &BudgetError{Provider: j.Provider, RetryAfter: after}}
-				s.noteRecovery(ck, &res)
-				return res
+				return end(attempts, 0, &BudgetError{Provider: j.Provider, RetryAfter: after})
 			}
 			if cj != nil {
 				// The spent token is journaled so a restart can drain the
@@ -1336,7 +1309,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 		s.mu.Lock()
 		u := s.jitterRng.Float64()
 		s.mu.Unlock()
-		delay := s.cfg.Backoff.Delay(attempts, u)
+		delay := retryBackoff.Delay(attempts, u)
 		// A provider's Retry-After on a 429 floors the delay: backing
 		// off into the same throttle window just burns an attempt.
 		if ra := retryAfterHint(lastErr); ra > delay {
@@ -1471,7 +1444,7 @@ func (s *Scheduler) hedgeBudget(route core.Route, size float64) (float64, bool) 
 	if submitted < 1 {
 		submitted = 1
 	}
-	if float64(hedges) >= s.cfg.HedgeMaxFrac*float64(submitted) {
+	if float64(hedges) >= hedgeMaxFrac*float64(submitted) {
 		return 0, false
 	}
 	return spb * size, true

@@ -377,7 +377,7 @@ func TestTenantRateLimit(t *testing.T) {
 	plan := &staticPlanner{route: core.DirectRoute}
 	s := New(Config{
 		Workers: 2, Executor: exec, Planner: plan,
-		TenantRate: 1, TenantBurst: 3, Now: now, Sleep: noSleep,
+		TenantRate: 3, Now: now, Sleep: noSleep,
 	})
 	s.Start()
 	defer s.Close()
@@ -397,13 +397,13 @@ func TestTenantRateLimit(t *testing.T) {
 	if err := s.Submit(Job{Tenant: "bob", Client: "c", Provider: "p", Name: "bob.bin", Size: 1e6}); err != nil {
 		t.Fatalf("other tenant: %v", err)
 	}
-	advance(2) // 2 seconds at 1 job/sec refills 2 tokens
-	for i := 4; i < 6; i++ {
+	advance(1) // 1 second at 3 jobs/sec refills the 3-deep bucket
+	for i := 4; i < 7; i++ {
 		if err := s.Submit(mk(i)); err != nil {
 			t.Fatalf("post-refill submit %d: %v", i, err)
 		}
 	}
-	if err := s.Submit(mk(6)); !errors.Is(err, ErrRateLimited) {
+	if err := s.Submit(mk(7)); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("exhausted again err = %v, want ErrRateLimited", err)
 	}
 	s.Drain()
@@ -463,7 +463,6 @@ func TestRetryBackoff(t *testing.T) {
 	var got collector
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: plan, MaxAttempts: 4,
-		Backoff:  Backoff{Base: 0.1, Max: 10, Factor: 2, Jitter: 0.5},
 		Sleep:    func(sec float64) { delays = append(delays, sec) },
 		OnResult: got.add,
 	})
@@ -481,12 +480,12 @@ func TestRetryBackoff(t *testing.T) {
 	if len(delays) != 2 {
 		t.Fatalf("sleeps = %v, want 2", delays)
 	}
-	// With Jitter 0.5, delay(n) ∈ (base·2ⁿ⁻¹/2, base·2ⁿ⁻¹].
-	if delays[0] <= 0.05 || delays[0] > 0.1 {
-		t.Errorf("first delay %v outside (0.05, 0.1]", delays[0])
+	// retryBackoff's jitter is 0.5: delay(n) ∈ (0.05·2ⁿ⁻¹/2, 0.05·2ⁿ⁻¹].
+	if delays[0] <= 0.025 || delays[0] > 0.05 {
+		t.Errorf("first delay %v outside (0.025, 0.05]", delays[0])
 	}
-	if delays[1] <= 0.1 || delays[1] > 0.2 {
-		t.Errorf("second delay %v outside (0.1, 0.2]", delays[1])
+	if delays[1] <= 0.05 || delays[1] > 0.1 {
+		t.Errorf("second delay %v outside (0.05, 0.1]", delays[1])
 	}
 	if st := s.Stats(); st.Retries != 2 {
 		t.Errorf("retries = %d, want 2", st.Retries)
@@ -588,7 +587,7 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 // TestBackoffDelayShape pins the curve: exponential growth, cap, and
 // jitter bounds.
 func TestBackoffDelayShape(t *testing.T) {
-	b := Backoff{Base: 0.1, Max: 1, Factor: 2, Jitter: 0.5}.withDefaults()
+	b := backoffCurve{Base: 0.1, Max: 1, Factor: 2, Jitter: 0.5}
 	if d := b.Delay(1, 0); d != 0.1 {
 		t.Errorf("Delay(1,0) = %v, want 0.1", d)
 	}

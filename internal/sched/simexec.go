@@ -45,6 +45,9 @@ type SimExecutor struct {
 	// health, when set (see SetHealth), arms the stall watchdog on every
 	// resumable transfer and the per-lane budget on multipath runs.
 	health *health.Tracker
+	// onAdvance, when set (see OnAdvance), receives the clock after every
+	// call that may have advanced it.
+	onAdvance func(now float64)
 	// Transfers counts completed Execute calls, for reporting.
 	Transfers int64
 }
@@ -71,6 +74,30 @@ func (e *SimExecutor) SetHealth(h *health.Tracker) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.health = h
+}
+
+// OnAdvance registers fn to receive the virtual clock each time a call
+// that may advance it returns: Execute, ExecuteResumable,
+// ExecuteHedged, ExecuteRerouting, ExecuteMultipath, Precheck,
+// ReclaimQuota, Plan and SleepVirtual. fn runs after the executor's
+// lock is released, so it may call back in — a replay driver submits
+// the arrivals now due, interleaving them with service by virtual time
+// whatever wrapper the scheduler reaches the executor through.
+func (e *SimExecutor) OnAdvance(fn func(now float64)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.onAdvance = fn
+}
+
+// advanced reports the clock to the OnAdvance observer. Time-advancing
+// methods defer it before taking e.mu, so it runs once they release it.
+func (e *SimExecutor) advanced() {
+	e.mu.Lock()
+	fn, now := e.onAdvance, float64(e.w.Eng.Now())
+	e.mu.Unlock()
+	if fn != nil {
+		fn(now)
+	}
 }
 
 // direct returns the cached SDK client for (client, provider). Callers
@@ -102,61 +129,50 @@ func (e *SimExecutor) detourFor(client, dtn string) *core.DetourClient {
 func (e *SimExecutor) detourClients(client string) map[string]*core.DetourClient {
 	out := make(map[string]*core.DetourClient, len(scenario.DTNs))
 	for _, dtn := range scenario.DTNs {
-		k := [2]string{client, dtn}
-		dc, ok := e.detours[k]
-		if !ok {
-			dc = e.w.NewDetourClient(client, dtn)
-			e.detours[k] = dc
-		}
-		out[dtn] = dc
+		out[dtn] = e.detourFor(client, dtn)
 	}
 	return out
+}
+
+// upload runs job over route inside a workload: resuming from and
+// updating ck when it is set, from byte zero otherwise. Callers hold
+// e.mu.
+func (e *SimExecutor) upload(p *simproc.Proc, job Job, route core.Route, ck *core.Checkpoint) (core.Report, error) {
+	if route.Kind == core.Direct {
+		c := e.direct(job.Client, job.Provider)
+		if ck == nil {
+			return core.DirectUpload(p, c, job.Name, job.Size, job.MD5)
+		}
+		return core.DirectUploadResumable(p, c, job.Name, job.Size, job.MD5, ck)
+	}
+	dc := e.detourFor(job.Client, route.Via)
+	if ck == nil {
+		return dc.Upload(p, job.Provider, job.Name, job.Size, job.MD5)
+	}
+	return dc.UploadResumable(p, job.Provider, job.Name, job.Size, job.MD5, ck)
 }
 
 // Execute implements Executor: it runs the transfer as one simulation
 // workload and returns the virtual seconds it took.
 func (e *SimExecutor) Execute(job Job, route core.Route) (float64, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var rep core.Report
-	var err error
-	e.w.RunWorkload("sched:"+job.Name, func(p *simproc.Proc) {
-		switch route.Kind {
-		case core.Direct:
-			rep, err = core.DirectUpload(p, e.direct(job.Client, job.Provider), job.Name, job.Size, job.MD5)
-		default:
-			rep, err = e.detourFor(job.Client, route.Via).Upload(p, job.Provider, job.Name, job.Size, job.MD5)
-		}
-	})
-	if err != nil {
-		return 0, classifyExecErr(fmt.Errorf("sched: execute %s via %s: %w", job.Name, route, err))
-	}
-	e.Transfers++
-	return rep.Total, nil
+	return e.ExecuteResumable(job, route, nil)
 }
 
 // ExecuteResumable implements ResumableExecutor: like Execute, but the
 // transfer reads and updates the scheduler-owned checkpoint, so a retry
 // resumes from the DTN's partial offset and the provider session
-// instead of restarting at byte zero.
+// instead of restarting at byte zero. A nil ck is Execute.
 func (e *SimExecutor) ExecuteResumable(job Job, route core.Route, ck *core.Checkpoint) (float64, error) {
+	defer e.advanced()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var rep core.Report
 	var err error
 	e.w.RunWorkload("sched:"+job.Name, func(p *simproc.Proc) {
-		run := func(pp *simproc.Proc) (core.Report, error) {
-			switch route.Kind {
-			case core.Direct:
-				return core.DirectUploadResumable(pp, e.direct(job.Client, job.Provider), job.Name, job.Size, job.MD5, ck)
-			default:
-				return e.detourFor(job.Client, route.Via).UploadResumable(pp, job.Provider, job.Name, job.Size, job.MD5, ck)
-			}
-		}
-		if e.health != nil {
-			rep, err = e.runWatched(p, job, route, ck, run)
+		if e.health != nil && ck != nil {
+			rep, err = e.runWatched(p, job, route, ck)
 		} else {
-			rep, err = run(p)
+			rep, err = e.upload(p, job, route, ck)
 		}
 	})
 	if err != nil {
@@ -187,7 +203,7 @@ func (e *SimExecutor) ExecuteResumable(job Job, route core.Route, ck *core.Check
 // no flow in flight to kill. The surfaced error wraps core.ErrStall,
 // so the scheduler's failover resumes elsewhere instead of restarting.
 // Callers hold e.mu and run inside a workload.
-func (e *SimExecutor) runWatched(p *simproc.Proc, job Job, route core.Route, ck *core.Checkpoint, run func(pp *simproc.Proc) (core.Report, error)) (core.Report, error) {
+func (e *SimExecutor) runWatched(p *simproc.Proc, job Job, route core.Route, ck *core.Checkpoint) (core.Report, error) {
 	h := e.health
 	budget := h.Budget(health.ClassRoute, route.String(), job.Size)
 	interval := h.CheckInterval()
@@ -216,7 +232,7 @@ func (e *SimExecutor) runWatched(p *simproc.Proc, job Job, route core.Route, ck 
 	var rep core.Report
 	var err error
 	r.Go("sched-watched:"+job.Name, func(pp *simproc.Proc) {
-		rep, err = run(pp)
+		rep, err = e.upload(pp, job, route, ck)
 		done.Set(err == nil)
 	})
 	lastMark, lastAdvance := watermark, start
@@ -261,6 +277,7 @@ func (e *SimExecutor) runWatched(p *simproc.Proc, job Job, route core.Route, ck 
 // commit whose finish record died with the old process completes
 // instantly instead of re-uploading.
 func (e *SimExecutor) Precheck(job Job) bool {
+	defer e.advanced()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st, ok := e.direct(job.Client, job.Provider).(sdk.Stater)
@@ -290,10 +307,9 @@ func (e *SimExecutor) ExecuteHedged(job Job, primary core.Route, budget float64,
 		sec, err := e.ExecuteResumable(job, primary, ck)
 		return sec, primary, false, false, err
 	}
+	defer e.advanced()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	dc := e.detourFor(job.Client, primary.Via)
-	direct := e.direct(job.Client, job.Provider)
 
 	type outcome struct {
 		err   error
@@ -312,7 +328,7 @@ func (e *SimExecutor) ExecuteHedged(job Job, primary core.Route, budget float64,
 		primDone := simproc.NewFuture[bool](r)
 		hedgeDone := simproc.NewFuture[bool](r)
 		r.Go("hedge-primary:"+job.Name, func(pp *simproc.Proc) {
-			_, err := dc.UploadResumable(pp, job.Provider, job.Name, job.Size, job.MD5, ck)
+			_, err := e.upload(pp, job, primary, ck)
 			results.Push(outcome{err, primary, float64(pp.Now())})
 			primDone.Set(err == nil)
 		})
@@ -327,7 +343,7 @@ func (e *SimExecutor) ExecuteHedged(job Job, primary core.Route, budget float64,
 		} else {
 			launched = true
 			r.Go("hedge-direct:"+job.Name, func(pp *simproc.Proc) {
-				_, err := core.DirectUploadResumable(pp, direct, job.Name, job.Size, job.MD5, &hedgeCk)
+				_, err := e.upload(pp, job, core.DirectRoute, &hedgeCk)
 				results.Push(outcome{err, core.DirectRoute, float64(pp.Now())})
 				hedgeDone.Set(err == nil)
 			})
@@ -404,6 +420,7 @@ const maxReroutes = 6
 // parkBudget seconds total, and fails with core.ErrNoRoute only when
 // the budget runs dry.
 func (e *SimExecutor) ExecuteRerouting(job Job, route core.Route, ck *core.Checkpoint, parkBudget float64) (float64, core.Route, int, float64, error) {
+	defer e.advanced()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cur := route
@@ -434,13 +451,7 @@ func (e *SimExecutor) ExecuteRerouting(job Job, route core.Route, ck *core.Check
 			if !e.routeUsable(job.Client, job.Provider, cur, e.hasProgress(ck, cur)) && !reroute(false) {
 				return
 			}
-			var err error
-			switch cur.Kind {
-			case core.Direct:
-				_, err = core.DirectUploadResumable(p, e.direct(job.Client, job.Provider), job.Name, job.Size, job.MD5, ck)
-			default:
-				_, err = e.detourFor(job.Client, cur.Via).UploadResumable(p, job.Provider, job.Name, job.Size, job.MD5, ck)
-			}
+			_, err := e.upload(p, job, cur, ck)
 			if err == nil {
 				sec = float64(p.Now()) - start
 				return
@@ -601,6 +612,7 @@ func isPathError(err error) bool {
 // virtual time, so retry delays interact with fault windows the way
 // wall-clock delays would in a real deployment.
 func (e *SimExecutor) SleepVirtual(sec float64) {
+	defer e.advanced()
 	if sec <= 0 {
 		return
 	}
@@ -692,6 +704,7 @@ func classifyExecErr(err error) error {
 // Plan implements Planner: it probes direct and every DTN with the
 // selector and returns the predicted-fastest route plus all candidates.
 func (e *SimExecutor) Plan(client, provider string, size float64) (core.Route, []core.Route, error) {
+	defer e.advanced()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var chosen core.Route
@@ -784,6 +797,7 @@ const reclaimIdleSecs = 30
 // quota bytes. Returns the bytes freed (0 for an unknown provider or
 // nothing to reclaim).
 func (e *SimExecutor) ReclaimQuota(provider string) float64 {
+	defer e.advanced()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	svc, ok := e.w.Services[provider]

@@ -131,6 +131,7 @@ func flowPrefixes(scope, client, provider string, r core.Route) []string {
 // the DTN's store-and-forward resumable relay — and commit by
 // provider-side compose in index order.
 func (e *SimExecutor) ExecuteMultipath(job Job, routes []core.Route, chunk float64) (multipath.Report, error) {
+	defer e.advanced()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
