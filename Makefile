@@ -88,10 +88,12 @@ telemetry:
 # Stress: the scheduler suite repeated under the race detector to
 # shake out ordering-dependent bugs in the queue and overload layer,
 # with the telemetry registry (the scheduler's counters are its
-# lock-free atomics, read outside the scheduler lock) and the replay
-# driver that runs every mode through it.
+# lock-free atomics, read outside the scheduler lock), the replay
+# driver that runs every mode through it, and simproc (the coroutine
+# switch is the happens-before edge between the driver and each
+# process).
 stress:
-	$(GO) test -race -count=5 ./internal/sched/ ./internal/telemetry/ ./internal/replay/
+	$(GO) test -race -count=5 ./internal/sched/ ./internal/telemetry/ ./internal/replay/ ./internal/simproc/
 
 # Golden outputs: the stdout of every single-driver example and of the
 # 15 detourbench figures and tables, pinned byte for byte under

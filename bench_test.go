@@ -531,6 +531,32 @@ func BenchmarkExtensionProviderPOP(b *testing.B) {
 	b.ReportMetric(direct/viaPOP, "pop-speedup")
 }
 
+// --- Simulated processes (internal/simproc) ---
+
+// BenchmarkProcSwitch measures the process switch every simulated
+// transfer pays dozens of times: two processes ping-pong one message
+// over two queues. One op is a round trip, so four switches between
+// the engine and a process.
+func BenchmarkProcSwitch(b *testing.B) {
+	eng := simclock.NewEngine()
+	r := simproc.New(eng)
+	ping, pong := simproc.NewQueue[int](r), simproc.NewQueue[int](r)
+	r.Go("ping", func(p *simproc.Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Push(i)
+			pong.Pop(p)
+		}
+	})
+	r.Go("pong", func(p *simproc.Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Push(ping.Pop(p))
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	r.Run()
+}
+
 // --- Scheduler control plane (internal/sched) ---
 
 // schedBenchTrace is a fixed 512-job fleet trace shared by the drain

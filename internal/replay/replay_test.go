@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
@@ -171,6 +172,37 @@ func TestArrivalsFeedThroughWrappers(t *testing.T) {
 		}
 		if got := strings.Join(order, " "); got != "a c b" {
 			t.Errorf("%s: completion order [%s], want [a c b]", arm.name, got)
+		}
+	}
+}
+
+// TestRerouteManyWorkers: the rerouting storm replay on four workers
+// neither deadlocks nor breaks an invariant. A route event fired inside
+// a workload, under the executor lock, takes the route cache's lock, so
+// the cache must never read the executor's clock while holding its own.
+// The interleaving that used to deadlock is rare, hence the many runs
+// (fewer under the race detector, where the worlds the runs leave
+// behind cost the most memory); a run that does not finish in time
+// fails the test instead of hanging it.
+func TestRerouteManyWorkers(t *testing.T) {
+	runs := 100
+	if raceEnabled {
+		runs = 10
+	}
+	for i := 0; i < runs; i++ {
+		done := make(chan error, 1)
+		go func() {
+			sp := telemetrySpec(7, 0, true, 0, nil)
+			sp.Config.Workers = 4
+			done <- Run(sp).Check()
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run %d: %v", i, err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("run %d of %d did not finish within a minute: deadlock", i, runs)
 		}
 	}
 }

@@ -113,7 +113,9 @@ type entry struct {
 
 // RouteCache caches route decisions with TTL expiry, failure-driven
 // invalidation, and bandit-driven refresh. It is safe for concurrent
-// use.
+// use. Every method reads the clock before taking c.mu, never under
+// it: the clock may take a lock of its own (SimExecutor.VirtualNow)
+// whose holder calls back into the cache.
 type RouteCache struct {
 	mu         sync.Mutex
 	ttl        float64
@@ -171,10 +173,11 @@ func (c *RouteCache) SetWeight(w func(core.Route) float64) {
 // quarantined, in which case the entry has already been switched to
 // direct.
 func (c *RouteCache) Lookup(k CacheKey) (core.Route, bool) {
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
-	if !ok || c.now() >= e.expires {
+	if !ok || now >= e.expires {
 		if ok {
 			delete(c.entries, k)
 		}
@@ -192,13 +195,14 @@ func (c *RouteCache) Lookup(k CacheKey) (core.Route, bool) {
 // Hit/miss counters are untouched; the caller accounts for stale serves
 // itself.
 func (c *RouteCache) LookupStale(k CacheKey) (route core.Route, fresh, ok bool) {
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, present := c.entries[k]
 	if !present {
 		return core.Route{}, false, false
 	}
-	return e.route, c.now() < e.expires, true
+	return e.route, now < e.expires, true
 }
 
 // Insert stores a fresh decision for the TTL. candidates (may be nil)
@@ -213,11 +217,12 @@ func (c *RouteCache) Insert(k CacheKey, route core.Route, candidates []core.Rout
 // against these hops instead of waiting for TTL expiry or a failed
 // transfer.
 func (c *RouteCache) InsertWithPaths(k CacheKey, route core.Route, candidates []core.Route, paths map[core.Route][]PathHop) {
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := &entry{
 		route:       route,
-		expires:     c.now() + c.ttl,
+		expires:     now + c.ttl,
 		candidates:  append([]core.Route(nil), candidates...),
 		quarantined: make(map[core.Route]float64),
 		converging:  make(map[core.Route]float64),
@@ -234,6 +239,7 @@ func (c *RouteCache) InsertWithPaths(k CacheKey, route core.Route, candidates []
 // lets the observed throughputs re-elect the cached route — repeated
 // traffic keeps the decision fresh without new probes.
 func (c *RouteCache) Observe(k CacheKey, route core.Route, sizeBytes, seconds float64) {
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
@@ -241,7 +247,6 @@ func (c *RouteCache) Observe(k CacheKey, route core.Route, sizeBytes, seconds fl
 		return
 	}
 	e.bandit.Observe(route, sizeBytes, seconds)
-	now := c.now()
 	best, bestT := e.route, -1.0
 	for _, r := range e.candidates {
 		if c.benched(e, r, now) {
@@ -274,6 +279,7 @@ func (c *RouteCache) benched(e *entry, r core.Route, now float64) bool {
 // expiry. Invalidating a direct route drops the whole entry (the next
 // job re-plans).
 func (c *RouteCache) Invalidate(k CacheKey, failed core.Route) {
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
@@ -285,7 +291,7 @@ func (c *RouteCache) Invalidate(k CacheKey, failed core.Route) {
 		delete(c.entries, k)
 		return
 	}
-	e.quarantined[failed] = c.now() + c.quarantine
+	e.quarantined[failed] = now + c.quarantine
 	if e.route == failed {
 		e.route = core.DirectRoute
 	}
@@ -295,13 +301,13 @@ func (c *RouteCache) Invalidate(k CacheKey, failed core.Route) {
 // when the key is absent) — the failover pool a job can switch to
 // mid-flight when its chosen route dies underneath it.
 func (c *RouteCache) Candidates(k CacheKey) []core.Route {
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
 	if !ok {
 		return nil
 	}
-	now := c.now()
 	out := make([]core.Route, 0, len(e.candidates))
 	for _, r := range e.candidates {
 		if c.benched(e, r, now) {
@@ -314,13 +320,13 @@ func (c *RouteCache) Candidates(k CacheKey) []core.Route {
 
 // Health reports the cache's view of one route under a key.
 func (c *RouteCache) Health(k CacheKey, r core.Route) RouteHealth {
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
 	if !ok {
 		return RouteHealthy
 	}
-	now := c.now()
 	if until, q := e.quarantined[r]; q && now < until {
 		return RouteQuarantined
 	}
@@ -379,12 +385,12 @@ func pathTouched(hops []PathHop, ev RouteEvent) bool {
 // re-elects the best healthy candidate immediately, falling back to
 // direct.
 func (c *RouteCache) ApplyRouteEvent(ev RouteEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	now := ev.At
 	if now == 0 {
 		now = c.now()
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	hold := now + c.quarantine
 	if ev.ConvergedBy > hold {
 		hold = ev.ConvergedBy

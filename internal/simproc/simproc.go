@@ -1,17 +1,24 @@
+//go:build go1.23
+
+// The constraint is for iter.Pull (Go 1.23); go.mod stays at go 1.22.
+
 // Package simproc layers cooperative blocking processes over the
 // discrete-event engine, in the style of SimPy: protocol code (SDK
 // clients, servers, relays) is written as ordinary sequential Go that
 // sleeps and awaits on *virtual* time, while the engine interleaves all
 // processes deterministically.
 //
-// Exactly one goroutine — either the engine driver or a single process —
-// runs at any moment; control is handed over explicitly through
-// channels. This keeps the simulation single-threaded in effect, so no
-// model state needs locking and runs are bit-reproducible.
+// Each process is a runtime coroutine (iter.Pull): exactly one of the
+// engine driver or a single process runs at any moment, and control
+// moves by an explicit coroutine switch that never goes through the Go
+// scheduler. This keeps the simulation single-threaded, so no model
+// state needs locking and runs are bit-reproducible.
 package simproc
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 
 	"detournet/internal/simclock"
@@ -20,9 +27,9 @@ import (
 // Runner couples an engine with a set of processes.
 type Runner struct {
 	eng    *simclock.Engine
-	ack    chan struct{}
 	parked map[*Proc]string // parked process -> what it waits on
 	nextID int
+	idle   []*coro // coroutines whose process returned, for Go to reuse
 }
 
 // New returns a Runner over the engine.
@@ -30,21 +37,39 @@ func New(eng *simclock.Engine) *Runner {
 	if eng == nil {
 		panic("simproc: nil engine")
 	}
-	return &Runner{eng: eng, ack: make(chan struct{}), parked: make(map[*Proc]string)}
+	return &Runner{eng: eng, parked: make(map[*Proc]string)}
 }
 
 // Engine returns the underlying engine.
 func (r *Runner) Engine() *simclock.Engine { return r.eng }
 
-// Proc is one cooperative process. Its methods must only be called from
-// the process's own goroutine (the function passed to Go).
+// Proc is one cooperative process, run as a coroutine. Its methods must
+// only be called from the process itself (the function passed to Go).
 type Proc struct {
-	r      *Runner
-	id     int
-	name   string
-	scope  string
-	resume chan struct{}
-	done   bool
+	r     *Runner
+	id    int
+	name  string
+	scope string
+	// c is the coroutine running the process and resume the one event
+	// callback that switches to it. Both are cleared when the process
+	// returns and c moves on to other processes.
+	c      *coro
+	resume func()
+}
+
+// coro is a runtime coroutine that runs processes one after another.
+// When its process returns it waits in Runner.idle for the next Go
+// instead of exiting: a process costs no goroutine start, and the race
+// detector, which keeps the state of every exited coroutine, stays
+// small.
+type coro struct {
+	// next switches into the coroutine and returns true once its
+	// process has returned, false when the process parks; yield
+	// switches back out with that report.
+	next  func() (bool, bool)
+	yield func(bool) bool
+	fn    func(*Proc) // the process to start on the next switch in
+	p     *Proc
 }
 
 // Name returns the process name given to Go.
@@ -72,40 +97,64 @@ func (p *Proc) Runner() *Runner { return p.r }
 // It may be called from the driver (before Run) or from inside another
 // process.
 func (r *Runner) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{r: r, id: r.nextID, name: name, resume: make(chan struct{})}
+	p := &Proc{r: r, id: r.nextID, name: name}
 	r.nextID++
-	r.eng.Schedule(r.eng.Now(), func() {
-		go func() {
-			<-p.resume
-			fn(p)
-			p.done = true
-			r.ack <- struct{}{}
-		}()
-		r.handoff(p)
-	})
+	if n := len(r.idle); n > 0 {
+		p.c = r.idle[n-1]
+		r.idle[n-1] = nil
+		r.idle = r.idle[:n-1]
+	} else {
+		c := new(coro)
+		c.next, _ = iter.Pull(func(yield func(bool) bool) {
+			c.yield = yield
+			for {
+				c.run()
+				yield(true)
+			}
+		})
+		p.c = c
+	}
+	p.c.fn, p.c.p = fn, p
+	p.resume = func() { r.handoff(p) }
+	r.eng.Schedule(r.eng.Now(), p.resume)
 	return p
 }
 
-// handoff transfers control to p and blocks until p parks or finishes.
-// It must run in engine context (inside an event callback).
-func (r *Runner) handoff(p *Proc) {
-	p.resume <- struct{}{}
-	<-r.ack
+// run runs the coroutine's current process to its return. It drops the
+// coroutine's references first, so an idle coroutine keeps nothing the
+// process function captured alive.
+func (c *coro) run() {
+	fn, p := c.fn, c.p
+	c.fn, c.p = nil, nil
+	defer func() {
+		if v := recover(); v != nil {
+			panic(fmt.Sprintf("simproc: process %s panicked: %v\n%s", p.name, v, debug.Stack()))
+		}
+	}()
+	fn(p)
 }
 
-// park yields control back to the engine and blocks until resumed.
-// why describes what the process waits on, for deadlock diagnostics.
+// handoff switches to p's coroutine and returns once p parks or
+// returns. It must run in engine context (inside an event callback).
+func (r *Runner) handoff(p *Proc) {
+	if returned, _ := p.c.next(); returned {
+		r.idle = append(r.idle, p.c)
+		p.c, p.resume = nil, nil
+	}
+}
+
+// park switches back to the engine and returns when resumed. why
+// describes what the process waits on, for deadlock diagnostics.
 func (p *Proc) park(why string) {
 	p.r.parked[p] = why
-	p.r.ack <- struct{}{}
-	<-p.resume
+	p.c.yield(false)
 	delete(p.r.parked, p)
 }
 
 // wake schedules p to resume at the current virtual time. Must be called
 // while the engine or another process holds control.
 func (p *Proc) wake() {
-	p.r.eng.Schedule(p.r.eng.Now(), func() { p.r.handoff(p) })
+	p.r.eng.Schedule(p.r.eng.Now(), p.resume)
 }
 
 // Sleep suspends the process for d seconds of virtual time. Negative d
@@ -114,8 +163,10 @@ func (p *Proc) Sleep(d simclock.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("simproc: negative sleep %v", d))
 	}
-	p.r.eng.After(d, func() { p.r.handoff(p) })
-	p.park(fmt.Sprintf("sleep(%v)", d))
+	p.r.eng.After(d, p.resume)
+	// A sleeper's wake event is always queued, so Run never reports it
+	// as deadlocked and the reason needs no detail.
+	p.park("sleep")
 }
 
 // Run drives the engine until no events remain. If processes are still

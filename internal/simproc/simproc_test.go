@@ -1,8 +1,12 @@
 package simproc
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"detournet/internal/simclock"
 )
@@ -227,6 +231,56 @@ func TestDeadlockDetection(t *testing.T) {
 		}
 	}()
 	r.Run()
+}
+
+// explodeMidUpload is the named helper TestProcPanicNamesProcess looks
+// for in the re-raised panic's stack.
+func explodeMidUpload() { panic("boom") }
+
+// TestProcPanicNamesProcess: a panic inside a process surfaces from Run
+// with the process's name, the panic value and the process's own stack.
+func TestProcPanicNamesProcess(t *testing.T) {
+	eng := simclock.NewEngine()
+	r := New(eng)
+	r.Go("uploader-7", func(p *Proc) {
+		p.Sleep(3)
+		explodeMidUpload()
+	})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"uploader-7", "boom", "explodeMidUpload"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic value missing %q:\n%s", want, msg)
+			}
+		}
+	}()
+	r.Run()
+}
+
+// TestFinishedProcReleasesClosure: once a process returns, neither its
+// Proc, which stays reachable here, nor the coroutine that ran it, now
+// idle in the runner, keeps what the process function captured alive.
+func TestFinishedProcReleasesClosure(t *testing.T) {
+	eng := simclock.NewEngine()
+	r := New(eng)
+	var freed atomic.Bool
+	p := func() *Proc {
+		payload := new([1 << 10]byte)
+		runtime.SetFinalizer(payload, func(*[1 << 10]byte) { freed.Store(true) })
+		return r.Go("holder", func(p *Proc) {
+			p.Sleep(1)
+			payload[0] = 1
+		})
+	}()
+	r.Run()
+	for i := 0; i < 100 && !freed.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Fatal("finished process still holds its closure")
+	}
+	runtime.KeepAlive(p)
 }
 
 func TestRunUntilLeavesParkedProcs(t *testing.T) {
