@@ -67,7 +67,6 @@ import (
 	"detournet/internal/replay"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
-	"detournet/internal/sdk"
 	"detournet/internal/simproc"
 )
 
@@ -224,12 +223,6 @@ func runMultipath(w *scenario.World, from, provider, drain string, file fileutil
 	w.RunWorkload("detourctl-multipath", func(p *simproc.Proc) {
 		direct := w.NewSDKClient(from, provider)
 		defer direct.Close()
-		comp, ok := direct.(sdk.Composer)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "detourctl: provider %s cannot compose parts\n", provider)
-			exit = 1
-			return
-		}
 
 		paths := []multipath.Path{{
 			ID: 0, Route: core.DirectRoute,
@@ -257,7 +250,7 @@ func runMultipath(w *scenario.World, from, provider, drain string, file fileutil
 		env := multipath.Env{
 			Trace: w.Trace,
 			Commit: func(p *simproc.Proc, parts []string) error {
-				info, err := comp.Compose(p, file.Name, parts, file.MD5)
+				info, err := direct.Compose(p, file.Name, parts, file.MD5)
 				if err != nil {
 					return err
 				}

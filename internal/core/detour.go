@@ -88,7 +88,7 @@ type Agent struct {
 	host   string
 	daemon *rsyncx.Daemon
 
-	clients map[string]sdk.SessionClient
+	clients map[string]sdk.Client
 	// relays tracks detached resumable relays by object name, so a
 	// client retry attaches to the push already in flight instead of
 	// starting a duplicate.
@@ -142,7 +142,7 @@ func NewAgent(tn *transport.Net, host string, daemon *rsyncx.Daemon) *Agent {
 		panic("core: nil transport or daemon")
 	}
 	return &Agent{tn: tn, host: host, daemon: daemon,
-		clients:    make(map[string]sdk.SessionClient),
+		clients:    make(map[string]sdk.Client),
 		relays:     make(map[string]*relayJob),
 		relayChunk: make(map[string]float64),
 		conns:      make(map[*transport.Conn]struct{}),
@@ -167,7 +167,7 @@ func (a *Agent) Crash() {
 
 // RegisterProvider installs the SDK client the agent uses for a
 // provider. The client must dial from the agent's host.
-func (a *Agent) RegisterProvider(client sdk.SessionClient) {
+func (a *Agent) RegisterProvider(client sdk.Client) {
 	if client.From() != a.host {
 		panic(fmt.Sprintf("core: provider client dials from %q, agent lives on %q", client.From(), a.host))
 	}
@@ -260,9 +260,9 @@ type relayResume struct {
 	// relaying so the second hop's flows are attributable (and
 	// abortable) as part of the caller's transfer.
 	Scope string
-	// AttemptID is the caller's idempotency key: the agent stamps it on
-	// the provider client so the relay's commit is safe to replay after
-	// a control-plane crash.
+	// AttemptID is the caller's idempotency key: the agent passes it to
+	// the provider session it opens, so the relay's commit is safe to
+	// replay after a control-plane crash.
 	AttemptID string
 }
 
@@ -385,7 +385,7 @@ func (a *Agent) handleStream(p *simproc.Proc, c *transport.Conn, m streamBegin) 
 		_ = c.Send(p, relayResult{OK: false, Err: "unknown provider " + m.Provider}, ctrlBytes)
 		return
 	}
-	sess, err := client.BeginUpload(p, m.Name, m.Size, m.MD5)
+	sess, err := client.BeginUpload(p, m.Name, m.Size, m.MD5, "")
 	if err != nil {
 		_ = c.Send(p, relayResult{OK: false, Err: err.Error()}, ctrlBytes)
 		return

@@ -60,7 +60,7 @@ func (tb *testbed) linkState(a, b string, up bool) {
 	tb.g.SetLinkState(b, a, up)
 }
 
-func (tb *testbed) directClient() sdk.SessionClient {
+func (tb *testbed) directClient() sdk.Client {
 	creds := sdk.Register(tb.svc, "user-app", "s")
 	return sdk.NewGoogleDrive(tb.eng, tb.tn, "user", "provider-dc", creds, sdk.Options{})
 }

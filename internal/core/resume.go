@@ -79,9 +79,10 @@ type Checkpoint struct {
 	BytesRewritten float64
 
 	// AttemptID is the idempotency key of the attempt in flight. It is
-	// stamped onto the provider client (sdk.AttemptTagger) before any
-	// session begins, so a commit replayed after a control-plane crash
-	// returns the stored object instead of materializing a duplicate.
+	// passed to the provider session's BeginUpload or Resume, so the
+	// session's commit carries it, and a commit replayed after a
+	// control-plane crash returns the stored object instead of
+	// materializing a duplicate.
 	AttemptID string
 	// ChunkRepairs counts staged chunks re-sent because manifest
 	// verification caught silent corruption — chunk-granularity repair,
@@ -278,37 +279,15 @@ func (a *Agent) runRelay(p *simproc.Proc, m relayResume, rj *relayJob) {
 	a.daemon.Pin(m.Name)
 	defer a.daemon.Unpin(m.Name)
 	t0 := p.Now()
-	if at, ok := client.(sdk.AttemptTagger); ok {
-		// Tag, open the session (which captures the key), untag: agent
-		// clients are shared by every relay through this DTN, and no
-		// yield happens between these steps in the cooperative sim.
-		at.SetAttemptID(m.AttemptID)
-		defer at.SetAttemptID("")
-	}
-	var sess sdk.UploadSession
-	if m.HasToken && m.Token.Provider == m.Provider {
-		if r, ok := client.(sdk.SessionResumer); ok {
-			// A failed resume (expired session, provider without resume)
-			// falls back to a fresh session below.
-			if s, err := r.Resume(p, m.Token); err == nil {
-				sess = s
-			}
-		}
-	}
-	if sess == nil {
-		s, err := client.BeginUpload(p, st.Name, st.Size, st.MD5)
-		if err != nil {
-			fail(err.Error())
-			return
-		}
-		sess = s
+	sess, err := openSession(p, client, m.HasToken, m.Token, st.Name, st.Size, st.MD5, m.AttemptID)
+	if err != nil {
+		fail(err.Error())
+		return
 	}
 	rj.start = sess.Written()
 	sync := func() {
 		rj.written = sess.Written()
-		if ts, ok := sess.(sdk.TokenSession); ok {
-			rj.token, rj.hasToken = ts.Token(), true
-		}
+		rj.token, rj.hasToken = sess.Token(), true
 	}
 	sync()
 	// Adaptive chunk sizing, rate-based: aim every write at roughly
@@ -389,44 +368,37 @@ func (a *Agent) handleRelayAbort(p *simproc.Proc, c *transport.Conn, m relayAbor
 	_ = c.Send(p, relayResult{OK: true, Done: true}, ctrlBytes)
 }
 
+// openSession reattaches to the provider session in tok when hasToken
+// is set and the client can resume it, and begins a fresh session
+// otherwise — including when the resume fails (an expired session).
+// attempt is the idempotency key the session's commit carries.
+func openSession(p *simproc.Proc, client sdk.Client, hasToken bool, tok sdk.SessionToken, name string, size float64, md5, attempt string) (sdk.UploadSession, error) {
+	if r, ok := client.(sdk.SessionResumer); ok && hasToken && tok.Provider == client.ProviderName() {
+		if s, err := r.Resume(p, tok, attempt); err == nil {
+			return s, nil
+		}
+	}
+	return client.BeginUpload(p, name, size, md5, attempt)
+}
+
 // DirectUploadResumable is DirectUpload with checkpointed resume: it
 // uploads through a provider session, reattaches to the checkpoint's
 // session when one is live, and records the session token in the
 // checkpoint after every chunk so an interruption loses at most one
-// chunk. Clients without session support fall back to DirectUpload.
+// chunk. Empty files have no session and fall back to DirectUpload.
 func DirectUploadResumable(p *simproc.Proc, client sdk.Client, name string, size float64, md5 string, ck *Checkpoint) (Report, error) {
-	sc, ok := client.(sdk.SessionClient)
-	if !ok || size <= 0 {
+	if size <= 0 {
 		return DirectUpload(p, client, name, size, md5)
 	}
 	t0 := p.Now()
 	ck.abandonHop1("")
-	if at, ok := client.(sdk.AttemptTagger); ok {
-		// Sessions capture the key at Begin/Resume, so clearing on the
-		// way out cannot untag this transfer's commit.
-		at.SetAttemptID(ck.AttemptID)
-		defer at.SetAttemptID("")
-	}
-	var sess sdk.UploadSession
-	if ck.HasSession && ck.Session.Provider == client.ProviderName() {
-		if r, ok := client.(sdk.SessionResumer); ok {
-			if s, err := r.Resume(p, ck.Session); err == nil {
-				sess = s
-			}
-		}
-	}
-	if sess == nil {
-		s, err := sc.BeginUpload(p, name, size, md5)
-		if err != nil {
-			return Report{}, fmt.Errorf("core: direct begin: %w", err)
-		}
-		sess = s
+	sess, err := openSession(p, client, ck.HasSession, ck.Session, name, size, md5, ck.AttemptID)
+	if err != nil {
+		return Report{}, fmt.Errorf("core: direct begin: %w", err)
 	}
 	start := sess.Written()
 	checkpoint := func() {
-		if ts, ok := sess.(sdk.TokenSession); ok {
-			ck.Session, ck.HasSession = ts.Token(), true
-		}
+		ck.Session, ck.HasSession = sess.Token(), true
 	}
 	checkpoint()
 	var info sdk.FileInfo

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"detournet/internal/rsyncx"
-	"detournet/internal/sdk"
 	"detournet/internal/simproc"
 )
 
@@ -42,10 +41,6 @@ func TestVerifyDigest(t *testing.T) {
 func TestCorruptedResumeDetectedAndRetried(t *testing.T) {
 	tb := newTestbed(t)
 	client := tb.directClient()
-	sc, ok := client.(sdk.SessionClient)
-	if !ok {
-		t.Fatal("direct client has no session support")
-	}
 	good := rsyncx.Checksum([]byte("the file the user actually has"))
 	bad := rsyncx.Checksum([]byte("what a corrupted staging area held"))
 	const size = 20e6
@@ -53,7 +48,7 @@ func TestCorruptedResumeDetectedAndRetried(t *testing.T) {
 	tb.run(t, func(p *simproc.Proc) {
 		// A prior attempt began its session from corrupted staging: the
 		// provider will commit — and echo — the bad digest.
-		sess, err := sc.BeginUpload(p, "f.bin", size, bad)
+		sess, err := client.BeginUpload(p, "f.bin", size, bad, "")
 		if err != nil {
 			t.Errorf("begin poisoned session: %v", err)
 			return
@@ -63,12 +58,7 @@ func TestCorruptedResumeDetectedAndRetried(t *testing.T) {
 			return
 		}
 		ck := &Checkpoint{}
-		ts, ok := sess.(sdk.TokenSession)
-		if !ok {
-			t.Error("session has no token")
-			return
-		}
-		ck.Session, ck.HasSession = ts.Token(), true
+		ck.Session, ck.HasSession = sess.Token(), true
 		ck.Hop2High = sess.Written()
 
 		// The retry resumes the poisoned session, finishes the upload,

@@ -449,7 +449,7 @@ func (w *World) StartGooglePOP() *cloudsim.POP {
 
 // NewSDKClientVia builds a Google Drive SDK client that talks to an
 // arbitrary API frontend host (a POP) instead of the datacenter.
-func (w *World) NewSDKClientVia(from, frontend string) sdk.SessionClient {
+func (w *World) NewSDKClientVia(from, frontend string) sdk.Client {
 	svc := w.Services[GoogleDrive]
 	creds := sdk.Register(svc, "app-"+from+"-pop", "secret")
 	return sdk.NewGoogleDrive(w.Eng, w.Net, from, frontend, creds, sdk.Options{})
@@ -501,14 +501,14 @@ func (w *World) buildCrossTraffic() {
 
 // NewSDKClient builds a provider SDK client dialing from the given host,
 // with fresh credentials registered on the provider's auth server.
-func (w *World) NewSDKClient(from, provider string) sdk.SessionClient {
+func (w *World) NewSDKClient(from, provider string) sdk.Client {
 	return w.NewSDKClientWithChunk(from, provider, 0)
 }
 
 // NewSDKClientWithChunk is NewSDKClient with an explicit upload chunk
 // size (bytes; zero keeps the provider's default), used by the
 // chunk-size ablation.
-func (w *World) NewSDKClientWithChunk(from, provider string, chunk float64) sdk.SessionClient {
+func (w *World) NewSDKClientWithChunk(from, provider string, chunk float64) sdk.Client {
 	svc, ok := w.Services[provider]
 	if !ok {
 		panic(fmt.Sprintf("scenario: unknown provider %q", provider))

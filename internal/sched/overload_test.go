@@ -761,6 +761,33 @@ func TestSimHedgedTransfer(t *testing.T) {
 	}
 }
 
+// TestSimHedgeCommitsUnderJobKey lets the direct hedge win a race for
+// a journaled job: its commit must carry the job's idempotency key, so
+// a crash-replayed attempt is answered from the provider's attempt
+// table instead of committing again.
+func TestSimHedgeCommitsUnderJobKey(t *testing.T) {
+	w := scenario.Build(5)
+	exec := NewSimExecutor(w)
+	defer exec.Close()
+	faults.NewInjector(w, 5, faults.Spec{
+		Kind: faults.LinkDegrade, From: "vncv1", To: "edmn1",
+		Start: 1, Duration: 1e9, CapacityFactor: 0.03,
+	})
+	exec.SleepVirtual(2)
+	job := Job{Tenant: "t", Client: scenario.UBC, Provider: scenario.GoogleDrive, Name: "keyed.bin", Size: 50e6}
+	ck := &core.Checkpoint{AttemptID: "keyed#1"}
+	_, route, launched, won, err := exec.ExecuteHedged(job, core.ViaRoute(scenario.UAlberta), 20, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !launched || !won || route != core.DirectRoute {
+		t.Fatalf("hedge launched=%v won=%v route=%s, want a winning direct hedge", launched, won, route)
+	}
+	if _, ok := w.Services[scenario.GoogleDrive].Store.Replayed("keyed#1", job.Name); !ok {
+		t.Error("the winning hedge did not commit under the job's key")
+	}
+}
+
 func TestJainIndex(t *testing.T) {
 	if j := JainIndex([]float64{1, 1, 1, 1}); j < 0.999 {
 		t.Fatalf("equal shares: %v", j)

@@ -320,7 +320,8 @@ func (e *SimExecutor) ExecuteHedged(job Job, primary core.Route, budget float64,
 	launched, won := false, false
 	// The hedge gets its own checkpoint: two live transfers must not
 	// share session state. The survivor's checkpoint is merged below.
-	var hedgeCk core.Checkpoint
+	// It commits under the job's idempotency key, like the primary.
+	hedgeCk := core.Checkpoint{AttemptID: ck.AttemptID}
 	e.w.RunWorkload("sched-hedge:"+job.Name, func(p *simproc.Proc) {
 		r := p.Runner()
 		start := float64(p.Now())

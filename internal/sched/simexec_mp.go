@@ -178,10 +178,6 @@ func (e *SimExecutor) ExecuteMultipath(job Job, routes []core.Route, chunk float
 			}
 		},
 		Commit: func(p *simproc.Proc, parts []string) error {
-			comp, ok := e.direct(job.Client, job.Provider).(sdk.Composer)
-			if !ok {
-				return fmt.Errorf("sched: provider %s cannot compose parts", job.Provider)
-			}
 			// Every part is already durable server-side; only this one
 			// control-plane call races the routing plane. A withdraw window
 			// opening between the last chunk and the compose must not fail
@@ -197,7 +193,7 @@ func (e *SimExecutor) ExecuteMultipath(job Job, routes []core.Route, chunk float
 					}
 				}
 				var info sdk.FileInfo
-				info, err = comp.Compose(p, job.Name, parts, job.MD5)
+				info, err = e.direct(job.Client, job.Provider).Compose(p, job.Name, parts, job.MD5)
 				if err != nil {
 					continue
 				}

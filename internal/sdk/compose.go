@@ -7,31 +7,18 @@ import (
 	"detournet/internal/simproc"
 )
 
-// Composer commits a striped multipath upload: the provider
-// concatenates previously uploaded part objects, in order, into the
-// final object and deletes the parts. md5 optionally carries the
-// whole-file digest recorded on the composed object (the same echo
-// semantics as X-Content-MD5 on uploads). See cloudsim's compose
-// endpoint for the modeling caveat: this is a minimal control-plane
-// extension, not a 2015-era consumer API.
-type Composer interface {
-	Compose(p *simproc.Proc, name string, parts []string, md5 string) (FileInfo, error)
-}
-
 // compose issues the style-uniform compose call shared by all three
 // clients; only the endpoint path differs per provider.
 func (b *base) compose(p *simproc.Proc, path, name string, parts []string, md5 string) (FileInfo, error) {
 	if name == "" || len(parts) == 0 {
 		return FileInfo{}, fmt.Errorf("sdk: compose needs a name and parts")
 	}
-	attempt := b.attemptID // captured before I/O: the client may be shared
 	req, err := b.authed(p, "POST", path)
 	if err != nil {
 		return FileInfo{}, err
 	}
 	body, _ := json.Marshal(map[string]any{"name": name, "md5": md5, "parts": parts})
 	req.Header["Content-Type"] = "application/json"
-	tagAttempt(req, attempt)
 	req.Body = body
 	resp, err := b.do(p, req)
 	if err != nil {
@@ -40,23 +27,17 @@ func (b *base) compose(p *simproc.Proc, path, name string, parts []string, md5 s
 	return decodeMeta(resp.Body)
 }
 
-// Compose implements Composer.
+// Compose implements Client.
 func (g *GoogleDrive) Compose(p *simproc.Proc, name string, parts []string, md5 string) (FileInfo, error) {
 	return g.compose(p, "/drive/v3/files:compose", name, parts, md5)
 }
 
-// Compose implements Composer.
+// Compose implements Client.
 func (d *Dropbox) Compose(p *simproc.Proc, name string, parts []string, md5 string) (FileInfo, error) {
 	return d.compose(p, "/2/files/compose", name, parts, md5)
 }
 
-// Compose implements Composer.
+// Compose implements Client.
 func (o *OneDrive) Compose(p *simproc.Proc, name string, parts []string, md5 string) (FileInfo, error) {
 	return o.compose(p, "/v1.0/drive/compose", name, parts, md5)
 }
-
-var (
-	_ Composer = (*GoogleDrive)(nil)
-	_ Composer = (*Dropbox)(nil)
-	_ Composer = (*OneDrive)(nil)
-)

@@ -53,48 +53,24 @@ type dbxCursor struct {
 	Offset    float64 `json:"offset"`
 }
 
-// Upload implements Client.
+// Upload implements Client: one single-shot call when the file fits in
+// a chunk, otherwise a session whose start carries the first chunk.
 func (d *Dropbox) Upload(p *simproc.Proc, name string, size float64, md5 string) (FileInfo, error) {
 	if size < 0 {
 		return FileInfo{}, fmt.Errorf("sdk: negative size")
 	}
-	attempt := d.attemptID // captured before I/O: the client may be shared
 	if size <= d.chunk {
-		body, err := d.apiCall(p, "/2/files/upload", map[string]string{"path": name}, size, md5, attempt)
+		body, err := d.apiCall(p, "/2/files/upload", map[string]string{"path": name}, size, md5, "")
 		if err != nil {
 			return FileInfo{}, fmt.Errorf("sdk: dropbox upload: %w", err)
 		}
 		return decodeMeta(body)
 	}
-	// Session: start carries the first chunk.
-	first := d.chunk
-	body, err := d.apiCall(p, "/2/files/upload_session/start", map[string]any{}, first, "", "")
+	sess, err := d.start(p, name, md5, "", d.chunk)
 	if err != nil {
-		return FileInfo{}, fmt.Errorf("sdk: dropbox session start: %w", err)
+		return FileInfo{}, err
 	}
-	var start struct {
-		SessionID string `json:"session_id"`
-	}
-	if err := json.Unmarshal(body, &start); err != nil || start.SessionID == "" {
-		return FileInfo{}, fmt.Errorf("sdk: dropbox session start: bad response")
-	}
-	sent := first
-	for size-sent > d.chunk {
-		arg := map[string]any{"cursor": dbxCursor{SessionID: start.SessionID, Offset: sent}}
-		if _, err := d.apiCall(p, "/2/files/upload_session/append_v2", arg, d.chunk, "", ""); err != nil {
-			return FileInfo{}, fmt.Errorf("sdk: dropbox append at %.0f: %w", sent, err)
-		}
-		sent += d.chunk
-	}
-	arg := map[string]any{
-		"cursor": dbxCursor{SessionID: start.SessionID, Offset: sent},
-		"commit": map[string]string{"path": name},
-	}
-	body, err = d.apiCall(p, "/2/files/upload_session/finish", arg, size-sent, md5, attempt)
-	if err != nil {
-		return FileInfo{}, fmt.Errorf("sdk: dropbox finish: %w", err)
-	}
-	return decodeMeta(body)
+	return writeAll(p, sess, size, d.chunk)
 }
 
 // Download implements Client.

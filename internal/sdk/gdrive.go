@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"detournet/internal/cloudsim"
-	"detournet/internal/httpsim"
 	"detournet/internal/simclock"
 	"detournet/internal/simproc"
 	"detournet/internal/transport"
@@ -26,77 +25,30 @@ func NewGoogleDrive(eng *simclock.Engine, tn *transport.Net, from, host string, 
 // ProviderName implements Client.
 func (g *GoogleDrive) ProviderName() string { return "GoogleDrive" }
 
-// Upload implements Client via the resumable protocol.
+// Upload implements Client via the resumable protocol. Empty files are
+// a single bare PUT (there is no valid Content-Range for zero bytes);
+// everything else goes in Content-Range chunks.
 func (g *GoogleDrive) Upload(p *simproc.Proc, name string, size float64, md5 string) (FileInfo, error) {
-	if size < 0 {
-		return FileInfo{}, fmt.Errorf("sdk: negative size")
+	if size != 0 {
+		sess, err := g.BeginUpload(p, name, size, md5, "")
+		if err != nil {
+			return FileInfo{}, err
+		}
+		return writeAll(p, sess, size, g.chunk)
 	}
-	attempt := g.attemptID // captured before I/O: the client may be shared
-	// 1. Initiate the session.
-	req, err := g.authed(p, "POST", "/upload/drive/v3/files?uploadType=resumable")
+	location, err := g.initiate(p, name, size)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	meta, _ := json.Marshal(map[string]any{"name": name, "size": size})
-	req.Header["Content-Type"] = "application/json"
-	req.Body = meta
-	resp, err := g.do(p, req)
+	put, err := g.authed(p, "PUT", location)
 	if err != nil {
-		return FileInfo{}, fmt.Errorf("sdk: drive initiate: %w", err)
+		return FileInfo{}, err
 	}
-	location := resp.Header["Location"]
-	if location == "" {
-		return FileInfo{}, fmt.Errorf("sdk: drive initiate returned no Location")
+	resp, err := g.do(p, put)
+	if err != nil {
+		return FileInfo{}, fmt.Errorf("sdk: drive empty upload: %w", err)
 	}
-
-	// 2. PUT the content. Empty files are a single bare PUT (there is no
-	// valid Content-Range for zero bytes); everything else goes in
-	// Content-Range chunks.
-	if size == 0 {
-		put, err := g.authed(p, "PUT", location)
-		if err != nil {
-			return FileInfo{}, err
-		}
-		resp, err := g.do(p, put)
-		if err != nil {
-			return FileInfo{}, fmt.Errorf("sdk: drive empty upload: %w", err)
-		}
-		return decodeMeta(resp.Body)
-	}
-	n := chunksOf(size, g.chunk)
-	var sent float64
-	for i := 0; i < n; i++ {
-		chunk := g.chunk
-		if sent+chunk > size {
-			chunk = size - sent
-		}
-		put, err := g.authed(p, "PUT", location)
-		if err != nil {
-			return FileInfo{}, err
-		}
-		put.Header["Content-Range"] = fmt.Sprintf("bytes %.0f-%.0f/%.0f", sent, sent+chunk-1, size)
-		if md5 != "" {
-			put.Header["X-Content-MD5"] = md5
-		}
-		tagAttempt(put, attempt)
-		put.BodySize = chunk
-		resp, err := g.doRaw(p, put)
-		if err != nil {
-			return FileInfo{}, err
-		}
-		sent += chunk
-		switch resp.Status {
-		case httpsim.StatusPermanentRedirect: // 308: more expected
-			if i == n-1 {
-				return FileInfo{}, fmt.Errorf("sdk: drive signalled incomplete after final chunk")
-			}
-		case httpsim.StatusOK:
-			return decodeMeta(resp.Body)
-		default:
-			return FileInfo{}, fmt.Errorf("sdk: drive upload chunk %d: %w", i, resp.Error())
-		}
-	}
-	return FileInfo{}, fmt.Errorf("sdk: drive upload ended without completion")
+	return decodeMeta(resp.Body)
 }
 
 // lookup resolves a name to metadata via the files search endpoint.

@@ -1,11 +1,7 @@
 package sdk
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"detournet/internal/cloudsim"
-	"detournet/internal/httpsim"
 	"detournet/internal/simclock"
 	"detournet/internal/simproc"
 	"detournet/internal/transport"
@@ -28,61 +24,14 @@ func (o *OneDrive) ProviderName() string { return "OneDrive" }
 
 // Upload implements Client.
 func (o *OneDrive) Upload(p *simproc.Proc, name string, size float64, md5 string) (FileInfo, error) {
-	if size < 0 {
-		return FileInfo{}, fmt.Errorf("sdk: negative size")
-	}
-	attempt := o.attemptID // captured before I/O: the client may be shared
-	req, err := o.authed(p, "POST", "/v1.0/drive/root:/"+name+":/createUploadSession")
-	if err != nil {
-		return FileInfo{}, err
-	}
-	resp, err := o.do(p, req)
-	if err != nil {
-		return FileInfo{}, fmt.Errorf("sdk: onedrive session: %w", err)
-	}
-	var sess struct {
-		UploadURL string `json:"uploadUrl"`
-	}
-	if err := json.Unmarshal(resp.Body, &sess); err != nil || sess.UploadURL == "" {
-		return FileInfo{}, fmt.Errorf("sdk: onedrive session: bad response")
-	}
 	if size == 0 {
 		size = 1 // OneDrive rejects zero-length fragment math; store a 1-byte sentinel
 	}
-	n := chunksOf(size, o.chunk)
-	var sent float64
-	for i := 0; i < n; i++ {
-		frag := o.chunk
-		if sent+frag > size {
-			frag = size - sent
-		}
-		put, err := o.authed(p, "PUT", sess.UploadURL)
-		if err != nil {
-			return FileInfo{}, err
-		}
-		put.Header["Content-Range"] = fmt.Sprintf("bytes %.0f-%.0f/%.0f", sent, sent+frag-1, size)
-		if md5 != "" {
-			put.Header["X-Content-MD5"] = md5
-		}
-		tagAttempt(put, attempt)
-		put.BodySize = frag
-		resp, err := o.doRaw(p, put)
-		if err != nil {
-			return FileInfo{}, err
-		}
-		sent += frag
-		switch resp.Status {
-		case 202: // accepted, more fragments expected
-			if i == n-1 {
-				return FileInfo{}, fmt.Errorf("sdk: onedrive still expects ranges after final fragment")
-			}
-		case httpsim.StatusCreated:
-			return decodeMeta(resp.Body)
-		default:
-			return FileInfo{}, fmt.Errorf("sdk: onedrive fragment %d: %w", i, resp.Error())
-		}
+	sess, err := o.BeginUpload(p, name, size, md5, "")
+	if err != nil {
+		return FileInfo{}, err
 	}
-	return FileInfo{}, fmt.Errorf("sdk: onedrive upload ended without completion")
+	return writeAll(p, sess, size, o.chunk)
 }
 
 // Download implements Client.

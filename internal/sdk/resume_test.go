@@ -10,7 +10,7 @@ import (
 
 // TestDriveResumeAfterInjectedFailure interrupts a WriteChunk with an
 // injected server error: the local session's offset runs ahead of the
-// server's, and ResumeUpload must recover the true offset from the
+// server's, and Resume must recover the true offset from the
 // status query.
 func TestDriveResumeAfterInjectedFailure(t *testing.T) {
 	w := newWorld(t)
@@ -18,7 +18,7 @@ func TestDriveResumeAfterInjectedFailure(t *testing.T) {
 	g := w.client(t, cloudsim.GoogleDrive, Options{}).(*GoogleDrive)
 	w.run(t, func(p *simproc.Proc) {
 		size := 30e6
-		sess, err := g.BeginUpload(p, "crash.bin", size, "")
+		sess, err := g.BeginUpload(p, "crash.bin", size, "", "")
 		if err != nil {
 			t.Error(err)
 			return
@@ -34,11 +34,11 @@ func TestDriveResumeAfterInjectedFailure(t *testing.T) {
 		}
 		// The failed chunk bumped the local offset to 20e6, but the
 		// server only confirmed 10e6.
-		tok := sess.(TokenSession).Token()
+		tok := sess.Token()
 		if tok.Offset != 20e6 {
 			t.Errorf("stale token offset = %v, want 20e6", tok.Offset)
 		}
-		resumed, err := g.Resume(p, tok)
+		resumed, err := g.Resume(p, tok, "")
 		if err != nil {
 			t.Error(err)
 			return
@@ -64,7 +64,7 @@ func TestDropboxResumeRoundTrip(t *testing.T) {
 	w := newWorld(t)
 	d := w.client(t, cloudsim.Dropbox, Options{}).(*Dropbox)
 	w.run(t, func(p *simproc.Proc) {
-		sess, err := d.BeginUpload(p, "dbx.bin", 12e6, "digest")
+		sess, err := d.BeginUpload(p, "dbx.bin", 12e6, "digest", "")
 		if err != nil {
 			t.Error(err)
 			return
@@ -73,12 +73,12 @@ func TestDropboxResumeRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		tok := sess.(TokenSession).Token()
+		tok := sess.Token()
 		if tok.Ref == "" || tok.Offset != 8e6 {
 			t.Errorf("token = %+v", tok)
 		}
 
-		resumed, err := d.Resume(p, tok)
+		resumed, err := d.Resume(p, tok, "")
 		if err != nil {
 			t.Error(err)
 			return
@@ -109,7 +109,7 @@ func TestDropboxResumeOffsetMismatch(t *testing.T) {
 	w := newWorld(t)
 	d := w.client(t, cloudsim.Dropbox, Options{}).(*Dropbox)
 	w.run(t, func(p *simproc.Proc) {
-		sess, err := d.BeginUpload(p, "skew.bin", 10e6, "")
+		sess, err := d.BeginUpload(p, "skew.bin", 10e6, "", "")
 		if err != nil {
 			t.Error(err)
 			return
@@ -118,10 +118,11 @@ func TestDropboxResumeOffsetMismatch(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		id := sess.(*DropboxSession).sessionID
+		tok := sess.Token()
 		// Believed offset is wrong in both directions; the server wins.
 		for _, stale := range []float64{0, 9e6} {
-			resumed, err := d.ResumeUpload(p, id, "skew.bin", stale, "")
+			tok.Offset = stale
+			resumed, err := d.Resume(p, tok, "")
 			if err != nil {
 				t.Errorf("resume at %v: %v", stale, err)
 				return
@@ -143,7 +144,7 @@ func TestResumeExpiredSession(t *testing.T) {
 	w.svc[cloudsim.GoogleDrive].SessionTTL = 600
 	w.svc[cloudsim.Dropbox].SessionTTL = 600
 	w.run(t, func(p *simproc.Proc) {
-		gs, err := g.BeginUpload(p, "old.bin", 10e6, "")
+		gs, err := g.BeginUpload(p, "old.bin", 10e6, "", "")
 		if err != nil {
 			t.Error(err)
 			return
@@ -152,7 +153,7 @@ func TestResumeExpiredSession(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		ds, err := d.BeginUpload(p, "old2.bin", 10e6, "")
+		ds, err := d.BeginUpload(p, "old2.bin", 10e6, "", "")
 		if err != nil {
 			t.Error(err)
 			return
@@ -164,12 +165,12 @@ func TestResumeExpiredSession(t *testing.T) {
 
 		p.Sleep(3600) // outlive the TTL
 
-		if _, err := g.Resume(p, gs.(TokenSession).Token()); err == nil {
+		if _, err := g.Resume(p, gs.Token(), ""); err == nil {
 			t.Error("drive resume of expired session succeeded")
 		} else if !strings.Contains(err.Error(), "404") {
 			t.Errorf("drive expired resume: %v", err)
 		}
-		if _, err := d.Resume(p, ds.(TokenSession).Token()); err == nil {
+		if _, err := d.Resume(p, ds.Token(), ""); err == nil {
 			t.Error("dropbox resume of expired session succeeded")
 		} else if !strings.Contains(err.Error(), "404") {
 			t.Errorf("dropbox expired resume: %v", err)

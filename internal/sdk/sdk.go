@@ -4,12 +4,19 @@
 // library they patched). Each client speaks its provider's real upload
 // protocol over the simulated HTTPS transport: OAuth2 token refresh,
 // session initiation, chunk/fragment PUTs, and downloads.
+//
+// Every client implements one interface, Client. Each provider's upload
+// protocol lives in its UploadSession; a whole-file Upload opens a
+// session and writes it out (writeAll), so the chunk requests are
+// written once per provider. The idempotency key that makes a
+// crash-replayed commit safe is an argument of BeginUpload and Resume,
+// carried by the session to its committing request, never state on a
+// client that many transfers share.
 package sdk
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 
 	"detournet/internal/cloudsim"
@@ -39,7 +46,23 @@ type Client interface {
 	From() string
 	// Upload stores size bytes under name and returns the stored
 	// metadata. md5 optionally carries a content digest for integrity.
+	// Its commit carries no idempotency key.
 	Upload(p *simproc.Proc, name string, size float64, md5 string) (FileInfo, error)
+	// BeginUpload opens an upload session for a file of the given total
+	// size. md5 optionally carries an end-to-end digest committed with
+	// the final chunk; attempt, when non-empty, is the idempotency key
+	// the commit carries as an X-Attempt-Id header. A provider that has
+	// already materialized a commit for the key answers with the stored
+	// object instead of committing again — what makes a crash-replayed
+	// attempt safe.
+	BeginUpload(p *simproc.Proc, name string, size float64, md5, attempt string) (UploadSession, error)
+	// Compose commits a striped multipath upload: the provider
+	// concatenates previously uploaded part objects, in order, into the
+	// final object and deletes the parts. md5 optionally carries the
+	// whole-file digest recorded on the composed object. See cloudsim's
+	// compose endpoint for the modeling caveat: this is a minimal
+	// control-plane extension, not a 2015-era consumer API.
+	Compose(p *simproc.Proc, name string, parts []string, md5 string) (FileInfo, error)
 	// Download fetches name and returns its metadata (bytes are timed on
 	// the wire, not materialized).
 	Download(p *simproc.Proc, name string) (FileInfo, error)
@@ -47,15 +70,6 @@ type Client interface {
 	Delete(p *simproc.Proc, name string) error
 	// Close releases kept-alive connections.
 	Close()
-}
-
-// AttemptTagger is a client that can tag its upload commits with an
-// idempotency key. The key rides the committing request as an
-// X-Attempt-Id header; a provider that has already materialized a
-// commit for the key answers with the stored object instead of
-// committing again — what makes a crash-replayed attempt safe.
-type AttemptTagger interface {
-	SetAttemptID(id string)
 }
 
 // Stater is a client that can look up stored object metadata without
@@ -92,10 +106,6 @@ type base struct {
 	host  string
 	from  string
 	chunk float64
-	// attemptID tags upload commits for idempotent replay. Sessions
-	// capture it at Begin/Resume so a client shared by concurrent
-	// relays cannot cross-tag another transfer's commit.
-	attemptID string
 }
 
 func newBase(eng *simclock.Engine, tn *transport.Net, from, host string, creds Credentials, style cloudsim.Style, opts Options) base {
@@ -116,9 +126,6 @@ func newBase(eng *simclock.Engine, tn *transport.Net, from, host string, creds C
 func (b *base) Host() string { return b.host }
 func (b *base) From() string { return b.from }
 func (b *base) Close()       { b.http.CloseIdle() }
-
-// SetAttemptID implements AttemptTagger. An empty id clears the tag.
-func (b *base) SetAttemptID(id string) { b.attemptID = id }
 
 // tagAttempt stamps the idempotency key onto a committing request.
 func tagAttempt(req *httpsim.Request, attempt string) {
@@ -190,9 +197,18 @@ func decodeMeta(body []byte) (FileInfo, error) {
 	return fi, nil
 }
 
-func chunksOf(size, chunk float64) int {
-	if size <= 0 {
-		return 1
+// writeAll writes the rest of a session in chunk-sized pieces, the last
+// one short, and returns the committed metadata: the whole-file Upload
+// loop every provider shares.
+func writeAll(p *simproc.Proc, sess UploadSession, size, chunk float64) (FileInfo, error) {
+	for {
+		n, last := chunk, false
+		if rest := size - sess.Written(); rest <= chunk {
+			n, last = rest, true
+		}
+		fi, err := sess.WriteChunk(p, n, last)
+		if err != nil || last {
+			return fi, err
+		}
 	}
-	return int(math.Ceil(size / chunk))
 }

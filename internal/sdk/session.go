@@ -19,15 +19,8 @@ type UploadSession interface {
 	WriteChunk(p *simproc.Proc, n float64, last bool) (FileInfo, error)
 	// Written returns the bytes appended so far.
 	Written() float64
-}
-
-// SessionClient is implemented by every provider client in this package.
-type SessionClient interface {
-	Client
-	// BeginUpload opens an upload session for a file of the given total
-	// size. md5 optionally carries an end-to-end digest committed with
-	// the final chunk.
-	BeginUpload(p *simproc.Proc, name string, size float64, md5 string) (UploadSession, error)
+	// Token checkpoints the session for a later Resume.
+	Token() SessionToken
 }
 
 // SessionToken is the serializable checkpoint of a provider upload
@@ -43,69 +36,54 @@ type SessionToken struct {
 	MD5      string
 }
 
-// TokenSession is an UploadSession that can checkpoint itself.
-type TokenSession interface {
-	UploadSession
-	Token() SessionToken
-}
-
 // SessionResumer is a client that can reattach to an interrupted
-// session from its token. GoogleDrive queries the server for the
-// confirmed offset; Dropbox self-corrects via the 409 correct_offset
-// protocol. OneDrive's 2015-era community library had no resume, so
-// OneDrive uploads restart from zero.
+// session from its token; attempt is the idempotency key the resumed
+// session's commit carries (see Client.BeginUpload). GoogleDrive
+// queries the server for the confirmed offset; Dropbox self-corrects
+// via the 409 correct_offset protocol. OneDrive's 2015-era community
+// library had no resume, so OneDrive uploads restart from zero.
 type SessionResumer interface {
-	Resume(p *simproc.Proc, tok SessionToken) (UploadSession, error)
+	Resume(p *simproc.Proc, tok SessionToken, attempt string) (UploadSession, error)
 }
 
-// --- Google Drive ---
+// --- Content-Range sessions (Google Drive, OneDrive) ---
 
-// GDriveSession is a Drive resumable upload in progress.
-type GDriveSession struct {
-	g        *GoogleDrive
-	location string
-	size     float64
-	sent     float64
-	md5      string
-	attempt  string // idempotency key captured at Begin/Resume
+// rangeProto is what tells the two Content-Range protocols apart: the
+// status that asks for more chunks, the status that answers the
+// committing chunk, and the label errors carry.
+type rangeProto struct {
+	provider   string
+	more, done int
+	what       string
 }
 
-// BeginUpload initiates a resumable session.
-func (g *GoogleDrive) BeginUpload(p *simproc.Proc, name string, size float64, md5 string) (UploadSession, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("sdk: session needs positive size")
-	}
-	// Capture the idempotency key before any I/O: the client may be
-	// shared (a DTN agent relays many transfers) and another caller may
-	// re-tag it while this request is on the wire.
-	attempt := g.attemptID
-	req, err := g.authed(p, "POST", "/upload/drive/v3/files?uploadType=resumable")
-	if err != nil {
-		return nil, err
-	}
-	meta, _ := json.Marshal(map[string]any{"name": name, "size": size})
-	req.Header["Content-Type"] = "application/json"
-	req.Body = meta
-	resp, err := g.do(p, req)
-	if err != nil {
-		return nil, fmt.Errorf("sdk: drive initiate: %w", err)
-	}
-	location := resp.Header["Location"]
-	if location == "" {
-		return nil, fmt.Errorf("sdk: drive initiate returned no Location")
-	}
-	return &GDriveSession{g: g, location: location, size: size, md5: md5, attempt: attempt}, nil
+var (
+	driveRanges    = rangeProto{"GoogleDrive", httpsim.StatusPermanentRedirect, httpsim.StatusOK, "drive chunk"}
+	oneDriveRanges = rangeProto{"OneDrive", 202, httpsim.StatusCreated, "onedrive fragment"}
+)
+
+// rangeSession is a Drive resumable upload or a OneDrive upload session
+// in progress: each chunk is a PUT of "bytes a-b/total" to the session
+// URL.
+type rangeSession struct {
+	rangeProto
+	b       *base
+	url     string
+	size    float64
+	sent    float64
+	md5     string
+	attempt string // idempotency key the commit carries
 }
 
 // Written implements UploadSession.
-func (s *GDriveSession) Written() float64 { return s.sent }
+func (s *rangeSession) Written() float64 { return s.sent }
 
 // WriteChunk implements UploadSession.
-func (s *GDriveSession) WriteChunk(p *simproc.Proc, n float64, last bool) (FileInfo, error) {
+func (s *rangeSession) WriteChunk(p *simproc.Proc, n float64, last bool) (FileInfo, error) {
 	if n <= 0 {
 		return FileInfo{}, fmt.Errorf("sdk: empty chunk")
 	}
-	put, err := s.g.authed(p, "PUT", s.location)
+	put, err := s.b.authed(p, "PUT", s.url)
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -115,58 +93,83 @@ func (s *GDriveSession) WriteChunk(p *simproc.Proc, n float64, last bool) (FileI
 	}
 	tagAttempt(put, s.attempt)
 	put.BodySize = n
-	resp, err := s.g.doRaw(p, put)
+	resp, err := s.b.doRaw(p, put)
 	if err != nil {
 		return FileInfo{}, err
 	}
 	s.sent += n
 	switch {
-	case resp.Status == httpsim.StatusPermanentRedirect && !last:
+	case resp.Status == s.more && !last:
 		return FileInfo{}, nil
-	case resp.Status == httpsim.StatusOK && last:
+	case resp.Status == s.done && last:
 		return decodeMeta(resp.Body)
 	default:
 		// Keep the typed *StatusError (and its Retry-After hint) for
 		// non-2xx answers so callers can branch on 429 vs 507 vs 5xx.
 		if err := resp.Error(); err != nil {
-			return FileInfo{}, fmt.Errorf("sdk: drive chunk at %.0f: %w", s.sent-n, err)
+			return FileInfo{}, fmt.Errorf("sdk: %s at %.0f: %w", s.what, s.sent-n, err)
 		}
-		return FileInfo{}, fmt.Errorf("sdk: drive chunk at %.0f: status %d (last=%v)", s.sent-n, resp.Status, last)
+		return FileInfo{}, fmt.Errorf("sdk: %s at %.0f: status %d (last=%v)", s.what, s.sent-n, resp.Status, last)
 	}
 }
 
-// Location exposes the session URI so an interrupted upload can be
-// resumed later with ResumeUpload.
-func (s *GDriveSession) Location() string { return s.location }
-
-// Token implements TokenSession.
-func (s *GDriveSession) Token() SessionToken {
+// Token implements UploadSession. OneDrive cannot Resume (see
+// SessionResumer), but its token still records progress for accounting.
+func (s *rangeSession) Token() SessionToken {
 	return SessionToken{
-		Provider: s.g.ProviderName(), Ref: s.location,
+		Provider: s.provider, Ref: s.url,
 		Size: s.size, Offset: s.sent, MD5: s.md5,
 	}
 }
 
-// Resume implements SessionResumer: the server's status query is ground
-// truth for the offset, so a stale token still resumes correctly.
-func (g *GoogleDrive) Resume(p *simproc.Proc, tok SessionToken) (UploadSession, error) {
-	return g.ResumeUpload(p, tok.Ref, tok.Size, tok.MD5)
+// --- Google Drive ---
+
+// initiate opens a Drive resumable session and returns its Location.
+func (g *GoogleDrive) initiate(p *simproc.Proc, name string, size float64) (string, error) {
+	req, err := g.authed(p, "POST", "/upload/drive/v3/files?uploadType=resumable")
+	if err != nil {
+		return "", err
+	}
+	meta, _ := json.Marshal(map[string]any{"name": name, "size": size})
+	req.Header["Content-Type"] = "application/json"
+	req.Body = meta
+	resp, err := g.do(p, req)
+	if err != nil {
+		return "", fmt.Errorf("sdk: drive initiate: %w", err)
+	}
+	location := resp.Header["Location"]
+	if location == "" {
+		return "", fmt.Errorf("sdk: drive initiate returned no Location")
+	}
+	return location, nil
 }
 
-// ResumeUpload reattaches to an existing Drive resumable session after
-// an interruption: it queries the server for the confirmed offset
-// (a "bytes */total" status PUT, per the real protocol) and returns a
-// session positioned to continue from there.
-func (g *GoogleDrive) ResumeUpload(p *simproc.Proc, location string, size float64, md5 string) (UploadSession, error) {
-	if location == "" || size <= 0 {
-		return nil, fmt.Errorf("sdk: resume needs a location and positive size")
+// BeginUpload implements Client: it initiates a resumable session.
+func (g *GoogleDrive) BeginUpload(p *simproc.Proc, name string, size float64, md5, attempt string) (UploadSession, error) {
+	if size <= 0 {
+		return nil, fmt.Errorf("sdk: session needs positive size")
 	}
-	attempt := g.attemptID // captured before I/O; see BeginUpload
-	req, err := g.authed(p, "PUT", location)
+	location, err := g.initiate(p, name, size)
 	if err != nil {
 		return nil, err
 	}
-	req.Header["Content-Range"] = fmt.Sprintf("bytes */%.0f", size)
+	return &rangeSession{rangeProto: driveRanges, b: &g.base, url: location, size: size, md5: md5, attempt: attempt}, nil
+}
+
+// Resume implements SessionResumer: it queries the server for the
+// confirmed offset (a "bytes */total" status PUT, per the real
+// protocol) and returns a session positioned to continue from there.
+// The server's answer is ground truth, so a stale token still resumes
+// correctly.
+func (g *GoogleDrive) Resume(p *simproc.Proc, tok SessionToken, attempt string) (UploadSession, error) {
+	if tok.Ref == "" || tok.Size <= 0 {
+		return nil, fmt.Errorf("sdk: resume needs a location and positive size")
+	}
+	req, err := g.authed(p, "PUT", tok.Ref)
+	if err != nil {
+		return nil, err
+	}
+	req.Header["Content-Range"] = fmt.Sprintf("bytes */%.0f", tok.Size)
 	resp, err := g.http.Do(p, req)
 	if err != nil {
 		return nil, err
@@ -181,26 +184,31 @@ func (g *GoogleDrive) ResumeUpload(p *simproc.Proc, location string, size float6
 			sent = hi + 1
 		}
 	}
-	return &GDriveSession{g: g, location: location, size: size, md5: md5, sent: sent, attempt: attempt}, nil
+	return &rangeSession{rangeProto: driveRanges, b: &g.base, url: tok.Ref, size: tok.Size, sent: sent, md5: tok.MD5, attempt: attempt}, nil
 }
 
 // --- Dropbox ---
 
-// DropboxSession is an upload_session in progress.
-type DropboxSession struct {
+// dropboxSession is an upload_session in progress.
+type dropboxSession struct {
 	d         *Dropbox
 	name      string
 	md5       string
 	sessionID string
 	sent      float64
-	attempt   string // idempotency key captured at Begin/Resume
+	attempt   string // idempotency key the commit carries
 }
 
-// BeginUpload starts an upload session (the start call itself carries no
-// data; the first WriteChunk may).
-func (d *Dropbox) BeginUpload(p *simproc.Proc, name string, size float64, md5 string) (UploadSession, error) {
-	attempt := d.attemptID // captured before I/O; see GoogleDrive.BeginUpload
-	body, err := d.apiCall(p, "/2/files/upload_session/start", map[string]any{}, 0, "", "")
+// BeginUpload implements Client: it starts an upload session (the start
+// call itself carries no data; the first WriteChunk may).
+func (d *Dropbox) BeginUpload(p *simproc.Proc, name string, size float64, md5, attempt string) (UploadSession, error) {
+	return d.start(p, name, md5, attempt, 0)
+}
+
+// start opens an upload session; the start call itself carries the
+// file's first `first` bytes.
+func (d *Dropbox) start(p *simproc.Proc, name, md5, attempt string, first float64) (UploadSession, error) {
+	body, err := d.apiCall(p, "/2/files/upload_session/start", map[string]any{}, first, "", "")
 	if err != nil {
 		return nil, fmt.Errorf("sdk: dropbox session start: %w", err)
 	}
@@ -210,14 +218,14 @@ func (d *Dropbox) BeginUpload(p *simproc.Proc, name string, size float64, md5 st
 	if err := json.Unmarshal(body, &start); err != nil || start.SessionID == "" {
 		return nil, fmt.Errorf("sdk: dropbox session start: bad response")
 	}
-	return &DropboxSession{d: d, name: name, md5: md5, sessionID: start.SessionID, attempt: attempt}, nil
+	return &dropboxSession{d: d, name: name, md5: md5, sessionID: start.SessionID, sent: first, attempt: attempt}, nil
 }
 
 // Written implements UploadSession.
-func (s *DropboxSession) Written() float64 { return s.sent }
+func (s *dropboxSession) Written() float64 { return s.sent }
 
 // WriteChunk implements UploadSession.
-func (s *DropboxSession) WriteChunk(p *simproc.Proc, n float64, last bool) (FileInfo, error) {
+func (s *dropboxSession) WriteChunk(p *simproc.Proc, n float64, last bool) (FileInfo, error) {
 	if n < 0 {
 		return FileInfo{}, fmt.Errorf("sdk: negative chunk")
 	}
@@ -239,68 +247,52 @@ func (s *DropboxSession) WriteChunk(p *simproc.Proc, n float64, last bool) (File
 	return FileInfo{}, nil
 }
 
-// Token implements TokenSession.
-func (s *DropboxSession) Token() SessionToken {
+// Token implements UploadSession.
+func (s *dropboxSession) Token() SessionToken {
 	return SessionToken{
 		Provider: s.d.ProviderName(), Ref: s.sessionID,
 		Name: s.name, Offset: s.sent, MD5: s.md5,
 	}
 }
 
-// ResumeUpload reattaches to a Dropbox upload_session. Dropbox has no
-// offset-query endpoint; instead the client probes with a zero-byte
-// append at its believed offset and, on the 409 incorrect_offset
-// response, adopts the server's correct_offset — the self-correction
-// dance the real API documents.
-func (d *Dropbox) ResumeUpload(p *simproc.Proc, sessionID, name string, offset float64, md5 string) (UploadSession, error) {
-	if sessionID == "" {
+// Resume implements SessionResumer. Dropbox has no offset-query
+// endpoint; instead the client probes with a zero-byte append at its
+// believed offset and, on the 409 incorrect_offset response, adopts the
+// server's correct_offset — the self-correction dance the real API
+// documents.
+func (d *Dropbox) Resume(p *simproc.Proc, tok SessionToken, attempt string) (UploadSession, error) {
+	if tok.Ref == "" {
 		return nil, fmt.Errorf("sdk: resume needs a session id")
 	}
-	attempt := d.attemptID // captured before I/O; see GoogleDrive.BeginUpload
-	if offset < 0 {
+	if tok.Offset < 0 {
 		return nil, fmt.Errorf("sdk: negative resume offset")
 	}
-	arg := map[string]any{"cursor": dbxCursor{SessionID: sessionID, Offset: offset}}
-	_, err := d.apiCall(p, "/2/files/upload_session/append_v2", arg, 0, "", "")
-	if err != nil {
+	sess := &dropboxSession{d: d, name: tok.Name, md5: tok.MD5, sessionID: tok.Ref, sent: tok.Offset, attempt: attempt}
+	arg := map[string]any{"cursor": dbxCursor{SessionID: tok.Ref, Offset: tok.Offset}}
+	if _, err := d.apiCall(p, "/2/files/upload_session/append_v2", arg, 0, "", ""); err != nil {
 		var se *httpsim.StatusError
 		if errors.As(err, &se) && se.Status == httpsim.StatusConflict {
 			var body struct {
 				CorrectOffset float64 `json:"correct_offset"`
 			}
 			if jerr := json.Unmarshal([]byte(se.Body), &body); jerr == nil {
-				return &DropboxSession{d: d, name: name, md5: md5, sessionID: sessionID, sent: body.CorrectOffset, attempt: attempt}, nil
+				sess.sent = body.CorrectOffset
+				return sess, nil
 			}
 		}
 		return nil, fmt.Errorf("sdk: dropbox resume: %w", err)
 	}
-	return &DropboxSession{d: d, name: name, md5: md5, sessionID: sessionID, sent: offset, attempt: attempt}, nil
-}
-
-// Resume implements SessionResumer.
-func (d *Dropbox) Resume(p *simproc.Proc, tok SessionToken) (UploadSession, error) {
-	return d.ResumeUpload(p, tok.Ref, tok.Name, tok.Offset, tok.MD5)
+	return sess, nil
 }
 
 // --- OneDrive ---
 
-// OneDriveSession is a Graph upload session in progress.
-type OneDriveSession struct {
-	o         *OneDrive
-	uploadURL string
-	size      float64
-	sent      float64
-	md5       string
-	attempt   string // idempotency key captured at Begin
-}
-
-// BeginUpload creates the upload session; OneDrive requires the total
-// size for fragment range math.
-func (o *OneDrive) BeginUpload(p *simproc.Proc, name string, size float64, md5 string) (UploadSession, error) {
+// BeginUpload implements Client: it creates a OneDrive upload session;
+// OneDrive requires the total size for fragment range math.
+func (o *OneDrive) BeginUpload(p *simproc.Proc, name string, size float64, md5, attempt string) (UploadSession, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("sdk: session needs positive size")
 	}
-	attempt := o.attemptID // captured before I/O; see GoogleDrive.BeginUpload
 	req, err := o.authed(p, "POST", "/v1.0/drive/root:/"+name+":/createUploadSession")
 	if err != nil {
 		return nil, err
@@ -315,63 +307,12 @@ func (o *OneDrive) BeginUpload(p *simproc.Proc, name string, size float64, md5 s
 	if err := json.Unmarshal(resp.Body, &sess); err != nil || sess.UploadURL == "" {
 		return nil, fmt.Errorf("sdk: onedrive session: bad response")
 	}
-	return &OneDriveSession{o: o, uploadURL: sess.UploadURL, size: size, md5: md5, attempt: attempt}, nil
-}
-
-// Written implements UploadSession.
-func (s *OneDriveSession) Written() float64 { return s.sent }
-
-// WriteChunk implements UploadSession.
-func (s *OneDriveSession) WriteChunk(p *simproc.Proc, n float64, last bool) (FileInfo, error) {
-	if n <= 0 {
-		return FileInfo{}, fmt.Errorf("sdk: empty fragment")
-	}
-	put, err := s.o.authed(p, "PUT", s.uploadURL)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	put.Header["Content-Range"] = fmt.Sprintf("bytes %.0f-%.0f/%.0f", s.sent, s.sent+n-1, s.size)
-	if s.md5 != "" {
-		put.Header["X-Content-MD5"] = s.md5
-	}
-	tagAttempt(put, s.attempt)
-	put.BodySize = n
-	resp, err := s.o.doRaw(p, put)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	s.sent += n
-	switch {
-	case resp.Status == 202 && !last:
-		return FileInfo{}, nil
-	case resp.Status == httpsim.StatusCreated && last:
-		return decodeMeta(resp.Body)
-	default:
-		// Keep the typed *StatusError (and its Retry-After hint) for
-		// non-2xx answers so callers can branch on 429 vs 507 vs 5xx.
-		if err := resp.Error(); err != nil {
-			return FileInfo{}, fmt.Errorf("sdk: onedrive fragment at %.0f: %w", s.sent-n, err)
-		}
-		return FileInfo{}, fmt.Errorf("sdk: onedrive fragment at %.0f: status %d (last=%v)", s.sent-n, resp.Status, last)
-	}
-}
-
-// Token implements TokenSession. OneDrive cannot Resume (see
-// SessionResumer), but the token still records progress for accounting.
-func (s *OneDriveSession) Token() SessionToken {
-	return SessionToken{
-		Provider: s.o.ProviderName(), Ref: s.uploadURL,
-		Size: s.size, Offset: s.sent, MD5: s.md5,
-	}
+	return &rangeSession{rangeProto: oneDriveRanges, b: &o.base, url: sess.UploadURL, size: size, md5: md5, attempt: attempt}, nil
 }
 
 var (
-	_ SessionClient  = (*GoogleDrive)(nil)
-	_ SessionClient  = (*Dropbox)(nil)
-	_ SessionClient  = (*OneDrive)(nil)
-	_ TokenSession   = (*GDriveSession)(nil)
-	_ TokenSession   = (*DropboxSession)(nil)
-	_ TokenSession   = (*OneDriveSession)(nil)
+	_ UploadSession  = (*rangeSession)(nil)
+	_ UploadSession  = (*dropboxSession)(nil)
 	_ SessionResumer = (*GoogleDrive)(nil)
 	_ SessionResumer = (*Dropbox)(nil)
 )

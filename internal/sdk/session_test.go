@@ -11,9 +11,9 @@ func TestStreamingSessionsAllProviders(t *testing.T) {
 	for _, style := range []cloudsim.Style{cloudsim.GoogleDrive, cloudsim.Dropbox, cloudsim.OneDrive} {
 		t.Run(style.String(), func(t *testing.T) {
 			w := newWorld(t)
-			c := w.client(t, style, Options{}).(SessionClient)
+			c := w.client(t, style, Options{})
 			w.run(t, func(p *simproc.Proc) {
-				sess, err := c.BeginUpload(p, "stream.bin", 10e6, "digest")
+				sess, err := c.BeginUpload(p, "stream.bin", 10e6, "digest", "")
 				if err != nil {
 					t.Errorf("begin: %v", err)
 					return
@@ -50,16 +50,16 @@ func TestStreamingSessionsAllProviders(t *testing.T) {
 
 func TestSessionRejectsBadSizes(t *testing.T) {
 	w := newWorld(t)
-	g := w.client(t, cloudsim.GoogleDrive, Options{}).(SessionClient)
-	o := w.client(t, cloudsim.OneDrive, Options{}).(SessionClient)
+	g := w.client(t, cloudsim.GoogleDrive, Options{})
+	o := w.client(t, cloudsim.OneDrive, Options{})
 	w.run(t, func(p *simproc.Proc) {
-		if _, err := g.BeginUpload(p, "x", 0, ""); err == nil {
+		if _, err := g.BeginUpload(p, "x", 0, "", ""); err == nil {
 			t.Error("drive zero-size session accepted")
 		}
-		if _, err := o.BeginUpload(p, "x", -1, ""); err == nil {
+		if _, err := o.BeginUpload(p, "x", -1, "", ""); err == nil {
 			t.Error("onedrive negative session accepted")
 		}
-		sess, err := g.BeginUpload(p, "x", 100, "")
+		sess, err := g.BeginUpload(p, "x", 100, "", "")
 		if err != nil {
 			t.Error(err)
 			return
@@ -78,11 +78,11 @@ func TestSessionMatchesWholeUploadSemantics(t *testing.T) {
 	for _, style := range []cloudsim.Style{cloudsim.GoogleDrive, cloudsim.Dropbox, cloudsim.OneDrive} {
 		t.Run(style.String(), func(t *testing.T) {
 			w := newWorld(t)
-			c := w.client(t, style, Options{}).(SessionClient)
+			c := w.client(t, style, Options{})
 			size := 25e6
 			chunk := style.DefaultChunkBytes()
 			w.run(t, func(p *simproc.Proc) {
-				sess, err := c.BeginUpload(p, "f.bin", size, "")
+				sess, err := c.BeginUpload(p, "f.bin", size, "", "")
 				if err != nil {
 					t.Error(err)
 					return
@@ -114,7 +114,7 @@ func TestDriveResumeAfterInterruption(t *testing.T) {
 	g := w.client(t, cloudsim.GoogleDrive, Options{}).(*GoogleDrive)
 	w.run(t, func(p *simproc.Proc) {
 		size := 20e6
-		sess, err := g.BeginUpload(p, "resume.bin", size, "")
+		sess, err := g.BeginUpload(p, "resume.bin", size, "", "")
 		if err != nil {
 			t.Error(err)
 			return
@@ -124,10 +124,8 @@ func TestDriveResumeAfterInterruption(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		loc := sess.(*GDriveSession).Location()
-
 		// Reattach: the status query reports the confirmed offset.
-		resumed, err := g.ResumeUpload(p, loc, size, "")
+		resumed, err := g.Resume(p, sess.Token(), "")
 		if err != nil {
 			t.Error(err)
 			return
@@ -156,12 +154,12 @@ func TestDriveResumeFreshSession(t *testing.T) {
 	w := newWorld(t)
 	g := w.client(t, cloudsim.GoogleDrive, Options{}).(*GoogleDrive)
 	w.run(t, func(p *simproc.Proc) {
-		sess, err := g.BeginUpload(p, "f.bin", 5e6, "")
+		sess, err := g.BeginUpload(p, "f.bin", 5e6, "", "")
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		resumed, err := g.ResumeUpload(p, sess.(*GDriveSession).Location(), 5e6, "")
+		resumed, err := g.Resume(p, sess.Token(), "")
 		if err != nil {
 			t.Error(err)
 			return
@@ -180,10 +178,10 @@ func TestDriveResumeValidation(t *testing.T) {
 	w := newWorld(t)
 	g := w.client(t, cloudsim.GoogleDrive, Options{}).(*GoogleDrive)
 	w.run(t, func(p *simproc.Proc) {
-		if _, err := g.ResumeUpload(p, "", 100, ""); err == nil {
+		if _, err := g.Resume(p, SessionToken{Size: 100}, ""); err == nil {
 			t.Error("empty location accepted")
 		}
-		if _, err := g.ResumeUpload(p, "/upload/drive/v3/sessions/sess-999", 100, ""); err == nil {
+		if _, err := g.Resume(p, SessionToken{Ref: "/upload/drive/v3/sessions/sess-999", Size: 100}, ""); err == nil {
 			t.Error("unknown session resumed")
 		}
 		g.Close()
