@@ -23,39 +23,39 @@ bench:
 	bash detourledger/run.sh
 
 fleet:
-	$(GO) run ./examples/fleet
+	$(GO) run ./cmd/detourbench -experiment fleet
 
 # Chaos: the fault-injection tests race-clean, then the fleet trace
 # replayed under the canned fault schedule.
 chaos:
 	$(GO) test -race ./internal/faults/ ./internal/sched/
-	$(GO) run ./examples/chaos
+	$(GO) run ./cmd/detourbench -experiment chaos
 
 # Overload: the flash-crowd trace replayed with and without the
 # overload-control stack (admission control, fair queuing, shedding,
 # hedging, brownout), comparing goodput and fairness.
 overload:
-	$(GO) run ./examples/overload
+	$(GO) run ./cmd/detourbench -experiment overload
 
 # Churn: the routing-dynamics tests race-clean (staged convergence,
 # push invalidation, make-before-break reroute/reattach), then the BGP
 # reconvergence storm replayed with and without the churn stack.
 churn:
 	$(GO) test -race ./internal/bgppol/ ./internal/sched/ ./internal/core/ ./internal/replay/
-	$(GO) run ./examples/churn
+	$(GO) run ./cmd/detourbench -experiment churn
 
 # Multipath: the striping tests race-clean (chunk ledger, hedging,
 # drains, churn digest property), then the striped-vs-single replay.
 multipath:
 	$(GO) test -race ./internal/multipath/ ./internal/stats/ ./internal/sched/ ./internal/replay/
-	$(GO) run ./examples/multipath
+	$(GO) run ./cmd/detourbench -experiment multipath
 
 # Grayfail: the gray-failure detection tests race-clean (stall
 # watchdogs, outlier ejection with canary re-admission, retry budgets),
 # then the silent-degradation replay with and without the health stack.
 grayfail:
 	$(GO) test -race ./internal/health/ ./internal/faults/ ./internal/sched/ ./internal/replay/
-	$(GO) run ./examples/grayfail
+	$(GO) run ./cmd/detourbench -experiment grayfail
 
 # Crashsafe: the crash-consistency tests race-clean (journal framing,
 # replay fold, torn tails, snapshot equivalence, the full crash-point
@@ -65,7 +65,7 @@ grayfail:
 crashsafe:
 	$(GO) test -race ./internal/journal/ ./internal/sched/ ./internal/replay/
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
-	$(GO) run ./examples/crashsafe
+	$(GO) run ./cmd/detourbench -experiment crashsafe
 
 # Pressure: the storage-exhaustion tests race-clean (staging-disk
 # admission/eviction/conservation, quota reclaim/spill/park ladder,
@@ -74,16 +74,16 @@ crashsafe:
 # vs the no-mitigation ablation.
 pressure:
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/ ./internal/cloudsim/ ./internal/journal/ ./internal/replay/
-	$(GO) run ./examples/pressure
+	$(GO) run ./cmd/detourbench -experiment pressure
 
 # Telemetry: the observability-plane tests race-clean (registry hot
-# path, histogram merges, sampler wraparound/pause, flight-recorder
+# path, histogram quantiles, sampler wraparound/pause, flight-recorder
 # retention, determinism, no-observer-effect), then the instrumented
 # flash-crowd replay: live dumps, dashboard sparklines, failed-job
 # decision traces, Prometheus dump.
 telemetry:
 	$(GO) test -race ./internal/telemetry/ ./internal/sched/ ./internal/replay/
-	$(GO) run ./examples/telemetry
+	$(GO) run ./cmd/detourbench -experiment telemetry
 
 # Stress: the scheduler suite repeated under the race detector to
 # shake out ordering-dependent bugs in the queue and overload layer,
@@ -95,13 +95,16 @@ telemetry:
 stress:
 	$(GO) test -race -count=5 ./internal/sched/ ./internal/telemetry/ ./internal/replay/ ./internal/simproc/
 
-# Golden outputs: the stdout of every single-driver example and of the
-# 15 detourbench figures and tables, pinned byte for byte under
-# testdata/golden/. chaos and fleet are left out: their worker pools
-# interleave for real, so two runs differ. `make golden` rewrites the
-# files after an intended output change; `make golden-check` compares.
-GOLDEN_EXAMPLES = churn crashsafe detour-selection grayfail multipath overlay-monitor \
-	overload pressure provider-sweep quickstart science-dmz telemetry
+# Golden outputs: the stdout of every single-driver example, of the
+# seven deterministic scheduler replays and of the 15 detourbench
+# figures and tables, pinned byte for byte under testdata/golden/. The
+# replays print through `detourbench -experiment <mode>` and keep their
+# example-<mode>.txt file names. chaos and fleet are left out: their
+# worker pools interleave for real, so two runs differ. `make golden`
+# rewrites the files after an intended output change; `make
+# golden-check` compares.
+GOLDEN_EXAMPLES = detour-selection overlay-monitor provider-sweep quickstart science-dmz
+GOLDEN_REPLAYS = churn crashsafe grayfail multipath overload pressure telemetry
 GOLDEN_EXPERIMENTS = fig2 table2 fig3 fig4 fig5 fig6 fig7 table3 fig8 fig9 table4 \
 	fig10 fig11 table1 table5
 GOLDEN_BIN = .golden-bin
@@ -111,6 +114,8 @@ golden:
 	$(GOLDEN_BUILD)
 	mkdir -p testdata/golden
 	for e in $(GOLDEN_EXAMPLES); do $(GOLDEN_BIN)/$$e >testdata/golden/example-$$e.txt || exit 1; done
+	for m in $(GOLDEN_REPLAYS); do \
+		$(GOLDEN_BIN)/detourbench -experiment $$m >testdata/golden/example-$$m.txt || exit 1; done
 	for x in $(GOLDEN_EXPERIMENTS); do \
 		$(GOLDEN_BIN)/detourbench -experiment $$x >testdata/golden/detourbench-$$x.txt || exit 1; done
 
@@ -118,6 +123,8 @@ golden-check:
 	$(GOLDEN_BUILD)
 	for e in $(GOLDEN_EXAMPLES); do $(GOLDEN_BIN)/$$e >$(GOLDEN_BIN)/out.txt && \
 		cmp $(GOLDEN_BIN)/out.txt testdata/golden/example-$$e.txt || exit 1; done
+	for m in $(GOLDEN_REPLAYS); do $(GOLDEN_BIN)/detourbench -experiment $$m >$(GOLDEN_BIN)/out.txt && \
+		cmp $(GOLDEN_BIN)/out.txt testdata/golden/example-$$m.txt || exit 1; done
 	for x in $(GOLDEN_EXPERIMENTS); do $(GOLDEN_BIN)/detourbench -experiment $$x >$(GOLDEN_BIN)/out.txt && \
 		cmp $(GOLDEN_BIN)/out.txt testdata/golden/detourbench-$$x.txt || exit 1; done
 
@@ -127,11 +134,10 @@ golden-check:
 # module (which `./...` skips) compiles and vets against the scheduler,
 # the delta-encoding and journal-decode fuzzers hold up for a short
 # smoke run, the chaos and overload replays complete, and every
-# deterministic example — the churn, multipath, grayfail, crashsafe,
-# pressure and telemetry replays included, for telemetry the whole
-# observability plane: metric dumps, time series, sparklines, and
-# flight-recorder traces — and every paper figure/table matches its
-# golden output. The eviction-safety suites get an explicit race pass
+# deterministic example, every deterministic scheduler replay — for
+# telemetry the whole observability plane: metric dumps, time series,
+# sparklines, and flight-recorder traces — and every paper figure/table
+# matches its golden output. The eviction-safety suites get an explicit race pass
 # (cheap, and kept even if the blanket ./... leg above is ever
 # narrowed).
 check:
@@ -141,6 +147,6 @@ check:
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
-	$(GO) run ./examples/chaos >/dev/null
-	$(GO) run ./examples/overload >/dev/null
+	$(GO) run ./cmd/detourbench -experiment chaos >/dev/null
+	$(GO) run ./cmd/detourbench -experiment overload >/dev/null
 	$(MAKE) --no-print-directory golden-check

@@ -670,12 +670,13 @@ func BenchmarkBGPRoutesToCold(b *testing.B) {
 }
 
 // BenchmarkChurnReplay replays the full reconvergence storm (control +
-// stack runs, the examples/churn workload) once per iteration and
-// reports the stack's survival rate over storm-touched transfers.
+// stack runs, the `detourbench -experiment churn` workload) once per
+// iteration and reports the stack's survival rate over storm-touched
+// transfers.
 func BenchmarkChurnReplay(b *testing.B) {
 	var v replay.ChurnVerdict
 	for i := 0; i < b.N; i++ {
-		v = replay.WriteChurn(io.Discard, 2015, 0)
+		v = replay.WriteChurn(io.Discard, 2015)
 	}
 	printOnce("churn", fmt.Sprintf(
 		"Churn: storm touched %d transfers — control failed %.0f%%, stack survived %.0f%%, %.1f MB re-sent (budget %.1f MB)",

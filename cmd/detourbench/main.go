@@ -1,44 +1,165 @@
 // Command detourbench regenerates every table and figure of the paper's
-// evaluation from the simulated world and prints them as text.
+// evaluation from the simulated world, the extensions built on it, and
+// every scheduler replay, and prints them as text.
 //
 // Usage:
 //
-//	detourbench [-experiment all|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table1|table2|table3|table4|table5]
-//	            [-seed N] [-runs N] [-keep N] [-sizes 10,20,...] [-quick]
+//	detourbench [-experiment all|fig2|table2|fig3|fig4|fig5|fig6|fig7|table3|fig8|fig9|table4|fig10|fig11|table1|table5
+//	                        |report|download|sensitivity|contention|workload|dump
+//	                        |churn|crashsafe|grayfail|multipath|overload|pressure|telemetry|chaos|fleet]
+//	            [-seed N] [-runs N] [-keep N] [-sizes 10,20,...] [-quick] [-format csv|json]
 //
-// The default -seed 2015 with the full protocol reproduces the values
-// recorded in EXPERIMENTS.md.
+// all, the default, prints every figure and table in paper order.
+// Names are case-insensitive. The default -seed 2015 with the full
+// protocol reproduces the values recorded in EXPERIMENTS.md.
+//
+// The last nine names are the scheduler replays of internal/replay; they
+// read only -seed. Without it each runs at the seed its golden under
+// testdata/golden was committed at: 7 for telemetry (under the storm it
+// fails exactly one transfer, so the report always includes a complete
+// failed-job decision trace) and 2015 for the rest. chaos and fleet
+// drain on eight real workers, so their reports vary between runs. A
+// replay whose acceptance check breaks exits 1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"detournet/internal/experiments"
 	"detournet/internal/measure"
+	"detournet/internal/replay"
 	"detournet/internal/report"
 	"detournet/internal/scenario"
 )
 
+// experiment is one name -experiment accepts.
+type experiment struct {
+	name string
+	// paper marks the figures and tables that all prints.
+	paper bool
+	// seed, when set, is the seed the name runs at without -seed: the
+	// one its golden was committed at.
+	seed int64
+	run  func(s *experiments.Suite) error
+}
+
+// paper prints one of the paper's figures or tables.
+func paper(name string, f func(*experiments.Suite) string) experiment {
+	return experiment{name: name, paper: true, run: func(s *experiments.Suite) error {
+		fmt.Println(f(s))
+		return nil
+	}}
+}
+
+// replayMode prints one scheduler replay at the suite's seed.
+func replayMode(name string, seed int64, f func(io.Writer, int64) error) experiment {
+	return experiment{name: name, seed: seed, run: func(s *experiments.Suite) error {
+		return f(os.Stdout, s.Options.Seed)
+	}}
+}
+
+// unchecked adapts a replay report that has no acceptance check.
+func unchecked(f func(io.Writer, int64)) func(io.Writer, int64) error {
+	return func(out io.Writer, seed int64) error {
+		f(out, seed)
+		return nil
+	}
+}
+
+var (
+	format = flag.String("format", "csv", "output format for -experiment dump: csv or json")
+
+	table = []experiment{
+		paper("fig2", (*experiments.Suite).Fig2),
+		paper("table2", (*experiments.Suite).TableII),
+		paper("fig3", (*experiments.Suite).Fig3),
+		paper("fig4", (*experiments.Suite).Fig4),
+		paper("fig5", (*experiments.Suite).Fig5),
+		paper("fig6", (*experiments.Suite).Fig6),
+		paper("fig7", (*experiments.Suite).Fig7),
+		paper("table3", (*experiments.Suite).TableIII),
+		paper("fig8", (*experiments.Suite).Fig8),
+		paper("fig9", (*experiments.Suite).Fig9),
+		paper("table4", (*experiments.Suite).TableIV),
+		paper("fig10", (*experiments.Suite).Fig10),
+		paper("fig11", (*experiments.Suite).Fig11),
+		paper("table1", (*experiments.Suite).TableI),
+		paper("table5", (*experiments.Suite).TableV),
+		{name: "report", run: writeReport},
+		{name: "download", run: writeDownload},
+		{name: "sensitivity", run: writeSensitivity},
+		{name: "contention", run: writeContention},
+		{name: "workload", run: writeWorkload},
+		{name: "dump", run: writeDump},
+		replayMode("churn", 2015, func(out io.Writer, seed int64) error {
+			replay.WriteChurn(out, seed)
+			return nil
+		}),
+		replayMode("crashsafe", 2015, replay.WriteCrashsafe),
+		replayMode("grayfail", 2015, unchecked(replay.WriteGrayfail)),
+		replayMode("multipath", 2015, replay.WriteMultipath),
+		replayMode("overload", 2015, unchecked(replay.WriteOverload)),
+		replayMode("pressure", 2015, unchecked(replay.WritePressure)),
+		replayMode("telemetry", 7, unchecked(replay.WriteTelemetry)),
+		replayMode("chaos", 2015, unchecked(replay.WriteChaos)),
+		replayMode("fleet", 2015, unchecked(replay.WriteFleet)),
+	}
+)
+
+// names lists every accepted -experiment name.
+func names() string {
+	out := []string{"all"}
+	for _, e := range table {
+		out = append(out, e.name)
+	}
+	return strings.Join(out, ", ")
+}
+
+// selected returns what -experiment name runs, matched
+// case-insensitively: every paper figure and table for all, else the
+// one entry of that name (none when unknown).
+func selected(name string) []experiment {
+	name = strings.ToLower(name)
+	var out []experiment
+	for _, e := range table {
+		if e.name == name || (name == "all" && e.paper) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func main() {
 	var (
-		which  = flag.String("experiment", "all", "which experiment to run (all, fig2..fig11, table1..table5, dump, workload, download, sensitivity, contention, report)")
-		seed   = flag.Int64("seed", 2015, "world seed (cross-traffic, jitter)")
-		runs   = flag.Int("runs", 7, "runs per measurement cell")
-		keep   = flag.Int("keep", 5, "runs retained for the mean (last N)")
-		sizes  = flag.String("sizes", "", "comma-separated file sizes in MB (default: paper's 10,20,30,40,50,60,100)")
-		quick  = flag.Bool("quick", false, "reduced protocol (3 sizes, 3 runs) for a fast smoke run")
-		format = flag.String("format", "csv", "output format for -experiment dump: csv or json")
+		which = flag.String("experiment", "all", "which experiment to run ("+names()+")")
+		seed  = flag.Int64("seed", 2015, "world seed (cross-traffic, jitter)")
+		runs  = flag.Int("runs", 7, "runs per measurement cell")
+		keep  = flag.Int("keep", 5, "runs retained for the mean (last N)")
+		sizes = flag.String("sizes", "", "comma-separated file sizes in MB (default: paper's 10,20,30,40,50,60,100)")
+		quick = flag.Bool("quick", false, "reduced protocol (3 sizes, 3 runs) for a fast smoke run")
 	)
 	flag.Parse()
+
+	todo := selected(*which)
+	if len(todo) == 0 {
+		fmt.Fprintf(os.Stderr, "detourbench: unknown experiment %q (want %s)\n", *which, names())
+		os.Exit(2)
+	}
 
 	o := experiments.Options{Seed: *seed, Runs: *runs, Keep: *keep}
 	if *quick {
 		o = experiments.Quick()
 		o.Seed = *seed
+	}
+	seedSet := false
+	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
+	if e := todo[0]; !seedSet && e.seed != 0 {
+		o.Seed = e.seed
 	}
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {
@@ -52,106 +173,87 @@ func main() {
 	}
 	suite := &experiments.Suite{Options: o}
 
-	runners := map[string]func() string{
-		"fig2":   suite.Fig2,
-		"fig3":   suite.Fig3,
-		"fig4":   suite.Fig4,
-		"fig5":   suite.Fig5,
-		"fig6":   suite.Fig6,
-		"fig7":   suite.Fig7,
-		"fig8":   suite.Fig8,
-		"fig9":   suite.Fig9,
-		"fig10":  suite.Fig10,
-		"fig11":  suite.Fig11,
-		"table1": suite.TableI,
-		"table2": suite.TableII,
-		"table3": suite.TableIII,
-		"table4": suite.TableIV,
-		"table5": suite.TableV,
-	}
-	order := []string{"fig2", "table2", "fig3", "fig4", "fig5", "fig6",
-		"fig7", "table3", "fig8", "fig9", "table4", "fig10", "fig11", "table1", "table5"}
-
-	if *which == "report" {
-		if err := report.Write(os.Stdout, report.Config{Options: o, Extensions: true}); err != nil {
-			fmt.Fprintf(os.Stderr, "detourbench: report: %v\n", err)
+	for _, e := range todo {
+		if err := e.run(suite); err != nil {
+			fmt.Fprintf(os.Stderr, "detourbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		return
-	}
-	if *which == "download" {
-		// Extension: the reverse direction for every client, Google Drive.
-		for _, c := range scenario.Clients {
-			w := scenario.Build(o.Seed)
-			g := measure.RunGrid(w, measure.GridSpec{
-				Client: c, Provider: scenario.GoogleDrive,
-				Direction: measure.Download,
-				SizesMB:   o.SizesMB, Runs: o.Runs, Keep: o.Keep, Seed: o.Seed,
-			})
-			fmt.Printf("Download times %s <- GoogleDrive\n%s\n", c, g.FormatTable())
-		}
-		return
-	}
-	if *which == "sensitivity" {
-		points := experiments.SensitivityPacificWave(o, []float64{0.6, 1.25, 2.5, 4, 6, 8})
-		fmt.Println(experiments.FormatSensitivity(points))
-		return
-	}
-	if *which == "contention" {
-		results, err := experiments.ContentionStudy(o, [][]string{
-			{scenario.UBC},
-			{scenario.UBC, scenario.Purdue},
-			{scenario.UBC, scenario.Purdue, scenario.UCLA},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "detourbench: contention: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(experiments.FormatContention(results))
-		return
-	}
-	if *which == "workload" {
-		for _, c := range scenario.Clients {
-			results, err := experiments.WorkloadStudy(o, c, scenario.GoogleDrive, 12)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "detourbench: workload: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(experiments.FormatWorkloadStudy(c, scenario.GoogleDrive, results))
-		}
-		return
-	}
-	if *which == "dump" {
-		// Machine-readable export of every grid, for plotting.
-		for _, c := range scenario.Clients {
-			for _, p := range scenario.ProviderNames {
-				pr := experiments.RunPair(o, c, p)
-				var err error
-				if *format == "json" {
-					err = pr.Grid.WriteJSON(os.Stdout)
-				} else {
-					err = pr.Grid.WriteCSV(os.Stdout)
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "detourbench: export: %v\n", err)
-					os.Exit(1)
-				}
-			}
-		}
-		return
-	}
-	if *which == "all" {
-		for _, name := range order {
-			fmt.Println(runners[name]())
+		if len(todo) > 1 {
 			fmt.Println()
 		}
-		return
 	}
-	fn, ok := runners[strings.ToLower(*which)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "detourbench: unknown experiment %q (want all, %s)\n",
-			*which, strings.Join(order, ", "))
-		os.Exit(2)
+}
+
+// writeReport prints the full evaluation report with its extensions.
+func writeReport(s *experiments.Suite) error {
+	return report.Write(os.Stdout, report.Config{Options: s.Options, Extensions: true})
+}
+
+// writeDownload prints the reverse direction for every client, Google
+// Drive.
+func writeDownload(s *experiments.Suite) error {
+	o := s.Options
+	for _, c := range scenario.Clients {
+		w := scenario.Build(o.Seed)
+		g := measure.RunGrid(w, measure.GridSpec{
+			Client: c, Provider: scenario.GoogleDrive,
+			Direction: measure.Download,
+			SizesMB:   o.SizesMB, Runs: o.Runs, Keep: o.Keep, Seed: o.Seed,
+		})
+		fmt.Printf("Download times %s <- GoogleDrive\n%s\n", c, g.FormatTable())
 	}
-	fmt.Println(fn())
+	return nil
+}
+
+// writeSensitivity sweeps the PacificWave hand-off's rate.
+func writeSensitivity(s *experiments.Suite) error {
+	points := experiments.SensitivityPacificWave(s.Options, []float64{0.6, 1.25, 2.5, 4, 6, 8})
+	fmt.Println(experiments.FormatSensitivity(points))
+	return nil
+}
+
+// writeContention prints one to three campuses uploading at once.
+func writeContention(s *experiments.Suite) error {
+	results, err := experiments.ContentionStudy(s.Options, [][]string{
+		{scenario.UBC},
+		{scenario.UBC, scenario.Purdue},
+		{scenario.UBC, scenario.Purdue, scenario.UCLA},
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Println(experiments.FormatContention(results))
+	return nil
+}
+
+// writeWorkload prints each client's mixed-workload study to Google
+// Drive.
+func writeWorkload(s *experiments.Suite) error {
+	for _, c := range scenario.Clients {
+		results, err := experiments.WorkloadStudy(s.Options, c, scenario.GoogleDrive, 12)
+		if err != nil {
+			return err
+		}
+		fmt.Println(experiments.FormatWorkloadStudy(c, scenario.GoogleDrive, results))
+	}
+	return nil
+}
+
+// writeDump exports every grid in -format, for plotting.
+func writeDump(s *experiments.Suite) error {
+	for _, c := range scenario.Clients {
+		for _, p := range scenario.ProviderNames {
+			pr := experiments.RunPair(s.Options, c, p)
+			var err error
+			if *format == "json" {
+				err = pr.Grid.WriteJSON(os.Stdout)
+			} else {
+				err = pr.Grid.WriteCSV(os.Stdout)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

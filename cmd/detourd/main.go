@@ -29,57 +29,10 @@
 // Shed and expired jobs are expected under overload and do not fail
 // the process.
 //
-// With -churn, the daemon instead replays the BGP reconvergence storm
-// (see internal/faults.ChurnSchedule) twice over the same fleet and
-// seed — once as an ablated control and once with the full churn stack:
-// staged per-domain convergence with transient blackholes, push-based
-// route invalidation off the event bus, make-before-break rerouting of
-// in-flight transfers, parking on total route loss, and a DTN drain —
-// and prints the deterministic with/without report. Other scheduler
-// flags are ignored in this mode.
-//
-// With -grayfail, the daemon instead replays the gray-failure schedule
-// (see internal/faults.GrayfailSchedule) twice over the same fleet and
-// seed — once as the Health == nil ablation and once with the health
-// stack: stall watchdogs with adaptive budgets, outlier ejection with
-// canary re-admission, and per-provider retry budgets — and prints the
-// deterministic with/without report. Other scheduler flags are ignored
-// in this mode.
-//
-// With -pressure, the daemon instead replays the storage-exhaustion
-// schedule (see internal/faults.PressureSchedule) twice over the same
-// fleet and seed — once as the no-mitigation ablation and once with the
-// full ladder: LRU eviction of stale staged state, spill-aware
-// placement off DTN headroom, provider-session reclamation on 507,
-// spill to alternate providers, and journal degradation to in-memory
-// folding — and prints the deterministic with/without report. Other
-// scheduler flags are ignored in this mode.
-//
-// With -crashsafe, the daemon instead runs the crash-consistency sweep
-// (see internal/replay.WriteCrashsafe): a journaled scheduler killed
-// at every enumerated control-plane crash point, restarted on the same
-// journal, and required to converge byte-identical to the crash-free
-// control with zero duplicate provider commits — plus the storage-decay
-// arm. Other scheduler flags are ignored in this mode.
-//
-// With -multipath, the daemon instead runs the striped-transfer
-// comparison (see internal/replay.WriteMultipath): every site/provider
-// pair measured over each single route and then striped across direct
-// + detours through JobMultipath, plus the churn leg that drives one
-// large striped transfer into the reconvergence storm. Other scheduler
-// flags are ignored in this mode.
-//
-// With -telemetry, the daemon instead replays the instrumented flash
-// crowd (see internal/replay.WriteTelemetry) against the reconvergence
-// storm with the full observability plane attached — metrics registry,
-// virtual-clock sampler, per-job flight recorder — printing a compact
-// telemetry line every -dump-every virtual seconds while it drains,
-// then the dashboard and the full deterministic report (time series,
-// failed-job decision traces, Prometheus dump). Other scheduler flags
-// are ignored in this mode.
-//
-// Each replay mode prints exactly what its program under examples/
-// prints for the same seed.
+// The deterministic scheduler replays (churn, grayfail, pressure,
+// multipath, crashsafe, telemetry, overload) and the fleet and chaos
+// reports are not daemon modes: `detourbench -experiment <mode>` prints
+// each of them.
 package main
 
 import (
@@ -107,36 +60,8 @@ func main() {
 		statsEvery  = flag.Duration("stats", 2*time.Second, "status-line interval (0 = quiet)")
 		chaos       = flag.Bool("chaos", false, "replay the canned fault schedule while draining")
 		overload    = flag.Bool("overload", false, "arm admission control, fair queuing, shedding, hedging, and brownout")
-		churn       = flag.Bool("churn", false, "replay the BGP reconvergence storm, control vs full stack, and report")
-		grayfail    = flag.Bool("grayfail", false, "replay the gray-failure schedule, no-health ablation vs health stack, and report")
-		pressure    = flag.Bool("pressure", false, "replay the storage-exhaustion schedule, no-mitigation ablation vs full stack, and report")
-		mpath       = flag.Bool("multipath", false, "run the striped-vs-single comparison plus the multipath churn leg, and report")
-		crashsafe   = flag.Bool("crashsafe", false, "run the crash-consistency sweep (kill at every crash point, restart, replay) and report")
-		telem       = flag.Bool("telemetry", false, "replay the instrumented flash crowd with the observability plane and report")
-		dumpEvery   = flag.Float64("dump-every", 60, "virtual seconds between periodic telemetry lines in -telemetry mode")
 	)
 	flag.Parse()
-
-	switch {
-	case *telem:
-		replay.WriteTelemetry(os.Stdout, *seed, 0, *dumpEvery)
-		return
-	case *crashsafe:
-		exitOn("crashsafe", replay.WriteCrashsafe(os.Stdout, *seed))
-		return
-	case *mpath:
-		exitOn("multipath", replay.WriteMultipath(os.Stdout, *seed, 0, 0))
-		return
-	case *churn:
-		replay.WriteChurn(os.Stdout, *seed, 0)
-		return
-	case *grayfail:
-		replay.WriteGrayfail(os.Stdout, *seed, 0)
-		return
-	case *pressure:
-		replay.WritePressure(os.Stdout, *seed, 0)
-		return
-	}
 
 	trace, err := workload.GenerateFleet(workload.FleetSpec{
 		Jobs:    *jobs,
@@ -256,14 +181,6 @@ func main() {
 	fmt.Println("  concurrency peaks (cap enforcement high-water marks):")
 	replay.WritePeaks(os.Stdout, "    ", st)
 	if st.Failed > 0 && !*chaos && !*overload {
-		os.Exit(1)
-	}
-}
-
-// exitOn fails the process when a replay mode's acceptance check broke.
-func exitOn(mode string, err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detourd: %s: %v\n", mode, err)
 		os.Exit(1)
 	}
 }

@@ -78,7 +78,6 @@ func (ev Event) String() string {
 type Bus struct {
 	mu   sync.Mutex
 	subs []func(Event)
-	sent int64
 }
 
 // NewBus returns an empty bus.
@@ -97,18 +96,10 @@ func (b *Bus) Publish(ev Event) {
 	b.mu.Lock()
 	subs := make([]func(Event), len(b.subs))
 	copy(subs, b.subs)
-	b.sent++
 	b.mu.Unlock()
 	for _, fn := range subs {
 		fn(ev)
 	}
-}
-
-// Published returns the number of events published so far.
-func (b *Bus) Published() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sent
 }
 
 // Dynamic layers withdraw/announce events over a base Policy. Every
@@ -201,21 +192,6 @@ func (d *Dynamic) SessionKnown(a, b string) bool {
 		}
 	}
 	return false
-}
-
-// Converged reports whether every domain has adopted the latest
-// snapshot.
-func (d *Dynamic) Converged() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	now := d.now()
-	last := len(d.versions) - 1
-	for _, times := range d.adoptAt {
-		if len(times) > last && times[last] > now {
-			return false
-		}
-	}
-	return true
 }
 
 // WithdrawSession takes the a~b BGP session down (peer or transit, in

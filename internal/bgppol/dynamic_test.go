@@ -33,9 +33,6 @@ func TestWithdrawBlackholeThenNoRoute(t *testing.T) {
 	if !errors.Is(err, ErrBlackhole) {
 		t.Fatalf("mid-convergence err = %v, want ErrBlackhole", err)
 	}
-	if d.Converged() {
-		t.Fatal("Converged() true 1s after withdraw with delays >= 2s")
-	}
 
 	// Once everyone has adopted, the source itself knows there is no
 	// route: the anomaly window has closed.
@@ -43,9 +40,6 @@ func TestWithdrawBlackholeThenNoRoute(t *testing.T) {
 	_, err = d.DomainPathAt("stub1", "stub2")
 	if !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("converged err = %v, want ErrNoRoute", err)
-	}
-	if !d.Converged() {
-		t.Fatal("Converged() false after every delay has passed")
 	}
 }
 
@@ -162,9 +156,6 @@ func TestBusFanout(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Kind != EventWithdraw || got[0].DomainA != "t1" {
 		t.Fatalf("subscriber saw %v, want one t1~t2 withdraw", got)
-	}
-	if bus.Published() != 1 {
-		t.Fatalf("Published() = %d, want 1", bus.Published())
 	}
 	if got[0].ConvergedBy < 2 {
 		t.Fatalf("ConvergedBy = %.2f, want >= min delay", got[0].ConvergedBy)

@@ -174,13 +174,6 @@ func (a *Agent) RegisterProvider(client sdk.Client) {
 	a.clients[client.ProviderName()] = client
 }
 
-// CapacityStats snapshots the staging disk the agent shares with its
-// rsync daemon — the per-agent used/reserved/headroom view the
-// scheduler's spill-aware placement and `detourctl -capacity` read.
-func (a *Agent) CapacityStats() rsyncx.CapacityStats {
-	return a.daemon.Stats()
-}
-
 // Providers lists registered provider names.
 func (a *Agent) Providers() []string {
 	out := make([]string, 0, len(a.clients))

@@ -7,10 +7,10 @@
 // Two strategies are provided. The probe Selector measures each
 // candidate path with a small transfer and extrapolates with the TCP
 // transfer-time model — capturing the paper's observation that the best
-// route depends on client, provider, *and* file size. The Bandit is an
-// ε-greedy online selector for repeated transfers that keeps exploring,
-// the natural fit for the paper's "monitor and bypass dynamic
-// bottlenecks" future work.
+// route depends on client, provider, *and* file size. The Bandit keeps
+// running throughput estimates for repeated transfers and elects the
+// fastest route as they change, the natural fit for the paper's
+// "monitor and bypass dynamic bottlenecks" future work.
 package detourselect
 
 import (
@@ -115,12 +115,11 @@ func (s *Selector) Choose(p *simproc.Proc, direct sdk.Client, detours map[string
 	return preds[0].Route, preds, nil
 }
 
-// Bandit is an ε-greedy online route selector for repeated transfers to
-// one provider: it mostly exploits the historically fastest route but
-// keeps exploring so it notices when a bottleneck appears or clears.
+// Bandit is an online route selector for repeated transfers to one
+// provider: completed transfers feed per-route throughput estimates,
+// and Best elects the historically fastest route, so the choice moves
+// when a bottleneck appears or clears.
 type Bandit struct {
-	// Epsilon is the exploration probability (default 0.1).
-	Epsilon float64
 	// Weight, when non-nil, scales a route's score during selection —
 	// the hook the health layer uses to down-weight routes on probation
 	// (a sustained gray-failure outlier) without hard-excluding them.
@@ -137,18 +136,11 @@ type Bandit struct {
 	alpha float64
 }
 
-// NewBandit returns a selector over the given routes with its own
-// rng derived from seed — the historical default.
-func NewBandit(routes []core.Route, seed int64) *Bandit {
-	return NewBanditRand(routes, rand.New(rand.NewSource(seed)))
-}
-
-// NewBanditRand returns a selector over the given routes that draws
-// exploration from the injected rng. Callers that drive many bandits
-// (the scheduler's route cache keeps one per cache key) share a single
-// seeded source so whole runs replay bit-for-bit. The rng must not be
-// used concurrently with the bandit's methods; the bandit itself adds
-// no locking.
+// NewBanditRand returns a selector over the given routes holding the
+// injected rng. Callers that drive many bandits (the scheduler's route
+// cache keeps one per cache key) share a single seeded source; no
+// method draws from it, since election is by Best. The bandit adds no
+// locking.
 func NewBanditRand(routes []core.Route, rng *rand.Rand) *Bandit {
 	if len(routes) == 0 {
 		panic("detourselect: bandit needs routes")
@@ -157,27 +149,12 @@ func NewBanditRand(routes []core.Route, rng *rand.Rand) *Bandit {
 		panic("detourselect: bandit needs an rng")
 	}
 	return &Bandit{
-		Epsilon: 0.1,
-		routes:  append([]core.Route(nil), routes...),
-		rng:     rng,
-		ewma:    make(map[core.Route]float64),
-		seen:    make(map[core.Route]int),
-		alpha:   0.3,
+		routes: append([]core.Route(nil), routes...),
+		rng:    rng,
+		ewma:   make(map[core.Route]float64),
+		seen:   make(map[core.Route]int),
+		alpha:  0.3,
 	}
-}
-
-// Next picks the route for the next transfer: an unexplored route first,
-// then ε-greedy over observed throughput.
-func (b *Bandit) Next() core.Route {
-	for _, r := range b.routes {
-		if b.seen[r] == 0 {
-			return r
-		}
-	}
-	if b.rng.Float64() < b.Epsilon {
-		return b.routes[b.rng.Intn(len(b.routes))]
-	}
-	return b.Best()
 }
 
 // Best returns the route with the highest health-weighted observed

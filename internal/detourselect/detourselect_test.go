@@ -92,69 +92,29 @@ func TestSelectorValidation(t *testing.T) {
 	})
 }
 
-func TestBanditExploresThenConverges(t *testing.T) {
-	routes := []core.Route{core.DirectRoute, core.ViaRoute("a"), core.ViaRoute("b")}
-	b := NewBandit(routes, 1)
-	// First picks cover all arms.
-	seen := map[core.Route]bool{}
-	for i := 0; i < 3; i++ {
-		r := b.Next()
-		seen[r] = true
-		// Simulated outcome: route "a" is 3x faster.
-		sec := 30.0
-		if r == core.ViaRoute("a") {
-			sec = 10
-		}
-		b.Observe(r, 100e6, sec)
-	}
-	if len(seen) != 3 {
-		t.Fatalf("bandit did not explore all arms: %v", seen)
-	}
-	// After convergence, "a" dominates the choices.
-	picks := map[core.Route]int{}
-	for i := 0; i < 200; i++ {
-		r := b.Next()
-		picks[r]++
-		sec := 30.0
-		if r == core.ViaRoute("a") {
-			sec = 10
-		}
-		b.Observe(r, 100e6, sec)
-	}
-	if picks[core.ViaRoute("a")] < 150 {
-		t.Fatalf("bandit did not converge: %v", picks)
-	}
-	if b.Best() != core.ViaRoute("a") {
-		t.Fatalf("Best = %v", b.Best())
-	}
-}
-
+// TestBanditAdaptsToChange: Best follows the running throughput
+// estimates when the bottleneck moves.
 func TestBanditAdaptsToChange(t *testing.T) {
 	routes := []core.Route{core.DirectRoute, core.ViaRoute("a")}
-	b := NewBandit(routes, 2)
-	b.Epsilon = 0.2
+	b := NewBanditRand(routes, rand.New(rand.NewSource(2)))
 	fast := core.ViaRoute("a")
-	for i := 0; i < 100; i++ {
-		r := b.Next()
-		sec := 30.0
-		if r == fast {
-			sec = 10
+	observe := func(n int) {
+		for i := 0; i < n; i++ {
+			r := routes[i%len(routes)]
+			sec := 30.0
+			if r == fast {
+				sec = 10
+			}
+			b.Observe(r, 100e6, sec)
 		}
-		b.Observe(r, 100e6, sec)
 	}
+	observe(100)
 	if b.Best() != core.ViaRoute("a") {
 		t.Fatalf("pre-change Best = %v", b.Best())
 	}
 	// The bottleneck moves: direct becomes fast.
 	fast = core.DirectRoute
-	for i := 0; i < 300; i++ {
-		r := b.Next()
-		sec := 30.0
-		if r == fast {
-			sec = 10
-		}
-		b.Observe(r, 100e6, sec)
-	}
+	observe(300)
 	if b.Best() != core.DirectRoute {
 		t.Fatalf("bandit did not adapt: Best = %v, throughputs direct=%v a=%v",
 			b.Best(), b.Throughput(core.DirectRoute), b.Throughput(core.ViaRoute("a")))
@@ -162,53 +122,10 @@ func TestBanditAdaptsToChange(t *testing.T) {
 }
 
 func TestBanditIgnoresBadObservations(t *testing.T) {
-	b := NewBandit([]core.Route{core.DirectRoute}, 3)
+	b := NewBanditRand([]core.Route{core.DirectRoute}, rand.New(rand.NewSource(3)))
 	b.Observe(core.DirectRoute, 100, -1)
 	if b.Throughput(core.DirectRoute) != 0 {
 		t.Fatal("negative duration recorded")
-	}
-}
-
-// TestBanditInjectableRand: bandits sharing one injected seeded source
-// replay identically run-to-run, and the seed-based constructor is
-// unchanged — the reproducibility contract scheduler-driven runs rely
-// on.
-func TestBanditInjectableRand(t *testing.T) {
-	routes := []core.Route{core.DirectRoute, core.ViaRoute("a"), core.ViaRoute("b")}
-	drive := func(b *Bandit) []core.Route {
-		var picks []core.Route
-		for i := 0; i < 100; i++ {
-			r := b.Next()
-			picks = append(picks, r)
-			sec := 20.0
-			if r == core.ViaRoute("b") {
-				sec = 5
-			}
-			b.Observe(r, 50e6, sec)
-		}
-		return picks
-	}
-	run := func() []core.Route {
-		rng := rand.New(rand.NewSource(77))
-		// Two bandits drawing from the same source, as the route cache
-		// keeps one per key.
-		b1, b2 := NewBanditRand(routes, rng), NewBanditRand(routes, rng)
-		return append(drive(b1), drive(b2)...)
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("pick %d differs across identically-seeded runs: %v vs %v", i, a[i], b[i])
-		}
-	}
-	// The legacy constructor must behave exactly like an injected
-	// rand.New(rand.NewSource(seed)).
-	c1 := drive(NewBandit(routes, 5))
-	c2 := drive(NewBanditRand(routes, rand.New(rand.NewSource(5))))
-	for i := range c1 {
-		if c1[i] != c2[i] {
-			t.Fatalf("NewBandit(5) diverges from NewBanditRand(source(5)) at pick %d", i)
-		}
 	}
 }
 

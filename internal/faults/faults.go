@@ -767,8 +767,8 @@ func (inj *Injector) Transitions() []string {
 	return out
 }
 
-// CannedSchedule is the demo schedule the chaos example and
-// `detourd -chaos` replay: a recurring flap of the CANARIE
+// CannedSchedule is the demo schedule the chaos replay and
+// `detourd -chaos` play: a recurring flap of the CANARIE
 // Vancouver–Edmonton leg (the UBC detour's first hop), a degradation
 // of the PacificWave hand-off, a Google Drive error burst, a Dropbox
 // outage, and one UAlberta DTN crash.
@@ -782,8 +782,8 @@ func CannedSchedule() []Spec {
 	}
 }
 
-// GrayfailSchedule is the gray-failure scenario the grayfail example
-// and `detourd -grayfail` replay. Nothing in it (bar one short
+// GrayfailSchedule is the gray-failure scenario the grayfail replay
+// (`detourbench -experiment grayfail`) plays. Nothing in it (bar one short
 // hard-error burst so the retry budget has something to meter) ever
 // returns an error: the CANARIE Vancouver–Edmonton leg silently sheds
 // half its goodput for a minute, then Google Drive silently throttles
@@ -808,12 +808,13 @@ func GrayfailSchedule() []Spec {
 }
 
 // CrashsafeSchedule is the storage-decay scenario the crashsafe
-// example and `detourd -crashsafe` replay alongside the control-plane
-// crash sweep: UAlberta's staging disk loses write atomicity early (a
-// daemon crash now leaves torn, bit-damaged partials instead of atomic
-// renames), the DTN crashes mid-fleet to exercise exactly that, and
-// staged bytes silently rot twice while transfers are in flight — the
-// chunk manifest must catch and repair every flip.
+// replay (`detourbench -experiment crashsafe`) plays alongside the
+// control-plane crash sweep: UAlberta's staging disk loses write
+// atomicity early (a daemon crash now leaves torn, bit-damaged
+// partials instead of atomic renames), the DTN crashes mid-fleet to
+// exercise exactly that, and staged bytes silently rot twice while
+// transfers are in flight — the chunk manifest must catch and repair
+// every flip.
 func CrashsafeSchedule() []Spec {
 	return []Spec{
 		{Kind: TornWrite, DTN: scenario.UAlberta, Start: 10, Duration: 3600},
@@ -823,16 +824,16 @@ func CrashsafeSchedule() []Spec {
 }
 
 // PressureSchedule is the storage-pressure scenario the pressure
-// example and `detourd -pressure` replay against a world with finite
-// staging disks and a finite Google Drive quota: a co-tenant fills
-// most of UAlberta's staging volume early (the favorite detour's hop-1
-// disk), then UMich's too while UAlberta is still full (so for a while
-// every detour is pressured at once), an abandoned client drains a
-// slice of the shared Google Drive quota for most of the run, and the
-// control-plane journal volume fills mid-run. Nothing errors until
-// bytes actually fail to fit: the windows are long because storage
-// pressure is a slow fault — it lasts until something evicts, spills,
-// or reclaims.
+// replay (`detourbench -experiment pressure`) plays against a world
+// with finite staging disks and a finite Google Drive quota: a
+// co-tenant fills most of UAlberta's staging volume early (the
+// favorite detour's hop-1 disk), then UMich's too while UAlberta is
+// still full (so for a while every detour is pressured at once), an
+// abandoned client drains a slice of the shared Google Drive quota
+// for most of the run, and the control-plane journal volume fills
+// mid-run. Nothing errors until bytes actually fail to fit: the
+// windows are long because storage pressure is a slow fault — it
+// lasts until something evicts, spills, or reclaims.
 func PressureSchedule() []Spec {
 	return []Spec{
 		{Kind: DiskFill, DTN: scenario.UAlberta, FillBytes: 450e6,
@@ -845,15 +846,16 @@ func PressureSchedule() []Spec {
 	}
 }
 
-// ChurnSchedule is the reconvergence storm the churn example and
-// `detourd -churn` replay against a world built WithDynamicRouting: the
-// paper's PacificWave hand-off flips away and back, the CANARIE–Google
-// and ISP–Google peerings withdraw (research and commodity paths to
-// Google reconverge through Internet2), the cross-border
-// CANARIE–Internet2 session flaps, Cybera's only uplink withdraws
-// (UAlberta unreachable until re-announce — parked transfers absorb the
-// blackhole), a plain data-plane flap exercises the push-invalidation
-// restore path, and UAlberta drains for maintenance mid-storm.
+// ChurnSchedule is the reconvergence storm the churn replay
+// (`detourbench -experiment churn`) plays against a world built
+// WithDynamicRouting: the paper's PacificWave hand-off flips away and
+// back, the CANARIE–Google and ISP–Google peerings withdraw (research
+// and commodity paths to Google reconverge through Internet2), the
+// cross-border CANARIE–Internet2 session flaps, Cybera's only uplink
+// withdraws (UAlberta unreachable until re-announce — parked
+// transfers absorb the blackhole), a plain data-plane flap exercises
+// the push-invalidation restore path, and UAlberta drains for
+// maintenance mid-storm.
 func ChurnSchedule() []Spec {
 	return []Spec{
 		{Kind: RouteChurn, PinSrc: scenario.UBC, PinDst: scenario.GDriveDC, Start: 60, Duration: 50, Period: 210},

@@ -51,14 +51,3 @@ func NewWithData(name string, sizeBytes int, seed int64) TestFile {
 	sum := md5.Sum(data)
 	return TestFile{Name: name, Size: float64(sizeBytes), MD5: fmt.Sprintf("%x", sum), Data: data}
 }
-
-// PaperSet returns the paper's seven file sizes as virtual files named
-// like "file-10MB.bin".
-func PaperSet(seed int64) []TestFile {
-	out := make([]TestFile, 0, len(PaperSizesMB))
-	for _, mb := range PaperSizesMB {
-		name := fmt.Sprintf("file-%dMB.bin", mb)
-		out = append(out, New(name, float64(mb*MB), seed+int64(mb)))
-	}
-	return out
-}

@@ -48,30 +48,3 @@ func TestNewWithData(t *testing.T) {
 		t.Fatalf("suspicious run of %d identical bytes", best)
 	}
 }
-
-func TestPaperSet(t *testing.T) {
-	fs := PaperSet(1)
-	if len(fs) != 7 {
-		t.Fatalf("len = %d", len(fs))
-	}
-	if fs[0].Name != "file-10MB.bin" || fs[0].Size != 10*MB {
-		t.Fatalf("first = %+v", fs[0])
-	}
-	if fs[6].Name != "file-100MB.bin" || fs[6].Size != 100*MB {
-		t.Fatalf("last = %+v", fs[6])
-	}
-	seen := map[string]bool{}
-	for _, f := range fs {
-		if seen[f.MD5] {
-			t.Fatal("duplicate digest in set")
-		}
-		seen[f.MD5] = true
-	}
-	// Deterministic across calls.
-	gs := PaperSet(1)
-	for i := range fs {
-		if fs[i].Name != gs[i].Name || fs[i].Size != gs[i].Size || fs[i].MD5 != gs[i].MD5 {
-			t.Fatal("PaperSet not deterministic")
-		}
-	}
-}

@@ -78,16 +78,6 @@ func Sites() []Site {
 	}
 }
 
-// SiteByName returns the named site, or false when unknown.
-func SiteByName(name string) (Site, bool) {
-	for _, s := range Sites() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Site{}, false
-}
-
 // DB is a prefix-based IP geolocation database, the stand-in for the
 // iplocation.net lookups in the paper. Longest-prefix match wins.
 type DB struct {

@@ -79,16 +79,6 @@ func TestPropertyTriangleInequalityGeo(t *testing.T) {
 	}
 }
 
-func TestSiteByName(t *testing.T) {
-	s, ok := SiteByName("Purdue")
-	if !ok || s.City != "West Lafayette, IN" {
-		t.Fatalf("SiteByName(Purdue) = %+v, %v", s, ok)
-	}
-	if _, ok := SiteByName("nowhere"); ok {
-		t.Fatal("unknown site resolved")
-	}
-}
-
 func TestDBLongestPrefixMatch(t *testing.T) {
 	d := NewDB()
 	d.MustAdd("10.0.0.0/8", UMich)

@@ -155,7 +155,6 @@ type Server struct {
 	net             *transport.Net
 	routes          []route
 	ProcessingDelay float64
-	closed          bool
 }
 
 // NewServer returns an empty server over the transport.

@@ -196,9 +196,6 @@ func NewMesh(tn *transport.Net, from string, members []string) *Mesh {
 	}
 }
 
-// Members returns the member hosts.
-func (m *Mesh) Members() []string { return append([]string(nil), m.members...) }
-
 // Stat returns the current estimate for a directed pair.
 func (m *Mesh) Stat(src, dst string) (Stat, bool) {
 	s, ok := m.stats[[2]string{src, dst}]

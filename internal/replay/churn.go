@@ -17,12 +17,11 @@ import (
 	"detournet/internal/sched"
 )
 
-// churnSpec is one arm of the storm replay over jobs transfers
-// (default 36).
-func churnSpec(seed int64, jobs int, stack bool) Spec {
-	if jobs <= 0 {
-		jobs = 36
-	}
+// churnJobs is the storm fleet's size.
+const churnJobs = 36
+
+// churnSpec is one arm of the storm replay.
+func churnSpec(seed int64, stack bool) Spec {
 	cfg := sched.Config{MaxAttempts: 5, Reroute: true, ParkBudget: 120}
 	var setup func(*Env)
 	if !stack {
@@ -43,7 +42,7 @@ func churnSpec(seed int64, jobs int, stack bool) Spec {
 		Faults: faults.ChurnSchedule(),
 		Setup:  setup,
 		Config: cfg,
-		Fleet: fleet(jobs, func(i int) sched.Job {
+		Fleet: fleet(churnJobs, func(i int) sched.Job {
 			return sched.Job{
 				Tenant: "churn", Client: clients[i%len(clients)],
 				Provider: scenario.GoogleDrive,
@@ -55,8 +54,8 @@ func churnSpec(seed int64, jobs int, stack bool) Spec {
 
 // Churn replays the storm as the ablated control and with the full
 // churn stack, over the same fleet and seed.
-func Churn(seed int64, jobs int) (control, stack Outcome) {
-	return Run(churnSpec(seed, jobs, false)), Run(churnSpec(seed, jobs, true))
+func Churn(seed int64) (control, stack Outcome) {
+	return Run(churnSpec(seed, false)), Run(churnSpec(seed, true))
 }
 
 // affected lists the jobs a run shows the storm touched: a failure, a
@@ -134,9 +133,9 @@ func CompareChurn(control, stack Outcome) ChurnVerdict {
 }
 
 // WriteChurn replays the storm control vs stack and writes the report
-// the churn example and detourd -churn print. It returns the verdict.
-func WriteChurn(out io.Writer, seed int64, jobs int) ChurnVerdict {
-	control, stack := Churn(seed, jobs)
+// `detourbench -experiment churn` prints. It returns the verdict.
+func WriteChurn(out io.Writer, seed int64) ChurnVerdict {
+	control, stack := Churn(seed)
 	line := func(label string, o Outcome) {
 		st := o.Stats
 		fmt.Fprintf(out, "%-8s %3d done %3d failed | %d reroutes %d parks %.0fs parked | %d retries %d failovers | %.1f MB resumed %.1f MB re-sent | %.0f virtual s\n",

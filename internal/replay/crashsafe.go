@@ -303,8 +303,8 @@ func (c CrashRun) Verify(control CrashRun) error {
 }
 
 // WriteCrashsafe runs the sweep and the storage-decay arm and writes the
-// report the crashsafe example and detourd -crashsafe print. The error
-// is the first leg's Verify failure.
+// report `detourbench -experiment crashsafe` prints. The error is the
+// first leg's Verify failure.
 func WriteCrashsafe(out io.Writer, seed int64) error {
 	control, legs := CrashSweep(seed)
 	_, controlRewritten, _ := totals(control.Outcome)

@@ -19,12 +19,11 @@ import (
 	"detournet/internal/sched"
 )
 
-// grayfailSpec is one arm of the gray-failure replay over jobs
-// transfers (default 60).
-func grayfailSpec(seed int64, jobs int, stack bool) Spec {
-	if jobs <= 0 {
-		jobs = 60
-	}
+// grayfailJobs is the gray-failure fleet's size.
+const grayfailJobs = 60
+
+// grayfailSpec is one arm of the gray-failure replay.
+func grayfailSpec(seed int64, stack bool) Spec {
 	sp := Spec{
 		Seed:   seed,
 		Faults: faults.GrayfailSchedule(),
@@ -40,7 +39,7 @@ func grayfailSpec(seed int64, jobs int, stack bool) Spec {
 		// first the provider throttles the DTN's peering point (the relay
 		// hop crawls, invisibly to the client), then the DTN's staging
 		// disk degrades (the first hop crawls, visibly slowly).
-		Fleet: fleet(jobs, func(i int) sched.Job {
+		Fleet: fleet(grayfailJobs, func(i int) sched.Job {
 			return sched.Job{
 				Tenant: "grayfail", Client: scenario.UBC,
 				Provider: scenario.GoogleDrive,
@@ -67,8 +66,8 @@ func armHealth(e *Env) {
 
 // Grayfail replays the gray-failure schedule as the no-health ablation
 // and with the health stack, over the same fleet and seed.
-func Grayfail(seed int64, jobs int) (control, stack Outcome) {
-	return Run(grayfailSpec(seed, jobs, false)), Run(grayfailSpec(seed, jobs, true))
+func Grayfail(seed int64) (control, stack Outcome) {
+	return Run(grayfailSpec(seed, false)), Run(grayfailSpec(seed, true))
 }
 
 // GrayDetection is one silent fault window and when the watchdog first
@@ -121,10 +120,10 @@ func speedup(control, stack Outcome) float64 {
 }
 
 // WriteGrayfail replays the gray-failure schedule without and with the
-// health stack and writes the report the grayfail example and detourd
-// -grayfail print.
-func WriteGrayfail(out io.Writer, seed int64, jobs int) {
-	control, stack := Grayfail(seed, jobs)
+// health stack and writes the report `detourbench -experiment grayfail`
+// prints.
+func WriteGrayfail(out io.Writer, seed int64) {
+	control, stack := Grayfail(seed)
 	line := func(label string, o Outcome) {
 		st := o.Stats
 		fmt.Fprintf(out, "%-8s %3d done %3d failed | %d stalls %d stall-reroutes %d canaries %d budget-parked | %d retries | goodput %.2f MB/s | %.0f virtual s\n",
@@ -153,7 +152,7 @@ func WriteGrayfail(out io.Writer, seed int64, jobs int) {
 // final state the way a deployment's `detourctl -health` would read the
 // control plane: transitions, entities, retry budgets.
 func HealthTable(out io.Writer, seed int64) {
-	o := Run(grayfailSpec(seed, 0, true))
+	o := Run(grayfailSpec(seed, true))
 	st := o.Stats
 	fmt.Fprintf(out, "health after %d transfers, %.0f virtual s: %d stalls, %d stall-reroutes, %d canaries, %d budget-parked\n",
 		len(o.Results), o.VirtualSeconds, st.Stalls, st.StallReroutes, st.Canaries, st.BudgetParks)

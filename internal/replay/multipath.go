@@ -62,19 +62,22 @@ func (b *baselines) Plan(client, provider string, size float64) (core.Route, []c
 	return b.SimExecutor.Plan(client, provider, size)
 }
 
-// Multipath runs the striped-vs-single comparison over every pair,
-// size bytes per transfer (default 96 MB = 12 default chunks, enough
-// for every lane to carry several).
-func Multipath(seed int64, size float64) (Outcome, []Pair) {
-	if size <= 0 {
-		size = 96e6
-	}
+// Transfer sizes: 96 MB per compared pair is 12 default chunks, enough
+// for every lane to carry several; the churn leg's one transfer is
+// long enough that the storm's first withdraw lands mid-flight.
+const (
+	multipathSize      = 96e6
+	multipathChurnSize = 480e6
+)
+
+// Multipath runs the striped-vs-single comparison over every pair.
+func Multipath(seed int64) (Outcome, []Pair) {
 	var jobs []sched.Job
 	for _, client := range scenario.Clients {
 		for _, provider := range scenario.ProviderNames {
 			jobs = append(jobs, sched.Job{
 				Tenant: "mp", Client: client, Provider: provider,
-				Name: fmt.Sprintf("mp-%s-%s.bin", client, provider), Size: size,
+				Name: fmt.Sprintf("mp-%s-%s.bin", client, provider), Size: multipathSize,
 				Mode: sched.JobMultipath,
 			})
 		}
@@ -156,12 +159,9 @@ func MultipathSanity(pairs []Pair) error {
 }
 
 // MultipathChurn drives one large striped UBC->GoogleDrive transfer
-// (default 480 MB) into the reconvergence storm — the first
-// CANARIE~Google withdraw lands at t=60, mid-transfer.
-func MultipathChurn(seed int64, size float64) Outcome {
-	if size <= 0 {
-		size = 480e6
-	}
+// into the reconvergence storm — the first CANARIE~Google withdraw
+// lands at t=60, mid-transfer.
+func MultipathChurn(seed int64) Outcome {
 	return Run(Spec{
 		Seed:   seed,
 		World:  []scenario.Option{scenario.WithDynamicRouting()},
@@ -170,7 +170,7 @@ func MultipathChurn(seed int64, size float64) Outcome {
 			return sched.Job{
 				Tenant: "mp-churn", Client: scenario.UBC,
 				Provider: scenario.GoogleDrive,
-				Name:     "mp-churn.bin", Size: size, Mode: sched.JobMultipath,
+				Name:     "mp-churn.bin", Size: multipathChurnSize, Mode: sched.JobMultipath,
 			}
 		}),
 	})
@@ -193,17 +193,17 @@ func WithinResendBound(r sched.Result) bool {
 	return true
 }
 
-// WriteMultipath runs the comparison (size bytes per pair) and the
-// churn leg (churnSize bytes) and writes the report the multipath
-// example and detourd -multipath print. The error is MultipathSanity's.
-func WriteMultipath(out io.Writer, seed int64, size, churnSize float64) error {
-	o, pairs := Multipath(seed, size)
-	writeMultipathReport(out, o, pairs, MultipathChurn(seed, churnSize))
+// WriteMultipath runs the comparison and the churn leg and writes the
+// report `detourbench -experiment multipath` prints. The error is
+// MultipathSanity's.
+func WriteMultipath(out io.Writer, seed int64) error {
+	o, pairs := Multipath(seed)
+	writeMultipathReport(out, o, pairs, MultipathChurn(seed))
 	return MultipathSanity(pairs)
 }
 
 func writeMultipathReport(out io.Writer, o Outcome, pairs []Pair, churn Outcome) {
-	size := o.Fleet[0].Size
+	size := multipathSize
 	fmt.Fprintf(out, "Multipath: %d site/provider pairs, %.0f MB each, striped across direct + detours\n",
 		len(pairs), size/1e6)
 	for _, pr := range pairs {

@@ -133,8 +133,9 @@ func tenantRatios(o Outcome) (tenants []string, ratios map[string]float64) {
 }
 
 // WriteOverload replays the flash crowd without and with the overload
-// stack and writes the report the overload example prints: goodput,
-// losses, queue delay, hedging, brownout, and per-tenant fairness.
+// stack and writes the report `detourbench -experiment overload`
+// prints: goodput, losses, queue delay, hedging, brownout, and
+// per-tenant fairness.
 func WriteOverload(out io.Writer, seed int64) {
 	trace := overloadTrace(seed)
 	control, stack := Run(overloadSpec(seed, trace, false)), Run(overloadSpec(seed, trace, true))

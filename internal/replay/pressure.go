@@ -32,6 +32,7 @@ import (
 // never deleted after success, so the fleet overruns them early and
 // only eviction keeps detours admitting.
 const (
+	pressureJobs       = 60
 	pressureStagingCap = 600e6
 	pressureQuota      = 2.4e9
 	pressureAltQuota   = 3e9
@@ -56,12 +57,8 @@ func mustJournal(dev journal.Device) (*sched.ControlJournal, *sched.Recovered) {
 	return cj, rec
 }
 
-// pressureSpec is one arm of the storage-pressure replay over jobs
-// transfers (default 60).
-func pressureSpec(seed int64, jobs int, stack bool) Spec {
-	if jobs <= 0 {
-		jobs = 60
-	}
+// pressureSpec is one arm of the storage-pressure replay.
+func pressureSpec(seed int64, stack bool) Spec {
 	return Spec{
 		Seed:   seed,
 		Faults: faults.PressureSchedule(),
@@ -101,7 +98,7 @@ func pressureSpec(seed int64, jobs int, stack bool) Spec {
 		// disks and the destination account are what runs out, not their
 		// speed. The stack arm may spill overflow onto the other two
 		// providers; the ablation has nowhere to go.
-		Fleet: fleet(jobs, func(i int) sched.Job {
+		Fleet: fleet(pressureJobs, func(i int) sched.Job {
 			j := sched.Job{
 				Tenant: "pressure", Client: scenario.UBC,
 				Provider: scenario.GoogleDrive,
@@ -116,10 +113,10 @@ func pressureSpec(seed int64, jobs int, stack bool) Spec {
 }
 
 // WritePressure replays the storage-exhaustion schedule without and
-// with the mitigation ladder and writes the report the pressure example
-// and detourd -pressure print.
-func WritePressure(out io.Writer, seed int64, jobs int) {
-	control, stack := Run(pressureSpec(seed, jobs, false)), Run(pressureSpec(seed, jobs, true))
+// with the mitigation ladder and writes the report `detourbench
+// -experiment pressure` prints.
+func WritePressure(out io.Writer, seed int64) {
+	control, stack := Run(pressureSpec(seed, false)), Run(pressureSpec(seed, true))
 	line := func(label string, o Outcome) {
 		st := o.Stats
 		fmt.Fprintf(out, "%-8s %3d done %3d failed | quota: %d fails %d reclaims %d spills %d parked | journal: degraded=%v saves=%d dropped=%d | goodput %.2f MB/s | %.0f virtual s\n",
@@ -142,7 +139,7 @@ func WritePressure(out io.Writer, seed int64, jobs int) {
 // read the control plane: staging disks, provider quota ledgers, and
 // the warnings the health log carries.
 func CapacityTable(out io.Writer, seed int64) {
-	o := Run(pressureSpec(seed, 0, true))
+	o := Run(pressureSpec(seed, true))
 	st := o.Stats
 	fmt.Fprintf(out, "storage after %d transfers, %.0f virtual s: %d quota failures, %d reclaims, %d spills, %d quota-parked; journal degraded=%v enospc-saves=%d dropped=%d\n",
 		len(o.Results), o.VirtualSeconds,

@@ -1,14 +1,16 @@
 // Package replay is the one driver behind every scheduler replay: the
-// churn, grayfail, pressure, telemetry, multipath and crashsafe modes,
-// the overload example, and any new scenario. A Spec declares one arm —
+// churn, grayfail, pressure, telemetry, multipath, crashsafe, overload,
+// fleet and chaos modes, and any new scenario. A Spec declares one arm —
 // seed, world options, fault schedule, a setup hook that sizes the world
 // and wires observers, the scheduler Config, and an arrival trace — and
 // Run builds the world, arms the faults, drives the fleet through a
 // sched.Scheduler on the simulation executor, and returns an Outcome.
 // A mode is a table of Specs (usually a control arm and a stack arm)
-// plus the report that compares them.
+// plus the report that compares them; its Write function takes a writer
+// and a seed, and `detourbench -experiment <mode>` prints it.
 //
-// Every replay is byte-identical per seed and binary:
+// Every replay but fleet and chaos (whose eight workers interleave for
+// real) is byte-identical per seed and binary:
 //   - the scheduler runs one worker unless the Spec asks for more
 //     (sequential ⇒ deterministic);
 //   - jobs due at the start are all submitted before the worker starts,
@@ -24,8 +26,8 @@
 //     the virtual clock and the seeded RNGs;
 //   - the report renderers iterate only sorted or fixed-order data.
 //
-// testdata/golden pins every mode's output; `make golden-check`
-// compares it byte for byte.
+// testdata/golden pins every deterministic mode's output; `make
+// golden-check` compares it byte for byte.
 package replay
 
 import (

@@ -27,15 +27,18 @@ import (
 // sampleEvery is the sampler's virtual-second grid.
 const sampleEvery = 15
 
-// telemetrySpec is the instrumented flash-crowd replay over jobs
-// transfers (default 40). A positive dumpEvery prints a compact
-// telemetry line to dumpTo every so many virtual seconds. With
-// instrument false the identical storm runs with the whole plane
-// detached — the overhead guard's baseline.
-func telemetrySpec(seed int64, jobs int, instrument bool, dumpEvery float64, dumpTo io.Writer) Spec {
-	if jobs <= 0 {
-		jobs = 40
-	}
+// The flash crowd's size and its live-line period: WriteTelemetry
+// prints a compact telemetry line every dumpEvery virtual seconds.
+const (
+	telemetryJobs = 40
+	dumpEvery     = 120.0
+)
+
+// telemetrySpec is the instrumented flash-crowd replay. A non-nil
+// dumpTo gets a compact telemetry line every dumpEvery virtual
+// seconds. With instrument false the identical storm runs with the
+// whole plane detached — the overhead guard's baseline.
+func telemetrySpec(seed int64, instrument bool, dumpTo io.Writer) Spec {
 	const size = 24e6
 	// The flash crowd: a calm lead-in, a burst that lands inside the
 	// storm's churn windows, and a calm tail.
@@ -48,7 +51,7 @@ func telemetrySpec(seed int64, jobs int, instrument bool, dumpEvery float64, dum
 		panic(err)
 	}
 	trace, err := workload.GenerateFleet(workload.FleetSpec{
-		Jobs:      jobs,
+		Jobs:      telemetryJobs,
 		Clients:   []string{scenario.UBC, scenario.UAlberta},
 		Providers: []string{scenario.GoogleDrive},
 		Tenants:   []string{"telemetry"},
@@ -92,7 +95,7 @@ func telemetrySpec(seed int64, jobs int, instrument bool, dumpEvery float64, dum
 			// headroom series meaningful without ever rejecting a byte.
 			svc := w.Services[scenario.GoogleDrive]
 			store := svc.Store
-			store.Quota = 2 * float64(jobs) * size
+			store.Quota = 2 * telemetryJobs * size
 
 			// One probe per series. Link picks: the paper's rate-limited
 			// PacificWave hand-off, the fast private peering, and the
@@ -129,7 +132,7 @@ func telemetrySpec(seed int64, jobs int, instrument bool, dumpEvery float64, dum
 			samp.Track("provider.gdrive.pending_mb", func() float64 { return svc.PendingBytes() / 1e6 })
 			samp.Track("journal.kb", func() float64 { return float64(cj.DeviceSize()) / 1024 })
 
-			if dumpEvery > 0 && dumpTo != nil {
+			if dumpTo != nil {
 				next := dumpEvery
 				samp.OnSample(func(t float64) {
 					if t+1e-9 < next {
@@ -153,16 +156,16 @@ func telemetrySpec(seed int64, jobs int, instrument bool, dumpEvery float64, dum
 // Telemetry replays the flash crowd once, with the observability plane
 // attached or (instrument false) detached.
 func Telemetry(seed int64, instrument bool) Outcome {
-	return Run(telemetrySpec(seed, 0, instrument, 0, nil))
+	return Run(telemetrySpec(seed, instrument, nil))
 }
 
 // WriteTelemetry replays the instrumented flash crowd and writes what
-// the telemetry example and detourd -telemetry print: a compact live
-// line every dumpEvery virtual seconds while the fleet drains (0 =
-// quiet), then the dashboard, then the full report.
-func WriteTelemetry(out io.Writer, seed int64, jobs int, dumpEvery float64) {
+// `detourbench -experiment telemetry` prints: a compact live line every
+// dumpEvery virtual seconds while the fleet drains, then the dashboard,
+// then the full report.
+func WriteTelemetry(out io.Writer, seed int64) {
 	fmt.Fprintln(out, "== live telemetry ==")
-	o := Run(telemetrySpec(seed, jobs, true, dumpEvery, out))
+	o := Run(telemetrySpec(seed, true, out))
 	fmt.Fprintln(out)
 	fmt.Fprintln(out, "== dashboard ==")
 	writeDash(out, o)

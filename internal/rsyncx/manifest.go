@@ -106,16 +106,6 @@ func (d *Daemon) markRot(name string, idx int) {
 	d.rot[name][idx] = true
 }
 
-// RottenChunks returns the sorted rotten chunk indices of name.
-func (d *Daemon) RottenChunks(name string) []int {
-	var out []int
-	for idx := range d.rot[name] {
-		out = append(out, idx)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // StagedNames returns the names in the staging area, sorted — the
 // deterministic iteration order fault injectors need.
 func (d *Daemon) StagedNames() []string {

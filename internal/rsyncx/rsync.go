@@ -14,7 +14,6 @@ package rsyncx
 import (
 	"bytes"
 	"crypto/md5"
-	"encoding/binary"
 	"fmt"
 )
 
@@ -256,18 +255,6 @@ func ChecksumCat(parts ...[]byte) string {
 		h.Write(part)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// encodeOpHeader is used by the wire format tests to pin layout.
-func encodeOpHeader(op Op) []byte {
-	var b [9]byte
-	b[0] = byte(op.Kind)
-	if op.Kind == OpCopy {
-		binary.BigEndian.PutUint64(b[1:], uint64(op.Index))
-	} else {
-		binary.BigEndian.PutUint64(b[1:], uint64(len(op.Data)))
-	}
-	return b[:]
 }
 
 // equalData reports whether two byte slices match; split out for tests.

@@ -207,9 +207,6 @@ func TestWireSizeAccounting(t *testing.T) {
 	if d.WireSize() != 16+8+104 {
 		t.Fatalf("WireSize = %v", d.WireSize())
 	}
-	if len(encodeOpHeader(d.Ops[0])) != 9 || len(encodeOpHeader(d.Ops[1])) != 9 {
-		t.Fatal("op header layout changed")
-	}
 	if !equalData([]byte{1}, []byte{1}) || equalData([]byte{1}, []byte{2}) {
 		t.Fatal("equalData broken")
 	}

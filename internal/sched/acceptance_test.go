@@ -22,7 +22,7 @@ import (
 // at least 95%, and the bytes re-sent stay within one checkpoint chunk
 // per reroute/retry/failover.
 func TestChurnAcceptance(t *testing.T) {
-	control, stack := replay.Churn(2015, 0)
+	control, stack := replay.Churn(2015)
 	v := replay.CompareChurn(control, stack)
 
 	if v.Affected == 0 {

@@ -18,7 +18,7 @@
 // table), so the provider materializes each object exactly once.
 //
 // The journal doubles as the crash *injector*: the enumerated crash
-// points below are Reach()ed at their call sites in the scheduler, and
+// points below are reached at their call sites in the scheduler, and
 // an armed plan kills the control plane — appends become no-ops, the
 // in-flight transfer is cooperatively aborted, Drain wakes — at the
 // chosen occurrence of the chosen point.
@@ -637,15 +637,9 @@ func (cj *ControlJournal) HitCount(point string) int {
 	return cj.hits[point]
 }
 
-// Reach marks one arrival at a crash point and fires the kill when the
-// armed occurrence is reached. Returns whether the control plane is
-// (now) dead — callers unwind without further journaling.
-func (cj *ControlJournal) Reach(point string) bool {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	return cj.reachLocked(point)
-}
-
+// reachLocked marks one arrival at a crash point and fires the kill
+// when the armed occurrence is reached. Returns whether the control
+// plane is (now) dead — callers unwind without further journaling.
 func (cj *ControlJournal) reachLocked(point string) bool {
 	cj.hits[point]++
 	if cj.killed {
@@ -1008,13 +1002,6 @@ func (cj *ControlJournal) Appended() int {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
 	return cj.appended
-}
-
-// Device exposes the underlying journal device (state dumps, tests).
-func (cj *ControlJournal) Device() journal.Device {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	return cj.w.Device()
 }
 
 // DeviceSize reports the journal device's current size in bytes under

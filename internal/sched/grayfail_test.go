@@ -13,7 +13,7 @@ import (
 // machinery (stalls, reroutes, canaries, metered retries) demonstrably
 // ran.
 func TestGrayfailAcceptance(t *testing.T) {
-	control, stack := replay.Grayfail(2015, 0)
+	control, stack := replay.Grayfail(2015)
 	if control.Stats.Failed != 0 || stack.Stats.Failed != 0 {
 		t.Fatalf("failures: control %d, stack %d — gray failures must not hard-fail jobs", control.Stats.Failed, stack.Stats.Failed)
 	}

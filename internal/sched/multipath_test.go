@@ -53,7 +53,7 @@ func layout(t *testing.T, rep *multipath.Report) []float64 {
 // pair, never lands more than 5% below it on any pair, and no pair
 // silently degrades to a single lane.
 func TestMultipathAcceptance(t *testing.T) {
-	o, pairs := replay.Multipath(2015, 0)
+	o, pairs := replay.Multipath(2015)
 	if err := replay.MultipathSanity(pairs); err != nil {
 		t.Fatalf("sanity: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestMultipathAcceptance(t *testing.T) {
 // and keep re-sent bytes within one chunk per failure on every path.
 func TestMultipathChurnBound(t *testing.T) {
 	for _, seed := range []int64{7, 42, 2015} {
-		res := replay.MultipathChurn(seed, 0).Results[0]
+		res := replay.MultipathChurn(seed).Results[0]
 		if res.Err != nil {
 			t.Fatalf("seed %d: churn transfer failed: %v", seed, res.Err)
 		}

@@ -65,7 +65,7 @@ func (c *codel) smoothed() float64 {
 
 // brownout is the hysteretic degraded-service state machine: above the
 // enter threshold of queue utilization the scheduler sheds *optional*
-// work first — bandit exploration, probe-based cache refresh, detour
+// work first — bandit refresh, probe-based cache refresh, detour
 // planning for small size-buckets, hedging — and restores it only once
 // utilization falls below the (lower) exit threshold. Guarded by the
 // scheduler's mu.

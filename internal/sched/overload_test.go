@@ -21,7 +21,8 @@ import (
 // virtual clock and an analytic executor: one worker, so every clock
 // advance is sequential, and trace arrivals are injected the moment an
 // executor call carries the clock past them. Same trace + same config ⇒
-// byte-identical outcomes — the pattern examples/overload reuses.
+// byte-identical outcomes — the pattern the overload replay
+// (`detourbench -experiment overload`) reuses.
 
 // vclock is a manual scheduler clock safe for concurrent reads.
 type vclock struct {

@@ -324,7 +324,7 @@ type Config struct {
 	// are capped at hedgeMaxFrac of submitted jobs.
 	HedgeMinSamples int
 	// BrownoutEnter, as a fraction of QueueLimit occupancy, turns on
-	// brownout mode: optional work — bandit exploration, probe-based
+	// brownout mode: optional work — bandit refresh, probe-based
 	// cache refresh, detour planning for small size-buckets (files
 	// under ~4 MB, where detour gains are smallest, go direct), hedging —
 	// is shed first, and restored hysteretically once occupancy falls
@@ -930,8 +930,9 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 	if s.cfg.Health != nil {
 		if cr, ok := s.canaryRoute(key, route); ok {
 			// A probation route is owed a canary: this job probes it at
-			// trickle rate so re-admission doesn't wait on the bandit
-			// happening to explore a down-weighted arm.
+			// trickle rate: the bandit seldom elects a down-weighted route,
+			// so re-admission would otherwise wait on every other route
+			// scoring worse.
 			route = cr
 			s.met.canaries.Inc()
 			if tr != nil {

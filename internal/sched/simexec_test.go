@@ -13,7 +13,8 @@ import (
 // TestSimExecutorFleet runs a real multi-client fleet trace through the
 // control plane on the simulated topology: concurrent workers, cached
 // probe decisions, transfers in virtual time. This is the miniature of
-// examples/fleet that CI (and the race detector) always runs.
+// the fleet replay (`detourbench -experiment fleet`) that CI (and the
+// race detector) always runs.
 func TestSimExecutorFleet(t *testing.T) {
 	trace, err := workload.GenerateFleet(workload.FleetSpec{
 		Jobs:    36,
@@ -29,7 +30,7 @@ func TestSimExecutorFleet(t *testing.T) {
 	o := replay.Run(replay.Spec{
 		Seed:   7,
 		Config: sched.Config{Workers: 6, ProviderCap: 2, DTNCap: 2},
-		// The wall clock, as in examples/fleet: no cache TTL expires
+		// The wall clock, as in the fleet replay: no cache TTL expires
 		// mid-trace, so the probe bound below holds.
 		Setup: func(e *replay.Env) { e.Config.Now, e.Config.Sleep = nil, nil },
 		Fleet: replay.Batch(trace),

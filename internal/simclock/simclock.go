@@ -225,15 +225,6 @@ func (e *Engine) Rearm(ev *Event, at Time) bool {
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// PeekTime returns the time of the next event, or Infinity when the queue
-// is empty.
-func (e *Engine) PeekTime() Time {
-	if len(e.queue) == 0 {
-		return Infinity
-	}
-	return e.queue[0].at
-}
-
 // Step executes the single next event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {

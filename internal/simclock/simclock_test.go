@@ -178,17 +178,6 @@ func TestAdvance(t *testing.T) {
 	}
 }
 
-func TestPeekTime(t *testing.T) {
-	e := NewEngine()
-	if e.PeekTime() != Infinity {
-		t.Fatal("PeekTime on empty queue not Infinity")
-	}
-	e.Schedule(7, func() {})
-	if e.PeekTime() != 7 {
-		t.Fatalf("PeekTime = %v, want 7", e.PeekTime())
-	}
-}
-
 func TestMaxEventsGuard(t *testing.T) {
 	e := NewEngine()
 	e.MaxEvents = 100

@@ -235,9 +235,6 @@ func (f *Future[T]) Set(v T) {
 // IsSet reports whether the future has been fulfilled.
 func (f *Future[T]) IsSet() bool { return f.set }
 
-// Peek returns the value and whether it is set, without blocking.
-func (f *Future[T]) Peek() (T, bool) { return f.val, f.set }
-
 // Await parks p until the future is set and returns its value.
 func Await[T any](p *Proc, f *Future[T]) T {
 	if f.set {
@@ -285,17 +282,6 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	v := q.items[0]
 	q.items = q.items[1:]
 	return v
-}
-
-// TryPop removes the head item if present.
-func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
 }
 
 // Len returns the number of queued items.

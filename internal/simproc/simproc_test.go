@@ -101,9 +101,6 @@ func TestFutureAlreadySet(t *testing.T) {
 	if got != "x" {
 		t.Fatalf("got %q", got)
 	}
-	if v, ok := f.Peek(); !ok || v != "x" {
-		t.Fatalf("Peek = %q %v", v, ok)
-	}
 }
 
 func TestFutureMultipleWaiters(t *testing.T) {
@@ -169,23 +166,6 @@ func TestQueuePushBeforePop(t *testing.T) {
 	r.Run()
 	if got != "early" {
 		t.Fatalf("got %q", got)
-	}
-}
-
-func TestQueueTryPop(t *testing.T) {
-	eng := simclock.NewEngine()
-	r := New(eng)
-	q := NewQueue[int](r)
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on empty returned ok")
-	}
-	q.Push(5)
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	v, ok := q.TryPop()
-	if !ok || v != 5 {
-		t.Fatalf("TryPop = %v %v", v, ok)
 	}
 }
 

@@ -195,10 +195,6 @@ func LastN(xs []float64, n int) Summary {
 	return Summary{Mean: Mean(xs), StdDev: StdDev(xs), N: len(xs)}
 }
 
-// PaperSummary applies the paper's exact protocol: seven runs, mean and
-// standard deviation of the last five.
-func PaperSummary(runs []float64) Summary { return LastN(runs, 5) }
-
 // RelativeChange returns the percentage change of x versus base, the
 // quantity printed in square brackets in Tables II and III (negative
 // means x is faster/smaller than base).

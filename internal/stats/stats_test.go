@@ -70,17 +70,6 @@ func TestLastN(t *testing.T) {
 	}
 }
 
-func TestPaperSummaryDropsFirstTwoOfSeven(t *testing.T) {
-	runs := []float64{999, 999, 1, 2, 3, 4, 5}
-	s := PaperSummary(runs)
-	if !almost(s.Mean, 3) {
-		t.Fatalf("PaperSummary mean = %v, want 3", s.Mean)
-	}
-	if s.N != 5 {
-		t.Fatalf("PaperSummary N = %d, want 5", s.N)
-	}
-}
-
 func TestRelativeChange(t *testing.T) {
 	// Paper Table II, 10 MB: direct 9.46s, via UAlberta 6.47s => -31.6%.
 	got := RelativeChange(9.46, 6.47)

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -36,7 +35,7 @@ func (o HistOpts) withDefaults() HistOpts {
 
 // bounds materializes the finite upper bounds. Bounds are computed as
 // Start*Factor^i in one multiplication chain, so two histograms built
-// from equal opts share bit-identical bounds and merge cleanly.
+// from equal opts share bit-identical bounds.
 func (o HistOpts) bounds() []float64 {
 	o = o.withDefaults()
 	b := make([]float64, o.Buckets)
@@ -62,30 +61,6 @@ type HistSnapshot struct {
 	Counts []uint64  `json:"counts"`
 	Count  uint64    `json:"count"`
 	Sum    float64   `json:"sum"`
-}
-
-// Merge folds other into h. The bucket layouts must match exactly —
-// merging histograms with different bounds is a schema error.
-func (h *HistSnapshot) Merge(other *HistSnapshot) error {
-	if h == nil || other == nil {
-		return nil
-	}
-	if len(h.Bounds) != len(other.Bounds) {
-		return fmt.Errorf("telemetry: merge of mismatched histograms (%d vs %d buckets)",
-			len(h.Bounds), len(other.Bounds))
-	}
-	for i := range h.Bounds {
-		if h.Bounds[i] != other.Bounds[i] {
-			return fmt.Errorf("telemetry: merge of mismatched histograms (bound %d: %g vs %g)",
-				i, h.Bounds[i], other.Bounds[i])
-		}
-	}
-	for i := range h.Counts {
-		h.Counts[i] += other.Counts[i]
-	}
-	h.Count += other.Count
-	h.Sum += other.Sum
-	return nil
 }
 
 // Quantile returns an estimate of the q-quantile (0..1) assuming values

@@ -68,56 +68,10 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	opts := HistOpts{Start: 1, Factor: 2, Buckets: 3}
-	mk := func(vals ...float64) *HistSnapshot {
-		m := NewRegistry().Histogram("m", "m", opts).With()
-		for _, v := range vals {
-			m.Observe(v)
-		}
-		for _, f := range m.fam.snapshot().Metrics {
-			return f.Hist
-		}
-		return nil
-	}
-	a := mk(0.5, 3)
-	b := mk(1.5, 100)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count != 4 || a.Sum != 105 {
-		t.Fatalf("merged count/sum = %d/%g, want 4/105", a.Count, a.Sum)
-	}
-	want := []uint64{1, 1, 1, 1}
-	for i := range want {
-		if a.Counts[i] != want[i] {
-			t.Fatalf("merged counts = %v, want %v", a.Counts, want)
-		}
-	}
-	// Mismatched layouts must refuse to merge.
-	c := NewRegistry().Histogram("c", "c", HistOpts{Start: 2, Factor: 2, Buckets: 3}).With()
-	c.Observe(1)
-	var cs *HistSnapshot
-	for _, f := range c.fam.snapshot().Metrics {
-		cs = f.Hist
-	}
-	if err := a.Merge(cs); err == nil {
-		t.Fatal("merge of mismatched bounds should error")
-	}
-	wider := mk(1)
-	wider.Bounds = append(wider.Bounds, 16)
-	if err := a.Merge(wider); err == nil {
-		t.Fatal("merge of different bucket counts should error")
-	}
-}
-
 func TestEmptyHistogramStats(t *testing.T) {
 	var h *HistSnapshot
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
 		t.Fatal("nil histogram stats should be 0")
-	}
-	if err := h.Merge(nil); err != nil {
-		t.Fatal(err)
 	}
 	e := &HistSnapshot{Bounds: []float64{1}, Counts: []uint64{0, 0}}
 	if e.Quantile(0.9) != 0 || e.Mean() != 0 {

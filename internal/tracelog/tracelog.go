@@ -144,14 +144,6 @@ func (l *Log) Filter(prefix string) []Event {
 	return out
 }
 
-// Reset discards all retained events.
-func (l *Log) Reset() {
-	if l == nil {
-		return
-	}
-	l.events = l.events[:0]
-}
-
 // WriteJSONL streams the events as JSON lines.
 func (l *Log) WriteJSONL(w io.Writer) error {
 	if l == nil {
@@ -164,40 +156,4 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteText streams the events as deterministic text lines (see
-// Event.String). Unlike WriteJSONL it is meant for golden files and
-// byte-compares: same events ⇒ same bytes, always.
-func (l *Log) WriteText(w io.Writer) error {
-	if l == nil {
-		return nil
-	}
-	for _, e := range l.events {
-		if _, err := io.WriteString(w, e.String()+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summary renders per-kind counts, for quick inspection.
-func (l *Log) Summary() string {
-	if l == nil {
-		return ""
-	}
-	counts := map[string]int{}
-	for _, e := range l.events {
-		counts[e.Kind]++
-	}
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	var b strings.Builder
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "%-28s %d\n", k, counts[k])
-	}
-	return b.String()
 }

@@ -36,10 +36,6 @@ func TestNilLogIsSafe(t *testing.T) {
 	if err := l.WriteJSONL(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	if l.Summary() != "" {
-		t.Fatal("nil summary")
-	}
-	l.Reset()
 }
 
 func TestEmptyKindPanics(t *testing.T) {
@@ -103,21 +99,6 @@ func TestWriteJSONL(t *testing.T) {
 	}
 }
 
-func TestSummaryAndReset(t *testing.T) {
-	l := New(simclock.NewEngine())
-	l.Emit("x", nil)
-	l.Emit("x", nil)
-	l.Emit("y", nil)
-	s := l.Summary()
-	if !strings.Contains(s, "x") || !strings.Contains(s, "2") {
-		t.Fatalf("summary:\n%s", s)
-	}
-	l.Reset()
-	if l.Len() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-}
-
 func TestEventStringSortsKeys(t *testing.T) {
 	e := Event{At: 1.5, Kind: "mp.chunk.done", Attrs: map[string]any{
 		AttrRoute: "via ualberta",
@@ -154,35 +135,5 @@ func TestEventStringDeterministic(t *testing.T) {
 		if got := mk(i%2 == 1).String(); got != want {
 			t.Fatalf("render %d differs:\n got %q\nwant %q", i, got, want)
 		}
-	}
-}
-
-func TestWriteTextGolden(t *testing.T) {
-	eng := simclock.NewEngine()
-	l := New(eng)
-	eng.Schedule(1, func() {
-		l.Emit("mp.path.start", map[string]any{AttrPath: 0, AttrRoute: "direct"})
-	})
-	eng.Schedule(2.25, func() {
-		l.Emit("mp.chunk.done", map[string]any{AttrPath: 0, AttrChunk: 0, "seconds": 1.25})
-	})
-	eng.Run()
-	var a, b bytes.Buffer
-	if err := l.WriteText(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two renders of the same log differ")
-	}
-	want := "t=1 mp.path.start path_id=0 route=direct\n" +
-		"t=2.25 mp.chunk.done chunk=0 path_id=0 seconds=1.25\n"
-	if a.String() != want {
-		t.Fatalf("WriteText:\n got %q\nwant %q", a.String(), want)
-	}
-	if err := (*Log)(nil).WriteText(&a); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -76,9 +76,6 @@ func (n *Net) Graph() *topology.Graph { return n.g }
 // Runner returns the process runner.
 func (n *Net) Runner() *simproc.Runner { return n.runner }
 
-// Params returns the default TCP parameters.
-func (n *Net) Params() tcpmodel.Params { return n.params }
-
 func addrKey(host string, port int) string { return fmt.Sprintf("%s:%d", host, port) }
 
 // Listener accepts incoming connections at a host:port.
@@ -317,15 +314,6 @@ func (c *Conn) Recv(p *simproc.Proc) (Message, error) {
 	}
 	it := c.inbox.Pop(p)
 	return it.msg, it.err
-}
-
-// TryRecv returns a queued message without blocking.
-func (c *Conn) TryRecv() (Message, bool) {
-	it, ok := c.inbox.TryPop()
-	if !ok || it.err != nil {
-		return Message{}, false
-	}
-	return it.msg, true
 }
 
 // Close shuts down both directions. The peer's pending and future Recvs

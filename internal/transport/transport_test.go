@@ -348,23 +348,3 @@ func TestNegativeSizeRejected(t *testing.T) {
 	})
 	r.Run()
 }
-
-func TestTryRecv(t *testing.T) {
-	n, r := world(t)
-	l := n.MustListen("server", 80)
-	r.Go("srv", func(p *simproc.Proc) {
-		c, _ := l.Accept(p)
-		if _, ok := c.TryRecv(); ok {
-			t.Error("TryRecv on empty inbox returned ok")
-		}
-		p.Sleep(5)
-		if m, ok := c.TryRecv(); !ok || m.Payload.(string) != "hi" {
-			t.Errorf("TryRecv = %v %v", m, ok)
-		}
-	})
-	r.Go("cli", func(p *simproc.Proc) {
-		c, _ := n.Dial(p, "client", "server", 80, DialOpts{})
-		_ = c.Send(p, "hi", 100)
-	})
-	r.Run()
-}

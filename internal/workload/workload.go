@@ -241,15 +241,6 @@ func Generate(n int, sizes SizeDist, arrivals Arrival, rng *rand.Rand) []Job {
 	return jobs
 }
 
-// TotalBytes sums the jobs' sizes.
-func TotalBytes(jobs []Job) float64 {
-	var s float64
-	for _, j := range jobs {
-		s += j.Size
-	}
-	return s
-}
-
 // FleetJob is one job of a multi-tenant, multi-site trace: a Job plus
 // who submits it, from where, and to which provider — the input shape
 // of the transfer-scheduler control plane (package sched).

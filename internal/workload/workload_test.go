@@ -140,9 +140,6 @@ func TestGenerate(t *testing.T) {
 			t.Fatalf("job = %+v", j)
 		}
 	}
-	if TotalBytes(jobs) != 50e6 {
-		t.Fatalf("TotalBytes = %v", TotalBytes(jobs))
-	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
