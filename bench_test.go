@@ -619,7 +619,7 @@ func BenchmarkSchedulerDrain64Workers(b *testing.B) { benchSchedulerDrain(b, 64)
 // repeated traffic on an already-decided (client, provider, bucket) key.
 func BenchmarkSchedulerRouteCacheHit(b *testing.B) {
 	clock := 0.0
-	c := sched.NewRouteCache(1e9, 1e9, func() float64 { return clock }, rand.New(rand.NewSource(1)))
+	c := sched.NewRouteCache(1e9, 1e9, func() float64 { return clock })
 	k := sched.KeyFor(scenario.UBC, scenario.GoogleDrive, 100*fileutil.MB)
 	c.Insert(k, core.ViaRoute(scenario.UAlberta), scenario.Routes())
 	b.ResetTimer()
@@ -690,7 +690,7 @@ func BenchmarkChurnReplay(b *testing.B) {
 // insert that builds the per-key bandit over the candidate routes.
 func BenchmarkSchedulerRouteCacheMiss(b *testing.B) {
 	clock := 0.0
-	c := sched.NewRouteCache(1e9, 1e9, func() float64 { return clock }, rand.New(rand.NewSource(1)))
+	c := sched.NewRouteCache(1e9, 1e9, func() float64 { return clock })
 	routes := scenario.Routes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

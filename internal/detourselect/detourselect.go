@@ -16,7 +16,6 @@ package detourselect
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"detournet/internal/core"
@@ -129,28 +128,20 @@ type Bandit struct {
 	Weight func(core.Route) float64
 
 	routes []core.Route
-	rng    *rand.Rand
 	// Per-route exponentially weighted mean throughput (bytes/sec).
 	ewma  map[core.Route]float64
 	seen  map[core.Route]int
 	alpha float64
 }
 
-// NewBanditRand returns a selector over the given routes holding the
-// injected rng. Callers that drive many bandits (the scheduler's route
-// cache keeps one per cache key) share a single seeded source; no
-// method draws from it, since election is by Best. The bandit adds no
-// locking.
-func NewBanditRand(routes []core.Route, rng *rand.Rand) *Bandit {
+// NewBandit returns a selector over the given routes. Election is by
+// Best, so the bandit draws no randomness. It adds no locking.
+func NewBandit(routes []core.Route) *Bandit {
 	if len(routes) == 0 {
 		panic("detourselect: bandit needs routes")
 	}
-	if rng == nil {
-		panic("detourselect: bandit needs an rng")
-	}
 	return &Bandit{
 		routes: append([]core.Route(nil), routes...),
-		rng:    rng,
 		ewma:   make(map[core.Route]float64),
 		seen:   make(map[core.Route]int),
 		alpha:  0.3,

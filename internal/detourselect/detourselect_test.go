@@ -1,7 +1,6 @@
 package detourselect
 
 import (
-	"math/rand"
 	"testing"
 
 	"detournet/internal/core"
@@ -96,7 +95,7 @@ func TestSelectorValidation(t *testing.T) {
 // estimates when the bottleneck moves.
 func TestBanditAdaptsToChange(t *testing.T) {
 	routes := []core.Route{core.DirectRoute, core.ViaRoute("a")}
-	b := NewBanditRand(routes, rand.New(rand.NewSource(2)))
+	b := NewBandit(routes)
 	fast := core.ViaRoute("a")
 	observe := func(n int) {
 		for i := 0; i < n; i++ {
@@ -122,18 +121,9 @@ func TestBanditAdaptsToChange(t *testing.T) {
 }
 
 func TestBanditIgnoresBadObservations(t *testing.T) {
-	b := NewBanditRand([]core.Route{core.DirectRoute}, rand.New(rand.NewSource(3)))
+	b := NewBandit([]core.Route{core.DirectRoute})
 	b.Observe(core.DirectRoute, 100, -1)
 	if b.Throughput(core.DirectRoute) != 0 {
 		t.Fatal("negative duration recorded")
 	}
-}
-
-func TestBanditRandValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil rng accepted")
-		}
-	}()
-	NewBanditRand([]core.Route{core.DirectRoute}, nil)
 }

@@ -109,10 +109,13 @@ func (g *Grid) Series(route core.Route) []float64 {
 // simulated time, sharing the world's evolving cross-traffic exactly as
 // the paper's back-to-back runs shared the live network. Every run uses
 // fresh clients (new connections, new OAuth exchange), matching the
-// per-invocation behaviour of the paper's Java programs.
+// per-invocation behaviour of the paper's Java programs. The grid ends
+// the world: RunGrid closes it when the grid is done (its state stays
+// readable), so each grid needs a freshly built world.
 func RunGrid(w *scenario.World, spec GridSpec) *Grid {
 	spec = spec.WithDefaults()
 	g := &Grid{Spec: spec}
+	defer w.Close()
 	w.RunWorkload(fmt.Sprintf("grid:%s->%s", spec.Client, spec.Provider), func(p *simproc.Proc) {
 		for _, mb := range spec.SizesMB {
 			for _, route := range spec.Routes {

@@ -121,7 +121,6 @@ func Run(sp Spec) Outcome {
 // behind.
 func drive(w *scenario.World, inj *faults.Injector, sp Spec) Outcome {
 	exec := sched.NewSimExecutor(w)
-	defer exec.Close()
 	env := &Env{World: w, Injector: inj, Exec: exec, Config: sp.Config}
 	cfg := &env.Config
 	if cfg.Workers <= 0 {
@@ -131,6 +130,14 @@ func drive(w *scenario.World, inj *faults.Injector, sp Spec) Outcome {
 	// A killed control plane is dead: nothing it produces is observed,
 	// and nothing more is submitted to it. The journal is the witness.
 	killed := func() bool { return cfg.Journal != nil && cfg.Journal.Killed() }
+	// Closing the executor ends the world. A killed incarnation closes
+	// nothing: its world survives the crash, and the incarnation that
+	// restarts on it closes it.
+	defer func() {
+		if !killed() {
+			exec.Close()
+		}
+	}()
 	var mu sync.Mutex
 	var results []sched.Result
 	cfg.OnResult = func(r sched.Result) {

@@ -2,10 +2,13 @@ package replay
 
 import (
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"detournet/internal/experiments"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
 )
@@ -185,9 +188,10 @@ func TestArrivalsFeedThroughWrappers(t *testing.T) {
 // a workload, under the executor lock, takes the route cache's lock, so
 // the cache must never read the executor's clock while holding its own.
 // The interleaving that used to deadlock is rare, hence the many runs
-// (fewer under the race detector, where the worlds the runs leave
-// behind cost the most memory); a run that does not finish in time
-// fails the test instead of hanging it.
+// (fewer under the race detector, which keeps every exited coroutine's
+// state, so even closed worlds add up across `make stress`'s repeats);
+// a run that does not finish in time fails the test instead of hanging
+// it.
 func TestRerouteManyWorkers(t *testing.T) {
 	runs := 100
 	if raceEnabled {
@@ -208,5 +212,50 @@ func TestRerouteManyWorkers(t *testing.T) {
 		case <-time.After(time.Minute):
 			t.Fatalf("run %d of %d did not finish within a minute: deadlock", i, runs)
 		}
+	}
+}
+
+// TestWorldsShutDown: every replay mode, and one paper pair, ends the
+// worlds it builds. A world's server loops park until the world is
+// closed, each on a goroutine of its own, so a world left open shows
+// as goroutines that outlive the run and keep the world reachable.
+func TestWorldsShutDown(t *testing.T) {
+	modes := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"churn", func(*testing.T) { WriteChurn(io.Discard, 2015) }},
+		{"grayfail", func(*testing.T) { WriteGrayfail(io.Discard, 2015) }},
+		{"pressure", func(*testing.T) { WritePressure(io.Discard, 2015) }},
+		{"telemetry", func(*testing.T) { WriteTelemetry(io.Discard, 7) }},
+		{"multipath", func(*testing.T) { Multipath(2015) }},
+		{"multipath-churn", func(*testing.T) { MultipathChurn(2015) }},
+		{"crashsafe/control", func(*testing.T) { Crashsafe(2015, CrashLeg{}) }},
+		{"crashsafe/crashed", func(t *testing.T) {
+			if !Crashsafe(2015, CrashLeg{Point: sched.CrashBeforeAttempt, Occurrence: 15}).Crashed {
+				t.Fatal("the crash leg never crashed")
+			}
+		}},
+		{"chaos", func(*testing.T) { WriteChaos(io.Discard, 2015) }},
+		{"fleet", func(*testing.T) { WriteFleet(io.Discard, 2015) }},
+		{"overload", func(*testing.T) { WriteOverload(io.Discard, 2015) }},
+		{"paper-pair", func(*testing.T) {
+			experiments.RunPair(experiments.Quick(), scenario.UBC, scenario.GoogleDrive)
+		}},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			m.run(t)
+			// Scheduler workers may still be on their way out.
+			n := runtime.NumGoroutine()
+			for i := 0; i < 200 && n > base; i++ {
+				time.Sleep(5 * time.Millisecond)
+				n = runtime.NumGoroutine()
+			}
+			if n > base {
+				t.Fatalf("%d goroutines outlived the run", n-base)
+			}
+		})
 	}
 }

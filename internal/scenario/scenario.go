@@ -559,6 +559,13 @@ func (w *World) RunWorkload(name string, fn func(p *simproc.Proc)) {
 	}
 }
 
+// Close ends the world's simulation: every server loop and every other
+// process still parked unwinds, and its coroutine exits, so the world
+// can be freed once its owner drops it. Its state stays readable, but
+// no workload can run in it after Close. RunWorkload has already
+// stopped the cross-traffic and pausers when it returned.
+func (w *World) Close() { w.Runner.Close() }
+
 // Routes returns the paper's route set for a client: direct, via
 // UAlberta, via UMich.
 func Routes() []core.Route {

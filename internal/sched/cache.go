@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/rand"
 	"sync"
 
 	"detournet/internal/core"
@@ -121,7 +120,6 @@ type RouteCache struct {
 	ttl        float64
 	quarantine float64
 	now        func() float64
-	rng        *rand.Rand
 	entries    map[CacheKey]*entry
 	// weight, when set, multiplies each candidate's bandit score at
 	// election time — the health layer's probation down-weighting hook.
@@ -134,8 +132,8 @@ type RouteCache struct {
 }
 
 // NewRouteCache builds a cache. ttl and quarantineTTL are in the
-// clock's seconds; now is the clock; rng feeds the bandits.
-func NewRouteCache(ttl, quarantineTTL float64, now func() float64, rng *rand.Rand) *RouteCache {
+// clock's seconds; now is the clock.
+func NewRouteCache(ttl, quarantineTTL float64, now func() float64) *RouteCache {
 	if ttl <= 0 {
 		panic("sched: non-positive cache TTL")
 	}
@@ -145,11 +143,8 @@ func NewRouteCache(ttl, quarantineTTL float64, now func() float64, rng *rand.Ran
 	if quarantineTTL <= 0 {
 		quarantineTTL = ttl
 	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
 	return &RouteCache{
-		ttl: ttl, quarantine: quarantineTTL, now: now, rng: rng,
+		ttl: ttl, quarantine: quarantineTTL, now: now,
 		entries: make(map[CacheKey]*entry),
 	}
 }
@@ -229,7 +224,7 @@ func (c *RouteCache) InsertWithPaths(k CacheKey, route core.Route, candidates []
 		paths:       paths,
 	}
 	if len(e.candidates) > 0 {
-		e.bandit = detourselect.NewBanditRand(e.candidates, c.rng)
+		e.bandit = detourselect.NewBandit(e.candidates)
 		e.bandit.Weight = c.weight
 	}
 	c.entries[k] = e

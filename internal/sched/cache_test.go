@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/rand"
 	"testing"
 
 	"detournet/internal/core"
@@ -35,7 +34,7 @@ func TestSizeBucket(t *testing.T) {
 
 func TestCacheTTLExpiry(t *testing.T) {
 	clock := 0.0
-	c := NewRouteCache(10, 10, fakeClock(&clock), rand.New(rand.NewSource(1)))
+	c := NewRouteCache(10, 10, fakeClock(&clock))
 	k := KeyFor("ubc-pl", "GoogleDrive", 10e6)
 	det := core.ViaRoute("ualberta")
 	c.Insert(k, det, cands)
@@ -64,7 +63,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 // is faster re-elects the cached route without a probe.
 func TestCacheObserveRefreshesDecision(t *testing.T) {
 	clock := 0.0
-	c := NewRouteCache(1000, 1000, fakeClock(&clock), rand.New(rand.NewSource(1)))
+	c := NewRouteCache(1000, 1000, fakeClock(&clock))
 	k := KeyFor("ubc-pl", "GoogleDrive", 10e6)
 	det := core.ViaRoute("ualberta")
 	c.Insert(k, det, cands)
@@ -87,7 +86,7 @@ func TestCacheObserveRefreshesDecision(t *testing.T) {
 
 func TestCacheInvalidateQuarantines(t *testing.T) {
 	clock := 0.0
-	c := NewRouteCache(1000, 50, fakeClock(&clock), rand.New(rand.NewSource(1)))
+	c := NewRouteCache(1000, 50, fakeClock(&clock))
 	k := KeyFor("purdue-pl", "Dropbox", 30e6)
 	det := core.ViaRoute("ualberta")
 	c.Insert(k, det, cands)
@@ -113,7 +112,7 @@ func TestCacheInvalidateQuarantines(t *testing.T) {
 
 func TestCacheInvalidateDirectDropsEntry(t *testing.T) {
 	clock := 0.0
-	c := NewRouteCache(1000, 1000, fakeClock(&clock), rand.New(rand.NewSource(1)))
+	c := NewRouteCache(1000, 1000, fakeClock(&clock))
 	k := KeyFor("ucla-pl", "OneDrive", 5e6)
 	c.Insert(k, core.DirectRoute, cands)
 	c.Invalidate(k, core.DirectRoute)
@@ -124,7 +123,7 @@ func TestCacheInvalidateDirectDropsEntry(t *testing.T) {
 
 func TestCacheHitRate(t *testing.T) {
 	clock := 0.0
-	c := NewRouteCache(100, 100, fakeClock(&clock), rand.New(rand.NewSource(1)))
+	c := NewRouteCache(100, 100, fakeClock(&clock))
 	k := KeyFor("ubc-pl", "GoogleDrive", 10e6)
 	if c.HitRate() != 0 {
 		t.Error("hit rate before lookups should be 0")

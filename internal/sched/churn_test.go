@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"detournet/internal/bgppol"
@@ -38,7 +37,7 @@ func churnPaths(det core.Route) map[core.Route][]PathHop {
 // instead of waiting for the TTL or a failed transfer.
 func TestCacheRouteEventConverging(t *testing.T) {
 	clock := 0.0
-	c := NewRouteCache(1000, 30, fakeClock(&clock), rand.New(rand.NewSource(1)))
+	c := NewRouteCache(1000, 30, fakeClock(&clock))
 	k := KeyFor("ubc-pl", "GoogleDrive", 60e6)
 	det := core.ViaRoute("ualberta")
 	c.InsertWithPaths(k, det, []core.Route{core.DirectRoute, det}, churnPaths(det))
@@ -97,7 +96,7 @@ func TestCacheRouteEventConverging(t *testing.T) {
 // quarantine TTL happens to lapse.
 func TestCacheAnnounceClearsQuarantine(t *testing.T) {
 	clock := 0.0
-	c := NewRouteCache(1000, 500, fakeClock(&clock), rand.New(rand.NewSource(1)))
+	c := NewRouteCache(1000, 500, fakeClock(&clock))
 	k := KeyFor("ubc-pl", "GoogleDrive", 60e6)
 	det := core.ViaRoute("ualberta")
 	c.InsertWithPaths(k, det, []core.Route{core.DirectRoute, det}, churnPaths(det))

@@ -533,15 +533,13 @@ func New(cfg Config) *Scheduler {
 		met:      newSchedMetrics(cfg.Telemetry),
 		rec:      cfg.Recorder,
 	}
-	// The backoff jitter and the cache's bandit draw from separate
-	// streams, both seeded from one fixed source, so their consumption
-	// patterns can't perturb each other.
-	seeds := rand.New(rand.NewSource(1))
-	s.jitterRng = rand.New(rand.NewSource(seeds.Int63()))
+	// The backoff jitter's stream is seeded by the first draw of a fixed
+	// source.
+	s.jitterRng = rand.New(rand.NewSource(rand.New(rand.NewSource(1)).Int63()))
 	if cfg.QueueLimit > 0 {
 		s.brown = newBrownout(cfg.BrownoutEnter)
 	}
-	s.cache = NewRouteCache(cfg.CacheTTL, cfg.CacheTTL, cfg.Now, rand.New(rand.NewSource(seeds.Int63())))
+	s.cache = NewRouteCache(cfg.CacheTTL, cfg.CacheTTL, cfg.Now)
 	s.breakers = newBreakerSet(breakerThreshold, breakerCooldown, cfg.Now)
 	if cfg.Health != nil {
 		if ha, ok := cfg.Executor.(HealthAware); ok {

@@ -30,6 +30,9 @@ import (
 // virtual time. SDK and detour clients are built once per (client,
 // provider/DTN) pair and reused — this is a long-lived daemon, not the
 // paper's per-invocation measurement programs.
+//
+// The executor owns the world it wraps: Close ends the world's
+// simulation too, so a world outlives its executor only for reading.
 type SimExecutor struct {
 	mu      sync.Mutex
 	w       *scenario.World
@@ -820,11 +823,13 @@ func (e *SimExecutor) VirtualNow() float64 {
 	return float64(e.w.Eng.Now())
 }
 
-// Close releases the cached SDK clients' connections.
+// Close releases the cached SDK clients' connections, then closes the
+// world (scenario.World.Close).
 func (e *SimExecutor) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, c := range e.directs {
 		c.Close()
 	}
+	e.w.Close()
 }

@@ -13,6 +13,12 @@
 // moves by an explicit coroutine switch that never goes through the Go
 // scheduler. This keeps the simulation single-threaded, so no model
 // state needs locking and runs are bit-reproducible.
+//
+// A runner's processes live until they return or until the driver
+// calls Runner.Close, which unwinds every process still parked (its
+// defers run) and ends every coroutine the runner made. Server loops
+// that park forever by design hold their whole world reachable until
+// then.
 package simproc
 
 import (
@@ -30,6 +36,8 @@ type Runner struct {
 	parked map[*Proc]string // parked process -> what it waits on
 	nextID int
 	idle   []*coro // coroutines whose process returned, for Go to reuse
+	coros  []*coro // every coroutine made, for Close to stop
+	closed bool
 }
 
 // New returns a Runner over the engine.
@@ -50,11 +58,14 @@ type Proc struct {
 	id    int
 	name  string
 	scope string
-	// c is the coroutine running the process and resume the one event
-	// callback that switches to it. Both are cleared when the process
-	// returns and c moves on to other processes.
+	// c is the coroutine running the process, resume the one event
+	// callback that switches to it, and ev the event that last queued
+	// resume, re-armed for the next wake once it has fired. All three
+	// are cleared when the process returns and c moves on to other
+	// processes.
 	c      *coro
 	resume func()
+	ev     *simclock.Event
 }
 
 // coro is a runtime coroutine that runs processes one after another.
@@ -65,12 +76,19 @@ type Proc struct {
 type coro struct {
 	// next switches into the coroutine and returns true once its
 	// process has returned, false when the process parks; yield
-	// switches back out with that report.
+	// switches back out with that report, and returns false once stop
+	// has ended the coroutine.
 	next  func() (bool, bool)
 	yield func(bool) bool
+	stop  func()
 	fn    func(*Proc) // the process to start on the next switch in
 	p     *Proc
 }
+
+// closing is the panic value park raises in a process whose runner is
+// closing; coro.run recovers it and only it, so the process unwinds
+// through its defers and its coroutine ends quietly.
+type closing struct{}
 
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
@@ -95,8 +113,11 @@ func (p *Proc) Runner() *Runner { return p.r }
 
 // Go schedules fn to start as a new process at the current virtual time.
 // It may be called from the driver (before Run) or from inside another
-// process.
+// process. Go on a closed runner panics.
 func (r *Runner) Go(name string, fn func(p *Proc)) *Proc {
+	if r.closed {
+		panic(fmt.Sprintf("simproc: Go(%q) on a closed runner", name))
+	}
 	p := &Proc{r: r, id: r.nextID, name: name}
 	r.nextID++
 	if n := len(r.idle); n > 0 {
@@ -105,18 +126,21 @@ func (r *Runner) Go(name string, fn func(p *Proc)) *Proc {
 		r.idle = r.idle[:n-1]
 	} else {
 		c := new(coro)
-		c.next, _ = iter.Pull(func(yield func(bool) bool) {
+		c.next, c.stop = iter.Pull(func(yield func(bool) bool) {
 			c.yield = yield
 			for {
 				c.run()
-				yield(true)
+				if !yield(true) {
+					return
+				}
 			}
 		})
+		r.coros = append(r.coros, c)
 		p.c = c
 	}
 	p.c.fn, p.c.p = fn, p
 	p.resume = func() { r.handoff(p) }
-	r.eng.Schedule(r.eng.Now(), p.resume)
+	p.resumeAt(r.eng.Now())
 	return p
 }
 
@@ -127,7 +151,7 @@ func (c *coro) run() {
 	fn, p := c.fn, c.p
 	c.fn, c.p = nil, nil
 	defer func() {
-		if v := recover(); v != nil {
+		if v := recover(); v != nil && v != (closing{}) {
 			panic(fmt.Sprintf("simproc: process %s panicked: %v\n%s", p.name, v, debug.Stack()))
 		}
 	}()
@@ -139,22 +163,40 @@ func (c *coro) run() {
 func (r *Runner) handoff(p *Proc) {
 	if returned, _ := p.c.next(); returned {
 		r.idle = append(r.idle, p.c)
-		p.c, p.resume = nil, nil
+		p.c, p.resume, p.ev = nil, nil, nil
 	}
 }
 
 // park switches back to the engine and returns when resumed. why
-// describes what the process waits on, for deadlock diagnostics.
+// describes what the process waits on, for deadlock diagnostics. Once
+// Close has stopped the coroutine, yield returns false at once, and
+// park panics closing{} instead of returning: the process unwinds, also
+// when one of its defers parks again.
 func (p *Proc) park(why string) {
 	p.r.parked[p] = why
-	p.c.yield(false)
+	resumed := p.c.yield(false)
 	delete(p.r.parked, p)
+	if !resumed {
+		panic(closing{})
+	}
 }
 
 // wake schedules p to resume at the current virtual time. Must be called
 // while the engine or another process holds control.
-func (p *Proc) wake() {
-	p.r.eng.Schedule(p.r.eng.Now(), p.resume)
+func (p *Proc) wake() { p.resumeAt(p.r.eng.Now()) }
+
+// resumeAt queues p's resume at virtual time t. It re-arms p's event
+// once that has fired and schedules a new one while it is still pending
+// (a second wake before the first ran), so either way the resume takes
+// the sequence number Schedule would give it. A closed runner queues
+// nothing: the processes it stopped have nothing left to resume.
+func (p *Proc) resumeAt(t simclock.Time) {
+	if p.r.closed {
+		return
+	}
+	if !p.r.eng.Rearm(p.ev, t) {
+		p.ev = p.r.eng.Schedule(t, p.resume)
+	}
 }
 
 // Sleep suspends the process for d seconds of virtual time. Negative d
@@ -163,7 +205,7 @@ func (p *Proc) Sleep(d simclock.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("simproc: negative sleep %v", d))
 	}
-	p.r.eng.After(d, p.resume)
+	p.resumeAt(p.r.eng.Now() + simclock.Time(d))
 	// A sleeper's wake event is always queued, so Run never reports it
 	// as deadlocked and the reason needs no detail.
 	p.park("sleep")
@@ -192,14 +234,34 @@ func (r *Runner) RunUntil(deadline simclock.Time) simclock.Time {
 }
 
 // Drive runs the engine until the event queue is empty, tolerating
-// parked processes (server accept loops park forever by design). Use Run
-// when every process is expected to finish.
+// parked processes (server accept loops park until Close by design). Use
+// Run when every process is expected to finish.
 func (r *Runner) Drive() simclock.Time {
 	return r.eng.Run()
 }
 
 // Parked returns how many processes are currently suspended.
 func (r *Runner) Parked() int { return len(r.parked) }
+
+// Close ends the runner: every parked process unwinds through its
+// defers, a process started but not yet run never runs, and every
+// coroutine the runner made exits, so nothing the processes captured
+// stays reachable from them. Wakes during and after Close queue
+// nothing, and Go panics. Close is for the driver, not for a process;
+// a second call does nothing. A panic other than the unwind itself (a
+// defer that fails) surfaces from Close with the process name, as it
+// would from Run.
+func (r *Runner) Close() {
+	if r.closed {
+		return
+	}
+	r.closed = true
+	coros := r.coros
+	r.coros, r.idle = nil, nil
+	for _, c := range coros {
+		c.stop()
+	}
+}
 
 // Future is a write-once value processes can await. The zero value is
 // not usable; use NewFuture.

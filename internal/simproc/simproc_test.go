@@ -335,3 +335,159 @@ func TestManyProcsDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic traces:\n%v\n%v", a, b)
 	}
 }
+
+// TestCloseUnwindsEveryProcess: Close unwinds processes parked on a
+// queue, a future and a sleep, running their defers; a process started
+// but never run never runs; and every coroutine, idle ones included,
+// exits, so the goroutine count returns to where it started.
+func TestCloseUnwindsEveryProcess(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng := simclock.NewEngine()
+	r := New(eng)
+	q := NewQueue[int](r)
+	f := NewFuture[int](r)
+	var unwound []string
+	park := func(name string, wait func(p *Proc)) {
+		r.Go(name, func(p *Proc) {
+			defer func() { unwound = append(unwound, name) }()
+			wait(p)
+			t.Errorf("%s returned from its wait", name)
+		})
+	}
+	park("popper", func(p *Proc) { q.Pop(p) })
+	park("awaiter", func(p *Proc) { Await(p, f) })
+	park("sleeper", func(p *Proc) {
+		defer p.Sleep(1) // parks again mid-unwind
+		p.Sleep(100)
+	})
+	for i := 0; i < 2; i++ {
+		r.Go("finished", func(p *Proc) { p.Sleep(1) })
+	}
+	r.RunUntil(10)
+	if r.Parked() != 3 || len(r.idle) != 2 {
+		t.Fatalf("before Close: %d parked, %d idle; want 3 and 2", r.Parked(), len(r.idle))
+	}
+	ran := false
+	r.Go("never-run", func(p *Proc) { ran = true })
+	if runtime.NumGoroutine() <= base {
+		t.Fatal("coroutines are not goroutines; the count below proves nothing")
+	}
+
+	r.Close()
+	if got := strings.Join(unwound, ","); got != "popper,awaiter,sleeper" {
+		t.Fatalf("defers ran for [%s], want [popper,awaiter,sleeper]", got)
+	}
+	if ran {
+		t.Fatal("a process started after the last drive ran during Close")
+	}
+	if r.Parked() != 0 {
+		t.Fatalf("Parked = %d after Close, want 0", r.Parked())
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after Close, want %d", n, base)
+	}
+}
+
+// TestWakeAfterCloseQueuesNothing: a push to a queue or a set of a
+// future whose waiters Close unwound schedules no event, and a closed
+// runner's own defers, which do the same during the unwind, neither.
+func TestWakeAfterCloseQueuesNothing(t *testing.T) {
+	eng := simclock.NewEngine()
+	r := New(eng)
+	q := NewQueue[int](r)
+	f := NewFuture[int](r)
+	r.Go("receiver", func(p *Proc) { q.Pop(p) })
+	r.Go("sender", func(p *Proc) {
+		// Unwound after the receiver: its push wakes a process that
+		// is already gone, as a closing connection's does.
+		defer q.Push(1)
+		q.Pop(p)
+	})
+	r.Go("awaiter", func(p *Proc) { Await(p, f) })
+	r.Drive()
+	pending := eng.Pending()
+	r.Close()
+	if eng.Pending() != pending {
+		t.Fatalf("Close queued %d events", eng.Pending()-pending)
+	}
+	q.Push(2)
+	f.Set(3)
+	if eng.Pending() != pending {
+		t.Fatalf("Push and Set after Close queued %d events", eng.Pending()-pending)
+	}
+}
+
+// TestCloseIdempotentAndFinal: a second Close does nothing, and Go on a
+// closed runner panics.
+func TestCloseIdempotentAndFinal(t *testing.T) {
+	r := New(simclock.NewEngine())
+	r.Go("a", func(p *Proc) { p.Sleep(1) })
+	r.Close()
+	r.Close()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "closed runner") {
+			t.Fatalf("Go after Close: panic %q, want one naming the closed runner", msg)
+		}
+	}()
+	r.Go("late", func(p *Proc) {})
+}
+
+// TestClosePanicInDeferNamesProcess: only the unwind itself is
+// swallowed; a defer that panics while Close unwinds its process
+// surfaces from Close with the process name.
+func TestClosePanicInDeferNamesProcess(t *testing.T) {
+	r := New(simclock.NewEngine())
+	q := NewQueue[int](r)
+	r.Go("server-9", func(p *Proc) {
+		defer func() { panic("defer boom") }()
+		q.Pop(p)
+	})
+	r.Drive()
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"server-9", "defer boom"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic value missing %q:\n%s", want, msg)
+			}
+		}
+	}()
+	r.Close()
+}
+
+// TestCloseReleasesParkedServer: what a server process parked forever
+// captures stays reachable until its runner is closed, and is collected
+// once it is. The runners themselves are dropped in both cases.
+func TestCloseReleasesParkedServer(t *testing.T) {
+	serve := func(shut bool) *atomic.Bool {
+		var freed atomic.Bool
+		r := New(simclock.NewEngine())
+		q := NewQueue[int](r)
+		payload := new([1 << 10]byte)
+		runtime.SetFinalizer(payload, func(*[1 << 10]byte) { freed.Store(true) })
+		r.Go("accept", func(p *Proc) {
+			for {
+				payload[q.Pop(p)%len(payload)]++
+			}
+		})
+		r.Drive()
+		if shut {
+			r.Close()
+		}
+		return &freed
+	}
+	closed, open := serve(true), serve(false)
+	for i := 0; i < 100 && !closed.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !closed.Load() {
+		t.Fatal("a closed runner's server process still holds its closure")
+	}
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if open.Load() {
+		t.Fatal("an open runner's parked server was collected: the Close case proves nothing")
+	}
+}
