@@ -132,8 +132,8 @@ golden-check:
 # compiles, vets clean, the full test suite (including the
 # really-concurrent scheduler) is race-clean, the nested detourledger
 # module (which `./...` skips) compiles and vets against the scheduler,
-# the delta-encoding and journal-decode fuzzers hold up for a short
-# smoke run, the chaos and overload replays complete, and every
+# the delta-encoding, journal-decode and Content-Range fuzzers hold up
+# for a short smoke run, the chaos and overload replays complete, and every
 # deterministic example, every deterministic scheduler replay — for
 # telemetry the whole observability plane: metric dumps, time series,
 # sparklines, and flight-recorder traces — and every paper figure/table
@@ -147,6 +147,7 @@ check:
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
+	$(GO) test -fuzz=FuzzParseContentRange -fuzztime=5s ./internal/cloudsim
 	$(GO) run ./cmd/detourbench -experiment chaos >/dev/null
 	$(GO) run ./cmd/detourbench -experiment overload >/dev/null
 	$(MAKE) --no-print-directory golden-check

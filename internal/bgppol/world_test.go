@@ -2,11 +2,13 @@ package bgppol_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"detournet/internal/bgppol"
 	"detournet/internal/faults"
+	"detournet/internal/fluid"
 	"detournet/internal/scenario"
 	"detournet/internal/simclock"
 	"detournet/internal/topology"
@@ -86,6 +88,46 @@ func TestDynamicFinderMatchesReferenceInStorm(t *testing.T) {
 	// The storm must actually cut some pairs off at some instants.
 	if minRouted == maxRouted {
 		t.Fatalf("storm never changed reachability: %d pairs routed throughout", minRouted)
+	}
+}
+
+// A world under staged-convergence routing is never served from
+// topology's static-route memo: its routes move with virtual time while
+// the graph's generation holds still, so through the storm every pair's
+// RoutedLinks must equal the links of a fresh Path.
+func TestDynamicWorldBypassesRouteMemo(t *testing.T) {
+	w := stormWorld()
+	g := w.Graph
+	hs := hosts(g)
+	moved := 0
+	prev := map[[2]string]string{}
+	for at := 0.0; at <= 720; at += 8 {
+		w.Eng.RunUntil(simclock.Time(at))
+		for _, src := range hs {
+			for _, dst := range hs {
+				if src == dst {
+					continue
+				}
+				got, gerr := g.RoutedLinks(src.Name, dst.Name)
+				var want []*fluid.Link
+				nodes, werr := g.Path(src.Name, dst.Name)
+				if werr == nil {
+					want, werr = g.LinkPath(nodes)
+				}
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) || !slices.Equal(got, want) {
+					t.Fatalf("t=%v %s->%s: RoutedLinks %v (%v), fresh path %v (%v)",
+						at, src.Name, dst.Name, got, gerr, want, werr)
+				}
+				k, route := [2]string{src.Name, dst.Name}, fmt.Sprint(want, werr)
+				if old, ok := prev[k]; ok && old != route {
+					moved++
+				}
+				prev[k] = route
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no route moved during the storm: the check proves nothing")
 	}
 }
 

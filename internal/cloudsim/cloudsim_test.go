@@ -101,9 +101,22 @@ func TestParseContentRange(t *testing.T) {
 	if err != nil || total != -1 {
 		t.Fatalf("wildcard total: %v %v", total, err)
 	}
-	for _, bad := range []string{"", "bytes", "bytes 5-2/10", "bytes x-y/z", "octets 0-1/2"} {
+	for _, bad := range []string{
+		"", "bytes", "bytes 5-2/10", "bytes x-y/z", "octets 0-1/2",
+		"bytes 0-NaN/100", "bytes 0-Inf/100", "bytes 0-99/100junk", "bytes 0-99/-5",
+		"bytes 0.5-99/100", "bytes 0-99.5/100", "bytes 0-99/100.0", "bytes +0-99/100",
+		"bytes 0-99/99", "bytes 0-99/50", "bytes 0-99", "bytes 0-99/", "bytes -1-99/100",
+	} {
 		if _, _, _, err := parseContentRange(bad); err == nil {
 			t.Fatalf("accepted %q", bad)
+		}
+	}
+}
+
+func TestRangeHeaderMatchesFormat(t *testing.T) {
+	for _, received := range []float64{1, 2, 1.5, 2.5, 4194304, 1e8 + 0.5, 123456789} {
+		if got, want := rangeHeader(received), fmt.Sprintf("bytes=0-%.0f", received-1); got != want {
+			t.Fatalf("rangeHeader(%v) = %q, want %q", received, got, want)
 		}
 	}
 }
@@ -183,13 +196,13 @@ func TestGDriveOffsetMismatchRejected(t *testing.T) {
 	rg.do(t, func(p *simproc.Proc, c *httpsim.Client, auth string) {
 		resp, _ := c.Do(p, &httpsim.Request{
 			Method: "POST", Path: "/upload/drive/v3/files?uploadType=resumable", Host: "dc",
-			Header: map[string]string{"Authorization": auth},
+			Header: httpsim.Header{{Key: "Authorization", Value: auth}},
 			Body:   []byte(`{"name":"f","size":100}`),
 		})
-		loc := resp.Header["Location"]
+		loc := resp.Header.Get("Location")
 		resp, _ = c.Do(p, &httpsim.Request{
 			Method: "PUT", Path: loc, Host: "dc",
-			Header:   map[string]string{"Authorization": auth, "Content-Range": "bytes 50-99/100"},
+			Header:   httpsim.Header{{Key: "Authorization", Value: auth}, {Key: "Content-Range", Value: "bytes 50-99/100"}},
 			BodySize: 50,
 		})
 		if resp.Status != httpsim.StatusConflict {
@@ -203,7 +216,7 @@ func TestGDriveUnknownSession(t *testing.T) {
 	rg.do(t, func(p *simproc.Proc, c *httpsim.Client, auth string) {
 		resp, _ := c.Do(p, &httpsim.Request{
 			Method: "PUT", Path: "/upload/drive/v3/sessions/sess-999", Host: "dc",
-			Header: map[string]string{"Authorization": auth}, BodySize: 10,
+			Header: httpsim.Header{{Key: "Authorization", Value: auth}}, BodySize: 10,
 		})
 		if resp.Status != httpsim.StatusNotFound {
 			t.Errorf("unknown session got %d", resp.Status)
@@ -216,7 +229,7 @@ func TestGDriveNonResumableRejected(t *testing.T) {
 	rg.do(t, func(p *simproc.Proc, c *httpsim.Client, auth string) {
 		resp, _ := c.Do(p, &httpsim.Request{
 			Method: "POST", Path: "/upload/drive/v3/files?uploadType=media", Host: "dc",
-			Header: map[string]string{"Authorization": auth},
+			Header: httpsim.Header{{Key: "Authorization", Value: auth}},
 			Body:   []byte(`{"name":"f"}`),
 		})
 		if resp.Status != httpsim.StatusBadRequest {
@@ -230,7 +243,7 @@ func TestDropboxMissingArgRejected(t *testing.T) {
 	rg.do(t, func(p *simproc.Proc, c *httpsim.Client, auth string) {
 		resp, _ := c.Do(p, &httpsim.Request{
 			Method: "POST", Path: "/2/files/upload", Host: "dc",
-			Header: map[string]string{"Authorization": auth}, BodySize: 100,
+			Header: httpsim.Header{{Key: "Authorization", Value: auth}}, BodySize: 100,
 		})
 		if resp.Status != httpsim.StatusBadRequest {
 			t.Errorf("missing arg got %d", resp.Status)
@@ -243,7 +256,7 @@ func TestDropboxWrongOffsetRejected(t *testing.T) {
 	rg.do(t, func(p *simproc.Proc, c *httpsim.Client, auth string) {
 		resp, _ := c.Do(p, &httpsim.Request{
 			Method: "POST", Path: "/2/files/upload_session/start", Host: "dc",
-			Header:   map[string]string{"Authorization": auth, "Dropbox-API-Arg": "{}"},
+			Header:   httpsim.Header{{Key: "Authorization", Value: auth}, {Key: "Dropbox-API-Arg", Value: "{}"}},
 			BodySize: 100,
 		})
 		body := string(resp.Body)
@@ -252,9 +265,9 @@ func TestDropboxWrongOffsetRejected(t *testing.T) {
 		sid = sid[:strings.Index(sid, `"`)]
 		resp, _ = c.Do(p, &httpsim.Request{
 			Method: "POST", Path: "/2/files/upload_session/append_v2", Host: "dc",
-			Header: map[string]string{
-				"Authorization":   auth,
-				"Dropbox-API-Arg": `{"cursor":{"session_id":"` + sid + `","offset":999}}`,
+			Header: httpsim.Header{
+				{Key: "Authorization", Value: auth},
+				{Key: "Dropbox-API-Arg", Value: `{"cursor":{"session_id":"` + sid + `","offset":999}}`},
 			},
 			BodySize: 100,
 		})
@@ -269,7 +282,7 @@ func TestOneDriveRequiresContentRange(t *testing.T) {
 	rg.do(t, func(p *simproc.Proc, c *httpsim.Client, auth string) {
 		resp, _ := c.Do(p, &httpsim.Request{
 			Method: "POST", Path: "/v1.0/drive/root:/f.bin:/createUploadSession", Host: "dc",
-			Header: map[string]string{"Authorization": auth},
+			Header: httpsim.Header{{Key: "Authorization", Value: auth}},
 		})
 		body := string(resp.Body)
 		i := strings.Index(body, `"uploadUrl":"`)
@@ -277,7 +290,7 @@ func TestOneDriveRequiresContentRange(t *testing.T) {
 		u = u[:strings.Index(u, `"`)]
 		resp, _ = c.Do(p, &httpsim.Request{
 			Method: "PUT", Path: u, Host: "dc",
-			Header: map[string]string{"Authorization": auth}, BodySize: 100,
+			Header: httpsim.Header{{Key: "Authorization", Value: auth}}, BodySize: 100,
 		})
 		if resp.Status != httpsim.StatusBadRequest {
 			t.Errorf("fragment without Content-Range got %d", resp.Status)
@@ -285,7 +298,7 @@ func TestOneDriveRequiresContentRange(t *testing.T) {
 		// Wildcard total also rejected.
 		resp, _ = c.Do(p, &httpsim.Request{
 			Method: "PUT", Path: u, Host: "dc",
-			Header:   map[string]string{"Authorization": auth, "Content-Range": "bytes 0-99/*"},
+			Header:   httpsim.Header{{Key: "Authorization", Value: auth}, {Key: "Content-Range", Value: "bytes 0-99/*"}},
 			BodySize: 100,
 		})
 		if resp.Status != httpsim.StatusBadRequest {

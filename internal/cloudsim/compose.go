@@ -52,7 +52,7 @@ func (s *Service) compose(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respons
 	// Idempotent replay: a crash between a committed compose and its
 	// journal record re-issues the same attempt, whose parts are gone —
 	// answer with the object the first commit produced.
-	if key := req.Header["X-Attempt-Id"]; key != "" {
+	if key := req.Header.Get("X-Attempt-Id"); key != "" {
 		if o, ok := s.Store.Replayed(key, cr.Name); ok {
 			status := httpsim.StatusOK
 			if s.Style == OneDrive {
@@ -115,7 +115,7 @@ func (s *Service) compose(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respons
 		}
 		return s.putErr(err)
 	}
-	s.Store.RecordAttempt(req.Header["X-Attempt-Id"], o)
+	s.Store.RecordAttempt(req.Header.Get("X-Attempt-Id"), o)
 	status := httpsim.StatusOK
 	if s.Style == OneDrive {
 		status = httpsim.StatusCreated

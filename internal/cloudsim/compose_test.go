@@ -53,7 +53,7 @@ func TestComposeFailureRestoresParts(t *testing.T) {
 	if resp.Status != httpsim.StatusInsufficientStorage {
 		t.Fatalf("compose status = %d: %s", resp.Status, resp.Body)
 	}
-	if _, ok := resp.Header["Retry-After"]; !ok {
+	if _, ok := resp.Header.Value("Retry-After"); !ok {
 		t.Fatal("507 response carries no Retry-After hint")
 	}
 	if _, ok := s.Store.Get("f"); ok {

@@ -43,7 +43,7 @@ type dbxCommit struct {
 
 func dbxParseArg(req *httpsim.Request) (dbxArg, *httpsim.Response) {
 	var a dbxArg
-	raw, ok := req.Header["Dropbox-API-Arg"]
+	raw, ok := req.Header.Value("Dropbox-API-Arg")
 	if !ok {
 		return a, errResp(httpsim.StatusBadRequest, "missing Dropbox-API-Arg")
 	}
@@ -61,7 +61,7 @@ func (s *Service) dbxUpload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respo
 	if a.Path == "" {
 		return errResp(httpsim.StatusBadRequest, "missing path")
 	}
-	o, err := s.Store.PutIdempotent(a.Path, req.ContentLength(), req.Header["X-Content-MD5"], req.Header["X-Attempt-Id"])
+	o, err := s.Store.PutIdempotent(a.Path, req.ContentLength(), req.Header.Get("X-Content-MD5"), req.Header.Get("X-Attempt-Id"))
 	if err != nil {
 		return s.putErr(err)
 	}
@@ -127,7 +127,7 @@ func (s *Service) dbxFinish(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respo
 	}
 	sess.received += req.ContentLength()
 	sess.done = true
-	o, err := s.Store.PutIdempotent(a.Commit.Path, sess.received, req.Header["X-Content-MD5"], req.Header["X-Attempt-Id"])
+	o, err := s.Store.PutIdempotent(a.Commit.Path, sess.received, req.Header.Get("X-Content-MD5"), req.Header.Get("X-Attempt-Id"))
 	if err != nil {
 		return s.putErr(err)
 	}
@@ -144,7 +144,7 @@ func (s *Service) dbxDownload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Res
 		return errResp(httpsim.StatusNotFound, "path/not_found")
 	}
 	return &httpsim.Response{Status: httpsim.StatusOK, BodySize: o.Size,
-		Header: map[string]string{"Dropbox-API-Result": mustJSON(metaOf(o))}}
+		Header: httpsim.Header{{Key: "Dropbox-API-Result", Value: mustJSON(metaOf(o))}}}
 }
 
 func (s *Service) dbxDelete(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {

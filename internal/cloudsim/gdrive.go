@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"detournet/internal/httpsim"
@@ -61,7 +62,7 @@ func (s *Service) gdInitiate(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Resp
 	sess := s.newSession(init.Name, init.Size)
 	return &httpsim.Response{
 		Status: httpsim.StatusOK,
-		Header: map[string]string{"Location": "/upload/drive/v3/sessions/" + sess.id},
+		Header: httpsim.Header{{Key: "Location", Value: "/upload/drive/v3/sessions/" + sess.id}},
 	}
 }
 
@@ -72,7 +73,7 @@ func (s *Service) gdUpload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respon
 		return errResp(httpsim.StatusNotFound, "unknown session")
 	}
 	n := req.ContentLength()
-	if cr, ok := req.Header["Content-Range"]; ok {
+	if cr, ok := req.Header.Value("Content-Range"); ok {
 		// Status query ("bytes */total"): report progress without
 		// consuming the (empty) body — how real clients resume after an
 		// interruption.
@@ -82,7 +83,7 @@ func (s *Service) gdUpload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respon
 			}
 			return &httpsim.Response{
 				Status: httpsim.StatusPermanentRedirect,
-				Header: map[string]string{"Range": fmt.Sprintf("bytes=0-%.0f", sess.received-1)},
+				Header: httpsim.Header{{Key: "Range", Value: rangeHeader(sess.received)}},
 			}
 		}
 		lo, hi, total, err := parseContentRange(cr)
@@ -107,12 +108,12 @@ func (s *Service) gdUpload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respon
 	if sess.total > 0 && sess.received < sess.total {
 		return &httpsim.Response{
 			Status: httpsim.StatusPermanentRedirect, // 308 Resume Incomplete
-			Header: map[string]string{"Range": fmt.Sprintf("bytes=0-%.0f", sess.received-1)},
+			Header: httpsim.Header{{Key: "Range", Value: rangeHeader(sess.received)}},
 		}
 	}
 	sess.done = true
-	md5 := req.Header["X-Content-MD5"] // optional integrity echo
-	o, err := s.Store.PutIdempotent(sess.name, sess.received, md5, req.Header["X-Attempt-Id"])
+	md5 := req.Header.Get("X-Content-MD5") // optional integrity echo
+	o, err := s.Store.PutIdempotent(sess.name, sess.received, md5, req.Header.Get("X-Attempt-Id"))
 	if err != nil {
 		return s.putErr(err)
 	}
@@ -140,4 +141,12 @@ func (s *Service) gdDelete(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respon
 	}
 	s.Store.Delete(o.Name)
 	return &httpsim.Response{Status: httpsim.StatusNoContent}
+}
+
+// rangeHeader renders Drive's "bytes=0-<received-1>" progress header
+// exactly as the format "bytes=0-%.0f" does, without boxing the number.
+func rangeHeader(received float64) string {
+	b := make([]byte, 0, 32)
+	b = append(b, "bytes=0-"...)
+	return string(strconv.AppendFloat(b, received-1, 'f', 0, 64))
 }

@@ -53,7 +53,7 @@ func (s *Service) odUpload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respon
 	if !ok || sess.done {
 		return errResp(httpsim.StatusNotFound, "unknown upload session")
 	}
-	cr, ok := req.Header["Content-Range"]
+	cr, ok := req.Header.Value("Content-Range")
 	if !ok {
 		return errResp(httpsim.StatusBadRequest, "fragment PUT requires Content-Range")
 	}
@@ -79,7 +79,7 @@ func (s *Service) odUpload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respon
 		})
 	}
 	sess.done = true
-	o, err := s.Store.PutIdempotent(sess.name, sess.received, req.Header["X-Content-MD5"], req.Header["X-Attempt-Id"])
+	o, err := s.Store.PutIdempotent(sess.name, sess.received, req.Header.Get("X-Content-MD5"), req.Header.Get("X-Attempt-Id"))
 	if err != nil {
 		return s.putErr(err)
 	}

@@ -80,7 +80,7 @@ func TestPOPUploadLandsAtDatacenter(t *testing.T) {
 		// Resumable init + single PUT via the POP.
 		resp, err := c.Do(p, &httpsim.Request{
 			Method: "POST", Path: "/upload/drive/v3/files?uploadType=resumable", Host: "pop",
-			Header: map[string]string{"Authorization": "Bearer " + tok},
+			Header: httpsim.Header{{Key: "Authorization", Value: "Bearer " + tok}},
 			Body:   []byte(`{"name":"via-pop.bin","size":1000000}`),
 		})
 		if err != nil || !resp.OK() {
@@ -88,8 +88,8 @@ func TestPOPUploadLandsAtDatacenter(t *testing.T) {
 			return
 		}
 		resp, err = c.Do(p, &httpsim.Request{
-			Method: "PUT", Path: resp.Header["Location"], Host: "pop",
-			Header:   map[string]string{"Authorization": "Bearer " + tok, "Content-Range": "bytes 0-999999/1000000"},
+			Method: "PUT", Path: resp.Header.Get("Location"), Host: "pop",
+			Header:   httpsim.Header{{Key: "Authorization", Value: "Bearer " + tok}, {Key: "Content-Range", Value: "bytes 0-999999/1000000"}},
 			BodySize: 1000000,
 		})
 		if err != nil || !resp.OK() {
@@ -129,12 +129,12 @@ func TestPOPFasterThanSlowDirectPath(t *testing.T) {
 			t0 := p.Now()
 			resp, _ = c.Do(p, &httpsim.Request{
 				Method: "POST", Path: "/upload/drive/v3/files?uploadType=resumable", Host: frontend,
-				Header: map[string]string{"Authorization": "Bearer " + tok},
+				Header: httpsim.Header{{Key: "Authorization", Value: "Bearer " + tok}},
 				Body:   []byte(`{"name":"` + name + `","size":20000000}`),
 			})
 			resp, _ = c.Do(p, &httpsim.Request{
-				Method: "PUT", Path: resp.Header["Location"], Host: frontend,
-				Header:   map[string]string{"Authorization": "Bearer " + tok, "Content-Range": "bytes 0-19999999/20000000"},
+				Method: "PUT", Path: resp.Header.Get("Location"), Host: frontend,
+				Header:   httpsim.Header{{Key: "Authorization", Value: "Bearer " + tok}, {Key: "Content-Range", Value: "bytes 0-19999999/20000000"}},
 				BodySize: 20000000,
 			})
 			if !resp.OK() {

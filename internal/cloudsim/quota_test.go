@@ -23,19 +23,19 @@ func TestPendingBytesChargeQuota(t *testing.T) {
 	rg.do(t, func(p *simproc.Proc, c *httpsim.Client, auth string) {
 		resp, _ := c.Do(p, &httpsim.Request{
 			Method: "POST", Path: "/upload/drive/v3/files?uploadType=resumable", Host: "dc",
-			Header: map[string]string{"Authorization": auth},
+			Header: httpsim.Header{{Key: "Authorization", Value: auth}},
 			Body:   []byte(`{"name":"f","size":50}`),
 		})
-		loc := resp.Header["Location"]
+		loc := resp.Header.Get("Location")
 		resp, _ = c.Do(p, &httpsim.Request{
 			Method: "PUT", Path: loc, Host: "dc",
-			Header:   map[string]string{"Authorization": auth, "Content-Range": "bytes 0-49/50"},
+			Header:   httpsim.Header{{Key: "Authorization", Value: auth}, {Key: "Content-Range", Value: "bytes 0-49/50"}},
 			BodySize: 50,
 		})
 		if resp.Status != httpsim.StatusInsufficientStorage {
 			t.Errorf("chunk over pending-charged quota got %d, want 507", resp.Status)
 		}
-		if resp.Header["Retry-After"] == "" {
+		if resp.Header.Get("Retry-After") == "" {
 			t.Error("507 carries no Retry-After hint")
 		}
 		if !strings.Contains(string(resp.Body), ErrQuotaExceeded.Error()) {
@@ -116,13 +116,13 @@ func TestUsedNeverExceedsQuota(t *testing.T) {
 		// 30 bytes would fit against used alone; pending blocks it.
 		resp, _ := c.Do(p, &httpsim.Request{
 			Method: "POST", Path: "/upload/drive/v3/files?uploadType=resumable", Host: "dc",
-			Header: map[string]string{"Authorization": auth},
+			Header: httpsim.Header{{Key: "Authorization", Value: auth}},
 			Body:   []byte(`{"name":"f","size":30}`),
 		})
-		loc := resp.Header["Location"]
+		loc := resp.Header.Get("Location")
 		resp, _ = c.Do(p, &httpsim.Request{
 			Method: "PUT", Path: loc, Host: "dc",
-			Header:   map[string]string{"Authorization": auth, "Content-Range": "bytes 0-29/30"},
+			Header:   httpsim.Header{{Key: "Authorization", Value: auth}, {Key: "Content-Range", Value: "bytes 0-29/30"}},
 			BodySize: 30,
 		})
 		if resp.Status != httpsim.StatusInsufficientStorage {
@@ -135,7 +135,7 @@ func TestUsedNeverExceedsQuota(t *testing.T) {
 		}
 		resp, _ = c.Do(p, &httpsim.Request{
 			Method: "PUT", Path: loc, Host: "dc",
-			Header:   map[string]string{"Authorization": auth, "Content-Range": "bytes 0-29/30"},
+			Header:   httpsim.Header{{Key: "Authorization", Value: auth}, {Key: "Content-Range", Value: "bytes 0-29/30"}},
 			BodySize: 30,
 		})
 		if !resp.OK() {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 
 	"detournet/internal/httpsim"
 	"detournet/internal/oauthsim"
@@ -231,7 +233,7 @@ func (s *Service) insufficientStorage(msg string) *httpsim.Response {
 		ra = defaultQuotaRetryAfter
 	}
 	resp := errResp(httpsim.StatusInsufficientStorage, msg)
-	resp.Header["Retry-After"] = fmt.Sprintf("%.3f", ra)
+	resp.Header.Set("Retry-After", fmt.Sprintf("%.3f", ra))
 	return resp
 }
 
@@ -356,7 +358,7 @@ func (s *Service) injectFault() *httpsim.Response {
 			s.InjectedFaults++
 			return &httpsim.Response{
 				Status: httpsim.StatusTooManyRequests,
-				Header: map[string]string{"Retry-After": "1.000"},
+				Header: httpsim.Header{{Key: "Retry-After", Value: "1.000"}},
 				Body:   []byte("injected throttle"),
 			}
 		}
@@ -387,7 +389,7 @@ func (s *Service) throttle() *httpsim.Response {
 		retry := window - float64(now-s.windowStart)
 		return &httpsim.Response{
 			Status: httpsim.StatusTooManyRequests,
-			Header: map[string]string{"Retry-After": fmt.Sprintf("%.3f", retry)},
+			Header: httpsim.Header{{Key: "Retry-After", Value: fmt.Sprintf("%.3f", retry)}},
 			Body:   []byte("rate limit exceeded"),
 		}
 	}
@@ -401,7 +403,7 @@ func jsonResp(status int, v any) *httpsim.Response {
 		return &httpsim.Response{Status: httpsim.StatusInternalServerError, Body: []byte(err.Error())}
 	}
 	return &httpsim.Response{Status: status, Body: body,
-		Header: map[string]string{"Content-Type": "application/json"}}
+		Header: httpsim.Header{{Key: "Content-Type", Value: "application/json"}}}
 }
 
 func errResp(status int, msg string) *httpsim.Response {
@@ -420,20 +422,38 @@ func metaOf(o *Object) fileMeta {
 	return fileMeta{ID: o.ID, Name: o.Name, Size: o.Size, MD5: o.MD5}
 }
 
-// parseContentRange parses "bytes lo-hi/total" (total may be "*").
+// parseContentRange parses "bytes lo-hi/total": lo, hi and total are
+// unsigned decimal integers with lo <= hi < total, and total may be "*"
+// (returned as -1) when the client does not know it yet.
 func parseContentRange(v string) (lo, hi, total float64, err error) {
-	var totStr string
-	n, err := fmt.Sscanf(v, "bytes %f-%f/%s", &lo, &hi, &totStr)
-	if err != nil || n != 3 {
-		return 0, 0, 0, fmt.Errorf("cloudsim: bad Content-Range %q", v)
+	bad := func() error { return fmt.Errorf("cloudsim: bad Content-Range %q", v) }
+	rest, ok := strings.CutPrefix(v, "bytes ")
+	if !ok {
+		return 0, 0, 0, bad()
 	}
-	if totStr == "*" {
-		total = -1
-	} else if _, err := fmt.Sscanf(totStr, "%f", &total); err != nil {
-		return 0, 0, 0, fmt.Errorf("cloudsim: bad Content-Range total %q", totStr)
+	span, totStr, ok := strings.Cut(rest, "/")
+	if !ok {
+		return 0, 0, 0, bad()
 	}
-	if lo < 0 || hi < lo {
+	loStr, hiStr, ok := strings.Cut(span, "-")
+	if !ok {
+		return 0, 0, 0, bad()
+	}
+	l, errLo := strconv.ParseUint(loStr, 10, 64)
+	h, errHi := strconv.ParseUint(hiStr, 10, 64)
+	if errLo != nil || errHi != nil {
+		return 0, 0, 0, bad()
+	}
+	if h < l {
 		return 0, 0, 0, fmt.Errorf("cloudsim: inverted Content-Range %q", v)
 	}
-	return lo, hi, total, nil
+	total = -1
+	if totStr != "*" {
+		t, err := strconv.ParseUint(totStr, 10, 64)
+		if err != nil || t <= h {
+			return 0, 0, 0, fmt.Errorf("cloudsim: bad Content-Range total %q", totStr)
+		}
+		total = float64(t)
+	}
+	return float64(l), float64(h), total, nil
 }

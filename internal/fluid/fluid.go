@@ -339,10 +339,7 @@ func (n *Network) CancelFlow(f *Flow) bool {
 	f.settleProgress(n.eng.Now())
 	f.state = FlowCancelled
 	f.finishedAt = n.eng.Now()
-	if f.completion != nil {
-		n.eng.Cancel(f.completion)
-		f.completion = nil
-	}
+	n.dropCompletion(f)
 	n.detach(f)
 	n.reallocate()
 	return true
@@ -360,10 +357,7 @@ func (n *Network) KillFlow(f *Flow) bool {
 	f.settleProgress(n.eng.Now())
 	f.state = FlowCancelled
 	f.finishedAt = n.eng.Now()
-	if f.completion != nil {
-		n.eng.Cancel(f.completion)
-		f.completion = nil
-	}
+	n.dropCompletion(f)
 	n.detach(f)
 	n.reallocate()
 	if f.onAbort != nil {
@@ -496,10 +490,7 @@ func (n *Network) reallocate() {
 		}
 		switch {
 		case at == simclock.Infinity:
-			if f.completion != nil {
-				n.eng.Cancel(f.completion)
-				f.completion = nil
-			}
+			n.dropCompletion(f)
 		case f.completion != nil:
 			n.eng.Reschedule(f.completion, at)
 		default:
@@ -516,11 +507,21 @@ func (n *Network) complete(f *Flow) {
 	f.remaining = 0
 	f.state = FlowDone
 	f.finishedAt = n.eng.Now()
-	f.completion = nil
+	n.dropCompletion(f) // the event running this callback: fired
 	n.detach(f)
 	n.reallocate()
 	if f.onComplete != nil {
 		f.onComplete(f)
+	}
+}
+
+// dropCompletion cancels the flow's completion event if it is pending
+// and hands it back to the engine: the flow is its only owner.
+func (n *Network) dropCompletion(f *Flow) {
+	if f.completion != nil {
+		n.eng.Cancel(f.completion)
+		n.eng.Release(f.completion)
+		f.completion = nil
 	}
 }
 

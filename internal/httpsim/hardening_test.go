@@ -14,7 +14,7 @@ func TestConcurrentClientsIndependentConnections(t *testing.T) {
 	n, r := world(t)
 	l := startServer(t, n, func(s *Server) {
 		s.Handle("GET", "/", func(ctx *Ctx, req *Request) *Response {
-			return &Response{Status: StatusOK, Body: []byte(req.Header["X-Who"])}
+			return &Response{Status: StatusOK, Body: []byte(req.Header.Get("X-Who"))}
 		})
 	})
 	results := make([]string, 4)
@@ -25,7 +25,7 @@ func TestConcurrentClientsIndependentConnections(t *testing.T) {
 		r.Go(fmt.Sprintf("cli-%d", i), func(p *simproc.Proc) {
 			c := NewClient(n, "client", 443, true)
 			resp, err := c.Do(p, &Request{Method: "GET", Path: "/", Host: "server",
-				Header: map[string]string{"X-Who": fmt.Sprintf("c%d", i)}})
+				Header: Header{{Key: "X-Who", Value: fmt.Sprintf("c%d", i)}}})
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 			} else {

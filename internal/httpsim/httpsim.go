@@ -12,7 +12,9 @@ package httpsim
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"detournet/internal/simproc"
@@ -43,6 +45,51 @@ const (
 // baseHeaderBytes approximates request/status line + mandatory headers.
 const baseHeaderBytes = 180
 
+// Field is one header line.
+type Field struct{ Key, Value string }
+
+// Header holds a message's header fields, at most one per key, in the
+// order they were first set. Messages carry a handful of fields, so a
+// slice scanned per lookup beats a map and costs one allocation.
+type Header []Field
+
+// Value returns the value set for key and whether there is one.
+func (h Header) Value(key string) (string, bool) {
+	for _, f := range h {
+		if f.Key == key {
+			return f.Value, true
+		}
+	}
+	return "", false
+}
+
+// Get returns the value set for key, or "" when there is none.
+func (h Header) Get(key string) string {
+	v, _ := h.Value(key)
+	return v
+}
+
+// Set sets key to value, replacing the value already set for key.
+func (h *Header) Set(key, value string) {
+	for i := range *h {
+		if (*h)[i].Key == key {
+			(*h)[i].Value = value
+			return
+		}
+	}
+	*h = append(*h, Field{key, value})
+}
+
+// size is the header's wire size: each field's key and value plus
+// ": " and CRLF.
+func (h Header) size() float64 {
+	var n float64
+	for _, f := range h {
+		n += float64(len(f.Key) + len(f.Value) + 4)
+	}
+	return n
+}
+
 // Request is an HTTP request. Body carries real bytes when the payload
 // matters to the application (JSON, rsync deltas); BodySize alone sizes
 // bulk payloads (file contents) without materializing them.
@@ -50,7 +97,7 @@ type Request struct {
 	Method string
 	Path   string
 	Host   string
-	Header map[string]string
+	Header Header
 	Body   []byte
 	// BodySize is the body's wire size in bytes when Body is nil.
 	BodySize float64
@@ -58,10 +105,7 @@ type Request struct {
 
 // Size returns the request's wire size in bytes.
 func (r *Request) Size() float64 {
-	n := float64(baseHeaderBytes + len(r.Method) + len(r.Path) + len(r.Host))
-	for k, v := range r.Header {
-		n += float64(len(k) + len(v) + 4)
-	}
+	n := float64(baseHeaderBytes+len(r.Method)+len(r.Path)+len(r.Host)) + r.Header.size()
 	return n + r.bodyBytes()
 }
 
@@ -78,17 +122,14 @@ func (r *Request) ContentLength() float64 { return r.bodyBytes() }
 // Response is an HTTP response; sizing mirrors Request.
 type Response struct {
 	Status   int
-	Header   map[string]string
+	Header   Header
 	Body     []byte
 	BodySize float64
 }
 
 // Size returns the response's wire size in bytes.
 func (r *Response) Size() float64 {
-	n := float64(baseHeaderBytes)
-	for k, v := range r.Header {
-		n += float64(len(k) + len(v) + 4)
-	}
+	n := float64(baseHeaderBytes) + r.Header.size()
 	if r.Body != nil {
 		return n + float64(len(r.Body))
 	}
@@ -123,10 +164,20 @@ func (r *Response) Error() error {
 		return nil
 	}
 	se := &StatusError{Status: r.Status, Body: strings.TrimSpace(string(r.Body))}
-	if v, ok := r.Header["Retry-After"]; ok {
-		fmt.Sscanf(v, "%f", &se.RetryAfter)
+	if v, ok := r.Header.Value("Retry-After"); ok {
+		se.RetryAfter = retryAfter(v)
 	}
 	return se
+}
+
+// retryAfter reads a Retry-After count of seconds: a finite,
+// non-negative decimal number. Anything else reads as 0, as no header.
+func retryAfter(v string) float64 {
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || math.IsInf(f, 0) || math.IsNaN(f) || f < 0 {
+		return 0
+	}
+	return f
 }
 
 // Ctx is passed to handlers.

@@ -1,6 +1,7 @@
 package httpsim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -172,13 +173,48 @@ func TestRequestSizeAccounting(t *testing.T) {
 	if req2.ContentLength() != 1000 {
 		t.Fatalf("ContentLength = %v", req2.ContentLength())
 	}
-	req3 := &Request{Method: "GET", Path: "/f", Host: "h", Header: map[string]string{"Authorization": "Bearer tok"}}
+	req3 := &Request{Method: "GET", Path: "/f", Host: "h", Header: Header{{Key: "Authorization", Value: "Bearer tok"}}}
 	if req3.Size() <= req.Size()-1000 {
 		t.Fatalf("headers not counted: %v", req3.Size())
 	}
 	resp := &Response{Status: 200, BodySize: 2000}
 	if resp.Size() <= 2000 {
 		t.Fatalf("response Size = %v", resp.Size())
+	}
+}
+
+// Header keeps one field per key: Set replaces, so Size counts every
+// key once, as the map it replaced did.
+func TestHeaderSetReplaces(t *testing.T) {
+	var h Header
+	if _, ok := h.Value("A"); ok || h.Get("A") != "" {
+		t.Fatal("empty header has a value")
+	}
+	h.Set("A", "1")
+	h.Set("Bee", "22")
+	h.Set("A", "333")
+	if v, ok := h.Value("A"); !ok || v != "333" || h.Get("Bee") != "22" || len(h) != 2 {
+		t.Fatalf("header %v", h)
+	}
+	req := &Request{Method: "GET", Path: "/", Host: "h", Header: h}
+	bare := &Request{Method: "GET", Path: "/", Host: "h"}
+	if got, want := req.Size()-bare.Size(), float64(len("A")+len("333")+4+len("Bee")+len("22")+4); got != want {
+		t.Fatalf("header bytes %v, want %v", got, want)
+	}
+}
+
+// Retry-After is read as finite, non-negative seconds; anything else
+// reads as no hint.
+func TestRetryAfterParse(t *testing.T) {
+	for v, want := range map[string]float64{
+		"1.000": 1, "0.250": 0.25, "7": 7, "0": 0,
+		"NaN": 0, "Inf": 0, "+Inf": 0, "-5": 0, "2s": 0, "": 0,
+	} {
+		resp := &Response{Status: StatusTooManyRequests, Header: Header{{Key: "Retry-After", Value: v}}}
+		var se *StatusError
+		if !errors.As(resp.Error(), &se) || se.RetryAfter != want {
+			t.Errorf("Retry-After %q: got %+v, want %v", v, se, want)
+		}
 	}
 }
 

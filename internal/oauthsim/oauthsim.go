@@ -143,7 +143,7 @@ func (a *AuthServer) Validate(authorization string) (string, error) {
 // Protect wraps a handler with bearer-token enforcement.
 func (a *AuthServer) Protect(fn httpsim.HandlerFunc) httpsim.HandlerFunc {
 	return func(ctx *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
-		if _, err := a.Validate(req.Header["Authorization"]); err != nil {
+		if _, err := a.Validate(req.Header.Get("Authorization")); err != nil {
 			return oauthErr(httpsim.StatusUnauthorized, "invalid_token")
 		}
 		return fn(ctx, req)
@@ -162,6 +162,7 @@ type TokenSource struct {
 
 	eng     *simclock.Engine
 	tok     string
+	bearer  string // "Bearer " + tok, built once per fetch
 	expires simclock.Time
 	// Skew refreshes this many seconds before nominal expiry.
 	Skew float64
@@ -192,7 +193,7 @@ func (ts *TokenSource) Token(p *simproc.Proc) (string, error) {
 	}
 	resp, err := ts.client.Do(p, &httpsim.Request{
 		Method: "POST", Path: TokenPath, Host: ts.host,
-		Header: map[string]string{"Content-Type": "application/x-www-form-urlencoded"},
+		Header: httpsim.Header{{Key: "Content-Type", Value: "application/x-www-form-urlencoded"}},
 		Body:   []byte(form.Encode()),
 	})
 	if err != nil {
@@ -208,6 +209,7 @@ func (ts *TokenSource) Token(p *simproc.Proc) (string, error) {
 		return "", fmt.Errorf("oauthsim: bad token response: %w", err)
 	}
 	ts.tok = tr.AccessToken
+	ts.bearer = "Bearer " + tr.AccessToken
 	ts.expires = ts.eng.Now() + simclock.Time(tr.ExpiresIn)
 	ts.Fetches++
 	return ts.tok, nil
@@ -215,9 +217,8 @@ func (ts *TokenSource) Token(p *simproc.Proc) (string, error) {
 
 // AuthHeader returns a ready Authorization header value.
 func (ts *TokenSource) AuthHeader(p *simproc.Proc) (string, error) {
-	tok, err := ts.Token(p)
-	if err != nil {
+	if _, err := ts.Token(p); err != nil {
 		return "", err
 	}
-	return "Bearer " + tok, nil
+	return ts.bearer, nil
 }

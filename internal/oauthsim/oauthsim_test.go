@@ -65,7 +65,7 @@ func TestTokenFetchAndUse(t *testing.T) {
 			t.Fatalf("header = %q", hdr)
 		}
 		resp, err := c.Do(p, &httpsim.Request{Method: "GET", Path: "/private", Host: "api",
-			Header: map[string]string{"Authorization": hdr}})
+			Header: httpsim.Header{{Key: "Authorization", Value: hdr}}})
 		if err != nil || resp.Status != httpsim.StatusOK {
 			t.Fatalf("protected call: %v %v", resp, err)
 		}
@@ -112,7 +112,7 @@ func TestExpiredTokenRejectedServerSide(t *testing.T) {
 		hdr, _ := ts.AuthHeader(p)
 		p.Sleep(100)
 		resp, err := c.Do(p, &httpsim.Request{Method: "GET", Path: "/private", Host: "api",
-			Header: map[string]string{"Authorization": hdr}})
+			Header: httpsim.Header{{Key: "Authorization", Value: hdr}}})
 		if err != nil {
 			t.Fatal(err)
 		}

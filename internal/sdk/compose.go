@@ -18,7 +18,7 @@ func (b *base) compose(p *simproc.Proc, path, name string, parts []string, md5 s
 		return FileInfo{}, err
 	}
 	body, _ := json.Marshal(map[string]any{"name": name, "md5": md5, "parts": parts})
-	req.Header["Content-Type"] = "application/json"
+	req.Header.Set("Content-Type", "application/json")
 	req.Body = body
 	resp, err := b.do(p, req)
 	if err != nil {

@@ -34,10 +34,10 @@ func (d *Dropbox) apiCall(p *simproc.Proc, path string, arg any, bodySize float6
 	if err != nil {
 		return nil, err
 	}
-	req.Header["Dropbox-API-Arg"] = string(argJSON)
-	req.Header["Content-Type"] = "application/octet-stream"
+	req.Header.Set("Dropbox-API-Arg", string(argJSON))
+	req.Header.Set("Content-Type", "application/octet-stream")
 	if md5 != "" {
-		req.Header["X-Content-MD5"] = md5
+		req.Header.Set("X-Content-MD5", md5)
 	}
 	tagAttempt(req, attempt)
 	req.BodySize = bodySize
@@ -53,6 +53,22 @@ type dbxCursor struct {
 	Offset    float64 `json:"offset"`
 }
 
+// Dropbox-API-Arg bodies. Their fields are in key order, so each
+// encodes to the bytes json.Marshal gives the map with the same keys:
+// the header's length is part of the request's wire size.
+type (
+	dbxPathArg struct {
+		Path string `json:"path"`
+	}
+	dbxAppendArg struct {
+		Cursor dbxCursor `json:"cursor"`
+	}
+	dbxFinishArg struct {
+		Commit dbxPathArg `json:"commit"`
+		Cursor dbxCursor  `json:"cursor"`
+	}
+)
+
 // Upload implements Client: one single-shot call when the file fits in
 // a chunk, otherwise a session whose start carries the first chunk.
 func (d *Dropbox) Upload(p *simproc.Proc, name string, size float64, md5 string) (FileInfo, error) {
@@ -60,7 +76,7 @@ func (d *Dropbox) Upload(p *simproc.Proc, name string, size float64, md5 string)
 		return FileInfo{}, fmt.Errorf("sdk: negative size")
 	}
 	if size <= d.chunk {
-		body, err := d.apiCall(p, "/2/files/upload", map[string]string{"path": name}, size, md5, "")
+		body, err := d.apiCall(p, "/2/files/upload", dbxPathArg{Path: name}, size, md5, "")
 		if err != nil {
 			return FileInfo{}, fmt.Errorf("sdk: dropbox upload: %w", err)
 		}
@@ -79,14 +95,14 @@ func (d *Dropbox) Download(p *simproc.Proc, name string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	argJSON, _ := json.Marshal(map[string]string{"path": name})
-	req.Header["Dropbox-API-Arg"] = string(argJSON)
+	argJSON, _ := json.Marshal(dbxPathArg{Path: name})
+	req.Header.Set("Dropbox-API-Arg", string(argJSON))
 	resp, err := d.do(p, req)
 	if err != nil {
 		return FileInfo{}, err
 	}
 	var fi FileInfo
-	if raw, ok := resp.Header["Dropbox-API-Result"]; ok {
+	if raw, ok := resp.Header.Value("Dropbox-API-Result"); ok {
 		if err := json.Unmarshal([]byte(raw), &fi); err != nil {
 			return FileInfo{}, fmt.Errorf("sdk: bad Dropbox-API-Result: %w", err)
 		}
@@ -97,7 +113,7 @@ func (d *Dropbox) Download(p *simproc.Proc, name string) (FileInfo, error) {
 
 // Delete implements Client.
 func (d *Dropbox) Delete(p *simproc.Proc, name string) error {
-	_, err := d.apiCall(p, "/2/files/delete_v2", map[string]string{"path": name}, 0, "", "")
+	_, err := d.apiCall(p, "/2/files/delete_v2", dbxPathArg{Path: name}, 0, "", "")
 	return err
 }
 

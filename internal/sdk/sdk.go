@@ -130,7 +130,7 @@ func (b *base) Close()       { b.http.CloseIdle() }
 // tagAttempt stamps the idempotency key onto a committing request.
 func tagAttempt(req *httpsim.Request, attempt string) {
 	if attempt != "" {
-		req.Header["X-Attempt-Id"] = attempt
+		req.Header.Set("X-Attempt-Id", attempt)
 	}
 }
 
@@ -140,10 +140,11 @@ func (b *base) authed(p *simproc.Proc, method, path string) (*httpsim.Request, e
 	if err != nil {
 		return nil, err
 	}
-	return &httpsim.Request{
-		Method: method, Path: path, Host: b.host,
-		Header: map[string]string{"Authorization": hdr},
-	}, nil
+	// Room for the fields a request adds after the token (a chunk PUT
+	// sets four, a Dropbox call up to five), so Set does not regrow.
+	h := make(httpsim.Header, 1, 5)
+	h[0] = httpsim.Field{Key: "Authorization", Value: hdr}
+	return &httpsim.Request{Method: method, Path: path, Host: b.host, Header: h}, nil
 }
 
 // maxThrottleRetries bounds 429 retries per request.
@@ -173,7 +174,7 @@ func (b *base) doRaw(p *simproc.Proc, req *httpsim.Request) (*httpsim.Response, 
 			return resp, nil
 		}
 		wait := backoff
-		if ra, ok := resp.Header["Retry-After"]; ok {
+		if ra, ok := resp.Header.Value("Retry-After"); ok {
 			if v, perr := strconv.ParseFloat(ra, 64); perr == nil && v > 0 {
 				wait = v
 			}

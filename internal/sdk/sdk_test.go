@@ -1,6 +1,7 @@
 package sdk
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -428,5 +429,23 @@ func TestThrottlingSlowsButPreservesSemantics(t *testing.T) {
 	}
 	if limDur <= freeDur {
 		t.Fatalf("throttled upload (%v) not slower than free (%v)", limDur, freeDur)
+	}
+}
+
+// The typed Dropbox-API-Arg bodies encode to exactly the bytes of the
+// maps with the same keys: the header's length is wire size.
+func TestDropboxArgsEncodeLikeMaps(t *testing.T) {
+	cur := dbxCursor{SessionID: "s<1>&", Offset: 4194304}
+	for _, c := range []struct{ typed, m any }{
+		{dbxPathArg{Path: "/a b/ü.bin"}, map[string]string{"path": "/a b/ü.bin"}},
+		{struct{}{}, map[string]any{}},
+		{dbxAppendArg{Cursor: cur}, map[string]any{"cursor": cur}},
+		{dbxFinishArg{Commit: dbxPathArg{Path: "f"}, Cursor: cur}, map[string]any{"cursor": cur, "commit": map[string]string{"path": "f"}}},
+	} {
+		a, err1 := json.Marshal(c.typed)
+		b, err2 := json.Marshal(c.m)
+		if err1 != nil || err2 != nil || string(a) != string(b) {
+			t.Errorf("typed %s, map %s (%v, %v)", a, b, err1, err2)
+		}
 	}
 }

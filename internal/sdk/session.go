@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 
 	"detournet/internal/httpsim"
 	"detournet/internal/simproc"
@@ -87,9 +90,9 @@ func (s *rangeSession) WriteChunk(p *simproc.Proc, n float64, last bool) (FileIn
 	if err != nil {
 		return FileInfo{}, err
 	}
-	put.Header["Content-Range"] = fmt.Sprintf("bytes %.0f-%.0f/%.0f", s.sent, s.sent+n-1, s.size)
+	put.Header.Set("Content-Range", contentRange(s.sent, s.sent+n-1, s.size))
 	if s.md5 != "" {
-		put.Header["X-Content-MD5"] = s.md5
+		put.Header.Set("X-Content-MD5", s.md5)
 	}
 	tagAttempt(put, s.attempt)
 	put.BodySize = n
@@ -113,6 +116,19 @@ func (s *rangeSession) WriteChunk(p *simproc.Proc, n float64, last bool) (FileIn
 	}
 }
 
+// contentRange renders "bytes lo-hi/total" exactly as the format
+// "bytes %.0f-%.0f/%.0f" does, without boxing the numbers.
+func contentRange(lo, hi, total float64) string {
+	b := make([]byte, 0, 64)
+	b = append(b, "bytes "...)
+	b = strconv.AppendFloat(b, lo, 'f', 0, 64)
+	b = append(b, '-')
+	b = strconv.AppendFloat(b, hi, 'f', 0, 64)
+	b = append(b, '/')
+	b = strconv.AppendFloat(b, total, 'f', 0, 64)
+	return string(b)
+}
+
 // Token implements UploadSession. OneDrive cannot Resume (see
 // SessionResumer), but its token still records progress for accounting.
 func (s *rangeSession) Token() SessionToken {
@@ -130,14 +146,18 @@ func (g *GoogleDrive) initiate(p *simproc.Proc, name string, size float64) (stri
 	if err != nil {
 		return "", err
 	}
-	meta, _ := json.Marshal(map[string]any{"name": name, "size": size})
-	req.Header["Content-Type"] = "application/json"
+	// Fields in key order: the bytes of the map with the same keys.
+	meta, _ := json.Marshal(struct {
+		Name string  `json:"name"`
+		Size float64 `json:"size"`
+	}{name, size})
+	req.Header.Set("Content-Type", "application/json")
 	req.Body = meta
 	resp, err := g.do(p, req)
 	if err != nil {
 		return "", fmt.Errorf("sdk: drive initiate: %w", err)
 	}
-	location := resp.Header["Location"]
+	location := resp.Header.Get("Location")
 	if location == "" {
 		return "", fmt.Errorf("sdk: drive initiate returned no Location")
 	}
@@ -169,7 +189,7 @@ func (g *GoogleDrive) Resume(p *simproc.Proc, tok SessionToken, attempt string) 
 	if err != nil {
 		return nil, err
 	}
-	req.Header["Content-Range"] = fmt.Sprintf("bytes */%.0f", tok.Size)
+	req.Header.Set("Content-Range", fmt.Sprintf("bytes */%.0f", tok.Size))
 	resp, err := g.http.Do(p, req)
 	if err != nil {
 		return nil, err
@@ -178,9 +198,8 @@ func (g *GoogleDrive) Resume(p *simproc.Proc, tok SessionToken, attempt string) 
 		return nil, fmt.Errorf("sdk: resume status query got %d", resp.Status)
 	}
 	var sent float64
-	if r, ok := resp.Header["Range"]; ok {
-		var hi float64
-		if _, err := fmt.Sscanf(r, "bytes=0-%f", &hi); err == nil {
+	if r, ok := strings.CutPrefix(resp.Header.Get("Range"), "bytes=0-"); ok {
+		if hi, err := strconv.ParseFloat(r, 64); err == nil && hi >= 0 && !math.IsInf(hi, 1) {
 			sent = hi + 1
 		}
 	}
@@ -208,7 +227,7 @@ func (d *Dropbox) BeginUpload(p *simproc.Proc, name string, size float64, md5, a
 // start opens an upload session; the start call itself carries the
 // file's first `first` bytes.
 func (d *Dropbox) start(p *simproc.Proc, name, md5, attempt string, first float64) (UploadSession, error) {
-	body, err := d.apiCall(p, "/2/files/upload_session/start", map[string]any{}, first, "", "")
+	body, err := d.apiCall(p, "/2/files/upload_session/start", struct{}{}, first, "", "")
 	if err != nil {
 		return nil, fmt.Errorf("sdk: dropbox session start: %w", err)
 	}
@@ -231,7 +250,7 @@ func (s *dropboxSession) WriteChunk(p *simproc.Proc, n float64, last bool) (File
 	}
 	cursor := dbxCursor{SessionID: s.sessionID, Offset: s.sent}
 	if last {
-		arg := map[string]any{"cursor": cursor, "commit": map[string]string{"path": s.name}}
+		arg := dbxFinishArg{Commit: dbxPathArg{Path: s.name}, Cursor: cursor}
 		body, err := s.d.apiCall(p, "/2/files/upload_session/finish", arg, n, s.md5, s.attempt)
 		if err != nil {
 			return FileInfo{}, fmt.Errorf("sdk: dropbox finish: %w", err)
@@ -239,7 +258,7 @@ func (s *dropboxSession) WriteChunk(p *simproc.Proc, n float64, last bool) (File
 		s.sent += n
 		return decodeMeta(body)
 	}
-	arg := map[string]any{"cursor": cursor}
+	arg := dbxAppendArg{Cursor: cursor}
 	if _, err := s.d.apiCall(p, "/2/files/upload_session/append_v2", arg, n, "", ""); err != nil {
 		return FileInfo{}, fmt.Errorf("sdk: dropbox append at %.0f: %w", s.sent, err)
 	}
@@ -268,7 +287,7 @@ func (d *Dropbox) Resume(p *simproc.Proc, tok SessionToken, attempt string) (Upl
 		return nil, fmt.Errorf("sdk: negative resume offset")
 	}
 	sess := &dropboxSession{d: d, name: tok.Name, md5: tok.MD5, sessionID: tok.Ref, sent: tok.Offset, attempt: attempt}
-	arg := map[string]any{"cursor": dbxCursor{SessionID: tok.Ref, Offset: tok.Offset}}
+	arg := dbxAppendArg{Cursor: dbxCursor{SessionID: tok.Ref, Offset: tok.Offset}}
 	if _, err := d.apiCall(p, "/2/files/upload_session/append_v2", arg, 0, "", ""); err != nil {
 		var se *httpsim.StatusError
 		if errors.As(err, &se) && se.Status == httpsim.StatusConflict {

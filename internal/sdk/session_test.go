@@ -1,6 +1,9 @@
 package sdk
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"detournet/internal/cloudsim"
@@ -186,4 +189,20 @@ func TestDriveResumeValidation(t *testing.T) {
 		}
 		g.Close()
 	})
+}
+
+// contentRange writes what "bytes %.0f-%.0f/%.0f" writes, rounding
+// halves and fractional sizes included.
+func TestContentRangeMatchesFormat(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := []float64{0, 1, 0.5, 1.5, 2.5, -0.5, 4194303, 1e8, 99999999.5, math.MaxUint32}
+	for i := 0; i < 200; i++ {
+		vals = append(vals, math.Floor(rng.Float64()*1e9), rng.Float64()*1e7)
+	}
+	for i, lo := range vals {
+		hi, total := vals[(i+1)%len(vals)], vals[(i+2)%len(vals)]
+		if got, want := contentRange(lo, hi, total), fmt.Sprintf("bytes %.0f-%.0f/%.0f", lo, hi, total); got != want {
+			t.Fatalf("contentRange(%v, %v, %v) = %q, want %q", lo, hi, total, got, want)
+		}
+	}
 }

@@ -27,6 +27,11 @@ var Infinity = Time(math.Inf(1))
 // Event is scheduled work. Events are compared by time first and by
 // insertion sequence second, so two events at the same instant always run
 // in the order they were scheduled.
+//
+// Event structs are recycled: a posted event (Post) goes back to the
+// engine's free list before its callback runs, and an event handed to
+// Release goes back when its sole owner is done with it. Schedule draws
+// from that list, so a handle must not be used once released.
 type Event struct {
 	at     Time
 	seq    uint64
@@ -34,6 +39,7 @@ type Event struct {
 	fn     func()
 	fired  bool
 	cancel bool
+	posted bool // no handle escaped: recycled as soon as it fires
 }
 
 // At reports the virtual time the event is (or was) scheduled for.
@@ -127,6 +133,7 @@ type Engine struct {
 	queue   eventHeap
 	seq     uint64
 	running bool
+	free    []*Event // released events, reused by Schedule and Post
 	// MaxEvents bounds a single Run to guard against scheduling loops in
 	// buggy models. Zero means no bound.
 	MaxEvents uint64
@@ -154,10 +161,37 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	if fn == nil {
 		panic("simclock: nil event func")
 	}
-	ev := &Event{at: at, seq: e.seq, fn: fn}
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		*ev = Event{at: at, seq: e.seq, fn: fn}
+	} else {
+		ev = &Event{at: at, seq: e.seq, fn: fn}
+	}
 	e.seq++
 	e.queue.push(ev)
 	return ev
+}
+
+// Post is Schedule for work nobody will cancel, move or re-arm: it
+// returns no handle, so the event goes back to the free list as soon
+// as it fires. It takes its sequence number exactly as Schedule would.
+func (e *Engine) Post(at Time, fn func()) {
+	e.Schedule(at, fn).posted = true
+}
+
+// Release hands a fired or cancelled event back to the free list that
+// Schedule draws from. Only the event's sole owner may call it, and
+// the handle is dead afterwards: Cancel, Reschedule, Rearm and a second
+// Release all refuse it. Releasing a pending event does nothing.
+func (e *Engine) Release(ev *Event) {
+	if ev == nil || ev.index >= 0 || ev.fn == nil {
+		return
+	}
+	*ev = Event{index: -1}
+	e.free = append(e.free, ev)
 }
 
 // After runs fn d seconds from now. Negative d panics via Schedule.
@@ -235,7 +269,14 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	ev.fired = true
 	e.processed++
-	ev.fn()
+	fn := ev.fn
+	// A posted event has no other owner: it is free again before its
+	// callback runs, which may then schedule into it. Nothing below
+	// touches ev, because the callback may also release its own event.
+	if ev.posted {
+		e.Release(ev)
+	}
+	fn()
 	return true
 }
 

@@ -381,10 +381,12 @@ func (q *refQueue) Pop() any {
 	return it
 }
 
-// Property: under random Schedule/Cancel/Reschedule/Rearm/Step scripts
-// with many equal-time ties, the engine runs events in exactly the
-// order a container/heap queue on (at, seq) pops them, and every call
-// reports what the reference model says it should.
+// Property: under random Schedule/Post/Cancel/Reschedule/Rearm/Release/
+// Step scripts with many equal-time ties, the engine runs events in
+// exactly the order a container/heap queue on (at, seq) pops them, and
+// every call reports what the reference model says it should. The
+// reference never reuses anything, so recycling released and posted
+// events must not move the order.
 func TestPropertyHeapMatchesContainerHeap(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -414,12 +416,31 @@ func TestPropertyHeapMatchesContainerHeap(t *testing.T) {
 			if len(evs) > 0 {
 				id = rng.Intn(len(evs))
 			}
-			switch k := rng.Intn(10); {
-			case k < 3 || len(evs) == 0:
+			k := rng.Intn(13)
+			if k >= 3 && k <= 5 || k >= 10 {
+				if len(evs) == 0 || evs[id] == nil { // no live handle to act on
+					k = 0
+				}
+			}
+			switch {
+			case k < 3:
 				id = len(evs)
 				evs = append(evs, e.Schedule(at, func() { ran = append(ran, id) }))
 				items = append(items, &refItem{id: id, index: -1})
 				queue(items[id], at)
+			case k == 10:
+				id = len(evs)
+				e.Post(at, func() { ran = append(ran, id) })
+				evs = append(evs, nil)
+				items = append(items, &refItem{id: id, index: -1})
+				queue(items[id], at)
+			case k >= 11:
+				// Releasing a pending event does nothing; a fired or
+				// cancelled one is recycled and its handle is dead.
+				e.Release(evs[id])
+				if items[id].index < 0 {
+					evs[id] = nil
+				}
 			case k == 3:
 				want := items[id].index >= 0
 				if got := e.Cancel(evs[id]); got != want {
@@ -463,6 +484,78 @@ func TestPropertyHeapMatchesContainerHeap(t *testing.T) {
 		if e.Step() {
 			t.Fatalf("seed %d: engine has events the reference does not", seed)
 		}
+	}
+}
+
+// A released event is what the next Schedule hands out; releasing a
+// pending event does nothing, and a dead handle is refused everywhere.
+func TestReleaseRecyclesIntoSchedule(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	ev := e.Schedule(1, func() { n++ })
+	e.Release(ev) // pending: no-op
+	if e.Pending() != 1 {
+		t.Fatal("Release dropped a pending event")
+	}
+	e.Run()
+	if n != 1 {
+		t.Fatalf("event ran %d times", n)
+	}
+	e.Release(ev)
+	e.Release(ev) // twice: the second is a no-op, not a double free
+	if e.Cancel(ev) || e.Reschedule(ev, 5) || e.Rearm(ev, 5) {
+		t.Fatal("a released handle was accepted")
+	}
+	a := e.Schedule(2, func() { n += 10 })
+	if a != ev {
+		t.Fatal("Schedule did not reuse the released event")
+	}
+	if b := e.Schedule(2, func() { n += 100 }); b == ev {
+		t.Fatal("one released event handed out twice")
+	}
+	e.Run()
+	if n != 111 {
+		t.Fatalf("n = %d, want 111", n)
+	}
+	cancelled := e.Schedule(3, func() { t.Fatal("cancelled event ran") })
+	e.Cancel(cancelled)
+	e.Release(cancelled)
+	if e.Schedule(4, func() {}) != cancelled {
+		t.Fatal("a released cancelled event was not reused")
+	}
+	e.Run()
+}
+
+// A posted event is recycled exactly once, also when its callback
+// schedules (and so may take the posted event's own struct) or
+// releases another event.
+func TestPostedEventRecycledOnce(t *testing.T) {
+	e := NewEngine()
+	other := e.Schedule(0, func() {})
+	e.Run()
+	var got []string
+	var a, b *Event
+	e.Post(1, func() {
+		got = append(got, "post")
+		e.Release(other)
+		a = e.Schedule(2, func() { got = append(got, "a") })
+		b = e.Schedule(2, func() { got = append(got, "b") })
+		e.Post(2, func() { got = append(got, "c") })
+	})
+	e.Run()
+	if want := "[post a b c]"; fmt.Sprint(got) != want {
+		t.Fatalf("order %v, want %s", got, want)
+	}
+	// The free list held the post's own struct and other: a and b took
+	// one each, and only the second post's struct is free at the end.
+	if a != other || b == a || b == nil {
+		t.Fatal("the released and the posted struct were not each reused once")
+	}
+	if len(e.free) != 1 || e.free[0] == a || e.free[0] == b {
+		t.Fatalf("free list %v after the run, want the second post only", e.free)
+	}
+	if e.Processed() != 5 {
+		t.Fatalf("processed %d events, want 5", e.Processed())
 	}
 }
 

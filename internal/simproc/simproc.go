@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"slices"
 	"sort"
 
 	"detournet/internal/simclock"
@@ -163,6 +164,9 @@ func (c *coro) run() {
 func (r *Runner) handoff(p *Proc) {
 	if returned, _ := p.c.next(); returned {
 		r.idle = append(r.idle, p.c)
+		// p.ev is the event running this handoff: fired, and owned by
+		// nothing else, so it goes back to the engine.
+		r.eng.Release(p.ev)
 		p.c, p.resume, p.ev = nil, nil, nil
 	}
 }
@@ -329,7 +333,7 @@ func (q *Queue[T]) Push(v T) {
 	q.items = append(q.items, v)
 	if len(q.recvs) > 0 {
 		w := q.recvs[0]
-		q.recvs = q.recvs[1:]
+		q.recvs = slices.Delete(q.recvs, 0, 1)
 		w.wake()
 	}
 }
@@ -341,8 +345,11 @@ func (q *Queue[T]) Pop(p *Proc) T {
 		q.recvs = append(q.recvs, p)
 		p.park("queue")
 	}
+	// Shift down in place (slices.Delete zeroes the vacated slot)
+	// rather than reslicing: the array keeps its capacity for the next
+	// Push, and the popped item is no longer reachable through it.
 	v := q.items[0]
-	q.items = q.items[1:]
+	q.items = slices.Delete(q.items, 0, 1)
 	return v
 }
 

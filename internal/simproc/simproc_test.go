@@ -491,3 +491,44 @@ func TestCloseReleasesParkedServer(t *testing.T) {
 		t.Fatal("an open runner's parked server was collected: the Close case proves nothing")
 	}
 }
+
+// A queue in steady use allocates nothing: Pop shifts the items down in
+// place, so Push keeps appending into the same array.
+func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
+	q := NewQueue[int](New(simclock.NewEngine()))
+	q.Push(0)
+	// Pop never parks on a non-empty queue, so it needs no process.
+	allocs := testing.AllocsPerRun(1000, func() {
+		q.Push(1)
+		q.Push(2)
+		q.Pop(nil)
+		q.Pop(nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per push/pop round, want 0", allocs)
+	}
+}
+
+// A popped item is garbage as soon as nothing but the queue's array
+// ever held it, even while the queue itself lives on.
+func TestPoppedItemCollectable(t *testing.T) {
+	type item struct{ buf [64]byte }
+	q := NewQueue[*item](New(simclock.NewEngine()))
+	var collected atomic.Bool
+	v := &item{}
+	runtime.SetFinalizer(v, func(*item) { collected.Store(true) })
+	q.Push(v)
+	q.Push(&item{})
+	v = nil
+	if q.Pop(nil) == nil {
+		t.Fatal("popped nil")
+	}
+	for i := 0; i < 100 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Fatal("the popped item is still reachable from its queue")
+	}
+	runtime.KeepAlive(q)
+}

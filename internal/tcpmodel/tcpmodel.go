@@ -106,8 +106,10 @@ func (c *Cwnd) RateCap(rtt float64) float64 {
 
 // Ramp grows a connection's window while a fluid flow is active,
 // doubling each RTT (slow start) up to the receive window, and keeps the
-// flow's rate cap in sync. One Ramp drives one flow; create a new Ramp
-// per transfer but share the Cwnd per connection.
+// flow's rate cap in sync. A Ramp drives one flow at a time and shares
+// the Cwnd of its connection direction; a connection keeps one Ramp per
+// direction and starts it again for every transfer, so its doubling
+// event and step callback are made once, not once per transfer.
 type Ramp struct {
 	fl      *fluid.Network
 	flow    *fluid.Flow
@@ -115,32 +117,54 @@ type Ramp struct {
 	params  Params
 	rtt     float64
 	stopped bool
-	next    *simclock.Event
+	// next is the doubling event: pending while the ramp runs, fired
+	// (and re-armed by the next doubling) once it has run.
+	next *simclock.Event
+	step func() // r.advance, bound once
 }
 
-// StartRamp applies the window cap to the flow and begins doubling. The
-// returned Ramp stops itself when the flow finishes; Stop cancels early.
-func StartRamp(fl *fluid.Network, flow *fluid.Flow, cwnd *Cwnd, params Params, rtt float64) *Ramp {
-	if fl == nil || flow == nil || cwnd == nil {
+// NewRamp returns a stopped ramp for one connection direction; Start
+// runs it on a flow.
+func NewRamp(fl *fluid.Network, cwnd *Cwnd, params Params, rtt float64) *Ramp {
+	if fl == nil || cwnd == nil {
 		panic("tcpmodel: nil argument")
 	}
 	if rtt <= 0 {
 		panic("tcpmodel: non-positive rtt")
 	}
-	r := &Ramp{fl: fl, flow: flow, cwnd: cwnd, params: params.WithDefaults(), rtt: rtt}
-	fl.SetFlowCap(flow, cwnd.RateCap(rtt))
-	r.schedule()
+	r := &Ramp{fl: fl, cwnd: cwnd, params: params.WithDefaults(), rtt: rtt, stopped: true}
+	r.step = r.advance
 	return r
 }
 
+// Start applies the window cap to the flow and begins doubling, after
+// stopping the ramp's previous flow if it still runs. The ramp stops
+// itself when the flow finishes; Stop ends it early.
+func (r *Ramp) Start(flow *fluid.Flow) {
+	if flow == nil {
+		panic("tcpmodel: nil argument")
+	}
+	r.Stop()
+	r.flow, r.stopped = flow, false
+	r.fl.SetFlowCap(flow, r.cwnd.RateCap(r.rtt))
+	r.schedule()
+}
+
+// schedule queues the next doubling one RTT from now. It re-arms the
+// fired doubling event when there is one; either way the event takes
+// the sequence number Schedule would give it.
 func (r *Ramp) schedule() {
 	if r.cwnd.bytes >= r.params.RwndBytes {
 		return // fully ramped; the cap is already at the ceiling
 	}
-	r.next = r.fl.Engine().After(r.rtt, r.step)
+	eng := r.fl.Engine()
+	at := eng.Now() + simclock.Time(r.rtt)
+	if !eng.Rearm(r.next, at) {
+		r.next = eng.Schedule(at, r.step)
+	}
 }
 
-func (r *Ramp) step() {
+func (r *Ramp) advance() {
 	if r.stopped || r.flow.State() != fluid.FlowActive {
 		return
 	}
@@ -150,13 +174,15 @@ func (r *Ramp) step() {
 }
 
 // Stop cancels future window growth (the current cap stays in place).
+// A pending doubling event is cancelled and handed back to the engine.
 func (r *Ramp) Stop() {
 	if r.stopped {
 		return
 	}
 	r.stopped = true
-	if r.next != nil {
-		r.fl.Engine().Cancel(r.next)
+	r.flow = nil
+	if eng := r.fl.Engine(); eng.Cancel(r.next) {
+		eng.Release(r.next)
 		r.next = nil
 	}
 }

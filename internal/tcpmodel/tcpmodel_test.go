@@ -53,7 +53,7 @@ func TestRampDoublesToRwnd(t *testing.T) {
 	params := Params{RwndBytes: 1 << 20}
 	cwnd := NewCwnd(params)
 	f := fl.StartFlow([]*fluid.Link{l}, 1e15, fluid.FlowOpts{})
-	StartRamp(fl, f, cwnd, params, 0.1)
+	NewRamp(fl, cwnd, params, 0.1).Start(f)
 	if got := f.Cap(); math.Abs(got-146000) > 1 {
 		t.Fatalf("initial cap = %v", got)
 	}
@@ -81,7 +81,7 @@ func TestRampStopsWhenFlowDone(t *testing.T) {
 	params := Params{}
 	cwnd := NewCwnd(params)
 	f := fl.StartFlow([]*fluid.Link{l}, 20000, fluid.FlowOpts{})
-	StartRamp(fl, f, cwnd, params, 0.1)
+	NewRamp(fl, cwnd, params, 0.1).Start(f)
 	eng.Run() // must terminate: ramp must not keep scheduling forever
 	if f.State() != fluid.FlowDone {
 		t.Fatal("flow did not finish")
@@ -95,7 +95,8 @@ func TestRampStopCancels(t *testing.T) {
 	params := Params{}
 	cwnd := NewCwnd(params)
 	f := fl.StartFlow([]*fluid.Link{l}, 1e12, fluid.FlowOpts{})
-	r := StartRamp(fl, f, cwnd, params, 0.1)
+	r := NewRamp(fl, cwnd, params, 0.1)
+	r.Start(f)
 	before := cwnd.Bytes()
 	r.Stop()
 	r.Stop() // idempotent
@@ -106,6 +107,41 @@ func TestRampStopCancels(t *testing.T) {
 	fl.CancelFlow(f)
 }
 
+// One ramp serves a connection direction's transfers in turn: each
+// Start re-arms its one doubling event, a Start while it still runs
+// stops the previous flow's growth, and Stop leaves nothing queued.
+func TestRampRestartsInPlace(t *testing.T) {
+	eng := simclock.NewEngine()
+	fl := fluid.New(eng)
+	l := fl.AddLink("l", 1e12, 0.01)
+	params := Params{RwndBytes: 1 << 30} // never saturates here
+	cwnd := NewCwnd(params)
+	r := NewRamp(fl, cwnd, params, 0.1)
+	for i := 0; i < 5; i++ {
+		f := fl.StartFlow([]*fluid.Link{l}, 1e15, fluid.FlowOpts{})
+		r.Start(f)
+		eng.Advance(0.25) // two doublings
+		r.Stop()
+		fl.CancelFlow(f)
+		if n := eng.Pending(); n != 0 {
+			t.Fatalf("transfer %d: %d events left after Stop", i, n)
+		}
+	}
+	if want := 14600.0 * (1 << 10); cwnd.Bytes() != want {
+		t.Fatalf("cwnd %v after 5 x 2 doublings, want %v", cwnd.Bytes(), want)
+	}
+	f1 := fl.StartFlow([]*fluid.Link{l}, 1e15, fluid.FlowOpts{})
+	f2 := fl.StartFlow([]*fluid.Link{l}, 1e15, fluid.FlowOpts{})
+	r.Start(f1)
+	r.Start(f2)
+	fl.CancelFlow(f1)
+	fl.CancelFlow(f2)
+	if n := eng.Pending(); n != 1 {
+		t.Fatalf("%d events pending, want the one doubling", n)
+	}
+	r.Stop()
+}
+
 func TestCwndSharedAcrossTransfers(t *testing.T) {
 	// Second transfer on the same connection starts from the ramped
 	// window, not from IW.
@@ -114,15 +150,16 @@ func TestCwndSharedAcrossTransfers(t *testing.T) {
 	l := fl.AddLink("l", 1e9, 0.01)
 	params := Params{RwndBytes: 1 << 20}
 	cwnd := NewCwnd(params)
+	r := NewRamp(fl, cwnd, params, 0.05)
 	f1 := fl.StartFlow([]*fluid.Link{l}, 5e6, fluid.FlowOpts{})
-	StartRamp(fl, f1, cwnd, params, 0.05)
+	r.Start(f1)
 	eng.Run()
 	rampedTo := cwnd.Bytes()
 	if rampedTo <= 14600 {
 		t.Fatalf("cwnd never grew: %v", rampedTo)
 	}
 	f2 := fl.StartFlow([]*fluid.Link{l}, 5e6, fluid.FlowOpts{})
-	StartRamp(fl, f2, cwnd, params, 0.05)
+	r.Start(f2)
 	if f2.Cap() != cwnd.RateCap(0.05) || cwnd.Bytes() != rampedTo {
 		t.Fatal("second transfer did not inherit ramped window")
 	}
@@ -139,7 +176,7 @@ func TestSlowStartMakesSmallTransfersSublinear(t *testing.T) {
 		params := Params{RwndBytes: 4 << 20}
 		cwnd := NewCwnd(params)
 		f := fl.StartFlow([]*fluid.Link{l}, bytes, fluid.FlowOpts{})
-		StartRamp(fl, f, cwnd, params, 0.05)
+		NewRamp(fl, cwnd, params, 0.05).Start(f)
 		eng.Run()
 		return float64(f.FinishedAt() - f.StartedAt())
 	}
@@ -166,7 +203,7 @@ func TestEstimateTransferTimeMatchesSimulation(t *testing.T) {
 		l := fl.AddLink("l", rate, rtt/2)
 		cwnd := NewCwnd(params)
 		f := fl.StartFlow([]*fluid.Link{l}, size, fluid.FlowOpts{})
-		StartRamp(fl, f, cwnd, params, rtt)
+		NewRamp(fl, cwnd, params, rtt).Start(f)
 		eng.Run()
 		sim := float64(f.FinishedAt() - f.StartedAt())
 		est := params.EstimateTransferTime(size, rate, rtt)

@@ -88,6 +88,11 @@ type Graph struct {
 
 	router PathFinder
 
+	// routes memoizes RoutedLinks per pair while the router is static
+	// (MinDelay, MinDelayFiltered), for as long as gen equals routesGen.
+	routes    map[pair][]*fluid.Link
+	routesGen uint64
+
 	// gen counts structural changes (nodes, edges, edge up/down flips);
 	// route memos keyed on it stay valid while it holds still.
 	gen uint64
@@ -130,6 +135,7 @@ func (g *Graph) SetRouter(r PathFinder) {
 		panic("topology: nil router")
 	}
 	g.router = r
+	g.routes = nil
 }
 
 // AddNode registers a node. Duplicate names are an error, and so is a
@@ -464,13 +470,50 @@ func (g *Graph) LinkPath(nodes []*Node) ([]*fluid.Link, error) {
 	return out, nil
 }
 
-// RoutedLinks combines Path and LinkPath.
+// RoutedLinks combines Path and LinkPath. The returned slice may be
+// shared with later calls and must not be modified.
+//
+// Under a static router (MinDelay, or MinDelayFiltered with a filter
+// that looks only at the edge and the endpoints) a pair's route depends
+// on nothing but the graph's structure, so it is memoized until Gen
+// moves or SetRouter installs another router. A pair with a pinned
+// override, enabled or not, is never memoized, nor is an error; other
+// routers (package bgppol's move with virtual time) always search.
 func (g *Graph) RoutedLinks(src, dst string) ([]*fluid.Link, error) {
+	k := pair{src, dst}
+	_, pinned := g.overrides[k]
+	memo := !pinned && g.staticRouter()
+	if memo {
+		if g.routesGen != g.gen {
+			clear(g.routes)
+			g.routesGen = g.gen
+		}
+		if links, ok := g.routes[k]; ok {
+			return links, nil
+		}
+	}
 	nodes, err := g.Path(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	return g.LinkPath(nodes)
+	links, err := g.LinkPath(nodes)
+	if err == nil && memo {
+		if g.routes == nil {
+			g.routes = make(map[pair][]*fluid.Link)
+		}
+		g.routes[k] = links
+	}
+	return links, err
+}
+
+// staticRouter reports whether the installed router's routes are a
+// function of the graph's structure alone.
+func (g *Graph) staticRouter() bool {
+	switch g.router.(type) {
+	case MinDelay, MinDelayFiltered:
+		return true
+	}
+	return false
 }
 
 // RTT returns the round-trip propagation delay between two nodes along
@@ -503,6 +546,8 @@ type EdgeFilter func(e *Edge, src, dst *Node) bool
 // the hook for lightweight routing policy such as "provider (stub)
 // domains do not carry transit traffic", which on the real Internet is
 // enforced by BGP export rules (see package bgppol for the full model).
+// The filter must be a fixed function of its arguments: RoutedLinks
+// memoizes the routes it gives (see there).
 type MinDelayFiltered struct {
 	Allow EdgeFilter
 }

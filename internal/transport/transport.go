@@ -13,8 +13,10 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"detournet/internal/fluid"
+	"detournet/internal/simclock"
 	"detournet/internal/simproc"
 	"detournet/internal/tcpmodel"
 	"detournet/internal/topology"
@@ -164,15 +166,27 @@ type Conn struct {
 	remote string
 	port   int
 	tls    bool
-	params tcpmodel.Params
 
 	rtt      float64
 	fwdLinks []*fluid.Link
 	fwdDelay float64
+	label    string // flow label "src->dst:port", built on the first Send
 
-	sendCwnd    *tcpmodel.Cwnd
+	sendCwnd    tcpmodel.Cwnd
+	sendRamp    *tcpmodel.Ramp // this direction's slow start, one per Conn
 	sendBusy    bool
 	sendWaiters []*simproc.Future[bool]
+	// sendDone receives the outcome of the running send's flow (true:
+	// delivered, false: killed) from sendOpts' callbacks, built once.
+	sendDone *simproc.Queue[bool]
+	sendOpts fluid.FlowOpts
+
+	// inflight holds what this end sent (messages, then at most one EOF)
+	// and the peer has not received yet, oldest first. Every arrival is
+	// one posted event running arrive, fwdDelay after its send: the
+	// delay is the same for all of them, so they fire in this order.
+	inflight []inboxItem
+	arrive   func() // c.deliver, bound once
 
 	inbox  *simproc.Queue[inboxItem]
 	peer   *Conn
@@ -205,24 +219,31 @@ func (n *Net) Dial(p *simproc.Proc, srcHost, dstHost string, port int, opts Dial
 		return nil, fmt.Errorf("%w: %s", ErrRefused, addrKey(dstHost, port))
 	}
 
-	client := &Conn{
-		net: n, local: srcHost, remote: dstHost, port: port, tls: opts.TLS,
-		params: params, rtt: rtt,
-		fwdLinks: fwd, fwdDelay: fluid.PathDelay(fwd),
-		sendCwnd: tcpmodel.NewCwnd(params),
-		inbox:    simproc.NewQueue[inboxItem](n.runner),
-	}
-	server := &Conn{
-		net: n, local: dstHost, remote: srcHost, port: port, tls: opts.TLS,
-		params: params, rtt: rtt,
-		fwdLinks: rev, fwdDelay: fluid.PathDelay(rev),
-		sendCwnd: tcpmodel.NewCwnd(params),
-		inbox:    simproc.NewQueue[inboxItem](n.runner),
-	}
+	client := n.newConn(srcHost, dstHost, port, opts.TLS, params, rtt, fwd)
+	server := n.newConn(dstHost, srcHost, port, opts.TLS, params, rtt, rev)
 	client.peer = server
 	server.peer = client
 	l.backlog.Push(server)
 	return client, nil
+}
+
+// newConn builds one endpoint sending over links.
+func (n *Net) newConn(local, remote string, port int, tls bool, params tcpmodel.Params, rtt float64, links []*fluid.Link) *Conn {
+	c := &Conn{
+		net: n, local: local, remote: remote, port: port, tls: tls,
+		rtt:      rtt,
+		fwdLinks: links, fwdDelay: fluid.PathDelay(links),
+		sendCwnd: *tcpmodel.NewCwnd(params),
+		inbox:    simproc.NewQueue[inboxItem](n.runner),
+	}
+	c.sendRamp = tcpmodel.NewRamp(n.g.Fluid(), &c.sendCwnd, params, rtt)
+	c.sendDone = simproc.NewQueue[bool](n.runner)
+	c.sendOpts = fluid.FlowOpts{
+		OnComplete: func(*fluid.Flow) { c.sendDone.Push(true) },
+		OnAbort:    func(*fluid.Flow) { c.sendDone.Push(false) },
+	}
+	c.arrive = c.deliver
+	return c
 }
 
 // LocalHost returns this endpoint's host name.
@@ -251,7 +272,7 @@ func (c *Conn) releaseSend() {
 	c.sendBusy = false
 	if len(c.sendWaiters) > 0 {
 		f := c.sendWaiters[0]
-		c.sendWaiters = c.sendWaiters[1:]
+		c.sendWaiters = slices.Delete(c.sendWaiters, 0, 1)
 		f.Set(true)
 	}
 }
@@ -274,37 +295,49 @@ func (c *Conn) Send(p *simproc.Proc, payload any, size float64) error {
 	}
 	wire := size*c.net.OverheadFactor + minWireBytes
 	fl := c.net.g.Fluid()
-	done := simproc.NewFuture[bool](c.net.runner)
 	// Labels are "src->dst:port", prefixed "scope|" when the sending
 	// process carries a flow scope — the handle a multipath driver uses
 	// to abort one transfer's flows and never another's, even between
 	// the same endpoint pair.
-	label := fmt.Sprintf("%s->%s:%d", c.local, c.remote, c.port)
+	if c.label == "" {
+		c.label = fmt.Sprintf("%s->%s:%d", c.local, c.remote, c.port)
+	}
+	label := c.label
 	if sc := p.Scope(); sc != "" {
 		label = sc + "|" + label
 	}
-	flow := fl.StartFlow(c.fwdLinks, wire, fluid.FlowOpts{
-		Label:      label,
-		OnComplete: func(*fluid.Flow) { done.Set(true) },
-		OnAbort:    func(*fluid.Flow) { done.Set(false) },
-	})
-	ramp := tcpmodel.StartRamp(fl, flow, c.sendCwnd, c.params, c.rtt)
-	ok := simproc.Await(p, done)
-	ramp.Stop()
+	opts := c.sendOpts
+	opts.Label = label
+	flow := fl.StartFlow(c.fwdLinks, wire, opts)
+	c.sendRamp.Start(flow)
+	ok := c.sendDone.Pop(p)
+	c.sendRamp.Stop()
 	if !ok {
 		// The path died mid-transfer: tear the connection down so both
 		// ends (and any parked receivers) observe the failure.
 		c.Close()
 		return ErrReset
 	}
-	peer := c.peer
-	msg := Message{Payload: payload, Bytes: size}
-	c.net.runner.Engine().After(c.fwdDelay, func() {
-		if !peer.closed {
-			peer.inbox.Push(inboxItem{msg: msg})
-		}
-	})
+	c.post(inboxItem{msg: Message{Payload: payload, Bytes: size}})
 	return nil
+}
+
+// post puts it on the wire to the peer, arriving one-way propagation
+// from now.
+func (c *Conn) post(it inboxItem) {
+	eng := c.net.runner.Engine()
+	c.inflight = append(c.inflight, it)
+	eng.Post(eng.Now()+simclock.Time(c.fwdDelay), c.arrive)
+}
+
+// deliver hands the oldest in-flight item to the peer, unless the peer
+// has closed.
+func (c *Conn) deliver() {
+	it := c.inflight[0]
+	c.inflight = slices.Delete(c.inflight, 0, 1)
+	if !c.peer.closed {
+		c.peer.inbox.Push(it)
+	}
 }
 
 // Recv blocks until a message (or close) arrives from the peer.
@@ -323,12 +356,7 @@ func (c *Conn) Close() {
 		return
 	}
 	c.closed = true
-	peer := c.peer
-	c.net.runner.Engine().After(c.fwdDelay, func() {
-		if !peer.closed {
-			peer.inbox.Push(inboxItem{err: EOF})
-		}
-	})
+	c.post(inboxItem{err: EOF})
 	// Unblock local receivers too.
 	c.inbox.Push(inboxItem{err: ErrClosed})
 }
