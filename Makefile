@@ -132,7 +132,8 @@ golden-check:
 # compiles, vets clean, the full test suite (including the
 # really-concurrent scheduler) is race-clean, the nested detourledger
 # module (which `./...` skips) compiles and vets against the scheduler,
-# the delta-encoding, journal-decode and Content-Range fuzzers hold up
+# the simulator's benchmarks (fluid, xtraffic, simclock), which `go test`
+# only compiles, run one iteration each, the delta-encoding, journal-decode and Content-Range fuzzers hold up
 # for a short smoke run, the chaos and overload replays complete, and every
 # deterministic example, every deterministic scheduler replay — for
 # telemetry the whole observability plane: metric dumps, time series,
@@ -144,6 +145,7 @@ check:
 	test -z "$$(gofmt -l .)"
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) -C detourledger vet ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/fluid ./internal/xtraffic ./internal/simclock
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal

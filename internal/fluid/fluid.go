@@ -17,6 +17,11 @@
 // on it, so each of those first asks the source to Sync. The allocator
 // only reads links that carry flows and never syncs.
 //
+// The network keeps the set of busy links, those carrying at least one
+// flow, so the allocator visits them without scanning every link in the
+// world. The set is unordered: the allocator's result does not depend on
+// the order it visits links in.
+//
 // Reallocation is global and bit-exact by contract: every event settles
 // every flow, recomputes max-min over the whole network with the float
 // operations of the textbook progressive-filling loop in the same order,
@@ -30,7 +35,6 @@ package fluid
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 
@@ -58,8 +62,9 @@ type Link struct {
 	// computed from it by higher layers.
 	PropDelay float64
 
-	flows  []*Flow    // active flows crossing this link, ordered by flow id
-	source LoadSource // lazy cross-traffic writer, synced while idle; may be nil
+	flows   []*Flow    // active flows crossing this link, ordered by flow id
+	source  LoadSource // lazy cross-traffic writer, synced while idle; may be nil
+	busyIdx int        // index in Network.busy while the link carries flows
 
 	// progressive-filling scratch state: unfrozen entries of flows (a
 	// flow counts once per occurrence of this link on its path), and
@@ -197,6 +202,7 @@ func (f *Flow) Path() []*Link { return f.path }
 type Network struct {
 	eng      *simclock.Engine
 	links    []*Link
+	busy     []*Link // links carrying at least one flow, unordered
 	flows    []*Flow // active flows, ordered by id
 	nextFlow int
 	nextLink int
@@ -246,7 +252,7 @@ func (n *Network) SetLinkLoad(l *Link, fraction float64) {
 		panic("fluid: NaN link load")
 	}
 	l.sync()
-	fraction = math.Max(0, math.Min(maxLoad, fraction))
+	fraction = max(0, min(maxLoad, fraction))
 	if fraction == l.load {
 		return
 	}
@@ -309,6 +315,10 @@ func (n *Network) attach(path []*Link, bytes float64, opts FlowOpts) *Flow {
 	n.flows = append(n.flows, f)
 	for _, l := range path {
 		l.sync()
+		if len(l.flows) == 0 {
+			l.busyIdx = len(n.busy)
+			n.busy = append(n.busy, l)
+		}
 		l.flows = append(l.flows, f)
 	}
 	return f
@@ -445,6 +455,16 @@ func (f *Flow) settleProgress(now simclock.Time) {
 	f.lastTouch = now
 }
 
+// unbusy swap-removes an idle link from the busy set.
+func (n *Network) unbusy(l *Link) {
+	last := len(n.busy) - 1
+	moved := n.busy[last]
+	n.busy[l.busyIdx] = moved
+	moved.busyIdx = l.busyIdx
+	n.busy[last] = nil
+	n.busy = n.busy[:last]
+}
+
 func (n *Network) detach(f *Flow) {
 	for _, l := range f.path {
 		for i, g := range l.flows {
@@ -452,6 +472,9 @@ func (n *Network) detach(f *Flow) {
 				l.flows = append(l.flows[:i], l.flows[i+1:]...)
 				break
 			}
+		}
+		if len(l.flows) == 0 {
+			n.unbusy(l)
 		}
 	}
 	for i, g := range n.flows {
@@ -539,8 +562,11 @@ func (n *Network) dropCompletion(f *Flow) {
 //   - a link's used sum is taken once per round, over its flows in id
 //     order, in the freeze pass; the next round's headroom reuses it,
 //     because no rate changes in between;
-//   - only links that still carry unfrozen flows are scanned, and only
-//     unfrozen flows are visited, from scratch slices reused across calls.
+//   - only links that still carry unfrozen flows are scanned, starting
+//     from the busy set, and only unfrozen flows are visited, from
+//     scratch slices reused across calls and compacted in place. Link
+//     order does not matter: the smallest headroom is the same in any
+//     order, and the freeze pass changes no rate.
 func (n *Network) computeMaxMin() {
 	if len(n.flows) == 0 {
 		return
@@ -559,13 +585,10 @@ func (n *Network) computeMaxMin() {
 		}
 		live = append(live, f)
 	}
-	hot := n.hotLink[:0]
-	for _, l := range n.links {
-		if len(l.flows) > 0 {
-			l.unfrozen = len(l.flows)
-			l.used = 0
-			hot = append(hot, l)
-		}
+	hot := append(n.hotLink[:0], n.busy...)
+	for _, l := range hot {
+		l.unfrozen = len(l.flows)
+		l.used = 0
 	}
 	level := 0.0
 	for len(live) > 0 {
@@ -628,8 +651,24 @@ func (n *Network) computeMaxMin() {
 				}
 			}
 		}
-		live = slices.DeleteFunc(live, func(f *Flow) bool { return f.frozen })
-		hot = slices.DeleteFunc(hot, func(l *Link) bool { return l.unfrozen == 0 })
+		k := 0
+		for _, f := range live {
+			if !f.frozen {
+				live[k] = f
+				k++
+			}
+		}
+		clear(live[k:])
+		live = live[:k]
+		k = 0
+		for _, l := range hot {
+			if l.unfrozen != 0 {
+				hot[k] = l
+				k++
+			}
+		}
+		clear(hot[k:])
+		hot = hot[:k]
 	}
 	n.live, n.hotLink = live, hot
 }

@@ -824,7 +824,9 @@ func diffScript(seed int64) (caps, flowCaps []float64, ops []diffOp) {
 // runDiffScript plays the script on net (built over n) and returns the
 // log of completions and aborts: label, state and the finish time bits.
 // When check is set it asserts, after every mutation and completion,
-// that each active flow's rate equals referenceMaxMin's bit for bit.
+// that each active flow's rate equals referenceMaxMin's bit for bit and
+// that the busy set holds exactly the links that carry flows, each once
+// at its recorded index.
 func runDiffScript(t *testing.T, seed int64, n *Network, net flowNet, check bool) []string {
 	t.Helper()
 	caps, flowCaps, ops := diffScript(seed)
@@ -844,6 +846,20 @@ func runDiffScript(t *testing.T, seed int64, n *Network, net flowNet, check bool
 				t.Fatalf("seed %d after %s at t=%v: flow %s rate %v, reference %v",
 					seed, what, n.eng.Now(), f.Label, f.rate, want[f])
 			}
+		}
+		busy := 0
+		for _, l := range n.links {
+			if len(l.flows) == 0 {
+				continue
+			}
+			busy++
+			if l.busyIdx >= len(n.busy) || n.busy[l.busyIdx] != l {
+				t.Fatalf("seed %d after %s: link %s carries %d flows but is not in the busy set at its index %d",
+					seed, what, l.Name, len(l.flows), l.busyIdx)
+			}
+		}
+		if busy != len(n.busy) {
+			t.Fatalf("seed %d after %s: busy set holds %d links, %d carry flows", seed, what, len(n.busy), busy)
 		}
 	}
 	record := func(f *Flow) {

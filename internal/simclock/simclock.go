@@ -152,10 +152,11 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Schedule runs fn at absolute virtual time at. Scheduling in the past
-// (before Now) panics: it is always a model bug, and silently clamping
-// would hide it.
+// (before Now) or at NaN panics: it is always a model bug, and silently
+// clamping would hide it. Every time check is written !(at >= now) so
+// that NaN, which compares false with everything, fails it.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
-	if at < e.now {
+	if !(at >= e.now) {
 		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, e.now))
 	}
 	if fn == nil {
@@ -223,7 +224,7 @@ func (e *Engine) Reschedule(ev *Event, at Time) bool {
 	if ev == nil || ev.fired || ev.cancel || ev.index < 0 {
 		return false
 	}
-	if at < e.now {
+	if !(at >= e.now) {
 		panic(fmt.Sprintf("simclock: reschedule at %v before now %v", at, e.now))
 	}
 	ev.at = at
@@ -245,7 +246,7 @@ func (e *Engine) Rearm(ev *Event, at Time) bool {
 	if ev == nil || !ev.fired || ev.cancel {
 		return false
 	}
-	if at < e.now {
+	if !(at >= e.now) {
 		panic(fmt.Sprintf("simclock: rearm at %v before now %v", at, e.now))
 	}
 	ev.at = at

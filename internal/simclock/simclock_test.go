@@ -3,8 +3,10 @@ package simclock
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -606,6 +608,40 @@ func TestRearmPastPanics(t *testing.T) {
 		}
 	}()
 	e.Rearm(ev, 1)
+}
+
+// A NaN time compares false with everything, so a plain at < now guard
+// lets it through and it breaks the heap order; every entry point that
+// takes a time refuses it, with the message it gives for a past time.
+func TestNaNTimePanics(t *testing.T) {
+	nan := Time(math.NaN())
+	for name, tc := range map[string]struct {
+		verb string
+		do   func(e *Engine, ev *Event)
+	}{
+		"Schedule":   {"schedule", func(e *Engine, _ *Event) { e.Schedule(nan, func() {}) }},
+		"After":      {"schedule", func(e *Engine, _ *Event) { e.After(math.NaN(), func() {}) }},
+		"Reschedule": {"reschedule", func(e *Engine, _ *Event) { e.Reschedule(e.Schedule(3, func() {}), nan) }},
+		"Rearm":      {"rearm", func(e *Engine, ev *Event) { e.Rearm(ev, nan) }},
+	} {
+		e := NewEngine()
+		fired := e.Schedule(1, func() {})
+		e.Run()
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s at NaN did not panic", name)
+				} else if msg := fmt.Sprint(r); !strings.HasPrefix(msg, "simclock: "+tc.verb+" at NaN before now 1") {
+					t.Errorf("%s at NaN panicked %q", name, msg)
+				}
+			}()
+			tc.do(e, fired)
+		}()
+		if e.Now() != 1 || e.Pending() > 1 {
+			t.Errorf("%s at NaN: now %v, %d pending", name, e.Now(), e.Pending())
+		}
+	}
 }
 
 // A periodic event that re-arms itself from its own callback runs in the

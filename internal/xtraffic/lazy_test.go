@@ -353,7 +353,9 @@ func randomSchedule(r *rand.Rand, n int) []oracleOp {
 // link load, available capacity and utilization read, every process
 // value, every flow rate and remainder, the reallocation count, each
 // flow's finish time, and where each link's RNG stream stands once all
-// processes have stopped.
+// processes have stopped. A lazy process stopped while dormant draws its
+// owed re-samples only when read, so each process is read through its
+// accessor before its stream is compared.
 func TestLazyMatchesEager(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -394,10 +396,94 @@ func TestLazyMatchesEager(t *testing.T) {
 				t.Fatalf("seed %d flow %d: state %v at %v lazy, %v at %v eager", seed, i, f.State(), f.FinishedAt(), g.State(), g.FinishedAt())
 			}
 		}
+		for _, w := range []*oracleWorld{lazy, eager} {
+			for _, value := range w.procValue {
+				if value != nil {
+					value()
+				}
+			}
+		}
 		for i := range lazy.rngs {
 			if a, b := lazy.rngs[i].Int63(), eager.rngs[i].Int63(); a != b {
 				t.Fatalf("seed %d: link %d RNG stream lazy and eager diverged after stop", seed, i)
 			}
+		}
+	}
+}
+
+// countingSource counts the values a rand.Rand draws from it.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (s *countingSource) Int63() int64 {
+	s.draws++
+	return s.Source.Int63()
+}
+
+// TestStopDrawsNothingUntilRestart pins when a dormant process pays for
+// the re-samples it skipped: not at StopAll, but at Restart, where it
+// draws exactly what an eager process stopped at the same time and
+// re-attached draws, and continues with the same values.
+func TestStopDrawsNothingUntilRestart(t *testing.T) {
+	arCfg := Config{MeanLoad: 0.5, Burstiness: 1, Interval: 2, Alpha: 0.8}
+	ooCfg := OnOffConfig{GoodLoad: 0.1, BadLoad: 0.9, MeanGood: 3, MeanBad: 2}
+	for _, kind := range []string{"ar1", "onoff"} {
+		world := func() (*simclock.Engine, *fluid.Network, *fluid.Link, *countingSource, *rand.Rand) {
+			eng, fl, l := setup()
+			src := &countingSource{Source: rand.NewSource(7)}
+			return eng, fl, l, src, rand.New(src)
+		}
+
+		eng, fl, l, src, rng := world()
+		c := NewController()
+		var value func() float64
+		if kind == "ar1" {
+			p := c.Attach(fl, l, arCfg, rng)
+			value = p.Load
+		} else {
+			p := c.AttachOnOff(fl, l, ooCfg, rng)
+			value = func() float64 { return b2f(p.Bad()) }
+		}
+		eng.Advance(1000) // idle: the process goes dormant at its first re-sample
+		before := src.draws
+		c.StopAll()
+		if src.draws != before {
+			t.Errorf("%s: StopAll drew %d values on an idle link, want 0", kind, src.draws-before)
+		}
+		c.Restart()
+
+		eEng, eFl, eL, eSrc, eRng := world()
+		var eValue func() float64
+		start := func() eagerStopper {
+			if kind == "ar1" {
+				p := attachEager(eFl, eL, arCfg, eRng)
+				eValue = func() float64 { return p.load }
+				return p
+			}
+			p := attachEagerOnOff(eFl, eL, ooCfg, eRng)
+			eValue = func() float64 { return b2f(p.bad) }
+			return p
+		}
+		eager := start()
+		eEng.Advance(1000)
+		eager.Stop()
+		start()
+
+		if src.draws != eSrc.draws {
+			t.Errorf("%s: %d values drawn by Restart, eager oracle %d", kind, src.draws, eSrc.draws)
+		}
+		if a, b := value(), eValue(); a != b {
+			t.Errorf("%s: value after Restart %v, eager oracle %v", kind, a, b)
+		}
+		eng.Advance(50)
+		eEng.Advance(50)
+		if a, b := l.Load(), eL.Load(); a != b {
+			t.Errorf("%s: link load 50 s after Restart %v, eager oracle %v", kind, a, b)
+		}
+		if a, b := rng.Int63(), eRng.Int63(); a != b {
+			t.Errorf("%s: streams diverged after Restart", kind)
 		}
 	}
 }

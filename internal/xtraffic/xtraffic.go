@@ -17,6 +17,11 @@
 // idle link's load is unseen between syncs, so every load a flow meets,
 // and every output, is what a process re-sampled by events at every
 // interval would give.
+//
+// Stopping is lazy too. A dormant process that is stopped draws nothing:
+// it owes the re-samples due by its stop time, and draws them when it is
+// restarted or its value is read (Load, Bad). A world closed after its
+// last workload never draws them at all.
 package xtraffic
 
 import (
@@ -72,9 +77,10 @@ func (c Config) withDefaults() Config {
 // Process is one link's running load generator.
 type Process struct {
 	source
-	cfg  Config
-	rng  *rand.Rand
-	load float64
+	cfg   Config
+	sigma float64 // noise amplitude, fixed by cfg
+	rng   *rand.Rand
+	load  float64
 }
 
 // Attach starts a load process on link, seeding the link's load
@@ -84,7 +90,9 @@ type Process struct {
 // link carries at most one live process: attaching a second panics.
 func Attach(fl *fluid.Network, link *fluid.Link, cfg Config, rng *rand.Rand) *Process {
 	checkArgs(fl, link, rng)
+	mustFinite(cfg, cfg.MeanLoad, cfg.Burstiness, cfg.Interval, cfg.Alpha)
 	p := &Process{source: source{fl: fl, link: link}, cfg: cfg.withDefaults(), rng: rng}
+	p.sigma = p.cfg.Burstiness * math.Max(p.cfg.MeanLoad, 0.05) * 0.6
 	p.m = p
 	p.restart()
 	return p
@@ -92,8 +100,10 @@ func Attach(fl *fluid.Network, link *fluid.Link, cfg Config, rng *rand.Rand) *Pr
 
 // restart is Attach's work after the allocation: it seeds the link's
 // load from the stationary distribution and starts re-sampling.
-// Controller.Restart calls it to reuse a stopped process.
+// Controller.Restart calls it to reuse a stopped process, after the
+// re-samples the process owes from before its stop.
 func (p *Process) restart() {
+	p.settle()
 	p.claim()
 	p.load = p.sampleStationary()
 	p.start()
@@ -106,12 +116,13 @@ func (p *Process) sampleStationary() float64 {
 }
 
 func (p *Process) noise() float64 {
-	sigma := p.cfg.Burstiness * math.Max(p.cfg.MeanLoad, 0.05) * 0.6
-	return p.rng.NormFloat64() * sigma
+	return p.rng.NormFloat64() * p.sigma
 }
 
+// clampLoad bounds a load to [0, 0.95]. The builtins follow math.Max and
+// math.Min on NaN and signed zeros, and inline.
 func clampLoad(x float64) float64 {
-	return math.Max(0, math.Min(0.95, x))
+	return max(0, min(0.95, x))
 }
 
 // step draws one AR(1) re-sample.
@@ -130,7 +141,7 @@ func (p *Process) interval() float64 {
 func (p *Process) value() float64 { return p.load }
 
 // Load returns the process's current load fraction, syncing a dormant
-// process first.
+// process first; a stopped one reports the load it had at its stop.
 func (p *Process) Load() float64 {
 	p.Sync()
 	return p.load
@@ -162,6 +173,7 @@ type OnOffProcess struct {
 // Attach apply.
 func AttachOnOff(fl *fluid.Network, link *fluid.Link, cfg OnOffConfig, rng *rand.Rand) *OnOffProcess {
 	checkArgs(fl, link, rng)
+	mustFinite(cfg, cfg.GoodLoad, cfg.BadLoad, cfg.MeanGood, cfg.MeanBad)
 	if cfg.MeanGood <= 0 || cfg.MeanBad <= 0 {
 		panic("xtraffic: OnOff holding times must be positive")
 	}
@@ -173,6 +185,7 @@ func AttachOnOff(fl *fluid.Network, link *fluid.Link, cfg OnOffConfig, rng *rand
 
 // restart draws the initial state and starts flipping, as Process.restart.
 func (p *OnOffProcess) restart() {
+	p.settle()
 	p.claim()
 	pBad := p.cfg.MeanBad / (p.cfg.MeanGood + p.cfg.MeanBad)
 	p.bad = p.rng.Float64() < pBad
@@ -199,7 +212,8 @@ func (p *OnOffProcess) value() float64 {
 }
 
 // Bad reports whether the link is currently in a congestion episode,
-// syncing a dormant process first.
+// syncing a dormant process first; a stopped one reports its state at
+// its stop.
 func (p *OnOffProcess) Bad() bool {
 	p.Sync()
 	return p.bad
@@ -218,7 +232,9 @@ type model interface {
 // fluid.LoadSource. While the link carries a flow it re-arms its one
 // event at every re-sample. A re-sample that finds the link idle queues
 // nothing and leaves the process dormant; Sync then draws the re-samples
-// that fell due meanwhile, in stream order, and re-arms.
+// that fell due meanwhile, in stream order, and re-arms. A process
+// stopped while dormant stays dormant: it owes the re-samples due by
+// stopAt until settle draws them.
 type source struct {
 	fl      *fluid.Network
 	link    *fluid.Link
@@ -227,11 +243,23 @@ type source struct {
 	next    *simclock.Event // the one re-sample event, re-armed in place
 	dormant bool            // no event queued: the link was idle at the last re-sample
 	stopped bool
+	stopAt  simclock.Time // when a dormant process was stopped
 }
 
 func checkArgs(fl *fluid.Network, link *fluid.Link, rng *rand.Rand) {
 	if fl == nil || link == nil || rng == nil {
 		panic("xtraffic: nil argument")
+	}
+}
+
+// mustFinite panics unless every field of cfg is a finite number:
+// withDefaults' range checks are all false on NaN and would let it
+// through to fail later, or never.
+func mustFinite(cfg any, fields ...float64) {
+	for _, v := range fields {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			panic(fmt.Sprintf("xtraffic: non-finite config %+v", cfg))
+		}
 	}
 }
 
@@ -276,12 +304,11 @@ func (s *source) arm() {
 	s.fl.Engine().Rearm(s.next, s.due)
 }
 
-// catchUp draws every re-sample due by now and reports whether there
-// was one. A re-sample due exactly now counts as already run.
-func (s *source) catchUp() bool {
-	now := s.fl.Engine().Now()
+// catchUp draws every re-sample due by t and reports whether there
+// was one. A re-sample due exactly at t counts as already run.
+func (s *source) catchUp(t simclock.Time) bool {
 	drew := false
-	for s.due <= now {
+	for s.due <= t {
 		s.m.step()
 		s.due += simclock.Time(s.m.interval())
 		drew = true
@@ -292,12 +319,17 @@ func (s *source) catchUp() bool {
 // Sync wakes a dormant process: it catches up, writes the load only if
 // it drew a re-sample (so an external write made since the last one
 // stands), and re-arms. Fluid calls it before the idle link's load is
-// read or written and before a flow starts on the link.
+// read or written and before a flow starts on the link. On a stopped
+// process, which no link syncs, Load and Bad call it to settle.
 func (s *source) Sync() {
 	if !s.dormant {
 		return
 	}
-	drew := s.catchUp()
+	if s.stopped {
+		s.settle()
+		return
+	}
+	drew := s.catchUp(s.fl.Engine().Now())
 	s.dormant = false // before the write, which syncs the link again
 	if drew {
 		s.fl.SetLinkLoad(s.link, s.m.value())
@@ -306,22 +338,33 @@ func (s *source) Sync() {
 }
 
 // Stop halts the process and releases the link back to zero load. A
-// dormant process first draws the re-samples it skipped, so a process
-// restarted on the same rng continues the stream where it would be.
+// dormant process draws nothing now: it owes the re-samples due by the
+// stop time, which restart or a read of its value draws first, so a
+// process restarted on the same rng continues the stream where it would
+// be.
 func (s *source) Stop() {
 	if s.stopped {
 		return
 	}
-	if s.dormant {
-		s.catchUp()
-		s.dormant = false
-	}
 	s.stopped = true
-	s.fl.Engine().Cancel(s.next) // a no-op when dormant: the event has fired
+	if s.dormant {
+		s.stopAt = s.fl.Engine().Now() // the event has fired: nothing to cancel
+	} else {
+		s.fl.Engine().Cancel(s.next)
+	}
 	if s.link.Source() == s {
 		s.link.SetSource(nil)
 	}
 	s.fl.SetLinkLoad(s.link, 0)
+}
+
+// settle draws the re-samples a process stopped while dormant owes, in
+// stream order. It does nothing for a running or settled process.
+func (s *source) settle() {
+	if s.stopped && s.dormant {
+		s.catchUp(s.stopAt)
+		s.dormant = false
+	}
 }
 
 // Controller manages the cross-traffic processes of one experiment run
@@ -365,7 +408,8 @@ func (c *Controller) StopAll() {
 }
 
 // Restart starts every tracked process again after StopAll, as
-// re-attaching it would, continuing each link's seeded random sequence.
+// re-attaching it would, continuing each link's seeded random sequence:
+// a process stopped while dormant first draws the re-samples it owes.
 // The processes (and the events of those that were dormant) are reused,
 // so a restart allocates next to nothing. It is a no-op while running.
 func (c *Controller) Restart() {

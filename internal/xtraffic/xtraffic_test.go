@@ -2,6 +2,7 @@ package xtraffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -176,6 +177,48 @@ func TestConfigClamping(t *testing.T) {
 	}
 }
 
+// Every range check in withDefaults is false on NaN, so a non-finite
+// config field would pass it and fail much later, or never. Attach and
+// AttachOnOff refuse one at once, naming the package.
+func TestNonFiniteConfigPanics(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	refused := func(name string, attach func(*fluid.Network, *fluid.Link)) {
+		t.Helper()
+		_, fl, l := setup()
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s: attach did not panic", name)
+				} else if msg := fmt.Sprint(r); !strings.HasPrefix(msg, "xtraffic: non-finite") {
+					t.Errorf("%s: panic %q", name, msg)
+				}
+			}()
+			attach(fl, l)
+		}()
+		if l.Source() != nil || l.Load() != 0 {
+			t.Errorf("%s: a refused attach left a source or load on the link", name)
+		}
+	}
+	for name, c := range map[string]Config{
+		"MeanLoad NaN":   {MeanLoad: nan, Burstiness: 0.5},
+		"Burstiness NaN": {MeanLoad: 0.5, Burstiness: nan},
+		"Interval NaN":   {MeanLoad: 0.5, Interval: nan},
+		"Interval +Inf":  {MeanLoad: 0.5, Interval: inf},
+		"Alpha NaN":      {MeanLoad: 0.5, Alpha: nan},
+	} {
+		refused(name, func(fl *fluid.Network, l *fluid.Link) { Attach(fl, l, c, rand.New(rand.NewSource(1))) })
+	}
+	for name, c := range map[string]OnOffConfig{
+		"GoodLoad NaN": {GoodLoad: nan, BadLoad: 0.8, MeanGood: 3, MeanBad: 2},
+		"BadLoad -Inf": {GoodLoad: 0.1, BadLoad: -inf, MeanGood: 3, MeanBad: 2},
+		"MeanGood NaN": {GoodLoad: 0.1, BadLoad: 0.8, MeanGood: nan, MeanBad: 2},
+		"MeanBad NaN":  {GoodLoad: 0.1, BadLoad: 0.8, MeanGood: 3, MeanBad: nan},
+		"MeanBad +Inf": {GoodLoad: 0.1, BadLoad: 0.8, MeanGood: 3, MeanBad: inf},
+	} {
+		refused(name, func(fl *fluid.Network, l *fluid.Link) { AttachOnOff(fl, l, c, rand.New(rand.NewSource(1))) })
+	}
+}
+
 // A process on a link that carries a flow re-arms its one event in
 // place, so a steady-state re-sample allocates nothing: no Event, no
 // callback closure. On an idle link it queues nothing at all, and the
@@ -264,5 +307,32 @@ func TestOneLiveSourcePerLink(t *testing.T) {
 	third.Stop()
 	if l.Source() != fluid.LoadSource(other) {
 		t.Fatal("Stop removed a source that was not its own")
+	}
+}
+
+// BenchmarkStopAllIdle is the teardown at the end of a workload: 50
+// processes (every fifth on/off, the rest AR(1)) that have sat on idle
+// links for an hour of virtual time are stopped together. Only StopAll
+// is timed.
+func BenchmarkStopAllIdle(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng := simclock.NewEngine()
+		fl := fluid.New(eng)
+		c := NewController()
+		seeds := rand.New(rand.NewSource(int64(i)))
+		for j := 0; j < 50; j++ {
+			l := fl.AddLink(fmt.Sprint("l", j), 1e6, 0.001)
+			rng := rand.New(rand.NewSource(seeds.Int63()))
+			if j%5 == 0 {
+				c.AttachOnOff(fl, l, OnOffConfig{GoodLoad: 0.1, BadLoad: 0.85, MeanGood: 420, MeanBad: 160}, rng)
+			} else {
+				c.Attach(fl, l, Config{MeanLoad: 0.3, Burstiness: 0.6}, rng)
+			}
+		}
+		eng.Advance(3600)
+		b.StartTimer()
+		c.StopAll()
 	}
 }
