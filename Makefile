@@ -98,42 +98,36 @@ stress:
 # Golden outputs: the stdout of every single-driver example, of the
 # seven deterministic scheduler replays and of the 15 detourbench
 # figures and tables, pinned byte for byte under testdata/golden/. The
-# replays print through `detourbench -experiment <mode>` and keep their
-# example-<mode>.txt file names. chaos and fleet are left out: their
-# worker pools interleave for real, so two runs differ. `make golden`
-# rewrites the files after an intended output change; `make
-# golden-check` compares.
+# replays and figures are compared by cmd/detourbench's TestGolden,
+# which tier-1 `go test ./...` runs (the replays keep their
+# example-<mode>.txt file names; chaos and fleet are left out: their
+# worker pools interleave for real, so two runs differ). The examples
+# are compared here. `make golden` rewrites every file after an
+# intended output change; `make golden-check` compares.
 GOLDEN_EXAMPLES = detour-selection overlay-monitor provider-sweep quickstart science-dmz
-GOLDEN_REPLAYS = churn crashsafe grayfail multipath overload pressure telemetry
-GOLDEN_EXPERIMENTS = fig2 table2 fig3 fig4 fig5 fig6 fig7 table3 fig8 fig9 table4 \
-	fig10 fig11 table1 table5
 GOLDEN_BIN = .golden-bin
-GOLDEN_BUILD = $(GO) build -o $(GOLDEN_BIN)/ ./cmd/detourbench $(addprefix ./examples/,$(GOLDEN_EXAMPLES))
+GOLDEN_BUILD = $(GO) build -o $(GOLDEN_BIN)/ $(addprefix ./examples/,$(GOLDEN_EXAMPLES))
 
 golden:
 	$(GOLDEN_BUILD)
 	mkdir -p testdata/golden
 	for e in $(GOLDEN_EXAMPLES); do $(GOLDEN_BIN)/$$e >testdata/golden/example-$$e.txt || exit 1; done
-	for m in $(GOLDEN_REPLAYS); do \
-		$(GOLDEN_BIN)/detourbench -experiment $$m >testdata/golden/example-$$m.txt || exit 1; done
-	for x in $(GOLDEN_EXPERIMENTS); do \
-		$(GOLDEN_BIN)/detourbench -experiment $$x >testdata/golden/detourbench-$$x.txt || exit 1; done
+	$(GO) test -count=1 -run '^TestGolden$$' ./cmd/detourbench -update
 
 golden-check:
 	$(GOLDEN_BUILD)
 	for e in $(GOLDEN_EXAMPLES); do $(GOLDEN_BIN)/$$e >$(GOLDEN_BIN)/out.txt && \
 		cmp $(GOLDEN_BIN)/out.txt testdata/golden/example-$$e.txt || exit 1; done
-	for m in $(GOLDEN_REPLAYS); do $(GOLDEN_BIN)/detourbench -experiment $$m >$(GOLDEN_BIN)/out.txt && \
-		cmp $(GOLDEN_BIN)/out.txt testdata/golden/example-$$m.txt || exit 1; done
-	for x in $(GOLDEN_EXPERIMENTS); do $(GOLDEN_BIN)/detourbench -experiment $$x >$(GOLDEN_BIN)/out.txt && \
-		cmp $(GOLDEN_BIN)/out.txt testdata/golden/detourbench-$$x.txt || exit 1; done
+	$(GO) test -count=1 -run '^TestGolden$$' ./cmd/detourbench
 
 # The gate PRs must pass: every Go file is gofmt-clean, everything
 # compiles, vets clean, the full test suite (including the
 # really-concurrent scheduler) is race-clean, the nested detourledger
 # module (which `./...` skips) compiles and vets against the scheduler,
-# the simulator's benchmarks (fluid, xtraffic, simclock), which `go test`
-# only compiles, run one iteration each, the delta-encoding, journal-decode and Content-Range fuzzers hold up
+# the simulator's benchmarks (fluid, xtraffic, simclock) and the journal
+# checkpoint and dynamic-route benchmarks, which `go test` only compiles,
+# run one iteration each, the delta-encoding, journal-decode,
+# journal-encode and Content-Range fuzzers hold up
 # for a short smoke run, the chaos and overload replays complete, and every
 # deterministic example, every deterministic scheduler replay — for
 # telemetry the whole observability plane: metric dumps, time series,
@@ -146,9 +140,11 @@ check:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) -C detourledger vet ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/fluid ./internal/xtraffic ./internal/simclock
+	$(GO) test -run '^$$' -bench 'BenchmarkNoteCkpt|BenchmarkRoutedLinksDynamic' -benchtime 1x ./internal/sched ./internal/bgppol
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
+	$(GO) test -fuzz=FuzzJournalRecord -fuzztime=5s ./internal/sched
 	$(GO) test -fuzz=FuzzParseContentRange -fuzztime=5s ./internal/cloudsim
 	$(GO) run ./cmd/detourbench -experiment chaos >/dev/null
 	$(GO) run ./cmd/detourbench -experiment overload >/dev/null

@@ -45,22 +45,34 @@ type experiment struct {
 	// seed, when set, is the seed the name runs at without -seed: the
 	// one its golden was committed at.
 	seed int64
-	run  func(s *experiments.Suite) error
+	// golden names the file under testdata/golden that pins what the
+	// name prints with default flags; empty when nothing pins it.
+	golden string
+	run    func(s *experiments.Suite, out io.Writer) error
 }
 
 // paper prints one of the paper's figures or tables.
 func paper(name string, f func(*experiments.Suite) string) experiment {
-	return experiment{name: name, paper: true, run: func(s *experiments.Suite) error {
-		fmt.Println(f(s))
-		return nil
-	}}
+	return experiment{name: name, paper: true, golden: "detourbench-" + name + ".txt",
+		run: func(s *experiments.Suite, out io.Writer) error {
+			_, err := fmt.Fprintln(out, f(s))
+			return err
+		}}
 }
 
 // replayMode prints one scheduler replay at the suite's seed.
 func replayMode(name string, seed int64, f func(io.Writer, int64) error) experiment {
-	return experiment{name: name, seed: seed, run: func(s *experiments.Suite) error {
-		return f(os.Stdout, s.Options.Seed)
-	}}
+	return experiment{name: name, seed: seed, golden: "example-" + name + ".txt",
+		run: func(s *experiments.Suite, out io.Writer) error {
+			return f(out, s.Options.Seed)
+		}}
+}
+
+// unpinned drops a replay's golden: it drains on eight real workers, so
+// its report varies between runs.
+func unpinned(e experiment) experiment {
+	e.golden = ""
+	return e
 }
 
 // unchecked adapts a replay report that has no acceptance check.
@@ -106,10 +118,13 @@ var (
 		replayMode("overload", 2015, unchecked(replay.WriteOverload)),
 		replayMode("pressure", 2015, unchecked(replay.WritePressure)),
 		replayMode("telemetry", 7, unchecked(replay.WriteTelemetry)),
-		replayMode("chaos", 2015, unchecked(replay.WriteChaos)),
-		replayMode("fleet", 2015, unchecked(replay.WriteFleet)),
+		unpinned(replayMode("chaos", 2015, unchecked(replay.WriteChaos))),
+		unpinned(replayMode("fleet", 2015, unchecked(replay.WriteFleet))),
 	}
 )
+
+// defaults is the protocol detourbench runs without flags.
+var defaults = experiments.Options{Seed: 2015, Runs: 7, Keep: 5}
 
 // names lists every accepted -experiment name.
 func names() string {
@@ -137,9 +152,9 @@ func selected(name string) []experiment {
 func main() {
 	var (
 		which = flag.String("experiment", "all", "which experiment to run ("+names()+")")
-		seed  = flag.Int64("seed", 2015, "world seed (cross-traffic, jitter)")
-		runs  = flag.Int("runs", 7, "runs per measurement cell")
-		keep  = flag.Int("keep", 5, "runs retained for the mean (last N)")
+		seed  = flag.Int64("seed", defaults.Seed, "world seed (cross-traffic, jitter)")
+		runs  = flag.Int("runs", defaults.Runs, "runs per measurement cell")
+		keep  = flag.Int("keep", defaults.Keep, "runs retained for the mean (last N)")
 		sizes = flag.String("sizes", "", "comma-separated file sizes in MB (default: paper's 10,20,30,40,50,60,100)")
 		quick = flag.Bool("quick", false, "reduced protocol (3 sizes, 3 runs) for a fast smoke run")
 	)
@@ -174,7 +189,7 @@ func main() {
 	suite := &experiments.Suite{Options: o}
 
 	for _, e := range todo {
-		if err := e.run(suite); err != nil {
+		if err := e.run(suite, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "detourbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
@@ -185,13 +200,13 @@ func main() {
 }
 
 // writeReport prints the full evaluation report with its extensions.
-func writeReport(s *experiments.Suite) error {
-	return report.Write(os.Stdout, report.Config{Options: s.Options, Extensions: true})
+func writeReport(s *experiments.Suite, out io.Writer) error {
+	return report.Write(out, report.Config{Options: s.Options, Extensions: true})
 }
 
 // writeDownload prints the reverse direction for every client, Google
 // Drive.
-func writeDownload(s *experiments.Suite) error {
+func writeDownload(s *experiments.Suite, out io.Writer) error {
 	o := s.Options
 	for _, c := range scenario.Clients {
 		w := scenario.Build(o.Seed)
@@ -200,20 +215,20 @@ func writeDownload(s *experiments.Suite) error {
 			Direction: measure.Download,
 			SizesMB:   o.SizesMB, Runs: o.Runs, Keep: o.Keep, Seed: o.Seed,
 		})
-		fmt.Printf("Download times %s <- GoogleDrive\n%s\n", c, g.FormatTable())
+		fmt.Fprintf(out, "Download times %s <- GoogleDrive\n%s\n", c, g.FormatTable())
 	}
 	return nil
 }
 
 // writeSensitivity sweeps the PacificWave hand-off's rate.
-func writeSensitivity(s *experiments.Suite) error {
+func writeSensitivity(s *experiments.Suite, out io.Writer) error {
 	points := experiments.SensitivityPacificWave(s.Options, []float64{0.6, 1.25, 2.5, 4, 6, 8})
-	fmt.Println(experiments.FormatSensitivity(points))
+	fmt.Fprintln(out, experiments.FormatSensitivity(points))
 	return nil
 }
 
 // writeContention prints one to three campuses uploading at once.
-func writeContention(s *experiments.Suite) error {
+func writeContention(s *experiments.Suite, out io.Writer) error {
 	results, err := experiments.ContentionStudy(s.Options, [][]string{
 		{scenario.UBC},
 		{scenario.UBC, scenario.Purdue},
@@ -222,33 +237,33 @@ func writeContention(s *experiments.Suite) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(experiments.FormatContention(results))
+	fmt.Fprintln(out, experiments.FormatContention(results))
 	return nil
 }
 
 // writeWorkload prints each client's mixed-workload study to Google
 // Drive.
-func writeWorkload(s *experiments.Suite) error {
+func writeWorkload(s *experiments.Suite, out io.Writer) error {
 	for _, c := range scenario.Clients {
 		results, err := experiments.WorkloadStudy(s.Options, c, scenario.GoogleDrive, 12)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatWorkloadStudy(c, scenario.GoogleDrive, results))
+		fmt.Fprintln(out, experiments.FormatWorkloadStudy(c, scenario.GoogleDrive, results))
 	}
 	return nil
 }
 
 // writeDump exports every grid in -format, for plotting.
-func writeDump(s *experiments.Suite) error {
+func writeDump(s *experiments.Suite, out io.Writer) error {
 	for _, c := range scenario.Clients {
 		for _, p := range scenario.ProviderNames {
 			pr := experiments.RunPair(s.Options, c, p)
 			var err error
 			if *format == "json" {
-				err = pr.Grid.WriteJSON(os.Stdout)
+				err = pr.Grid.WriteJSON(out)
 			} else {
-				err = pr.Grid.WriteCSV(os.Stdout)
+				err = pr.Grid.WriteCSV(out)
 			}
 			if err != nil {
 				return err

@@ -25,12 +25,12 @@
 // the named DTN's lane.
 //
 // With -journal, the tool instead dumps a control-journal file: the
-// record census, any torn tail the replay truncated, and the folded
+// record census, any torn tail a restart would truncate, and the folded
 // state a restarted scheduler would recover — finished jobs, pending
 // jobs with their checkpoints and idempotent attempt IDs, spent retry
 // tokens, held cap slots. Point it at the file a `detourd`-style
-// deployment (or replay.Crashsafe with a CrashLeg.JournalPath) writes. Transfer
-// flags are ignored in this mode.
+// deployment (or replay.Crashsafe with a CrashLeg.JournalPath) writes; the
+// dump only reads it. Transfer flags are ignored in this mode.
 //
 // With -health, the tool instead replays the gray-failure schedule with
 // the health stack armed and prints the operator's view of it: the

@@ -11,6 +11,7 @@ package bgppol
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -120,6 +121,12 @@ type Dynamic struct {
 	adoptAt  map[string][]float64 // domain -> adoption time per version
 	events   []Event
 
+	// epoch versions DomainPathAt's answers: it holds while the clock
+	// stays in [epochLo, epochHi), the span between two adoption times,
+	// and no snapshot is applied.
+	epoch            uint64
+	epochLo, epochHi float64
+
 	// The DynamicFinder's hot-potato expansions by node pair, one entry
 	// per AS path seen, valid for graph memoG at generation memoGen.
 	memoG   *topology.Graph
@@ -148,6 +155,7 @@ func NewDynamic(base *Policy, now func() float64, rng *rand.Rand, delayMin, dela
 		dmax:     delayMax,
 		versions: []*Policy{base},
 		adoptAt:  make(map[string][]float64),
+		epochHi:  math.Inf(-1), // the first Epoch call opens epoch 1
 	}
 	for _, dom := range base.Domains() {
 		d.adoptAt[dom] = []float64{0}
@@ -263,6 +271,7 @@ func (d *Dynamic) apply(kind EventKind, a, b string, mut func(*Policy) error) er
 		}
 	}
 	d.versions = append(d.versions, np)
+	d.epochHi = math.Inf(-1) // a new snapshot ends the epoch
 	ev := Event{Kind: kind, DomainA: a, DomainB: b, At: now, ConvergedBy: converged}
 	d.events = append(d.events, ev)
 	bus := d.bus
@@ -288,6 +297,31 @@ func (d *Dynamic) ribFor(dom string, now float64) *Policy {
 	return d.versions[0]
 }
 
+// Epoch versions DomainPathAt: while it returns the same value, every
+// DomainPathAt answer, path or error, stays the same. DomainPathAt is a
+// pure function of the snapshots, their adoption times and the clock,
+// so the epoch advances only when a snapshot is applied or the clock
+// crosses an adoption time.
+func (d *Dynamic) Epoch() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	now := d.now()
+	if now < d.epochLo || now >= d.epochHi {
+		d.epoch++
+		d.epochLo, d.epochHi = math.Inf(-1), math.Inf(1)
+		for _, times := range d.adoptAt {
+			for _, t := range times {
+				if t <= now {
+					d.epochLo = max(d.epochLo, t)
+				} else {
+					d.epochHi = min(d.epochHi, t)
+				}
+			}
+		}
+	}
+	return d.epoch
+}
+
 // DomainPathAt walks the AS path a packet takes from src to dst right
 // now, each domain forwarding by its own (possibly stale) RIB. During
 // convergence this is where the anomalies live: a hop across a
@@ -300,7 +334,7 @@ func (d *Dynamic) DomainPathAt(src, dst string) ([]string, error) {
 	latest := d.versions[len(d.versions)-1]
 	path := []string{src}
 	at := src
-	ttl := len(latest.Domains()) + 1
+	ttl := len(latest.order) + 1
 	for at != dst {
 		rib := d.ribFor(at, now)
 		routes, err := rib.RoutesTo(dst)
@@ -330,9 +364,19 @@ func (d *Dynamic) DomainPathAt(src, dst string) ([]string, error) {
 }
 
 // DynamicFinder routes across a topology.Graph with the staged RIBs:
-// what Finder is to a frozen Policy, this is to a converging one.
+// what Finder is to a frozen Policy, this is to a converging one. It is
+// a topology.EpochRouter: its routes hold while the graph's Gen and
+// D's Epoch do, so Graph.RoutedLinks memoizes them.
 type DynamicFinder struct {
 	D *Dynamic
+}
+
+// RouteEpoch implements topology.EpochRouter.
+func (f DynamicFinder) RouteEpoch() uint64 {
+	if f.D == nil {
+		return 0 // Path always fails
+	}
+	return f.D.Epoch()
 }
 
 // Path implements topology.PathFinder.

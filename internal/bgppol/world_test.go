@@ -91,15 +91,16 @@ func TestDynamicFinderMatchesReferenceInStorm(t *testing.T) {
 	}
 }
 
-// A world under staged-convergence routing is never served from
-// topology's static-route memo: its routes move with virtual time while
-// the graph's generation holds still, so through the storm every pair's
-// RoutedLinks must equal the links of a fresh Path.
-func TestDynamicWorldBypassesRouteMemo(t *testing.T) {
+// A world under staged-convergence routing is served from topology's
+// route memo, keyed on the graph's generation and the router's epoch:
+// through the storm every pair's RoutedLinks must equal the links of a
+// fresh Path, and a second call in the same epoch must hand back the
+// very same slice and error for every unpinned pair.
+func TestDynamicWorldRouteMemoMatchesFresh(t *testing.T) {
 	w := stormWorld()
 	g := w.Graph
 	hs := hosts(g)
-	moved := 0
+	moved, shared := 0, 0
 	prev := map[[2]string]string{}
 	for at := 0.0; at <= 720; at += 8 {
 		w.Eng.RunUntil(simclock.Time(at))
@@ -118,6 +119,16 @@ func TestDynamicWorldBypassesRouteMemo(t *testing.T) {
 					t.Fatalf("t=%v %s->%s: RoutedLinks %v (%v), fresh path %v (%v)",
 						at, src.Name, dst.Name, got, gerr, want, werr)
 				}
+				if _, pinned := g.Override(src.Name, dst.Name); !pinned { // pins are never memoized
+					again, aerr := g.RoutedLinks(src.Name, dst.Name)
+					if aerr != gerr || len(again) != len(got) || (len(got) > 0 && &again[0] != &got[0]) {
+						t.Fatalf("t=%v %s->%s: a second call in the epoch gave %v (%v), not the memoized %v (%v)",
+							at, src.Name, dst.Name, again, aerr, got, gerr)
+					}
+					if len(got) > 0 {
+						shared++
+					}
+				}
 				k, route := [2]string{src.Name, dst.Name}, fmt.Sprint(want, werr)
 				if old, ok := prev[k]; ok && old != route {
 					moved++
@@ -126,8 +137,62 @@ func TestDynamicWorldBypassesRouteMemo(t *testing.T) {
 			}
 		}
 	}
-	if moved == 0 {
-		t.Fatal("no route moved during the storm: the check proves nothing")
+	if moved == 0 || shared == 0 {
+		t.Fatalf("%d routes moved and %d were memoized during the storm: the check proves nothing", moved, shared)
+	}
+}
+
+// TestEpochPinsDomainPaths: across the storm, sampled every half second
+// and at every event's start and convergence instant, an unchanged
+// Epoch means every domain pair's DomainPathAt, path or error, is
+// unchanged too.
+func TestEpochPinsDomainPaths(t *testing.T) {
+	w := stormWorld()
+	d := w.Routing
+	doms := scenario.PaperPolicy().Domains()
+	answers := func() []string {
+		var out []string
+		for _, a := range doms {
+			for _, b := range doms {
+				path, err := d.DomainPathAt(a, b)
+				out = append(out, fmt.Sprint(path, err))
+			}
+		}
+		return out
+	}
+	var times []float64
+	for at := 0.0; at <= 720; at += 0.5 {
+		times = append(times, at)
+	}
+	var prevEpoch uint64
+	var prev []string
+	kept, changed := 0, 0
+	for len(times) > 0 {
+		at := times[0]
+		times = times[1:]
+		w.Eng.RunUntil(simclock.Time(at))
+		for _, ev := range d.Events() {
+			// Land exactly on each event's adoption instants too, once.
+			for _, x := range []float64{ev.At, ev.ConvergedBy} {
+				if x > at && !slices.Contains(times, x) {
+					times = append(times, x)
+				}
+			}
+		}
+		slices.Sort(times)
+		ep, got := d.Epoch(), answers()
+		if prev != nil && ep == prevEpoch {
+			kept++
+			if !slices.Equal(got, prev) {
+				t.Fatalf("t=%v: epoch %d held but DomainPathAt moved", at, ep)
+			}
+		} else if prev != nil {
+			changed++
+		}
+		prevEpoch, prev = ep, got
+	}
+	if kept == 0 || changed < 2 {
+		t.Fatalf("epoch held %d times and moved %d times: the check proves nothing", kept, changed)
 	}
 }
 
@@ -144,5 +209,21 @@ func BenchmarkDynamicFinderPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src, dst := hs[i%len(hs)], hs[(i/len(hs))%len(hs)]
 		_, _ = finder.Path(w.Graph, src, dst)
+	}
+}
+
+// BenchmarkRoutedLinksDynamic routes every host pair of the seed world
+// through Graph.RoutedLinks in the middle of the churn storm; one op is
+// one pair. The clock holds still, so after the first sweep every pair
+// is served from the epoch memo.
+func BenchmarkRoutedLinksDynamic(b *testing.B) {
+	w := stormWorld()
+	w.Eng.RunUntil(130)
+	hs := hosts(w.Graph)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, dst := hs[i%len(hs)], hs[(i/len(hs))%len(hs)]
+		_, _ = w.Graph.RoutedLinks(src.Name, dst.Name)
 	}
 }

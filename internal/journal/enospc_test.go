@@ -17,12 +17,12 @@ func TestMemDeviceENOSPCWholeFrame(t *testing.T) {
 	frame := len(Encode(1, rec))
 	m.Capacity = 2*frame + frame/2 // room for two frames, not three
 	for i := 0; i < 2; i++ {
-		if err := w.Append(1, rec); err != nil {
+		if err := w.Append(1, payload(rec)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
 	before := m.Size()
-	err := w.Append(1, rec)
+	err := w.Append(1, payload(rec))
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("overfull append err = %v, want ErrNoSpace", err)
 	}
@@ -47,14 +47,14 @@ func TestMemDeviceSwapFitsSemantics(t *testing.T) {
 	rec := []byte("0123456789")
 	m.Capacity = 3 * len(Encode(1, rec))
 	for i := 0; i < 3; i++ {
-		if err := w.Append(1, rec); err != nil {
+		if err := w.Append(1, payload(rec)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Compact([]Rec{{Type: 2, Data: []byte("snap")}}); err != nil {
+	if err := w.Compact(2, payload([]byte("snap"))); err != nil {
 		t.Fatalf("shrinking swap on a full log: %v", err)
 	}
-	if err := w.Append(1, rec); err != nil {
+	if err := w.Append(1, payload(rec)); err != nil {
 		t.Fatalf("append after compaction: %v", err)
 	}
 	big := make([]byte, m.Capacity+1)
@@ -75,23 +75,23 @@ func TestMemDeviceClampUnclamp(t *testing.T) {
 	m := NewMemDevice() // unbounded
 	w := NewWriter(m)
 	rec := []byte("0123456789")
-	if err := w.Append(1, rec); err != nil {
+	if err := w.Append(1, payload(rec)); err != nil {
 		t.Fatal(err)
 	}
 	m.ClampCapacity()
 	m.ClampCapacity() // idempotent: must not overwrite the saved bound
-	if err := w.Append(1, rec); !errors.Is(err, ErrNoSpace) {
+	if err := w.Append(1, payload(rec)); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("clamped append err = %v, want ErrNoSpace", err)
 	}
 	// Compaction still works under the clamp: a smaller snapshot fits.
-	if err := w.Compact([]Rec{{Type: 2, Data: []byte("s")}}); err != nil {
+	if err := w.Compact(2, payload([]byte("s"))); err != nil {
 		t.Fatalf("compaction under clamp: %v", err)
 	}
 	m.UnclampCapacity()
 	if m.Capacity != 0 {
 		t.Fatalf("unclamp restored capacity %d, want the unbounded 0", m.Capacity)
 	}
-	if err := w.Append(1, rec); err != nil {
+	if err := w.Append(1, payload(rec)); err != nil {
 		t.Fatalf("append after unclamp: %v", err)
 	}
 }
@@ -101,7 +101,7 @@ func TestMemDeviceClampUnclamp(t *testing.T) {
 func TestMemDeviceClampEmptyLog(t *testing.T) {
 	m := NewMemDevice()
 	m.ClampCapacity()
-	if err := NewWriter(m).Append(1, []byte("x")); !errors.Is(err, ErrNoSpace) {
+	if err := NewWriter(m).Append(1, payload([]byte("x"))); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("append to clamped empty log err = %v, want ErrNoSpace", err)
 	}
 }
@@ -117,20 +117,20 @@ func TestFileDeviceENOSPC(t *testing.T) {
 	rec := []byte("012345678901234567890123456789")
 	frame := len(Encode(1, rec))
 	f.Capacity = frame + frame/2 // one frame plus a snapshot's worth
-	if err := w.Append(1, rec); err != nil {
+	if err := w.Append(1, payload(rec)); err != nil {
 		t.Fatal(err)
 	}
 	before := f.Size()
-	if err := w.Append(1, rec); !errors.Is(err, ErrNoSpace) {
+	if err := w.Append(1, payload(rec)); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("overfull append err = %v, want ErrNoSpace", err)
 	}
 	if f.Size() != before {
 		t.Fatal("rejected append changed the file log")
 	}
-	if err := w.Compact([]Rec{{Type: 2, Data: []byte("s")}}); err != nil {
+	if err := w.Compact(2, payload([]byte("s"))); err != nil {
 		t.Fatalf("shrinking swap: %v", err)
 	}
-	if err := w.Append(1, rec); err != nil {
+	if err := w.Append(1, payload(rec)); err != nil {
 		t.Fatalf("append after compaction: %v", err)
 	}
 	// Reopen: the surviving log is exactly the snapshot plus the tail.

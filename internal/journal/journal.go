@@ -7,9 +7,9 @@
 // or checksum test, and replay truncates the tail beyond it.
 //
 // The log grows append-only between compactions. A compaction rewrites
-// the device with a snapshot record followed by the still-live tail and
-// installs it atomically (Swap), so a crash during compaction leaves
-// either the old journal or the new one — never a mix.
+// the device as one snapshot record and installs it atomically (Swap),
+// so a crash during compaction leaves either the old journal or the new
+// one — never a mix.
 package journal
 
 import (
@@ -50,7 +50,8 @@ type Rec struct {
 
 // Device is the persistence seam: an append-only byte log with an
 // atomic whole-content swap for compaction. Implementations must make
-// Swap atomic with respect to crashes (all-or-nothing).
+// Swap atomic with respect to crashes (all-or-nothing), and neither
+// Append nor Swap may keep b: the Writer reuses it for the next frame.
 type Device interface {
 	// Bytes returns the current full content of the log.
 	Bytes() []byte
@@ -65,14 +66,19 @@ type Device interface {
 
 // Encode frames one record.
 func Encode(typ byte, data []byte) []byte {
-	b := make([]byte, HeaderSize+len(data))
-	b[0] = Magic
-	b[1] = typ
-	binary.LittleEndian.PutUint32(b[2:6], uint32(len(data)))
-	crc := crc32.Update(0, castagnoli, []byte{typ})
-	crc = crc32.Update(crc, castagnoli, data)
-	binary.LittleEndian.PutUint32(b[6:10], crc)
-	copy(b[HeaderSize:], data)
+	return appendFrame(nil, typ, func(b []byte) []byte { return append(b, data...) })
+}
+
+// appendFrame appends one framed record to b, its payload appended in
+// place by enc, and returns the extended slice.
+func appendFrame(b []byte, typ byte, enc func([]byte) []byte) []byte {
+	off := len(b)
+	b = enc(append(b, Magic, typ, 0, 0, 0, 0, 0, 0, 0, 0))
+	payload := b[off+HeaderSize:]
+	binary.LittleEndian.PutUint32(b[off+2:off+6], uint32(len(payload)))
+	crc := crc32.Update(0, castagnoli, b[off+1:off+2])
+	crc = crc32.Update(crc, castagnoli, payload)
+	binary.LittleEndian.PutUint32(b[off+6:off+10], crc)
 	return b
 }
 
@@ -124,9 +130,14 @@ func Replay(dev Device) (recs []Rec, truncated int, err error) {
 	return recs, truncated, nil
 }
 
-// Writer appends framed records to a device.
+// Writer appends framed records to a device. Each method takes enc,
+// which appends a record's payload to the slice it is handed and returns
+// the result, so the payload is encoded straight into its frame.
 type Writer struct {
 	dev Device
+	buf []byte // reused for every appended record's frame
+	// lastCompact is the length of the last compaction's frame.
+	lastCompact int
 }
 
 // NewWriter returns a Writer over dev.
@@ -135,18 +146,20 @@ func NewWriter(dev Device) *Writer { return &Writer{dev: dev} }
 // Append frames and appends one record. A short (torn) append is not an
 // error here — it models a crash mid-write; the torn frame is discarded
 // by the next Replay.
-func (w *Writer) Append(typ byte, data []byte) error {
-	_, err := w.dev.Append(Encode(typ, data))
+func (w *Writer) Append(typ byte, enc func([]byte) []byte) error {
+	w.buf = appendFrame(w.buf[:0], typ, enc)
+	_, err := w.dev.Append(w.buf)
 	return err
 }
 
-// Compact atomically replaces the log with the given records (typically
-// one snapshot record plus the live tail).
-func (w *Writer) Compact(recs []Rec) error {
-	var b []byte
-	for _, r := range recs {
-		b = append(b, Encode(r.Type, r.Data)...)
-	}
+// Compact atomically replaces the log with one record, typically a
+// snapshot of everything the log held. Its frame gets a buffer of its
+// own, half again the size of the last compaction's, so a snapshot that
+// grew a little is framed in one allocation, and the Writer keeps no
+// snapshot-sized buffer between compactions.
+func (w *Writer) Compact(typ byte, enc func([]byte) []byte) error {
+	b := appendFrame(make([]byte, 0, w.lastCompact+w.lastCompact/2), typ, enc)
+	w.lastCompact = len(b)
 	return w.dev.Swap(b)
 }
 
@@ -155,12 +168,22 @@ func (w *Writer) Device() Device { return w.dev }
 
 // --- MemDevice ---
 
+// segmentSize is the size of one MemDevice storage segment.
+const segmentSize = 4 << 10
+
 // MemDevice is an in-memory Device with crash-injection hooks: the
 // fault layer uses TornNextAppend to persist only a prefix of the next
 // append (a torn write) and FlipByte to corrupt a byte at rest (bit
 // rot).
+//
+// The log lives in fixed-size segments. An append never moves stored
+// bytes, and a Swap keeps the segments it frees for the log's next
+// bytes, so a device allocates its storage once, at its peak size,
+// however many times compaction shrinks it.
 type MemDevice struct {
-	buf []byte
+	segs  [][]byte // the log in order; every segment but the last is full
+	size  int
+	spare [][]byte // empty segments a Swap freed
 	// tornFrac, when in (0,1), truncates the next Append to that
 	// fraction of the frame.
 	tornFrac float64
@@ -179,16 +202,23 @@ type MemDevice struct {
 // NewMemDevice returns an empty in-memory device.
 func NewMemDevice() *MemDevice { return &MemDevice{} }
 
-// Bytes implements Device.
-func (m *MemDevice) Bytes() []byte { return m.buf }
+// Bytes implements Device. It returns a copy: the log itself is
+// segmented.
+func (m *MemDevice) Bytes() []byte {
+	b := make([]byte, 0, m.size)
+	for _, seg := range m.segs {
+		b = append(b, seg...)
+	}
+	return b
+}
 
 // Size implements Device.
-func (m *MemDevice) Size() int { return len(m.buf) }
+func (m *MemDevice) Size() int { return m.size }
 
 // Append implements Device, honoring a pending torn-write injection.
 func (m *MemDevice) Append(b []byte) (int, error) {
 	m.Appends++
-	if m.Capacity > 0 && len(m.buf)+len(b) > m.Capacity {
+	if m.Capacity > 0 && m.size+len(b) > m.Capacity {
 		return 0, ErrNoSpace
 	}
 	n := len(b)
@@ -202,8 +232,31 @@ func (m *MemDevice) Append(b []byte) (int, error) {
 		}
 		m.tornFrac = 0
 	}
-	m.buf = append(m.buf, b[:n]...)
+	m.write(b[:n])
 	return n, nil
+}
+
+// write stores b at the end of the log, filling the last segment and
+// taking spare or new ones as it goes.
+func (m *MemDevice) write(b []byte) {
+	m.size += len(b)
+	for len(b) > 0 {
+		last := len(m.segs) - 1
+		if last < 0 || len(m.segs[last]) == segmentSize {
+			var seg []byte
+			if k := len(m.spare) - 1; k >= 0 {
+				seg, m.spare = m.spare[k], m.spare[:k]
+			} else {
+				seg = make([]byte, 0, segmentSize)
+			}
+			m.segs = append(m.segs, seg)
+			last++
+		}
+		seg := m.segs[last]
+		n := copy(seg[len(seg):segmentSize], b)
+		m.segs[last] = seg[:len(seg)+n]
+		b = b[n:]
+	}
 }
 
 // Swap implements Device. A swap whose new content itself exceeds the
@@ -213,7 +266,11 @@ func (m *MemDevice) Swap(b []byte) error {
 	if m.Capacity > 0 && len(b) > m.Capacity {
 		return ErrNoSpace
 	}
-	m.buf = append(m.buf[:0:0], b...)
+	for i := len(m.segs) - 1; i >= 0; i-- {
+		m.spare = append(m.spare, m.segs[i][:0])
+	}
+	m.segs, m.size = m.segs[:0], 0
+	m.write(b)
 	return nil
 }
 
@@ -229,8 +286,8 @@ func (m *MemDevice) TornNextAppend(frac float64) {
 // FlipByte XORs the byte at off with 0xFF, silently ignoring an
 // out-of-range offset — bit rot never errors.
 func (m *MemDevice) FlipByte(off int) {
-	if off >= 0 && off < len(m.buf) {
-		m.buf[off] ^= 0xFF
+	if off >= 0 && off < m.size {
+		m.segs[off/segmentSize][off%segmentSize] ^= 0xFF
 	}
 }
 
@@ -243,7 +300,7 @@ func (m *MemDevice) ClampCapacity() {
 		return
 	}
 	m.savedCap, m.clamped = m.Capacity, true
-	m.Capacity = len(m.buf)
+	m.Capacity = m.size
 	if m.Capacity == 0 {
 		m.Capacity = 1 // an empty log still refuses appends while clamped
 	}

@@ -7,12 +7,17 @@ import (
 	"testing"
 )
 
+// payload is the Writer encoder of a payload already in bytes.
+func payload(p []byte) func([]byte) []byte {
+	return func(b []byte) []byte { return append(b, p...) }
+}
+
 func TestRoundTrip(t *testing.T) {
 	dev := NewMemDevice()
 	w := NewWriter(dev)
 	payloads := [][]byte{[]byte("hello"), {}, []byte(`{"job":"a","size":42}`), bytes.Repeat([]byte{0xAB}, 4096)}
 	for i, p := range payloads {
-		if err := w.Append(byte(i+1), p); err != nil {
+		if err := w.Append(byte(i+1), payload(p)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -33,12 +38,12 @@ func TestRoundTrip(t *testing.T) {
 func TestTornTailTruncation(t *testing.T) {
 	dev := NewMemDevice()
 	w := NewWriter(dev)
-	if err := w.Append(1, []byte("keep me")); err != nil {
+	if err := w.Append(1, payload([]byte("keep me"))); err != nil {
 		t.Fatal(err)
 	}
 	goodLen := dev.Size()
 	dev.TornNextAppend(0.4)
-	if err := w.Append(2, []byte("torn away, never fully persisted")); err != nil {
+	if err := w.Append(2, payload([]byte("torn away, never fully persisted"))); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Size() <= goodLen {
@@ -58,7 +63,7 @@ func TestTornTailTruncation(t *testing.T) {
 		t.Fatalf("device not truncated to valid prefix: %d != %d", dev.Size(), goodLen)
 	}
 	// The journal must be appendable again after truncation.
-	if err := w.Append(3, []byte("after recovery")); err != nil {
+	if err := w.Append(3, payload([]byte("after recovery"))); err != nil {
 		t.Fatal(err)
 	}
 	recs, trunc, _ = Replay(dev)
@@ -70,10 +75,10 @@ func TestTornTailTruncation(t *testing.T) {
 func TestBitRotStopsScan(t *testing.T) {
 	dev := NewMemDevice()
 	w := NewWriter(dev)
-	w.Append(1, []byte("first"))
+	w.Append(1, payload([]byte("first")))
 	second := dev.Size()
-	w.Append(2, []byte("second"))
-	w.Append(3, []byte("third"))
+	w.Append(2, payload([]byte("second")))
+	w.Append(3, payload([]byte("third")))
 	// Corrupt a payload byte of the second record: scan keeps the first,
 	// drops the second and everything after (can't trust frame bounds).
 	dev.FlipByte(second + HeaderSize + 2)
@@ -90,13 +95,16 @@ func TestCompactAtomicity(t *testing.T) {
 	dev := NewMemDevice()
 	w := NewWriter(dev)
 	for i := 0; i < 10; i++ {
-		w.Append(1, []byte{byte(i)})
+		w.Append(1, payload([]byte{byte(i)}))
 	}
-	if err := w.Compact([]Rec{{Type: 9, Data: []byte("snapshot")}, {Type: 1, Data: []byte("tail")}}); err != nil {
+	if err := w.Compact(9, payload([]byte("snapshot"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(1, payload([]byte("tail"))); err != nil {
 		t.Fatal(err)
 	}
 	recs, trunc, _ := Replay(dev)
-	if trunc != 0 || len(recs) != 2 || recs[0].Type != 9 {
+	if trunc != 0 || len(recs) != 2 || recs[0].Type != 9 || string(recs[1].Data) != "tail" {
 		t.Fatalf("after compact: trunc=%d recs=%v", trunc, recs)
 	}
 }
@@ -108,8 +116,8 @@ func TestFileDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWriter(dev)
-	w.Append(1, []byte("persisted"))
-	w.Append(2, []byte("records"))
+	w.Append(1, payload([]byte("persisted")))
+	w.Append(2, payload([]byte("records")))
 
 	// Simulate a crash: drop the in-memory handle, tear the on-disk tail.
 	raw, _ := os.ReadFile(path)

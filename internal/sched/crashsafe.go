@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -253,6 +254,10 @@ type foldState struct {
 	retrySpent map[string]int
 	capsHeld   map[string]int
 	dupFinish  int
+
+	// Scratch reused by every snapshot.
+	seqBuf  []int64
+	pendBuf []PendingJob
 }
 
 func newFoldState() *foldState {
@@ -266,146 +271,159 @@ func newFoldState() *foldState {
 	}
 }
 
-// decode turns one replayed record back into the typed value its
-// append folded: replay's half of the fold. A record that does not
-// decode, or has an unknown type, is an error.
-func decode(r journal.Rec) (any, error) {
+// apply decodes one replayed record and folds it: replay's half of the
+// fold. A record that does not decode, or has an unknown type, is an
+// error.
+func (st *foldState) apply(r journal.Rec) error {
 	switch r.Type {
 	case recSubmit:
-		return decodeAs[submitRec](r.Data)
+		return replayAs(r.Data, st.foldSubmit)
 	case recAttempt:
-		return decodeAs[attemptRec](r.Data)
+		return replayAs(r.Data, st.foldAttempt)
 	case recCkpt:
-		return decodeAs[ckptRec](r.Data)
+		return replayAs(r.Data, st.foldCkpt)
 	case recCap:
-		return decodeAs[capRec](r.Data)
+		return replayAs(r.Data, st.foldCap)
 	case recRetry:
-		return decodeAs[retryRec](r.Data)
+		return replayAs(r.Data, st.foldRetry)
 	case recLanes:
-		return decodeAs[lanesRec](r.Data)
+		// Lane state is observational (the stripe parts are provider
+		// objects; a recovered multipath job re-stripes); nothing folds.
+		return replayAs(r.Data, func(*lanesRec) {})
 	case recFinish:
-		return decodeAs[finishRec](r.Data)
+		return replayAs(r.Data, st.foldFinish)
 	case recSnapshot:
-		return decodeAs[snapshotRec](r.Data)
+		return replayAs(r.Data, st.foldSnapshot)
 	}
-	return nil, fmt.Errorf("sched: unknown journal record type %d", r.Type)
+	return fmt.Errorf("sched: unknown journal record type %d", r.Type)
 }
 
-// decodeAs unmarshals one record payload as a T.
-func decodeAs[T any](data []byte) (any, error) {
+// replayAs unmarshals one record payload as a T and folds it.
+func replayAs[T any](data []byte, fold func(*T)) error {
 	var m T
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// apply decodes and folds one replayed record.
-func (st *foldState) apply(r journal.Rec) error {
-	v, err := decode(r)
-	if err != nil {
 		return err
 	}
-	st.fold(v)
+	fold(&m)
 	return nil
 }
 
-// fold folds one typed record: the value a live append was handed, or
-// the value replay decoded. Both paths share this one body, so the live
-// state is the replay fold of what the device holds. Folding is
+// The fold methods fold one typed record: the value a live append was
+// handed, or the value replay decoded. Both paths share these bodies, so
+// the live state is the replay fold of what the device holds. Folding is
 // idempotent where replay can see a record twice (a finish re-journaled
 // after a crash-before-ack).
-func (st *foldState) fold(v any) {
-	switch m := v.(type) {
-	case submitRec:
-		if _, ok := st.seqByName[m.Job.Name]; ok {
-			return // resubmission of a recovered job: already folded
-		}
-		m.Job.AltProviders = slices.Clone(m.Job.AltProviders) // alias no caller memory
-		st.seqByName[m.Job.Name] = m.Seq
-		st.jobs[m.Seq] = m.Job
-		st.pending[m.Seq] = &PendingJob{Seq: m.Seq, Job: m.Job}
-		if m.Seq >= st.nextSeq {
-			st.nextSeq = m.Seq + 1
-		}
-	case attemptRec:
-		if pj := st.pending[m.Seq]; pj != nil {
-			if m.Attempt > pj.PriorAttempts {
-				pj.PriorAttempts = m.Attempt
-			}
-			pj.AttemptID = m.AttemptID
-		}
-	case ckptRec:
-		if pj := st.pending[m.Seq]; pj != nil {
-			pj.HasCkpt, pj.Ck = true, m
-		}
-	case capRec:
-		k := m.Provider + "|" + m.Via
-		if m.Acquire {
-			st.capsHeld[k]++
-		} else if st.capsHeld[k]--; st.capsHeld[k] <= 0 {
-			delete(st.capsHeld, k)
-		}
-	case retryRec:
-		st.retrySpent[m.Provider]++
-	case lanesRec:
-		// Lane state is observational (the stripe parts are provider
-		// objects; a recovered multipath job re-stripes); nothing folds.
-	case finishRec:
-		if st.finishSeqs[m.Seq] {
-			st.dupFinish++ // idempotent replay: count the attempt once
-			return
-		}
-		st.finishSeqs[m.Seq] = true
-		job := st.jobs[m.Seq]
-		if pj := st.pending[m.Seq]; pj != nil {
-			job = pj.Job
-		}
-		st.finished = append(st.finished, finishedJob{Job: job, Finish: m})
-		delete(st.pending, m.Seq)
-	case snapshotRec:
-		*st = *newFoldState()
-		st.nextSeq = m.NextSeq
-		for i := range m.Pending {
-			pj := m.Pending[i]
-			st.seqByName[pj.Job.Name] = pj.Seq
-			st.jobs[pj.Seq] = pj.Job
-			st.pending[pj.Seq] = &pj
-		}
-		for _, fj := range m.Finished {
-			st.seqByName[fj.Job.Name] = fj.Finish.Seq
-			st.jobs[fj.Finish.Seq] = fj.Job
-			st.finishSeqs[fj.Finish.Seq] = true
-			st.finished = append(st.finished, fj)
-		}
-		for k, v := range m.RetrySpent {
-			st.retrySpent[k] = v
-		}
-		for k, v := range m.CapsHeld {
-			st.capsHeld[k] = v
-		}
-	default:
-		panic(fmt.Sprintf("sched: journal fold of %T", v))
+
+func (st *foldState) foldSubmit(m *submitRec) {
+	if _, ok := st.seqByName[m.Job.Name]; ok {
+		return // resubmission of a recovered job: already folded
+	}
+	job := m.Job
+	job.AltProviders = slices.Clone(job.AltProviders) // alias no caller memory
+	st.seqByName[job.Name] = m.Seq
+	st.jobs[m.Seq] = job
+	st.pending[m.Seq] = &PendingJob{Seq: m.Seq, Job: job}
+	if m.Seq >= st.nextSeq {
+		st.nextSeq = m.Seq + 1
 	}
 }
 
-// snapshot renders the folded state as a compaction record.
+func (st *foldState) foldAttempt(m *attemptRec) {
+	if pj := st.pending[m.Seq]; pj != nil {
+		if m.Attempt > pj.PriorAttempts {
+			pj.PriorAttempts = m.Attempt
+		}
+		pj.AttemptID = m.AttemptID
+	}
+}
+
+func (st *foldState) foldCkpt(m *ckptRec) {
+	if pj := st.pending[m.Seq]; pj != nil {
+		pj.HasCkpt, pj.Ck = true, *m
+	}
+}
+
+func (st *foldState) foldCap(m *capRec) {
+	k := m.Provider + "|" + m.Via
+	if m.Acquire {
+		st.capsHeld[k]++
+	} else if st.capsHeld[k]--; st.capsHeld[k] <= 0 {
+		delete(st.capsHeld, k)
+	}
+}
+
+func (st *foldState) foldRetry(m *retryRec) {
+	st.retrySpent[m.Provider]++
+}
+
+func (st *foldState) foldFinish(m *finishRec) {
+	if st.finishSeqs[m.Seq] {
+		st.dupFinish++ // idempotent replay: count the attempt once
+		return
+	}
+	st.finishSeqs[m.Seq] = true
+	job := st.jobs[m.Seq]
+	if pj := st.pending[m.Seq]; pj != nil {
+		job = pj.Job
+	}
+	st.finished = append(st.finished, finishedJob{Job: job, Finish: *m})
+	delete(st.pending, m.Seq)
+}
+
+func (st *foldState) foldSnapshot(m *snapshotRec) {
+	*st = *newFoldState()
+	st.nextSeq = m.NextSeq
+	for i := range m.Pending {
+		pj := m.Pending[i]
+		st.seqByName[pj.Job.Name] = pj.Seq
+		st.jobs[pj.Seq] = pj.Job
+		st.pending[pj.Seq] = &pj
+	}
+	for _, fj := range m.Finished {
+		st.seqByName[fj.Job.Name] = fj.Finish.Seq
+		st.jobs[fj.Finish.Seq] = fj.Job
+		st.finishSeqs[fj.Finish.Seq] = true
+		st.finished = append(st.finished, fj)
+	}
+	for k, v := range m.RetrySpent {
+		st.retrySpent[k] = v
+	}
+	for k, v := range m.CapsHeld {
+		st.capsHeld[k] = v
+	}
+}
+
+// snapshot renders the folded state as a compaction record, to be
+// encoded on the spot: it shares the state's slices and maps, and its
+// Pending reuses one buffer from call to call.
 func (st *foldState) snapshot() snapshotRec {
 	snap := snapshotRec{
 		NextSeq:    st.nextSeq,
 		RetrySpent: st.retrySpent,
 		CapsHeld:   st.capsHeld,
-		Finished:   append([]finishedJob(nil), st.finished...),
 	}
-	seqs := make([]int64, 0, len(st.pending))
+	if len(st.finished) > 0 {
+		snap.Finished = st.finished
+	}
+	if len(st.pending) > 0 {
+		st.pendBuf = st.pendingBySeq(st.pendBuf[:0])
+		snap.Pending = st.pendBuf
+	}
+	return snap
+}
+
+// pendingBySeq appends the pending jobs to dst in seq order.
+func (st *foldState) pendingBySeq(dst []PendingJob) []PendingJob {
+	seqs := st.seqBuf[:0]
 	for seq := range st.pending {
 		seqs = append(seqs, seq)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	for _, seq := range seqs {
-		snap.Pending = append(snap.Pending, *st.pending[seq])
+		dst = append(dst, *st.pending[seq])
 	}
-	return snap
+	st.seqBuf = seqs
+	return dst
 }
 
 // recovered renders the folded state for the restart path.
@@ -414,17 +432,10 @@ func (st *foldState) recovered() *Recovered {
 		RetrySpent:  st.retrySpent,
 		CapsHeld:    st.capsHeld,
 		DupFinishes: st.dupFinish,
+		Pending:     st.pendingBySeq(nil),
 	}
 	for _, fj := range st.finished {
 		rec.Finished = append(rec.Finished, fj.result())
-	}
-	seqs := make([]int64, 0, len(st.pending))
-	for seq := range st.pending {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		rec.Pending = append(rec.Pending, *st.pending[seq])
 	}
 	return rec
 }
@@ -499,16 +510,7 @@ func NewControlJournal(dev journal.Device) (*ControlJournal, *Recovered, error) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("sched: journal replay: %w", err)
 	}
-	st := newFoldState()
-	applied := 0
-	for _, r := range recs {
-		if err := st.apply(r); err != nil {
-			// A structurally valid record that doesn't decode is treated
-			// like rot: trust the prefix, drop the rest.
-			break
-		}
-		applied++
-	}
+	st, applied := foldRecords(recs)
 	cj := &ControlJournal{
 		w: journal.NewWriter(dev), state: st,
 		compactEvery: defaultCompactEvery,
@@ -521,6 +523,20 @@ func NewControlJournal(dev journal.Device) (*ControlJournal, *Recovered, error) 
 	cj.truncated = truncated
 	cj.recoveredMode = applied > 0 || truncated > 0
 	return cj, rec, nil
+}
+
+// foldRecords folds replayed records in order and returns the state
+// and how many records it applied. A structurally valid record that
+// does not decode is treated like rot: the prefix before it is trusted,
+// the rest dropped.
+func foldRecords(recs []journal.Rec) (*foldState, int) {
+	st := newFoldState()
+	for i, r := range recs {
+		if err := st.apply(r); err != nil {
+			return st, i
+		}
+	}
+	return st, len(recs)
 }
 
 // RecoveredMode reports whether this journal incarnation replayed
@@ -672,22 +688,14 @@ func (cj *ControlJournal) killLocked() {
 	}
 }
 
-// append frames and writes one record, folding it into the live state.
-// Dead journals drop everything (the process is gone); a torn-append
-// arm tears this record mid-write and dies.
-func (cj *ControlJournal) append(typ byte, v any) {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	cj.appendLocked(typ, v)
-}
-
-func (cj *ControlJournal) appendLocked(typ byte, v any) {
+// appendLocked writes one record, whose payload enc appends to the
+// slice it is handed. It reports whether the caller must fold the
+// record into the live state: a dead journal drops everything (the
+// process is gone), and a torn-append arm tears this record mid-write
+// and dies. Callers hold cj.mu.
+func (cj *ControlJournal) appendLocked(typ byte, enc func([]byte) []byte) bool {
 	if cj.killed {
-		return
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("sched: journal marshal: %v", err))
+		return false
 	}
 	if cj.tornArm {
 		if cj.reachLocked(CrashTornAppend) {
@@ -696,20 +704,20 @@ func (cj *ControlJournal) appendLocked(typ byte, v any) {
 			type tearer interface{ TornNextAppend(frac float64) }
 			if t, ok := cj.w.Device().(tearer); ok {
 				t.TornNextAppend(0.5)
-				cj.w.Append(typ, data) //nolint:errcheck // the torn write is the point
+				cj.w.Append(typ, enc) //nolint:errcheck // the torn write is the point
 			}
-			return
+			return false
 		}
 	}
 	if !cj.degraded {
-		err := cj.w.Append(typ, data)
+		err := cj.w.Append(typ, enc)
 		if errors.Is(err, journal.ErrNoSpace) {
 			// Compaction under pressure: the folded state is usually far
 			// smaller than the raw log, so an emergency snapshot swap
 			// frees space without losing anything, and the append retries
 			// against the compacted log.
 			if cerr := cj.compactLocked(); cerr == nil {
-				if err = cj.w.Append(typ, data); err == nil {
+				if err = cj.w.Append(typ, enc); err == nil {
 					cj.enospcSaves++
 				}
 			}
@@ -731,7 +739,7 @@ func (cj *ControlJournal) appendLocked(typ byte, v any) {
 	if cj.degraded {
 		cj.droppedAppends++
 	}
-	cj.state.fold(v)
+	return true
 }
 
 // enterDegradedLocked flips the journal into in-memory-only mode and
@@ -793,8 +801,10 @@ func (cj *ControlJournal) NoteSubmit(j Job) {
 		return
 	}
 	if _, known := cj.state.seqByName[j.Name]; !known {
-		seq := cj.state.nextSeq
-		cj.appendLocked(recSubmit, submitRec{Seq: seq, Job: j})
+		m := submitRec{Seq: cj.state.nextSeq, Job: j}
+		if cj.appendLocked(recSubmit, m.appendJSON) {
+			cj.state.foldSubmit(&m)
+		}
 	}
 	cj.reachLocked(CrashAfterSubmit)
 	cj.mu.Unlock()
@@ -854,11 +864,14 @@ func (cj *ControlJournal) NoteAttempt(j Job, attempt int, route core.Route) bool
 	if !ok {
 		return cj.killed
 	}
-	cj.appendLocked(recAttempt, attemptRec{
+	m := attemptRec{
 		Seq: seq, Name: j.Name, Attempt: attempt,
 		AttemptID: fmt.Sprintf("%s#%d", j.Name, seq),
 		RouteKind: int(route.Kind), RouteVia: route.Via,
-	})
+	}
+	if cj.appendLocked(recAttempt, m.appendJSON) {
+		cj.state.foldAttempt(&m)
+	}
 	return cj.reachLocked(CrashAfterAttempt)
 }
 
@@ -882,13 +895,16 @@ func (cj *ControlJournal) NoteCkpt(j Job, ck *core.Checkpoint, watermark float64
 	if !ok {
 		return
 	}
-	cj.appendLocked(recCkpt, ckptRec{
+	m := ckptRec{
 		Seq: seq, Name: j.Name,
 		Hop1Via: ck.Hop1Via, Hop1High: ck.Hop1High,
 		HasSession: ck.HasSession, Session: ck.Session, Hop2High: ck.Hop2High,
 		Resumed: ck.BytesResumed, Rewritten: ck.BytesRewritten,
 		Repairs: ck.ChunkRepairs, Watermark: watermark,
-	})
+	}
+	if cj.appendLocked(recCkpt, m.appendJSON) {
+		cj.state.foldCkpt(&m)
+	}
 	point := CrashMidHop1
 	if ck.HasSession || watermark >= j.Size {
 		point = CrashMidHop2
@@ -900,12 +916,22 @@ func (cj *ControlJournal) NoteCkpt(j Job, ck *core.Checkpoint, watermark float64
 
 // NoteCap journals a cap-slot acquire or release.
 func (cj *ControlJournal) NoteCap(provider, via string, acquire bool) {
-	cj.append(recCap, capRec{Provider: provider, Via: via, Acquire: acquire})
+	cj.mu.Lock()
+	defer cj.mu.Unlock()
+	m := capRec{Provider: provider, Via: via, Acquire: acquire}
+	if cj.appendLocked(recCap, m.appendJSON) {
+		cj.state.foldCap(&m)
+	}
 }
 
 // NoteRetry journals one spent retry token.
 func (cj *ControlJournal) NoteRetry(provider string) {
-	cj.append(recRetry, retryRec{Provider: provider})
+	cj.mu.Lock()
+	defer cj.mu.Unlock()
+	m := retryRec{Provider: provider}
+	if cj.appendLocked(recRetry, m.appendJSON) {
+		cj.state.foldRetry(&m)
+	}
 }
 
 // NoteLanes journals a multipath attempt's lane chunk assignment.
@@ -916,7 +942,8 @@ func (cj *ControlJournal) NoteLanes(name string, paths []string, chunks []int) {
 	if !ok {
 		return
 	}
-	cj.appendLocked(recLanes, lanesRec{Seq: seq, Name: name, Paths: paths, Chunks: chunks})
+	m := lanesRec{Seq: seq, Name: name, Paths: paths, Chunks: chunks}
+	cj.appendLocked(recLanes, m.appendJSON) // lane state folds nothing
 }
 
 // NoteFinish journals a terminal result, bracketed (for successes) by
@@ -949,7 +976,9 @@ func (cj *ControlJournal) NoteFinish(res *Result) {
 	if res.Err != nil {
 		m.Err = res.Err.Error()
 	}
-	cj.appendLocked(recFinish, m)
+	if cj.appendLocked(recFinish, m.appendJSON) {
+		cj.state.foldFinish(&m)
+	}
 	if cj.killed { // torn-append fired on this very record
 		return
 	}
@@ -972,11 +1001,8 @@ func (cj *ControlJournal) NoteFinish(res *Result) {
 // the swap for space is reported (the pressure path degrades on it);
 // any other failure is a simulator bug and panics.
 func (cj *ControlJournal) compactLocked() error {
-	data, err := json.Marshal(cj.state.snapshot())
-	if err != nil {
-		panic(fmt.Sprintf("sched: snapshot marshal: %v", err))
-	}
-	if err := cj.w.Compact([]journal.Rec{{Type: recSnapshot, Data: data}}); err != nil {
+	snap := cj.state.snapshot()
+	if err := cj.w.Compact(recSnapshot, snap.appendJSON); err != nil {
 		if errors.Is(err, journal.ErrNoSpace) {
 			return err
 		}
@@ -1020,20 +1046,19 @@ var journalRecName = map[byte]string{
 	recFinish: "finish", recSnapshot: "snapshot",
 }
 
-// WriteJournalDump replays a control journal file and prints the
-// operator's view of it: the record census, any truncated tail, and
-// the folded state a restart would recover — finished jobs, pending
-// jobs with their checkpoints and idempotent attempt IDs, spent retry
-// tokens, held cap slots. The detourctl -journal flag drives this.
+// WriteJournalDump reads a control journal file and prints the
+// operator's view of it: the record census, any torn tail, and the
+// folded state a restart would recover — finished jobs, pending jobs
+// with their checkpoints and idempotent attempt IDs, spent retry
+// tokens, held cap slots. It only reads the file: the scan and the fold
+// run in memory, and the torn tail a restart would truncate stays on
+// disk. The detourctl -journal flag drives this.
 func WriteJournalDump(out io.Writer, path string) error {
-	dev, err := journal.OpenFileDevice(path)
-	if err != nil {
-		return err
+	b, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("journal: open %s: %w", path, err)
 	}
-	recs, truncated, err := journal.Replay(dev)
-	if err != nil {
-		return err
-	}
+	recs, valid := journal.Scan(b)
 	counts := make(map[string]int)
 	for _, r := range recs {
 		name := journalRecName[r.Type]
@@ -1042,13 +1067,11 @@ func WriteJournalDump(out io.Writer, path string) error {
 		}
 		counts[name]++
 	}
-	_, rec, err := NewControlJournal(dev)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "journal %s: %d records, %d B", path, len(recs), dev.Size())
-	if truncated > 0 {
-		fmt.Fprintf(out, " (torn tail: %d B truncated)", truncated)
+	st, _ := foldRecords(recs)
+	rec := st.recovered()
+	fmt.Fprintf(out, "journal %s: %d records, %d B", path, len(recs), len(b))
+	if valid < len(b) {
+		fmt.Fprintf(out, " (torn tail: %d B past the last valid record)", len(b)-valid)
 	}
 	fmt.Fprintln(out)
 	names := make([]string, 0, len(counts))

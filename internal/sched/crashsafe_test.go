@@ -1,7 +1,11 @@
 package sched
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"detournet/internal/core"
@@ -185,5 +189,56 @@ func TestControlJournalTornKill(t *testing.T) {
 	}
 	if len(rec.Pending) != 1 || rec.Pending[0].Job.Name != "safe.bin" {
 		t.Fatalf("recovered pending = %+v, want only safe.bin", rec.Pending)
+	}
+}
+
+// TestJournalDumpReadOnly: dumping a journal file with a torn tail only
+// reads it. Two dumps print the same report, which names the tail and
+// the file's full size, and the file keeps every byte.
+func TestJournalDumpReadOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "control.journal")
+	dev, err := journal.OpenFileDevice(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cj, _, err := NewControlJournal(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, pending := csJob("dump-done.bin"), csJob("dump-pending.bin")
+	cj.NoteSubmit(done)
+	cj.NoteSubmit(pending)
+	cj.NoteRetry("gdrive")
+	cj.NoteFinish(&Result{Job: done, Route: core.DirectRoute, Seconds: 3, Attempts: 1})
+	cj.TornJournal(true)
+	cj.NoteAttempt(pending, 1, core.DirectRoute) // torn mid-record
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, valid := journal.Scan(before); valid == len(before) {
+		t.Fatal("the journal file has no torn tail to dump")
+	}
+	var first, second bytes.Buffer
+	if err := WriteJournalDump(&first, path); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJournalDump(&second, path); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Fatalf("second dump differs:\n%s\nfirst:\n%s", &second, &first)
+	}
+	head := fmt.Sprintf("journal %s: 4 records, %d B (torn tail:", path, len(before))
+	if !strings.HasPrefix(first.String(), head) ||
+		!strings.Contains(first.String(), "1 finished, 1 pending") {
+		t.Fatalf("dump does not report the torn file as it is:\n%s", &first)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("dumping rewrote the journal: %d B before, %d B after", len(before), len(after))
 	}
 }

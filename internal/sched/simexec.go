@@ -550,7 +550,9 @@ func (e *SimExecutor) awaitRoute(p *simproc.Proc, job Job, ck *core.Checkpoint, 
 // means the latest RIBs route it — a converging blackhole fails here)
 // and, for detours, the DTN agent is up and accepting. existing marks
 // work the DTN already holds state for: a draining DTN refuses new
-// transfers but finishes existing ones. Callers hold e.mu.
+// transfers but finishes existing ones. Only the error matters, so the
+// question goes through Graph.RoutedLinks' route memo, which fails
+// exactly when Path does for two distinct hosts. Callers hold e.mu.
 func (e *SimExecutor) routeUsable(client, provider string, r core.Route, existing bool) bool {
 	host, ok := scenario.Providers[provider]
 	if !ok {
@@ -558,7 +560,7 @@ func (e *SimExecutor) routeUsable(client, provider string, r core.Route, existin
 	}
 	switch r.Kind {
 	case core.Direct:
-		_, err := e.w.Graph.Path(client, host)
+		_, err := e.w.Graph.RoutedLinks(client, host)
 		return err == nil
 	case core.Detour:
 		ag, ok := e.w.Agents[r.Via]
@@ -568,10 +570,10 @@ func (e *SimExecutor) routeUsable(client, provider string, r core.Route, existin
 		if ag.Draining() && !existing {
 			return false
 		}
-		if _, err := e.w.Graph.Path(client, r.Via); err != nil {
+		if _, err := e.w.Graph.RoutedLinks(client, r.Via); err != nil {
 			return false
 		}
-		_, err := e.w.Graph.Path(r.Via, host)
+		_, err := e.w.Graph.RoutedLinks(r.Via, host)
 		return err == nil
 	}
 	return false

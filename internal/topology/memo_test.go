@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -36,15 +37,32 @@ func randomWalk(g *Graph, rng *rand.Rand) []string {
 	return hops
 }
 
+// epochWeights is an EpochRouter whose edge weights change with its
+// epoch, and only then.
+type epochWeights struct{ epoch *uint64 }
+
+func (r epochWeights) Path(g *Graph, src, dst *Node) ([]*Node, error) {
+	ep := *r.epoch
+	return route(g, src, dst, func(e *Edge) float64 {
+		h := fnv.New64a()
+		fmt.Fprint(h, e.From.Name, e.To.Name, ep)
+		return e.Link.PropDelay * float64(1+h.Sum64()%4)
+	}, nil)
+}
+
+func (r epochWeights) RouteEpoch() uint64 { return *r.epoch }
+
 // Property: whatever the sequence of edge flips, pinned overrides added,
-// suspended and restored, and router swaps (static or not), every
-// pair's RoutedLinks equals an uncached Path + LinkPath after each
-// step, errors included.
+// suspended and restored, router swaps (with an epoch or without one)
+// and epoch moves, every pair's RoutedLinks equals an uncached Path +
+// LinkPath after each step, errors included.
 func TestPropertyRoutedLinksMemoMatchesUncached(t *testing.T) {
+	var epoch uint64
 	routers := []PathFinder{
 		MinDelay{},
 		MinDelayFiltered{Allow: NoStubTransit("S1", "S2")},
 		MinWeight{Weight: func(e *Edge) float64 { return 1 / e.Link.Capacity }},
+		epochWeights{&epoch},
 	}
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -68,6 +86,8 @@ func TestPropertyRoutedLinksMemoMatchesUncached(t *testing.T) {
 				g.SetOverrideEnabled(pr[0], pr[1], rng.Intn(2) == 0)
 			case k == 6:
 				g.SetRouter(routers[rng.Intn(len(routers))])
+			case k == 7:
+				epoch++
 			}
 			for _, a := range nodes {
 				for _, b := range nodes {
@@ -85,7 +105,7 @@ func TestPropertyRoutedLinksMemoMatchesUncached(t *testing.T) {
 
 // Under a static router a repeated lookup is served from the memo (the
 // same slice comes back) until Gen moves or the router changes; a
-// pinned pair and a non-static router always search again.
+// pinned pair and a router that reports no epoch always search again.
 func TestRoutedLinksMemoLifetime(t *testing.T) {
 	g := newGraph()
 	addN(t, g, "a", "m", "b")
@@ -124,12 +144,12 @@ func TestRoutedLinksMemoLifetime(t *testing.T) {
 	}
 	g.SetRouter(MinWeight{Weight: func(e *Edge) float64 { return e.Link.PropDelay }})
 	if same(route("a", "b"), route("a", "b")) {
-		t.Fatal("a non-static router's route was memoized")
+		t.Fatal("a route was memoized under a router with no epoch")
 	}
 	if _, err := g.RoutedLinks("a", "a"); err == nil {
 		t.Fatal("a one-node path routed")
 	}
 	if len(g.routes) != 0 {
-		t.Fatalf("%d routes memoized under a non-static router", len(g.routes))
+		t.Fatalf("%d routes memoized under a router with no epoch", len(g.routes))
 	}
 }

@@ -88,10 +88,11 @@ type Graph struct {
 
 	router PathFinder
 
-	// routes memoizes RoutedLinks per pair while the router is static
-	// (MinDelay, MinDelayFiltered), for as long as gen equals routesGen.
-	routes    map[pair][]*fluid.Link
-	routesGen uint64
+	// routes memoizes RoutedLinks per pair under an EpochRouter, for as
+	// long as gen equals routesGen and the router's epoch routesEpoch.
+	routes      map[pair]routed
+	routesGen   uint64
+	routesEpoch uint64
 
 	// gen counts structural changes (nodes, edges, edge up/down flips);
 	// route memos keyed on it stay valid while it holds still.
@@ -106,10 +107,25 @@ type Graph struct {
 
 type pair struct{ src, dst string }
 
+// routed is one memoized RoutedLinks answer.
+type routed struct {
+	links []*fluid.Link
+	err   error
+}
+
 // PathFinder computes a node path from src to dst. Implementations must
 // be deterministic.
 type PathFinder interface {
 	Path(g *Graph, src, dst *Node) ([]*Node, error)
+}
+
+// EpochRouter is a PathFinder that versions its own routes: while the
+// graph's Gen and the router's RouteEpoch both hold still, every pair's
+// route, or its error, stays the same. MinDelay and MinDelayFiltered
+// report a constant epoch, since their routes follow the graph alone.
+type EpochRouter interface {
+	PathFinder
+	RouteEpoch() uint64
 }
 
 // New returns an empty graph over the fluid network. The default router
@@ -473,47 +489,38 @@ func (g *Graph) LinkPath(nodes []*Node) ([]*fluid.Link, error) {
 // RoutedLinks combines Path and LinkPath. The returned slice may be
 // shared with later calls and must not be modified.
 //
-// Under a static router (MinDelay, or MinDelayFiltered with a filter
-// that looks only at the edge and the endpoints) a pair's route depends
-// on nothing but the graph's structure, so it is memoized until Gen
-// moves or SetRouter installs another router. A pair with a pinned
-// override, enabled or not, is never memoized, nor is an error; other
-// routers (package bgppol's move with virtual time) always search.
+// Under an EpochRouter a pair's answer, links or error, is memoized
+// until Gen or the router's epoch moves, or SetRouter installs another
+// router. A pair with a pinned override, enabled or not, is never
+// memoized, and neither is any pair under a router that reports no
+// epoch (MinWeight, whose weights may read anything).
 func (g *Graph) RoutedLinks(src, dst string) ([]*fluid.Link, error) {
 	k := pair{src, dst}
-	_, pinned := g.overrides[k]
-	memo := !pinned && g.staticRouter()
+	r, memo := g.router.(EpochRouter)
+	if _, pinned := g.overrides[k]; pinned {
+		memo = false
+	}
 	if memo {
-		if g.routesGen != g.gen {
+		if ep := r.RouteEpoch(); g.routesGen != g.gen || g.routesEpoch != ep {
 			clear(g.routes)
-			g.routesGen = g.gen
+			g.routesGen, g.routesEpoch = g.gen, ep
 		}
-		if links, ok := g.routes[k]; ok {
-			return links, nil
+		if rt, ok := g.routes[k]; ok {
+			return rt.links, rt.err
 		}
 	}
 	nodes, err := g.Path(src, dst)
-	if err != nil {
-		return nil, err
+	var links []*fluid.Link
+	if err == nil {
+		links, err = g.LinkPath(nodes)
 	}
-	links, err := g.LinkPath(nodes)
-	if err == nil && memo {
+	if memo {
 		if g.routes == nil {
-			g.routes = make(map[pair][]*fluid.Link)
+			g.routes = make(map[pair]routed)
 		}
-		g.routes[k] = links
+		g.routes[k] = routed{links, err}
 	}
 	return links, err
-}
-
-// staticRouter reports whether the installed router's routes are a
-// function of the graph's structure alone.
-func (g *Graph) staticRouter() bool {
-	switch g.router.(type) {
-	case MinDelay, MinDelayFiltered:
-		return true
-	}
-	return false
 }
 
 // RTT returns the round-trip propagation delay between two nodes along
@@ -539,6 +546,9 @@ func (MinDelay) Path(g *Graph, src, dst *Node) ([]*Node, error) {
 	return route(g, src, dst, nil, nil)
 }
 
+// RouteEpoch implements EpochRouter: the routes follow the graph alone.
+func (MinDelay) RouteEpoch() uint64 { return 0 }
+
 // EdgeFilter decides whether a route from src to dst may use edge e.
 type EdgeFilter func(e *Edge, src, dst *Node) bool
 
@@ -547,7 +557,7 @@ type EdgeFilter func(e *Edge, src, dst *Node) bool
 // domains do not carry transit traffic", which on the real Internet is
 // enforced by BGP export rules (see package bgppol for the full model).
 // The filter must be a fixed function of its arguments: RoutedLinks
-// memoizes the routes it gives (see there).
+// memoizes the routes it gives under a constant epoch (see there).
 type MinDelayFiltered struct {
 	Allow EdgeFilter
 }
@@ -559,6 +569,9 @@ func (r MinDelayFiltered) Path(g *Graph, src, dst *Node) ([]*Node, error) {
 	}
 	return route(g, src, dst, nil, r.Allow)
 }
+
+// RouteEpoch implements EpochRouter: the routes follow the graph alone.
+func (MinDelayFiltered) RouteEpoch() uint64 { return 0 }
 
 // NoStubTransit returns an EdgeFilter that keeps routes out of the given
 // stub domains except when the route originates or terminates there.
