@@ -12,6 +12,8 @@
 // all, the default, prints every figure and table in paper order.
 // Names are case-insensitive. The default -seed 2015 with the full
 // protocol reproduces the values recorded in EXPERIMENTS.md.
+// A bad name, size or protocol (-runs below 1, -keep outside 1..runs)
+// exits 2 before any world is built.
 //
 // The last nine names are the scheduler replays of internal/replay; they
 // read only -seed. Without it each runs at the seed its golden under
@@ -84,7 +86,8 @@ func unchecked(f func(io.Writer, int64)) func(io.Writer, int64) error {
 }
 
 var (
-	format = flag.String("format", "csv", "output format for -experiment dump: csv or json")
+	// format is -format: how -experiment dump writes its grids.
+	format string
 
 	table = []experiment{
 		paper("fig2", (*experiments.Suite).Fig2),
@@ -150,41 +153,10 @@ func selected(name string) []experiment {
 }
 
 func main() {
-	var (
-		which = flag.String("experiment", "all", "which experiment to run ("+names()+")")
-		seed  = flag.Int64("seed", defaults.Seed, "world seed (cross-traffic, jitter)")
-		runs  = flag.Int("runs", defaults.Runs, "runs per measurement cell")
-		keep  = flag.Int("keep", defaults.Keep, "runs retained for the mean (last N)")
-		sizes = flag.String("sizes", "", "comma-separated file sizes in MB (default: paper's 10,20,30,40,50,60,100)")
-		quick = flag.Bool("quick", false, "reduced protocol (3 sizes, 3 runs) for a fast smoke run")
-	)
-	flag.Parse()
-
-	todo := selected(*which)
-	if len(todo) == 0 {
-		fmt.Fprintf(os.Stderr, "detourbench: unknown experiment %q (want %s)\n", *which, names())
+	todo, o, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "detourbench: %v\n", err)
 		os.Exit(2)
-	}
-
-	o := experiments.Options{Seed: *seed, Runs: *runs, Keep: *keep}
-	if *quick {
-		o = experiments.Quick()
-		o.Seed = *seed
-	}
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
-	if e := todo[0]; !seedSet && e.seed != 0 {
-		o.Seed = e.seed
-	}
-	if *sizes != "" {
-		for _, s := range strings.Split(*sizes, ",") {
-			mb, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || mb <= 0 {
-				fmt.Fprintf(os.Stderr, "detourbench: bad size %q\n", s)
-				os.Exit(2)
-			}
-			o.SizesMB = append(o.SizesMB, mb)
-		}
 	}
 	suite := &experiments.Suite{Options: o}
 
@@ -197,6 +169,53 @@ func main() {
 			fmt.Println()
 		}
 	}
+}
+
+// parse reads the command line into fs: the names to run and the
+// protocol to run them with. It builds no world, so a bad flag fails
+// before any work.
+func parse(fs *flag.FlagSet, args []string) ([]experiment, experiments.Options, error) {
+	var (
+		which = fs.String("experiment", "all", "which experiment to run ("+names()+")")
+		seed  = fs.Int64("seed", defaults.Seed, "world seed (cross-traffic, jitter)")
+		runs  = fs.Int("runs", defaults.Runs, "runs per measurement cell")
+		keep  = fs.Int("keep", defaults.Keep, "runs retained for the mean (last N)")
+		sizes = fs.String("sizes", "", "comma-separated file sizes in MB (default: paper's 10,20,30,40,50,60,100)")
+		quick = fs.Bool("quick", false, "reduced protocol (3 sizes, 3 runs) for a fast smoke run")
+	)
+	fs.StringVar(&format, "format", "csv", "output format for -experiment dump: csv or json")
+	if err := fs.Parse(args); err != nil {
+		return nil, experiments.Options{}, err
+	}
+
+	todo := selected(*which)
+	if len(todo) == 0 {
+		return nil, experiments.Options{}, fmt.Errorf("unknown experiment %q (want %s)", *which, names())
+	}
+
+	o := experiments.Options{Seed: *seed, Runs: *runs, Keep: *keep}
+	if *quick {
+		o = experiments.Quick()
+		o.Seed = *seed
+	}
+	seedSet := false
+	fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
+	if e := todo[0]; !seedSet && e.seed != 0 {
+		o.Seed = e.seed
+	}
+	if *sizes != "" {
+		for _, s := range strings.Split(*sizes, ",") {
+			mb, err := strconv.Atoi(strings.TrimSpace(s))
+			if err != nil || mb <= 0 {
+				return nil, experiments.Options{}, fmt.Errorf("bad size %q", s)
+			}
+			o.SizesMB = append(o.SizesMB, mb)
+		}
+	}
+	if o.Runs < 1 || o.Keep < 1 || o.Keep > o.Runs {
+		return nil, experiments.Options{}, fmt.Errorf("-runs %d -keep %d: want runs >= 1 and 1 <= keep <= runs", o.Runs, o.Keep)
+	}
+	return todo, o, nil
 }
 
 // writeReport prints the full evaluation report with its extensions.
@@ -260,7 +279,7 @@ func writeDump(s *experiments.Suite, out io.Writer) error {
 		for _, p := range scenario.ProviderNames {
 			pr := experiments.RunPair(s.Options, c, p)
 			var err error
-			if *format == "json" {
+			if format == "json" {
 				err = pr.Grid.WriteJSON(out)
 			} else {
 				err = pr.Grid.WriteCSV(out)

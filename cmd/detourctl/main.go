@@ -8,6 +8,9 @@
 //	          [-size 100] [-via auto|direct|ualberta|umich-pl]
 //	          [-pipelined] [-seed N] [-drain dtn] [-multipath]
 //
+// An unknown -from, -provider, -via or -drain host, or a -size below
+// 1 MB, exits 2 before any world is built.
+//
 // With -drain, the named DTN's agent is put into drain before the
 // transfer plans: it refuses new relay work (an upload routed at it
 // fails fast with a "draining" error; the auto selector routes around
@@ -59,6 +62,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"detournet/internal/core"
 	"detournet/internal/detourselect"
@@ -111,18 +115,13 @@ func main() {
 		return
 	}
 
-	if _, ok := scenario.Providers[*provider]; !ok {
-		fmt.Fprintf(os.Stderr, "detourctl: unknown provider %q\n", *provider)
+	if err := checkTransfer(*from, *provider, *sizeMB, *via, *drain); err != nil {
+		fmt.Fprintf(os.Stderr, "detourctl: %v\n", err)
 		os.Exit(2)
 	}
 	w := scenario.Build(*seed)
 	if *drain != "" {
-		ag, ok := w.Agents[*drain]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "detourctl: unknown DTN %q (have %v)\n", *drain, scenario.DTNs)
-			os.Exit(2)
-		}
-		ag.Drain()
+		w.Agents[*drain].Drain()
 		fmt.Printf("draining %s: new relay work refused, existing sessions run out\n", *drain)
 	}
 	file := fileutil.New("detourctl.bin", float64(*sizeMB)*fileutil.MB, *seed)
@@ -166,11 +165,6 @@ func main() {
 			route = chosen
 		case "direct":
 		default:
-			if _, ok := detours[*via]; !ok {
-				fmt.Fprintf(os.Stderr, "detourctl: unknown DTN %q (have %v)\n", *via, scenario.DTNs)
-				exit = 2
-				return
-			}
 			route = core.ViaRoute(*via)
 		}
 
@@ -196,6 +190,29 @@ func main() {
 	})
 	writeTrace(w, *traceOut, exit)
 	os.Exit(exit)
+}
+
+// checkTransfer rejects, before any world is built, a transfer whose
+// flags name no host of the world or no bytes: -from must be a client
+// site or a DTN, -provider one of the three providers, -size positive,
+// -via auto, direct or a DTN, and -drain a DTN when set.
+func checkTransfer(from, provider string, sizeMB int, via, drain string) error {
+	if !slices.Contains(scenario.Clients, from) && !slices.Contains(scenario.DTNs, from) {
+		return fmt.Errorf("unknown client %q (have %v and the DTNs %v)", from, scenario.Clients, scenario.DTNs)
+	}
+	if _, ok := scenario.Providers[provider]; !ok {
+		return fmt.Errorf("unknown provider %q (have %v)", provider, scenario.ProviderNames)
+	}
+	if sizeMB <= 0 {
+		return fmt.Errorf("-size %d: want a positive size in MB", sizeMB)
+	}
+	if via != "auto" && via != "direct" && !slices.Contains(scenario.DTNs, via) {
+		return fmt.Errorf("unknown route %q (want auto, direct or a DTN of %v)", via, scenario.DTNs)
+	}
+	if drain != "" && !slices.Contains(scenario.DTNs, drain) {
+		return fmt.Errorf("unknown DTN %q (have %v)", drain, scenario.DTNs)
+	}
+	return nil
 }
 
 func writeTrace(w *scenario.World, path string, exit int) {

@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"detournet/internal/core"
 	"detournet/internal/detourselect"
@@ -16,15 +18,25 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "detour-selection: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run prints the selector's choice and the measured best route for
+// every pair to out.
+func run(out io.Writer) error {
 	const sizeMB = 60
-	fmt.Printf("Automatic detour selection for %d MB uploads\n", sizeMB)
-	fmt.Printf("%-12s %-12s %-16s %-16s %s\n", "CLIENT", "PROVIDER", "SELECTED", "MEASURED BEST", "AGREE")
+	fmt.Fprintf(out, "Automatic detour selection for %d MB uploads\n", sizeMB)
+	fmt.Fprintf(out, "%-12s %-12s %-16s %-16s %s\n", "CLIENT", "PROVIDER", "SELECTED", "MEASURED BEST", "AGREE")
 
 	for _, client := range scenario.Clients {
 		for _, provider := range scenario.ProviderNames {
 			// Fresh world per pair keeps probes from heating each other's
 			// caches or connections.
 			w := scenario.Build(4242)
+			var err error
 			w.RunWorkload("select", func(p *simproc.Proc) {
 				direct := w.NewSDKClient(client, provider)
 				defer direct.Close()
@@ -34,9 +46,9 @@ func main() {
 				}
 
 				sel := detourselect.NewSelector()
-				chosen, _, err := sel.Choose(p, direct, detours, provider, sizeMB*fileutil.MB)
-				if err != nil {
-					panic(err)
+				var chosen core.Route
+				if chosen, _, err = sel.Choose(p, direct, detours, provider, sizeMB*fileutil.MB); err != nil {
+					return
 				}
 
 				// Ground truth: actually run every route once.
@@ -44,9 +56,9 @@ func main() {
 				bestT := 0.0
 				for i, route := range scenario.Routes() {
 					f := fileutil.New(fmt.Sprintf("sel-%d.bin", i), sizeMB*fileutil.MB, int64(i))
-					rep, err := core.Upload(p, route, direct, detours, provider, f.Name, f.Size, f.MD5)
-					if err != nil {
-						panic(err)
+					var rep core.Report
+					if rep, err = core.Upload(p, route, direct, detours, provider, f.Name, f.Size, f.MD5); err != nil {
+						return
 					}
 					if i == 0 || rep.Total < bestT {
 						best, bestT = route, rep.Total
@@ -56,8 +68,13 @@ func main() {
 				if chosen != best {
 					agree = "no"
 				}
-				fmt.Printf("%-12s %-12s %-16s %-16s %s\n", client, provider, chosen, best, agree)
+				fmt.Fprintf(out, "%-12s %-12s %-16s %-16s %s\n", client, provider, chosen, best, agree)
 			})
+			w.Close()
+			if err != nil {
+				return fmt.Errorf("%s to %s: %w", client, provider, err)
+			}
 		}
 	}
+	return nil
 }

@@ -6,7 +6,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 
 	"detournet/internal/overlay"
@@ -15,7 +18,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "overlay-monitor: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run prints the mesh's best path before, during and after the episode
+// to out.
+func run(out io.Writer) error {
 	w := scenario.Build(7)
+	defer w.Close()
 
 	// Every member site runs an overlay daemon.
 	members := []string{scenario.UBC, scenario.UAlberta, scenario.UMich}
@@ -27,10 +40,11 @@ func main() {
 
 	report := func(p *simproc.Proc, label string) {
 		path, bw := mesh.BestPath(scenario.UBC, scenario.UAlberta)
-		fmt.Printf("t=%6.0fs  %-28s best path: %-40s (bottleneck %.2f MB/s)\n",
+		fmt.Fprintf(out, "t=%6.0fs  %-28s best path: %-40s (bottleneck %.2f MB/s)\n",
 			float64(p.Now()), label, strings.Join(path, " -> "), bw/1e6)
 	}
 
+	var err error
 	w.RunWorkload("overlay-monitor", func(p *simproc.Proc) {
 		stop := mesh.Monitor(10)
 		defer stop()
@@ -43,24 +57,27 @@ func main() {
 		// persists until we clear it).
 		e, ok := w.Graph.Edge("bcnet", "vncv1")
 		if !ok {
-			panic("missing bcnet hand-off")
+			err = errors.New("missing bcnet hand-off")
+			return
 		}
 		w.Graph.Fluid().SetLinkLoad(e.Link, 0.97)
-		fmt.Println("\n*** congestion episode on bcnet -> vncv1 (97% load) ***")
+		fmt.Fprintln(out, "\n*** congestion episode on bcnet -> vncv1 (97% load) ***")
 		p.Sleep(40)
 		report(p, "during episode")
 
 		// Transfer rides the detour the monitor found.
-		path, sec, err := mesh.Send(p, scenario.UBC, scenario.UAlberta, 50e6)
-		if err != nil {
-			panic(err)
+		var path []string
+		var sec float64
+		if path, sec, err = mesh.Send(p, scenario.UBC, scenario.UAlberta, 50e6); err != nil {
+			return
 		}
-		fmt.Printf("          50 MB transfer took %.1f s via %s\n", sec, strings.Join(path, " -> "))
+		fmt.Fprintf(out, "          50 MB transfer took %.1f s via %s\n", sec, strings.Join(path, " -> "))
 
 		// The episode clears; the mesh converges back to the direct path.
 		w.Graph.Fluid().SetLinkLoad(e.Link, 0)
-		fmt.Println("\n*** episode cleared ***")
+		fmt.Fprintln(out, "\n*** episode cleared ***")
 		p.Sleep(40)
 		report(p, "after recovery")
 	})
+	return err
 }

@@ -5,22 +5,32 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"detournet/internal/measure"
 	"detournet/internal/scenario"
 )
 
 func main() {
-	const sizeMB = 40
-	fmt.Printf("Route summary for %d MB uploads (3 runs, mean of last 2)\n\n", sizeMB)
-	fmt.Printf("%-12s", "")
-	for _, p := range scenario.ProviderNames {
-		fmt.Printf(" | %-34s", p)
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "provider-sweep: %v\n", err)
+		os.Exit(1)
 	}
-	fmt.Println()
+}
+
+// run prints the summary matrix to out.
+func run(out io.Writer) error {
+	const sizeMB = 40
+	fmt.Fprintf(out, "Route summary for %d MB uploads (3 runs, mean of last 2)\n\n", sizeMB)
+	fmt.Fprintf(out, "%-12s", "")
+	for _, p := range scenario.ProviderNames {
+		fmt.Fprintf(out, " | %-34s", p)
+	}
+	fmt.Fprintln(out)
 
 	for _, client := range scenario.Clients {
-		fmt.Printf("%-12s", client)
+		fmt.Fprintf(out, "%-12s", client)
 		for _, provider := range scenario.ProviderNames {
 			w := scenario.Build(31337)
 			g := measure.RunGrid(w, measure.GridSpec{
@@ -32,10 +42,11 @@ func main() {
 			slow := g.Slowest(sizeMB)
 			cell := fmt.Sprintf("best %s (%.0fs), worst %s",
 				fast, g.Cell(sizeMB, fast).Summary.Mean, slow)
-			fmt.Printf(" | %-34s", cell)
+			fmt.Fprintf(out, " | %-34s", cell)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-	fmt.Println("\nCompare with the paper's Table I: detours win for Google Drive from")
-	fmt.Println("UBC (via UAlberta) and Purdue (either detour); direct wins elsewhere.")
+	fmt.Fprintln(out, "\nCompare with the paper's Table I: detours win for Google Drive from")
+	fmt.Fprintln(out, "UBC (via UAlberta) and Purdue (either detour); direct wins elsewhere.")
+	return nil
 }

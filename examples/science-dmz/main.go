@@ -7,7 +7,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"os"
 
 	"detournet/internal/cloudsim"
 	"detournet/internal/core"
@@ -23,8 +26,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "science-dmz: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run prints both upload times to out.
+func run(out io.Writer) error {
 	eng := simclock.NewEngine()
 	r := simproc.New(eng)
+	defer r.Close()
 	g := topology.New(fluid.New(eng))
 	for _, n := range []string{"workstation", "firewall", "border", "dtn", "provider-dc"} {
 		g.MustAddNode(&topology.Node{Name: n, Kind: topology.Host, RespondsICMP: true})
@@ -53,6 +65,7 @@ func main() {
 		sdk.Register(svc, "dtn-agent", "s"), sdk.Options{}))
 	agent.Start()
 
+	var err error
 	done := false
 	r.Go("demo", func(p *simproc.Proc) {
 		defer func() { done = true }()
@@ -61,26 +74,26 @@ func main() {
 		defer client.Close()
 
 		const size = 50e6
-		direct, err := core.DirectUpload(p, client, "through-firewall.bin", size, "")
-		if err != nil {
-			panic(err)
+		var direct, dmz core.Report
+		if direct, err = core.DirectUpload(p, client, "through-firewall.bin", size, ""); err != nil {
+			return
 		}
 		dc := core.NewDetourClient(tn, "workstation", "dtn")
-		dmz, err := dc.Upload(p, "GoogleDrive", "via-dmz.bin", size, "")
-		if err != nil {
-			panic(err)
+		if dmz, err = dc.Upload(p, "GoogleDrive", "via-dmz.bin", size, ""); err != nil {
+			return
 		}
 
-		fmt.Println("Uploading 50 MB from a firewalled workstation:")
-		fmt.Printf("  through the firewall (1 MB/s per-flow cap): %6.1f s\n", direct.Total)
-		fmt.Printf("  via the Science-DMZ DTN:                    %6.1f s"+
+		fmt.Fprintln(out, "Uploading 50 MB from a firewalled workstation:")
+		fmt.Fprintf(out, "  through the firewall (1 MB/s per-flow cap): %6.1f s\n", direct.Total)
+		fmt.Fprintf(out, "  via the Science-DMZ DTN:                    %6.1f s"+
 			"  (LAN %0.1f s + WAN %0.1f s)\n", dmz.Total, dmz.Hop1, dmz.Hop2)
-		fmt.Printf("\nThe DTN restores %.1fx of the firewall-throttled throughput —\n",
+		fmt.Fprintf(out, "\nThe DTN restores %.1fx of the firewall-throttled throughput —\n",
 			direct.Total/dmz.Total)
-		fmt.Println("the same relay machinery as the WAN detours, pointed at a local bottleneck.")
+		fmt.Fprintln(out, "the same relay machinery as the WAN detours, pointed at a local bottleneck.")
 	})
 	r.Drive()
 	if !done {
-		panic("demo did not finish")
+		return errors.New("demo did not finish")
 	}
+	return err
 }

@@ -49,8 +49,10 @@ type PairResult struct {
 	Client   string
 	Provider string
 	Grid     *measure.Grid
-	// Events is the number of virtual-clock events the pair's world ran.
-	Events uint64
+	// Events is the number of virtual-clock events the pair's world ran,
+	// Reallocs the number of max-min rate recomputations its fluid
+	// network made.
+	Events, Reallocs uint64
 }
 
 // pairSeed derives a stable per-pair world seed.
@@ -72,7 +74,8 @@ func RunPair(o Options, client, provider string) *PairResult {
 		SizesMB: o.SizesMB, Runs: o.Runs, Keep: o.Keep,
 		Seed: o.Seed,
 	})
-	return &PairResult{Client: client, Provider: provider, Grid: g, Events: w.Eng.Processed()}
+	return &PairResult{Client: client, Provider: provider, Grid: g,
+		Events: w.Eng.Processed(), Reallocs: w.Graph.Fluid().Reallocations}
 }
 
 // Suite holds every grid of the evaluation (3 clients × 3 providers).

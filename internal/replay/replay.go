@@ -26,8 +26,8 @@
 //     the virtual clock and the seeded RNGs;
 //   - the report renderers iterate only sorted or fixed-order data.
 //
-// testdata/golden pins every deterministic mode's output; `make
-// golden-check` compares it byte for byte.
+// testdata/golden pins every deterministic mode's output, and
+// cmd/detourbench's TestGolden compares it byte for byte.
 package replay
 
 import (

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"detournet/goldentest"
 	"detournet/internal/experiments"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
@@ -90,51 +92,81 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// arm is one replay arm TestInvariants runs.
+type arm struct {
+	name string
+	run  func() Outcome
+	// unchecked, when set, is why Check is not asserted on the arm.
+	unchecked string
+}
+
+// arms lists every mode's arms at its golden seed.
+var arms = []arm{
+	{name: "churn/control", run: func() Outcome { return Run(churnSpec(2015, false)) }},
+	{name: "churn/stack", run: func() Outcome { return Run(churnSpec(2015, true)) }},
+	{name: "grayfail/control", run: func() Outcome { return Run(grayfailSpec(2015, false)) }},
+	{name: "grayfail/stack", run: func() Outcome { return Run(grayfailSpec(2015, true)) }},
+	{name: "pressure/control", run: func() Outcome { return Run(pressureSpec(2015, false)) }},
+	{name: "pressure/stack", run: func() Outcome { return Run(pressureSpec(2015, true)) }},
+	{name: "telemetry", run: func() Outcome { return Telemetry(7, true) }},
+	{name: "multipath", run: func() Outcome { o, _ := Multipath(2015); return o }},
+	{name: "multipath/churn", run: func() Outcome { return MultipathChurn(2015) }},
+	{name: "crashsafe/control", run: func() Outcome {
+		return Crashsafe(2015, CrashLeg{}).Outcome
+	}},
+	{name: "crashsafe/decay", run: func() Outcome {
+		return Crashsafe(2015, CrashLeg{Decay: true}).Outcome
+	}},
+	{name: "crashsafe/journal-rot", run: func() Outcome {
+		return Crashsafe(2015, CrashLeg{JournalFaults: true}).Outcome
+	}},
+	{name: "overload/control", run: func() Outcome {
+		return Run(overloadSpec(2015, overloadTrace(2015), false))
+	}},
+	{name: "overload/stack", run: func() Outcome {
+		return Run(overloadSpec(2015, overloadTrace(2015), true))
+	}, unchecked: "a hedge that wins the race can leave the losing primary time to commit the same object before its flows are killed (flash-00912.bin commits twice)"},
+	// Eight workers interleave for real: chaos fails a different
+	// handful of jobs each run, so only the invariants are stable.
+	{name: "chaos", run: func() Outcome { return Run(chaosSpec(2015)) }},
+	{name: "fleet", run: func() Outcome { return Run(fleetSpec(2015)) }},
+	// Open loop on four workers: arrivals are fed from several
+	// workers' executor calls at once. Worker interleaving is real,
+	// so only the invariants are stable here, not the report.
+	{name: "overload/control/workers-4", run: func() Outcome {
+		sp := overloadSpec(2015, overloadTrace(2015), false)
+		sp.Config.Workers = 4
+		return Run(sp)
+	}},
+}
+
+// armWork is an arm's simulated work — simclock events processed and
+// fluid reallocations — and the workers it ran on.
+type armWork struct {
+	events, reallocs uint64
+	workers          int
+}
+
+func workOf(o Outcome) armWork {
+	return armWork{o.World.Eng.Processed(), o.World.Graph.Fluid().Reallocations, o.Config.Workers}
+}
+
+// armWorks holds the work of each arm TestInvariants ran last in this
+// test binary, so TestGoldenWork reads it instead of running the arm
+// again.
+var armWorks = map[string]armWork{}
+
 // TestInvariants: every mode and arm comes back clean from Check at its
 // golden seed — one result per job, no double commit, no store over
 // quota, no untyped failure.
 func TestInvariants(t *testing.T) {
-	arms := map[string]func() Outcome{
-		"churn/control":    func() Outcome { return Run(churnSpec(2015, false)) },
-		"churn/stack":      func() Outcome { return Run(churnSpec(2015, true)) },
-		"grayfail/control": func() Outcome { return Run(grayfailSpec(2015, false)) },
-		"grayfail/stack":   func() Outcome { return Run(grayfailSpec(2015, true)) },
-		"pressure/control": func() Outcome { return Run(pressureSpec(2015, false)) },
-		"pressure/stack":   func() Outcome { return Run(pressureSpec(2015, true)) },
-		"telemetry":        func() Outcome { return Telemetry(7, true) },
-		"multipath":        func() Outcome { o, _ := Multipath(2015); return o },
-		"multipath/churn":  func() Outcome { return MultipathChurn(2015) },
-		"crashsafe/control": func() Outcome {
-			return Crashsafe(2015, CrashLeg{}).Outcome
-		},
-		"crashsafe/decay": func() Outcome {
-			return Crashsafe(2015, CrashLeg{Decay: true}).Outcome
-		},
-		"crashsafe/journal-rot": func() Outcome {
-			return Crashsafe(2015, CrashLeg{JournalFaults: true}).Outcome
-		},
-		// Eight workers interleave for real: chaos fails a different
-		// handful of jobs each run, so only the invariants are stable.
-		"chaos": func() Outcome { return Run(chaosSpec(2015)) },
-		"fleet": func() Outcome { return Run(fleetSpec(2015)) },
-		// The overload stack arm is left out: a hedge that wins the race
-		// can leave the losing primary time to commit the same object
-		// before its flows are killed (flash-00912.bin commits twice).
-		"overload/control": func() Outcome {
-			return Run(overloadSpec(2015, overloadTrace(2015), false))
-		},
-		// Open loop on four workers: arrivals are fed from several
-		// workers' executor calls at once. Worker interleaving is real,
-		// so only the invariants are stable here, not the report.
-		"overload/control/workers-4": func() Outcome {
-			sp := overloadSpec(2015, overloadTrace(2015), false)
-			sp.Config.Workers = 4
-			return Run(sp)
-		},
-	}
-	for name, run := range arms {
-		t.Run(name, func(t *testing.T) {
-			o := run()
+	for _, a := range arms {
+		t.Run(a.name, func(t *testing.T) {
+			o := a.run()
+			armWorks[a.name] = workOf(o)
+			if a.unchecked != "" {
+				t.Skip(a.unchecked)
+			}
 			if err := o.Check(); err != nil {
 				t.Fatal(err)
 			}
@@ -143,6 +175,36 @@ func TestInvariants(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenWork: the simulated work of each paper pair at the default
+// protocol and of each replay arm that runs on one worker matches
+// testdata/golden/work.txt exactly. A change that keeps every output
+// byte but adds or removes work fails here; rerun with -update to
+// rewrite the table on purpose.
+func TestGoldenWork(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the plain test run compares the work table; the race detector only slows it down")
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%-40s %10s %10s\n", "run", "events", "reallocs")
+	for _, c := range scenario.Clients {
+		for _, p := range scenario.ProviderNames {
+			pr := experiments.RunPair(experiments.Default(), c, p)
+			fmt.Fprintf(&b, "%-40s %10d %10d\n", "paper/"+c+"/"+p, pr.Events, pr.Reallocs)
+		}
+	}
+	for _, a := range arms {
+		w, ok := armWorks[a.name]
+		if !ok {
+			w = workOf(a.run())
+		}
+		if w.workers != 1 {
+			continue // real worker interleaving: the work varies between runs
+		}
+		fmt.Fprintf(&b, "%-40s %10d %10d\n", a.name, w.events, w.reallocs)
+	}
+	goldentest.Check(t, "work.txt", b.Bytes())
 }
 
 // TestArrivalsFeedThroughWrappers: an arrival due while a transfer runs
