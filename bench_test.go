@@ -628,7 +628,6 @@ func BenchmarkSchedulerRouteCacheHit(b *testing.B) {
 			b.Fatal("unexpected miss")
 		}
 	}
-	b.ReportMetric(c.HitRate(), "hit-rate")
 }
 
 // --- Routing dynamics (internal/bgppol) ---

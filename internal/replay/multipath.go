@@ -70,9 +70,9 @@ const (
 	multipathChurnSize = 480e6
 )
 
-// Multipath runs the striped-vs-single comparison over every pair.
-func Multipath(seed int64) (Outcome, []Pair) {
-	var jobs []sched.Job
+// multipathSpec is the striped fleet, one job per pair; base collects
+// each pair's single-route baselines as the run plans it.
+func multipathSpec(seed int64) (sp Spec, jobs []sched.Job, base *baselines) {
 	for _, client := range scenario.Clients {
 		for _, provider := range scenario.ProviderNames {
 			jobs = append(jobs, sched.Job{
@@ -82,15 +82,21 @@ func Multipath(seed int64) (Outcome, []Pair) {
 			})
 		}
 	}
-	base := &baselines{singles: make(map[[2]string][]sched.Result)}
-	o := Run(Spec{
+	base = &baselines{singles: make(map[[2]string][]sched.Result)}
+	return Spec{
 		Seed: seed,
 		Setup: func(e *Env) {
 			base.SimExecutor = e.Exec
 			e.Config.Planner = base
 		},
 		Fleet: fleet(len(jobs), func(i int) sched.Job { return jobs[i] }),
-	})
+	}, jobs, base
+}
+
+// Multipath runs the striped-vs-single comparison over every pair.
+func Multipath(seed int64) (Outcome, []Pair) {
+	sp, jobs, base := multipathSpec(seed)
+	o := Run(sp)
 	striped := make(map[string]sched.Result, len(o.Results))
 	for _, r := range o.Results {
 		striped[r.Job.Name] = r

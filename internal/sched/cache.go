@@ -124,8 +124,6 @@ type RouteCache struct {
 	// weight, when set, multiplies each candidate's bandit score at
 	// election time — the health layer's probation down-weighting hook.
 	weight      func(core.Route) float64
-	hits        int64
-	misses      int64
 	invalidates int64
 	converges   int64 // routes marked converging by events
 	announces   int64 // routes cleared by announce events
@@ -176,10 +174,8 @@ func (c *RouteCache) Lookup(k CacheKey) (core.Route, bool) {
 		if ok {
 			delete(c.entries, k)
 		}
-		c.misses++
 		return core.Route{}, false
 	}
-	c.hits++
 	return e.route, true
 }
 
@@ -187,8 +183,6 @@ func (c *RouteCache) Lookup(k CacheKey) (core.Route, bool) {
 // TTL has lapsed, without deleting it — brownout mode's degraded read:
 // a stale decision beats paying a probe while the scheduler is
 // overloaded. fresh reports whether the entry was still within TTL.
-// Hit/miss counters are untouched; the caller accounts for stale serves
-// itself.
 func (c *RouteCache) LookupStale(k CacheKey) (route core.Route, fresh, ok bool) {
 	now := c.now()
 	c.mu.Lock()
@@ -437,11 +431,13 @@ func (c *RouteCache) Len() int {
 	return len(c.entries)
 }
 
-// Counters returns lifetime hits, misses, and invalidations.
-func (c *RouteCache) Counters() (hits, misses, invalidations int64) {
+// Invalidations returns the lifetime count of failure-driven
+// invalidations. The scheduler counts hits and misses itself, in its
+// registry.
+func (c *RouteCache) Invalidations() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.invalidates
+	return c.invalidates
 }
 
 // EventCounters returns lifetime push-invalidation effects: routes
@@ -450,13 +446,4 @@ func (c *RouteCache) EventCounters() (converges, announces int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.converges, c.announces
-}
-
-// HitRate is hits/(hits+misses), 0 before any lookup.
-func (c *RouteCache) HitRate() float64 {
-	h, m, _ := c.Counters()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

@@ -82,14 +82,13 @@ func (s *Scheduler) runMultipath(j Job, key CacheKey, route core.Route, hit bool
 		resumed += pr.Resumed
 		rewritten += pr.Rewritten
 	}
-	s.mu.Lock()
-	s.mpJobs++
-	s.mpHedged += int64(rep.HedgedChunks)
-	s.mpResent += int64(rep.ResentChunks)
-	s.mpDuplicateBytes += rep.DuplicateBytes
-	s.bytesResumed += resumed
-	s.bytesRewritten += rewritten
-	s.mu.Unlock()
+	m := s.met
+	m.mpJobs.Inc()
+	m.mpHedged.Add(float64(rep.HedgedChunks))
+	m.mpResent.Add(float64(rep.ResentChunks))
+	m.mpDuplicateBytes.Add(rep.DuplicateBytes)
+	m.bytesResumed.Add(resumed)
+	m.bytesRewritten.Add(rewritten)
 	s.breakers.success(providerKey(j.Provider))
 	if s.cfg.Journal != nil {
 		// Journal the lane outcome: which routes carried how many stripe

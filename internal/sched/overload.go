@@ -68,12 +68,10 @@ func (c *codel) smoothed() float64 {
 // work first — bandit refresh, probe-based cache refresh, detour
 // planning for small size-buckets, hedging — and restores it only once
 // utilization falls below the (lower) exit threshold. Guarded by the
-// scheduler's mu.
+// scheduler's mu; the scheduler counts the transitions in its registry.
 type brownout struct {
 	enter, exit float64 // occupancy fractions of the queue limit
 	active      bool
-	enters      int64
-	exits       int64
 }
 
 func newBrownout(enter float64) *brownout {
@@ -89,10 +87,8 @@ func (b *brownout) observe(util float64) bool {
 	switch {
 	case !b.active && util >= b.enter:
 		b.active = true
-		b.enters++
 	case b.active && util <= b.exit:
 		b.active = false
-		b.exits++
 	}
 	return b.active
 }

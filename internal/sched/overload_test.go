@@ -435,9 +435,6 @@ func TestBrownoutHysteresis(t *testing.T) {
 	if b.observe(0.2) {
 		t.Fatal("brownout survived below exit threshold")
 	}
-	if b.enters != 1 || b.exits != 1 {
-		t.Fatalf("transitions = %d/%d, want 1/1", b.enters, b.exits)
-	}
 }
 
 // waitFor polls a condition with a real-time deadline.

@@ -482,31 +482,19 @@ type Scheduler struct {
 	// delivering counts finished results not yet handed to OnResult:
 	// Drain waits for them too.
 	delivering int
-	// Occupancy and the counts with no registry family (all guarded by
-	// mu); every other count lives in met.
-	pending, running       int64
-	breakerSkip            int64
-	brownDirect, staleHits int64
-	integrityRetries       int64
-	parkSeconds            float64
-	mpJobs, mpDegraded     int64
-	mpHedged, mpResent     int64
-	mpDuplicateBytes       float64
-	routeEvents            int64
-	bytesResumed           float64
-	bytesRewritten         float64
-	chunkRepairs           int64
-	cacheHits, cacheMiss   int64
-	perRoute               map[string]*RouteStats
-	brown                  *brownout // nil when brownout is off
-	lat                    *latencyTracker
-	delays                 *delayRing
-	jitterRng              *rand.Rand
+	// Occupancy, the brownout state, the latency and queue-delay rings
+	// and the jitter RNG, all guarded by mu. mu guards no count: every
+	// count lives in met.
+	pending, running int64
+	brown            *brownout // nil when brownout is off
+	lat              *latencyTracker
+	delays           *delayRing
+	jitterRng        *rand.Rand
 
 	// met holds the registry handles — Config.Telemetry's, or a private
-	// registry's — and is the only copy of the counts it covers; rec is
-	// the flight recorder (nil when recording is off). Both are set once
-	// in New and read without locks on hot paths.
+	// registry's — and is the only copy of every count; rec is the
+	// flight recorder (nil when recording is off). Both are set once in
+	// New and read without locks on hot paths.
 	met *schedMetrics
 	rec *telemetry.FlightRecorder
 }
@@ -527,7 +515,6 @@ func New(cfg Config) *Scheduler {
 		buckets:  newTenantBuckets(cfg.TenantRate, max(1, cfg.TenantRate), cfg.Now),
 		codel:    newCodel(cfg.CoDelTarget, codelAlpha),
 		planning: make(map[CacheKey]*planCall),
-		perRoute: make(map[string]*RouteStats),
 		lat:      newLatencyTracker(0),
 		delays:   newDelayRing(0),
 		met:      newSchedMetrics(cfg.Telemetry),
@@ -625,9 +612,7 @@ func (s *Scheduler) Cache() *RouteCache { return s.cache }
 // An announce clears both Converging and Quarantined holds, so a
 // restored link returns to service at once. Safe for concurrent use.
 func (s *Scheduler) RouteEvent(ev RouteEvent) {
-	s.mu.Lock()
-	s.routeEvents++
-	s.mu.Unlock()
+	s.met.routeEvents.Inc()
 	s.cache.ApplyRouteEvent(ev)
 }
 
@@ -688,17 +673,17 @@ func (s *Scheduler) submit(j Job, wait bool) error {
 	s.mu.Lock()
 	if err != nil {
 		s.pending--
-		switch {
-		case errors.Is(err, ErrTenantQuota):
-			s.met.rejected.With("tenant-quota").Inc()
-		case errors.Is(err, ErrQueueFull):
-			s.met.rejected.With("queue-full").Inc()
-		}
-	} else {
-		s.met.submitted.Inc()
 	}
 	s.noteDepthLocked()
 	s.mu.Unlock()
+	switch {
+	case err == nil:
+		s.met.submitted.Inc()
+	case errors.Is(err, ErrTenantQuota):
+		s.met.rejected.With("tenant-quota").Inc()
+	case errors.Is(err, ErrQueueFull):
+		s.met.rejected.With("queue-full").Inc()
+	}
 	if err == nil && s.cfg.Journal != nil {
 		// Write-ahead: the job is durable before any worker touches it. A
 		// resubmission of a journaled name reuses its sequence number (and
@@ -752,8 +737,15 @@ func (s *Scheduler) noteQueueDepth() {
 	}
 	util := float64(s.q.length()) / float64(s.cfg.QueueLimit)
 	s.mu.Lock()
-	s.brown.observe(util)
+	was := s.brown.active
+	now := s.brown.observe(util)
 	s.mu.Unlock()
+	switch {
+	case now && !was:
+		s.met.brownoutEnters.Inc()
+	case was && !now:
+		s.met.brownoutExits.Inc()
+	}
 }
 
 // brownoutActive reports whether the scheduler is currently shedding
@@ -855,12 +847,6 @@ func (s *Scheduler) finish(res Result) {
 		// idempotent attempt ID and the provider pre-check.
 		s.cfg.Journal.NoteFinish(&res)
 	}
-	s.mu.Lock()
-	s.pending--
-	s.delivering++
-	if s.running > 0 {
-		s.running--
-	}
 	m := s.met
 	m.queueDelay.Observe(res.QueueDelay)
 	m.attempts.Observe(float64(res.Attempts))
@@ -871,24 +857,22 @@ func (s *Scheduler) finish(res Result) {
 			m.late.Inc()
 		}
 		m.transferSec.Observe(res.Seconds)
-		bm, jm := m.routeMetrics(res.Route)
-		bm.Add(res.Job.Size)
-		jm.Inc()
-		rs := s.perRoute[res.Route.String()]
-		if rs == nil {
-			rs = &RouteStats{}
-			s.perRoute[res.Route.String()] = rs
-		}
-		rs.Jobs++
-		rs.Bytes += res.Job.Size
-		rs.Seconds += res.Seconds
-		s.lat.note(res.Route.String(), res.Seconds, res.Job.Size)
+		m.noteDelivered(res.Route, res.Job.Size, res.Seconds)
 	case errors.Is(res.Err, ErrShed):
 		m.shed.Inc()
 	case errors.Is(res.Err, ErrDeadline):
 		m.expired.Inc()
 	default:
 		m.failed.Inc()
+	}
+	s.mu.Lock()
+	s.pending--
+	s.delivering++
+	if s.running > 0 {
+		s.running--
+	}
+	if res.Err == nil {
+		s.lat.note(res.Route.String(), res.Seconds, res.Job.Size)
 	}
 	s.noteDepthLocked()
 	s.mu.Unlock()
@@ -948,9 +932,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 		}
 		// Degraded: brownout shed the extra lanes, the executor can't
 		// stripe, or the striped attempt failed — run single-path below.
-		s.mu.Lock()
-		s.mpDegraded++
-		s.mu.Unlock()
+		s.met.mpDegraded.Inc()
 		tr.Note("job.mp-degrade")
 	}
 
@@ -996,9 +978,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					if ck != nil {
 						res.Rewritten, res.ChunkRepairs = ck.BytesRewritten, ck.ChunkRepairs
 					}
-					s.mu.Lock()
-					s.bytesResumed += j.Size
-					s.mu.Unlock()
+					s.met.bytesResumed.Add(j.Size)
 					return res
 				}
 			}
@@ -1098,9 +1078,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 						s.met.reroutes.Add(float64(nr))
 						if parked > 0 {
 							s.met.parks.Inc()
-							s.mu.Lock()
-							s.parkSeconds += parked
-							s.mu.Unlock()
+							s.met.parkSeconds.Add(parked)
 						}
 						if tr != nil {
 							tr.Note("job.reroute", "n", strconv.Itoa(nr),
@@ -1139,9 +1117,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 		}
 		lastErr = err
 		if errors.Is(err, core.ErrIntegrity) {
-			s.mu.Lock()
-			s.integrityRetries++
-			s.mu.Unlock()
+			s.met.integrityRetries.Inc()
 		}
 		if tr != nil {
 			tr.Note("job.fail", "class", Classify(err).String(), "err", err.Error())
@@ -1458,9 +1434,7 @@ func (s *Scheduler) gateRoute(key CacheKey, provider string, route core.Route) c
 		return route
 	}
 	if route.Kind == core.Detour && s.breakers.allow(breakerKey(provider, core.DirectRoute)) {
-		s.mu.Lock()
-		s.breakerSkip++
-		s.mu.Unlock()
+		s.met.breakerSkips.Inc()
 		return core.DirectRoute
 	}
 	for _, cand := range s.cache.Candidates(key) {
@@ -1468,9 +1442,7 @@ func (s *Scheduler) gateRoute(key CacheKey, provider string, route core.Route) c
 			continue
 		}
 		if s.breakers.allow(breakerKey(provider, cand)) {
-			s.mu.Lock()
-			s.breakerSkip++
-			s.mu.Unlock()
+			s.met.breakerSkips.Inc()
 			return cand
 		}
 	}
@@ -1512,11 +1484,9 @@ func (s *Scheduler) noteRecovery(ck *core.Checkpoint, res *Result) {
 	}
 	res.Resumed, res.Rewritten = ck.BytesResumed, ck.BytesRewritten
 	res.ChunkRepairs = ck.ChunkRepairs
-	s.mu.Lock()
-	s.bytesResumed += ck.BytesResumed
-	s.bytesRewritten += ck.BytesRewritten
-	s.chunkRepairs += int64(ck.ChunkRepairs)
-	s.mu.Unlock()
+	s.met.bytesResumed.Add(ck.BytesResumed)
+	s.met.bytesRewritten.Add(ck.BytesRewritten)
+	s.met.chunkRepairs.Add(float64(ck.ChunkRepairs))
 }
 
 // routeFor resolves the job's route: cached decision, coalesced onto an
@@ -1529,38 +1499,34 @@ func (s *Scheduler) routeFor(key CacheKey, j Job) (core.Route, bool) {
 		// everything else rides a stale cache entry rather than paying a
 		// re-probe. Only a key with no decision at all still plans.
 		if key.SizeBucket <= brownoutSmallBucket {
-			s.mu.Lock()
-			s.brownDirect++
-			s.mu.Unlock()
+			s.met.brownoutDirect.Inc()
 			return core.DirectRoute, true
 		}
 		if r, fresh, ok := s.cache.LookupStale(key); ok {
 			if fresh {
-				s.noteCache(true)
+				s.met.cacheHits.Inc()
 			} else {
-				s.mu.Lock()
-				s.staleHits++
-				s.mu.Unlock()
+				s.met.staleServes.Inc()
 			}
 			return r, true
 		}
 	}
 	if r, ok := s.cache.Lookup(key); ok {
-		s.noteCache(true)
+		s.met.cacheHits.Inc()
 		return r, true
 	}
 	s.planMu.Lock()
 	if call, ok := s.planning[key]; ok {
 		s.planMu.Unlock()
 		<-call.done
-		s.noteCache(true)
+		s.met.cacheHits.Inc()
 		return call.route, true
 	}
 	// Re-check under planMu: the planner that just finished may have
 	// inserted between our Lookup and the lock.
 	if r, ok := s.cache.Lookup(key); ok {
 		s.planMu.Unlock()
-		s.noteCache(true)
+		s.met.cacheHits.Inc()
 		return r, true
 	}
 	call := &planCall{done: make(chan struct{})}
@@ -1587,18 +1553,8 @@ func (s *Scheduler) routeFor(key CacheKey, j Job) (core.Route, bool) {
 	s.planMu.Lock()
 	delete(s.planning, key)
 	s.planMu.Unlock()
-	s.noteCache(false)
+	s.met.cacheMisses.Inc()
 	return route, false
-}
-
-func (s *Scheduler) noteCache(hit bool) {
-	s.mu.Lock()
-	if hit {
-		s.cacheHits++
-	} else {
-		s.cacheMiss++
-	}
-	s.mu.Unlock()
 }
 
 // RouteStats aggregates completed transfers over one route.
@@ -1616,9 +1572,9 @@ func (r RouteStats) Throughput() float64 {
 	return r.Bytes / r.Seconds
 }
 
-// Stats is a snapshot of the control plane. Every count that has a
-// registry family is read back from the scheduler's metric handles, so
-// it equals the exported sched_* metric.
+// Stats is a snapshot of the control plane and a view of its registry:
+// every scheduler count, PerRoute included, is read back from a sched_*
+// family, so it equals the exported metric. s.mu guards no count.
 type Stats struct {
 	Submitted, RateLimited int64
 	Queued, Running        int64
@@ -1744,49 +1700,41 @@ func (st Stats) String() string {
 	return line
 }
 
-// Stats returns a snapshot of counters, per-route aggregates, and the
-// concurrency high-water marks the caps enforce. Rejections are read
-// with Family.Get, which creates no label child for an unseen reason.
+// Stats returns a snapshot of the counts, per-route aggregates, and
+// the concurrency high-water marks the caps enforce. Rejections are
+// read with Family.Get, which creates no label child for an unseen
+// reason.
 func (s *Scheduler) Stats() Stats {
 	m := s.met
-	s.mu.Lock()
+	n := func(c *telemetry.Metric) int64 { return int64(c.Value()) }
 	st := Stats{
-		Submitted:   int64(m.submitted.Value()),
-		RateLimited: int64(m.rejected.Get("rate-limited").Value()),
-		Running:     s.running,
-		Done:        int64(m.done.Value()), Failed: int64(m.failed.Value()),
-		Expired: int64(m.expired.Value()),
-		Shed:    int64(m.shed.Value()), Late: int64(m.late.Value()),
-		QueueFullRejects:   int64(m.rejected.Get("queue-full").Value()),
-		TenantQuotaRejects: int64(m.rejected.Get("tenant-quota").Value()),
-		Hedges:             int64(m.hedges.Value()), HedgeWins: int64(m.hedgeWins.Value()),
-		BrownoutDirect: s.brownDirect, StaleServes: s.staleHits,
-		IntegrityRetries: s.integrityRetries,
-		Reroutes:         int64(m.reroutes.Value()), Parks: int64(m.parks.Value()),
-		ParkSeconds: s.parkSeconds, RouteEvents: s.routeEvents,
-		MultipathJobs: s.mpJobs, MultipathDegraded: s.mpDegraded,
-		MultipathHedged: s.mpHedged, MultipathResent: s.mpResent,
-		MultipathDuplicateBytes: s.mpDuplicateBytes,
-		Stalls:                  int64(m.stalls.Value()), StallReroutes: int64(m.stallReroutes.Value()),
-		Canaries: int64(m.canaries.Value()), BudgetParks: int64(m.budgetParks.Value()),
-		QuotaFailures: int64(m.quotaFails.Value()), QuotaReclaims: int64(m.quotaReclaims.Value()),
-		ProviderSpills: int64(m.spills.Value()), QuotaParks: int64(m.quotaParks.Value()),
-		QueueDelayP99: s.delays.percentile(0.99),
-		Retries:       int64(m.retries.Value()), Fallbacks: int64(m.fallbacks.Value()),
-		Failovers: int64(m.failovers.Value()), BreakerSkips: s.breakerSkip,
-		BytesResumed: s.bytesResumed, BytesRewritten: s.bytesRewritten,
-		ChunkRepairs: s.chunkRepairs,
-		CacheHits:    s.cacheHits, CacheMisses: s.cacheMiss,
-		PerRoute: make(map[string]RouteStats, len(s.perRoute)),
+		Submitted: n(m.submitted), RateLimited: n(m.rejected.Get("rate-limited")),
+		Done: n(m.done), Failed: n(m.failed), Expired: n(m.expired), Shed: n(m.shed), Late: n(m.late),
+		QueueFullRejects:   n(m.rejected.Get("queue-full")),
+		TenantQuotaRejects: n(m.rejected.Get("tenant-quota")),
+		Hedges:             n(m.hedges), HedgeWins: n(m.hedgeWins),
+		BrownoutEnters: n(m.brownoutEnters), BrownoutExits: n(m.brownoutExits),
+		BrownoutDirect: n(m.brownoutDirect), StaleServes: n(m.staleServes),
+		IntegrityRetries: n(m.integrityRetries), Reroutes: n(m.reroutes), Parks: n(m.parks),
+		ParkSeconds: m.parkSeconds.Value(), RouteEvents: n(m.routeEvents),
+		MultipathJobs: n(m.mpJobs), MultipathDegraded: n(m.mpDegraded),
+		MultipathHedged: n(m.mpHedged), MultipathResent: n(m.mpResent),
+		MultipathDuplicateBytes: m.mpDuplicateBytes.Value(),
+		Stalls:                  n(m.stalls), StallReroutes: n(m.stallReroutes),
+		Canaries: n(m.canaries), BudgetParks: n(m.budgetParks),
+		QuotaFailures: n(m.quotaFails), QuotaReclaims: n(m.quotaReclaims),
+		ProviderSpills: n(m.spills), QuotaParks: n(m.quotaParks),
+		Retries: n(m.retries), Fallbacks: n(m.fallbacks),
+		Failovers: n(m.failovers), BreakerSkips: n(m.breakerSkips),
+		BytesResumed: m.bytesResumed.Value(), BytesRewritten: m.bytesRewritten.Value(),
+		ChunkRepairs: n(m.chunkRepairs), CacheHits: n(m.cacheHits), CacheMisses: n(m.cacheMisses),
+		PerRoute: m.perRoute(),
 	}
-	if s.brown != nil {
-		st.BrownoutActive = s.brown.active
-		st.BrownoutEnters, st.BrownoutExits = s.brown.enters, s.brown.exits
-	}
+	s.mu.Lock()
+	st.Running = s.running
 	st.Queued = s.pending - s.running
-	for k, v := range s.perRoute {
-		st.PerRoute[k] = *v
-	}
+	st.BrownoutActive = s.brown != nil && s.brown.active
+	st.QueueDelayP99 = s.delays.percentile(0.99)
 	s.mu.Unlock()
 	if s.codel != nil {
 		st.QueueDelayEWMA = s.codel.smoothed()
@@ -1797,7 +1745,7 @@ func (s *Scheduler) Stats() Stats {
 		st.JournalDropped = int64(cj.DroppedAppends())
 	}
 	st.Breakers, st.BreakerTransitions = s.breakers.snapshot()
-	_, _, st.CacheInvalidations = s.cache.Counters()
+	st.CacheInvalidations = s.cache.Invalidations()
 	st.RouteConverges, st.RouteAnnounces = s.cache.EventCounters()
 	st.ProviderInUse, st.ProviderPeak, st.DTNInUse, st.DTNPeak = s.caps.snapshot()
 	return st

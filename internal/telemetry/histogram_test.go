@@ -42,7 +42,7 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 		h.Observe(v)
 	}
 	var snap *HistSnapshot
-	for _, f := range h.fam.snapshot().Metrics {
+	for _, f := range h.fam.Snapshot().Metrics {
 		snap = f.Hist
 	}
 	if snap.Count != 6 {

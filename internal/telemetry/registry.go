@@ -238,12 +238,17 @@ func (r *Registry) Snapshot() Snapshot {
 
 	snap := Snapshot{Families: make([]FamilySnapshot, 0, len(fams))}
 	for _, f := range fams {
-		snap.Families = append(snap.Families, f.snapshot())
+		snap.Families = append(snap.Families, f.Snapshot())
 	}
 	return snap
 }
 
-func (f *Family) snapshot() FamilySnapshot {
+// Snapshot captures one family, children sorted by their label-value
+// key.
+func (f *Family) Snapshot() FamilySnapshot {
+	if f == nil {
+		return FamilySnapshot{}
+	}
 	f.mu.Lock()
 	keys := make([]string, 0, len(f.children))
 	for k := range f.children {
