@@ -96,8 +96,6 @@ func TestDeterminism(t *testing.T) {
 type arm struct {
 	name string
 	run  func() Outcome
-	// unchecked, when set, is why Check is not asserted on the arm.
-	unchecked string
 }
 
 // arms lists every mode's arms at its golden seed.
@@ -125,7 +123,7 @@ var arms = []arm{
 	}},
 	{name: "overload/stack", run: func() Outcome {
 		return Run(overloadSpec(2015, overloadTrace(2015), true))
-	}, unchecked: "a hedge that wins the race can leave the losing primary time to commit the same object before its flows are killed (flash-00912.bin commits twice)"},
+	}},
 	// Eight workers interleave for real: chaos fails a different
 	// handful of jobs each run, so only the invariants are stable.
 	{name: "chaos", run: func() Outcome { return Run(chaosSpec(2015)) }},
@@ -164,9 +162,6 @@ func TestInvariants(t *testing.T) {
 		t.Run(a.name, func(t *testing.T) {
 			o := a.run()
 			armWorks[a.name] = workOf(o)
-			if a.unchecked != "" {
-				t.Skip(a.unchecked)
-			}
 			if err := o.Check(); err != nil {
 				t.Fatal(err)
 			}

@@ -759,30 +759,43 @@ func TestSimHedgedTransfer(t *testing.T) {
 	}
 }
 
-// TestSimHedgeCommitsUnderJobKey lets the direct hedge win a race for
-// a journaled job: its commit must carry the job's idempotency key, so
-// a crash-replayed attempt is answered from the provider's attempt
-// table instead of committing again.
+// TestSimHedgeCommitsUnderJobKey lets the direct hedge win a race. For
+// a journaled job its commit must carry the job's idempotency key, so a
+// crash-replayed attempt is answered from the provider's attempt table
+// instead of committing again. A job without a key races under one the
+// race names, and gets its empty key back; either way the object is
+// committed once.
 func TestSimHedgeCommitsUnderJobKey(t *testing.T) {
-	w := scenario.Build(5)
-	exec := NewSimExecutor(w)
-	defer exec.Close()
-	faults.NewInjector(w, 5, faults.Spec{
-		Kind: faults.LinkDegrade, From: "vncv1", To: "edmn1",
-		Start: 1, Duration: 1e9, CapacityFactor: 0.03,
-	})
-	exec.SleepVirtual(2)
-	job := Job{Tenant: "t", Client: scenario.UBC, Provider: scenario.GoogleDrive, Name: "keyed.bin", Size: 50e6}
-	ck := &core.Checkpoint{AttemptID: "keyed#1"}
-	_, route, launched, won, err := exec.ExecuteHedged(job, core.ViaRoute(scenario.UAlberta), 20, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !launched || !won || route != core.DirectRoute {
-		t.Fatalf("hedge launched=%v won=%v route=%s, want a winning direct hedge", launched, won, route)
-	}
-	if _, ok := w.Services[scenario.GoogleDrive].Store.Replayed("keyed#1", job.Name); !ok {
-		t.Error("the winning hedge did not commit under the job's key")
+	for _, key := range []string{"keyed#1", ""} {
+		w := scenario.Build(5)
+		exec := NewSimExecutor(w)
+		faults.NewInjector(w, 5, faults.Spec{
+			Kind: faults.LinkDegrade, From: "vncv1", To: "edmn1",
+			Start: 1, Duration: 1e9, CapacityFactor: 0.03,
+		})
+		exec.SleepVirtual(2)
+		job := Job{Tenant: "t", Client: scenario.UBC, Provider: scenario.GoogleDrive, Name: "keyed.bin", Size: 50e6}
+		ck := &core.Checkpoint{AttemptID: key}
+		_, route, launched, won, err := exec.ExecuteHedged(job, core.ViaRoute(scenario.UAlberta), 20, ck)
+		exec.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !launched || !won || route != core.DirectRoute {
+			t.Fatalf("key %q: hedge launched=%v won=%v route=%s, want a winning direct hedge", key, launched, won, route)
+		}
+		store := w.Services[scenario.GoogleDrive].Store
+		if key != "" {
+			if _, ok := store.Replayed(key, job.Name); !ok {
+				t.Error("the winning hedge did not commit under the job's key")
+			}
+		}
+		if ck.AttemptID != key {
+			t.Errorf("key %q: the race left the checkpoint keyed %q", key, ck.AttemptID)
+		}
+		if n := store.Commits(job.Name); n != 1 {
+			t.Errorf("key %q: %d commits, want 1", key, n)
+		}
 	}
 }
 

@@ -321,9 +321,17 @@ func (e *SimExecutor) ExecuteHedged(job Job, primary core.Route, budget float64,
 	}
 	var win outcome
 	launched, won := false, false
+	// Both racers commit under one idempotency key, so a loser that
+	// commits before its flows die replays the winner's object instead
+	// of storing a second one. A job without a journal has no key: the
+	// race gets its own, named for the job and the race's start time,
+	// and gives it back when the race ends.
+	if ck.AttemptID == "" {
+		ck.AttemptID = fmt.Sprintf("%s#hedge@%g", job.Name, float64(e.w.Eng.Now()))
+		defer func() { ck.AttemptID = "" }()
+	}
 	// The hedge gets its own checkpoint: two live transfers must not
 	// share session state. The survivor's checkpoint is merged below.
-	// It commits under the job's idempotency key, like the primary.
 	hedgeCk := core.Checkpoint{AttemptID: ck.AttemptID}
 	e.w.RunWorkload("sched-hedge:"+job.Name, func(p *simproc.Proc) {
 		r := p.Runner()
