@@ -465,39 +465,36 @@ func (t *Tracker) AllowRetry(provider string) (bool, float64) {
 	return true, 0
 }
 
-// RestoreSpentRetries replays journaled retry-token spends after a
-// crash: the recovered tracker starts from a full bucket, so the
-// control plane re-debits what the dead incarnation already spent to
-// keep the budget crash-consistent.
-func (t *Tracker) RestoreSpentRetries(provider string, spent int) {
+// RestoreSpentRetries carries a dead incarnation's retry budget across
+// a crash. spent is the tokens it spent and had not earned back by the
+// crash; the recovered tracker starts from a full bucket, so debiting
+// them resumes the provider at the dead incarnation's token level — a
+// crash neither refills a sick provider's bucket nor drains a healthy
+// one's.
+func (t *Tracker) RestoreSpentRetries(provider string, spent float64) {
 	if spent <= 0 {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b := t.bucketFor(provider)
-	b.tokens -= float64(spent)
-	if b.tokens < 0 {
-		b.tokens = 0
-	}
-	b.spent += spent
+	b.tokens = max(0, b.tokens-spent)
 }
 
 // NoteSuccess earns retry tokens back for the provider — successes fund
 // retries, so a healthy provider's budget stays full and a sick one's
-// drains and stays drained.
-func (t *Tracker) NoteSuccess(provider string) {
+// drains and stays drained. It returns the tokens earned: 0 when the
+// bucket was already full.
+func (t *Tracker) NoteSuccess(provider string) float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b := t.bucketFor(provider)
 	was := b.tokens
-	b.tokens += t.opt.RetryEarn
-	if b.tokens > t.opt.RetryBurst {
-		b.tokens = t.opt.RetryBurst
-	}
+	b.tokens = min(t.opt.RetryBurst, b.tokens+t.opt.RetryEarn)
 	if was < 1 && b.tokens >= 1 && b.denied > 0 {
 		b.denied = 0 // re-log next exhaustion
 	}
+	return b.tokens - was
 }
 
 // EntityHealth is one row of the health table.

@@ -221,9 +221,14 @@ func TestRetryBudgetEconomics(t *testing.T) {
 	if ok, _ := tr.AllowRetry("P"); !ok {
 		t.Fatal("earned tokens did not fund a retry")
 	}
-	// The bucket never overfills past RetryBurst.
+	// The bucket never overfills past RetryBurst, and a success earns
+	// nothing once it is full.
+	earned := 0.0
 	for i := 0; i < 50; i++ {
-		tr.NoteSuccess("P")
+		earned += tr.NoteSuccess("P")
+	}
+	if earned != 1.5 {
+		t.Errorf("successes earned %g tokens from 0.5 to the burst of 2, want 1.5", earned)
 	}
 	bs := tr.RetryBudgets()
 	if len(bs) != 1 || bs[0].Tokens != 2 {

@@ -95,7 +95,7 @@ const crashJobs = 60
 // wired into the injector and a fresh health tracker whose retry
 // budgets are drained to the journaled level: a crash must not refill a
 // sick provider's bucket.
-func crashSpec(seed int64, specs []faults.Spec, cj *sched.ControlJournal, ctl *faults.CrashControl, skip map[string]bool, retrySpent map[string]int) Spec {
+func crashSpec(seed int64, specs []faults.Spec, cj *sched.ControlJournal, ctl *faults.CrashControl, skip map[string]bool, retrySpent map[string]float64) Spec {
 	var jobs []Arrival
 	for i := 0; i < crashJobs; i++ {
 		name := fmt.Sprintf("crash-%03d.bin", i)

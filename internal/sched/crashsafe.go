@@ -138,9 +138,11 @@ type capRec struct {
 	Acquire       bool
 }
 
-// retryRec journals one spent retry token.
+// retryRec journals one spent retry token, or (Earned > 0) the tokens
+// a success earned back.
 type retryRec struct {
 	Provider string
+	Earned   float64 `json:",omitempty"`
 }
 
 // lanesRec journals a multipath attempt's lane assignment: which
@@ -180,7 +182,7 @@ type snapshotRec struct {
 	NextSeq    int64
 	Pending    []PendingJob
 	Finished   []finishedJob
-	RetrySpent map[string]int
+	RetrySpent map[string]float64
 	CapsHeld   map[string]int
 }
 
@@ -228,9 +230,9 @@ type Recovered struct {
 	Finished []Result
 	// Pending holds submitted jobs with no finish record, by seq order.
 	Pending []PendingJob
-	// RetrySpent is the per-provider count of journaled retry-token
-	// spends, for health.Tracker.RestoreSpentRetries.
-	RetrySpent map[string]int
+	// RetrySpent is, per provider, the journaled retry tokens spent and
+	// not earned back, for health.Tracker.RestoreSpentRetries.
+	RetrySpent map[string]float64
 	// CapsHeld is the per-"provider|via" count of cap slots held at the
 	// crash (informational: a restart's slots are all free).
 	CapsHeld map[string]int
@@ -251,7 +253,7 @@ type foldState struct {
 	pending    map[int64]*PendingJob
 	finished   []finishedJob
 	finishSeqs map[int64]bool
-	retrySpent map[string]int
+	retrySpent map[string]float64
 	capsHeld   map[string]int
 	dupFinish  int
 
@@ -266,7 +268,7 @@ func newFoldState() *foldState {
 		jobs:       make(map[int64]Job),
 		pending:    make(map[int64]*PendingJob),
 		finishSeqs: make(map[int64]bool),
-		retrySpent: make(map[string]int),
+		retrySpent: make(map[string]float64),
 		capsHeld:   make(map[string]int),
 	}
 }
@@ -353,7 +355,11 @@ func (st *foldState) foldCap(m *capRec) {
 }
 
 func (st *foldState) foldRetry(m *retryRec) {
-	st.retrySpent[m.Provider]++
+	if m.Earned <= 0 {
+		st.retrySpent[m.Provider]++
+	} else if st.retrySpent[m.Provider] -= m.Earned; st.retrySpent[m.Provider] <= 0 {
+		delete(st.retrySpent, m.Provider)
+	}
 }
 
 func (st *foldState) foldFinish(m *finishRec) {
@@ -925,10 +931,16 @@ func (cj *ControlJournal) NoteCap(provider, via string, acquire bool) {
 }
 
 // NoteRetry journals one spent retry token.
-func (cj *ControlJournal) NoteRetry(provider string) {
+func (cj *ControlJournal) NoteRetry(provider string) { cj.noteRetry(retryRec{Provider: provider}) }
+
+// NoteRetryEarned journals the retry tokens a success earned back.
+func (cj *ControlJournal) NoteRetryEarned(provider string, earned float64) {
+	cj.noteRetry(retryRec{Provider: provider, Earned: earned})
+}
+
+func (cj *ControlJournal) noteRetry(m retryRec) {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
-	m := retryRec{Provider: provider}
 	if cj.appendLocked(recRetry, m.appendJSON) {
 		cj.state.foldRetry(&m)
 	}
@@ -1098,7 +1110,7 @@ func WriteJournalDump(out io.Writer, path string) error {
 	}
 	sort.Strings(provs)
 	for _, p := range provs {
-		fmt.Fprintf(out, "  retries spent %s: %d\n", p, rec.RetrySpent[p])
+		fmt.Fprintf(out, "  retries spent %s: %g\n", p, rec.RetrySpent[p])
 	}
 	keys := make([]string, 0, len(rec.CapsHeld))
 	for k := range rec.CapsHeld {

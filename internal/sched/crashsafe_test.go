@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"detournet/internal/core"
+	"detournet/internal/health"
 	"detournet/internal/journal"
 	"detournet/internal/rsyncx"
 	"detournet/internal/sdk"
@@ -189,6 +191,64 @@ func TestControlJournalTornKill(t *testing.T) {
 	}
 	if len(rec.Pending) != 1 || rec.Pending[0].Job.Name != "safe.bin" {
 		t.Fatalf("recovered pending = %+v, want only safe.bin", rec.Pending)
+	}
+}
+
+// TestRetryBudgetSurvivesRestart: a restart resumes the dead
+// incarnation's retry-token level, not its lifetime spend count. Eight
+// jobs each spend a token on one transient failure and earn half a
+// token back when they succeed; eight more succeed outright, so the
+// provider's bucket is full again when the process stops. A tracker
+// restored from the journal must hold the same tokens, and so allow
+// the next retry.
+func TestRetryBudgetSurvivesRestart(t *testing.T) {
+	dev := journal.NewMemDevice()
+	cj, _, err := NewControlJournal(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := func() float64 { return 0 }
+	live := health.New(health.Options{Now: now})
+	failed := map[string]bool{}
+	s := New(Config{
+		Workers: 1, Planner: &staticPlanner{route: core.DirectRoute},
+		Executor: ExecutorFunc(func(j Job, _ core.Route) (float64, error) {
+			if strings.HasPrefix(j.Name, "flaky") && !failed[j.Name] {
+				failed[j.Name] = true
+				return 0, Transient(errors.New("injected"))
+			}
+			return 1, nil
+		}),
+		Health: live, Journal: cj, Sleep: func(float64) {}, Now: now,
+	})
+	s.Start()
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("steady-%02d.bin", i)
+		if i < 8 {
+			name = fmt.Sprintf("flaky-%02d.bin", i)
+		}
+		if err := s.Submit(csJob(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Drain()
+	s.Close()
+	if st := s.Stats(); st.Done != 16 || st.Retries != 8 {
+		t.Fatalf("done=%d retries=%d, want 16 jobs done after 8 retries", st.Done, st.Retries)
+	}
+
+	_, rec, err := NewControlJournal(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := health.New(health.Options{Now: now})
+	restored.RestoreSpentRetries("gdrive", rec.RetrySpent["gdrive"])
+	if ok, _ := restored.AllowRetry("gdrive"); !ok {
+		t.Fatal("the restart denies a retry to a provider whose budget the dead incarnation had earned back")
+	}
+	live.AllowRetry("gdrive")
+	if got, want := restored.RetryBudgets()[0].Tokens, live.RetryBudgets()[0].Tokens; got != want {
+		t.Errorf("restored bucket holds %g tokens after a retry, the dead incarnation's %g", got, want)
 	}
 }
 

@@ -73,7 +73,11 @@ func TestLiveFoldMatchesReplay(t *testing.T) {
 				case op < 12:
 					cj.NoteCap(j.Provider, randFoldRoute(rng).Via, rng.Intn(3) > 0)
 				case op < 13:
-					cj.NoteRetry([]string{"gdrive", "dropbox"}[rng.Intn(2)])
+					if p := []string{"gdrive", "dropbox"}[rng.Intn(2)]; rng.Intn(3) > 0 {
+						cj.NoteRetry(p)
+					} else {
+						cj.NoteRetryEarned(p, 0.5)
+					}
 				case op < 14:
 					cj.NoteLanes(j.Name, []string{"direct", "edmn1"}, []int{rng.Intn(8), rng.Intn(8)})
 				case op < 18:

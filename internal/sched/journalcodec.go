@@ -124,6 +124,10 @@ func (m *capRec) appendJSON(b []byte) []byte {
 func (m *retryRec) appendJSON(b []byte) []byte {
 	b = append(b, `{"Provider":`...)
 	b = appendString(b, m.Provider)
+	if m.Earned != 0 {
+		b = append(b, `,"Earned":`...)
+		b = appendFloat(b, m.Earned)
+	}
 	return append(b, '}')
 }
 
@@ -224,9 +228,9 @@ func (m *snapshotRec) appendJSON(b []byte) []byte {
 		b = append(b, ']')
 	}
 	b = append(b, `,"RetrySpent":`...)
-	b = appendCounts(b, m.RetrySpent)
+	b = appendCounts(b, m.RetrySpent, appendFloat)
 	b = append(b, `,"CapsHeld":`...)
-	b = appendCounts(b, m.CapsHeld)
+	b = appendCounts(b, m.CapsHeld, func(b []byte, n int) []byte { return strconv.AppendInt(b, int64(n), 10) })
 	return append(b, '}')
 }
 
@@ -278,8 +282,9 @@ func appendStrings(b []byte, ss []string) []byte {
 	return append(b, ']')
 }
 
-// appendCounts appends a map in json's order: sorted keys, nil as null.
-func appendCounts(b []byte, m map[string]int) []byte {
+// appendCounts appends a map in json's order: sorted keys, nil as null;
+// appendV writes each value.
+func appendCounts[V any](b []byte, m map[string]V, appendV func([]byte, V) []byte) []byte {
 	if m == nil {
 		return append(b, "null"...)
 	}
@@ -295,7 +300,7 @@ func appendCounts(b []byte, m map[string]int) []byte {
 		}
 		b = appendString(b, k)
 		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(m[k]), 10)
+		b = appendV(b, m[k])
 	}
 	return append(b, '}')
 }

@@ -1272,8 +1272,9 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			}
 			if cj != nil {
 				// The spent token is journaled so a restart can drain the
-				// fresh tracker's budget to match (RestoreSpentRetries) —
-				// a crash must not refill a sick provider's bucket.
+				// fresh tracker's budget to the same level
+				// (RestoreSpentRetries) — a crash must not refill a sick
+				// provider's bucket.
 				cj.NoteRetry(j.Provider)
 			}
 		}
@@ -1349,7 +1350,11 @@ func (s *Scheduler) noteHealthSuccess(j Job, route core.Route, sec float64) {
 	if h == nil || sec <= 0 {
 		return
 	}
-	h.NoteSuccess(j.Provider)
+	if earned := h.NoteSuccess(j.Provider); earned > 0 && s.cfg.Journal != nil {
+		// A restart resumes the bucket's level, so what a success earns
+		// back is journaled like what a retry spends.
+		s.cfg.Journal.NoteRetryEarned(j.Provider, earned)
+	}
 	h.ObserveTransfer(health.ClassRoute, route.String(), j.Size, sec)
 	h.ObserveTransfer(health.ClassProvider, j.Provider, j.Size, sec)
 	if route.Kind == core.Detour {
