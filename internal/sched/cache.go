@@ -431,19 +431,12 @@ func (c *RouteCache) Len() int {
 	return len(c.entries)
 }
 
-// Invalidations returns the lifetime count of failure-driven
-// invalidations. The scheduler counts hits and misses itself, in its
-// registry.
-func (c *RouteCache) Invalidations() int64 {
+// Counters returns the cache's lifetime counts: failure-driven
+// invalidations, routes marked converging by withdraws, and routes
+// restored by announces. The scheduler counts hits and misses itself,
+// in its registry.
+func (c *RouteCache) Counters() (invalidations, converges, announces int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.invalidates
-}
-
-// EventCounters returns lifetime push-invalidation effects: routes
-// marked converging by withdraws and routes restored by announces.
-func (c *RouteCache) EventCounters() (converges, announces int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.converges, c.announces
+	return c.invalidates, c.converges, c.announces
 }

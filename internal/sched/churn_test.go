@@ -55,7 +55,7 @@ func TestCacheRouteEventConverging(t *testing.T) {
 	if r, ok := c.Lookup(k); !ok || r != core.DirectRoute {
 		t.Fatalf("after withdraw Lookup = %v %v, want immediate re-election to direct", r, ok)
 	}
-	cv, _ := c.EventCounters()
+	_, cv, _ := c.Counters()
 	if cv != 1 {
 		t.Fatalf("converges counter = %d, want 1", cv)
 	}
@@ -84,7 +84,7 @@ func TestCacheRouteEventConverging(t *testing.T) {
 	if h := c.Health(k, det); h != RouteHealthy {
 		t.Fatalf("health after announce = %v, want healthy", h)
 	}
-	_, an := c.EventCounters()
+	_, _, an := c.Counters()
 	if an != 1 {
 		t.Fatalf("announces counter = %d, want 1", an)
 	}

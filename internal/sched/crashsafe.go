@@ -477,7 +477,6 @@ type ControlJournal struct {
 	sinceCompact int
 	compactions  int
 	truncated    int
-	appended     int
 
 	// Crash plan: point → remaining occurrences before the kill.
 	plan    map[string]int
@@ -729,8 +728,6 @@ func (cj *ControlJournal) appendLocked(typ byte, enc func([]byte) []byte) bool {
 			}
 		}
 		switch {
-		case err == nil:
-			cj.appended++
 		case errors.Is(err, journal.ErrNoSpace):
 			// Even the compacted state no longer fits. Losing the control
 			// plane over a full journal device would turn a disk problem
@@ -738,7 +735,7 @@ func (cj *ControlJournal) appendLocked(typ byte, enc func([]byte) []byte) bool {
 			// memory, surface a health warning, accept that a crash from
 			// here recovers only up to the last persisted record.
 			cj.enterDegradedLocked()
-		default:
+		case err != nil:
 			panic(fmt.Sprintf("sched: journal append: %v", err))
 		}
 	}
@@ -1033,13 +1030,6 @@ func (cj *ControlJournal) Compactions() int {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
 	return cj.compactions
-}
-
-// Appended returns how many records this incarnation wrote.
-func (cj *ControlJournal) Appended() int {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	return cj.appended
 }
 
 // DeviceSize reports the journal device's current size in bytes under

@@ -157,8 +157,8 @@ func TestSubmitRejectsInvalidUTF8(t *testing.T) {
 			t.Errorf("%s: err = %v, want it to name the field", field, err)
 		}
 	}
-	if n := cj.Appended(); n != 0 {
-		t.Fatalf("rejected jobs journaled %d records", n)
+	if n := cj.DeviceSize(); n != 0 {
+		t.Fatalf("rejected jobs journaled %d B", n)
 	}
 	ok := csJob("héllo.bin")
 	if err := s.Submit(ok); err != nil {

@@ -1750,8 +1750,7 @@ func (s *Scheduler) Stats() Stats {
 		st.JournalDropped = int64(cj.DroppedAppends())
 	}
 	st.Breakers, st.BreakerTransitions = s.breakers.snapshot()
-	st.CacheInvalidations = s.cache.Invalidations()
-	st.RouteConverges, st.RouteAnnounces = s.cache.EventCounters()
+	st.CacheInvalidations, st.RouteConverges, st.RouteAnnounces = s.cache.Counters()
 	st.ProviderInUse, st.ProviderPeak, st.DTNInUse, st.DTNPeak = s.caps.snapshot()
 	return st
 }

@@ -302,7 +302,7 @@ func TestInvalidationOnFailure(t *testing.T) {
 	if res[0].Attempts != 3 {
 		t.Errorf("attempts = %d, want 3 (2 detour failures + direct success)", res[0].Attempts)
 	}
-	if inv := s.Cache().Invalidations(); inv != 1 {
+	if inv, _, _ := s.Cache().Counters(); inv != 1 {
 		t.Errorf("invalidations = %d, want 1", inv)
 	}
 

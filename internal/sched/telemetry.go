@@ -151,16 +151,11 @@ func (s *Scheduler) noteDepthLocked() {
 	s.met.running.Set(float64(s.running))
 }
 
-// Depths is a lock-cheap occupancy snapshot (queued, running) for
-// samplers — unlike Stats it copies no maps.
+// Depths is a lock-free occupancy snapshot (queued, running) for
+// samplers, read from the occupancy gauges — unlike Stats it copies no
+// maps.
 func (s *Scheduler) Depths() (queued, running int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q := s.pending - s.running
-	if q < 0 {
-		q = 0
-	}
-	return int(q), int(s.running)
+	return int(s.met.queueDepth.Value()), int(s.met.running.Value())
 }
 
 // recordTerminal writes the terminal flight-recorder event for a result
