@@ -67,43 +67,53 @@ func TestMemDeviceSwapFitsSemantics(t *testing.T) {
 	}
 }
 
-// TestMemDeviceClampUnclamp: ClampCapacity pins the bound at the
-// current size (refusing all appends), is idempotent, and
+// TestMemDeviceClampUnclamp: on either device, ClampCapacity pins the
+// bound at the current size (refusing all appends), is idempotent, and
 // UnclampCapacity restores the configured bound — including the
 // unbounded case.
 func TestMemDeviceClampUnclamp(t *testing.T) {
-	m := NewMemDevice() // unbounded
-	w := NewWriter(m)
-	rec := []byte("0123456789")
-	if err := w.Append(1, payload(rec)); err != nil {
-		t.Fatal(err)
-	}
-	m.ClampCapacity()
-	m.ClampCapacity() // idempotent: must not overwrite the saved bound
-	if err := w.Append(1, payload(rec)); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("clamped append err = %v, want ErrNoSpace", err)
-	}
-	// Compaction still works under the clamp: a smaller snapshot fits.
-	if err := w.Compact(2, payload([]byte("s"))); err != nil {
-		t.Fatalf("compaction under clamp: %v", err)
-	}
-	m.UnclampCapacity()
-	if m.Capacity != 0 {
-		t.Fatalf("unclamp restored capacity %d, want the unbounded 0", m.Capacity)
-	}
-	if err := w.Append(1, payload(rec)); err != nil {
-		t.Fatalf("append after unclamp: %v", err)
-	}
+	eachDevice(t, func(t *testing.T, dev faultDevice, _ func() Device) {
+		w := NewWriter(dev) // unbounded
+		rec := []byte("0123456789")
+		if err := w.Append(1, payload(rec)); err != nil {
+			t.Fatal(err)
+		}
+		dev.ClampCapacity()
+		dev.ClampCapacity() // idempotent: must not overwrite the saved bound
+		if err := w.Append(1, payload(rec)); !errors.Is(err, ErrNoSpace) {
+			t.Fatalf("clamped append err = %v, want ErrNoSpace", err)
+		}
+		// Compaction still works under the clamp: a smaller snapshot fits.
+		if err := w.Compact(2, payload([]byte("s"))); err != nil {
+			t.Fatalf("compaction under clamp: %v", err)
+		}
+		dev.UnclampCapacity()
+		capacity := -1
+		switch d := dev.(type) {
+		case *MemDevice:
+			capacity = d.Capacity
+		case *FileDevice:
+			capacity = d.Capacity
+		}
+		if capacity != 0 {
+			t.Fatalf("unclamp restored capacity %d, want the unbounded 0", capacity)
+		}
+		if err := w.Append(1, payload(bytes.Repeat(rec, 1000))); err != nil {
+			t.Fatalf("append after unclamp: %v", err)
+		}
+	})
 }
 
-// TestMemDeviceClampEmptyLog: clamping an empty log still refuses
-// appends (capacity floors at one byte rather than going unbounded).
+// TestMemDeviceClampEmptyLog: clamping an empty log, on either device,
+// still refuses appends (capacity floors at one byte rather than going
+// unbounded).
 func TestMemDeviceClampEmptyLog(t *testing.T) {
-	m := NewMemDevice()
-	m.ClampCapacity()
-	if err := NewWriter(m).Append(1, payload([]byte("x"))); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("append to clamped empty log err = %v, want ErrNoSpace", err)
-	}
+	eachDevice(t, func(t *testing.T, dev faultDevice, _ func() Device) {
+		dev.ClampCapacity()
+		if err := NewWriter(dev).Append(1, payload([]byte("x"))); !errors.Is(err, ErrNoSpace) {
+			t.Fatalf("append to clamped empty log err = %v, want ErrNoSpace", err)
+		}
+	})
 }
 
 // TestFileDeviceENOSPC: the file-backed device honors the same bound —

@@ -72,23 +72,81 @@ func TestTornTailTruncation(t *testing.T) {
 	}
 }
 
+// faultDevice is a Device with the fault hooks both implementations
+// carry for the crash and disk-fault injectors.
+type faultDevice interface {
+	Device
+	FlipByte(off int)
+	ClampCapacity()
+	UnclampCapacity()
+}
+
+// deviceKinds are the Device implementations the fault-hook tests run
+// over. open makes an empty device whose file, if it has one, lives
+// under dir; reopen reads the log back as a restarted process would.
+var deviceKinds = []struct {
+	name   string
+	open   func(t *testing.T, dir string) faultDevice
+	reopen func(t *testing.T, dev faultDevice) Device
+}{
+	{
+		name:   "mem",
+		open:   func(*testing.T, string) faultDevice { return NewMemDevice() },
+		reopen: func(_ *testing.T, dev faultDevice) Device { return dev },
+	},
+	{
+		name: "file",
+		open: func(t *testing.T, dir string) faultDevice {
+			f, err := OpenFileDevice(filepath.Join(dir, "ctl.journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		},
+		reopen: func(t *testing.T, dev faultDevice) Device {
+			f, err := OpenFileDevice(dev.(*FileDevice).Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		},
+	},
+}
+
+// eachDevice runs test once per device kind, on a fresh device.
+func eachDevice(t *testing.T, test func(t *testing.T, dev faultDevice, reopen func() Device)) {
+	for _, k := range deviceKinds {
+		t.Run(k.name, func(t *testing.T) {
+			dev := k.open(t, t.TempDir())
+			test(t, dev, func() Device { return k.reopen(t, dev) })
+		})
+	}
+}
+
+// TestBitRotStopsScan: a flipped payload byte ends the scan at the
+// record it rots, and the rot is persistent — a reopened device reads
+// the same damage.
 func TestBitRotStopsScan(t *testing.T) {
-	dev := NewMemDevice()
-	w := NewWriter(dev)
-	w.Append(1, payload([]byte("first")))
-	second := dev.Size()
-	w.Append(2, payload([]byte("second")))
-	w.Append(3, payload([]byte("third")))
-	// Corrupt a payload byte of the second record: scan keeps the first,
-	// drops the second and everything after (can't trust frame bounds).
-	dev.FlipByte(second + HeaderSize + 2)
-	recs, valid := Scan(dev.Bytes())
-	if len(recs) != 1 || string(recs[0].Data) != "first" {
-		t.Fatalf("got %d records", len(recs))
-	}
-	if valid != second {
-		t.Fatalf("valid=%d want %d", valid, second)
-	}
+	eachDevice(t, func(t *testing.T, dev faultDevice, reopen func() Device) {
+		w := NewWriter(dev)
+		w.Append(1, payload([]byte("first")))
+		second := dev.Size()
+		w.Append(2, payload([]byte("second")))
+		w.Append(3, payload([]byte("third")))
+		// Corrupt a payload byte of the second record: scan keeps the
+		// first, drops the second and everything after (can't trust
+		// frame bounds).
+		dev.FlipByte(second + HeaderSize + 2)
+		for name, d := range map[string]Device{"live": dev, "reopened": reopen()} {
+			recs, valid := Scan(d.Bytes())
+			if len(recs) != 1 || string(recs[0].Data) != "first" {
+				t.Fatalf("%s: got %d records", name, len(recs))
+			}
+			if valid != second {
+				t.Fatalf("%s: valid=%d want %d", name, valid, second)
+			}
+		}
+	})
 }
 
 func TestCompactAtomicity(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"detournet/internal/core"
 	"detournet/internal/simclock"
 	"detournet/internal/simproc"
+	"detournet/internal/tracelog"
 )
 
 // drive runs fn as a workload process and drains the engine.
@@ -275,6 +276,71 @@ func TestAbortInvokedOnHedgeLoser(t *testing.T) {
 	coverage(t, rep)
 	if rep.HedgedChunks > 0 && len(aborted) == 0 {
 		t.Error("hedge won but the losing duplicate was never aborted")
+	}
+}
+
+// grayUploader crawls: it moves a chunk rate bytes per virtual second
+// and gives up at the first second that finds its abort latch raised —
+// a dispatch that serves no error, so only the lane watchdog stops it.
+type grayUploader struct{ rate float64 }
+
+func (g grayUploader) UploadChunk(p *simproc.Proc, part string, size float64, ck *core.Checkpoint) error {
+	for moved := 0.0; moved < size; moved += g.rate {
+		if ck.AbortRequested() {
+			return fmt.Errorf("gray: %s aborted at %.0f B", part, moved)
+		}
+		p.Sleep(simclock.Duration(1))
+	}
+	ck.Hop2High = size
+	return nil
+}
+
+// TestLaneWatchdogAbortsStalledLane: with a finite Env.Budget, a lane
+// whose dispatch outlives its budget is reported as mp.lane.stall and
+// aborted, and the chunk it held lands on the healthy lane. Hedging is
+// off, so only the watchdog can take the chunk back.
+func TestLaneWatchdogAbortsStalledLane(t *testing.T) {
+	eng := simclock.NewEngine()
+	log := tracelog.New(eng)
+	var aborted []int
+	var rep Report
+	var err error
+	r := simproc.New(eng)
+	r.Go("test", func(p *simproc.Proc) {
+		rep, err = Run(p, Spec{Name: "w.bin", Size: 32e6, Chunk: 8e6, TailSplit: 1, HedgeMaxFrac: -1}, []Path{
+			{ID: 0, Route: core.DirectRoute, Upload: &fakeUploader{rate: 4e6}},
+			{ID: 1, Route: core.ViaRoute("UAlberta"), Upload: grayUploader{rate: 0.01e6}},
+		}, Env{
+			Abort:  func(path Path) { aborted = append(aborted, path.ID) },
+			Budget: func(_ core.Route, size float64) float64 { return size / 1e6 },
+			Trace:  log,
+		})
+	})
+	r.Drive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coverage(t, rep)
+	stalls := log.Filter("mp.lane.stall")
+	if len(stalls) == 0 {
+		t.Fatal("the crawling lane never emitted mp.lane.stall")
+	}
+	if id := stalls[0].Attrs[tracelog.AttrPath]; id != 1 {
+		t.Fatalf("mp.lane.stall names path %v, want the gray path 1", id)
+	}
+	if len(aborted) == 0 || aborted[0] != 1 {
+		t.Fatalf("aborted paths %v, want the gray path 1", aborted)
+	}
+	stalled := stalls[0].Attrs[tracelog.AttrChunk]
+	for _, pr := range rep.Paths {
+		for _, c := range pr.Chunks {
+			if c == stalled && pr.ID != 0 {
+				t.Errorf("stalled chunk %d committed by path %d, want the healthy path 0", c, pr.ID)
+			}
+		}
+		if pr.ID == 1 && len(pr.Chunks) > 0 {
+			t.Errorf("the gray path committed chunks %v", pr.Chunks)
+		}
 	}
 }
 
