@@ -253,8 +253,9 @@ func counterValue(t *testing.T, snap telemetry.Snapshot, name string) float64 {
 	return 0
 }
 
-// TestTelemetryMetricsMatchStats: the registry is a second, independent
-// account of the run — it must agree with the scheduler's own counters.
+// TestTelemetryMetricsMatchStats: Stats is a view of the registry, so
+// its counts agree with the exported families, and the route byte
+// totals cover exactly the bytes the results say were delivered.
 func TestTelemetryMetricsMatchStats(t *testing.T) {
 	o := replay.Telemetry(7, true)
 	st := o.Stats
