@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -348,5 +349,79 @@ func TestQueuePropertyConcurrent(t *testing.T) {
 	close(names)
 	for n := range names {
 		t.Fatalf("job %q popped after all %d were accounted", n, producers*perProducer)
+	}
+}
+
+// fairOrderTrace drives one seeded fair-mode trace — five tenants,
+// three priorities, sizes that make the DRR deficit matter, a third of
+// the jobs with deadlines, clock advances that fire expiry sweeps, and
+// a per-tenant bound — and returns what came out, in order: "pN" for a
+// pop of job N, "xN" for an expiry, "rN" for a rejected push.
+func fairOrderTrace() string {
+	rng := rand.New(rand.NewSource(30))
+	now := 0.0
+	q := newJobQueue(queueOpts{
+		fair: true, quantum: 2, limit: 14, tenantLimit: 4,
+		now: func() float64 { return now },
+	})
+	var out []string
+	emit := func(kind string, items []queued) {
+		for _, it := range items {
+			out = append(out, kind+it.job.Name)
+		}
+	}
+	for id := 0; len(out) < 150; {
+		switch r := rng.Float64(); {
+		case r < 0.5:
+			j := Job{
+				Tenant:   fmt.Sprintf("t%d", rng.Intn(5)),
+				Name:     fmt.Sprint(id),
+				Priority: rng.Intn(3),
+				Size:     float64(1 + rng.Intn(3)),
+			}
+			id++
+			if rng.Float64() < 0.35 {
+				j.Deadline = now + 0.5 + rng.Float64()*3
+			}
+			exp, err := q.push(j, now)
+			emit("x", exp)
+			if err != nil {
+				out = append(out, "r"+j.Name)
+			}
+		case r < 0.85:
+			if q.length() == 0 {
+				continue
+			}
+			it, exp, _ := q.pop()
+			emit("x", exp)
+			if it != nil {
+				out = append(out, "p"+it.job.Name)
+			}
+		default:
+			now += rng.Float64() * 1.5
+		}
+	}
+	return strings.Join(out, " ")
+}
+
+// TestQueueFairOrderPinned pins fair mode's exact service order. Fair
+// mode has no executable model (TestQueuePropertyFairConservation checks
+// only conservation and priority), so this trace's output is pinned
+// instead: any change to the DRR scan, the per-tenant heaps or the
+// sweep that reorders a single pop or expiry shows here.
+func TestQueueFairOrderPinned(t *testing.T) {
+	const want = "p1 p0 x3 p4 p8 p5 x6 x7 x13 p9 x11 p2 p10 p12 p15 p17 p16 " +
+		"p14 p18 p19 p20 p21 x23 p24 p25 p28 r36 p29 p30 x32 p35 p37 " +
+		"r45 p39 p42 r47 x40 x41 x46 r52 r54 x49 p55 p33 p26 r57 r58 " +
+		"p27 p51 p50 p31 p38 r63 p62 p60 r68 r69 r71 r72 p67 r73 p70 " +
+		"r74 r75 r76 r79 p78 r80 p66 p61 x65 p77 r82 p81 x83 p84 p86 " +
+		"p22 p34 p87 p53 p89 p88 p91 p90 p85 p48 p94 p95 p43 p97 p99 " +
+		"p100 p102 x93 x101 p103 r108 p104 p106 p107 p109 r114 p112 " +
+		"p111 p115 p56 r116 p96 p117 p118 r120 r123 p122 r127 r128 " +
+		"r129 r131 r132 p121 p125 p119 x133 p44 p134 r136 p135 p105 " +
+		"p92 r140 p59 p64 p143 p142 p126 p148 r150 p147 p124 r151 " +
+		"p152 p144 p139 p153 r154 p130 r156 r157 p159 p160"
+	if got := fairOrderTrace(); got != want {
+		t.Fatalf("fair-mode order moved:\n got %s\nwant %s", got, want)
 	}
 }
