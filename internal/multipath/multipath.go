@@ -242,6 +242,10 @@ type pathState struct {
 	drains    int
 	draining  bool
 	retired   bool
+	// stalled is raised by the lane watchdog when it aborts the current
+	// dispatch and cleared at each dispatch try: a stalled chunk is
+	// released at once instead of retried in place on the same lane.
+	stalled bool
 }
 
 // state is the shared chunk ledger. Path processes are cooperative
@@ -535,8 +539,9 @@ func (st *state) abortOthers(ps *pathState, cid int) {
 }
 
 // runPath is one lane's whole life: claim, upload (with one in-place
-// resume retry), commit or release, back off on failure, drain while
-// the route is withdrawn, exit when the ledger is finished.
+// resume retry, none after a watchdog stall), commit or release, back
+// off on failure, drain while the route is withdrawn, exit when the
+// ledger is finished.
 func (st *state) runPath(p *simproc.Proc, ps *pathState) {
 	defer func() {
 		ps.current = -1
@@ -590,10 +595,11 @@ func (st *state) runPath(p *simproc.Proc, ps *pathState) {
 			// A latch raised by a previous abort (lane watchdog or a lost
 			// hedge) must not poison this fresh dispatch.
 			ps.ck.ResetAbort()
+			ps.stalled = false
 			err = ps.up.UploadChunk(p, part, sz, &ps.ck)
 			ps.busy += float64(p.Now()) - t0
 			if err == nil || st.chunks[cid].status == chunkDone || tries >= 1 ||
-				st.finished || !st.usable(ps, true) {
+				ps.stalled || st.finished || !st.usable(ps, true) {
 				break
 			}
 			// One in-place retry: the checkpoint resumes from the DTN
@@ -654,9 +660,10 @@ func (st *state) runPath(p *simproc.Proc, ps *pathState) {
 // current dispatch has outlived its Env.Budget is aborted. The abort
 // surfaces in the lane as a reset; the normal failure path releases the
 // chunk to a healthier lane, and a lane that keeps stalling retires
-// through the consecutive-failure counter. The budget clock restarts on
-// each dispatch try (startedAt), so an in-place resume retry gets a
-// fresh window.
+// through the consecutive-failure counter. A stalled dispatch is not
+// retried in place: the lane gives the chunk up at once. The budget
+// clock restarts on each dispatch try (startedAt), so an in-place resume
+// retry after an ordinary error gets a fresh window.
 func (st *state) watchLanes(p *simproc.Proc) {
 	for !st.finished {
 		p.Sleep(simclock.Duration(laneWatchInterval))
@@ -676,6 +683,7 @@ func (st *state) watchLanes(p *simproc.Proc) {
 			// Flow kill plus cooperative latch: a gray-slow dispatch may
 			// have no client-side flow in flight to kill (the slowness is a
 			// peer process grinding), so the latch is what actually stops it.
+			ps.stalled = true
 			ps.ck.RequestAbort()
 			st.env.Abort(ps.path)
 		}

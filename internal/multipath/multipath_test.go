@@ -297,8 +297,9 @@ func (g grayUploader) UploadChunk(p *simproc.Proc, part string, size float64, ck
 
 // TestLaneWatchdogAbortsStalledLane: with a finite Env.Budget, a lane
 // whose dispatch outlives its budget is reported as mp.lane.stall and
-// aborted, and the chunk it held lands on the healthy lane. Hedging is
-// off, so only the watchdog can take the chunk back.
+// aborted once, and the chunk it held is released at once and lands on
+// the healthy lane. Hedging is off, so only the watchdog can take the
+// chunk back.
 func TestLaneWatchdogAbortsStalledLane(t *testing.T) {
 	eng := simclock.NewEngine()
 	log := tracelog.New(eng)
@@ -322,8 +323,15 @@ func TestLaneWatchdogAbortsStalledLane(t *testing.T) {
 	}
 	coverage(t, rep)
 	stalls := log.Filter("mp.lane.stall")
-	if len(stalls) == 0 {
-		t.Fatal("the crawling lane never emitted mp.lane.stall")
+	if len(stalls) != 1 {
+		t.Fatalf("mp.lane.stall fired %d times, want once: the aborted chunk must leave the gray lane, not retry on it", len(stalls))
+	}
+	// The gray lane's 8 s budget is first seen spent at the t=10 poll;
+	// the freed chunk then takes the healthy lane 2 s, and the
+	// watchdog's next poll ends the run at t=15. A second full budget on
+	// the gray lane would hold the chunk until t=20.
+	if end := float64(eng.Now()); end > 15 {
+		t.Fatalf("transfer ended at t=%.1f, want at most 15", end)
 	}
 	if id := stalls[0].Attrs[tracelog.AttrPath]; id != 1 {
 		t.Fatalf("mp.lane.stall names path %v, want the gray path 1", id)
