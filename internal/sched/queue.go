@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"sort"
 	"sync"
 )
@@ -157,7 +156,7 @@ func (q *jobQueue) pop() (*queued, []queued, bool) {
 	}
 	it := q.next()
 	q.remove(it)
-	return &it, expired, true
+	return it, expired, true
 }
 
 // tryPop dequeues without blocking (used to fail leftovers after close).
@@ -191,14 +190,14 @@ func (q *jobQueue) close() {
 // add inserts one job. Caller holds q.mu and has checked bounds.
 func (q *jobQueue) add(j Job, now float64) {
 	q.seq++
-	it := queued{job: j, seq: q.seq, enq: now}
+	it := &queued{job: j, seq: q.seq, enq: now}
 	q.size++
 	q.byTenant[j.Tenant]++
 	if d := j.Deadline; d > 0 && (q.nextDeadline == 0 || d < q.nextDeadline) {
 		q.nextDeadline = d
 	}
 	if !q.opts.fair {
-		heap.Push(&q.h, it)
+		q.h.push(it)
 	} else {
 		q.levelFor(j.Priority).add(it)
 	}
@@ -208,7 +207,7 @@ func (q *jobQueue) add(j Job, now float64) {
 // remove updates occupancy bookkeeping for a dequeued item and wakes a
 // blocked producer. Caller holds q.mu; the item is already out of its
 // heap.
-func (q *jobQueue) remove(it queued) {
+func (q *jobQueue) remove(it *queued) {
 	q.size--
 	if n := q.byTenant[it.job.Tenant] - 1; n > 0 {
 		q.byTenant[it.job.Tenant] = n
@@ -221,9 +220,9 @@ func (q *jobQueue) remove(it queued) {
 // next picks the next item per the discipline and extracts it from its
 // heap (occupancy bookkeeping is remove's job). Caller holds q.mu and
 // guarantees size > 0.
-func (q *jobQueue) next() queued {
+func (q *jobQueue) next() *queued {
 	if !q.opts.fair {
-		return heap.Pop(&q.h).(queued)
+		return q.h.pop()
 	}
 	for len(q.prios) > 0 {
 		lv := q.levels[q.prios[0]]
@@ -265,19 +264,26 @@ func (q *jobQueue) sweep(now float64) []queued {
 			q.nextDeadline = d
 		}
 	}
-	dead := func(it queued) bool { return it.job.Deadline > 0 && now > it.job.Deadline }
-	if !q.opts.fair {
-		kept := q.h[:0]
-		for _, it := range q.h {
-			if dead(it) {
-				exp = append(exp, it)
+	// filter moves h's dead jobs into exp and re-heapifies the rest,
+	// returning how many it took.
+	filter := func(h *jobHeap) int {
+		kept := (*h)[:0]
+		for _, it := range *h {
+			if d := it.job.Deadline; d > 0 && now > d {
+				exp = append(exp, *it)
 			} else {
 				kept = append(kept, it)
-				note(it.job.Deadline)
+				note(d)
 			}
 		}
-		q.h = kept
-		heap.Init(&q.h)
+		n := len(*h) - len(kept)
+		clear((*h)[len(kept):])
+		*h = kept
+		h.init()
+		return n
+	}
+	if !q.opts.fair {
+		filter(&q.h)
 	} else {
 		for _, prio := range q.prios {
 			lv := q.levels[prio]
@@ -285,28 +291,15 @@ func (q *jobQueue) sweep(now float64) []queued {
 				continue
 			}
 			for _, t := range lv.ring {
-				tq := lv.tenants[t]
-				if tq == nil {
-					continue
+				if tq := lv.tenants[t]; tq != nil {
+					lv.size -= filter(&tq.h)
 				}
-				kept := tq.h[:0]
-				for _, it := range tq.h {
-					if dead(it) {
-						exp = append(exp, it)
-						lv.size--
-					} else {
-						kept = append(kept, it)
-						note(it.job.Deadline)
-					}
-				}
-				tq.h = kept
-				heap.Init(&tq.h)
 			}
 		}
 	}
 	sort.Slice(exp, func(i, j int) bool { return exp[i].seq < exp[j].seq })
-	for _, it := range exp {
-		q.remove(it)
+	for i := range exp {
+		q.remove(&exp[i])
 	}
 	return exp
 }
@@ -326,14 +319,14 @@ type tenantQ struct {
 	deficit float64
 }
 
-func (lv *drrLevel) add(it queued) {
+func (lv *drrLevel) add(it *queued) {
 	tq := lv.tenants[it.job.Tenant]
 	if tq == nil {
 		tq = &tenantQ{}
 		lv.tenants[it.job.Tenant] = tq
 		lv.ring = append(lv.ring, it.job.Tenant)
 	}
-	heap.Push(&tq.h, it)
+	tq.h.push(it)
 	lv.size++
 }
 
@@ -341,14 +334,14 @@ func (lv *drrLevel) add(it queued) {
 // visited tenant's deficit by quantum until one can afford its
 // head job (cost = bytes). An idle tenant leaves the ring and its
 // deficit resets, per classic DRR. Caller guarantees lv.size > 0.
-func (lv *drrLevel) take(opts queueOpts) queued {
+func (lv *drrLevel) take(opts queueOpts) *queued {
 	for {
 		if lv.pos >= len(lv.ring) {
 			lv.pos = 0
 		}
 		t := lv.ring[lv.pos]
 		tq := lv.tenants[t]
-		if tq == nil || tq.h.Len() == 0 {
+		if tq == nil || len(tq.h) == 0 {
 			delete(lv.tenants, t)
 			lv.ring = append(lv.ring[:lv.pos], lv.ring[lv.pos+1:]...)
 			continue
@@ -356,7 +349,7 @@ func (lv *drrLevel) take(opts queueOpts) queued {
 		if cost := tq.h[0].job.Size; tq.deficit >= cost {
 			tq.deficit -= cost
 			lv.size--
-			return heap.Pop(&tq.h).(queued)
+			return tq.h.pop()
 		}
 		tq.deficit += opts.quantum
 		lv.pos++
@@ -374,7 +367,7 @@ type queued struct {
 
 // before is the strict-mode ordering (and the within-tenant ordering in
 // fair mode, where priorities are equal by construction).
-func (a queued) before(b queued) bool {
+func (a *queued) before(b *queued) bool {
 	if a.job.Priority != b.job.Priority {
 		return a.job.Priority > b.job.Priority
 	}
@@ -392,16 +385,62 @@ func (a queued) before(b queued) bool {
 	return a.seq < b.seq
 }
 
-type jobHeap []queued
+// jobHeap is a binary min-heap of queued jobs on the before order. It
+// holds pointers, so sifting moves 8-byte words instead of whole jobs
+// and nothing is boxed on the way in or out. before ends in the unique
+// seq, so the order is total: the pop sequence is fixed by the jobs
+// alone, whatever the heap's internal layout.
+type jobHeap []*queued
 
-func (h jobHeap) Len() int           { return len(h) }
-func (h jobHeap) Less(i, j int) bool { return h[i].before(h[j]) }
-func (h jobHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)        { *h = append(*h, x.(queued)) }
-func (h *jobHeap) Pop() any {
+func (h jobHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h jobHeap) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 { // j < 0 after int overflow
+			break
+		}
+		if r := j + 1; r < n && h[r].before(h[j]) {
+			j = r // right child
+		}
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// init establishes the heap order over the whole slice.
+func (h jobHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *jobHeap) push(it *queued) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the first job; the heap must not be empty.
+func (h *jobHeap) pop() *queued {
 	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+	n := len(old) - 1
+	it := old[0]
+	old[0] = old[n]
+	old[n] = nil
+	*h = old[:n]
+	h.down(0)
+	return it
 }

@@ -187,3 +187,29 @@ func TestQueueDRRPriorityDominates(t *testing.T) {
 		t.Fatalf("pops = %q, %q; want both high-priority first", first, second)
 	}
 }
+
+// TestQueuePushPopAllocs: on a warm strict queue one push plus one pop
+// allocates at most the queued item itself. The heap holds pointers, so
+// nothing is boxed into an interface or copied out to the heap on the
+// way through.
+func TestQueuePushPopAllocs(t *testing.T) {
+	q := newJobQueue(queueOpts{})
+	j := Job{Tenant: "t", Client: "c", Provider: "p", Name: "a", Size: 1, Priority: 1}
+	for i := 0; i < 8; i++ {
+		mustPush(t, q, j, 0)
+	}
+	for q.length() > 0 {
+		popName(t, q)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := q.push(j, 0); err != nil {
+			t.Fatal(err)
+		}
+		if it, _, ok := q.pop(); !ok || it == nil {
+			t.Fatal("pop came back empty")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("push+pop allocates %.1f times, want at most 1", allocs)
+	}
+}
