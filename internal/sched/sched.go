@@ -673,6 +673,7 @@ func (s *Scheduler) submit(j Job, wait bool) error {
 	s.mu.Lock()
 	if err != nil {
 		s.pending--
+		s.wakeIfIdleLocked()
 	}
 	s.noteDepthLocked()
 	s.mu.Unlock()
@@ -835,7 +836,8 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// finish records a terminal result and notifies Drain and OnResult.
+// finish records a terminal result, hands it to OnResult, and wakes
+// Drain if it left the scheduler idle.
 func (s *Scheduler) finish(res Result) {
 	if res.Err == nil && res.Job.Deadline > 0 && s.cfg.Now() > res.Job.Deadline {
 		res.Late = true
@@ -882,8 +884,19 @@ func (s *Scheduler) finish(res Result) {
 	}
 	s.mu.Lock()
 	s.delivering--
-	s.cond.Broadcast()
+	s.wakeIfIdleLocked()
 	s.mu.Unlock()
+}
+
+// wakeIfIdleLocked wakes Drain when the scheduler has just been left
+// idle: nothing admitted is unfinished and no result awaits OnResult.
+// Only then can a wake end Drain's wait, so a busy fleet does not wake
+// it once per job; Close and the journal's kill hook broadcast on their
+// own. Caller holds s.mu.
+func (s *Scheduler) wakeIfIdleLocked() {
+	if s.pending == 0 && s.delivering == 0 {
+		s.cond.Broadcast()
+	}
 }
 
 // runJob is a worker's whole handling of one job: route decision
