@@ -3,6 +3,8 @@ package sched
 import (
 	"sort"
 	"sync"
+
+	"detournet/internal/core"
 )
 
 // This file is the overload-control layer: CoDel-style queue-delay
@@ -100,88 +102,76 @@ func (b *brownout) observe(util float64) bool {
 // direct hedge launches only once that budget is exceeded. Guarded by
 // the scheduler's mu.
 type latencyTracker struct {
-	window  int
-	samples map[string][]float64 // route → ring of sec/byte
-	next    map[string]int
+	window int
+	rings  map[core.Route]*sampleRing // route → last window sec/byte
 }
 
 func newLatencyTracker(window int) *latencyTracker {
 	if window <= 0 {
 		window = 64
 	}
-	return &latencyTracker{
-		window:  window,
-		samples: make(map[string][]float64),
-		next:    make(map[string]int),
-	}
+	return &latencyTracker{window: window, rings: make(map[core.Route]*sampleRing)}
 }
 
 // note records one completed transfer on a route.
-func (t *latencyTracker) note(route string, seconds, bytes float64) {
+func (t *latencyTracker) note(route core.Route, seconds, bytes float64) {
 	if seconds <= 0 || bytes <= 0 {
 		return
 	}
-	spb := seconds / bytes
-	s := t.samples[route]
-	if len(s) < t.window {
-		t.samples[route] = append(s, spb)
-		return
+	r := t.rings[route]
+	if r == nil {
+		r = newSampleRing(t.window)
+		t.rings[route] = r
 	}
-	s[t.next[route]%t.window] = spb
-	t.next[route] = (t.next[route] + 1) % t.window
+	r.note(seconds / bytes)
 }
 
 // count reports how many samples a route has accumulated.
-func (t *latencyTracker) count(route string) int { return len(t.samples[route]) }
+func (t *latencyTracker) count(route core.Route) int {
+	if r := t.rings[route]; r != nil {
+		return len(r.buf)
+	}
+	return 0
+}
 
 // percentile returns the route's pXX seconds-per-byte (q in (0,1]), or
 // false with no samples.
-func (t *latencyTracker) percentile(route string, q float64) (float64, bool) {
-	s := t.samples[route]
-	if len(s) == 0 {
+func (t *latencyTracker) percentile(route core.Route, q float64) (float64, bool) {
+	r := t.rings[route]
+	if r == nil {
 		return 0, false
 	}
-	sorted := append([]float64(nil), s...)
-	sort.Float64s(sorted)
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i], true
+	return r.percentile(q), true
 }
 
-// delayRing keeps the last N queue delays of *admitted* jobs so Stats
-// can report a p99 without unbounded memory. Guarded by the scheduler's
-// mu.
-type delayRing struct {
+// sampleRing keeps the last N samples so a percentile can be read
+// without unbounded memory: the queue delays of admitted jobs (for
+// Stats' p99) and each route's seconds-per-byte. Guarded by the
+// scheduler's mu.
+type sampleRing struct {
 	buf  []float64
 	next int
-	full bool
 }
 
-func newDelayRing(n int) *delayRing {
+func newSampleRing(n int) *sampleRing {
 	if n <= 0 {
 		n = 1024
 	}
-	return &delayRing{buf: make([]float64, 0, n)}
+	return &sampleRing{buf: make([]float64, 0, n)}
 }
 
-func (r *delayRing) note(d float64) {
+func (r *sampleRing) note(d float64) {
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, d)
 		return
 	}
-	r.full = true
 	r.buf[r.next] = d
 	r.next = (r.next + 1) % cap(r.buf)
 }
 
 // percentile returns the q-th percentile (q in (0,1]) of the retained
 // window, 0 with no samples.
-func (r *delayRing) percentile(q float64) float64 {
+func (r *sampleRing) percentile(q float64) float64 {
 	if len(r.buf) == 0 {
 		return 0
 	}

@@ -488,7 +488,7 @@ type Scheduler struct {
 	pending, running int64
 	brown            *brownout // nil when brownout is off
 	lat              *latencyTracker
-	delays           *delayRing
+	delays           *sampleRing
 	jitterRng        *rand.Rand
 
 	// met holds the registry handles — Config.Telemetry's, or a private
@@ -516,7 +516,7 @@ func New(cfg Config) *Scheduler {
 		codel:    newCodel(cfg.CoDelTarget, codelAlpha),
 		planning: make(map[CacheKey]*planCall),
 		lat:      newLatencyTracker(0),
-		delays:   newDelayRing(0),
+		delays:   newSampleRing(0),
 		met:      newSchedMetrics(cfg.Telemetry),
 		rec:      cfg.Recorder,
 	}
@@ -874,7 +874,7 @@ func (s *Scheduler) finish(res Result) {
 		s.running--
 	}
 	if res.Err == nil {
-		s.lat.note(res.Route.String(), res.Seconds, res.Job.Size)
+		s.lat.note(res.Route, res.Seconds, res.Job.Size)
 	}
 	s.noteDepthLocked()
 	s.mu.Unlock()
@@ -1424,11 +1424,11 @@ func (s *Scheduler) hedgeBudget(route core.Route, size float64) (float64, bool) 
 		s.mu.Unlock()
 		return 0, false
 	}
-	if s.lat.count(route.String()) < s.cfg.HedgeMinSamples {
+	if s.lat.count(route) < s.cfg.HedgeMinSamples {
 		s.mu.Unlock()
 		return 0, false
 	}
-	spb, ok := s.lat.percentile(route.String(), hedgePercentile)
+	spb, ok := s.lat.percentile(route, hedgePercentile)
 	s.mu.Unlock()
 	if !ok {
 		return 0, false
