@@ -32,6 +32,7 @@ import (
 	"detournet/internal/simclock"
 	"detournet/internal/simproc"
 	"detournet/internal/tcpmodel"
+	"detournet/internal/telemetry"
 	"detournet/internal/topology"
 	"detournet/internal/transport"
 	"detournet/internal/workload"
@@ -614,6 +615,66 @@ func benchSchedulerDrain(b *testing.B, workers int) {
 func BenchmarkSchedulerDrain1Worker(b *testing.B)   { benchSchedulerDrain(b, 1) }
 func BenchmarkSchedulerDrain8Workers(b *testing.B)  { benchSchedulerDrain(b, 8) }
 func BenchmarkSchedulerDrain64Workers(b *testing.B) { benchSchedulerDrain(b, 64) }
+
+// dispatchBenchJobs is a 25,000-job fleet trace over the three clients
+// and every provider, built on first use so other tests never pay it.
+var dispatchBenchJobs = sync.OnceValue(func() []sched.Job {
+	trace, err := workload.GenerateFleet(workload.FleetSpec{
+		Jobs:      25000,
+		Clients:   []string{scenario.UBC, scenario.Purdue, scenario.UCLA},
+		Providers: scenario.ProviderNames,
+	}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		panic(err)
+	}
+	jobs := make([]sched.Job, len(trace))
+	for i, fj := range trace {
+		jobs[i] = sched.Job{
+			Tenant: fj.Tenant, Client: fj.Client, Provider: fj.Provider,
+			Name: fj.Name, Size: fj.Size, Priority: fj.Priority,
+		}
+	}
+	return jobs
+})
+
+// BenchmarkSchedulerDispatch measures dispatch cost per job in the
+// shape of the performance ledger's dispatch workload: the whole
+// 25,000-job trace is queued before two workers start, with a metrics
+// registry and a flight recorder attached and backoff sleeps free. The
+// queue is deep when the workers pull from it, so its heap and the
+// Drain wake-ups are on the clock, which the drain benchmarks (workers
+// started first, nothing attached) do not show.
+func BenchmarkSchedulerDispatch(b *testing.B) {
+	jobs := dispatchBenchJobs()
+	exec := sched.ExecutorFunc(func(j sched.Job, r core.Route) (float64, error) {
+		return j.Size / 10e6, nil
+	})
+	plan := sched.PlannerFunc(func(client, provider string, size float64) (core.Route, []core.Route, error) {
+		return core.ViaRoute(scenario.UAlberta), scenario.Routes(), nil
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := sched.New(sched.Config{
+			Workers: 2, Executor: exec, Planner: plan,
+			Telemetry: telemetry.NewRegistry(),
+			Recorder:  telemetry.NewFlightRecorder(nil, 32, 4),
+			Sleep:     func(float64) {},
+		})
+		for _, j := range jobs {
+			if err := s.Submit(j); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Start()
+		s.Drain()
+		s.Close()
+		if st := s.Stats(); st.Done != int64(len(jobs)) {
+			b.Fatalf("done=%d, want %d", st.Done, len(jobs))
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(len(jobs))/b.Elapsed().Seconds(), "jobs/s")
+}
 
 // BenchmarkSchedulerRouteCacheHit measures the steady-state fast path:
 // repeated traffic on an already-decided (client, provider, bucket) key.
