@@ -56,7 +56,8 @@ golden-check:
 # the simulator's benchmarks (fluid, xtraffic, simclock), the journal
 # checkpoint and dynamic-route benchmarks and the scheduler's one-worker
 # drain, route-cache (its registry hot path) and 25,000-job dispatch
-# benchmarks, which `go test` only compiles, run one iteration each,
+# benchmarks and the flight recorder's successful-job benchmark, which
+# `go test` only compiles, run one iteration each,
 # the delta-encoding, journal-decode, journal-encode and Content-Range
 # fuzzers hold up for a short smoke run, and every golden matches (the
 # race leg skips the golden runs).
@@ -65,7 +66,7 @@ check:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) -C detourledger vet ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/fluid ./internal/xtraffic ./internal/simclock
-	$(GO) test -run '^$$' -bench 'BenchmarkNoteCkpt|BenchmarkRoutedLinksDynamic|BenchmarkSchedulerDrain1Worker|BenchmarkSchedulerRouteCache|BenchmarkSchedulerDispatch' -benchtime 1x ./internal/sched ./internal/bgppol .
+	$(GO) test -run '^$$' -bench 'BenchmarkNoteCkpt|BenchmarkRoutedLinksDynamic|BenchmarkSchedulerDrain1Worker|BenchmarkSchedulerRouteCache|BenchmarkSchedulerDispatch|BenchmarkRecorderSuccess' -benchtime 1x ./internal/sched ./internal/bgppol ./internal/telemetry .
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
 	$(GO) test -fuzz=FuzzJournalRecord -fuzztime=5s ./internal/sched

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"detournet/internal/core"
 	"detournet/internal/replay"
 	"detournet/internal/rsyncx"
+	"detournet/internal/scenario"
 	"detournet/internal/sched"
 	"detournet/internal/telemetry"
 )
@@ -411,4 +414,54 @@ func TestTelemetryOverheadGuard(t *testing.T) {
 		}
 	}
 	t.Error("telemetry is consistently >5% of the reference drain's wall time")
+}
+
+// TestDispatchAllocsPerJob caps a warm dispatch-shaped job — route-cache
+// hit, instant executor, metrics registry and flight recorder attached,
+// success — at one allocation, the queued item Submit makes. Detour and
+// direct deliveries alternate, so both route-handle paths are warm.
+func TestDispatchAllocsPerJob(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random, so recycled trace buffers allocate")
+	}
+	exec := sched.ExecutorFunc(func(j sched.Job, r core.Route) (float64, error) { return j.Size / 10e6, nil })
+	plan := sched.PlannerFunc(func(client, provider string, size float64) (core.Route, []core.Route, error) {
+		if provider == scenario.Dropbox {
+			return core.DirectRoute, scenario.Routes(), nil
+		}
+		return core.ViaRoute(scenario.UAlberta), scenario.Routes(), nil
+	})
+	s := sched.New(sched.Config{
+		Workers: 1, Executor: exec, Planner: plan,
+		Telemetry: telemetry.NewRegistry(),
+		Recorder:  telemetry.NewFlightRecorder(nil, 32, 4),
+		Sleep:     func(float64) {},
+	})
+	s.Start()
+	defer s.Close()
+	const perRun, runs = 64, 20
+	providers := []string{scenario.GoogleDrive, scenario.Dropbox}
+	jobs := make([]sched.Job, (runs+2)*perRun)
+	for i := range jobs {
+		jobs[i] = sched.Job{
+			Tenant: "t", Client: scenario.UBC, Provider: providers[i%2],
+			Name: fmt.Sprintf("d-%05d", i), Size: 1e6,
+		}
+	}
+	next := 0
+	batch := func() {
+		for k := 0; k < perRun; k++ {
+			if err := s.Submit(jobs[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		s.Drain()
+	}
+	batch() // warm the route cache, the route handles and the free list
+	perJob := testing.AllocsPerRun(runs, batch) / perRun
+	t.Logf("%.3f allocations per job", perJob)
+	if perJob > 1 {
+		t.Fatalf("a warm dispatched job allocates %.2f times, want at most 1", perJob)
+	}
 }

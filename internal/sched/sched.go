@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -126,8 +125,9 @@ type Result struct {
 	Err error
 
 	// tr is the job's live flight-recorder handle, threaded from runJob
-	// to the terminal recording in finish. Nil when recording is off.
-	tr *telemetry.Trace
+	// to the terminal recording in finish. The zero Trace when recording
+	// is off.
+	tr telemetry.Trace
 }
 
 // Executor runs one transfer over a chosen route. Implementations must
@@ -905,14 +905,14 @@ func (s *Scheduler) wakeIfIdleLocked() {
 func (s *Scheduler) runJob(j Job) Result {
 	// One flight-recorder handle for the job's whole life: notes against
 	// it touch only the handle, and finish hands it back for retention.
-	// Nil when recording is off.
-	tr := s.rec.Begin(j.Name)
+	// The zero Trace when recording is off.
+	tr := s.rec.Begin()
 	res := s.runJobTraced(j, tr)
 	res.tr = tr
 	return res
 }
 
-func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
+func (s *Scheduler) runJobTraced(j Job, tr telemetry.Trace) Result {
 	if s.crashed() {
 		return Result{Job: j, Err: ErrCrashKilled}
 	}
@@ -930,14 +930,10 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// scoring worse.
 			route = cr
 			s.met.canaries.Inc()
-			if tr != nil {
-				tr.Note("job.canary", "route", route.String())
-			}
+			tr.Note("job.canary", routeAttr("route", route))
 		}
 	}
-	if tr != nil {
-		tr.Note("job.elect", "route", route.String(), "cache", strconv.FormatBool(hit))
-	}
+	tr.Note("job.elect", routeAttr("route", route), telemetry.Bool("cache", hit))
 
 	if j.Mode == JobMultipath {
 		if res, done := s.runMultipath(j, key, route, hit); done {
@@ -1002,9 +998,12 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// (mid-hop1 / mid-hop2) killing here also aborts the transfer
 			// cooperatively. Executors that wrap OnProgress themselves chain
 			// through this hook.
+			// The hook captures a copy of the job, so j itself stays on
+			// the stack for every job, journaled or not.
+			jc := j
 			prev := ck.OnProgress
 			ck.OnProgress = func(b float64) {
-				cj.NoteCkpt(j, ck, b)
+				cj.NoteCkpt(jc, ck, b)
 				if prev != nil {
 					prev(b)
 				}
@@ -1028,9 +1027,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 	var reclaimTried, spilledFrom map[string]bool
 	for {
 		attempts++
-		if tr != nil {
-			tr.Note("job.attempt", "n", strconv.Itoa(attempts), "route", route.String())
-		}
+		tr.Note("job.attempt", telemetry.Int("n", attempts), routeAttr("route", route))
 		if cj != nil && cj.NoteAttempt(j, attempts, route) {
 			return Result{Job: j, Route: route, Attempts: attempts, CacheHit: hit, Err: ErrCrashKilled}
 		}
@@ -1061,12 +1058,10 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 						if won {
 							s.met.hedgeWins.Inc()
 						}
-						if tr != nil {
-							if won {
-								tr.Note("job.hedge", "won", "true", "route", winner.String())
-							} else {
-								tr.Note("job.hedge", "won", "false")
-							}
+						if won {
+							tr.Note("job.hedge", telemetry.Bool("won", true), routeAttr("route", winner))
+						} else {
+							tr.Note("job.hedge", telemetry.Bool("won", false))
 						}
 					}
 					if won {
@@ -1093,11 +1088,8 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 							s.met.parks.Inc()
 							s.met.parkSeconds.Add(parked)
 						}
-						if tr != nil {
-							tr.Note("job.reroute", "n", strconv.Itoa(nr),
-								"parked_s", strconv.FormatFloat(parked, 'g', -1, 64),
-								"route", final.String())
-						}
+						tr.Note("job.reroute", telemetry.Int("n", nr),
+							telemetry.Float64("parked_s", parked), routeAttr("route", final))
 					}
 					route = final
 				} else if ck != nil {
@@ -1132,8 +1124,9 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 		if errors.Is(err, core.ErrIntegrity) {
 			s.met.integrityRetries.Inc()
 		}
-		if tr != nil {
-			tr.Note("job.fail", "class", Classify(err).String(), "err", err.Error())
+		if tr.Recording() {
+			tr.Note("job.fail", telemetry.String("class", Classify(err).String()),
+				telemetry.String("err", err.Error()))
 		}
 
 		backoff := true
@@ -1168,9 +1161,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					route = next
 					backoff = false
 					s.met.stallReroutes.Inc()
-					if tr != nil {
-						tr.Note("job.stall-failover", "route", next.String())
-					}
+					tr.Note("job.stall-failover", routeAttr("route", next))
 				}
 			}
 			// No alternate (or the cap is spent): fall through to the
@@ -1193,10 +1184,8 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 				if qr, ok := s.cfg.Executor.(QuotaReclaimer); ok {
 					if freed := qr.ReclaimQuota(j.Provider); freed > 0 {
 						s.met.quotaReclaims.Inc()
-						if tr != nil {
-							tr.Note("job.quota-reclaim", "provider", j.Provider,
-								"freed", strconv.FormatFloat(freed, 'g', -1, 64))
-						}
+						tr.Note("job.quota-reclaim", telemetry.String("provider", j.Provider),
+							telemetry.Float64("freed", freed))
 						recovered = true
 					}
 				}
@@ -1207,9 +1196,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 						spilledFrom = make(map[string]bool)
 					}
 					spilledFrom[j.Provider] = true
-					if tr != nil {
-						tr.Note("job.spill", "from", j.Provider, "to", alt)
-					}
+					tr.Note("job.spill", telemetry.String("from", j.Provider), telemetry.String("to", alt))
 					j.Provider = alt
 					if ck != nil {
 						// The old provider's session bytes are stranded
@@ -1234,10 +1221,8 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					ra = defaultQuotaParkAfter
 				}
 				s.met.quotaParks.Inc()
-				if tr != nil {
-					tr.Note("job.park", "kind", "quota", "provider", j.Provider,
-						"retry_after", strconv.FormatFloat(ra, 'g', -1, 64))
-				}
+				tr.Note("job.park", telemetry.String("kind", "quota"),
+					telemetry.String("provider", j.Provider), telemetry.Float64("retry_after", ra))
 				return end(attempts, 0, &QuotaError{Provider: j.Provider, RetryAfter: ra})
 			}
 		case FailRouteDown:
@@ -1246,9 +1231,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 				route = next
 				// The new route is presumed healthy: no point sleeping.
 				backoff = false
-				if tr != nil {
-					tr.Note("job.failover", "route", next.String())
-				}
+				tr.Note("job.failover", routeAttr("route", next))
 			}
 		default:
 			// Untyped error: the legacy route-level handling, so executors
@@ -1277,10 +1260,8 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// problem rather than hammering it.
 			if ok, after := h.AllowRetry(j.Provider); !ok {
 				s.met.budgetParks.Inc()
-				if tr != nil {
-					tr.Note("job.park", "kind", "budget", "provider", j.Provider,
-						"retry_after", strconv.FormatFloat(after, 'g', -1, 64))
-				}
+				tr.Note("job.park", telemetry.String("kind", "budget"),
+					telemetry.String("provider", j.Provider), telemetry.Float64("retry_after", after))
 				return end(attempts, 0, &BudgetError{Provider: j.Provider, RetryAfter: after})
 			}
 			if cj != nil {
@@ -1304,9 +1285,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 		if ra := retryAfterHint(lastErr); ra > delay {
 			delay = ra
 		}
-		if tr != nil {
-			tr.Note("job.backoff", "delay_s", strconv.FormatFloat(delay, 'g', -1, 64))
-		}
+		tr.Note("job.backoff", telemetry.Float64("delay_s", delay))
 		s.cfg.Sleep(delay)
 	}
 }

@@ -1,8 +1,8 @@
 package sched
 
 import (
-	"strconv"
 	"strings"
+	"sync"
 
 	"detournet/internal/core"
 	"detournet/internal/telemetry"
@@ -32,10 +32,17 @@ type schedMetrics struct {
 	queueDepth, running                          *telemetry.Metric
 	queueDelay, transferSec, attempts            *telemetry.Metric
 	routeBytes, routeJobs, routeSeconds          *telemetry.Family // route
-	// directBytes/directJobs/directSeconds are the pre-resolved "direct"
-	// children of the route families — the common case skips the label
-	// lookup.
-	directBytes, directJobs, directSeconds *telemetry.Metric
+	// direct holds the pre-resolved "direct" children of the route
+	// families; detour caches each DTN's children (Via →
+	// *routeHandles), resolved on that DTN's first delivery, so a
+	// delivery builds no label and takes no family lock.
+	direct routeHandles
+	detour sync.Map
+}
+
+// routeHandles are one route label's children of the route families.
+type routeHandles struct {
+	bytes, jobs, seconds *telemetry.Metric
 }
 
 func newSchedMetrics(reg *telemetry.Registry) *schedMetrics {
@@ -102,23 +109,33 @@ func newSchedMetrics(reg *telemetry.Registry) *schedMetrics {
 		routeSeconds: reg.Counter("sched_route_seconds_total",
 			"Transfer seconds of delivered jobs, by final route.", "route"),
 	}
-	m.directBytes = m.routeBytes.With("direct")
-	m.directJobs = m.routeJobs.With("direct")
-	m.directSeconds = m.routeSeconds.With("direct")
+	m.direct = m.handlesFor(core.DirectRoute)
 	return m
 }
 
+// handlesFor resolves r's children of the three route families.
+func (m *schedMetrics) handlesFor(r core.Route) routeHandles {
+	lbl := routeLabel(r)
+	return routeHandles{m.routeBytes.With(lbl), m.routeJobs.With(lbl), m.routeSeconds.With(lbl)}
+}
+
 // noteDelivered counts one successful job against its final route,
-// using the pre-resolved handles for the direct route.
+// using the pre-resolved handles of the direct route or the route's DTN.
 func (m *schedMetrics) noteDelivered(r core.Route, bytes, sec float64) {
-	bm, jm, sm := m.directBytes, m.directJobs, m.directSeconds
+	h := &m.direct
 	if r.Kind == core.Detour {
-		lbl := routeLabel(r)
-		bm, jm, sm = m.routeBytes.With(lbl), m.routeJobs.With(lbl), m.routeSeconds.With(lbl)
+		v, ok := m.detour.Load(r.Via)
+		if !ok {
+			// With returns the existing child, so two workers racing on
+			// a DTN's first delivery resolve the same handles.
+			hs := m.handlesFor(r)
+			v, _ = m.detour.LoadOrStore(r.Via, &hs)
+		}
+		h = v.(*routeHandles)
 	}
-	bm.Add(bytes)
-	jm.Inc()
-	sm.Add(sec)
+	h.bytes.Add(bytes)
+	h.jobs.Inc()
+	h.seconds.Add(sec)
 }
 
 // perRoute rebuilds Stats.PerRoute from the route families, keyed by
@@ -167,16 +184,26 @@ func (s *Scheduler) recordTerminal(res Result) {
 	}
 	if res.Err != nil {
 		res.tr.Note("job.failed",
-			"err", res.Err.Error(),
-			"attempts", strconv.Itoa(res.Attempts),
-			"route", res.Route.String())
+			telemetry.String("err", res.Err.Error()),
+			telemetry.Int("attempts", res.Attempts),
+			routeAttr("route", res.Route))
 		s.rec.Finish(res.tr, res.Job.Name, true)
 		return
 	}
 	res.tr.Note("job.done",
-		"sec", strconv.FormatFloat(res.Seconds, 'g', -1, 64),
-		"route", res.Route.String())
+		telemetry.Float64("sec", res.Seconds),
+		routeAttr("route", res.Route))
 	s.rec.Finish(res.tr, res.Job.Name, false)
+}
+
+// routeAttr is a flight-recorder attribute that renders r exactly as
+// core.Route.String does, without building the string: a two-part
+// value, since boxing the Route itself would allocate.
+func routeAttr(key string, r core.Route) telemetry.Attr {
+	if r.Kind == core.Direct {
+		return telemetry.String(key, "Direct")
+	}
+	return telemetry.Concat(key, "via ", r.Via)
 }
 
 // routeLabel collapses a route to its metric label: "direct" or

@@ -53,6 +53,23 @@ func BenchmarkDrainInstrumented(b *testing.B) {
 	}
 }
 
+// TestRouteAttrMatchesRouteString pins the flight recorder's route
+// attribute to core.Route.String for both kinds: the retained-trace
+// golden holds only a Direct route, so no golden covers "via X".
+func TestRouteAttrMatchesRouteString(t *testing.T) {
+	for _, r := range []core.Route{
+		core.DirectRoute,
+		core.ViaRoute(scenario.UAlberta),
+		core.ViaRoute(""),
+		{Kind: core.Direct, Via: "stray"},
+	} {
+		a := routeAttr("route", r)
+		if a.Key != "route" || a.Value() != r.String() {
+			t.Errorf("routeAttr(%#v) = %s=%q, want route=%q", r, a.Key, a.Value(), r.String())
+		}
+	}
+}
+
 // TestFallbackCountedOnce drives a detour that fails route-down and a
 // direct retry that succeeds: the failover to direct is one fallback,
 // and Stats and the exported registry must both say so.

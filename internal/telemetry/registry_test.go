@@ -82,9 +82,9 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil registry snapshot should be empty")
 	}
 	var rec *FlightRecorder
-	rec.Begin("j").Note("k")
-	rec.Finish(nil, "j", true)
-	rec.Finish(rec.Begin("j"), "j", true)
+	rec.Begin().Note("k")
+	rec.Finish(Trace{}, "j", true)
+	rec.Finish(rec.Begin(), "j", true)
 	if rec.Retained() != nil {
 		t.Fatal("nil recorder should retain nothing")
 	}
