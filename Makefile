@@ -53,20 +53,15 @@ golden-check:
 # compiles, vets clean, the full test suite (including the
 # really-concurrent scheduler) is race-clean, the nested detourledger
 # module (which `./...` skips) compiles and vets against the scheduler,
-# the simulator's benchmarks (fluid, xtraffic, simclock), the journal
-# checkpoint and dynamic-route benchmarks and the scheduler's one-worker
-# drain, route-cache (its registry hot path) and 25,000-job dispatch
-# benchmarks and the flight recorder's successful-job benchmark, which
-# `go test` only compiles, run one iteration each,
-# the delta-encoding, journal-decode, journal-encode and Content-Range
-# fuzzers hold up for a short smoke run, and every golden matches (the
-# race leg skips the golden runs).
+# every benchmark in the module, which `go test` only compiles, runs
+# one iteration, the delta-encoding, journal-decode, journal-encode and
+# Content-Range fuzzers hold up for a short smoke run, and every golden
+# matches (the race leg skips the golden runs).
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) -C detourledger vet ./...
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/fluid ./internal/xtraffic ./internal/simclock
-	$(GO) test -run '^$$' -bench 'BenchmarkNoteCkpt|BenchmarkRoutedLinksDynamic|BenchmarkSchedulerDrain1Worker|BenchmarkSchedulerRouteCache|BenchmarkSchedulerDispatch|BenchmarkRecorderSuccess' -benchtime 1x ./internal/sched ./internal/bgppol ./internal/telemetry .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
 	$(GO) test -fuzz=FuzzJournalRecord -fuzztime=5s ./internal/sched

@@ -5,12 +5,11 @@
 // size fastest.
 //
 // Two strategies are provided. The probe Selector measures each
-// candidate path with a small transfer and extrapolates with the TCP
-// transfer-time model — capturing the paper's observation that the best
-// route depends on client, provider, *and* file size. The Bandit keeps
-// running throughput estimates for repeated transfers and elects the
-// fastest route as they change, the natural fit for the paper's
-// "monitor and bypass dynamic bottlenecks" future work.
+// candidate path with a small transfer and extrapolates the probe's
+// throughput linearly to the file size. The Bandit keeps running
+// throughput estimates for repeated transfers and elects the fastest
+// route as they change, the natural fit for the paper's "monitor and
+// bypass dynamic bottlenecks" future work.
 package detourselect
 
 import (
@@ -21,7 +20,6 @@ import (
 	"detournet/internal/core"
 	"detournet/internal/sdk"
 	"detournet/internal/simproc"
-	"detournet/internal/tcpmodel"
 )
 
 // Prediction is one route's estimated transfer time.
@@ -32,27 +30,23 @@ type Prediction struct {
 	Hop1, Hop2 float64
 }
 
+// probeBytes sizes the probe transfers: big enough to ride past slow
+// start, small enough to be cheap.
+const probeBytes float64 = 2 << 20
+
 // Selector chooses routes by active probing.
-type Selector struct {
-	// ProbeBytes sizes the probe transfers; default 2 MiB — big enough
-	// to ride past slow start, small enough to be cheap.
-	ProbeBytes float64
-	// Params is the TCP model used for extrapolation.
-	Params tcpmodel.Params
-}
+type Selector struct{}
 
-// NewSelector returns a selector with defaults.
-func NewSelector() *Selector {
-	return &Selector{ProbeBytes: 2 << 20, Params: tcpmodel.Params{}.WithDefaults()}
-}
+// NewSelector returns a selector.
+func NewSelector() *Selector { return &Selector{} }
 
-// rateFromProbe converts a probe duration into an estimated steady
-// throughput by stripping the model's fixed costs.
-func (s *Selector) rateFromProbe(bytes, seconds float64) float64 {
+// rateFromProbe is a probe's average throughput: probe bytes over its
+// duration, fixed costs included.
+func rateFromProbe(seconds float64) float64 {
 	if seconds <= 0 {
 		return math.Inf(1)
 	}
-	return bytes / seconds
+	return probeBytes / seconds
 }
 
 // Choose probes the direct route and every candidate detour, then
@@ -63,21 +57,17 @@ func (s *Selector) Choose(p *simproc.Proc, direct sdk.Client, detours map[string
 	if size <= 0 {
 		return core.Route{}, nil, fmt.Errorf("detourselect: non-positive size")
 	}
-	probeB := s.ProbeBytes
-	if probeB <= 0 {
-		probeB = 2 << 20
-	}
 	var preds []Prediction
 
 	// Direct probe: one small upload, extrapolated linearly.
 	probeName := ".probe-direct"
 	t0 := p.Now()
-	if _, err := direct.Upload(p, probeName, probeB, ""); err != nil {
+	if _, err := direct.Upload(p, probeName, probeBytes, ""); err != nil {
 		return core.Route{}, nil, fmt.Errorf("detourselect: direct probe: %w", err)
 	}
 	directDur := float64(p.Now() - t0)
 	_ = direct.Delete(p, probeName)
-	directRate := s.rateFromProbe(probeB, directDur)
+	directRate := rateFromProbe(directDur)
 	preds = append(preds, Prediction{
 		Route:   core.DirectRoute,
 		Seconds: size / directRate,
@@ -93,16 +83,16 @@ func (s *Selector) Choose(p *simproc.Proc, direct sdk.Client, detours map[string
 	sort.Strings(names)
 	for _, via := range names {
 		dc := detours[via]
-		h1, err := dc.ProbeHop1(p, probeB)
+		h1, err := dc.ProbeHop1(p, probeBytes)
 		if err != nil {
 			return core.Route{}, nil, fmt.Errorf("detourselect: hop1 probe via %s: %w", via, err)
 		}
-		h2, err := dc.ProbeHop2(p, provider, probeB)
+		h2, err := dc.ProbeHop2(p, provider, probeBytes)
 		if err != nil {
 			return core.Route{}, nil, fmt.Errorf("detourselect: hop2 probe via %s: %w", via, err)
 		}
-		e1 := size / s.rateFromProbe(probeB, h1)
-		e2 := size / s.rateFromProbe(probeB, h2)
+		e1 := size / rateFromProbe(h1)
+		e2 := size / rateFromProbe(h2)
 		preds = append(preds, Prediction{
 			Route:   core.ViaRoute(via),
 			Seconds: e1 + e2,

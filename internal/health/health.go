@@ -47,65 +47,71 @@ const (
 	ClassProvider = "provider"
 )
 
-// Options tune the tracker. Zero values take the documented defaults.
-type Options struct {
-	// Alpha is the EWMA smoothing factor for baselines (default 0.3,
-	// matching the bandit's).
-	Alpha float64
-	// Window is how many recent rate samples each entity keeps for
-	// quantile queries (default 16).
-	Window int
+// The tracker's constants. Budgets and intervals are in seconds of the
+// injected clock, rates in bytes/sec.
+const (
+	// alpha is the EWMA smoothing factor for baselines, matching the
+	// bandit's.
+	alpha float64 = 0.3
+	// window is how many recent rate samples each entity keeps for
+	// quantile queries.
+	window = 16
 
-	// FloorFrac sets the adaptive stall floor: a transfer's budget is
-	// the time it would take running at FloorFrac of the route baseline
-	// (default 0.25 — four times the expected duration).
-	FloorFrac float64
-	// Grace is added to every budget to absorb session setup, token
-	// refresh, and backoff sleeps (default 30 s).
-	Grace float64
-	// MinBudget is the smallest budget ever issued (default 90 s), so
-	// tiny files on fast baselines don't get hair-trigger watchdogs.
-	MinBudget float64
-	// DefaultBudget is issued when no baseline exists yet (default
-	// 600 s) — first transfers must be allowed to be slow.
-	DefaultBudget float64
+	// floorFrac sets the adaptive stall floor: a transfer's budget is
+	// the time it would take running at floorFrac of the route baseline
+	// (four times the expected duration).
+	floorFrac float64 = 0.25
+	// grace is added to every budget to absorb session setup, token
+	// refresh, and backoff sleeps.
+	grace float64 = 30
+	// minBudget is the smallest budget ever issued, so tiny files on
+	// fast baselines don't get hair-trigger watchdogs.
+	minBudget float64 = 90
+	// defaultBudget is issued when no baseline exists yet — first
+	// transfers must be allowed to be slow.
+	defaultBudget float64 = 600
 	// NoProgressGrace aborts a transfer whose live byte watermark has
-	// not advanced for this long (default 60 s — generous because a
-	// detour's second hop only refreshes its watermark at each relay
-	// poll).
-	NoProgressGrace float64
-	// CheckInterval is the watchdog poll period (default 5 s).
-	CheckInterval float64
+	// not advanced for this long — generous because a detour's second
+	// hop only refreshes its watermark at each relay poll.
+	NoProgressGrace float64 = 60
+	// CheckInterval is the watchdog poll period.
+	CheckInterval float64 = 5
 
-	// OutlierFrac: an observation below OutlierFrac × the peer median
-	// baseline is an outlier (default 0.4).
-	OutlierFrac float64
-	// OutlierStreak consecutive outlier observations eject the entity
-	// into probation (default 3).
-	OutlierStreak int
-	// MinPeers is how many peer baselines (besides the entity itself)
-	// must exist before outlier judgment is attempted (default 1).
-	MinPeers int
-	// ProbationWeight is the selection-weight multiplier for entities
-	// on probation (default 0.1) — down-weighted, not excluded.
-	ProbationWeight float64
-	// CanaryInterval rate-limits deliberate probation probes: at most
-	// one canary transfer per entity per interval (default 45 s).
-	CanaryInterval float64
-	// CanarySuccesses consecutive healthy observations while on
-	// probation re-admit the entity (default 2).
-	CanarySuccesses int
+	// outlierFrac: an observation below outlierFrac × the peer median
+	// baseline is an outlier.
+	outlierFrac float64 = 0.4
+	// outlierStreak consecutive outlier observations eject the entity
+	// into probation.
+	outlierStreak = 3
+	// minPeers is how many peer baselines (besides the entity itself)
+	// must exist before outlier judgment is attempted.
+	minPeers = 1
+	// probationWeight is the selection-weight multiplier for entities
+	// on probation — down-weighted, not excluded.
+	probationWeight float64 = 0.1
+	// canaryInterval rate-limits deliberate probation probes: at most
+	// one canary transfer per entity per interval. Jobs run tens of
+	// seconds, so 60 s (doubling per miss) probes a probationary route
+	// often enough to re-admit it promptly once a fault window closes,
+	// without flooding it while the window is open.
+	canaryInterval float64 = 60
+	// canarySuccesses consecutive healthy observations while on
+	// probation re-admit the entity.
+	canarySuccesses = 2
 
-	// RetryBurst is the per-provider retry token bucket capacity, and
-	// the initial fill (default 8).
-	RetryBurst float64
-	// RetryEarn is the tokens a completed transfer earns back for its
-	// provider (default 0.5 — two successes fund one retry).
-	RetryEarn float64
-	// RetryAfter is the park hint handed out when a budget is
-	// exhausted (default 30 s).
-	RetryAfter float64
+	// retryBurst is the per-provider retry token bucket capacity, and
+	// the initial fill.
+	retryBurst float64 = 8
+	// retryEarn is the tokens a completed transfer earns back for its
+	// provider — two successes fund one retry.
+	retryEarn float64 = 0.5
+	// retryAfter is the park hint handed out when a budget is
+	// exhausted.
+	retryAfter float64 = 30
+)
 
+// Options wire the tracker to its clock and its trace.
+type Options struct {
 	// Now supplies the clock (required; the scheduler passes the
 	// virtual clock so replays are deterministic).
 	Now func() float64
@@ -113,66 +119,11 @@ type Options struct {
 	Trace *tracelog.Log
 }
 
-func (o Options) withDefaults() Options {
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		o.Alpha = 0.3
-	}
-	if o.Window <= 0 {
-		o.Window = 16
-	}
-	if o.FloorFrac <= 0 || o.FloorFrac >= 1 {
-		o.FloorFrac = 0.25
-	}
-	if o.Grace <= 0 {
-		o.Grace = 30
-	}
-	if o.MinBudget <= 0 {
-		o.MinBudget = 90
-	}
-	if o.DefaultBudget <= 0 {
-		o.DefaultBudget = 600
-	}
-	if o.NoProgressGrace <= 0 {
-		o.NoProgressGrace = 60
-	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = 5
-	}
-	if o.OutlierFrac <= 0 || o.OutlierFrac >= 1 {
-		o.OutlierFrac = 0.4
-	}
-	if o.OutlierStreak <= 0 {
-		o.OutlierStreak = 3
-	}
-	if o.MinPeers <= 0 {
-		o.MinPeers = 1
-	}
-	if o.ProbationWeight <= 0 || o.ProbationWeight >= 1 {
-		o.ProbationWeight = 0.1
-	}
-	if o.CanaryInterval <= 0 {
-		o.CanaryInterval = 45
-	}
-	if o.CanarySuccesses <= 0 {
-		o.CanarySuccesses = 2
-	}
-	if o.RetryBurst <= 0 {
-		o.RetryBurst = 8
-	}
-	if o.RetryEarn <= 0 {
-		o.RetryEarn = 0.5
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = 30
-	}
-	return o
-}
-
 // entity is one tracked route/DTN/provider.
 type entity struct {
 	class, name string
 	base        *stats.EWMA
-	recent      []float64 // last Window observed rates
+	recent      []float64 // last window observed rates
 	streak      int       // consecutive outlier observations
 	probation   bool
 	since       float64 // when probation began
@@ -202,7 +153,6 @@ type Tracker struct {
 
 // New returns a tracker. Options.Now is required.
 func New(opt Options) *Tracker {
-	opt = opt.withDefaults()
 	if opt.Now == nil {
 		panic("health: Options.Now is required")
 	}
@@ -213,12 +163,6 @@ func New(opt Options) *Tracker {
 	}
 }
 
-// CheckInterval returns the watchdog poll period.
-func (t *Tracker) CheckInterval() float64 { return t.opt.CheckInterval }
-
-// NoProgressGrace returns the no-byte-progress abort window.
-func (t *Tracker) NoProgressGrace() float64 { return t.opt.NoProgressGrace }
-
 func key(class, name string) string { return class + "|" + name }
 
 // get returns (creating if needed) the entity record. Callers hold t.mu.
@@ -226,7 +170,7 @@ func (t *Tracker) get(class, name string) *entity {
 	k := key(class, name)
 	e, ok := t.entities[k]
 	if !ok {
-		e = &entity{class: class, name: name, base: stats.NewEWMA(t.opt.Alpha)}
+		e = &entity{class: class, name: name, base: stats.NewEWMA(alpha)}
 		t.entities[k] = e
 	}
 	return e
@@ -241,7 +185,7 @@ func (t *Tracker) peerMedian(e *entity) (float64, bool) {
 			peers = append(peers, o.base.Value())
 		}
 	}
-	if len(peers) < t.opt.MinPeers {
+	if len(peers) < minPeers {
 		return 0, false
 	}
 	return stats.Median(peers), true
@@ -259,11 +203,11 @@ func (t *Tracker) ObserveTransfer(class, name string, bytes, seconds float64) {
 	e := t.get(class, name)
 	e.obs++
 	e.recent = append(e.recent, rate)
-	if len(e.recent) > t.opt.Window {
-		e.recent = e.recent[len(e.recent)-t.opt.Window:]
+	if len(e.recent) > window {
+		e.recent = e.recent[len(e.recent)-window:]
 	}
 	med, ok := t.peerMedian(e)
-	outlier := ok && rate < t.opt.OutlierFrac*med
+	outlier := ok && rate < outlierFrac*med
 	// A probation entity's baseline keeps learning (that is how
 	// recovery shows), and so does a healthy one's; but a healthy
 	// entity's baseline should not be dragged down by the very outlier
@@ -300,7 +244,7 @@ func (t *Tracker) judgeLocked(e *entity, outlier bool) {
 		if e.probation {
 			e.canaryMiss++ // the canary came back sick; back off the next one
 		}
-		if !e.probation && e.streak >= t.opt.OutlierStreak {
+		if !e.probation && e.streak >= outlierStreak {
 			e.probation = true
 			e.since = now
 			// First canary only after a full interval — the entity was
@@ -314,7 +258,7 @@ func (t *Tracker) judgeLocked(e *entity, outlier bool) {
 	e.canaryMiss = 0
 	if e.probation {
 		e.canaryOK++
-		if e.canaryOK >= t.opt.CanarySuccesses {
+		if e.canaryOK >= canarySuccesses {
 			e.probation = false
 			e.canaryOK = 0
 			t.transition(now, e, "probation", "healthy")
@@ -348,12 +292,12 @@ func (t *Tracker) NoteWarning(class, name, msg string) {
 }
 
 // Weight returns the selection-weight multiplier for an entity: 1 when
-// healthy (or unknown), ProbationWeight on probation.
+// healthy (or unknown), probationWeight on probation.
 func (t *Tracker) Weight(class, name string) float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e, ok := t.entities[key(class, name)]; ok && e.probation {
-		return t.opt.ProbationWeight
+		return probationWeight
 	}
 	return 1
 }
@@ -368,7 +312,7 @@ func (t *Tracker) Probation(class, name string) bool {
 
 // CanaryTake reports whether a deliberate canary transfer should be
 // sent over a probation entity now, and consumes the canary slot if so
-// — at most one per CanaryInterval, so probation traffic stays a
+// — at most one per canaryInterval, so probation traffic stays a
 // trickle.
 func (t *Tracker) CanaryTake(class, name string) bool {
 	t.mu.Lock()
@@ -385,7 +329,7 @@ func (t *Tracker) CanaryTake(class, name string) bool {
 	if backoff > 3 {
 		backoff = 3
 	}
-	if now-e.lastCanary < t.opt.CanaryInterval*float64(int(1)<<backoff) {
+	if now-e.lastCanary < canaryInterval*float64(int(1)<<backoff) {
 		return false
 	}
 	e.lastCanary = now
@@ -394,17 +338,17 @@ func (t *Tracker) CanaryTake(class, name string) bool {
 
 // Budget returns the stall watchdog's time budget for moving size bytes
 // over the named entity: the time the transfer would take running at
-// FloorFrac of the learned baseline, plus Grace — or DefaultBudget when
+// floorFrac of the learned baseline, plus grace — or defaultBudget when
 // no baseline exists yet.
 func (t *Tracker) Budget(class, name string, size float64) float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.entities[key(class, name)]
 	if !ok || e.base.Count() == 0 {
-		return t.opt.DefaultBudget
+		return defaultBudget
 	}
-	b := size/(e.base.Value()*t.opt.FloorFrac) + t.opt.Grace
-	floor := t.opt.MinBudget
+	b := size/(e.base.Value()*floorFrac) + grace
+	floor := minBudget
 	if e.probation {
 		// Canaries are cheap probes, not full transfers: a probationary
 		// entity gets half the patience, so a still-sick route is
@@ -435,14 +379,14 @@ func (t *Tracker) Baseline(class, name string) (float64, bool) {
 func (t *Tracker) bucketFor(provider string) *bucket {
 	b, ok := t.buckets[provider]
 	if !ok {
-		b = &bucket{tokens: t.opt.RetryBurst}
+		b = &bucket{tokens: retryBurst}
 		t.buckets[provider] = b
 	}
 	return b
 }
 
 // AllowRetry spends one retry token for the provider. When the bucket
-// is empty it reports false with the RetryAfter park hint — the caller
+// is empty it reports false with the retryAfter park hint — the caller
 // parks the job instead of hammering a browned-out provider.
 func (t *Tracker) AllowRetry(provider string) (bool, float64) {
 	t.mu.Lock()
@@ -458,7 +402,7 @@ func (t *Tracker) AllowRetry(provider string) (bool, float64) {
 				tracelog.AttrEntity: provider, "state": "exhausted",
 			})
 		}
-		return false, t.opt.RetryAfter
+		return false, retryAfter
 	}
 	b.tokens--
 	b.spent++
@@ -490,7 +434,7 @@ func (t *Tracker) NoteSuccess(provider string) float64 {
 	defer t.mu.Unlock()
 	b := t.bucketFor(provider)
 	was := b.tokens
-	b.tokens = min(t.opt.RetryBurst, b.tokens+t.opt.RetryEarn)
+	b.tokens = min(retryBurst, b.tokens+retryEarn)
 	if was < 1 && b.tokens >= 1 && b.denied > 0 {
 		b.denied = 0 // re-log next exhaustion
 	}

@@ -10,19 +10,12 @@ type clock struct{ now float64 }
 
 func (c *clock) fn() func() float64 { return func() float64 { return c.now } }
 
-// newTracker builds a tracker on a hand clock with Alpha 1 (the EWMA
-// degenerates to last-observation, making budget arithmetic exact).
-func newTracker(c *clock, opt Options) *Tracker {
-	opt.Now = c.fn()
-	if opt.Alpha == 0 {
-		opt.Alpha = 1
-	}
-	return New(opt)
-}
+// newTracker builds a tracker on a hand clock.
+func newTracker(c *clock) *Tracker { return New(Options{Now: c.fn()}) }
 
 func TestBaselineLearning(t *testing.T) {
 	c := &clock{}
-	tr := newTracker(c, Options{})
+	tr := newTracker(c)
 	if _, ok := tr.Baseline(ClassRoute, "r"); ok {
 		t.Fatal("baseline exists before any observation")
 	}
@@ -38,18 +31,18 @@ func TestBaselineLearning(t *testing.T) {
 	}
 }
 
-// TestOutlierEjection: an entity sustained below OutlierFrac of the
-// peer median for OutlierStreak observations goes to probation and gets
+// TestOutlierEjection: an entity sustained below outlierFrac of the
+// peer median for outlierStreak observations goes to probation and gets
 // the probation weight; its outlier samples must not drag its own
 // baseline down while it is still judged healthy.
 func TestOutlierEjection(t *testing.T) {
 	c := &clock{}
-	tr := newTracker(c, Options{})
+	tr := newTracker(c)
 	tr.ObserveTransfer(ClassRoute, "fast", 10e6, 1) // peer baseline 10 MB/s
 	tr.ObserveTransfer(ClassRoute, "slow", 10e6, 1) // healthy once
 	base0, _ := tr.Baseline(ClassRoute, "slow")
 
-	// Default OutlierFrac 0.4 of median 10 MB/s = 4 MB/s; 1 MB/s is an
+	// outlierFrac 0.4 of median 10 MB/s = 4 MB/s; 1 MB/s is an
 	// outlier. Streak must reach 3.
 	for i := 0; i < 2; i++ {
 		tr.ObserveTransfer(ClassRoute, "slow", 1e6, 1)
@@ -88,7 +81,7 @@ func TestOutlierEjection(t *testing.T) {
 // slow observations would be needed.
 func TestStallCountsDouble(t *testing.T) {
 	c := &clock{}
-	tr := newTracker(c, Options{})
+	tr := newTracker(c)
 	tr.NoteStall(ClassDTN, "sick")
 	if tr.Probation(ClassDTN, "sick") {
 		t.Fatal("one stall ejected (streak 2 < 3)")
@@ -101,10 +94,10 @@ func TestStallCountsDouble(t *testing.T) {
 
 // TestCanaryBackoffAndReadmission walks the full probation round trip:
 // canary slots are rate-limited, failed canaries back off exponentially
-// with a cap, and CanarySuccesses healthy observations re-admit.
+// with a cap, and canarySuccesses healthy observations re-admit.
 func TestCanaryBackoffAndReadmission(t *testing.T) {
 	c := &clock{}
-	tr := newTracker(c, Options{CanaryInterval: 45})
+	tr := newTracker(c)
 	tr.ObserveTransfer(ClassRoute, "peer", 10e6, 1)
 	c.now = 10
 	// Three slow observations eject. (Ejection via NoteStall would also
@@ -120,11 +113,11 @@ func TestCanaryBackoffAndReadmission(t *testing.T) {
 		t.Fatal("canary granted for a healthy entity")
 	}
 	// Ejection primes lastCanary: no canary inside the first interval.
-	c.now = 54
+	c.now = 69
 	if tr.CanaryTake(ClassRoute, "gray") {
 		t.Fatal("canary granted before the first interval elapsed")
 	}
-	c.now = 55
+	c.now = 70
 	if !tr.CanaryTake(ClassRoute, "gray") {
 		t.Fatal("canary denied after a full interval")
 	}
@@ -134,7 +127,7 @@ func TestCanaryBackoffAndReadmission(t *testing.T) {
 
 	// The canary comes back sick: the next slot needs 2 intervals, the
 	// one after 4, then 8 — and the backoff caps at 8.
-	for _, wait := range []float64{90, 180, 360, 360} {
+	for _, wait := range []float64{120, 240, 480, 480} {
 		tr.ObserveTransfer(ClassRoute, "gray", 1e6, 1) // outlier: canaryMiss++
 		granted := c.now
 		c.now = granted + wait - 1
@@ -161,24 +154,24 @@ func TestCanaryBackoffAndReadmission(t *testing.T) {
 	}
 }
 
-// TestBudgetArithmetic pins the watchdog budget formula: DefaultBudget
-// unlearned, size/(baseline·FloorFrac)+Grace learned, MinBudget floor —
+// TestBudgetArithmetic pins the watchdog budget formula: defaultBudget
+// unlearned, size/(baseline·floorFrac)+grace learned, minBudget floor —
 // and the probation tightening (half budget, half floor) that keeps
 // canary probes cheap.
 func TestBudgetArithmetic(t *testing.T) {
 	c := &clock{}
-	tr := newTracker(c, Options{})
+	tr := newTracker(c)
 	if b := tr.Budget(ClassRoute, "r", 100e6); b != 600 {
-		t.Errorf("unlearned budget = %v, want DefaultBudget 600", b)
+		t.Errorf("unlearned budget = %v, want defaultBudget 600", b)
 	}
 	tr.ObserveTransfer(ClassRoute, "r", 10e6, 10) // baseline 1 MB/s
 	// 100 MB at 0.25 MB/s = 400 s, + 30 grace.
 	if b := tr.Budget(ClassRoute, "r", 100e6); b != 430 {
 		t.Errorf("learned budget = %v, want 430", b)
 	}
-	// 10 MB would be 40+30=70: floored at MinBudget 90.
+	// 10 MB would be 40+30=70: floored at minBudget 90.
 	if b := tr.Budget(ClassRoute, "r", 10e6); b != 90 {
-		t.Errorf("small-file budget = %v, want MinBudget 90", b)
+		t.Errorf("small-file budget = %v, want minBudget 90", b)
 	}
 	tr.NoteStall(ClassRoute, "r")
 	tr.NoteStall(ClassRoute, "r")
@@ -189,24 +182,24 @@ func TestBudgetArithmetic(t *testing.T) {
 		t.Errorf("probation budget = %v, want 430/2", b)
 	}
 	if b := tr.Budget(ClassRoute, "r", 10e6); b != 45 {
-		t.Errorf("probation small-file budget = %v, want MinBudget/2", b)
+		t.Errorf("probation small-file budget = %v, want minBudget/2", b)
 	}
 }
 
 // TestRetryBudgetEconomics: retries spend whole tokens that successes
-// earn back at RetryEarn, exhaustion parks with the RetryAfter hint,
+// earn back at retryEarn, exhaustion parks with the retryAfter hint,
 // and recovery re-arms the exhaustion transition log.
 func TestRetryBudgetEconomics(t *testing.T) {
 	c := &clock{}
-	tr := newTracker(c, Options{RetryBurst: 2, RetryEarn: 0.5, RetryAfter: 7})
-	for i := 0; i < 2; i++ {
+	tr := newTracker(c)
+	for i := 0; i < 8; i++ {
 		if ok, _ := tr.AllowRetry("P"); !ok {
 			t.Fatalf("retry %d denied with tokens in the bucket", i+1)
 		}
 	}
 	ok, after := tr.AllowRetry("P")
-	if ok || after != 7 {
-		t.Fatalf("exhausted bucket: ok=%v after=%v, want false/7", ok, after)
+	if ok || after != 30 {
+		t.Fatalf("exhausted bucket: ok=%v after=%v, want false/30", ok, after)
 	}
 	if trs := tr.Transitions(); len(trs) != 1 || !strings.Contains(trs[0], "budget P exhausted") {
 		t.Errorf("transitions = %v, want one exhaustion line", trs)
@@ -221,28 +214,28 @@ func TestRetryBudgetEconomics(t *testing.T) {
 	if ok, _ := tr.AllowRetry("P"); !ok {
 		t.Fatal("earned tokens did not fund a retry")
 	}
-	// The bucket never overfills past RetryBurst, and a success earns
+	// The bucket never overfills past retryBurst, and a success earns
 	// nothing once it is full.
 	earned := 0.0
 	for i := 0; i < 50; i++ {
 		earned += tr.NoteSuccess("P")
 	}
-	if earned != 1.5 {
-		t.Errorf("successes earned %g tokens from 0.5 to the burst of 2, want 1.5", earned)
+	if earned != 7.5 {
+		t.Errorf("successes earned %g tokens from 0.5 to the burst of 8, want 7.5", earned)
 	}
 	bs := tr.RetryBudgets()
-	if len(bs) != 1 || bs[0].Tokens != 2 {
-		t.Fatalf("budgets = %+v, want tokens capped at burst 2", bs)
+	if len(bs) != 1 || bs[0].Tokens != 8 {
+		t.Fatalf("budgets = %+v, want tokens capped at burst 8", bs)
 	}
-	if bs[0].Spent != 3 || bs[0].Denied != 0 {
-		t.Errorf("spent=%d denied=%d, want 3 spent and denied reset on recovery", bs[0].Spent, bs[0].Denied)
+	if bs[0].Spent != 9 || bs[0].Denied != 0 {
+		t.Errorf("spent=%d denied=%d, want 9 spent and denied reset on recovery", bs[0].Spent, bs[0].Denied)
 	}
 }
 
 // TestSnapshotDeterministic: the health table sorts by class then name.
 func TestSnapshotDeterministic(t *testing.T) {
 	c := &clock{}
-	tr := newTracker(c, Options{})
+	tr := newTracker(c)
 	tr.ObserveTransfer(ClassRoute, "b", 1e6, 1)
 	tr.ObserveTransfer(ClassDTN, "z", 1e6, 1)
 	tr.ObserveTransfer(ClassRoute, "a", 1e6, 1)

@@ -10,7 +10,7 @@
 // a throughput-proportional share without rate estimation. At the tail,
 // when no pending chunks remain, an idle path may re-dispatch a
 // straggler's in-flight chunk — a hedged duplicate, budgeted by
-// HedgeMaxFrac so duplication can never amplify load past a fixed
+// hedgeMaxFrac so duplication can never amplify load past a fixed
 // fraction of the transfer. Each path carries its own core.Checkpoint,
 // so a path failure or reroute loses at most the one chunk it had in
 // flight; the chunk returns to the pending set and another path carries
@@ -126,45 +126,28 @@ type Spec struct {
 	MD5 string
 	// Chunk is the stripe unit in bytes (default core.DefaultResumeChunk).
 	Chunk float64
-	// HedgeMaxFrac caps duplicated bytes as a fraction of Size — the
-	// same amplification-cap idea as the scheduler's hedge budget
-	// (default 0.15; negative disables tail hedging).
-	HedgeMaxFrac float64
-	// StragglerQuantile: at the tail, only paths whose observed rate is
-	// at or below this quantile of all live path rates are hedge targets
-	// (default 0.5).
-	StragglerQuantile float64
-	// StallTimeout fails the transfer when no chunk commits for this
-	// many virtual seconds (default 900) — the backstop against every
-	// path sitting drained forever.
-	StallTimeout float64
-	// TailSplit divides the final K-chunks-worth of bytes (K = number
-	// of paths) into Chunk/TailSplit stripes (default 4; 1 disables).
-	// Small tail chunks make the lanes finish nearly together — without
-	// them, every lane strands up to one full chunk at the end, and on
-	// a shared-bottleneck site (the paper's UCLA capped last mile) that
-	// staggered tail is pure loss against the single-path baseline.
-	TailSplit int
 }
 
-func (s Spec) withDefaults() Spec {
-	if s.Chunk <= 0 {
-		s.Chunk = core.DefaultResumeChunk
-	}
-	if s.HedgeMaxFrac == 0 {
-		s.HedgeMaxFrac = 0.15
-	}
-	if s.StragglerQuantile <= 0 || s.StragglerQuantile > 1 {
-		s.StragglerQuantile = 0.5
-	}
-	if s.StallTimeout <= 0 {
-		s.StallTimeout = 900
-	}
-	if s.TailSplit <= 0 {
-		s.TailSplit = 4
-	}
-	return s
-}
+const (
+	// hedgeMaxFrac caps duplicated bytes as a fraction of Size — the
+	// same amplification-cap idea as the scheduler's hedge budget.
+	hedgeMaxFrac float64 = 0.15
+	// stragglerQuantile: at the tail, only paths whose observed rate is
+	// at or below this quantile of all live path rates are hedge
+	// targets.
+	stragglerQuantile float64 = 0.5
+	// stallTimeout fails the transfer when no chunk commits for this
+	// many virtual seconds — the backstop against every path sitting
+	// drained forever.
+	stallTimeout float64 = 900
+	// tailSplit divides the final K-chunks-worth of bytes (K = number
+	// of paths) into Chunk/tailSplit stripes. Small tail chunks make
+	// the lanes finish nearly together — without them, every lane
+	// strands up to one full chunk at the end, and on a shared-
+	// bottleneck site (the paper's UCLA capped last mile) that
+	// staggered tail is pure loss against the single-path baseline.
+	tailSplit = 4
+)
 
 // Layout returns the stripe sizes for a transfer over k paths: full
 // chunk-sized stripes for the head, then chunk/split stripes over the
@@ -199,7 +182,7 @@ func Layout(size, chunk float64, k, split int) []float64 {
 const maxDispatch = 8
 
 // laneWatchInterval is the lane watchdog's poll period in virtual
-// seconds (matching the health tracker's default check interval).
+// seconds (matching health.CheckInterval).
 const laneWatchInterval = 5
 
 // maxPathFails retires a path after this many consecutive failures.
@@ -274,26 +257,25 @@ type state struct {
 // chunk ledger to drain (or fail), performs the Commit, and returns the
 // deterministic per-path report.
 func Run(p *simproc.Proc, spec Spec, paths []Path, env Env) (Report, error) {
-	spec = spec.withDefaults()
+	if spec.Chunk <= 0 {
+		spec.Chunk = core.DefaultResumeChunk
+	}
 	if len(paths) == 0 {
 		return Report{}, fmt.Errorf("multipath: no paths")
 	}
 	if spec.Name == "" || spec.Size <= 0 {
 		return Report{}, fmt.Errorf("multipath: spec needs a name and positive size")
 	}
-	sizes := Layout(spec.Size, spec.Chunk, len(paths), spec.TailSplit)
+	sizes := Layout(spec.Size, spec.Chunk, len(paths), tailSplit)
 	n := len(sizes)
 	st := &state{
 		spec:         spec,
 		env:          env,
 		chunks:       make([]chunk, n),
 		pending:      n,
-		dupBudget:    spec.HedgeMaxFrac * spec.Size,
+		dupBudget:    hedgeMaxFrac * spec.Size,
 		lastProgress: float64(p.Now()),
 		exitQ:        simproc.NewQueue[int](p.Runner()),
-	}
-	if spec.HedgeMaxFrac < 0 {
-		st.dupBudget = 0
 	}
 	for i := range st.chunks {
 		st.chunks[i] = chunk{size: sizes[i], owner: -1, committedBy: -1}
@@ -360,14 +342,14 @@ func (st *state) usable(ps *pathState, existing bool) bool {
 }
 
 // stalled fails the whole transfer when nothing has committed for
-// StallTimeout; it returns true once the transfer is finished (stalled
+// stallTimeout; it returns true once the transfer is finished (stalled
 // now or finished earlier) so pollers know to exit.
 func (st *state) stalled(p *simproc.Proc) bool {
 	if st.finished {
 		return true
 	}
-	if float64(p.Now())-st.lastProgress > st.spec.StallTimeout {
-		st.fail(fmt.Errorf("multipath: no chunk committed in %.0fs: %w", st.spec.StallTimeout, ErrNoPath))
+	if float64(p.Now())-st.lastProgress > stallTimeout {
+		st.fail(fmt.Errorf("multipath: no chunk committed in %.0fs: %w", stallTimeout, ErrNoPath))
 		return true
 	}
 	return false
@@ -423,7 +405,7 @@ func (st *state) claimHedge(ps *pathState, now float64) (int, bool, bool) {
 	if len(rates) == 0 {
 		return 0, false, false
 	}
-	cut := stats.Quantile(rates, st.spec.StragglerQuantile)
+	cut := stats.Quantile(rates, stragglerQuantile)
 	myRate := ps.rate(now)
 	best, bestRate := -1, math.Inf(1)
 	for i := range st.chunks {

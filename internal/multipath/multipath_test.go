@@ -110,11 +110,12 @@ func TestStripeProportionalAndCommit(t *testing.T) {
 func TestHedgeReclaimsStraggler(t *testing.T) {
 	// The crawl path grabs a chunk early and takes ~400s on it; the
 	// fast path finishes the rest and must hedge the straggler's chunk
-	// instead of idling until the crawl completes.
+	// instead of idling until the crawl completes. At 64 MB the
+	// duplication budget (9.6 MB) covers one full 8 MB chunk.
 	var rep Report
 	var err error
 	drive(t, func(p *simproc.Proc) {
-		rep, err = Run(p, Spec{Name: "h.bin", Size: 40e6, Chunk: 8e6, HedgeMaxFrac: 0.25}, []Path{
+		rep, err = Run(p, Spec{Name: "h.bin", Size: 64e6, Chunk: 8e6}, []Path{
 			{ID: 0, Route: core.DirectRoute, Upload: &fakeUploader{rate: 4e6}},
 			{ID: 1, Route: core.ViaRoute("UMich"), Upload: &fakeUploader{rate: 0.02e6}},
 		}, Env{})
@@ -129,18 +130,19 @@ func TestHedgeReclaimsStraggler(t *testing.T) {
 	if rep.Seconds > 60 {
 		t.Errorf("transfer took %.1fs; hedging should finish well under the straggler's 400s", rep.Seconds)
 	}
-	if rep.DuplicateBytes > 0.25*40e6 {
-		t.Errorf("duplicate bytes %.0f exceed HedgeMaxFrac budget %.0f", rep.DuplicateBytes, 0.25*40e6)
+	if rep.DuplicateBytes > hedgeMaxFrac*rep.Size {
+		t.Errorf("duplicate bytes %.0f exceed hedgeMaxFrac budget %.0f", rep.DuplicateBytes, hedgeMaxFrac*rep.Size)
 	}
 }
 
 func TestHedgeBudgetCapsDuplication(t *testing.T) {
-	// With a zero-ish budget (negative disables), the fast path may NOT
-	// duplicate: it waits for the straggler.
+	// A 16 MB transfer's duplication budget (2.4 MB) cannot fit one of
+	// its 8 MB chunks, so the fast path may NOT duplicate: it waits for
+	// the straggler.
 	var rep Report
 	var err error
 	drive(t, func(p *simproc.Proc) {
-		rep, err = Run(p, Spec{Name: "b.bin", Size: 16e6, Chunk: 8e6, HedgeMaxFrac: -1, StallTimeout: 5000}, []Path{
+		rep, err = Run(p, Spec{Name: "b.bin", Size: 16e6, Chunk: 8e6}, []Path{
 			{ID: 0, Route: core.DirectRoute, Upload: &fakeUploader{rate: 8e6}},
 			{ID: 1, Route: core.ViaRoute("UMich"), Upload: &fakeUploader{rate: 0.01e6}},
 		}, Env{})
@@ -149,8 +151,11 @@ func TestHedgeBudgetCapsDuplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	coverage(t, rep)
+	if rep.DuplicateBytes > hedgeMaxFrac*rep.Size {
+		t.Errorf("duplicate bytes %.0f exceed hedgeMaxFrac budget %.0f", rep.DuplicateBytes, hedgeMaxFrac*rep.Size)
+	}
 	if rep.HedgedChunks != 0 || rep.DuplicateBytes != 0 {
-		t.Errorf("hedging disabled but hedged=%d dup=%.0f", rep.HedgedChunks, rep.DuplicateBytes)
+		t.Errorf("no chunk fits the budget but hedged=%d dup=%.0f", rep.HedgedChunks, rep.DuplicateBytes)
 	}
 }
 
@@ -158,14 +163,16 @@ func TestFailureReleasesChunkToOtherPath(t *testing.T) {
 	// Path 1 fails every dispatch (and its in-place retry) until it
 	// retires; each chunk it claimed must come back to pending and land
 	// via path 0.
+	// 24 MB over two paths is too small for a split tail: three 8 MB
+	// chunks.
 	flaky := &fakeUploader{rate: 4e6, fails: map[string]int{}}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		flaky.fails[PartName("f.bin", i)] = 99
 	}
 	var rep Report
 	var err error
 	drive(t, func(p *simproc.Proc) {
-		rep, err = Run(p, Spec{Name: "f.bin", Size: 32e6, Chunk: 8e6, TailSplit: 1}, []Path{
+		rep, err = Run(p, Spec{Name: "f.bin", Size: 24e6, Chunk: 8e6}, []Path{
 			{ID: 0, Route: core.DirectRoute, Upload: &fakeUploader{rate: 4e6}},
 			{ID: 1, Route: core.ViaRoute("UAlberta"), Upload: flaky},
 		}, Env{})
@@ -251,7 +258,7 @@ func TestAllPathsRetiredFails(t *testing.T) {
 func TestStallTimeout(t *testing.T) {
 	var err error
 	drive(t, func(p *simproc.Proc) {
-		_, err = Run(p, Spec{Name: "s.bin", Size: 8e6, Chunk: 8e6, StallTimeout: 30}, []Path{
+		_, err = Run(p, Spec{Name: "s.bin", Size: 8e6, Chunk: 8e6}, []Path{
 			{ID: 0, Route: core.DirectRoute, Upload: &fakeUploader{rate: 1e6}},
 		}, Env{Usable: func(core.Route, bool) bool { return false }})
 	})
@@ -265,7 +272,7 @@ func TestAbortInvokedOnHedgeLoser(t *testing.T) {
 	var rep Report
 	var err error
 	drive(t, func(p *simproc.Proc) {
-		rep, err = Run(p, Spec{Name: "a.bin", Size: 24e6, Chunk: 8e6, HedgeMaxFrac: 0.5}, []Path{
+		rep, err = Run(p, Spec{Name: "a.bin", Size: 64e6, Chunk: 8e6}, []Path{
 			{ID: 0, Route: core.DirectRoute, Upload: &fakeUploader{rate: 8e6}},
 			{ID: 1, Route: core.ViaRoute("UMich"), Upload: &fakeUploader{rate: 0.05e6}},
 		}, Env{Abort: func(path Path) { aborted = append(aborted, path.ID) }})
@@ -298,8 +305,9 @@ func (g grayUploader) UploadChunk(p *simproc.Proc, part string, size float64, ck
 // TestLaneWatchdogAbortsStalledLane: with a finite Env.Budget, a lane
 // whose dispatch outlives its budget is reported as mp.lane.stall and
 // aborted once, and the chunk it held is released at once and lands on
-// the healthy lane. Hedging is off, so only the watchdog can take the
-// chunk back.
+// the healthy lane. The duplication budget of a 24 MB transfer
+// (3.6 MB) cannot fit one of its 8 MB chunks, so only the watchdog can
+// take the chunk back.
 func TestLaneWatchdogAbortsStalledLane(t *testing.T) {
 	eng := simclock.NewEngine()
 	log := tracelog.New(eng)
@@ -308,7 +316,7 @@ func TestLaneWatchdogAbortsStalledLane(t *testing.T) {
 	var err error
 	r := simproc.New(eng)
 	r.Go("test", func(p *simproc.Proc) {
-		rep, err = Run(p, Spec{Name: "w.bin", Size: 32e6, Chunk: 8e6, TailSplit: 1, HedgeMaxFrac: -1}, []Path{
+		rep, err = Run(p, Spec{Name: "w.bin", Size: 24e6, Chunk: 8e6}, []Path{
 			{ID: 0, Route: core.DirectRoute, Upload: &fakeUploader{rate: 4e6}},
 			{ID: 1, Route: core.ViaRoute("UAlberta"), Upload: grayUploader{rate: 0.01e6}},
 		}, Env{

@@ -78,7 +78,7 @@ func (st *state) report(elapsed float64) Report {
 		Name:         st.spec.Name,
 		Size:         st.spec.Size,
 		Chunk:        st.spec.Chunk,
-		TailSplit:    st.spec.TailSplit,
+		TailSplit:    tailSplit,
 		NumChunks:    len(st.chunks),
 		Seconds:      elapsed,
 		ResentChunks: st.resent,

@@ -53,15 +53,9 @@ func grayfailSpec(seed int64, stack bool) Spec {
 	return sp
 }
 
-// armHealth gives the arm a health tracker on the virtual clock. One
-// canary per few transfers: jobs run tens of seconds, so 60 s (doubling
-// per miss) probes a probationary route often enough to re-admit it
-// promptly once a window closes without flooding it while the window
-// is open.
+// armHealth gives the arm a health tracker on the virtual clock.
 func armHealth(e *Env) {
-	e.Config.Health = health.New(health.Options{
-		Now: e.Exec.VirtualNow, Trace: e.World.Trace, CanaryInterval: 60,
-	})
+	e.Config.Health = health.New(health.Options{Now: e.Exec.VirtualNow, Trace: e.World.Trace})
 }
 
 // Grayfail replays the gray-failure schedule as the no-health ablation

@@ -200,3 +200,12 @@ type taggedError struct {
 func (t taggedError) Error() string        { return t.tag.Error() + ": " + t.err.Error() }
 func (t taggedError) Is(target error) bool { return target == t.tag }
 func (t taggedError) Unwrap() error        { return t.err }
+
+// hintedError is a typed cause that also carries the provider's
+// Retry-After pacing hint in seconds, which the executor records on a
+// 429 or 507. It is a type of its own so that the common hint-less
+// causes stay two words.
+type hintedError struct {
+	taggedError
+	retryAfter float64
+}

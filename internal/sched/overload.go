@@ -102,15 +102,19 @@ func (b *brownout) observe(util float64) bool {
 // direct hedge launches only once that budget is exceeded. Guarded by
 // the scheduler's mu.
 type latencyTracker struct {
-	window int
-	rings  map[core.Route]*sampleRing // route → last window sec/byte
+	rings map[core.Route]*sampleRing // route → last latencyWindow sec/byte
 }
 
-func newLatencyTracker(window int) *latencyTracker {
-	if window <= 0 {
-		window = 64
-	}
-	return &latencyTracker{window: window, rings: make(map[core.Route]*sampleRing)}
+// latencyWindow is how many recent transfers each route's latency ring
+// keeps.
+const latencyWindow = 64
+
+// delayWindow is how many admitted jobs' queue delays the scheduler
+// keeps for Stats' p99.
+const delayWindow = 1024
+
+func newLatencyTracker() *latencyTracker {
+	return &latencyTracker{rings: make(map[core.Route]*sampleRing)}
 }
 
 // note records one completed transfer on a route.
@@ -120,7 +124,7 @@ func (t *latencyTracker) note(route core.Route, seconds, bytes float64) {
 	}
 	r := t.rings[route]
 	if r == nil {
-		r = newSampleRing(t.window)
+		r = newSampleRing(latencyWindow)
 		t.rings[route] = r
 	}
 	r.note(seconds / bytes)
@@ -154,9 +158,6 @@ type sampleRing struct {
 }
 
 func newSampleRing(n int) *sampleRing {
-	if n <= 0 {
-		n = 1024
-	}
 	return &sampleRing{buf: make([]float64, 0, n)}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"detournet/internal/core"
-	"detournet/internal/httpsim"
 )
 
 // reclaimExec wraps countingExec with a QuotaReclaimer whose freed
@@ -31,12 +30,11 @@ func (e *reclaimExec) reclaimCalls() int {
 	return e.calls
 }
 
-// quota507 builds the typed error a 507 Insufficient Storage surfaces
-// through the SDK: FailQuota class, Retry-After hint in the chain.
+// quota507 builds the typed cause the executor returns for a 507
+// Insufficient Storage: FailQuota class, the Retry-After hint recorded
+// on it.
 func quota507(retryAfter float64) error {
-	return Quota(&httpsim.StatusError{
-		Status: httpsim.StatusInsufficientStorage, RetryAfter: retryAfter,
-	})
+	return &hintedError{taggedError{tag: core.ErrQuotaExhausted, err: errors.New("httpsim: status 507: insufficient storage")}, retryAfter}
 }
 
 // TestQuotaReclaimRetryFloorsBackoff: when session reclaim frees bytes,

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -46,13 +47,17 @@ func retryAfterSchedRun(t *testing.T, failErr error) []float64 {
 	return delays
 }
 
+// throttled builds the typed cause the executor returns for a provider
+// 429 whose Retry-After header said sec seconds.
+func throttled(sec float64) error {
+	return &hintedError{taggedError{tag: ErrTransient, err: errors.New("httpsim: status 429: slow down")}, sec}
+}
+
 // TestRetryAfterFloorsBackoff: a provider 429 carrying Retry-After
 // floors the retry delay at the hint — backing off into the same
 // throttle window just burns an attempt.
 func TestRetryAfterFloorsBackoff(t *testing.T) {
-	delays := retryAfterSchedRun(t, Transient(&httpsim.StatusError{
-		Status: httpsim.StatusTooManyRequests, RetryAfter: 5,
-	}))
+	delays := retryAfterSchedRun(t, throttled(5))
 	if len(delays) != 1 || delays[0] != 5 {
 		t.Fatalf("sleeps = %v, want exactly [5] (the Retry-After hint)", delays)
 	}
@@ -61,18 +66,17 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 // TestRetryAfterFloorCapped: a pathological Retry-After cannot park a
 // worker for minutes — the floor caps at maxRetryAfterFloor.
 func TestRetryAfterFloorCapped(t *testing.T) {
-	delays := retryAfterSchedRun(t, Transient(&httpsim.StatusError{
-		Status: httpsim.StatusTooManyRequests, RetryAfter: 9000,
-	}))
+	delays := retryAfterSchedRun(t, throttled(9000))
 	if len(delays) != 1 || delays[0] != maxRetryAfterFloor {
 		t.Fatalf("sleeps = %v, want [%v] (capped hint)", delays, float64(maxRetryAfterFloor))
 	}
 }
 
 // TestRetryAfterIgnoredForOtherErrors: the floor only honors a 429's
-// hint; a plain 500 keeps the retry curve.
+// hint; a plain 500 keeps the retry curve even when its response
+// carried a Retry-After header.
 func TestRetryAfterIgnoredForOtherErrors(t *testing.T) {
-	delays := retryAfterSchedRun(t, Transient(&httpsim.StatusError{
+	delays := retryAfterSchedRun(t, classifyExecErr(&httpsim.StatusError{
 		Status: httpsim.StatusInternalServerError, RetryAfter: 30,
 	}))
 	if curve := retryBackoff.Delay(1, 0); len(delays) != 1 || delays[0] > curve {

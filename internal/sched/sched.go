@@ -30,7 +30,6 @@ import (
 
 	"detournet/internal/core"
 	"detournet/internal/health"
-	"detournet/internal/httpsim"
 	"detournet/internal/multipath"
 	"detournet/internal/telemetry"
 )
@@ -515,8 +514,8 @@ func New(cfg Config) *Scheduler {
 		buckets:  newTenantBuckets(cfg.TenantRate, max(1, cfg.TenantRate), cfg.Now),
 		codel:    newCodel(cfg.CoDelTarget, codelAlpha),
 		planning: make(map[CacheKey]*planCall),
-		lat:      newLatencyTracker(0),
-		delays:   newSampleRing(0),
+		lat:      newLatencyTracker(),
+		delays:   newSampleRing(delayWindow),
 		met:      newSchedMetrics(cfg.Telemetry),
 		rec:      cfg.Recorder,
 	}
@@ -1304,22 +1303,20 @@ const maxRetryAfterFloor = 60
 // carried no Retry-After header.
 const defaultQuotaParkAfter = 30
 
-// retryAfterHint extracts the provider's Retry-After pacing hint from
-// a 429 (throttle) or 507 (quota) in the error chain — 0 when there is
-// none. Backoff delays are floored by it: retrying into the same
-// throttle or quota window just burns an attempt.
+// retryAfterHint reads the provider's Retry-After pacing hint that the
+// executor recorded on the typed cause of a 429 (throttle) or 507
+// (quota) — 0 when there is none. Backoff delays are floored by it:
+// retrying into the same throttle or quota window just burns an
+// attempt.
 func retryAfterHint(err error) float64 {
-	var se *httpsim.StatusError
-	if !errors.As(err, &se) || se.RetryAfter <= 0 {
+	var he *hintedError
+	if !errors.As(err, &he) || he.retryAfter <= 0 {
 		return 0
 	}
-	if se.Status != httpsim.StatusTooManyRequests && se.Status != httpsim.StatusInsufficientStorage {
-		return 0
-	}
-	if se.RetryAfter > maxRetryAfterFloor {
+	if he.retryAfter > maxRetryAfterFloor {
 		return maxRetryAfterFloor
 	}
-	return se.RetryAfter
+	return he.retryAfter
 }
 
 // nextAltProvider returns the first allowed spill target the job has

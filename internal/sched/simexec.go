@@ -207,10 +207,7 @@ func (e *SimExecutor) ExecuteResumable(job Job, route core.Route, ck *core.Check
 // so the scheduler's failover resumes elsewhere instead of restarting.
 // Callers hold e.mu and run inside a workload.
 func (e *SimExecutor) runWatched(p *simproc.Proc, job Job, route core.Route, ck *core.Checkpoint) (core.Report, error) {
-	h := e.health
-	budget := h.Budget(health.ClassRoute, route.String(), job.Size)
-	interval := h.CheckInterval()
-	grace := h.NoProgressGrace()
+	budget := e.health.Budget(health.ClassRoute, route.String(), job.Size)
 	start := float64(p.Now())
 	// The checkpoint persists across attempts; a latch left over from a
 	// previous watchdog abort must not fire this attempt instantly.
@@ -241,7 +238,7 @@ func (e *SimExecutor) runWatched(p *simproc.Proc, job Job, route core.Route, ck 
 	lastMark, lastAdvance := watermark, start
 	reason := ""
 	for !done.IsSet() {
-		p.Sleep(simclock.Duration(interval))
+		p.Sleep(simclock.Duration(health.CheckInterval))
 		if done.IsSet() {
 			break
 		}
@@ -252,7 +249,7 @@ func (e *SimExecutor) runWatched(p *simproc.Proc, job Job, route core.Route, ck 
 		switch {
 		case now-start > budget:
 			reason = fmt.Sprintf("exceeded budget %.0fs", budget)
-		case now-lastAdvance > grace:
+		case now-lastAdvance > health.NoProgressGrace:
 			reason = fmt.Sprintf("no progress for %.0fs", now-lastAdvance)
 		}
 		if reason != "" {
@@ -676,10 +673,12 @@ func classifyExecErr(err error) error {
 			// Storage quota exhaustion: a property of the provider
 			// account, not of any route. Must precede the generic >=500
 			// case — a 507 retried on another route fails identically.
-			return Quota(err)
+			return &hintedError{taggedError{tag: core.ErrQuotaExhausted, err: err}, se.RetryAfter}
 		case se.Status == httpsim.StatusServiceUnavailable:
 			return ProviderDown(err)
-		case se.Status >= 500 || se.Status == httpsim.StatusTooManyRequests:
+		case se.Status == httpsim.StatusTooManyRequests:
+			return &hintedError{taggedError{tag: ErrTransient, err: err}, se.RetryAfter}
+		case se.Status >= 500:
 			return Transient(err)
 		}
 		return err

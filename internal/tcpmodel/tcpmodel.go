@@ -18,42 +18,34 @@ import (
 	"detournet/internal/simclock"
 )
 
-// Params are per-connection TCP/TLS constants.
+// The connection constants of the paper's 2015 setting.
+const (
+	// mss is the maximum segment size in bytes.
+	mss float64 = 1460
+	// initCwndSegments is the initial congestion window in segments
+	// (RFC 6928's IW10 was deployed by 2015).
+	initCwndSegments float64 = 10
+	// connectRTTs is the round trips consumed before the first data
+	// byte on a new TCP connection (SYN, SYN-ACK, then data rides with
+	// the ACK).
+	connectRTTs float64 = 1
+	// tlsRTTs is the extra round trips for a full TLS handshake (TLS
+	// 1.2 without resumption, as the 2015 provider endpoints).
+	tlsRTTs float64 = 2
+)
+
+// Params are the per-network TCP settings.
 type Params struct {
-	// MSS is the maximum segment size in bytes. Default 1460.
-	MSS float64
-	// InitCwndSegments is the initial congestion window in segments
-	// (RFC 6928's IW10 was deployed by 2015). Default 10.
-	InitCwndSegments float64
 	// RwndBytes is the receive-window cap in bytes; throughput never
 	// exceeds RwndBytes/RTT. Default 1 MiB, a typical 2015 default for
 	// untuned Linux hosts such as PlanetLab slivers.
 	RwndBytes float64
-	// ConnectRTTs is the round trips consumed before the first data byte
-	// on a new TCP connection. Default 1 (SYN, SYN-ACK, then data rides
-	// with the ACK).
-	ConnectRTTs float64
-	// TLSRTTs is the extra round trips for a full TLS handshake. Default
-	// 2 (TLS 1.2 without resumption, as the 2015 provider endpoints).
-	TLSRTTs float64
 }
 
-// WithDefaults fills zero fields with the defaults above.
+// WithDefaults fills a zero RwndBytes with its default.
 func (p Params) WithDefaults() Params {
-	if p.MSS <= 0 {
-		p.MSS = 1460
-	}
-	if p.InitCwndSegments <= 0 {
-		p.InitCwndSegments = 10
-	}
 	if p.RwndBytes <= 0 {
 		p.RwndBytes = 1 << 20
-	}
-	if p.ConnectRTTs <= 0 {
-		p.ConnectRTTs = 1
-	}
-	if p.TLSRTTs <= 0 {
-		p.TLSRTTs = 2
 	}
 	return p
 }
@@ -61,11 +53,10 @@ func (p Params) WithDefaults() Params {
 // ConnectDelay returns the virtual time consumed by connection
 // establishment on a path with the given RTT, including TLS when tls is
 // set.
-func (p Params) ConnectDelay(rtt float64, tls bool) float64 {
-	p = p.WithDefaults()
-	d := p.ConnectRTTs * rtt
+func ConnectDelay(rtt float64, tls bool) float64 {
+	d := connectRTTs * rtt
 	if tls {
-		d += p.TLSRTTs * rtt
+		d += tlsRTTs * rtt
 	}
 	return d
 }
@@ -88,9 +79,8 @@ type Cwnd struct {
 }
 
 // NewCwnd returns a window at the initial size IW*MSS.
-func NewCwnd(p Params) *Cwnd {
-	p = p.WithDefaults()
-	return &Cwnd{bytes: p.InitCwndSegments * p.MSS}
+func NewCwnd() *Cwnd {
+	return &Cwnd{bytes: initCwndSegments * mss}
 }
 
 // Bytes returns the current window size in bytes.
@@ -190,7 +180,6 @@ func (r *Ramp) Stop() {
 // EstimateTransferTime returns the closed-form time to move size bytes
 // over a path with the given steady rate and RTT under this model:
 // slow-start doublings from the initial window, then the steady rate.
-// The detour selector uses it to predict transfer times from probe data.
 func (p Params) EstimateTransferTime(size, steadyRate, rtt float64) float64 {
 	p = p.WithDefaults()
 	if size <= 0 {
@@ -200,7 +189,7 @@ func (p Params) EstimateTransferTime(size, steadyRate, rtt float64) float64 {
 		return math.Inf(1)
 	}
 	steadyRate = math.Min(steadyRate, p.MaxRate(rtt))
-	w := p.InitCwndSegments * p.MSS // bytes sent in the first RTT
+	w := initCwndSegments * mss // bytes sent in the first RTT
 	var t, sent float64
 	for sent < size && w < steadyRate*rtt {
 		send := math.Min(w, size-sent)

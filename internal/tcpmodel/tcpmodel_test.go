@@ -11,17 +11,16 @@ import (
 
 func TestDefaults(t *testing.T) {
 	p := Params{}.WithDefaults()
-	if p.MSS != 1460 || p.InitCwndSegments != 10 || p.RwndBytes != 1<<20 {
+	if p.RwndBytes != 1<<20 {
 		t.Fatalf("defaults = %+v", p)
 	}
 }
 
 func TestConnectDelay(t *testing.T) {
-	p := Params{}
-	if d := p.ConnectDelay(0.040, false); math.Abs(d-0.040) > 1e-12 {
+	if d := ConnectDelay(0.040, false); math.Abs(d-0.040) > 1e-12 {
 		t.Fatalf("TCP connect = %v, want 1 RTT", d)
 	}
-	if d := p.ConnectDelay(0.040, true); math.Abs(d-0.120) > 1e-12 {
+	if d := ConnectDelay(0.040, true); math.Abs(d-0.120) > 1e-12 {
 		t.Fatalf("TLS connect = %v, want 3 RTT", d)
 	}
 }
@@ -37,7 +36,7 @@ func TestMaxRate(t *testing.T) {
 }
 
 func TestCwndStartsAtIW(t *testing.T) {
-	c := NewCwnd(Params{})
+	c := NewCwnd()
 	if c.Bytes() != 14600 {
 		t.Fatalf("initial cwnd = %v, want 14600", c.Bytes())
 	}
@@ -51,7 +50,7 @@ func TestRampDoublesToRwnd(t *testing.T) {
 	fl := fluid.New(eng)
 	l := fl.AddLink("l", 1e12, 0.05) // effectively unconstrained link
 	params := Params{RwndBytes: 1 << 20}
-	cwnd := NewCwnd(params)
+	cwnd := NewCwnd()
 	f := fl.StartFlow([]*fluid.Link{l}, 1e15, fluid.FlowOpts{})
 	NewRamp(fl, cwnd, params, 0.1).Start(f)
 	if got := f.Cap(); math.Abs(got-146000) > 1 {
@@ -79,7 +78,7 @@ func TestRampStopsWhenFlowDone(t *testing.T) {
 	fl := fluid.New(eng)
 	l := fl.AddLink("l", 1e6, 0.01)
 	params := Params{}
-	cwnd := NewCwnd(params)
+	cwnd := NewCwnd()
 	f := fl.StartFlow([]*fluid.Link{l}, 20000, fluid.FlowOpts{})
 	NewRamp(fl, cwnd, params, 0.1).Start(f)
 	eng.Run() // must terminate: ramp must not keep scheduling forever
@@ -93,7 +92,7 @@ func TestRampStopCancels(t *testing.T) {
 	fl := fluid.New(eng)
 	l := fl.AddLink("l", 1e9, 0.01)
 	params := Params{}
-	cwnd := NewCwnd(params)
+	cwnd := NewCwnd()
 	f := fl.StartFlow([]*fluid.Link{l}, 1e12, fluid.FlowOpts{})
 	r := NewRamp(fl, cwnd, params, 0.1)
 	r.Start(f)
@@ -115,7 +114,7 @@ func TestRampRestartsInPlace(t *testing.T) {
 	fl := fluid.New(eng)
 	l := fl.AddLink("l", 1e12, 0.01)
 	params := Params{RwndBytes: 1 << 30} // never saturates here
-	cwnd := NewCwnd(params)
+	cwnd := NewCwnd()
 	r := NewRamp(fl, cwnd, params, 0.1)
 	for i := 0; i < 5; i++ {
 		f := fl.StartFlow([]*fluid.Link{l}, 1e15, fluid.FlowOpts{})
@@ -149,7 +148,7 @@ func TestCwndSharedAcrossTransfers(t *testing.T) {
 	fl := fluid.New(eng)
 	l := fl.AddLink("l", 1e9, 0.01)
 	params := Params{RwndBytes: 1 << 20}
-	cwnd := NewCwnd(params)
+	cwnd := NewCwnd()
 	r := NewRamp(fl, cwnd, params, 0.05)
 	f1 := fl.StartFlow([]*fluid.Link{l}, 5e6, fluid.FlowOpts{})
 	r.Start(f1)
@@ -174,7 +173,7 @@ func TestSlowStartMakesSmallTransfersSublinear(t *testing.T) {
 		fl := fluid.New(eng)
 		l := fl.AddLink("l", 1e7, 0.025)
 		params := Params{RwndBytes: 4 << 20}
-		cwnd := NewCwnd(params)
+		cwnd := NewCwnd()
 		f := fl.StartFlow([]*fluid.Link{l}, bytes, fluid.FlowOpts{})
 		NewRamp(fl, cwnd, params, 0.05).Start(f)
 		eng.Run()
@@ -201,7 +200,7 @@ func TestEstimateTransferTimeMatchesSimulation(t *testing.T) {
 		eng := simclock.NewEngine()
 		fl := fluid.New(eng)
 		l := fl.AddLink("l", rate, rtt/2)
-		cwnd := NewCwnd(params)
+		cwnd := NewCwnd()
 		f := fl.StartFlow([]*fluid.Link{l}, size, fluid.FlowOpts{})
 		NewRamp(fl, cwnd, params, rtt).Start(f)
 		eng.Run()

@@ -33,19 +33,16 @@ type Options struct {
 	// Jitter, when non-nil, perturbs probe RTTs like real queueing noise;
 	// nil keeps probes deterministic.
 	Jitter *rand.Rand
-	// MaxTTL truncates long paths (default 30, like the real tool).
-	MaxTTL int
 }
+
+// maxTTL truncates long paths, like the real tool's default.
+const maxTTL = 30
 
 // Run traces from src to dst along the currently routed path.
 func Run(g *topology.Graph, src, dst string, opts Options) (*Result, error) {
 	path, err := g.Path(src, dst)
 	if err != nil {
 		return nil, err
-	}
-	maxTTL := opts.MaxTTL
-	if maxTTL <= 0 {
-		maxTTL = 30
 	}
 	res := &Result{Src: path[0], Dst: path[len(path)-1]}
 	var cum float64 // one-way cumulative delay to the current hop

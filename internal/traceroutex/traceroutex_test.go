@@ -1,6 +1,7 @@
 package traceroutex
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -108,11 +109,22 @@ func TestJitterPerturbsProbes(t *testing.T) {
 	}
 }
 
+// TestMaxTTLTruncates: a chain of 40 hops is traced only to maxTTL.
 func TestMaxTTLTruncates(t *testing.T) {
-	g := buildGraph()
-	res, _ := Run(g, "src", "dst", Options{MaxTTL: 1})
-	if len(res.Hops) != 1 {
-		t.Fatalf("hops = %d, want 1", len(res.Hops))
+	g := topology.New(fluid.New(simclock.NewEngine()))
+	spec := topology.LinkSpec{CapacityBps: 1e6, DelaySec: 0.001}
+	for i := 0; i <= 40; i++ {
+		g.MustAddNode(&topology.Node{Name: fmt.Sprint("n", i), RespondsICMP: true})
+		if i > 0 {
+			g.MustConnect(fmt.Sprint("n", i-1), fmt.Sprint("n", i), spec)
+		}
+	}
+	res, err := Run(g, "n0", "n40", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Hops) != maxTTL || res.Hops[maxTTL-1].Node.Name != fmt.Sprint("n", maxTTL) {
+		t.Fatalf("hops = %d, want the first %d", len(res.Hops), maxTTL)
 	}
 }
 

@@ -142,8 +142,6 @@ type DialOpts struct {
 	// TLS adds the TLS handshake round trips and marks the connection
 	// encrypted.
 	TLS bool
-	// Params overrides the Net's TCP parameters for this connection.
-	Params *tcpmodel.Params
 }
 
 // Message is one application message as received.
@@ -209,18 +207,14 @@ func (n *Net) Dial(p *simproc.Proc, srcHost, dstHost string, port int, opts Dial
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	params := n.params
-	if opts.Params != nil {
-		params = opts.Params.WithDefaults()
-	}
 	rtt := fluid.PathDelay(fwd) + fluid.PathDelay(rev)
-	p.Sleep(params.ConnectDelay(rtt, opts.TLS))
+	p.Sleep(tcpmodel.ConnectDelay(rtt, opts.TLS))
 	if l.closed { // listener vanished during the handshake
 		return nil, fmt.Errorf("%w: %s", ErrRefused, addrKey(dstHost, port))
 	}
 
-	client := n.newConn(srcHost, dstHost, port, opts.TLS, params, rtt, fwd)
-	server := n.newConn(dstHost, srcHost, port, opts.TLS, params, rtt, rev)
+	client := n.newConn(srcHost, dstHost, port, opts.TLS, rtt, fwd)
+	server := n.newConn(dstHost, srcHost, port, opts.TLS, rtt, rev)
 	client.peer = server
 	server.peer = client
 	l.backlog.Push(server)
@@ -228,15 +222,15 @@ func (n *Net) Dial(p *simproc.Proc, srcHost, dstHost string, port int, opts Dial
 }
 
 // newConn builds one endpoint sending over links.
-func (n *Net) newConn(local, remote string, port int, tls bool, params tcpmodel.Params, rtt float64, links []*fluid.Link) *Conn {
+func (n *Net) newConn(local, remote string, port int, tls bool, rtt float64, links []*fluid.Link) *Conn {
 	c := &Conn{
 		net: n, local: local, remote: remote, port: port, tls: tls,
 		rtt:      rtt,
 		fwdLinks: links, fwdDelay: fluid.PathDelay(links),
-		sendCwnd: *tcpmodel.NewCwnd(params),
+		sendCwnd: *tcpmodel.NewCwnd(),
 		inbox:    simproc.NewQueue[inboxItem](n.runner),
 	}
-	c.sendRamp = tcpmodel.NewRamp(n.g.Fluid(), &c.sendCwnd, params, rtt)
+	c.sendRamp = tcpmodel.NewRamp(n.g.Fluid(), &c.sendCwnd, n.params, rtt)
 	c.sendDone = simproc.NewQueue[bool](n.runner)
 	c.sendOpts = fluid.FlowOpts{
 		OnComplete: func(*fluid.Flow) { c.sendDone.Push(true) },

@@ -15,6 +15,13 @@ import (
 // world builds: client -- 10 MB/s, 10ms -- router -- 5 MB/s, 15ms -- server
 func world(t *testing.T) (*Net, *simproc.Runner) {
 	t.Helper()
+	return worldRwnd(t, 4<<20)
+}
+
+// worldRwnd builds world's topology on a Net with the given receive
+// window.
+func worldRwnd(t *testing.T, rwnd float64) (*Net, *simproc.Runner) {
+	t.Helper()
 	eng := simclock.NewEngine()
 	r := simproc.New(eng)
 	g := topology.New(fluid.New(eng))
@@ -24,7 +31,7 @@ func world(t *testing.T) (*Net, *simproc.Runner) {
 	g.MustConnect("client", "router", topology.LinkSpec{CapacityBps: 10e6, DelaySec: 0.010})
 	g.MustConnect("router", "server", topology.LinkSpec{CapacityBps: 5e6, DelaySec: 0.015})
 	g.MustConnect("router", "other", topology.LinkSpec{CapacityBps: 5e6, DelaySec: 0.005})
-	return NewNet(g, r, tcpmodel.Params{RwndBytes: 4 << 20}), r
+	return NewNet(g, r, tcpmodel.Params{RwndBytes: rwnd}), r
 }
 
 func TestDialRefusedWithoutListener(t *testing.T) {
@@ -121,16 +128,15 @@ func TestBulkTransferTime(t *testing.T) {
 }
 
 func TestSmallRwndCapsThroughput(t *testing.T) {
-	n, r := world(t)
+	n, r := worldRwnd(t, 64<<10) // 64 KiB on a 50ms path = 1.31 MB/s
 	l := n.MustListen("server", 80)
 	r.Go("srv", func(p *simproc.Proc) {
 		c, _ := l.Accept(p)
 		_, _ = c.Recv(p)
 	})
-	params := tcpmodel.Params{RwndBytes: 64 << 10} // 64 KiB on a 50ms path = 1.31 MB/s
 	var sendDur float64
 	r.Go("cli", func(p *simproc.Proc) {
-		c, _ := n.Dial(p, "client", "server", 80, DialOpts{Params: &params})
+		c, _ := n.Dial(p, "client", "server", 80, DialOpts{})
 		start := p.Now()
 		_ = c.Send(p, nil, 10e6)
 		sendDur = float64(p.Now() - start)
