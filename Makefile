@@ -36,15 +36,16 @@ stress:
 # compared by the TestGolden* tests that tier-1 `go test ./...` runs:
 # the stdout of the five examples (each example's TestGolden), the
 # seven deterministic scheduler replays and the 15 paper figures and
-# tables (cmd/detourbench's TestGolden), and the simulated work of
-# every paper pair and one-worker replay arm (internal/replay's
-# TestGoldenWork, work.txt). chaos and fleet are left out: their
-# worker pools interleave for real, so two runs differ.
+# tables (cmd/detourbench's TestGolden), the two one-worker daemon runs
+# detourd-default.txt and detourd-chaos.txt (cmd/detourd's TestGolden),
+# and the simulated work of every paper pair and one-worker replay arm
+# (internal/replay's TestGoldenWork, work.txt). chaos and fleet are
+# left out: their worker pools interleave for real, so two runs differ.
 # `make golden-check` compares; `make golden` rewrites every file after
 # an intended output change, through the -update flag of the packages
 # that import goldentest.
 golden:
-	$(GO) test -count=1 -run '^TestGolden' ./examples/... ./cmd/detourbench ./internal/replay -update
+	$(GO) test -count=1 -run '^TestGolden' ./examples/... ./cmd/detourbench ./cmd/detourd ./internal/replay -update
 
 golden-check:
 	$(GO) test -count=1 -run '^TestGolden' ./...

@@ -43,10 +43,11 @@ func TestGolden(t *testing.T) {
 
 // TestGoldenFilesPinned: every file under testdata/golden is compared by
 // some test — a name of the table above, the example of the same name
-// (examples/<dir> pins example-<dir>.txt), or internal/replay's work
-// table — so no golden can linger after its comparison is gone.
+// (examples/<dir> pins example-<dir>.txt), internal/replay's work
+// table, or cmd/detourd's two daemon runs — so no golden can linger
+// after its comparison is gone.
 func TestGoldenFilesPinned(t *testing.T) {
-	pinned := map[string]bool{"work.txt": true}
+	pinned := map[string]bool{"work.txt": true, "detourd-default.txt": true, "detourd-chaos.txt": true}
 	for _, e := range table {
 		if e.golden != "" {
 			pinned[e.golden] = true

@@ -35,27 +35,11 @@
 // deployment (or replay.Crashsafe with a CrashLeg.JournalPath) writes; the
 // dump only reads it. Transfer flags are ignored in this mode.
 //
-// With -health, the tool instead replays the gray-failure schedule with
-// the health stack armed and prints the operator's view of it: the
-// per-entity health table (learned baseline rates, probation state,
-// stall counts), the probation/re-admission transition log, and the
-// per-provider retry-budget ledgers. Transfer flags are ignored in
-// this mode.
-//
-// With -capacity, the tool instead replays the storage-exhaustion
-// schedule with the mitigation stack armed and prints the operator's
-// storage view: each DTN's staging-disk accounting (capacity, used,
-// headroom, evictions, orphan sweeps), each provider's quota ledger
-// (committed, pending session bytes, sessions reclaimed), and the
-// scheduler's quota-mitigation counters. Transfer flags are ignored in
-// this mode.
-//
-// With -dash, the tool instead replays the instrumented flash crowd
-// (see internal/replay.WriteDashboard) and prints the operator's terminal
-// dashboard: headline delivery and churn counters, every sampled time
-// series as a sparkline with min/max/last, and a one-line summary of
-// each failed job's flight-recorder trace. Transfer flags are ignored
-// in this mode.
+// The operator views of whole scheduler replays are printed by
+// detourbench: `-experiment telemetry` (the telemetry dashboard),
+// `-experiment grayfail` (the health table, transitions and retry
+// budgets) and `-experiment pressure` (the staging-disk and provider
+// quota tables).
 package main
 
 import (
@@ -68,7 +52,6 @@ import (
 	"detournet/internal/detourselect"
 	"detournet/internal/fileutil"
 	"detournet/internal/multipath"
-	"detournet/internal/replay"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
 	"detournet/internal/simproc"
@@ -85,33 +68,15 @@ func main() {
 		traceOut  = flag.String("trace", "", "write the transfer trace as JSON lines to this file")
 		drain     = flag.String("drain", "", "put this DTN's agent into drain before planning")
 		mpath     = flag.Bool("multipath", false, "stripe the upload across direct + all in-service detours and show per-path progress")
-		healthTab = flag.Bool("health", false, "replay the gray-failure schedule with the health stack and print the health table")
-		capTab    = flag.Bool("capacity", false, "replay the storage-exhaustion schedule with the mitigation stack and print the staging/quota tables")
 		jdump     = flag.String("journal", "", "dump this control-journal file (records, torn tail, recovered state) and exit")
-		dash      = flag.Bool("dash", false, "replay the instrumented flash crowd and print the telemetry dashboard")
 	)
 	flag.Parse()
-
-	if *dash {
-		replay.WriteDashboard(os.Stdout, *seed)
-		return
-	}
 
 	if *jdump != "" {
 		if err := sched.WriteJournalDump(os.Stdout, *jdump); err != nil {
 			fmt.Fprintf(os.Stderr, "detourctl: journal: %v\n", err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *healthTab {
-		replay.HealthTable(os.Stdout, *seed)
-		return
-	}
-
-	if *capTab {
-		replay.CapacityTable(os.Stdout, *seed)
 		return
 	}
 

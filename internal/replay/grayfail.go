@@ -142,17 +142,6 @@ func WriteGrayfail(out io.Writer, seed int64) {
 	writeHealth(out, stack.Config.Health)
 }
 
-// HealthTable replays the grayfail stack arm and prints the tracker's
-// final state the way a deployment's `detourctl -health` would read the
-// control plane: transitions, entities, retry budgets.
-func HealthTable(out io.Writer, seed int64) {
-	o := Run(grayfailSpec(seed, true))
-	st := o.Stats
-	fmt.Fprintf(out, "health after %d transfers, %.0f virtual s: %d stalls, %d stall-reroutes, %d canaries, %d budget-parked\n",
-		len(o.Results), o.VirtualSeconds, st.Stalls, st.StallReroutes, st.Canaries, st.BudgetParks)
-	writeHealth(out, o.Config.Health)
-}
-
 // writeHealth renders a health tracker's state: its transition log, one
 // row per tracked entity, and each provider's retry-bucket ledger.
 func writeHealth(out io.Writer, h *health.Tracker) {

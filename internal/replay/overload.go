@@ -72,7 +72,7 @@ func overloadTrace(seed int64) []Arrival {
 		Jobs: int(flashRate*overloadBurst) + 40, Tenants: []string{"flash"}, Prefix: "flash",
 		Arrivals: crowd,
 	}))
-	return arrivals(workload.MergeFleet(parts...))
+	return Arrivals(workload.MergeFleet(parts...))
 }
 
 // overloadSpec is one arm over the trace.

@@ -134,36 +134,6 @@ func WritePressure(out io.Writer, seed int64) {
 	writeStorage(out, stack)
 }
 
-// CapacityTable replays the pressure stack arm and prints the final
-// storage accounting the way a deployment's `detourctl -capacity` would
-// read the control plane: staging disks, provider quota ledgers, and
-// the warnings the health log carries.
-func CapacityTable(out io.Writer, seed int64) {
-	o := Run(pressureSpec(seed, true))
-	st := o.Stats
-	fmt.Fprintf(out, "storage after %d transfers, %.0f virtual s: %d quota failures, %d reclaims, %d spills, %d quota-parked; journal degraded=%v enospc-saves=%d dropped=%d\n",
-		len(o.Results), o.VirtualSeconds,
-		st.QuotaFailures, st.QuotaReclaims, st.ProviderSpills, st.QuotaParks,
-		st.JournalDegraded, st.JournalENOSPCSaves, st.JournalDropped)
-	fmt.Fprintln(out, "staging disks:")
-	for _, dtn := range scenario.DTNs {
-		sn := o.World.Daemons[dtn].Stats()
-		fmt.Fprintf(out, "  %-9s cap %4.0f MB used %4.0f MB headroom %4.0f MB reserved %4.0f MB | %d staged %d partials %d orphans | %d evictions (%.0f MB) %d orphans swept\n",
-			dtn, sn.Capacity/1e6, sn.Used/1e6, sn.Headroom/1e6, sn.Reserved/1e6,
-			sn.Staged, sn.Partials, sn.Orphans, sn.Evictions, sn.EvictedBytes/1e6, sn.OrphansSwept)
-	}
-	fmt.Fprintln(out, "provider quota:")
-	for _, name := range scenario.ProviderNames {
-		svc := o.World.Services[name]
-		used, pending := svc.Store.Used(), svc.PendingBytes()
-		fmt.Fprintf(out, "  %-12s quota %4.0f MB used %4.0f MB pending %4.0f MB free %4.0f MB | %d sessions reclaimed\n",
-			name, svc.Store.Quota/1e6, used/1e6, pending/1e6,
-			(svc.Store.Quota-used-pending)/1e6, svc.SessionsReclaimed)
-	}
-	fmt.Fprintln(out, "warnings:")
-	writeLines(out, o.Config.Health.Transitions())
-}
-
 // writeStorage renders the stack arm's final storage state: each staging
 // disk, each provider's quota ledger, and the health log's warnings.
 func writeStorage(out io.Writer, stack Outcome) {

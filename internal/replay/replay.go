@@ -1,6 +1,7 @@
-// Package replay is the one driver behind every scheduler replay: the
+// Package replay is the one driver behind every scheduler run: the
 // churn, grayfail, pressure, telemetry, multipath, crashsafe, overload,
-// fleet and chaos modes, and any new scenario. A Spec declares one arm —
+// fleet and chaos modes, the cmd/detourd daemon (one Spec built from its
+// flags), and any new scenario. A Spec declares one arm —
 // seed, world options, fault schedule, a setup hook that sizes the world
 // and wires observers, the scheduler Config, and an arrival trace — and
 // Run builds the world, arms the faults, drives the fleet through a
@@ -9,8 +10,8 @@
 // plus the report that compares them; its Write function takes a writer
 // and a seed, and `detourbench -experiment <mode>` prints it.
 //
-// Every replay but fleet and chaos (whose eight workers interleave for
-// real) is byte-identical per seed and binary:
+// Every replay but fleet, chaos and a multi-worker detourd (whose
+// workers interleave for real) is byte-identical per seed and binary:
 //   - the scheduler runs one worker unless the Spec asks for more
 //     (sequential ⇒ deterministic);
 //   - jobs due at the start are all submitted before the worker starts,
@@ -27,7 +28,8 @@
 //   - the report renderers iterate only sorted or fixed-order data.
 //
 // testdata/golden pins every deterministic mode's output, and
-// cmd/detourbench's TestGolden compares it byte for byte.
+// cmd/detourbench's TestGolden compares it byte for byte; cmd/detourd's
+// pins two one-worker daemon runs.
 package replay
 
 import (
@@ -230,9 +232,9 @@ func fleet(n int, job func(i int) sched.Job) []Arrival {
 	return out
 }
 
-// arrivals replays a generated fleet trace open-loop: each job arrives
+// Arrivals replays a generated fleet trace open-loop: each job arrives
 // at its generated time.
-func arrivals(trace []workload.FleetJob) []Arrival {
+func Arrivals(trace []workload.FleetJob) []Arrival {
 	out := make([]Arrival, len(trace))
 	for i, fj := range trace {
 		out[i] = Arrival{At: fj.At, Job: sched.Job{
@@ -246,7 +248,7 @@ func arrivals(trace []workload.FleetJob) []Arrival {
 // Batch submits a generated fleet trace closed-loop: every job is due at
 // the start, so the whole trace queues against the scheduler's caps.
 func Batch(trace []workload.FleetJob) []Arrival {
-	out := arrivals(trace)
+	out := Arrivals(trace)
 	for i := range out {
 		out[i].At = 0
 	}

@@ -149,7 +149,7 @@ func telemetrySpec(seed int64, instrument bool, dumpTo io.Writer) Spec {
 				})
 			}
 		},
-		Fleet: arrivals(trace),
+		Fleet: Arrivals(trace),
 	}
 }
 
@@ -172,12 +172,6 @@ func WriteTelemetry(out io.Writer, seed int64) {
 	fmt.Fprintln(out)
 	fmt.Fprintln(out, "== full report ==")
 	writeTelemetryReport(out, o)
-}
-
-// WriteDashboard replays the instrumented flash crowd and writes the
-// compact terminal dashboard behind `detourctl -dash`.
-func WriteDashboard(out io.Writer, seed int64) {
-	writeDash(out, Telemetry(seed, true))
 }
 
 // sparkWidth is the dashboard sparkline width in columns.

@@ -810,43 +810,3 @@ func TestJainIndex(t *testing.T) {
 		t.Fatalf("empty: %v", j)
 	}
 }
-
-func TestSubmitWaitBlocksUntilSpace(t *testing.T) {
-	exec := &gatedExec{gate: make(chan struct{})}
-	planner := &staticPlanner{route: core.DirectRoute}
-	s := New(Config{
-		Workers: 1, Executor: exec, Planner: planner,
-		QueueLimit: 1, Sleep: func(float64) {},
-	})
-	s.Start()
-	defer s.Close()
-	if err := s.Submit(Job{Tenant: "t", Client: "c", Provider: "P", Name: "blocker", Size: 1}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return s.Stats().Running == 1 })
-	if err := s.Submit(Job{Tenant: "t", Client: "c", Provider: "P", Name: "fills-queue", Size: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Queue is now full: Submit bounces, SubmitWait blocks.
-	if err := s.Submit(Job{Tenant: "t", Client: "c", Provider: "P", Name: "bounced", Size: 1}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Submit on full queue: %v, want ErrQueueFull", err)
-	}
-	unblocked := make(chan error, 1)
-	go func() {
-		unblocked <- s.SubmitWait(Job{Tenant: "t", Client: "c", Provider: "P", Name: "patient", Size: 1})
-	}()
-	select {
-	case err := <-unblocked:
-		t.Fatalf("SubmitWait returned %v while the queue was full", err)
-	default:
-	}
-	close(exec.gate) // worker drains; space frees
-	if err := <-unblocked; err != nil {
-		t.Fatalf("SubmitWait after space freed: %v", err)
-	}
-	s.Drain()
-	// blocker + fills-queue + patient; "bounced" never entered.
-	if st := s.Stats(); st.Done != 3 {
-		t.Fatalf("done = %d, want 3", st.Done)
-	}
-}

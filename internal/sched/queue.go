@@ -37,16 +37,15 @@ func (o queueOpts) withDefaults() queueOpts {
 // equal-weight deficit-round-robin across the tenants of the level.
 //
 // The queue is bounded when opts.limit is set: push rejects with
-// ErrQueueFull / ErrTenantQuota, pushWait blocks until space frees.
+// ErrQueueFull / ErrTenantQuota.
 // Jobs whose deadline passes while queued are expired *in place* by a
 // sweep that runs on pop and on push-when-full, so dead jobs stop
 // occupying slots; expired jobs are handed back to the caller, which
 // owns finishing them.
 type jobQueue struct {
-	mu    sync.Mutex
-	cond  *sync.Cond // waiters in pop (queue empty)
-	space *sync.Cond // waiters in pushWait (queue full)
-	opts  queueOpts
+	mu   sync.Mutex
+	cond *sync.Cond // waiters in pop (queue empty)
+	opts queueOpts
 
 	h      jobHeap           // strict mode
 	levels map[int]*drrLevel // fair mode, by priority
@@ -68,7 +67,6 @@ func newJobQueue(opts queueOpts) *jobQueue {
 		byTenant: make(map[string]int),
 	}
 	q.cond = sync.NewCond(&q.mu)
-	q.space = sync.NewCond(&q.mu)
 	return q
 }
 
@@ -103,31 +101,6 @@ func (q *jobQueue) push(j Job, now float64) ([]queued, error) {
 	}
 	q.add(j, now)
 	return expired, nil
-}
-
-// pushWait enqueues a job, blocking while the queue (or the tenant's
-// quota) is full. It returns ErrClosed if the queue closes while
-// waiting, plus any jobs its sweeps expired.
-func (q *jobQueue) pushWait(j Job, now func() float64) ([]queued, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var expired []queued
-	for {
-		if q.closed {
-			return expired, ErrClosed
-		}
-		isFull, _ := q.full(j.Tenant)
-		if isFull {
-			if exp := q.sweep(now()); len(exp) > 0 {
-				expired = append(expired, exp...)
-				continue
-			}
-			q.space.Wait()
-			continue
-		}
-		q.add(j, now())
-		return expired, nil
-	}
 }
 
 // pop dequeues the next job per the queue discipline, blocking while
@@ -178,12 +151,11 @@ func (q *jobQueue) length() int {
 	return q.size
 }
 
-// close wakes all blocked receivers and producers; they observe closed.
+// close wakes all blocked receivers; they observe closed.
 func (q *jobQueue) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.cond.Broadcast()
-	q.space.Broadcast()
 	q.mu.Unlock()
 }
 
@@ -204,9 +176,8 @@ func (q *jobQueue) add(j Job, now float64) {
 	q.cond.Signal()
 }
 
-// remove updates occupancy bookkeeping for a dequeued item and wakes a
-// blocked producer. Caller holds q.mu; the item is already out of its
-// heap.
+// remove updates occupancy bookkeeping for a dequeued item. Caller
+// holds q.mu; the item is already out of its heap.
 func (q *jobQueue) remove(it *queued) {
 	q.size--
 	if n := q.byTenant[it.job.Tenant] - 1; n > 0 {
@@ -214,7 +185,6 @@ func (q *jobQueue) remove(it *queued) {
 	} else {
 		delete(q.byTenant, it.job.Tenant)
 	}
-	q.space.Signal()
 }
 
 // next picks the next item per the discipline and extracts it from its

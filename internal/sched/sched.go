@@ -296,8 +296,7 @@ type Config struct {
 	// --- Overload control (all off by default) ---
 
 	// QueueLimit bounds total queue occupancy: Submit rejects with
-	// ErrQueueFull (SubmitWait blocks) once this many jobs wait. 0 =
-	// unbounded, the PR-1 behavior.
+	// ErrQueueFull once this many jobs wait. 0 = unbounded.
 	QueueLimit int
 	// TenantQueueLimit bounds one tenant's share of the queue; a Submit
 	// past it rejects with ErrTenantQuota (which errors.Is-matches
@@ -628,15 +627,7 @@ func (s *Scheduler) Start() {
 // bounded queue is at capacity (backpressure — resubmit later), ErrClosed
 // after Close, and a validation error for malformed jobs; otherwise the
 // job is queued and will produce exactly one Result.
-func (s *Scheduler) Submit(j Job) error { return s.submit(j, false) }
-
-// SubmitWait is Submit with blocking backpressure: instead of rejecting
-// with ErrQueueFull it blocks the producer until queue space frees (or
-// the scheduler closes). Rate-limit and validation errors still return
-// immediately.
-func (s *Scheduler) SubmitWait(j Job) error { return s.submit(j, true) }
-
-func (s *Scheduler) submit(j Job, wait bool) error {
+func (s *Scheduler) Submit(j Job) error {
 	if j.Tenant == "" || j.Client == "" || j.Provider == "" || j.Name == "" {
 		return fmt.Errorf("sched: job needs tenant, client, provider, and name: %+v", j)
 	}
@@ -662,13 +653,7 @@ func (s *Scheduler) submit(j Job, wait bool) error {
 
 	// The push may sweep dead jobs out of a full queue to make room;
 	// those expirations are terminal results we must deliver.
-	var expired []queued
-	var err error
-	if wait {
-		expired, err = s.q.pushWait(j, s.cfg.Now)
-	} else {
-		expired, err = s.q.push(j, s.cfg.Now())
-	}
+	expired, err := s.q.push(j, s.cfg.Now())
 	s.mu.Lock()
 	if err != nil {
 		s.pending--
