@@ -26,11 +26,13 @@ bench:
 # shake out ordering-dependent bugs in the queue and overload layer,
 # with the telemetry registry (the scheduler's counters are its
 # lock-free atomics, read outside the scheduler lock), the replay
-# driver that runs every mode through it, and simproc (the coroutine
+# driver that runs every mode through it, simproc (the coroutine
 # switch is the happens-before edge between the driver and each
-# process).
+# process), and detourd, whose multi-worker runs (8 workers in the
+# default mode, 4 under -chaos) interleave real workers over one
+# simulated world.
 stress:
-	$(GO) test -race -count=5 ./internal/sched/ ./internal/telemetry/ ./internal/replay/ ./internal/simproc/
+	$(GO) test -race -count=5 ./internal/sched/ ./internal/telemetry/ ./internal/replay/ ./internal/simproc/ ./cmd/detourd/
 
 # Golden outputs, pinned byte for byte under testdata/golden/ and
 # compared by the TestGolden* tests that tier-1 `go test ./...` runs:
@@ -39,8 +41,9 @@ stress:
 # tables (cmd/detourbench's TestGolden), the two one-worker daemon runs
 # detourd-default.txt and detourd-chaos.txt (cmd/detourd's TestGolden),
 # and the simulated work of every paper pair and one-worker replay arm
-# (internal/replay's TestGoldenWork, work.txt). chaos and fleet are
-# left out: their worker pools interleave for real, so two runs differ.
+# (internal/replay's TestGoldenWork, work.txt). Every detourbench
+# replay has a golden; multi-worker runs (detourd's TestChaosWorkers)
+# pin only their exit code, since their workers interleave for real.
 # `make golden-check` compares; `make golden` rewrites every file after
 # an intended output change, through the -update flag of the packages
 # that import goldentest.

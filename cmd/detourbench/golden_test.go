@@ -12,8 +12,9 @@ import (
 
 // TestGolden: every name with a golden, run with default flags, prints
 // exactly the bytes committed for it under testdata/golden: the paper's
-// 15 figures and tables and the 7 deterministic scheduler replays. With
-// -update it rewrites the files instead.
+// 15 figures and tables and the 7 scheduler replays. Every replay (an
+// entry with a seed) must have one: an unpinned replay is an error.
+// With -update it rewrites the files instead.
 func TestGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the plain test run compares the goldens; the race detector only slows them down")
@@ -21,6 +22,9 @@ func TestGolden(t *testing.T) {
 	pinned := 0
 	for _, e := range table {
 		if e.golden == "" {
+			if e.seed != 0 {
+				t.Errorf("replay %s has no golden", e.name)
+			}
 			continue
 		}
 		pinned++

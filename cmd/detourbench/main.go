@@ -6,7 +6,7 @@
 //
 //	detourbench [-experiment all|fig2|table2|fig3|fig4|fig5|fig6|fig7|table3|fig8|fig9|table4|fig10|fig11|table1|table5
 //	                        |report|download|sensitivity|contention|workload|dump
-//	                        |churn|crashsafe|grayfail|multipath|overload|pressure|telemetry|chaos|fleet]
+//	                        |churn|crashsafe|grayfail|multipath|overload|pressure|telemetry]
 //	            [-seed N] [-runs N] [-keep N] [-sizes 10,20,...] [-quick] [-format csv|json]
 //
 // all, the default, prints every figure and table in paper order.
@@ -15,13 +15,14 @@
 // A bad name, size or protocol (-runs below 1, -keep outside 1..runs)
 // exits 2 before any world is built.
 //
-// The last nine names are the scheduler replays of internal/replay; they
-// read only -seed. Without it each runs at the seed its golden under
-// testdata/golden was committed at: 7 for telemetry (under the storm it
-// fails exactly one transfer, so the report always includes a complete
-// failed-job decision trace) and 2015 for the rest. chaos and fleet
-// drain on eight real workers, so their reports vary between runs. A
-// replay whose acceptance check breaks exits 1.
+// The last seven names are the scheduler replays of internal/replay;
+// they read only -seed. Without it each runs at the seed its golden
+// under testdata/golden was committed at: 7 for telemetry (under the
+// storm it fails exactly one transfer, so the report always includes a
+// complete failed-job decision trace) and 2015 for the rest. A replay
+// whose acceptance check breaks exits 1. The multi-tenant fleet trace,
+// with and without the canned fault schedule, is cmd/detourd's to
+// drain (`detourd`, `detourd -chaos`).
 package main
 
 import (
@@ -70,13 +71,6 @@ func replayMode(name string, seed int64, f func(io.Writer, int64) error) experim
 		}}
 }
 
-// unpinned drops a replay's golden: it drains on eight real workers, so
-// its report varies between runs.
-func unpinned(e experiment) experiment {
-	e.golden = ""
-	return e
-}
-
 // unchecked adapts a replay report that has no acceptance check.
 func unchecked(f func(io.Writer, int64)) func(io.Writer, int64) error {
 	return func(out io.Writer, seed int64) error {
@@ -121,8 +115,6 @@ var (
 		replayMode("overload", 2015, unchecked(replay.WriteOverload)),
 		replayMode("pressure", 2015, unchecked(replay.WritePressure)),
 		replayMode("telemetry", 7, unchecked(replay.WriteTelemetry)),
-		unpinned(replayMode("chaos", 2015, unchecked(replay.WriteChaos))),
-		unpinned(replayMode("fleet", 2015, unchecked(replay.WriteFleet))),
 	}
 )
 

@@ -19,7 +19,8 @@
 // against the world while the trace drains: links flap and degrade,
 // providers throw outages and error bursts, a DTN crashes. The
 // scheduler runs with checkpointed resume, circuit breakers and five
-// attempts per job, and the final report adds recovery accounting.
+// attempts per job, and the final report adds recovery accounting, the
+// circuit breakers' states at drain and the first 12 fault transitions.
 //
 // With -overload, the full overload-control stack arms: a bounded
 // queue with per-tenant quotas, CoDel-style queue-delay shedding,
@@ -34,10 +35,10 @@
 // expected under -chaos and -overload. Bad flags exit 2 before any
 // world is built.
 //
-// The deterministic scheduler replays (churn, grayfail, pressure,
-// multipath, crashsafe, telemetry, overload) and the fleet and chaos
-// reports are not daemon modes: `detourbench -experiment <mode>` prints
-// each of them.
+// detourd is the one view of the generated multi-tenant fleet trace,
+// with and without faults. The deterministic scheduler replays (churn,
+// grayfail, pressure, multipath, crashsafe, telemetry, overload) are not
+// daemon modes: `detourbench -experiment <mode>` prints each of them.
 package main
 
 import (
@@ -106,6 +107,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			out.Injector.Injected, st.Failovers, st.BreakerSkips, st.BreakerTransitions)
 		fmt.Fprintf(stdout, "  recovery: %.1f MB resumed from checkpoints, %.1f MB rewritten\n",
 			st.BytesResumed/1e6, st.BytesRewritten/1e6)
+		fmt.Fprintln(stdout, "  breakers at drain:")
+		replay.WriteBreakers(stdout, "    ", st)
+		fmt.Fprintln(stdout, "  fault timeline (first 12 transitions):")
+		for i, tr := range out.Transitions {
+			if i == 12 {
+				fmt.Fprintf(stdout, "    ... %d more\n", len(out.Transitions)-12)
+				break
+			}
+			fmt.Fprintf(stdout, "    %s\n", tr)
+		}
 	}
 	if o.overload {
 		fmt.Fprintf(stdout, "  overload: %d shed, %d expired, %d late; queue delay p99 %.1fs\n",

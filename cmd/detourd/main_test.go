@@ -33,13 +33,22 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestChaosWorkers: four real workers under the fault schedule
-// interleave nondeterministically, so only the exit code is pinned:
-// every invariant of Outcome.Check holds (under -race too).
+// TestChaosWorkers: real workers over the simulated world interleave
+// nondeterministically, so only the exit code is pinned: the default
+// mode at eight workers fails no job, and at four workers under the
+// fault schedule every invariant of Outcome.Check holds (under -race
+// too).
 func TestChaosWorkers(t *testing.T) {
-	var out, errs bytes.Buffer
-	if code := run([]string{"-jobs", "60", "-workers", "4", "-chaos"}, &out, &errs); code != 0 {
-		t.Fatalf("exit %d: %s\n%s", code, errs.String(), out.String())
+	for _, args := range [][]string{
+		{"-jobs", "120", "-workers", "8"},
+		{"-jobs", "60", "-workers", "4", "-chaos"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var out, errs bytes.Buffer
+			if code := run(args, &out, &errs); code != 0 {
+				t.Fatalf("exit %d: %s\n%s", code, errs.String(), out.String())
+			}
+		})
 	}
 }
 

@@ -181,6 +181,21 @@ func (d *Dynamic) Events() []Event {
 	return append([]Event(nil), d.events...)
 }
 
+// Converging reports whether the a~b session (domains in either order)
+// is inside a withdraw's convergence window at now: its latest event is
+// a withdraw whose ConvergedBy is still ahead.
+func (d *Dynamic) Converging(a, b string, now float64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i := len(d.events) - 1; i >= 0; i-- {
+		ev := d.events[i]
+		if (ev.DomainA == a && ev.DomainB == b) || (ev.DomainA == b && ev.DomainB == a) {
+			return ev.Kind == EventWithdraw && now < ev.ConvergedBy
+		}
+	}
+	return false
+}
+
 // SessionUp reports whether the a~b session exists in the latest
 // snapshot (the session itself is either up or down everywhere; what
 // converges lazily is who has heard).

@@ -162,6 +162,47 @@ func TestBusFanout(t *testing.T) {
 	}
 }
 
+// TestConverging: a session converges from its withdraw until that
+// withdraw's ConvergedBy, whichever order its domains are named in; an
+// announce ends the window, and a pair with no event never converges.
+func TestConverging(t *testing.T) {
+	now, setNow := clockAt(10)
+	d := NewDynamic(diamond(), now, rand.New(rand.NewSource(1)), 2, 12)
+	if err := d.WithdrawSession("stub2", "t2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WithdrawSession("stub1", "t1"); err != nil {
+		t.Fatal(err)
+	}
+	setNow(30)
+	if err := d.AnnounceSession("stub1", "t1"); err != nil {
+		t.Fatal(err)
+	}
+	// The endpoints adopt at once, every other domain 2-12 s later.
+	by := d.Events()[0].ConvergedBy
+	cases := []struct {
+		name string
+		a, b string
+		now  float64
+		want bool
+	}{
+		{"withdraw", "stub2", "t2", 11, true},
+		{"reversed order", "t2", "stub2", 11, true},
+		{"just before the horizon", "stub2", "t2", by - 1e-9, true},
+		{"horizon reached", "stub2", "t2", by, false},
+		{"horizon passed", "t2", "stub2", by + 100, false},
+		{"announced", "stub1", "t1", 31, false},
+		{"announced, reversed", "t1", "stub1", 31, false},
+		{"no event on the pair", "t1", "t2", 11, false},
+		{"unknown domains", "stub1", "nowhere", 11, false},
+	}
+	for _, c := range cases {
+		if got := d.Converging(c.a, c.b, c.now); got != c.want {
+			t.Errorf("%s: Converging(%s, %s, %g) = %v, want %v", c.name, c.a, c.b, c.now, got, c.want)
+		}
+	}
+}
+
 // RoutesTo memoization must be invisible: a mutation invalidates the
 // memo, and a Clone never shares it with its parent.
 func TestRoutesToMemoInvalidation(t *testing.T) {

@@ -767,11 +767,11 @@ func (inj *Injector) Transitions() []string {
 	return out
 }
 
-// CannedSchedule is the demo schedule the chaos replay and
-// `detourd -chaos` play: a recurring flap of the CANARIE
-// Vancouver–Edmonton leg (the UBC detour's first hop), a degradation
-// of the PacificWave hand-off, a Google Drive error burst, a Dropbox
-// outage, and one UAlberta DTN crash.
+// CannedSchedule is the demo schedule `detourd -chaos` plays: a
+// recurring flap of the CANARIE Vancouver–Edmonton leg (the UBC
+// detour's first hop), a degradation of the PacificWave hand-off, a
+// Google Drive error burst, a Dropbox outage, and one UAlberta DTN
+// crash.
 func CannedSchedule() []Spec {
 	return []Spec{
 		{Kind: LinkDown, From: "vncv1", To: "edmn1", Start: 60, Duration: 20, Period: 300},

@@ -1,7 +1,8 @@
 // Package replay is the one driver behind every scheduler run: the
-// churn, grayfail, pressure, telemetry, multipath, crashsafe, overload,
-// fleet and chaos modes, the cmd/detourd daemon (one Spec built from its
-// flags), and any new scenario. A Spec declares one arm —
+// churn, grayfail, pressure, telemetry, multipath, crashsafe and
+// overload modes, the cmd/detourd daemon (one Spec built from its flags:
+// the generated fleet trace, with and without the canned fault
+// schedule), and any new scenario. A Spec declares one arm —
 // seed, world options, fault schedule, a setup hook that sizes the world
 // and wires observers, the scheduler Config, and an arrival trace — and
 // Run builds the world, arms the faults, drives the fleet through a
@@ -10,8 +11,8 @@
 // plus the report that compares them; its Write function takes a writer
 // and a seed, and `detourbench -experiment <mode>` prints it.
 //
-// Every replay but fleet, chaos and a multi-worker detourd (whose
-// workers interleave for real) is byte-identical per seed and binary:
+// Every run on one worker is byte-identical per seed and binary (more
+// workers, as in a default detourd, interleave for real):
 //   - the scheduler runs one worker unless the Spec asks for more
 //     (sequential ⇒ deterministic);
 //   - jobs due at the start are all submitted before the worker starts,
@@ -245,16 +246,6 @@ func Arrivals(trace []workload.FleetJob) []Arrival {
 	return out
 }
 
-// Batch submits a generated fleet trace closed-loop: every job is due at
-// the start, so the whole trace queues against the scheduler's caps.
-func Batch(trace []workload.FleetJob) []Arrival {
-	out := Arrivals(trace)
-	for i := range out {
-		out[i].At = 0
-	}
-	return out
-}
-
 // Done counts successful results.
 func (o Outcome) Done() int {
 	n := 0
@@ -308,6 +299,14 @@ func WritePeaks(out io.Writer, indent string, st sched.Stats) {
 	}
 	for _, d := range sortedKeys(st.DTNPeak) {
 		fmt.Fprintf(out, "%sdtn      %-12s peak %d\n", indent, d, st.DTNPeak[d])
+	}
+}
+
+// WriteBreakers prints st's per-route circuit-breaker states in route
+// order, each prefixed by indent.
+func WriteBreakers(out io.Writer, indent string, st sched.Stats) {
+	for _, k := range sortedKeys(st.Breakers) {
+		fmt.Fprintf(out, "%s%-32s %s\n", indent, k, st.Breakers[k])
 	}
 }
 

@@ -124,10 +124,6 @@ var arms = []arm{
 	{name: "overload/stack", run: func() Outcome {
 		return Run(overloadSpec(2015, overloadTrace(2015), true))
 	}},
-	// Eight workers interleave for real: chaos fails a different
-	// handful of jobs each run, so only the invariants are stable.
-	{name: "chaos", run: func() Outcome { return Run(chaosSpec(2015)) }},
-	{name: "fleet", run: func() Outcome { return Run(fleetSpec(2015)) }},
 	// Open loop on four workers: arrivals are fed from several
 	// workers' executor calls at once. Worker interleaving is real,
 	// so only the invariants are stable here, not the report.
@@ -293,8 +289,6 @@ func TestWorldsShutDown(t *testing.T) {
 				t.Fatal("the crash leg never crashed")
 			}
 		}},
-		{"chaos", func(*testing.T) { WriteChaos(io.Discard, 2015) }},
-		{"fleet", func(*testing.T) { WriteFleet(io.Discard, 2015) }},
 		{"overload", func(*testing.T) { WriteOverload(io.Discard, 2015) }},
 		{"paper-pair", func(*testing.T) {
 			experiments.RunPair(experiments.Quick(), scenario.UBC, scenario.GoogleDrive)

@@ -41,6 +41,10 @@ func providerKey(provider string) string { return provider + "|*" }
 // breakerSet holds the scheduler's circuit breakers, one per key. It is
 // advisory: a rejected route diverts the job to an alternate when one
 // exists, but never strands a job with zero routes.
+//
+// It never reads its clock while it holds mu: a simulated clock takes
+// the executor's lock, and a sampler hook running inside a workload,
+// under that lock, reads the breakers through Scheduler.Stats.
 type breakerSet struct {
 	mu          sync.Mutex
 	threshold   int
@@ -71,16 +75,20 @@ func newBreakerSet(threshold int, cooldown float64, now func() float64) *breaker
 // as the probe.
 func (b *breakerSet) allow(key string) bool {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	br := b.m[key]
-	if br == nil {
+	closed := br == nil || br.state == BreakerClosed
+	b.mu.Unlock()
+	if closed {
 		return true
 	}
-	switch br.state {
+	now := b.now()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch br.state { // breakers are never removed, but br may have moved
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.now()-br.openedAt < b.cooldown {
+		if now-br.openedAt < b.cooldown {
 			return false
 		}
 		br.state = BreakerHalfOpen
@@ -115,6 +123,7 @@ func (b *breakerSet) success(key string) {
 // failure records a failure: threshold consecutive failures open a
 // closed breaker, and a failed half-open probe re-opens immediately.
 func (b *breakerSet) failure(key string) {
+	now := b.now()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	br := b.m[key]
@@ -125,18 +134,18 @@ func (b *breakerSet) failure(key string) {
 	switch br.state {
 	case BreakerHalfOpen:
 		br.state = BreakerOpen
-		br.openedAt = b.now()
+		br.openedAt = now
 		br.probing = false
 		b.transitions++
 	case BreakerClosed:
 		br.fails++
 		if br.fails >= b.threshold {
 			br.state = BreakerOpen
-			br.openedAt = b.now()
+			br.openedAt = now
 			b.transitions++
 		}
 	default: // already open: a straggler's failure extends the cooldown
-		br.openedAt = b.now()
+		br.openedAt = now
 	}
 }
 

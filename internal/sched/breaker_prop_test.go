@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestBreakerHalfOpenSingleProbe is the half-open admission property:
@@ -66,4 +67,48 @@ func raceAllow(bs *breakerSet, key string, n int) int {
 	close(start)
 	wg.Wait()
 	return int(admitted)
+}
+
+// TestBreakerClockOutsideLock: the breakers read their clock before
+// taking their own lock. A simulated clock takes the executor's lock,
+// and a sampler hook that runs under that lock reads the breakers
+// (Scheduler.Stats), so a clock read under the breaker lock deadlocks
+// the two: here clock stands for the executor's lock, held while
+// snapshot runs, as the hook holds it.
+func TestBreakerClockOutsideLock(t *testing.T) {
+	var clock sync.Mutex
+	reading := make(chan struct{}, 2)
+	bs := newBreakerSet(1, 10, func() float64 {
+		reading <- struct{}{}
+		clock.Lock()
+		defer clock.Unlock()
+		return 0
+	})
+	for _, op := range []struct {
+		name string
+		call func()
+	}{
+		{"failure", func() { bs.failure("k") }}, // threshold 1: opens
+		{"allow", func() { bs.allow("k") }},     // open: reads the cooldown clock
+	} {
+		clock.Lock()
+		called := make(chan struct{})
+		go func() {
+			op.call()
+			close(called)
+		}()
+		<-reading // op is inside its clock read, blocked on clock
+		snapped := make(chan struct{})
+		go func() {
+			bs.snapshot()
+			close(snapped)
+		}()
+		select {
+		case <-snapped:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s holds the breaker lock while it reads the clock", op.name)
+		}
+		clock.Unlock()
+		<-called
+	}
 }

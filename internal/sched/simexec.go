@@ -39,33 +39,22 @@ type SimExecutor struct {
 	sel     *detourselect.Selector
 	directs map[[2]string]sdk.Client         // (client, provider)
 	detours map[[2]string]*core.DetourClient // (client, dtn)
-	// converging holds withdrawn routing sessions until their
-	// convergence horizon (fed by the world's RouteBus); multipath lanes
-	// crossing one drain instead of racing the blackhole. Guarded by
-	// convMu because bus callbacks can fire from any workload drive.
-	convMu     sync.Mutex
-	converging map[[2]string]float64
 	// health, when set (see SetHealth), arms the stall watchdog on every
 	// resumable transfer and the per-lane budget on multipath runs.
 	health *health.Tracker
 	// onAdvance, when set (see OnAdvance), receives the clock after every
 	// call that may have advanced it.
 	onAdvance func(now float64)
-	// Transfers counts completed Execute calls, for reporting.
-	Transfers int64
 }
 
 // NewSimExecutor wraps a built world.
 func NewSimExecutor(w *scenario.World) *SimExecutor {
-	e := &SimExecutor{
-		w:          w,
-		sel:        detourselect.NewSelector(),
-		directs:    make(map[[2]string]sdk.Client),
-		detours:    make(map[[2]string]*core.DetourClient),
-		converging: make(map[[2]string]float64),
+	return &SimExecutor{
+		w:       w,
+		sel:     detourselect.NewSelector(),
+		directs: make(map[[2]string]sdk.Client),
+		detours: make(map[[2]string]*core.DetourClient),
 	}
-	e.subscribeRouteBus()
-	return e
 }
 
 // SetHealth arms the stall watchdog: resumable transfers run under a
@@ -181,7 +170,6 @@ func (e *SimExecutor) ExecuteResumable(job Job, route core.Route, ck *core.Check
 	if err != nil {
 		return 0, classifyExecErr(fmt.Errorf("sched: execute %s via %s: %w", job.Name, route, err))
 	}
-	e.Transfers++
 	return rep.Total, nil
 }
 
@@ -398,7 +386,6 @@ func (e *SimExecutor) ExecuteHedged(job Job, primary core.Route, budget float64,
 	if win.err != nil {
 		return 0, primary, launched, false, classifyExecErr(fmt.Errorf("sched: hedged execute %s via %s: %w", job.Name, primary, win.err))
 	}
-	e.Transfers++
 	return win.at, win.route, launched, won, nil
 }
 
@@ -486,7 +473,6 @@ func (e *SimExecutor) ExecuteRerouting(job Job, route core.Route, ck *core.Check
 	if finalErr != nil {
 		return 0, cur, reroutes, parked, classifyExecErr(fmt.Errorf("sched: execute %s via %s: %w", job.Name, cur, finalErr))
 	}
-	e.Transfers++
 	return sec, cur, reroutes, parked, nil
 }
 

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"detournet/internal/bgppol"
 	"detournet/internal/core"
 	"detournet/internal/health"
 	"detournet/internal/multipath"
@@ -20,64 +19,25 @@ const (
 	composeBackoffCap = 30.0
 )
 
-// subscribeRouteBus wires the executor to the world's routing-plane
-// event bus (once, at construction). Withdrawn sessions are held as
-// converging until their convergence horizon; a multipath lane whose
-// path crosses a converging session drains make-before-break — it stops
-// claiming chunks before the blackhole eats one — instead of being torn
-// down, and resumes when the announce clears the hold.
-func (e *SimExecutor) subscribeRouteBus() {
-	if e.w.RouteBus == nil {
-		return
-	}
-	e.w.RouteBus.Subscribe(func(ev bgppol.Event) {
-		if ev.DomainA == "" {
-			// Link events change the topology itself; Graph.Path already
-			// reflects them.
-			return
-		}
-		k := sessionKey(ev.DomainA, ev.DomainB)
-		e.convMu.Lock()
-		if ev.Kind == bgppol.EventWithdraw {
-			e.converging[k] = ev.ConvergedBy
-		} else {
-			delete(e.converging, k)
-		}
-		e.convMu.Unlock()
-	})
-}
-
-func sessionKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]string{a, b}
-}
-
-// pathConverging reports whether src->dst currently crosses a session
-// inside its convergence window — transiently blackhole-prone even
-// though the RIBs may still resolve it. Callers hold e.mu.
+// pathConverging reports whether src->dst currently crosses a routing
+// session inside its convergence window (bgppol.Dynamic.Converging) —
+// transiently blackhole-prone even though the RIBs may still resolve
+// it. A multipath lane whose path crosses one drains make-before-break:
+// it stops claiming chunks before the blackhole eats one, instead of
+// being torn down, and resumes once the plane settles. Callers hold
+// e.mu.
 func (e *SimExecutor) pathConverging(src, dst string) bool {
-	e.convMu.Lock()
-	if len(e.converging) == 0 {
-		e.convMu.Unlock()
+	if e.w.Routing == nil {
 		return false
 	}
-	conv := make(map[[2]string]float64, len(e.converging))
-	for k, v := range e.converging {
-		conv[k] = v
-	}
-	e.convMu.Unlock()
 	hops, ok := e.pathHops(src, dst)
 	if !ok {
 		return false
 	}
 	now := float64(e.w.Eng.Now())
 	for i := 1; i < len(hops); i++ {
-		if hops[i-1].Domain == hops[i].Domain {
-			continue
-		}
-		if until, held := conv[sessionKey(hops[i-1].Domain, hops[i].Domain)]; held && now < until {
+		a, b := hops[i-1].Domain, hops[i].Domain
+		if a != b && e.w.Routing.Converging(a, b, now) {
 			return true
 		}
 	}
@@ -226,6 +186,5 @@ func (e *SimExecutor) ExecuteMultipath(job Job, routes []core.Route, chunk float
 	if err != nil {
 		return rep, classifyExecErr(fmt.Errorf("sched: multipath execute %s: %w", job.Name, err))
 	}
-	e.Transfers++
 	return rep, nil
 }

@@ -12,9 +12,9 @@ import (
 
 // TestSimExecutorFleet runs a real multi-client fleet trace through the
 // control plane on the simulated topology: concurrent workers, cached
-// probe decisions, transfers in virtual time. This is the miniature of
-// the fleet replay (`detourbench -experiment fleet`) that CI (and the
-// race detector) always runs.
+// probe decisions, transfers in virtual time. It is a miniature of
+// `detourd` with every job due at the start, which CI (and the race
+// detector) always runs.
 func TestSimExecutorFleet(t *testing.T) {
 	trace, err := workload.GenerateFleet(workload.FleetSpec{
 		Jobs:    36,
@@ -27,13 +27,16 @@ func TestSimExecutorFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet := replay.Arrivals(trace)
+	for i := range fleet {
+		fleet[i].At = 0
+	}
 	o := replay.Run(replay.Spec{
-		Seed:   7,
-		Config: sched.Config{Workers: 6, ProviderCap: 2, DTNCap: 2},
-		// The wall clock, as in the fleet replay: no cache TTL expires
-		// mid-trace, so the probe bound below holds.
-		Setup: func(e *replay.Env) { e.Config.Now, e.Config.Sleep = nil, nil },
-		Fleet: replay.Batch(trace),
+		Seed: 7,
+		// An hour-long route-cache TTL outlasts the whole drain, so no
+		// decision expires mid-trace and the probe bound below holds.
+		Config: sched.Config{Workers: 6, ProviderCap: 2, DTNCap: 2, CacheTTL: 3600},
+		Fleet:  fleet,
 	})
 	if err := o.Check(); err != nil {
 		t.Fatal(err)
@@ -42,9 +45,6 @@ func TestSimExecutorFleet(t *testing.T) {
 	st := o.Stats
 	if st.Done != int64(len(trace)) || st.Failed != 0 {
 		t.Fatalf("done=%d failed=%d, want %d/0 (stats: %s)", st.Done, st.Failed, len(trace), st)
-	}
-	if o.Exec.Transfers != int64(len(trace)) {
-		t.Errorf("sim transfers = %d, want %d", o.Exec.Transfers, len(trace))
 	}
 	if o.VirtualSeconds <= 0 {
 		t.Error("virtual clock did not advance")
