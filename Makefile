@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench stress check golden golden-check
+.PHONY: build test vet race bench stress check golden golden-check loc
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,15 @@ golden:
 
 golden-check:
 	$(GO) test -count=1 -run '^TestGolden' ./...
+
+# Lines of non-test Go: the whole module outside the nested
+# detourledger/ module and the ledger's .bench_build/ scratch, then the
+# scheduler, replay and fault-injection packages on their own — the
+# counts a simplification reports before and after.
+LOC_PKGS = internal/sched internal/replay internal/faults
+loc:
+	@printf '%-16s %6d\n' total $$(find . \( -path ./detourledger -o -path ./.bench_build -o -path ./.git \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
+	@for d in $(LOC_PKGS); do printf '%-16s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); done
 
 # The gate PRs must pass: every Go file is gofmt-clean, everything
 # compiles, vets clean, the full test suite (including the

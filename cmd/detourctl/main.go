@@ -51,7 +51,6 @@ import (
 	"detournet/internal/core"
 	"detournet/internal/detourselect"
 	"detournet/internal/fileutil"
-	"detournet/internal/multipath"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
 	"detournet/internal/simproc"
@@ -198,68 +197,30 @@ func writeTrace(w *scenario.World, path string, exit int) {
 }
 
 // runMultipath stripes one upload across the direct route plus every
-// in-service DTN detour, then prints the per-path progress timeline
-// (from the trace's mp.* span events) and the per-path report.
+// in-service DTN detour through the scheduler's executor, then prints
+// the per-path progress timeline (from the trace's mp.* span events)
+// and the per-path report.
 func runMultipath(w *scenario.World, from, provider, drain string, file fileutil.TestFile) int {
-	exit := 0
-	w.RunWorkload("detourctl-multipath", func(p *simproc.Proc) {
-		direct := w.NewSDKClient(from, provider)
-		defer direct.Close()
-
-		paths := []multipath.Path{{
-			ID: 0, Route: core.DirectRoute,
-			Upload: multipath.UploaderFunc(func(p *simproc.Proc, part string, size float64, ck *core.Checkpoint) error {
-				// The whole-file digest is checked at compose; the empty
-				// per-chunk digest skips the per-object verify.
-				_, err := core.DirectUploadResumable(p, direct, part, size, "", ck)
-				return err
-			}),
-		}}
-		for _, dtn := range scenario.DTNs {
-			if dtn == drain {
-				continue // a draining DTN refuses new relay work
-			}
-			dc := w.NewDetourClient(from, dtn)
-			paths = append(paths, multipath.Path{
-				ID: len(paths), Route: core.ViaRoute(dtn),
-				Upload: multipath.UploaderFunc(func(p *simproc.Proc, part string, size float64, ck *core.Checkpoint) error {
-					_, err := dc.UploadResumable(p, provider, part, size, "", ck)
-					return err
-				}),
-			})
+	routes := []core.Route{core.DirectRoute}
+	for _, dtn := range scenario.DTNs {
+		if dtn != drain { // a draining DTN refuses new relay work
+			routes = append(routes, core.ViaRoute(dtn))
 		}
-
-		env := multipath.Env{
-			Trace: w.Trace,
-			Commit: func(p *simproc.Proc, parts []string) error {
-				info, err := direct.Compose(p, file.Name, parts, file.MD5)
-				if err != nil {
-					return err
-				}
-				if info.MD5 != "" && info.MD5 != file.MD5 {
-					return fmt.Errorf("composed %q has digest %s, want %s", file.Name, info.MD5, file.MD5)
-				}
-				return nil
-			},
-		}
-		rep, err := multipath.Run(p, multipath.Spec{
-			Name: file.Name, Size: file.Size, MD5: file.MD5,
-		}, paths, env)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "detourctl: multipath upload: %v\n", err)
-			exit = 1
-			return
-		}
-
-		fmt.Println("per-path progress (virtual time):")
-		for _, ev := range w.Trace.Filter("mp") {
-			fmt.Printf("  %s\n", ev.String())
-		}
-		fmt.Println()
-		if err := rep.WriteReport(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "detourctl: report: %v\n", err)
-			exit = 1
-		}
-	})
-	return exit
+	}
+	job := sched.Job{Client: from, Provider: provider, Name: file.Name, Size: file.Size, MD5: file.MD5}
+	rep, err := sched.NewSimExecutor(w).ExecuteMultipath(job, routes, core.DefaultResumeChunk)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "detourctl: multipath upload: %v\n", err)
+		return 1
+	}
+	fmt.Println("per-path progress (virtual time):")
+	for _, ev := range w.Trace.Filter("mp") {
+		fmt.Printf("  %s\n", ev.String())
+	}
+	fmt.Println()
+	if err := rep.WriteReport(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "detourctl: report: %v\n", err)
+		return 1
+	}
+	return 0
 }

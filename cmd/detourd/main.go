@@ -22,11 +22,12 @@
 // attempts per job, and the final report adds recovery accounting, the
 // circuit breakers' states at drain and the first 12 fault transitions.
 //
-// With -overload, the full overload-control stack arms: a bounded
-// queue with per-tenant quotas, CoDel-style queue-delay shedding,
-// weighted DRR fair queuing, hedged transfers, and brownout
-// degradation. Every job gets a deadline 60 virtual seconds after its
-// arrival, so queue-rotted work expires instead of burning capacity.
+// With -overload, the full overload-control stack arms (a positive
+// sched.Config.QueueLimit is its one switch): a bounded queue with
+// per-tenant quotas, CoDel-style queue-delay shedding, DRR fair
+// queuing, hedged transfers, and brownout degradation. Every job gets
+// a deadline 60 virtual seconds after its arrival, so queue-rotted
+// work expires instead of burning capacity.
 //
 // A submission the rate limits or the bounded queue refuse is dropped
 // and counted ("admitted N of M"). Every mode exits 1 when the run
@@ -122,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  overload: %d shed, %d expired, %d late; queue delay p99 %.1fs\n",
 			st.Shed, st.Expired, st.Late, st.QueueDelayP99)
 		fmt.Fprintf(stdout, "  hedging: %d launched, %d won; brownout %d enters / %d exits, %d direct serves, %d stale cache serves\n",
-			st.Hedges, st.HedgeWins, st.BrownoutEnters, st.BrownoutExits, st.BrownoutDirect, st.StaleServes)
+			st.Hedges, st.HedgeWins, st.BrownoutEntries, st.BrownoutExits, st.BrownoutDirect, st.StaleServes)
 	}
 	fmt.Fprintln(stdout, "  per-route totals:")
 	replay.WriteRoutes(stdout, "    ", st)
@@ -175,8 +176,7 @@ func (o options) spec(stdout io.Writer) replay.Spec {
 	if o.overload {
 		fleet.DeadlineSlack = 60
 		c := &sp.Config
-		c.QueueLimit, c.TenantQueueLimit = 16*o.workers, 8*o.workers
-		c.FairQueue, c.CoDelTarget, c.Hedge, c.BrownoutEnter = true, 10, true, 0.8
+		c.QueueLimit, c.TenantQueueLimit, c.CoDelTarget = 16*o.workers, 8*o.workers, 10
 	}
 	if o.stats > 0 {
 		sp.Setup = func(e *replay.Env) {

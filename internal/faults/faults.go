@@ -36,8 +36,11 @@ const (
 	// LinkDown takes a topology edge down (both directions) for the
 	// window: routing loses the edge and in-flight flows are killed.
 	LinkDown Kind = iota
-	// LinkDegrade keeps the edge up but shrinks its capacity by
-	// CapacityFactor and/or imposes ExtraLoad for the window.
+	// LinkDegrade keeps the edge up but shrinks the capacity of both
+	// directions by CapacityFactor for the window. It is gray by
+	// construction: no routing-plane event, no flow kills, no errors —
+	// transfers just slow down, as they do under silent loss, and only
+	// throughput observation can see it.
 	LinkDegrade
 	// ProviderOutage hard-downs a provider's API front end (every
 	// request answers 503) for the window.
@@ -61,11 +64,6 @@ const (
 	// agent stops accepting new detour jobs while in-flight jobs (and
 	// checkpoint continuations carrying a session token) complete.
 	DTNDrain
-	// LinkSilentLoss is the first gray fault: the edge silently loses
-	// LossRate of its goodput for the window — capacity shrinks by
-	// (1-LossRate) — with NO routing-plane event, no flow kills, and no
-	// errors anywhere. Only throughput observation can see it.
-	LinkSilentLoss
 	// ProviderSlow is the slow-but-200 gray fault: for the window the
 	// provider ingests payloads from the named Sources at SlowBps while
 	// serving every request successfully — the real-world "one peering
@@ -75,11 +73,6 @@ const (
 	// commits at DiskBps for the window, so relayed transfers crawl
 	// through hop 1 without a single error.
 	DTNDiskSlow
-	// ProcCrash kills the scheduler's control-plane process at an
-	// enumerated crash point (CrashPoint/Occurrence) while the window is
-	// open. The actual kill is performed by the crashsafe harness's
-	// CrashControl hooks; the injector arms and disarms the plan.
-	ProcCrash
 	// TornWrite arms torn-write injection for the window: against a DTN
 	// it makes daemon crashes leave half-written (and bit-damaged)
 	// partial chunks on disk instead of atomic temp-file renames;
@@ -127,14 +120,10 @@ func (k Kind) String() string {
 		return "route-churn"
 	case DTNDrain:
 		return "dtn-drain"
-	case LinkSilentLoss:
-		return "link-silent-loss"
 	case ProviderSlow:
 		return "provider-slow"
 	case DTNDiskSlow:
 		return "dtn-disk-slow"
-	case ProcCrash:
-		return "proc-crash"
 	case TornWrite:
 		return "torn-write"
 	case BitRot:
@@ -178,19 +167,13 @@ type Spec struct {
 	Repeat int
 
 	// CapacityFactor (LinkDegrade) multiplies the edge capacity during
-	// the window; in (0, 1) to degrade, 0 to leave capacity alone.
+	// the window; in (0, 1).
 	CapacityFactor float64
-	// ExtraLoad (LinkDegrade) is the cross-traffic fraction imposed on
-	// the edge during the window.
-	ExtraLoad float64
 	// ErrorRate and ThrottleRate (ProviderErrors) are the per-request
 	// probabilities of an injected 500 and 429 during the window.
 	ErrorRate    float64
 	ThrottleRate float64
 
-	// LossRate (LinkSilentLoss) is the goodput fraction silently lost on
-	// the edge during the window; in (0, 1).
-	LossRate float64
 	// Sources (ProviderSlow) lists the client hosts whose payloads the
 	// provider silently throttles; SlowBps is their ingestion rate in
 	// bytes/second.
@@ -200,11 +183,6 @@ type Spec struct {
 	// bytes/second during the window.
 	DiskBps float64
 
-	// CrashPoint (ProcCrash) names the enumerated control-plane crash
-	// point (see sched.CrashPoints); Occurrence selects which hit of
-	// that point fires, 1-based (0 means the first).
-	CrashPoint string
-	Occurrence int
 	// Journal (TornWrite, BitRot) targets the control-plane journal
 	// instead of a DTN's staging disk.
 	Journal bool
@@ -223,7 +201,7 @@ type Spec struct {
 // target renders the spec's subject for logs.
 func (s Spec) target() string {
 	switch s.Kind {
-	case LinkDown, LinkDegrade, LinkSilentLoss:
+	case LinkDown, LinkDegrade:
 		return s.From + "<->" + s.To
 	case DTNCrash, DTNDrain, DTNDiskSlow, DiskFill:
 		return s.DTN
@@ -234,8 +212,6 @@ func (s Spec) target() string {
 			return s.DomainA + "~" + s.DomainB
 		}
 		return s.PinSrc + "=>" + s.PinDst
-	case ProcCrash:
-		return s.CrashPoint
 	case TornWrite, BitRot:
 		if s.Journal {
 			return "journal"
@@ -300,16 +276,11 @@ type Injector struct {
 	rotRand *rand.Rand
 }
 
-// CrashControl carries the control-plane hooks the ProcCrash and
-// journal-targeted TornWrite/BitRot faults act on. The crashsafe
+// CrashControl carries the control-plane hooks the journal-targeted
+// TornWrite, BitRot and JournalENOSPC faults act on. The crashsafe
 // harness wires these to the scheduler's journal; a schedule using
 // those kinds without a registered control panics at apply time.
 type CrashControl struct {
-	// ArmCrash arms the kill: the control plane dies when it reaches
-	// the named crash point for the occurrence-th time (1-based).
-	ArmCrash func(point string, occurrence int)
-	// DisarmCrash cancels a pending kill at the named point.
-	DisarmCrash func(point string)
 	// TornJournal toggles torn-tail injection on journal appends.
 	TornJournal func(active bool)
 	// FlipJournal flips one byte of the journal device, chosen with rng.
@@ -320,7 +291,7 @@ type CrashControl struct {
 }
 
 // SetCrashControl registers the control-plane hooks. Call before the
-// first ProcCrash/TornWrite{Journal}/BitRot{Journal} window opens.
+// first TornWrite{Journal}/BitRot{Journal}/JournalENOSPC window opens.
 func (inj *Injector) SetCrashControl(c *CrashControl) { inj.control = c }
 
 // NewInjector validates the schedule, seeds the provider fault
@@ -359,12 +330,8 @@ func (inj *Injector) validate(sp Spec) {
 		if _, ok := inj.w.Graph.Edge(sp.From, sp.To); !ok {
 			panic(fmt.Sprintf("faults: %s: no edge %s->%s", sp.Kind, sp.From, sp.To))
 		}
-	case LinkSilentLoss:
-		if _, ok := inj.w.Graph.Edge(sp.From, sp.To); !ok {
-			panic(fmt.Sprintf("faults: %s: no edge %s->%s", sp.Kind, sp.From, sp.To))
-		}
-		if sp.LossRate <= 0 || sp.LossRate >= 1 {
-			panic(fmt.Sprintf("faults: %s %s: loss rate must be in (0,1)", sp.Kind, sp.target()))
+		if sp.Kind == LinkDegrade && (sp.CapacityFactor <= 0 || sp.CapacityFactor >= 1) {
+			panic(fmt.Sprintf("faults: %s %s: capacity factor must be in (0,1)", sp.Kind, sp.target()))
 		}
 	case ProviderSlow:
 		if inj.w.Services[sp.Provider] == nil {
@@ -391,10 +358,6 @@ func (inj *Injector) validate(sp Spec) {
 	case DTNDrain:
 		if inj.w.Agents[sp.DTN] == nil {
 			panic(fmt.Sprintf("faults: %s: unknown DTN %q", sp.Kind, sp.DTN))
-		}
-	case ProcCrash:
-		if sp.CrashPoint == "" {
-			panic(fmt.Sprintf("faults: %s: needs a CrashPoint", sp.Kind))
 		}
 	case DiskFill:
 		if inj.w.Daemons[sp.DTN] == nil {
@@ -437,9 +400,6 @@ func (inj *Injector) validate(sp Spec) {
 	}
 	if sp.ErrorRate < 0 || sp.ErrorRate > 1 || sp.ThrottleRate < 0 || sp.ThrottleRate > 1 {
 		panic(fmt.Sprintf("faults: %s %s: rates must be in [0,1]", sp.Kind, sp.target()))
-	}
-	if sp.Kind == LinkDegrade && sp.CapacityFactor != 0 && (sp.CapacityFactor < 0 || sp.CapacityFactor >= 1) {
-		panic(fmt.Sprintf("faults: %s %s: capacity factor must be in (0,1) or 0", sp.Kind, sp.target()))
 	}
 }
 
@@ -522,11 +482,6 @@ func (inj *Injector) apply(sp *state, active bool) {
 		}
 	case RouteChurn:
 		inj.applyChurn(sp, active)
-	case LinkSilentLoss:
-		// Gray by construction: capacity quietly shrinks by the loss
-		// fraction. Nothing is published, no flow dies — existing
-		// transfers just slow down, exactly what silent loss does to TCP.
-		inj.applySilentLoss(sp, active)
 	case ProviderSlow:
 		svc := inj.w.Services[sp.Provider]
 		if active {
@@ -546,19 +501,6 @@ func (inj *Injector) apply(sp *state, active bool) {
 			inj.w.Daemons[sp.DTN].DiskBps = sp.DiskBps
 		} else {
 			inj.w.Daemons[sp.DTN].DiskBps = 0
-		}
-	case ProcCrash:
-		if inj.control == nil || inj.control.ArmCrash == nil {
-			panic(fmt.Sprintf("faults: %s %s: no CrashControl registered", sp.Kind, sp.target()))
-		}
-		if active {
-			occ := sp.Occurrence
-			if occ < 1 {
-				occ = 1
-			}
-			inj.control.ArmCrash(sp.CrashPoint, occ)
-		} else if inj.control.DisarmCrash != nil {
-			inj.control.DisarmCrash(sp.CrashPoint)
 		}
 	case TornWrite:
 		if sp.Journal {
@@ -705,7 +647,9 @@ func (inj *Injector) applyBitRot(sp *state) {
 	}
 }
 
-// applyDegrade shrinks or restores both directions of the edge.
+// applyDegrade shrinks or restores both directions of the edge. Nothing
+// is published and no flow dies: the degradation is invisible to
+// everything except the throughput the link delivers.
 func (inj *Injector) applyDegrade(sp *state, active bool) {
 	fl := inj.w.Graph.Fluid()
 	for _, dir := range [][2]string{{sp.From, sp.To}, {sp.To, sp.From}} {
@@ -718,40 +662,7 @@ func (inj *Injector) applyDegrade(sp *state, active bool) {
 				sp.savedCap = make(map[[2]string]float64)
 			}
 			sp.savedCap[dir] = e.Link.Capacity
-			if sp.CapacityFactor > 0 {
-				fl.SetLinkCapacity(e.Link, e.Link.Capacity*sp.CapacityFactor)
-			}
-			if sp.ExtraLoad > 0 {
-				fl.SetLinkLoad(e.Link, sp.ExtraLoad)
-			}
-		} else {
-			if c, ok := sp.savedCap[dir]; ok && sp.CapacityFactor > 0 {
-				fl.SetLinkCapacity(e.Link, c)
-			}
-			if sp.ExtraLoad > 0 {
-				fl.SetLinkLoad(e.Link, 0)
-			}
-		}
-	}
-}
-
-// applySilentLoss shrinks or restores both directions of the edge by
-// the loss fraction — like applyDegrade, but with no bus publish and no
-// load change: the degradation is invisible to everything except the
-// throughput the link delivers.
-func (inj *Injector) applySilentLoss(sp *state, active bool) {
-	fl := inj.w.Graph.Fluid()
-	for _, dir := range [][2]string{{sp.From, sp.To}, {sp.To, sp.From}} {
-		e, ok := inj.w.Graph.Edge(dir[0], dir[1])
-		if !ok {
-			continue
-		}
-		if active {
-			if sp.savedCap == nil {
-				sp.savedCap = make(map[[2]string]float64)
-			}
-			sp.savedCap[dir] = e.Link.Capacity
-			fl.SetLinkCapacity(e.Link, e.Link.Capacity*(1-sp.LossRate))
+			fl.SetLinkCapacity(e.Link, e.Link.Capacity*sp.CapacityFactor)
 		} else if c, ok := sp.savedCap[dir]; ok {
 			fl.SetLinkCapacity(e.Link, c)
 		}
@@ -785,17 +696,17 @@ func CannedSchedule() []Spec {
 // GrayfailSchedule is the gray-failure scenario the grayfail replay
 // (`detourbench -experiment grayfail`) plays. Nothing in it (bar one short
 // hard-error burst so the retry budget has something to meter) ever
-// returns an error: the CANARIE Vancouver–Edmonton leg silently sheds
-// half its goodput for a minute, then Google Drive silently throttles
-// ingestion from the UAlberta DTN for thirty-five minutes (the
-// favorite UBC detour's second hop crawls while every request still
-// 200s), and finally UAlberta's staging disk degrades for thirty
-// minutes (the same detour's first hop crawls). The long windows are
+// returns an error: the CANARIE Vancouver–Edmonton leg silently
+// degrades to half its capacity for a minute, then Google Drive
+// silently throttles ingestion from the UAlberta DTN for thirty-five
+// minutes (the favorite UBC detour's second hop crawls while every
+// request still 200s), and finally UAlberta's staging disk degrades
+// for thirty minutes (the same detour's first hop crawls). The long windows are
 // the point: a gray failure lasts until someone notices, and nothing
 // in the ablation ever does.
 func GrayfailSchedule() []Spec {
 	return []Spec{
-		{Kind: LinkSilentLoss, From: "vncv1", To: "edmn1", LossRate: 0.5,
+		{Kind: LinkDegrade, From: "vncv1", To: "edmn1", CapacityFactor: 0.5,
 			Start: 60, Duration: 60},
 		{Kind: ProviderSlow, Provider: scenario.GoogleDrive,
 			Sources: []string{scenario.UAlberta}, SlowBps: 0.05 * scenario.MBps,

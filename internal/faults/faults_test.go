@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"detournet/internal/bgppol"
 	"detournet/internal/core"
 	"detournet/internal/scenario"
 	"detournet/internal/simclock"
@@ -176,38 +177,110 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestCrashControlHooks pins the control-plane seam: ProcCrash arms
-// and disarms the journal's kill plan on its window edges, a
-// journal-targeted TornWrite toggles torn-tail injection, and a
+// TestCrashControlHooks pins the control-plane seam: a journal-targeted
+// TornWrite toggles torn-tail injection on its window edges, and a
 // journal-targeted BitRot flips exactly Flips bytes from the dedicated
 // rot stream.
 func TestCrashControlHooks(t *testing.T) {
 	w := scenario.Build(1)
-	var armed, disarmed []string
 	var torn []bool
 	flips := 0
 	inj := NewInjector(w, 42,
-		Spec{Kind: ProcCrash, CrashPoint: "mid-hop2", Occurrence: 3, Start: 10, Duration: 5},
 		Spec{Kind: TornWrite, Journal: true, Start: 20, Duration: 5},
 		Spec{Kind: BitRot, Journal: true, Start: 30, Duration: 2, Flips: 4},
 	)
 	inj.SetCrashControl(&CrashControl{
-		ArmCrash:    func(pt string, occ int) { armed = append(armed, fmt.Sprintf("%s#%d", pt, occ)) },
-		DisarmCrash: func(pt string) { disarmed = append(disarmed, pt) },
 		TornJournal: func(active bool) { torn = append(torn, active) },
 		FlipJournal: func(*rand.Rand) { flips++ },
 	})
 	sleepWorkload(w, 100)
-	if len(armed) != 1 || armed[0] != "mid-hop2#3" {
-		t.Fatalf("armed = %v, want [mid-hop2#3]", armed)
-	}
-	if len(disarmed) != 1 || disarmed[0] != "mid-hop2" {
-		t.Fatalf("disarmed = %v, want [mid-hop2]", disarmed)
-	}
 	if len(torn) != 2 || !torn[0] || torn[1] {
 		t.Fatalf("torn toggles = %v, want [true false]", torn)
 	}
 	if flips != 4 {
 		t.Fatalf("journal flips = %d, want 4", flips)
+	}
+}
+
+// TestLinkDegradeIsSilent pins the gray link fault the grayfail
+// schedule plays: for its window both directions of the edge run at
+// CapacityFactor of their capacity, the exact prior capacity comes
+// back when it closes, nothing reaches the route bus, and a transfer
+// crossing the edge through both window edges slows down but is never
+// cut. A factor that would not degrade (0 or 1) is rejected up front.
+func TestLinkDegradeIsSilent(t *testing.T) {
+	const from, to, factor = "vncv1", "edmn1", 0.5
+	degrade := Spec{Kind: LinkDegrade, From: from, To: to, CapacityFactor: factor, Start: 2, Duration: 4}
+	capacities := func(w *scenario.World) [2]float64 {
+		ab, _ := w.Graph.Edge(from, to)
+		ba, _ := w.Graph.Edge(to, from)
+		return [2]float64{ab.Link.Capacity, ba.Link.Capacity}
+	}
+	type run struct {
+		rep                core.Report
+		ck                 core.Checkpoint
+		err                error
+		before, mid, after [2]float64
+		published          int
+	}
+	// upload sends 40 MB from UBC through the UAlberta DTN, whose first
+	// hop crosses vncv1-edmn1, reading the edge's capacities before,
+	// mid-window and after.
+	upload := func(specs ...Spec) run {
+		var r run
+		w := scenario.Build(1)
+		defer w.Close()
+		if len(specs) > 0 {
+			NewInjector(w, 1, specs...)
+		}
+		w.RouteBus.Subscribe(func(bgppol.Event) { r.published++ })
+		dc := w.NewDetourClient(scenario.UBC, scenario.UAlberta)
+		r.before = capacities(w)
+		w.RunWorkload("upload", func(p *simproc.Proc) {
+			p.Runner().Go("probe", func(q *simproc.Proc) {
+				q.Sleep(simclock.Duration(degrade.Start + degrade.Duration/2))
+				r.mid = capacities(w)
+			})
+			r.rep, r.err = dc.UploadResumable(p, scenario.GoogleDrive, "gray.bin", 40e6, "", &r.ck)
+		})
+		r.after = capacities(w)
+		return r
+	}
+
+	clean, gray := upload(), upload(degrade)
+	if clean.err != nil {
+		t.Fatalf("fault-free upload: %v", clean.err)
+	}
+	if gray.err != nil || gray.ck.BytesRewritten != 0 || gray.ck.BytesResumed != 0 {
+		t.Fatalf("upload across the window: err=%v rewritten=%.0f resumed=%.0f; a degrade must cut no flow",
+			gray.err, gray.ck.BytesRewritten, gray.ck.BytesResumed)
+	}
+	if gray.rep.Total <= clean.rep.Total || gray.rep.Total < degrade.Start+degrade.Duration {
+		t.Fatalf("degraded upload took %.3fs (clean %.3fs); want it slower, and spanning the window",
+			gray.rep.Total, clean.rep.Total)
+	}
+	if want := [2]float64{gray.before[0] * factor, gray.before[1] * factor}; gray.mid != want {
+		t.Fatalf("capacities mid-window = %v, want %v", gray.mid, want)
+	}
+	if gray.after != gray.before {
+		t.Fatalf("capacities after the window = %v, want the prior %v", gray.after, gray.before)
+	}
+	if gray.published != 0 {
+		t.Fatalf("degrade published %d route-bus events, want none", gray.published)
+	}
+
+	for _, f := range []float64{0, 1} {
+		sp := degrade
+		sp.CapacityFactor = f
+		func() {
+			w := scenario.Build(1)
+			defer w.Close()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CapacityFactor %v: NewInjector did not panic", f)
+				}
+			}()
+			NewInjector(w, 1, sp)
+		}()
 	}
 }

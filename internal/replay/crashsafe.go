@@ -156,13 +156,11 @@ func Crashsafe(seed int64, leg CrashLeg) CrashRun {
 	cj, _ := mustJournal(dev)
 	if leg.Point != "" {
 		// Armed before the scheduler exists: the kill plan is part of the
-		// experiment, not a mid-run race. (Virtual-time-scheduled arming
-		// via faults.ProcCrash works too, but cannot deterministically
-		// catch points in the t≈0 submit burst.)
+		// experiment, not a mid-run race, and counting hits (not virtual
+		// time) deterministically catches points in the t≈0 submit burst.
 		cj.Arm(leg.Point, leg.Occurrence)
 	}
 	first := Run(crashSpec(seed, specs, cj, &faults.CrashControl{
-		ArmCrash: cj.Arm, DisarmCrash: cj.Disarm,
 		TornJournal: cj.TornJournal, FlipJournal: cj.FlipJournalByte,
 	}, nil, nil))
 	run := CrashRun{Outcome: first, Leg: leg, Hits: make(map[string]int)}
@@ -194,11 +192,10 @@ func Crashsafe(seed int64, leg CrashLeg) CrashRun {
 		skip[r.Job.Name] = true
 	}
 	// The restart must not die at the same planned point again — the
-	// fault modeled a one-shot kill, and the inherited schedule windows
-	// would otherwise re-arm it through the old hooks. Journal rot,
+	// fault modeled a one-shot kill, and the inherited torn-append
+	// window would otherwise re-arm it on the new journal. Journal rot,
 	// though, keeps targeting the live device.
 	second := drive(first.World, first.Injector, crashSpec(seed, nil, cj2, &faults.CrashControl{
-		ArmCrash: func(string, int) {}, DisarmCrash: func(string) {},
 		TornJournal: func(bool) {}, FlipJournal: cj2.FlipJournalByte,
 	}, skip, rec.RetrySpent))
 

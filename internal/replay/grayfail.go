@@ -53,9 +53,12 @@ func grayfailSpec(seed int64, stack bool) Spec {
 	return sp
 }
 
-// armHealth gives the arm a health tracker on the virtual clock.
+// armHealth gives the arm a health tracker on the virtual clock and
+// arms the executor's stall watchdogs with it.
 func armHealth(e *Env) {
-	e.Config.Health = health.New(health.Options{Now: e.Exec.VirtualNow, Trace: e.World.Trace})
+	h := health.New(health.Options{Now: e.Exec.VirtualNow, Trace: e.World.Trace})
+	e.Config.Health = h
+	e.Exec.SetHealth(h)
 }
 
 // Grayfail replays the gray-failure schedule as the no-health ablation

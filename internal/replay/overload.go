@@ -4,7 +4,7 @@
 // degrades. The identical trace replays as the control (unbounded
 // queue, no shedding, no fairness, no hedging) and with the overload
 // stack (bounded queue with per-tenant quotas, CoDel-style queue-delay
-// shedding, weighted DRR fair queuing, hedged transfers, brownout
+// shedding, DRR fair queuing, hedged transfers, brownout
 // degradation).
 
 package replay
@@ -81,12 +81,7 @@ func overloadSpec(seed int64, trace []Arrival, stack bool) Spec {
 	if stack {
 		cfg.QueueLimit = 100
 		cfg.TenantQueueLimit = 80
-		cfg.FairQueue = true
-		cfg.DRRQuantumBytes = 1e6
 		cfg.CoDelTarget = 6
-		cfg.Hedge = true
-		cfg.HedgeMinSamples = 4
-		cfg.BrownoutEnter = 0.8
 	}
 	return Spec{
 		Seed: seed,
@@ -162,7 +157,7 @@ func WriteOverload(out io.Writer, seed int64) {
 		cs.QueueDelayP99, st.QueueDelayP99, st.QueueDelayEWMA)
 	fmt.Fprintf(out, "hedging: %d launched, %d won (control: %d)\n", st.Hedges, st.HedgeWins, cs.Hedges)
 	fmt.Fprintf(out, "brownout: %d enters, %d exits; %d small jobs sent direct unplanned, %d stale cache serves\n",
-		st.BrownoutEnters, st.BrownoutExits, st.BrownoutDirect, st.StaleServes)
+		st.BrownoutEntries, st.BrownoutExits, st.BrownoutDirect, st.StaleServes)
 
 	fmt.Fprintln(out, "per-tenant deadline-met ratio (of submission attempts):")
 	_, controlRatios := tenantRatios(control)

@@ -26,7 +26,7 @@ var statsFamilies = map[string]string{
 	"TenantQuotaRejects":      "sched_rejects_total{tenant-quota}",
 	"Hedges":                  "sched_hedges_total",
 	"HedgeWins":               "sched_hedge_wins_total",
-	"BrownoutEnters":          "sched_brownout_enters_total",
+	"BrownoutEntries":         "sched_brownout_enters_total",
 	"BrownoutExits":           "sched_brownout_exits_total",
 	"BrownoutDirect":          "sched_brownout_direct_total",
 	"StaleServes":             "sched_stale_serves_total",

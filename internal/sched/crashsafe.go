@@ -582,8 +582,8 @@ func (cj *ControlJournal) Arm(point string, occurrence int) {
 	cj.plan[point] = occurrence
 }
 
-// Disarm cancels a pending kill at the named point.
-func (cj *ControlJournal) Disarm(point string) {
+// disarm cancels a pending kill at the named point.
+func (cj *ControlJournal) disarm(point string) {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
 	delete(cj.plan, point)
@@ -599,7 +599,7 @@ func (cj *ControlJournal) TornJournal(active bool) {
 	if active {
 		cj.Arm(CrashTornAppend, 1)
 	} else {
-		cj.Disarm(CrashTornAppend)
+		cj.disarm(CrashTornAppend)
 	}
 }
 

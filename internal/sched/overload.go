@@ -77,9 +77,6 @@ type brownout struct {
 }
 
 func newBrownout(enter float64) *brownout {
-	if enter <= 0 {
-		return nil
-	}
 	return &brownout{enter: enter, exit: enter / 2}
 }
 

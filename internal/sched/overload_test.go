@@ -217,10 +217,7 @@ func flashCrowdTrace(seed int64) []arrival {
 func overloadTune(cfg *Config) {
 	cfg.QueueLimit = 200
 	cfg.TenantQueueLimit = 120
-	cfg.FairQueue = true
-	cfg.DRRQuantumBytes = 1e6
 	cfg.CoDelTarget = 3
-	cfg.BrownoutEnter = 0.7
 }
 
 // goodput sums bytes of jobs that completed before their deadline.
@@ -468,8 +465,8 @@ func TestBrownoutShedsOptionalWork(t *testing.T) {
 	clock := &vclock{}
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: planner,
-		QueueLimit: 10, BrownoutEnter: 0.2,
-		CacheTTL: 1e9, Now: clock.now, Sleep: func(float64) {},
+		QueueLimit: 10, CacheTTL: 1e9,
+		Now: clock.now, Sleep: func(float64) {},
 	})
 	s.Start()
 	defer s.Close()
@@ -478,14 +475,14 @@ func TestBrownoutShedsOptionalWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return s.Stats().Running == 1 })
-	// Pile up 5 small jobs: occupancy 0.5 ≥ 0.2 ⇒ brownout.
-	for i := 0; i < 5; i++ {
+	// Pile up 8 small jobs: occupancy 0.8 ≥ brownoutEnter ⇒ brownout.
+	for i := 0; i < 8; i++ {
 		if err := s.Submit(Job{Tenant: "t", Client: "c", Provider: "P2", Name: fmt.Sprintf("small-%d", i), Size: 1e3}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !s.Stats().BrownoutActive {
-		t.Fatal("queue half full but brownout inactive")
+		t.Fatal("queue 80% full but brownout inactive")
 	}
 	close(exec.gate)
 	s.Drain()
@@ -494,14 +491,14 @@ func TestBrownoutShedsOptionalWork(t *testing.T) {
 	if st.BrownoutDirect == 0 {
 		t.Error("no small jobs skipped planning during brownout")
 	}
-	// The blocker (pre-brownout, provider P1) planned, and the final P2
-	// job planned after draining the queue ended the brownout; the jobs
-	// in between would each have missed the cache, but brownout sent
-	// them direct without a probe.
+	// The blocker (pre-brownout, provider P1) planned, and the first P2
+	// job dequeued after draining ended the brownout planned and cached
+	// the route for the rest; the jobs before it would each have missed
+	// the cache, but brownout sent them direct without a probe.
 	if got := planner.planCalls(); got != 2 {
 		t.Errorf("planner called %d times, want 2 (brownout must shed probes)", got)
 	}
-	if st.BrownoutEnters == 0 {
+	if st.BrownoutEntries == 0 {
 		t.Error("no brownout transition recorded")
 	}
 }
@@ -512,8 +509,8 @@ func TestBrownoutServesStaleCache(t *testing.T) {
 	clock := &vclock{}
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: planner,
-		QueueLimit: 10, BrownoutEnter: 0.2,
-		CacheTTL: 5, Now: clock.now, Sleep: func(float64) {},
+		QueueLimit: 10, CacheTTL: 5,
+		Now: clock.now, Sleep: func(float64) {},
 	})
 	s.Start()
 	defer s.Close()
@@ -533,7 +530,7 @@ func TestBrownoutServesStaleCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return s.Stats().Running == 1 })
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 8; i++ {
 		if err := s.Submit(Job{Tenant: "t", Client: "c", Provider: "P", Name: fmt.Sprintf("big-%d", i), Size: 100e6}); err != nil {
 			t.Fatal(err)
 		}
@@ -549,8 +546,9 @@ func TestBrownoutServesStaleCache(t *testing.T) {
 		t.Error("expired cache entry not served stale during brownout")
 	}
 	// The big jobs re-used the stale decision instead of re-probing:
-	// seed + blocker + the final job (which drained the queue, ended the
-	// brownout, and re-probed the expired key the normal way).
+	// seed + blocker + the first job dequeued after draining ended the
+	// brownout (it re-probed the expired key the normal way, and the
+	// rest hit the refreshed entry).
 	if got := planner.planCalls(); got != 3 {
 		t.Errorf("planner called %d times, want 3 (stale entries must suppress re-probes)", got)
 	}
@@ -577,34 +575,49 @@ func (e *hedgeExec) ExecuteHedged(j Job, r core.Route, budget float64, ck *core.
 }
 
 func TestHedgeBudgetAndCap(t *testing.T) {
-	exec := &hedgeExec{detourSec: 2, hedgeSec: 0.5}
-	planner := &staticPlanner{route: core.ViaRoute(scenario.UAlberta)}
-	clock := &vclock{}
-	col := &collector{}
-	s := New(Config{
-		Workers: 1, Executor: exec, Planner: planner,
-		Hedge: true, HedgeMinSamples: 2,
-		CacheTTL: 1e9, MaxAttempts: 1,
-		Now: clock.now, Sleep: func(float64) {},
-		OnResult: col.add,
-	})
-	s.Start()
-	defer s.Close()
-	submit := func(name string) {
-		if err := s.Submit(Job{Tenant: "t", Client: "c", Provider: "P", Name: name, Size: 1e6}); err != nil {
-			t.Fatal(err)
+	// start runs a one-worker scheduler over a fresh scripted executor;
+	// submit runs one job to completion.
+	start := func(queueLimit int) (*Scheduler, *hedgeExec, *collector, func(string)) {
+		exec := &hedgeExec{detourSec: 2, hedgeSec: 0.5}
+		planner := &staticPlanner{route: core.ViaRoute(scenario.UAlberta)}
+		clock := &vclock{}
+		col := &collector{}
+		s := New(Config{
+			Workers: 1, Executor: exec, Planner: planner,
+			QueueLimit: queueLimit, CacheTTL: 1e9, MaxAttempts: 1,
+			Now: clock.now, Sleep: func(float64) {},
+			OnResult: col.add,
+		})
+		s.Start()
+		t.Cleanup(s.Close)
+		return s, exec, col, func(name string) {
+			if err := s.Submit(Job{Tenant: "t", Client: "c", Provider: "P", Name: name, Size: 1e6}); err != nil {
+				t.Fatal(err)
+			}
+			s.Drain()
 		}
-		s.Drain()
 	}
 
-	// First two jobs: the detour route has no latency history, so no
-	// hedge can be priced.
-	submit("warm-1")
-	submit("warm-2")
+	// QueueLimit 0 leaves the overload stack off: no hedge launches,
+	// however much latency history the route has.
+	s, exec, _, submit := start(0)
+	for i := 0; i < 8; i++ {
+		submit(fmt.Sprintf("off-%d", i))
+	}
+	if got := s.Stats().Hedges; got != 0 || exec.hedged != 0 {
+		t.Fatalf("overload stack off: %d hedges, executor saw %d hedged calls; want none", got, exec.hedged)
+	}
+
+	s, exec, col, submit := start(10)
+	// First four jobs: the detour route has fewer than hedgeMinSamples
+	// transfers of history, so no hedge can be priced.
+	for i := 1; i <= hedgeMinSamples; i++ {
+		submit(fmt.Sprintf("warm-%d", i))
+	}
 	if got := s.Stats().Hedges; got != 0 {
 		t.Fatalf("hedged before MinSamples: %d", got)
 	}
-	// Third job: budget available, hedge launches and wins.
+	// Fifth job: budget available, hedge launches and wins.
 	submit("hedge-me")
 	st := s.Stats()
 	if st.Hedges != 1 || st.HedgeWins != 1 {
@@ -615,8 +628,8 @@ func TestHedgeBudgetAndCap(t *testing.T) {
 	if !last.Hedged || !last.HedgeWon || last.Route.Kind != core.Direct {
 		t.Fatalf("winning hedge not reflected in result: %+v", last)
 	}
-	// Cap: with 4 submissions and a 0.1 cap, one hedge exhausts the
-	// budget — the fourth job must run unhedged.
+	// Cap: with 6 submissions and a 0.1 cap, one hedge exhausts the
+	// budget — the sixth job must run unhedged.
 	submit("capped")
 	if got := s.Stats().Hedges; got != 1 {
 		t.Fatalf("hedge cap leaked: %d hedges after cap", got)
@@ -682,7 +695,7 @@ func pinDetour() Planner {
 }
 
 // TestSimHedgedTransfer runs the hedge race on the real simulated
-// topology: two warm-up transfers teach the scheduler the healthy
+// topology: four warm-up transfers teach the scheduler the healthy
 // detour's pace, then the detour's first-hop link degrades to a crawl
 // and a big job's detour attempt blows its latency budget. The direct
 // hedge must launch, win, and kill the crawling primary — whose partial
@@ -700,8 +713,7 @@ func TestSimHedgedTransfer(t *testing.T) {
 	col := &collector{}
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: pinDetour(),
-		MaxAttempts: 1,
-		Hedge:       true, HedgeMinSamples: 2,
+		MaxAttempts: 1, QueueLimit: 10,
 		Now:      exec.VirtualNow,
 		Sleep:    exec.SleepVirtual,
 		OnResult: col.add,
@@ -709,7 +721,7 @@ func TestSimHedgedTransfer(t *testing.T) {
 	s.Start()
 	defer s.Close()
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < hedgeMinSamples; i++ {
 		if err := s.Submit(Job{
 			Tenant: "t", Client: scenario.UBC, Provider: scenario.GoogleDrive,
 			Name: fmt.Sprintf("warm-%d.bin", i), Size: 5e6,

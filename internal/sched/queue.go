@@ -23,7 +23,7 @@ type queueOpts struct {
 
 func (o queueOpts) withDefaults() queueOpts {
 	if o.quantum <= 0 {
-		o.quantum = 32 << 20
+		o.quantum = drrQuantum
 	}
 	if o.now == nil {
 		o.now = func() float64 { return 0 }

@@ -209,13 +209,6 @@ func (f PlannerFunc) Plan(c, p string, s float64) (core.Route, []core.Route, err
 	return f(c, p, s)
 }
 
-// HealthAware is an Executor that accepts the shared gray-failure
-// tracker — the hook through which the simulation executor arms its
-// stall watchdogs with the scheduler's learned baselines.
-type HealthAware interface {
-	SetHealth(*health.Tracker)
-}
-
 // CapacityOracle reports a DTN's free staging bytes. When Config.
 // Capacity is set, route election down-weights detours through DTNs
 // below the headroom floor — spill-aware placement: jobs steer toward
@@ -293,42 +286,28 @@ type Config struct {
 	Reroute    bool
 	ParkBudget float64
 
-	// --- Overload control (all off by default) ---
+	// --- Overload control (off by default) ---
 
 	// QueueLimit bounds total queue occupancy: Submit rejects with
-	// ErrQueueFull once this many jobs wait. 0 = unbounded.
+	// ErrQueueFull once this many jobs wait. 0 = unbounded. A positive
+	// limit is the overload stack's one switch: it also turns on
+	// deficit-round-robin draining across each priority level's tenants
+	// (drrQuantum), so a bursty tenant cannot starve its peers; hedged
+	// transfers on a HedgedExecutor (a detour attempt that outlives its
+	// route's learned p95 races a direct hedge, see hedgeBudget); and
+	// brownout above brownoutEnter occupancy, which sheds optional work
+	// — bandit and cache refresh, detour planning for files under ~4 MB,
+	// hedging — before jobs.
 	QueueLimit int
 	// TenantQueueLimit bounds one tenant's share of the queue; a Submit
 	// past it rejects with ErrTenantQuota (which errors.Is-matches
 	// ErrQueueFull). 0 = unbounded.
 	TenantQueueLimit int
-	// FairQueue switches draining within each priority level from
-	// strict FIFO/deadline order to equal-weight deficit-round-robin
-	// across tenants, so a bursty tenant cannot starve its peers.
-	FairQueue bool
-	// DRRQuantumBytes is the per-visit deficit refill (default 32 MB).
-	DRRQuantumBytes float64
 	// CoDelTarget enables CoDel-style shedding: when the EWMA (smoothing
 	// factor 0.3) of time-in-queue exceeds this many seconds, jobs whose
 	// own delay also exceeds it are dropped at dequeue with a *ShedError
 	// (retry-after). 0 disables shedding.
 	CoDelTarget float64
-	// Hedge enables hedged transfers when the Executor implements
-	// HedgedExecutor: a detour attempt that outlives its learned p95
-	// budget races a direct-route hedge, loser cancelled.
-	Hedge bool
-	// HedgeMinSamples is how many completed transfers a route needs
-	// before hedging trusts its distribution (default 8). Launched hedges
-	// are capped at hedgeMaxFrac of submitted jobs.
-	HedgeMinSamples int
-	// BrownoutEnter, as a fraction of QueueLimit occupancy, turns on
-	// brownout mode: optional work — bandit refresh, probe-based
-	// cache refresh, detour planning for small size-buckets (files
-	// under ~4 MB, where detour gains are smallest, go direct), hedging —
-	// is shed first, and restored hysteretically once occupancy falls
-	// to half of BrownoutEnter. 0 disables brownout; requires
-	// QueueLimit > 0.
-	BrownoutEnter float64
 
 	// Capacity, when set, arms spill-aware placement: detour routes
 	// through DTNs whose staging headroom sits below a 64 MB floor are
@@ -401,9 +380,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheTTL <= 0 {
 		c.CacheTTL = 300
 	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 8
-	}
 	if c.ParkBudget <= 0 {
 		c.ParkBudget = 90
 	}
@@ -435,12 +411,20 @@ const (
 	multipathChunk    = core.DefaultResumeChunk
 	// codelAlpha is the smoothing factor of CoDel's queue-delay EWMA.
 	codelAlpha = 0.3
+	// drrQuantum is the fair queue's per-visit deficit refill in bytes.
+	drrQuantum = 1e6
+	// hedgeMinSamples is how many completed transfers a route needs
+	// before hedging trusts its latency distribution.
+	hedgeMinSamples = 4
 	// hedgePercentile is the per-route latency percentile that prices a
 	// hedge budget.
 	hedgePercentile = 0.95
 	// hedgeMaxFrac caps launched hedges as a fraction of submitted jobs,
 	// so hedging cannot amplify overload.
 	hedgeMaxFrac = 0.1
+	// brownoutEnter is the queue occupancy, as a fraction of QueueLimit,
+	// that enters brownout; it exits at half of it.
+	brownoutEnter = 0.8
 	// brownoutSmallBucket: during brownout, jobs in size buckets ≤ this
 	// (files under ~4 MB) skip detour planning and go direct.
 	brownoutSmallBucket = 1
@@ -505,8 +489,7 @@ func New(cfg Config) *Scheduler {
 		q: newJobQueue(queueOpts{
 			limit:       cfg.QueueLimit,
 			tenantLimit: cfg.TenantQueueLimit,
-			fair:        cfg.FairQueue,
-			quantum:     cfg.DRRQuantumBytes,
+			fair:        cfg.QueueLimit > 0,
 			now:         cfg.Now,
 		}),
 		caps:     newCapTable(cfg.ProviderCap, cfg.DTNCap),
@@ -522,15 +505,10 @@ func New(cfg Config) *Scheduler {
 	// source.
 	s.jitterRng = rand.New(rand.NewSource(rand.New(rand.NewSource(1)).Int63()))
 	if cfg.QueueLimit > 0 {
-		s.brown = newBrownout(cfg.BrownoutEnter)
+		s.brown = newBrownout(brownoutEnter)
 	}
 	s.cache = NewRouteCache(cfg.CacheTTL, cfg.CacheTTL, cfg.Now)
 	s.breakers = newBreakerSet(breakerThreshold, breakerCooldown, cfg.Now)
-	if cfg.Health != nil {
-		if ha, ok := cfg.Executor.(HealthAware); ok {
-			ha.SetHealth(cfg.Health)
-		}
-	}
 	if cfg.Health != nil || cfg.Capacity != nil {
 		// Probation down-weights the bandit's view of a route instead of
 		// hard-excluding it: traffic trickles, canaries decide re-admission.
@@ -717,7 +695,7 @@ func (s *Scheduler) expireQueued(items []queued) {
 // noteQueueDepth feeds queue utilization through the brownout state
 // machine.
 func (s *Scheduler) noteQueueDepth() {
-	if s.brown == nil || s.cfg.QueueLimit <= 0 {
+	if s.brown == nil {
 		return
 	}
 	util := float64(s.q.length()) / float64(s.cfg.QueueLimit)
@@ -1031,7 +1009,7 @@ func (s *Scheduler) runJobTraced(j Job, tr telemetry.Trace) Result {
 				cj.NoteCap(j.Provider, acquiredVia, true)
 			}
 			ran := false
-			if hx, canHedge := s.cfg.Executor.(HedgedExecutor); canHedge && s.cfg.Hedge && route.Kind == core.Detour && ck != nil {
+			if hx, canHedge := s.cfg.Executor.(HedgedExecutor); canHedge && s.cfg.QueueLimit > 0 && route.Kind == core.Detour && ck != nil {
 				if budget, ok := s.hedgeBudget(route, j.Size); ok {
 					var winner core.Route
 					var launched, won bool
@@ -1385,7 +1363,7 @@ func (s *Scheduler) hedgeBudget(route core.Route, size float64) (float64, bool) 
 		s.mu.Unlock()
 		return 0, false
 	}
-	if s.lat.count(route) < s.cfg.HedgeMinSamples {
+	if s.lat.count(route) < hedgeMinSamples {
 		s.mu.Unlock()
 		return 0, false
 	}
@@ -1568,13 +1546,13 @@ type Stats struct {
 	// Hedges counts launched direct-route hedges; HedgeWins counts races
 	// the hedge won.
 	Hedges, HedgeWins int64
-	// BrownoutActive is the current brownout state; Enters/Exits count
+	// BrownoutActive is the current brownout state; Entries/Exits count
 	// transitions; BrownoutDirect counts small jobs sent direct without
 	// planning; StaleServes counts expired cache entries served in lieu
 	// of a re-probe.
-	BrownoutActive                bool
-	BrownoutEnters, BrownoutExits int64
-	BrownoutDirect, StaleServes   int64
+	BrownoutActive                 bool
+	BrownoutEntries, BrownoutExits int64
+	BrownoutDirect, StaleServes    int64
 	// IntegrityRetries counts attempts failed by a provider-side digest
 	// mismatch (corrupted/stale resume detected and retried).
 	IntegrityRetries int64
@@ -1692,7 +1670,7 @@ func (s *Scheduler) Stats() Stats {
 		QueueFullRejects:   n(m.rejected.Get("queue-full")),
 		TenantQuotaRejects: n(m.rejected.Get("tenant-quota")),
 		Hedges:             n(m.hedges), HedgeWins: n(m.hedgeWins),
-		BrownoutEnters: n(m.brownoutEnters), BrownoutExits: n(m.brownoutExits),
+		BrownoutEntries: n(m.brownoutEnters), BrownoutExits: n(m.brownoutExits),
 		BrownoutDirect: n(m.brownoutDirect), StaleServes: n(m.staleServes),
 		IntegrityRetries: n(m.integrityRetries), Reroutes: n(m.reroutes), Parks: n(m.parks),
 		ParkSeconds: m.parkSeconds.Value(), RouteEvents: n(m.routeEvents),

@@ -60,8 +60,8 @@ func NewSimExecutor(w *scenario.World) *SimExecutor {
 // SetHealth arms the stall watchdog: resumable transfers run under a
 // monitor that aborts (checkpoint intact) when they exceed their
 // adaptive time budget or stop making byte progress, surfacing an error
-// wrapping core.ErrStall. Implements sched.HealthAware; the scheduler
-// calls it from New when Config.Health is set.
+// wrapping core.ErrStall. Whoever builds the tracker handed to
+// Config.Health arms the executor with it too.
 func (e *SimExecutor) SetHealth(h *health.Tracker) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
