@@ -67,9 +67,10 @@ loc:
 # really-concurrent scheduler) is race-clean, the nested detourledger
 # module (which `./...` skips) compiles and vets against the scheduler,
 # every benchmark in the module, which `go test` only compiles, runs
-# one iteration, the delta-encoding, journal-decode, journal-encode and
-# Content-Range fuzzers hold up for a short smoke run, and every golden
-# matches (the race leg skips the golden runs).
+# one iteration, the delta-encoding, journal-decode, journal-encode,
+# Content-Range and fluid allocator-versus-reference fuzzers hold up for
+# a short smoke run, and every golden matches (the race leg skips the
+# golden runs).
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
@@ -79,4 +80,5 @@ check:
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
 	$(GO) test -fuzz=FuzzJournalRecord -fuzztime=5s ./internal/sched
 	$(GO) test -fuzz=FuzzParseContentRange -fuzztime=5s ./internal/cloudsim
+	$(GO) test -fuzz=FuzzAllocatorMatchesReference -fuzztime=5s ./internal/fluid
 	$(MAKE) --no-print-directory golden-check

@@ -51,6 +51,7 @@ import (
 	"detournet/internal/core"
 	"detournet/internal/detourselect"
 	"detournet/internal/fileutil"
+	"detournet/internal/multipath"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
 	"detournet/internal/simproc"
@@ -196,19 +197,10 @@ func writeTrace(w *scenario.World, path string, exit int) {
 	fmt.Printf("trace written to %s (%d events)\n", path, w.Trace.Len())
 }
 
-// runMultipath stripes one upload across the direct route plus every
-// in-service DTN detour through the scheduler's executor, then prints
-// the per-path progress timeline (from the trace's mp.* span events)
-// and the per-path report.
+// runMultipath stripes one upload, then prints the per-path progress
+// timeline (from the trace's mp.* span events) and the per-path report.
 func runMultipath(w *scenario.World, from, provider, drain string, file fileutil.TestFile) int {
-	routes := []core.Route{core.DirectRoute}
-	for _, dtn := range scenario.DTNs {
-		if dtn != drain { // a draining DTN refuses new relay work
-			routes = append(routes, core.ViaRoute(dtn))
-		}
-	}
-	job := sched.Job{Client: from, Provider: provider, Name: file.Name, Size: file.Size, MD5: file.MD5}
-	rep, err := sched.NewSimExecutor(w).ExecuteMultipath(job, routes, core.DefaultResumeChunk)
+	rep, err := stripe(w, from, provider, drain, file)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "detourctl: multipath upload: %v\n", err)
 		return 1
@@ -223,4 +215,17 @@ func runMultipath(w *scenario.World, from, provider, drain string, file fileutil
 		return 1
 	}
 	return 0
+}
+
+// stripe uploads file across the direct route plus every in-service DTN
+// detour through the scheduler's executor.
+func stripe(w *scenario.World, from, provider, drain string, file fileutil.TestFile) (multipath.Report, error) {
+	routes := []core.Route{core.DirectRoute}
+	for _, dtn := range scenario.DTNs {
+		if dtn != drain { // a draining DTN refuses new relay work
+			routes = append(routes, core.ViaRoute(dtn))
+		}
+	}
+	job := sched.Job{Client: from, Provider: provider, Name: file.Name, Size: file.Size, MD5: file.MD5}
+	return sched.NewSimExecutor(w).ExecuteMultipath(job, routes, core.DefaultResumeChunk)
 }

@@ -4,7 +4,8 @@
 // fluid flow over a path of links; every time the set of flows (or the
 // capacity available to them) changes, the simulator recomputes a global
 // max-min fair allocation — the classic progressive-filling model of TCP
-// bandwidth sharing — and reschedules each flow's completion event.
+// bandwidth sharing — and moves its one completion event to the earliest
+// finish time.
 //
 // Per-flow rate caps model everything that keeps a real TCP connection
 // below its fair share: receive windows, slow-start ramping (driven by
@@ -170,8 +171,6 @@ type Flow struct {
 
 	onComplete func(*Flow)
 	onAbort    func(*Flow)
-	fire       func()          // completion callback, built once per flow
-	completion *simclock.Event // pending completion, rescheduled in place
 
 	// progressive-filling scratch state: the external cap combined with
 	// the path's FlowCaps, and whether the flow's rate is settled.
@@ -207,6 +206,11 @@ type Network struct {
 	nextFlow int
 	nextLink int
 
+	// done, the one completion event, is pending at the earliest
+	// completion while any flow can finish; next is that flow.
+	done *simclock.Event
+	next *Flow
+
 	// progressive-filling scratch slices, reused across reallocations:
 	// the flows still rising and the links that still carry them.
 	live    []*Flow
@@ -222,7 +226,9 @@ func New(eng *simclock.Engine) *Network {
 	if eng == nil {
 		panic("fluid: nil engine")
 	}
-	return &Network{eng: eng}
+	n := &Network{eng: eng}
+	n.done = simclock.NewEvent(func() { n.complete(n.next) })
+	return n
 }
 
 // Engine returns the simulation engine the network runs on.
@@ -310,7 +316,6 @@ func (n *Network) attach(path []*Link, bytes float64, opts FlowOpts) *Flow {
 		onComplete: opts.OnComplete,
 		onAbort:    opts.OnAbort,
 	}
-	f.fire = func() { n.complete(f) }
 	n.nextFlow++
 	n.flows = append(n.flows, f)
 	for _, l := range path {
@@ -342,36 +347,27 @@ func (n *Network) SetFlowCap(f *Flow, cap float64) {
 
 // CancelFlow aborts an active flow without running its completion
 // callback. It reports whether the flow was still active.
-func (n *Network) CancelFlow(f *Flow) bool {
-	if f.state != FlowActive {
-		return false
-	}
-	f.settleProgress(n.eng.Now())
-	f.state = FlowCancelled
-	f.finishedAt = n.eng.Now()
-	n.dropCompletion(f)
-	n.detach(f)
-	n.reallocate()
-	return true
-}
+func (n *Network) CancelFlow(f *Flow) bool { return n.abort(f, nil) }
 
 // KillFlow forcibly aborts an active flow — the path failed underneath
 // it — and runs its OnAbort callback so the endpoints learn the
 // transfer died. It reports whether the flow was still active. Unlike
 // CancelFlow (a deliberate local abort that notifies nobody), KillFlow
 // models an external failure the sender did not ask for.
-func (n *Network) KillFlow(f *Flow) bool {
+func (n *Network) KillFlow(f *Flow) bool { return n.abort(f, f.onAbort) }
+
+// abort cancels an active flow, then runs then (if set) on it.
+func (n *Network) abort(f *Flow, then func(*Flow)) bool {
 	if f.state != FlowActive {
 		return false
 	}
 	f.settleProgress(n.eng.Now())
 	f.state = FlowCancelled
 	f.finishedAt = n.eng.Now()
-	n.dropCompletion(f)
 	n.detach(f)
 	n.reallocate()
-	if f.onAbort != nil {
-		f.onAbort(f)
+	if then != nil {
+		then(f)
 	}
 	return true
 }
@@ -485,13 +481,16 @@ func (n *Network) detach(f *Flow) {
 	}
 }
 
-// reallocate recomputes the global max-min fair allocation and
-// reschedules completion events. It must be called whenever the flow
+// reallocate recomputes the global max-min fair allocation and places
+// the network's completion event. It must be called whenever the flow
 // set, a link's available capacity, or a flow cap changes.
 //
 // Every flow is settled and every completion time recomputed, in flow-id
 // order, whatever the change touched: the rates and the (time, sequence)
-// order of completion events then do not depend on which flows moved.
+// order of completions then do not depend on which flows moved. Each
+// flow that can finish claims a sequence number, as an event of its own
+// would, and the one event goes to the smallest (time, seq) key: every
+// completion reallocates, so no other could run first.
 func (n *Network) reallocate() {
 	n.Reallocations++
 	now := n.eng.Now()
@@ -503,22 +502,19 @@ func (n *Network) reallocate() {
 
 	n.computeMaxMin()
 
-	// Reschedule completions under the new rates. Moving a pending event
-	// takes a fresh sequence number, exactly as cancelling it and
-	// scheduling a new one would, so event order is the same either way.
+	n.next = nil
+	first, seq := simclock.Infinity, uint64(0)
 	for _, f := range n.flows {
-		at := simclock.Infinity
-		if f.rate > 0 {
-			at = now + simclock.Time(f.remaining/f.rate)
+		if at := now + simclock.Time(f.remaining/f.rate); f.rate > 0 && at != simclock.Infinity {
+			if s := n.eng.Claim(); at < first { // strict: a tie goes to the lower seq
+				n.next, first, seq = f, at, s
+			}
 		}
-		switch {
-		case at == simclock.Infinity:
-			n.dropCompletion(f)
-		case f.completion != nil:
-			n.eng.Reschedule(f.completion, at)
-		default:
-			f.completion = n.eng.Schedule(at, f.fire)
-		}
+	}
+	if n.next == nil {
+		n.eng.Cancel(n.done)
+	} else {
+		n.eng.Place(n.done, first, seq)
 	}
 }
 
@@ -530,21 +526,10 @@ func (n *Network) complete(f *Flow) {
 	f.remaining = 0
 	f.state = FlowDone
 	f.finishedAt = n.eng.Now()
-	n.dropCompletion(f) // the event running this callback: fired
 	n.detach(f)
 	n.reallocate()
 	if f.onComplete != nil {
 		f.onComplete(f)
-	}
-}
-
-// dropCompletion cancels the flow's completion event if it is pending
-// and hands it back to the engine: the flow is its only owner.
-func (n *Network) dropCompletion(f *Flow) {
-	if f.completion != nil {
-		n.eng.Cancel(f.completion)
-		n.eng.Release(f.completion)
-		f.completion = nil
 	}
 }
 
@@ -705,7 +690,7 @@ func BottleneckCapacity(path []*Link) float64 {
 	return m
 }
 
-// SortedFlowLabels returns the labels of active flows in id order; it
+// SortedFlowLabels returns the labels of active flows, sorted; it
 // exists for deterministic test assertions and diagnostics.
 func (n *Network) SortedFlowLabels() []string {
 	out := make([]string, len(n.flows))

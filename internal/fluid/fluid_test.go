@@ -915,24 +915,39 @@ func runDiffScript(t *testing.T, seed int64, n *Network, net flowNet, check bool
 // cancels and reschedules every completion on every reallocation.
 func TestAllocatorMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
-		n := New(simclock.NewEngine())
-		got := runDiffScript(t, seed, n, n, true)
-		r := &refNet{Network: New(simclock.NewEngine()), events: map[*Flow]*simclock.Event{}}
-		want := runDiffScript(t, seed, r.Network, r, false)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d log lines, reference %d:\n%v\n%v", seed, len(got), len(want), got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: line %d is %q, reference %q", seed, i, got[i], want[i])
-			}
+		matchReference(t, seed)
+	}
+}
+
+// FuzzAllocatorMatchesReference is the differential test on fuzzed seeds.
+func FuzzAllocatorMatchesReference(f *testing.F) {
+	for _, seed := range []int64{0, 1, 149} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { matchReference(t, seed) })
+}
+
+// matchReference plays seed's script on a Network and on refNet and
+// compares their logs line by line.
+func matchReference(t *testing.T, seed int64) {
+	t.Helper()
+	n := New(simclock.NewEngine())
+	got := runDiffScript(t, seed, n, n, true)
+	r := &refNet{Network: New(simclock.NewEngine()), events: map[*Flow]*simclock.Event{}}
+	want := runDiffScript(t, seed, r.Network, r, false)
+	if len(got) != len(want) {
+		t.Fatalf("seed %d: %d log lines, reference %d:\n%v\n%v", seed, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: line %d is %q, reference %q", seed, i, got[i], want[i])
 		}
 	}
 }
 
 // TestReallocateAllocFree pins the steady state: on a 300-flow network,
-// a capacity change reallocates and moves every completion without a
-// single heap allocation.
+// a capacity change reallocates and moves the completion event without
+// a single heap allocation.
 func TestReallocateAllocFree(t *testing.T) {
 	n := New(simclock.NewEngine())
 	links := make([]*Link, 12)
@@ -964,6 +979,59 @@ func TestReallocateAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("SetLinkLoad allocates %v times per call, want 0", allocs)
+	}
+}
+
+// A 300-flow network keeps exactly one completion event pending while
+// any flow can finish, whatever the reallocations in between, and runs
+// one event per completed flow.
+func TestOneCompletionEventPerNetwork(t *testing.T) {
+	eng := simclock.NewEngine()
+	n := New(eng)
+	links := make([]*Link, 12)
+	for i := range links {
+		links[i] = n.AddLink("l", 1e6, 0)
+	}
+	rng := rand.New(rand.NewSource(5))
+	pendingOK := func(when string) {
+		want := 0
+		if n.ActiveFlows() > 0 {
+			want = 1
+		}
+		if eng.Pending() != want {
+			t.Fatalf("%s: %d events pending with %d active flows, want %d", when, eng.Pending(), n.ActiveFlows(), want)
+		}
+	}
+	done := 0
+	for i := 0; i < 300; i++ {
+		path := []*Link{links[rng.Intn(len(links))], links[rng.Intn(len(links))]}
+		n.StartFlow(path, 1e5+rng.Float64()*1e6, FlowOpts{OnComplete: func(*Flow) {
+			done++
+			pendingOK("after a completion")
+		}})
+		n.SetLinkLoad(links[i%len(links)], float64(i%3)*0.3)
+	}
+	pendingOK("after 300 starts")
+	eng.Run()
+	if done != 300 || eng.Processed() != 300 {
+		t.Fatalf("%d flows completed in %d events, want 300 in 300", done, eng.Processed())
+	}
+	pendingOK("at the end")
+}
+
+// Starting a flow and running it to completion allocates the Flow and
+// nothing else once the network's slices have grown.
+func TestFlowLifecycleAllocs(t *testing.T) {
+	eng := simclock.NewEngine()
+	n := New(eng)
+	path := []*Link{n.AddLink("a", 1e6, 0), n.AddLink("b", 1e6, 0)}
+	n.StartFlow(path, 1e9, FlowOpts{}) // a long flow the short ones share with
+	allocs := testing.AllocsPerRun(100, func() {
+		n.StartFlow(path, 1e3, FlowOpts{})
+		eng.Step()
+	})
+	if allocs != 1 {
+		t.Fatalf("StartFlow and its completion allocate %v times, want 1", allocs)
 	}
 }
 

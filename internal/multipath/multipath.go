@@ -606,7 +606,6 @@ func (st *state) runPath(p *simproc.Proc, ps *pathState) {
 			}
 			continue
 		}
-		ps.fails++
 		if st.chunks[cid].status == chunkDone {
 			// The winner committed and (usually) aborted us; the payload
 			// this dispatch moved was duplicate work. DuplicateBytes
@@ -617,6 +616,7 @@ func (st *state) runPath(p *simproc.Proc, ps *pathState) {
 			ps.dup += math.Max(ps.ck.Hop1High, ps.ck.Hop2High)
 			continue
 		}
+		ps.fails++
 		st.env.Trace.Emit("mp.chunk.fail", map[string]any{
 			tracelog.AttrPath: ps.path.ID, tracelog.AttrChunk: cid,
 			tracelog.AttrRoute: ps.path.Route.String(), "err": err.Error(),

@@ -24,9 +24,12 @@ type PathReport struct {
 	Rewritten float64
 	// DuplicateBytes is hedge-race work this path moved and lost.
 	DuplicateBytes float64
-	Failures       int
-	Drains         int
-	Retired        bool
+	// Failures counts dispatches that failed while their chunk was
+	// still uncommitted, one per mp.chunk.fail event; a hedge loser
+	// cancelled after the winner committed is duplicate work instead.
+	Failures int
+	Drains   int
+	Retired  bool
 }
 
 // Rate is the path's committed throughput in bytes/second (0 when it

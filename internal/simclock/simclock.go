@@ -45,9 +45,6 @@ type Event struct {
 // At reports the virtual time the event is (or was) scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// Cancelled reports whether Cancel was called before the event fired.
-func (e *Event) Cancelled() bool { return e.cancel }
-
 // eventHeap is a binary min-heap on (at, seq). Sequence numbers are
 // unique, so the pop order is the (at, seq) order whatever the heap's
 // internal layout.
@@ -119,13 +116,6 @@ func (h *eventHeap) remove(i int) *Event {
 	return ev
 }
 
-// fix restores the heap after the event at index i changed its key.
-func (h eventHeap) fix(i int) {
-	if !h.down(i) {
-		h.up(i)
-	}
-}
-
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // NewEngine.
 type Engine struct {
@@ -185,8 +175,8 @@ func (e *Engine) Post(at Time, fn func()) {
 
 // Release hands a fired or cancelled event back to the free list that
 // Schedule draws from. Only the event's sole owner may call it, and
-// the handle is dead afterwards: Cancel, Reschedule, Rearm and a second
-// Release all refuse it. Releasing a pending event does nothing.
+// the handle is dead afterwards: Cancel, Rearm and a second Release all
+// refuse it, and Place panics. Releasing a pending event does nothing.
 func (e *Engine) Release(ev *Event) {
 	if ev == nil || ev.index >= 0 || ev.fn == nil {
 		return
@@ -211,27 +201,32 @@ func (e *Engine) Cancel(ev *Event) bool {
 	return true
 }
 
-// Reschedule moves a pending event to a new absolute time, preserving
-// nothing but its callback. It reports whether the event was still
-// pending. A fired or cancelled event is left alone.
-//
-// The event takes a fresh sequence number, exactly as Schedule would,
-// so it runs after every event already due at the same instant: the
-// execution order is the one Cancel followed by Schedule of the same
-// callback gives, equal-time ties included. Package fluid relies on
-// this to move flow completions in place without changing replays.
-func (e *Engine) Reschedule(ev *Event, at Time) bool {
-	if ev == nil || ev.fired || ev.cancel || ev.index < 0 {
-		return false
-	}
-	if !(at >= e.now) {
-		panic(fmt.Sprintf("simclock: reschedule at %v before now %v", at, e.now))
-	}
-	ev.at = at
-	ev.seq = e.seq
+// NewEvent returns an unqueued event that runs fn; Place queues it.
+func NewEvent(fn func()) *Event { return &Event{index: -1, fn: fn} }
+
+// Claim takes the next sequence number, exactly as Schedule would, and
+// queues nothing.
+func (e *Engine) Claim() uint64 {
 	e.seq++
-	e.queue.fix(ev.index)
-	return true
+	return e.seq - 1
+}
+
+// Place queues ev at the key (at, seq), where seq came from Claim and no
+// other event holds it, moving ev there if it is pending; a new, fired
+// or cancelled event is pending again. It panics in the past, as
+// Schedule does, and on a released event or an unclaimed number.
+func (e *Engine) Place(ev *Event, at Time, seq uint64) {
+	if !(at >= e.now) {
+		panic(fmt.Sprintf("simclock: place at %v before now %v", at, e.now))
+	}
+	if ev.fn == nil || seq >= e.seq {
+		panic("simclock: place of a released event or an unclaimed sequence number")
+	}
+	if ev.index >= 0 {
+		e.queue.remove(ev.index)
+	}
+	ev.at, ev.seq, ev.fired, ev.cancel = at, seq, false, false
+	e.queue.push(ev)
 }
 
 // Rearm queues a fired event again at absolute time at, with the same
@@ -239,9 +234,9 @@ func (e *Engine) Reschedule(ev *Event, at Time) bool {
 // one event instead of allocating a new one per period. The event takes
 // a fresh sequence number, so it runs exactly where Schedule of the
 // same callback at the same moment would have put it. Rearm refuses a
-// pending or cancelled event (use Reschedule or Schedule); a re-armed
-// event is pending again and can be cancelled or rescheduled. Re-arming
-// in the past panics, as Schedule does.
+// pending or cancelled event (use Place or Schedule); a re-armed event
+// is pending again and can be cancelled or placed. Re-arming in the past
+// panics, as Schedule does.
 func (e *Engine) Rearm(ev *Event, at Time) bool {
 	if ev == nil || !ev.fired || ev.cancel {
 		return false

@@ -92,8 +92,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() false after Cancel")
+	if !ev.cancel {
+		t.Fatal("event not marked cancelled after Cancel")
 	}
 }
 
@@ -106,32 +106,39 @@ func TestCancelFired(t *testing.T) {
 	}
 }
 
-func TestReschedule(t *testing.T) {
-	e := NewEngine()
-	var at Time
-	ev := e.Schedule(10, func() { at = e.Now() })
-	if !e.Reschedule(ev, 4) {
-		t.Fatal("Reschedule reported false")
-	}
-	e.Run()
-	if at != 4 {
-		t.Fatalf("rescheduled event fired at %v, want 4", at)
-	}
-	if e.Reschedule(ev, 20) {
-		t.Fatal("Reschedule of fired event reported true")
-	}
-}
-
-func TestRescheduleKeepsOrder(t *testing.T) {
+// Place moves a pending event to a claimed key and queues a new, fired
+// or cancelled one there. The key's sequence number, not the moment of
+// the call, decides an equal-time tie.
+func TestPlace(t *testing.T) {
 	e := NewEngine()
 	var got []string
-	a := e.Schedule(1, func() { got = append(got, "a") })
-	e.Schedule(2, func() { got = append(got, "b") })
-	e.Reschedule(a, 2) // same time as b, but rescheduled later => runs after b
-	e.Run()
-	if len(got) != 2 || got[0] != "b" || got[1] != "a" {
-		t.Fatalf("order = %v, want [b a]", got)
+	log := func(name string) func() {
+		return func() { got = append(got, fmt.Sprintf("%s@%v", name, e.Now())) }
 	}
+	early := e.Claim()
+	a := e.Schedule(10, log("a"))
+	e.Schedule(4, log("b"))
+	e.Place(a, 4, early) // pending: moves, and its older number beats b
+	c := NewEvent(log("c"))
+	e.Place(c, 4, e.Claim()) // new: queued, after b
+	e.Run()
+	e.Place(c, 6, e.Claim()) // fired: queued again
+	x := e.Schedule(7, log("x"))
+	e.Cancel(x)
+	e.Place(x, 7, e.Claim()) // cancelled: queued again
+	if x.cancel || e.Pending() != 2 {
+		t.Fatalf("after placing a fired and a cancelled event: cancelled %v, %d pending", x.cancel, e.Pending())
+	}
+	e.Run()
+	if want := "[a@4 b@4 c@4 c@6 x@7]"; fmt.Sprint(got) != want {
+		t.Fatalf("order %v, want %s", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("placing at an unclaimed sequence number did not panic")
+		}
+	}()
+	e.Place(c, 8, e.seq)
 }
 
 func TestRunUntil(t *testing.T) {
@@ -287,12 +294,12 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 }
 
-// Property: moving pending events with Reschedule gives the same
+// Property: moving pending events with Claim and Place gives the same
 // execution order as cancelling them and scheduling their callbacks
 // anew, including equal-time ties and moves made from inside running
-// events. One engine reschedules in place; its twin cancels and
-// schedules; both follow the same seeded script.
-func TestPropertyRescheduleMatchesCancelSchedule(t *testing.T) {
+// events. One engine moves in place; its twin cancels and schedules;
+// both follow the same seeded script.
+func TestPropertyPlaceMatchesCancelSchedule(t *testing.T) {
 	run := func(seed int64, inPlace bool) []int {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
@@ -304,7 +311,9 @@ func TestPropertyRescheduleMatchesCancelSchedule(t *testing.T) {
 		move := func(i int, d Time) {
 			at := e.Now() + d
 			if inPlace {
-				e.Reschedule(evs[i], at)
+				if evs[i].index >= 0 {
+					e.Place(evs[i], at, e.Claim())
+				}
 			} else if e.Cancel(evs[i]) {
 				evs[i] = e.Schedule(at, fire(i))
 			}
@@ -383,12 +392,15 @@ func (q *refQueue) Pop() any {
 	return it
 }
 
-// Property: under random Schedule/Post/Cancel/Reschedule/Rearm/Release/
+// Property: under random Schedule/Post/Cancel/Claim/Place/Rearm/Release/
 // Step scripts with many equal-time ties, the engine runs events in
 // exactly the order a container/heap queue on (at, seq) pops them, and
 // every call reports what the reference model says it should. The
 // reference never reuses anything, so recycling released and posted
-// events must not move the order.
+// events must not move the order. A placement claims one to three
+// numbers and puts the event at any one of them, as an owner standing
+// one event in for several does; the numbers it skips are used by
+// nothing.
 func TestPropertyHeapMatchesContainerHeap(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -453,14 +465,23 @@ func TestPropertyHeapMatchesContainerHeap(t *testing.T) {
 					cancelled[id] = true
 				}
 			case k == 4:
-				want := items[id].index >= 0
-				if got := e.Reschedule(evs[id], at); got != want {
-					t.Fatalf("seed %d: Reschedule(%d) = %v, reference %v", seed, id, got, want)
-				}
-				if want {
-					items[id].at, items[id].seq = at, seq
+				var claimed []uint64
+				for c := 1 + rng.Intn(3); c > 0; c-- {
+					claimed = append(claimed, e.Claim())
+					if claimed[len(claimed)-1] != seq {
+						t.Fatalf("seed %d: Claim = %d, reference %d", seed, claimed[len(claimed)-1], seq)
+					}
 					seq++
-					heap.Fix(&ref, items[id].index)
+				}
+				key := claimed[rng.Intn(len(claimed))]
+				e.Place(evs[id], at, key)
+				it := items[id]
+				it.at, it.seq = at, key
+				if it.index >= 0 {
+					heap.Fix(&ref, it.index)
+				} else {
+					fired[id], cancelled[id] = false, false
+					heap.Push(&ref, it)
 				}
 			case k == 5:
 				want := items[id].index < 0 && fired[id] && !cancelled[id]
@@ -505,9 +526,17 @@ func TestReleaseRecyclesIntoSchedule(t *testing.T) {
 	}
 	e.Release(ev)
 	e.Release(ev) // twice: the second is a no-op, not a double free
-	if e.Cancel(ev) || e.Reschedule(ev, 5) || e.Rearm(ev, 5) {
+	if e.Cancel(ev) || e.Rearm(ev, 5) {
 		t.Fatal("a released handle was accepted")
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Place accepted a released handle")
+			}
+		}()
+		e.Place(ev, 5, e.Claim())
+	}()
 	a := e.Schedule(2, func() { n += 10 })
 	if a != ev {
 		t.Fatal("Schedule did not reuse the released event")
@@ -587,7 +616,7 @@ func TestRearmedEventCanBeCancelled(t *testing.T) {
 	if !e.Rearm(ev, 5) || e.Pending() != 1 || ev.At() != 5 {
 		t.Fatalf("Rearm after firing: pending %d at %v", e.Pending(), ev.At())
 	}
-	if !e.Cancel(ev) || !ev.Cancelled() {
+	if !e.Cancel(ev) || !ev.cancel {
 		t.Fatal("re-armed event not cancellable")
 	}
 	if e.Run(); n != 1 {
@@ -619,10 +648,10 @@ func TestNaNTimePanics(t *testing.T) {
 		verb string
 		do   func(e *Engine, ev *Event)
 	}{
-		"Schedule":   {"schedule", func(e *Engine, _ *Event) { e.Schedule(nan, func() {}) }},
-		"After":      {"schedule", func(e *Engine, _ *Event) { e.After(math.NaN(), func() {}) }},
-		"Reschedule": {"reschedule", func(e *Engine, _ *Event) { e.Reschedule(e.Schedule(3, func() {}), nan) }},
-		"Rearm":      {"rearm", func(e *Engine, ev *Event) { e.Rearm(ev, nan) }},
+		"Schedule": {"schedule", func(e *Engine, _ *Event) { e.Schedule(nan, func() {}) }},
+		"After":    {"schedule", func(e *Engine, _ *Event) { e.After(math.NaN(), func() {}) }},
+		"Place":    {"place", func(e *Engine, _ *Event) { e.Place(e.Schedule(3, func() {}), nan, e.Claim()) }},
+		"Rearm":    {"rearm", func(e *Engine, ev *Event) { e.Rearm(ev, nan) }},
 	} {
 		e := NewEngine()
 		fired := e.Schedule(1, func() {})
