@@ -1,7 +1,7 @@
 // Package fluid is a flow-level ("fluid") wide-area network simulator.
 //
 // Instead of simulating individual packets, each active transfer is a
-// fluid flow over a path of links; every time the set of flows (or the
+// fluid flow over a path of links; after the set of flows (or the
 // capacity available to them) changes, the simulator recomputes a global
 // max-min fair allocation — the classic progressive-filling model of TCP
 // bandwidth sharing — and moves its one completion event to the earliest
@@ -23,14 +23,32 @@
 // world. The set is unordered: the allocator's result does not depend on
 // the order it visits links in.
 //
-// Reallocation is global and bit-exact by contract: every event settles
-// every flow, recomputes max-min over the whole network with the float
+// Reallocation is global and bit-exact by contract: the network settles
+// once per event that changed it, and settling charges every flow's
+// progress, recomputes max-min over the whole network with the float
 // operations of the textbook progressive-filling loop in the same order,
 // and recomputes every completion time in flow-id order, so replays do
 // not depend on how the allocator is implemented. Recomputing only the
 // link component an event touches, or skipping flows whose rate did not
 // move, would change float rounding and the order of same-time events,
 // and is deliberately not done.
+//
+// A mutation (StartFlow, SetFlowCap, SetLinkLoad, SetLinkCapacity,
+// CancelFlow, KillFlow, a completion) changes the flow set, cap or load
+// at once, claims one engine sequence number and marks the allocation
+// stale. The network settles before anyone can see the allocation: in a
+// simclock BeforeNext hook, before the engine next pops an event, moves
+// its clock or counts its queue, and in Rate, Remaining and Utilization.
+// So an event's mutations cost one reallocation, with the result of
+// reallocating after each of them:
+//   - the clock cannot move while the network is stale, so progress is
+//     charged once, at the old rates, at the instant an eager
+//     reallocation would have charged it;
+//   - the completion event is keyed by the number the last mutation
+//     claimed, where an eager reallocation would have claimed its block,
+//     so it sits in the same place relative to every other event;
+//   - no other event runs and no rate is read while the network is
+//     stale, so no intermediate allocation could have been seen.
 package fluid
 
 import (
@@ -47,6 +65,7 @@ var Inf = math.Inf(1)
 
 // Link is a unidirectional network link.
 type Link struct {
+	net      *Network
 	id       int
 	Name     string
 	Capacity float64 // bytes/second at zero cross-traffic
@@ -119,12 +138,14 @@ func (l *Link) Load() float64 {
 
 // Utilization returns the fraction of capacity in use right now:
 // cross-traffic load plus the allocated rates of every foreground flow
-// crossing the link. 0 on a zero-capacity link.
+// crossing the link, settling the network first. 0 on a zero-capacity
+// link.
 func (l *Link) Utilization() float64 {
 	if l.Capacity <= 0 {
 		return 0
 	}
 	l.sync()
+	l.net.settle()
 	used := l.load * l.Capacity
 	for _, f := range l.flows {
 		used += f.rate
@@ -157,6 +178,7 @@ const (
 
 // Flow is an in-progress bulk transfer over a fixed path.
 type Flow struct {
+	net   *Network
 	id    int
 	Label string
 	path  []*Link
@@ -178,8 +200,12 @@ type Flow struct {
 	frozen bool
 }
 
-// Rate returns the flow's current allocated rate in bytes/second.
-func (f *Flow) Rate() float64 { return f.rate }
+// Rate returns the flow's current allocated rate in bytes/second,
+// settling the network first.
+func (f *Flow) Rate() float64 {
+	f.net.settle()
+	return f.rate
+}
 
 // Cap returns the flow's current external rate cap.
 func (f *Flow) Cap() float64 { return f.cap }
@@ -211,13 +237,21 @@ type Network struct {
 	done *simclock.Event
 	next *Flow
 
+	// stale is set by a mutation and cleared when the network settles;
+	// seq is the number the latest mutation claimed. hooked says the
+	// engine holds hook, which settles before the queue is next seen.
+	stale, hooked bool
+	seq           uint64
+	hook          func()
+
 	// progressive-filling scratch slices, reused across reallocations:
 	// the flows still rising and the links that still carry them.
 	live    []*Flow
 	hotLink []*Link
 
-	// Reallocations counts global rate recomputations, exposed for
-	// performance tests and benchmarks.
+	// Reallocations counts global rate recomputations (settlings, one
+	// per event that changed the network), exposed for performance
+	// tests and benchmarks.
 	Reallocations uint64
 }
 
@@ -228,6 +262,10 @@ func New(eng *simclock.Engine) *Network {
 	}
 	n := &Network{eng: eng}
 	n.done = simclock.NewEvent(func() { n.complete(n.next) })
+	n.hook = func() {
+		n.hooked = false
+		n.settle()
+	}
 	return n
 }
 
@@ -243,14 +281,14 @@ func (n *Network) AddLink(name string, capacity, propDelay float64) *Link {
 	if propDelay < 0 {
 		panic(fmt.Sprintf("fluid: link %q negative delay", name))
 	}
-	l := &Link{id: n.nextLink, Name: name, Capacity: capacity, PropDelay: propDelay}
+	l := &Link{net: n, id: n.nextLink, Name: name, Capacity: capacity, PropDelay: propDelay}
 	n.nextLink++
 	n.links = append(n.links, l)
 	return l
 }
 
 // SetLinkLoad sets the fraction of a link's capacity consumed by
-// cross-traffic and reallocates. The fraction is clamped to [0, 0.98].
+// cross-traffic. The fraction is clamped to [0, 0.98].
 // An idle link's load source syncs first, so the write lands after every
 // re-sample it had skipped.
 func (n *Network) SetLinkLoad(l *Link, fraction float64) {
@@ -264,7 +302,7 @@ func (n *Network) SetLinkLoad(l *Link, fraction float64) {
 	}
 	l.load = fraction
 	if len(l.flows) > 0 {
-		n.reallocate()
+		n.touch()
 	}
 }
 
@@ -289,11 +327,12 @@ type FlowOpts struct {
 // The path must be non-empty and bytes positive.
 func (n *Network) StartFlow(path []*Link, bytes float64, opts FlowOpts) *Flow {
 	f := n.attach(path, bytes, opts)
-	n.reallocate()
+	n.touch()
 	return f
 }
 
-// attach validates and registers a new flow without reallocating.
+// attach validates and registers a new flow without marking the
+// allocation stale.
 func (n *Network) attach(path []*Link, bytes float64, opts FlowOpts) *Flow {
 	if len(path) == 0 {
 		panic("fluid: empty path")
@@ -306,6 +345,7 @@ func (n *Network) attach(path []*Link, bytes float64, opts FlowOpts) *Flow {
 		cap = Inf
 	}
 	f := &Flow{
+		net:        n,
 		id:         n.nextFlow,
 		Label:      opts.Label,
 		path:       path,
@@ -330,7 +370,7 @@ func (n *Network) attach(path []*Link, bytes float64, opts FlowOpts) *Flow {
 }
 
 // SetFlowCap changes a flow's external rate cap (bytes/sec; <=0 means
-// uncapped) and reallocates. Calling it on a finished flow is a no-op.
+// uncapped). Calling it on a finished flow is a no-op.
 func (n *Network) SetFlowCap(f *Flow, cap float64) {
 	if f.state != FlowActive {
 		return
@@ -342,7 +382,7 @@ func (n *Network) SetFlowCap(f *Flow, cap float64) {
 		return
 	}
 	f.cap = cap
-	n.reallocate()
+	n.touch()
 }
 
 // CancelFlow aborts an active flow without running its completion
@@ -365,7 +405,7 @@ func (n *Network) abort(f *Flow, then func(*Flow)) bool {
 	f.state = FlowCancelled
 	f.finishedAt = n.eng.Now()
 	n.detach(f)
-	n.reallocate()
+	n.touch()
 	if then != nil {
 		then(f)
 	}
@@ -407,7 +447,7 @@ func (n *Network) KillFlowsLabeled(prefix string) int {
 }
 
 // SetLinkCapacity changes a link's capacity (bytes/second, must stay
-// positive) and reallocates — the degradation hook for fault injection:
+// positive) — the degradation hook for fault injection:
 // a brownout halves capacity, recovery restores it.
 func (n *Network) SetLinkCapacity(l *Link, capacity float64) {
 	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
@@ -418,15 +458,17 @@ func (n *Network) SetLinkCapacity(l *Link, capacity float64) {
 	}
 	l.Capacity = capacity
 	if len(l.flows) > 0 {
-		n.reallocate()
+		n.touch()
 	}
 }
 
-// Remaining returns the bytes a flow still has to deliver as of now.
+// Remaining returns the bytes a flow still has to deliver as of now,
+// settling the network first.
 func (n *Network) Remaining(f *Flow) float64 {
 	if f.state != FlowActive {
 		return 0
 	}
+	n.settle()
 	elapsed := float64(n.eng.Now() - f.lastTouch)
 	rem := f.remaining - f.rate*elapsed
 	if rem < 0 {
@@ -481,17 +523,34 @@ func (n *Network) detach(f *Flow) {
 	}
 }
 
-// reallocate recomputes the global max-min fair allocation and places
-// the network's completion event. It must be called whenever the flow
-// set, a link's available capacity, or a flow cap changes.
+// touch records a mutation of the flow set, a link's available capacity
+// or a flow cap: the allocation is stale until the network settles,
+// which the engine makes it do before the queue is next seen. The
+// number claimed here keys the completion event: it sits where the
+// block an eager reallocation would claim now sits among other events.
+func (n *Network) touch() {
+	n.seq = n.eng.Claim()
+	n.stale = true
+	if !n.hooked {
+		n.hooked = true
+		n.eng.BeforeNext(n.hook)
+	}
+}
+
+// settle recomputes a stale allocation, once however many mutations the
+// event made, and places the network's completion event.
 //
 // Every flow is settled and every completion time recomputed, in flow-id
 // order, whatever the change touched: the rates and the (time, sequence)
-// order of completions then do not depend on which flows moved. Each
-// flow that can finish claims a sequence number, as an event of its own
-// would, and the one event goes to the smallest (time, seq) key: every
-// completion reallocates, so no other could run first.
-func (n *Network) reallocate() {
+// order of completions then do not depend on which flows moved. The one
+// event goes to the earliest completion, the first in flow-id order on a
+// tie, keyed by the latest mutation's number: every completion mutates,
+// so no other completion could run first.
+func (n *Network) settle() {
+	if !n.stale {
+		return
+	}
+	n.stale = false
 	n.Reallocations++
 	now := n.eng.Now()
 
@@ -503,18 +562,16 @@ func (n *Network) reallocate() {
 	n.computeMaxMin()
 
 	n.next = nil
-	first, seq := simclock.Infinity, uint64(0)
+	first := simclock.Infinity
 	for _, f := range n.flows {
-		if at := now + simclock.Time(f.remaining/f.rate); f.rate > 0 && at != simclock.Infinity {
-			if s := n.eng.Claim(); at < first { // strict: a tie goes to the lower seq
-				n.next, first, seq = f, at, s
-			}
+		if at := now + simclock.Time(f.remaining/f.rate); f.rate > 0 && at < first {
+			n.next, first = f, at
 		}
 	}
 	if n.next == nil {
 		n.eng.Cancel(n.done)
 	} else {
-		n.eng.Place(n.done, first, seq)
+		n.eng.Place(n.done, first, n.seq)
 	}
 }
 
@@ -527,7 +584,7 @@ func (n *Network) complete(f *Flow) {
 	f.state = FlowDone
 	f.finishedAt = n.eng.Now()
 	n.detach(f)
-	n.reallocate()
+	n.touch()
 	if f.onComplete != nil {
 		f.onComplete(f)
 	}

@@ -311,11 +311,12 @@ func TestPropertyConservationAndCapacity(t *testing.T) {
 				r.f = n.StartFlow(path, r.bytes, opts)
 				recs = append(recs, r)
 
-				// Capacity invariant check at every arrival.
+				// Capacity invariant check at every arrival, on the
+				// settled allocation.
 				for _, l := range links {
 					var sum float64
 					for _, fl := range l.flows {
-						sum += fl.rate
+						sum += fl.Rate()
 					}
 					if sum > l.Available()*(1+1e-6) {
 						panic("link over-allocated")
@@ -323,7 +324,7 @@ func TestPropertyConservationAndCapacity(t *testing.T) {
 				}
 				// Cap invariant.
 				for _, fl := range n.flows {
-					if fl.rate > fl.cap*(1+1e-9) {
+					if fl.Rate() > fl.cap*(1+1e-9) {
 						panic("flow over its cap")
 					}
 				}
@@ -456,14 +457,59 @@ func BenchmarkMaxMinReallocation(b *testing.B) {
 				// Enormous flows so none complete during the benchmark.
 				n.attach(dedupLinks(path), 1e18, FlowOpts{})
 			}
-			n.reallocate()
+			n.touch()
+			n.settle()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n.SetLinkLoad(links[i%len(links)], float64(i%50)/100)
+				n.settle()
 			}
 		})
 	}
+}
+
+// BenchmarkLoadBurst is the cross-traffic tick on a 300-flow network:
+// one event sets the load of 4 links, and the step that follows settles
+// it. One op is that event and its step.
+func BenchmarkLoadBurst(b *testing.B) {
+	eng := simclock.NewEngine()
+	n := New(eng)
+	links := make([]*Link, 12)
+	for i := range links {
+		links[i] = n.AddLink("l", 1e6, 0)
+		if i%4 == 0 {
+			links[i].FlowCap = 2e4
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		opts := FlowOpts{}
+		if i%3 == 0 {
+			opts.RateCap = 1e3 + rng.Float64()*1e4
+		}
+		// Enormous flows so none complete during the benchmark.
+		n.StartFlow([]*Link{links[rng.Intn(len(links))], links[rng.Intn(len(links))]}, 1e18, opts)
+	}
+	ticks := 0
+	var tick func()
+	tick = func() {
+		for k := 0; k < 4; k++ {
+			n.SetLinkLoad(links[k], 0.1*float64((ticks+k)%7))
+		}
+		ticks++
+		eng.Post(eng.Now()+1, tick)
+	}
+	eng.Post(1, tick)
+	eng.Step() // the starts settle, the first tick runs
+	before := n.Reallocations
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(n.Reallocations-before)/float64(b.N), "reallocs/op")
 }
 
 func dedupLinks(in []*Link) []*Link {
@@ -661,9 +707,10 @@ func referenceMaxMin(links []*Link, flows []*Flow) map[*Flow]float64 {
 	return rate
 }
 
-// refNet drives a Network the way the textbook simulator does: rates
-// from referenceMaxMin, and on every reallocation each completion event
-// is cancelled and a new one scheduled. Its mutators shadow Network's.
+// refNet drives a Network the way the textbook simulator does: every
+// mutation reallocates at once, with rates from referenceMaxMin, and
+// each completion event is cancelled and a new one scheduled. Its
+// mutators shadow Network's.
 type refNet struct {
 	*Network
 	events map[*Flow]*simclock.Event
@@ -768,18 +815,33 @@ type flowNet interface {
 // diffOp is one scripted mutation. Flow targets are indices into the
 // flows started so far, so both runs pick the same flow.
 type diffOp struct {
-	at     simclock.Time
 	kind   int // 0 start, 1 cap, 2 load, 3 capacity, 4 cancel, 5 kill
 	path   []int
 	bytes  float64
 	value  float64
 	target int
+	chain  bool // a start whose completion starts a flow over its path
+	// later, in a burst, schedules the mutation delay after the burst's
+	// instant, behind the numbers the mutations before it claimed.
+	later bool
+	delay simclock.Time
 }
 
-// diffScript draws a random network and mutation script: links with
+// diffEvent is one scripted event: its mutations run in order at one
+// instant, inside one engine event.
+type diffEvent struct {
+	at  simclock.Time
+	ops []diffOp
+}
+
+// diffScript draws a random network and event script: links with
 // FlowCaps, paths that repeat a link, uncapped flows, loads past the
-// 0.98 clamp, and bursts of identical flows that tie to the instant.
-func diffScript(seed int64) (caps, flowCaps []float64, ops []diffOp) {
+// 0.98 clamp, identical flows started by separate events at one instant
+// (they tie), bursts of two to four mutations in one event, some of
+// which schedule their mutation for later (at the same instant too), and
+// starts whose completion callback starts the next flow, as transport's
+// do.
+func diffScript(seed int64) (caps, flowCaps []float64, events []diffEvent) {
 	rng := rand.New(rand.NewSource(seed))
 	nl := 2 + rng.Intn(6)
 	for i := 0; i < nl; i++ {
@@ -790,9 +852,8 @@ func diffScript(seed int64) (caps, flowCaps []float64, ops []diffOp) {
 		}
 		flowCaps = append(flowCaps, fc)
 	}
-	for i := 0; i < 40; i++ {
-		at := simclock.Time(rng.Intn(60)) / 2
-		op := diffOp{at: at, kind: rng.Intn(6), target: rng.Intn(64)}
+	draw := func() diffOp {
+		op := diffOp{kind: rng.Intn(6), target: rng.Intn(64)}
 		if rng.Intn(2) == 0 {
 			op.kind = 0 // starts dominate
 		}
@@ -805,10 +866,7 @@ func diffScript(seed int64) (caps, flowCaps []float64, ops []diffOp) {
 			if rng.Intn(2) == 0 {
 				op.value = float64(1 + rng.Intn(40))
 			}
-			for k := rng.Intn(3); k >= 0; k-- {
-				ops = append(ops, op) // identical flows, same instant
-			}
-			continue
+			op.chain = rng.Intn(4) == 0
 		case 1:
 			op.value = float64(rng.Intn(50)) // 0 lifts the cap
 		case 2:
@@ -816,35 +874,57 @@ func diffScript(seed int64) (caps, flowCaps []float64, ops []diffOp) {
 		case 3:
 			op.value = float64(5 + rng.Intn(6)*25)
 		}
-		ops = append(ops, op)
+		return op
 	}
-	return caps, flowCaps, ops
+	for i := 0; i < 40; i++ {
+		at := simclock.Time(rng.Intn(60)) / 2
+		if rng.Intn(4) == 0 {
+			ev := diffEvent{at: at}
+			for k := 2 + rng.Intn(3); k > 0; k-- {
+				op := draw()
+				if rng.Intn(3) == 0 {
+					op.later, op.delay = true, simclock.Time(rng.Intn(3))/2
+				}
+				ev.ops = append(ev.ops, op)
+			}
+			events = append(events, ev)
+			continue
+		}
+		op := draw()
+		reps := 1
+		if op.kind == 0 {
+			reps += rng.Intn(3) // identical flows, same instant
+		}
+		for ; reps > 0; reps-- {
+			events = append(events, diffEvent{at: at, ops: []diffOp{op}})
+		}
+	}
+	return caps, flowCaps, events
 }
 
 // runDiffScript plays the script on net (built over n) and returns the
-// log of completions and aborts: label, state and the finish time bits.
-// When check is set it asserts, after every mutation and completion,
-// that each active flow's rate equals referenceMaxMin's bit for bit and
-// that the busy set holds exactly the links that carry flows, each once
-// at its recorded index.
-func runDiffScript(t *testing.T, seed int64, n *Network, net flowNet, check bool) []string {
+// log of completions and aborts (label, state and the finish time bits)
+// ending in the number of events run, and the number of reallocations.
+// When check is set it settles the network after every event, as the
+// next Step would, and asserts that each active flow's rate equals
+// referenceMaxMin's bit for bit and that the busy set holds exactly the
+// links that carry flows, each once at its recorded index.
+func runDiffScript(t *testing.T, seed int64, n *Network, net flowNet, check bool) ([]string, uint64) {
 	t.Helper()
-	caps, flowCaps, ops := diffScript(seed)
+	caps, flowCaps, events := diffScript(seed)
 	links := make([]*Link, len(caps))
 	for i := range caps {
 		links[i] = n.AddLink(fmt.Sprint("l", i), caps[i], 0)
 		links[i].FlowCap = flowCaps[i]
 	}
 	var log []string
-	verify := func(what string) {
-		if !check {
-			return
-		}
+	verify := func() {
+		n.eng.Pending() // runs the settling hook
 		want := referenceMaxMin(n.links, n.flows)
 		for _, f := range n.flows {
 			if math.Float64bits(f.rate) != math.Float64bits(want[f]) {
-				t.Fatalf("seed %d after %s at t=%v: flow %s rate %v, reference %v",
-					seed, what, n.eng.Now(), f.Label, f.rate, want[f])
+				t.Fatalf("seed %d after event %d at t=%v: flow %s rate %v, reference %v",
+					seed, n.eng.Processed(), n.eng.Now(), f.Label, f.rate, want[f])
 			}
 		}
 		busy := 0
@@ -854,68 +934,97 @@ func runDiffScript(t *testing.T, seed int64, n *Network, net flowNet, check bool
 			}
 			busy++
 			if l.busyIdx >= len(n.busy) || n.busy[l.busyIdx] != l {
-				t.Fatalf("seed %d after %s: link %s carries %d flows but is not in the busy set at its index %d",
-					seed, what, l.Name, len(l.flows), l.busyIdx)
+				t.Fatalf("seed %d after event %d: link %s carries %d flows but is not in the busy set at its index %d",
+					seed, n.eng.Processed(), l.Name, len(l.flows), l.busyIdx)
 			}
 		}
 		if busy != len(n.busy) {
-			t.Fatalf("seed %d after %s: busy set holds %d links, %d carry flows", seed, what, len(n.busy), busy)
+			t.Fatalf("seed %d after event %d: busy set holds %d links, %d carry flows", seed, n.eng.Processed(), len(n.busy), busy)
 		}
 	}
 	record := func(f *Flow) {
 		log = append(log, fmt.Sprintf("%s %d %x", f.Label, f.state, math.Float64bits(float64(f.finishedAt))))
-		verify("completion of " + f.Label)
 	}
 	var started []*Flow
-	for i, op := range ops {
-		n.eng.Schedule(op.at, func() {
-			var target *Flow
-			if len(started) > 0 {
-				target = started[op.target%len(started)]
-			}
-			l := links[op.target%len(links)]
-			switch {
-			case op.kind == 0:
-				path := make([]*Link, len(op.path))
-				for k, p := range op.path {
-					path[k] = links[p]
+	var start func(label string, path []*Link, bytes, rateCap float64, chain bool)
+	start = func(label string, path []*Link, bytes, rateCap float64, chain bool) {
+		started = append(started, net.StartFlow(path, bytes, FlowOpts{
+			Label: label, RateCap: rateCap, OnAbort: record,
+			OnComplete: func(f *Flow) {
+				record(f)
+				if chain {
+					start(label+"+", path, bytes, rateCap, false)
 				}
-				started = append(started, net.StartFlow(path, op.bytes, FlowOpts{
-					Label: fmt.Sprint("f", i), RateCap: op.value, OnComplete: record, OnAbort: record,
-				}))
-			case op.kind == 2:
-				net.SetLinkLoad(l, op.value)
-			case op.kind == 3:
-				net.SetLinkCapacity(l, op.value)
-			case target == nil:
-				return
-			case op.kind == 1:
-				net.SetFlowCap(target, op.value)
-			case op.kind == 4:
-				if net.CancelFlow(target) {
-					log = append(log, fmt.Sprintf("%s cancelled", target.Label))
-				}
-			case op.kind == 5:
-				net.KillFlow(target)
+			},
+		}))
+	}
+	apply := func(label string, op diffOp) {
+		var target *Flow
+		if len(started) > 0 {
+			target = started[op.target%len(started)]
+		}
+		l := links[op.target%len(links)]
+		switch {
+		case op.kind == 0:
+			path := make([]*Link, len(op.path))
+			for k, p := range op.path {
+				path[k] = links[p]
 			}
-			verify(fmt.Sprintf("op %d (kind %d)", i, op.kind))
+			start(label, path, op.bytes, op.value, op.chain)
+		case op.kind == 2:
+			net.SetLinkLoad(l, op.value)
+		case op.kind == 3:
+			net.SetLinkCapacity(l, op.value)
+		case target == nil:
+		case op.kind == 1:
+			net.SetFlowCap(target, op.value)
+		case op.kind == 4:
+			if net.CancelFlow(target) {
+				log = append(log, fmt.Sprintf("%s cancelled", target.Label))
+			}
+		case op.kind == 5:
+			net.KillFlow(target)
+		}
+	}
+	for i, ev := range events {
+		n.eng.Schedule(ev.at, func() {
+			for j, op := range ev.ops {
+				label := fmt.Sprintf("f%d.%d", i, j)
+				if op.later {
+					n.eng.Schedule(n.eng.Now()+op.delay, func() { apply(label, op) })
+				} else {
+					apply(label, op)
+				}
+			}
 		})
 	}
-	n.eng.Run()
+	for n.eng.Step() {
+		if check {
+			verify()
+		}
+	}
 	if n.ActiveFlows() != 0 {
 		t.Fatalf("seed %d: %d flows still active after the run", seed, n.ActiveFlows())
 	}
-	return append(log, fmt.Sprintf("reallocations %d events %d", n.Reallocations, n.eng.Processed()))
+	return append(log, fmt.Sprintf("events %d", n.eng.Processed())), n.Reallocations
 }
 
 // TestAllocatorMatchesReference is the allocator's differential test: on
-// seeded random networks, every rate after every mutation equals the
+// seeded random networks, every rate after every event equals the
 // textbook loop's bit for bit, and a full run gives the same completion
-// and abort sequence, with the same finish-time bits, as a simulator that
-// cancels and reschedules every completion on every reallocation.
+// and abort sequence, with the same finish-time bits, and the same
+// number of events as a simulator that reallocates on every mutation and
+// cancels and reschedules every completion each time. Settling once per
+// event must also save reallocations across the seeds.
 func TestAllocatorMatchesReference(t *testing.T) {
+	var got, want uint64
 	for seed := int64(0); seed < 150; seed++ {
-		matchReference(t, seed)
+		g, w := matchReference(t, seed)
+		got, want = got+g, want+w
+	}
+	t.Logf("%d reallocations, reference %d", got, want)
+	if got >= want {
+		t.Fatalf("%d reallocations over 150 scripts, reference %d: events do not coalesce", got, want)
 	}
 }
 
@@ -927,27 +1036,37 @@ func FuzzAllocatorMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) { matchReference(t, seed) })
 }
 
-// matchReference plays seed's script on a Network and on refNet and
-// compares their logs line by line.
-func matchReference(t *testing.T, seed int64) {
+// matchReference plays seed's script on refNet and twice on a Network:
+// once settled and checked after every event, and once left to settle
+// when the engine next looks at its queue. Both logs must equal the
+// reference's line by line, and neither run may reallocate more often.
+// It returns the unchecked run's reallocations and the reference's.
+func matchReference(t *testing.T, seed int64) (got, want uint64) {
 	t.Helper()
-	n := New(simclock.NewEngine())
-	got := runDiffScript(t, seed, n, n, true)
 	r := &refNet{Network: New(simclock.NewEngine()), events: map[*Flow]*simclock.Event{}}
-	want := runDiffScript(t, seed, r.Network, r, false)
-	if len(got) != len(want) {
-		t.Fatalf("seed %d: %d log lines, reference %d:\n%v\n%v", seed, len(got), len(want), got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("seed %d: line %d is %q, reference %q", seed, i, got[i], want[i])
+	wantLog, want := runDiffScript(t, seed, r.Network, r, false)
+	for _, check := range []bool{true, false} {
+		n := New(simclock.NewEngine())
+		var gotLog []string
+		gotLog, got = runDiffScript(t, seed, n, n, check)
+		if len(gotLog) != len(wantLog) {
+			t.Fatalf("seed %d (checked %v): %d log lines, reference %d:\n%v\n%v", seed, check, len(gotLog), len(wantLog), gotLog, wantLog)
+		}
+		for i := range gotLog {
+			if gotLog[i] != wantLog[i] {
+				t.Fatalf("seed %d (checked %v): line %d is %q, reference %q", seed, check, i, gotLog[i], wantLog[i])
+			}
+		}
+		if got > want {
+			t.Fatalf("seed %d (checked %v): %d reallocations, reference %d", seed, check, got, want)
 		}
 	}
+	return got, want
 }
 
 // TestReallocateAllocFree pins the steady state: on a 300-flow network,
-// a capacity change reallocates and moves the completion event without
-// a single heap allocation.
+// a load change and the settling after it reallocate once and move the
+// completion event without a single heap allocation.
 func TestReallocateAllocFree(t *testing.T) {
 	n := New(simclock.NewEngine())
 	links := make([]*Link, 12)
@@ -972,6 +1091,7 @@ func TestReallocateAllocFree(t *testing.T) {
 	before := n.Reallocations
 	allocs := testing.AllocsPerRun(100, func() {
 		n.SetLinkLoad(links[calls%len(links)], float64(1-calls/len(links)%2)*0.5)
+		n.settle()
 		calls++
 	})
 	if n.Reallocations-before != uint64(calls) {
@@ -979,6 +1099,70 @@ func TestReallocateAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("SetLinkLoad allocates %v times per call, want 0", allocs)
+	}
+}
+
+// Mutations within one event cost one reallocation, made before the
+// engine next looks at its queue: four load changes and a cap change
+// reallocate once. A rate read between two mutations settles the first,
+// so that event reallocates twice. The settled rates are the reference's.
+func TestOneReallocationPerEvent(t *testing.T) {
+	eng := simclock.NewEngine()
+	n := New(eng)
+	links := make([]*Link, 4)
+	for i := range links {
+		links[i] = n.AddLink(fmt.Sprint("l", i), 100, 0)
+	}
+	var flows []*Flow
+	for i := range links {
+		flows = append(flows, n.StartFlow([]*Link{links[i], links[(i+1)%len(links)]}, 1e9, FlowOpts{}))
+	}
+	eng.Pending()
+	count := func(name string, want uint64, event func()) {
+		t.Helper()
+		before := n.Reallocations
+		eng.Schedule(eng.Now()+1, event)
+		eng.Step()
+		eng.Pending()
+		if got := n.Reallocations - before; got != want {
+			t.Fatalf("%s: %d reallocations, want %d", name, got, want)
+		}
+		ref := referenceMaxMin(n.links, n.flows)
+		for _, f := range flows {
+			if math.Float64bits(f.rate) != math.Float64bits(ref[f]) {
+				t.Fatalf("%s: rate %v, reference %v", name, f.rate, ref[f])
+			}
+		}
+	}
+	count("four loads and a cap", 1, func() {
+		for i, l := range links {
+			n.SetLinkLoad(l, 0.1*float64(i+1))
+		}
+		n.SetFlowCap(flows[0], 7)
+	})
+	count("a read between two loads", 2, func() {
+		n.SetLinkLoad(links[0], 0.5)
+		flows[0].Rate()
+		n.SetLinkLoad(links[1], 0.5)
+	})
+}
+
+// A completion due at the instant of an event scheduled after the flow
+// started, in the same event, runs first: it is keyed by the number the
+// start claimed, as an eager reallocation's claim would key it, not by
+// one taken when the network settles.
+func TestCompletionKeyedByLastMutation(t *testing.T) {
+	eng := simclock.NewEngine()
+	n := New(eng)
+	l := n.AddLink("l", 100, 0)
+	var order []string
+	eng.Schedule(0, func() {
+		n.StartFlow([]*Link{l}, 1000, FlowOpts{OnComplete: func(*Flow) { order = append(order, "completion") }})
+		eng.Schedule(10, func() { order = append(order, "scheduled") })
+	})
+	eng.Run()
+	if got := fmt.Sprint(order); got != "[completion scheduled]" {
+		t.Fatalf("order %s, want [completion scheduled]", got)
 	}
 }
 

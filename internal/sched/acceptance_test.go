@@ -380,11 +380,13 @@ func TestTelemetryNoObserverEffect(t *testing.T) {
 // of wall time on the reference storm drain — the representative
 // scheduler workload, where per-job control-plane work (planning,
 // journaling, virtual transfers) is real. Bare and instrumented runs
-// interleave in bare-instrumented-instrumented-bare blocks, which cancel
-// linear drift (the heap grows run to run) and let load from test
-// packages running alongside hit both arms alike; the median block ratio
-// is compared, and the guard re-measures before failing so a preempted
-// round can't flake the suite. Skipped under the race detector, whose
+// interleave as 32 adjacent pairs whose order alternates (so a block of
+// two pairs runs bare-instrumented-instrumented-bare), which cancels
+// linear drift (the heap grows run to run) and lets load from test
+// packages running alongside hit both arms alike. The median of the 32
+// pair ratios is compared: a run is ~15 ms, so a handful of pairs lets
+// one preempted run decide the median. The guard re-measures before
+// failing, so one unlucky round can't flake the suite. Skipped under the race detector, whose
 // uniform slowdown distorts timing. The pure-dispatch cost per job is
 // tracked separately by BenchmarkDrainBare/BenchmarkDrainInstrumented.
 func TestTelemetryOverheadGuard(t *testing.T) {
@@ -400,11 +402,19 @@ func TestTelemetryOverheadGuard(t *testing.T) {
 		replay.Telemetry(7, instrument)
 		return float64(time.Since(start))
 	}
+	const pairs = 32
 	for attempt := 0; attempt < 3; attempt++ {
 		var ratios []float64
-		for i := 0; i < 5; i++ {
-			b1, i1, i2, b2 := wall(false), wall(true), wall(true), wall(false)
-			ratios = append(ratios, (i1+i2)/(b1+b2))
+		for i := 0; i < pairs; i++ {
+			var bare, inst float64
+			if i%2 == 0 {
+				bare = wall(false)
+				inst = wall(true)
+			} else {
+				inst = wall(true)
+				bare = wall(false)
+			}
+			ratios = append(ratios, inst/bare)
 		}
 		sort.Float64s(ratios)
 		frac := ratios[len(ratios)/2] - 1

@@ -124,6 +124,7 @@ type Engine struct {
 	seq     uint64
 	running bool
 	free    []*Event // released events, reused by Schedule and Post
+	before  []func() // one-shot hooks, run before the queue is next seen
 	// MaxEvents bounds a single Run to guard against scheduling loops in
 	// buggy models. Zero means no bound.
 	MaxEvents uint64
@@ -252,12 +253,40 @@ func (e *Engine) Rearm(ev *Event, at Time) bool {
 	return true
 }
 
-// Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
+// BeforeNext registers fn to run once, before the queue is next seen:
+// before Step pops an event, before RunUntil moves the clock to its
+// deadline and before Pending counts the queue. Hooks run in the order
+// they were registered, at the current time; one may schedule, claim or
+// place, but the clock does not move until every hook has run. A model
+// that batches its changes within an event settles them in a hook, once.
+func (e *Engine) BeforeNext(fn func()) {
+	e.before = append(e.before, fn)
+}
 
-// Step executes the single next event, advancing the clock to its time.
-// It reports whether an event was executed.
+// settle runs the registered hooks, including any a hook registers.
+// Each is taken off the list before it runs, so a hook may call Pending.
+func (e *Engine) settle() {
+	for len(e.before) > 0 {
+		fn := e.before[0]
+		n := copy(e.before, e.before[1:])
+		e.before[n] = nil
+		e.before = e.before[:n]
+		fn()
+	}
+}
+
+// Pending returns the number of events waiting in the queue, after the
+// BeforeNext hooks have run.
+func (e *Engine) Pending() int {
+	e.settle()
+	return len(e.queue)
+}
+
+// Step runs the BeforeNext hooks, then executes the single next event,
+// advancing the clock to its time. It reports whether an event was
+// executed.
 func (e *Engine) Step() bool {
+	e.settle()
 	if len(e.queue) == 0 {
 		return false
 	}
@@ -284,7 +313,8 @@ func (e *Engine) Run() Time {
 
 // RunUntil executes events with time <= deadline and then advances the
 // clock to min(deadline, next event time). Events scheduled exactly at
-// the deadline do run.
+// the deadline do run. The BeforeNext hooks run before each look at the
+// queue, so none is left when the clock moves to the deadline.
 func (e *Engine) RunUntil(deadline Time) Time {
 	if e.running {
 		panic("simclock: re-entrant Run")
@@ -292,7 +322,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	e.running = true
 	defer func() { e.running = false }()
 	start := e.processed
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
+	for e.settle(); len(e.queue) > 0 && e.queue[0].at <= deadline; e.settle() {
 		if e.MaxEvents > 0 && e.processed-start >= e.MaxEvents {
 			panic(fmt.Sprintf("simclock: exceeded MaxEvents=%d (event loop?)", e.MaxEvents))
 		}

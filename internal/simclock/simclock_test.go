@@ -141,6 +141,104 @@ func TestPlace(t *testing.T) {
 	e.Place(c, 8, e.seq)
 }
 
+// A BeforeNext hook runs once, before the queue is next seen: before
+// Step pops, before RunUntil moves the clock (whether the queue is empty
+// or its head lies past the deadline), and before Pending counts.
+func TestBeforeNext(t *testing.T) {
+	t.Run("once, before Step pops", func(t *testing.T) {
+		e := NewEngine()
+		var got []string
+		e.Schedule(5, func() { got = append(got, fmt.Sprintf("event@%v", e.Now())) })
+		e.BeforeNext(func() { got = append(got, fmt.Sprintf("hook@%v", e.Now())) })
+		e.Step()
+		e.Step()
+		if want := "[hook@0 event@5]"; fmt.Sprint(got) != want {
+			t.Fatalf("ran %v, want %s", got, want)
+		}
+	})
+	t.Run("Step on an empty queue", func(t *testing.T) {
+		e := NewEngine()
+		ran := 0
+		e.BeforeNext(func() {
+			ran++
+			e.Schedule(3, func() {})
+		})
+		if !e.Step() || ran != 1 || e.Now() != 3 {
+			t.Fatalf("Step ran the hook %d times and the event it queued at %v", ran, e.Now())
+		}
+	})
+	t.Run("RunUntil on an empty queue", func(t *testing.T) {
+		e := NewEngine()
+		var at []Time
+		e.BeforeNext(func() { at = append(at, e.Now()) })
+		if e.RunUntil(10) != 10 || fmt.Sprint(at) != "[0]" {
+			t.Fatalf("hook ran at %v, clock %v; want once at 0, clock 10", at, e.Now())
+		}
+	})
+	t.Run("RunUntil with the head past the deadline", func(t *testing.T) {
+		e := NewEngine()
+		var got []string
+		e.Schedule(20, func() { got = append(got, "late") })
+		e.BeforeNext(func() {
+			got = append(got, fmt.Sprintf("hook@%v", e.Now()))
+			e.Schedule(4, func() { got = append(got, fmt.Sprintf("placed@%v", e.Now())) })
+		})
+		e.RunUntil(10)
+		if want := "[hook@0 placed@4]"; fmt.Sprint(got) != want || e.Now() != 10 {
+			t.Fatalf("ran %v, clock %v; want %s, clock 10", got, e.Now(), want)
+		}
+	})
+	t.Run("Pending", func(t *testing.T) {
+		e := NewEngine()
+		ran := 0
+		e.BeforeNext(func() {
+			ran++
+			e.Pending() // re-entrant: the hook is already off the list
+			e.BeforeNext(func() { ran += 10 })
+			e.Schedule(1, func() {})
+		})
+		if p := e.Pending(); p != 1 || ran != 11 {
+			t.Fatalf("Pending = %d with the hooks run %d, want 1 and 11", p, ran)
+		}
+		if e.Pending(); ran != 11 {
+			t.Fatalf("hooks ran again: %d", ran)
+		}
+	})
+	t.Run("registered inside an event", func(t *testing.T) {
+		e := NewEngine()
+		var got []string
+		log := func(name string) func() {
+			return func() { got = append(got, fmt.Sprintf("%s@%v", name, e.Now())) }
+		}
+		e.Schedule(1, func() {
+			log("a")()
+			e.BeforeNext(log("hook"))
+		})
+		e.Schedule(1, log("b"))
+		e.Run()
+		if want := "[a@1 hook@1 b@1]"; fmt.Sprint(got) != want {
+			t.Fatalf("ran %v, want %s", got, want)
+		}
+	})
+	t.Run("a number claimed before a later Schedule", func(t *testing.T) {
+		// An event placed from the hook, at a number claimed inside an
+		// event, runs before an equal-time event scheduled after the
+		// claim: what an eager Place at the claim would have given.
+		e := NewEngine()
+		var got []string
+		placed := NewEvent(func() { got = append(got, "placed") })
+		e.Schedule(1, func() {
+			key := e.Claim()
+			e.BeforeNext(func() { e.Place(placed, 2, key) })
+			e.Schedule(2, func() { got = append(got, "scheduled") })
+		})
+		e.Run()
+		if want := "[placed scheduled]"; fmt.Sprint(got) != want {
+			t.Fatalf("ran %v, want %s", got, want)
+		}
+	})
+}
+
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
@@ -400,7 +498,9 @@ func (q *refQueue) Pop() any {
 // events must not move the order. A placement claims one to three
 // numbers and puts the event at any one of them, as an owner standing
 // one event in for several does; the numbers it skips are used by
-// nothing.
+// nothing. A deferred placement claims a number, schedules equal-time
+// events after it and places the event from a BeforeNext hook, which the
+// next Step, RunUntil or Pending runs; the reference places at the claim.
 func TestPropertyHeapMatchesContainerHeap(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -430,7 +530,7 @@ func TestPropertyHeapMatchesContainerHeap(t *testing.T) {
 			if len(evs) > 0 {
 				id = rng.Intn(len(evs))
 			}
-			k := rng.Intn(13)
+			k := rng.Intn(14)
 			if k >= 3 && k <= 5 || k >= 10 {
 				if len(evs) == 0 || evs[id] == nil { // no live handle to act on
 					k = 0
@@ -448,6 +548,47 @@ func TestPropertyHeapMatchesContainerHeap(t *testing.T) {
 				evs = append(evs, nil)
 				items = append(items, &refItem{id: id, index: -1})
 				queue(items[id], at)
+			case k == 13:
+				// A place deferred to a BeforeNext hook, at a number
+				// claimed now, with equal-time events scheduled after
+				// the claim; the reference places at once. Step,
+				// RunUntil or Pending runs the hook.
+				key := e.Claim()
+				if key != seq {
+					t.Fatalf("seed %d: Claim = %d, reference %d", seed, key, seq)
+				}
+				seq++
+				e.BeforeNext(func() { e.Place(evs[id], at, key) })
+				it := items[id]
+				it.at, it.seq = at, key
+				if it.index >= 0 {
+					heap.Fix(&ref, it.index)
+				} else {
+					fired[id], cancelled[id] = false, false
+					heap.Push(&ref, it)
+				}
+				for c := rng.Intn(3); c > 0; c-- {
+					nid := len(evs)
+					evs = append(evs, e.Schedule(at, func() { ran = append(ran, nid) }))
+					items = append(items, &refItem{id: nid, index: -1})
+					queue(items[nid], at)
+				}
+				switch rng.Intn(3) {
+				case 0:
+					step()
+				case 1:
+					var want []int
+					for ref.Len() > 0 && ref[0].at <= e.Now() {
+						it := heap.Pop(&ref).(*refItem)
+						fired[it.id] = true
+						want = append(want, it.id)
+					}
+					n := len(ran)
+					e.RunUntil(e.Now())
+					if fmt.Sprint(ran[n:]) != fmt.Sprint(want) {
+						t.Fatalf("seed %d: RunUntil ran %v, reference pops %v", seed, ran[n:], want)
+					}
+				}
 			case k >= 11:
 				// Releasing a pending event does nothing; a fired or
 				// cancelled one is recycled and its handle is dead.
