@@ -115,6 +115,7 @@ type Sampler struct {
 	probes   map[string]func() float64
 	series   map[string]*Series
 	tick     *simclock.Event
+	owed     simclock.Time // time of the tick StopAll cancelled; 0: none (no tick is at 0)
 	samples  int
 	onSample func(t float64)
 }
@@ -181,13 +182,20 @@ func (s *Sampler) Samples() int {
 }
 
 // Restart (Pauser) schedules the next grid-aligned tick. Idempotent.
+// A Restart at the time of the tick StopAll cancelled schedules that
+// tick, so a workload ending exactly on a grid time loses no sample.
 func (s *Sampler) Restart() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.scheduleLocked()
+	if s.tick == nil && s.owed > 0 && s.owed == s.eng.Now() {
+		s.tick = s.eng.Schedule(s.owed, s.run)
+	} else {
+		s.scheduleLocked()
+	}
+	s.owed = 0
 }
 
 // StopAll (Pauser) cancels the pending tick so the engine can drain.
@@ -198,6 +206,7 @@ func (s *Sampler) StopAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tick != nil {
+		s.owed = s.tick.At()
 		s.eng.Cancel(s.tick)
 		s.tick = nil
 	}

@@ -66,6 +66,22 @@ func TestSamplerGridAlignmentAndPause(t *testing.T) {
 	}
 }
 
+// A workload that ends exactly on a grid time cancels the tick due at
+// that instant; the next workload's Restart at the same instant must
+// schedule that tick, not skip to the following grid point.
+func TestSamplerRestartAtCancelledTick(t *testing.T) {
+	eng := simclock.NewEngine()
+	samp := NewSampler(eng, 5, 16)
+	samp.Track("x", func() float64 { return 1 })
+	eng.Schedule(10, func() { samp.StopAll(); samp.Restart() })
+	samp.Restart()
+	eng.RunUntil(16)
+	samp.StopAll()
+	if got := samp.Snapshot()[0].Times; len(got) != 3 || got[0] != 5 || got[1] != 10 || got[2] != 15 {
+		t.Fatalf("tick times = %v, want [5 10 15]", got)
+	}
+}
+
 func TestSamplerProbesSortedAndOnSample(t *testing.T) {
 	eng := simclock.NewEngine()
 	samp := NewSampler(eng, 1, 8)
