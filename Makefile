@@ -66,15 +66,19 @@ loc:
 # compiles, vets clean, the full test suite (including the
 # really-concurrent scheduler) is race-clean, the nested detourledger
 # module (which `./...` skips) compiles and vets against the scheduler,
-# every benchmark in the module, which `go test` only compiles, runs
-# one iteration, the delta-encoding, journal-decode, journal-encode,
-# Content-Range and fluid allocator-versus-reference fuzzers hold up for
-# a short smoke run, and every golden matches (the race leg skips the
-# golden runs).
+# the test-only-export scan (root package; it checks source, so the
+# race leg skips it and this leg runs it without -race) finds no
+# exported name or unexported function that only tests reach outside
+# its allowlist, every benchmark in the module, which `go test` only
+# compiles, runs one iteration, the delta-encoding, journal-decode,
+# journal-encode, Content-Range and fluid allocator-versus-reference
+# fuzzers hold up for a short smoke run, and every golden matches (the
+# race leg skips the golden runs).
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) -C detourledger vet ./...
+	$(GO) test -count=1 -run '^(TestNoTestOnlyExports|TestScanFindsPlantedExport)$$' .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal

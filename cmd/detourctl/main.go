@@ -31,9 +31,10 @@
 // record census, any torn tail a restart would truncate, and the folded
 // state a restarted scheduler would recover — finished jobs, pending
 // jobs with their checkpoints and idempotent attempt IDs, spent retry
-// tokens, held cap slots. Point it at the file a `detourd`-style
-// deployment (or replay.Crashsafe with a CrashLeg.JournalPath) writes; the
-// dump only reads it. Transfer flags are ignored in this mode.
+// tokens, held cap slots. The one writer of such a file in this
+// repository is replay.Crashsafe, and only for a CrashLeg whose
+// JournalPath is set (a test sets it); detourd writes none. The dump
+// only reads the file. Transfer flags are ignored in this mode.
 //
 // The operator views of whole scheduler replays are printed by
 // detourbench: `-experiment telemetry` (the telemetry dashboard),

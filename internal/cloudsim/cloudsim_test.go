@@ -30,8 +30,8 @@ func TestObjectStoreBasics(t *testing.T) {
 	if got, ok := s.GetByID("f-0"); !ok || got != o {
 		t.Fatal("GetByID failed")
 	}
-	if s.Used() != 100 || s.Len() != 1 {
-		t.Fatalf("Used=%v Len=%d", s.Used(), s.Len())
+	if s.Used() != 100 || len(s.byName) != 1 {
+		t.Fatalf("Used=%v Len=%d", s.Used(), len(s.byName))
 	}
 	if !s.Delete("a.bin") {
 		t.Fatal("Delete reported false")
@@ -39,8 +39,8 @@ func TestObjectStoreBasics(t *testing.T) {
 	if s.Delete("a.bin") {
 		t.Fatal("double delete reported true")
 	}
-	if s.Used() != 0 || s.Len() != 0 {
-		t.Fatalf("after delete: Used=%v Len=%d", s.Used(), s.Len())
+	if s.Used() != 0 || len(s.byName) != 0 {
+		t.Fatalf("after delete: Used=%v Len=%d", s.Used(), len(s.byName))
 	}
 }
 

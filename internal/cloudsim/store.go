@@ -257,8 +257,5 @@ func (s *ObjectStore) List() []*Object {
 	return out
 }
 
-// Len returns the number of stored objects.
-func (s *ObjectStore) Len() int { return len(s.byName) }
-
 // Used returns the total stored bytes.
 func (s *ObjectStore) Used() float64 { return s.used }

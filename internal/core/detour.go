@@ -174,15 +174,6 @@ func (a *Agent) RegisterProvider(client sdk.Client) {
 	a.clients[client.ProviderName()] = client
 }
 
-// Providers lists registered provider names.
-func (a *Agent) Providers() []string {
-	out := make([]string, 0, len(a.clients))
-	for name := range a.clients {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Start binds the agent listener and serves until the listener closes.
 func (a *Agent) Start() *transport.Listener {
 	l := a.tn.MustListen(a.host, AgentPort)

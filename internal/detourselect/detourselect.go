@@ -117,7 +117,6 @@ type Bandit struct {
 	// immediately competitive again.
 	Weight func(core.Route) float64
 
-	routes []core.Route
 	// Per-route exponentially weighted mean throughput (bytes/sec).
 	ewma  map[core.Route]float64
 	seen  map[core.Route]int
@@ -125,33 +124,21 @@ type Bandit struct {
 }
 
 // NewBandit returns a selector over the given routes. Election is by
-// Best, so the bandit draws no randomness. It adds no locking.
+// Score, so the bandit draws no randomness. It adds no locking.
 func NewBandit(routes []core.Route) *Bandit {
 	if len(routes) == 0 {
 		panic("detourselect: bandit needs routes")
 	}
 	return &Bandit{
-		routes: append([]core.Route(nil), routes...),
-		ewma:   make(map[core.Route]float64),
-		seen:   make(map[core.Route]int),
-		alpha:  0.3,
+		ewma:  make(map[core.Route]float64),
+		seen:  make(map[core.Route]int),
+		alpha: 0.3,
 	}
-}
-
-// Best returns the route with the highest health-weighted observed
-// throughput.
-func (b *Bandit) Best() core.Route {
-	best := b.routes[0]
-	for _, r := range b.routes[1:] {
-		if b.Score(r) > b.Score(best) {
-			best = r
-		}
-	}
-	return best
 }
 
 // Score is the health-weighted throughput estimate selection ranks by:
-// Throughput(route) times the Weight hook (1 when no hook is set).
+// the route's throughput estimate times the Weight hook (1 when no
+// hook is set).
 func (b *Bandit) Score(route core.Route) float64 {
 	s := b.ewma[route]
 	if b.Weight != nil {
@@ -173,6 +160,3 @@ func (b *Bandit) Observe(route core.Route, sizeBytes, seconds float64) {
 	}
 	b.seen[route]++
 }
-
-// Throughput reports the current estimate for a route (0 if unobserved).
-func (b *Bandit) Throughput(route core.Route) float64 { return b.ewma[route] }

@@ -108,22 +108,21 @@ func TestBanditAdaptsToChange(t *testing.T) {
 		}
 	}
 	observe(100)
-	if b.Best() != core.ViaRoute("a") {
-		t.Fatalf("pre-change Best = %v", b.Best())
+	if b.Score(core.ViaRoute("a")) <= b.Score(core.DirectRoute) {
+		t.Fatalf("pre-change scores direct=%v a=%v, want a ahead", b.Score(core.DirectRoute), b.Score(core.ViaRoute("a")))
 	}
 	// The bottleneck moves: direct becomes fast.
 	fast = core.DirectRoute
 	observe(300)
-	if b.Best() != core.DirectRoute {
-		t.Fatalf("bandit did not adapt: Best = %v, throughputs direct=%v a=%v",
-			b.Best(), b.Throughput(core.DirectRoute), b.Throughput(core.ViaRoute("a")))
+	if b.Score(core.DirectRoute) <= b.Score(core.ViaRoute("a")) {
+		t.Fatalf("bandit did not adapt: scores direct=%v a=%v", b.Score(core.DirectRoute), b.Score(core.ViaRoute("a")))
 	}
 }
 
 func TestBanditIgnoresBadObservations(t *testing.T) {
 	b := NewBandit([]core.Route{core.DirectRoute})
 	b.Observe(core.DirectRoute, 100, -1)
-	if b.Throughput(core.DirectRoute) != 0 {
+	if b.Score(core.DirectRoute) != 0 {
 		t.Fatal("negative duration recorded")
 	}
 }

@@ -65,18 +65,7 @@ var (
 	// Network exchange/middlebox locations referenced by the traceroutes.
 	VancouverIX = Site{Name: "Vancouver-IX", City: "Vancouver, BC", Coord: Coord{49.2827, -123.1207}}
 	SeattleIX   = Site{Name: "Seattle-IX", City: "Seattle, WA", Coord: Coord{47.6097, -122.3331}}
-	Chicago     = Site{Name: "Chicago", City: "Chicago, IL", Coord: Coord{41.8781, -87.6298}}
-	Calgary     = Site{Name: "Calgary", City: "Calgary, AB", Coord: Coord{51.0447, -114.0719}}
 )
-
-// Sites lists every named site, for map rendering and lookups.
-func Sites() []Site {
-	return []Site{
-		UBC, UAlberta, UMich, Purdue, UCLA,
-		GoogleDriveDC, DropboxDC, OneDriveDC,
-		VancouverIX, SeattleIX, Chicago, Calgary,
-	}
-}
 
 // DB is a prefix-based IP geolocation database, the stand-in for the
 // iplocation.net lookups in the paper. Longest-prefix match wins.
@@ -127,9 +116,6 @@ func (d *DB) Lookup(ip string) (Site, bool) {
 	}
 	return Site{}, false
 }
-
-// Len reports the number of registered prefixes.
-func (d *DB) Len() int { return len(d.entries) }
 
 // PaperDB returns a geolocation database covering the address blocks
 // appearing in the paper's traceroutes (Figs 5–6) and the provider

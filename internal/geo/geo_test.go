@@ -67,7 +67,10 @@ func TestPropertyHaversineMetric(t *testing.T) {
 func TestPropertyTriangleInequalityGeo(t *testing.T) {
 	// Great-circle distance satisfies the triangle inequality (unlike the
 	// Internet's throughput "distance", which is the paper's point).
-	sites := Sites()
+	sites := []Site{
+		UBC, UAlberta, UMich, Purdue, UCLA,
+		GoogleDriveDC, DropboxDC, OneDriveDC, VancouverIX, SeattleIX,
+	}
 	for _, a := range sites {
 		for _, b := range sites {
 			for _, c := range sites {
@@ -102,8 +105,8 @@ func TestDBAddErrors(t *testing.T) {
 	if err := d.Add("300.0.0.0/8", UBC); err == nil {
 		t.Fatal("bad prefix accepted")
 	}
-	if d.Len() != 0 {
-		t.Fatal("failed Add changed Len")
+	if len(d.entries) != 0 {
+		t.Fatal("failed Add registered a prefix")
 	}
 }
 

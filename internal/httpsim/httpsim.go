@@ -29,7 +29,6 @@ const (
 	StatusPermanentRedirect   = 308
 	StatusBadRequest          = 400
 	StatusUnauthorized        = 401
-	StatusForbidden           = 403
 	StatusNotFound            = 404
 	StatusConflict            = 409
 	StatusPayloadTooLarge     = 413

@@ -64,11 +64,6 @@ type Device interface {
 	Size() int
 }
 
-// Encode frames one record.
-func Encode(typ byte, data []byte) []byte {
-	return appendFrame(nil, typ, func(b []byte) []byte { return append(b, data...) })
-}
-
 // appendFrame appends one framed record to b, its payload appended in
 // place by enc, and returns the extended slice.
 func appendFrame(b []byte, typ byte, enc func([]byte) []byte) []byte {

@@ -151,17 +151,3 @@ func TestFormatFigureGolden(t *testing.T) {
 		t.Errorf("figure drifted from golden.\ngot:\n%q\nwant:\n%q", got, want)
 	}
 }
-
-// TestSeriesGolden pins the per-route series extraction the figures
-// plot from.
-func TestSeriesGolden(t *testing.T) {
-	g := goldenGrid()
-	direct := g.Series(core.DirectRoute)
-	detour := g.Series(core.ViaRoute("ualberta"))
-	wantD, wantV := []float64{8, 87}, []float64{5.25, 36}
-	for i := range wantD {
-		if direct[i] != wantD[i] || detour[i] != wantV[i] {
-			t.Fatalf("series = %v / %v, want %v / %v", direct, detour, wantD, wantV)
-		}
-	}
-}

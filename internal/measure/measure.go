@@ -93,18 +93,6 @@ func (g *Grid) Cell(sizeMB int, route core.Route) *Cell {
 	return nil
 }
 
-// Series returns the per-size mean transfer times for a route, the data
-// behind one plotted line of a figure.
-func (g *Grid) Series(route core.Route) []float64 {
-	out := make([]float64, 0, len(g.Spec.SizesMB))
-	for _, mb := range g.Spec.SizesMB {
-		if c := g.Cell(mb, route); c != nil {
-			out = append(out, c.Summary.Mean)
-		}
-	}
-	return out
-}
-
 // RunGrid executes the grid in the world. Runs are sequential in
 // simulated time, sharing the world's evolving cross-traffic exactly as
 // the paper's back-to-back runs shared the live network. Every run uses

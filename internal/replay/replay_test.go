@@ -55,10 +55,7 @@ func TestDeterminism(t *testing.T) {
 			o := Telemetry(seed, true)
 			writeTelemetryReport(b, o)
 			snap := o.Config.Telemetry.Snapshot()
-			if err := snap.WriteJSON(b); err != nil {
-				t.Fatal(err)
-			}
-			if err := snap.WriteCSV(b); err != nil {
+			if err := snap.WritePrometheus(b); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -1,6 +1,7 @@
 package rsyncx
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -64,7 +65,7 @@ func TestPushStoresVerifiedData(t *testing.T) {
 		if st.MD5 != Checksum(data) || st.Size != float64(len(data)) {
 			t.Errorf("staged meta wrong: %+v", st)
 		}
-		if !equalData(st.Data, data) {
+		if !bytes.Equal(st.Data, data) {
 			t.Error("staged bytes differ")
 		}
 	})
@@ -96,7 +97,7 @@ func TestSecondPushUsesDelta(t *testing.T) {
 		}
 		t2 = float64(p.Now() - t0)
 		st, _ := rg.d.Staged("f.bin")
-		if !equalData(st.Data, data2) {
+		if !bytes.Equal(st.Data, data2) {
 			t.Error("updated bytes wrong")
 		}
 	})

@@ -12,7 +12,6 @@
 package rsyncx
 
 import (
-	"bytes"
 	"crypto/md5"
 	"fmt"
 )
@@ -138,17 +137,6 @@ func (d *Delta) WireSize() float64 {
 	return n
 }
 
-// LiteralBytes returns how many literal bytes the delta carries.
-func (d *Delta) LiteralBytes() int {
-	var n int
-	for _, op := range d.Ops {
-		if op.Kind == OpData {
-			n += len(op.Data)
-		}
-	}
-	return n
-}
-
 // ComputeDelta matches target against the basis signature and produces a
 // delta, using the rolling checksum to find block alignments at any
 // offset (the heart of rsync).
@@ -245,17 +233,3 @@ func Checksum(p []byte) string {
 	s := md5.Sum(p)
 	return fmt.Sprintf("%x", s)
 }
-
-// ChecksumCat digests the concatenation of parts without copying them
-// into one buffer — the digest a striped multipath transfer's chunks
-// must reassemble to. ChecksumCat(a, b) == Checksum(append(a, b...)).
-func ChecksumCat(parts ...[]byte) string {
-	h := md5.New()
-	for _, part := range parts {
-		h.Write(part)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// equalData reports whether two byte slices match; split out for tests.
-func equalData(a, b []byte) bool { return bytes.Equal(a, b) }

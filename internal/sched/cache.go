@@ -38,34 +38,6 @@ func KeyFor(client, provider string, size float64) CacheKey {
 	return CacheKey{Client: client, Provider: provider, SizeBucket: SizeBucket(size)}
 }
 
-// RouteHealth is the cache's view of one candidate route.
-type RouteHealth int
-
-const (
-	// RouteHealthy: eligible for election and failover.
-	RouteHealthy RouteHealth = iota
-	// RouteConverging: a routing event touched the route's path and the
-	// control plane has not reconverged yet. Distinct from quarantine —
-	// the route did nothing wrong, the ground is moving under it. It is
-	// skipped for election but cleared the moment a matching announce
-	// arrives (or the hold expires).
-	RouteConverging
-	// RouteQuarantined: the route failed a transfer and is benched for
-	// the quarantine TTL.
-	RouteQuarantined
-)
-
-func (h RouteHealth) String() string {
-	switch h {
-	case RouteConverging:
-		return "converging"
-	case RouteQuarantined:
-		return "quarantined"
-	default:
-		return "healthy"
-	}
-}
-
 // PathHop is one node of a candidate route's forwarding path, kept so
 // routing events can be matched against cached decisions.
 type PathHop struct {
@@ -307,24 +279,6 @@ func (c *RouteCache) Candidates(k CacheKey) []core.Route {
 	return out
 }
 
-// Health reports the cache's view of one route under a key.
-func (c *RouteCache) Health(k CacheKey, r core.Route) RouteHealth {
-	now := c.now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		return RouteHealthy
-	}
-	if until, q := e.quarantined[r]; q && now < until {
-		return RouteQuarantined
-	}
-	if until, cv := e.converging[r]; cv && now < until {
-		return RouteConverging
-	}
-	return RouteHealthy
-}
-
 // pathTouched matches one candidate's forwarding path against an
 // event: a node/link event matches a hop (or consecutive hop pair, in
 // either direction), a session event matches a domain-boundary
@@ -422,13 +376,6 @@ func (c *RouteCache) electLocked(e *entry, now float64) core.Route {
 		}
 	}
 	return best
-}
-
-// Len reports live (possibly expired-but-unswept) entries.
-func (c *RouteCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Counters returns the cache's lifetime counts: failure-driven

@@ -50,8 +50,8 @@ func TestCacheTTLExpiry(t *testing.T) {
 	if _, ok := c.Lookup(k); ok {
 		t.Fatal("entry survived past TTL")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("expired entry not swept: len=%d", c.Len())
+	if len(c.entries) != 0 {
+		t.Fatalf("expired entry not swept: len=%d", len(c.entries))
 	}
 }
 

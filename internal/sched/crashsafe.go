@@ -552,14 +552,6 @@ func (cj *ControlJournal) RecoveredMode() bool {
 	return cj.recoveredMode
 }
 
-// SetCompactEvery overrides the compaction cadence (finishes per
-// compaction; <= 0 disables compaction).
-func (cj *ControlJournal) SetCompactEvery(n int) {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	cj.compactEvery = n
-}
-
 // OnKill registers the callback the crash plan fires exactly once when
 // it kills the control plane (the scheduler uses it to wake Drain).
 func (cj *ControlJournal) OnKill(fn func()) {

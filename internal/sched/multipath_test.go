@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -154,7 +155,7 @@ func TestMultipathChurnDigestProperty(t *testing.T) {
 		parts[i] = buf[off : off+int(sz)]
 		off += int(sz)
 	}
-	if got := rsyncx.ChecksumCat(parts...); got != md5 {
+	if got := rsyncx.Checksum(bytes.Join(parts, nil)); got != md5 {
 		t.Fatalf("reassembled digest %s != source digest %s", got, md5)
 	}
 	fails, drains := 0, 0

@@ -576,10 +576,6 @@ func (s *Scheduler) crashed() bool {
 	return s.cfg.Journal != nil && s.cfg.Journal.Killed()
 }
 
-// Cache exposes the scheduler's route cache (read-mostly; for
-// inspection and tests).
-func (s *Scheduler) Cache() *RouteCache { return s.cache }
-
 // RouteEvent feeds one routing-plane event (withdraw or announce) into
 // the control plane. It is the push half of route invalidation: wire it
 // to a bgppol.Bus subscription and cached decisions whose stored paths

@@ -107,7 +107,7 @@ func TestUploadDownloadDeleteAllProviders(t *testing.T) {
 					t.Errorf("delete: %v", err)
 					return
 				}
-				if store.Len() != 0 {
+				if len(store.List()) != 0 {
 					t.Errorf("store not empty after delete")
 				}
 				c.Close()
@@ -206,8 +206,8 @@ func TestOverwriteReplacesObject(t *testing.T) {
 	})
 	store := w.svc[cloudsim.Dropbox].Store
 	o, ok := store.Get("f.bin")
-	if !ok || o.Size != 2e6 || store.Len() != 1 {
-		t.Fatalf("after overwrite: %+v len=%d", o, store.Len())
+	if !ok || o.Size != 2e6 || len(store.List()) != 1 {
+		t.Fatalf("after overwrite: %+v len=%d", o, len(store.List()))
 	}
 }
 

@@ -244,9 +244,6 @@ func (r *Runner) Drive() simclock.Time {
 	return r.eng.Run()
 }
 
-// Parked returns how many processes are currently suspended.
-func (r *Runner) Parked() int { return len(r.parked) }
-
 // Close ends the runner: every parked process unwinds through its
 // defers, a process started but not yet run never runs, and every
 // coroutine the runner made exits, so nothing the processes captured
@@ -352,6 +349,3 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	q.items = slices.Delete(q.items, 0, 1)
 	return v
 }
-
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }

@@ -275,8 +275,8 @@ func TestRunUntilLeavesParkedProcs(t *testing.T) {
 	if done {
 		t.Fatal("proc completed early")
 	}
-	if r.Parked() != 1 {
-		t.Fatalf("Parked = %d, want 1", r.Parked())
+	if len(r.parked) != 1 {
+		t.Fatalf("Parked = %d, want 1", len(r.parked))
 	}
 	r.Run()
 	if !done {
@@ -364,8 +364,8 @@ func TestCloseUnwindsEveryProcess(t *testing.T) {
 		r.Go("finished", func(p *Proc) { p.Sleep(1) })
 	}
 	r.RunUntil(10)
-	if r.Parked() != 3 || len(r.idle) != 2 {
-		t.Fatalf("before Close: %d parked, %d idle; want 3 and 2", r.Parked(), len(r.idle))
+	if len(r.parked) != 3 || len(r.idle) != 2 {
+		t.Fatalf("before Close: %d parked, %d idle; want 3 and 2", len(r.parked), len(r.idle))
 	}
 	ran := false
 	r.Go("never-run", func(p *Proc) { ran = true })
@@ -380,8 +380,8 @@ func TestCloseUnwindsEveryProcess(t *testing.T) {
 	if ran {
 		t.Fatal("a process started after the last drive ran during Close")
 	}
-	if r.Parked() != 0 {
-		t.Fatalf("Parked = %d after Close, want 0", r.Parked())
+	if len(r.parked) != 0 {
+		t.Fatalf("Parked = %d after Close, want 0", len(r.parked))
 	}
 	if n := runtime.NumGoroutine(); n != base {
 		t.Fatalf("%d goroutines after Close, want %d", n, base)

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -42,9 +43,6 @@ func TestStdDev(t *testing.T) {
 
 func TestMinMaxMedian(t *testing.T) {
 	xs := []float64{5, 1, 9, 3}
-	if Min(xs) != 1 || Max(xs) != 9 {
-		t.Fatalf("Min/Max wrong: %v %v", Min(xs), Max(xs))
-	}
 	if m := Median(xs); !almost(m, 4) {
 		t.Fatalf("Median = %v, want 4", m)
 	}
@@ -114,7 +112,7 @@ func TestPropertyMeanBounds(t *testing.T) {
 			return true
 		}
 		m := Mean(xs)
-		return m >= Min(xs)-1e-6 && m <= Max(xs)+1e-6
+		return m >= slices.Min(xs)-1e-6 && m <= slices.Max(xs)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -94,55 +93,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			}
 			if _, err := fmt.Fprintf(w, "%s%s %s\n",
 				f.Name, promLabels(f.Labels, m.LabelValues), fnum(m.Value)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// WriteJSON renders the snapshot as indented JSON. Struct field order is
-// fixed, so the encoding is deterministic.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// WriteCSV renders the snapshot as flat CSV rows:
-//
-//	family,type,labels,field,value
-//
-// Counters and gauges emit one "value" row; histograms emit one row per
-// bucket (field "le=<bound>") plus "sum" and "count" rows. Label values
-// are joined with ';' in schema order.
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "family,type,labels,field,value"); err != nil {
-		return err
-	}
-	for _, f := range s.Families {
-		for _, m := range f.Metrics {
-			labels := strings.Join(m.LabelValues, ";")
-			if f.Type == TypeHistogram && m.Hist != nil {
-				for i, c := range m.Hist.Counts {
-					le := "+Inf"
-					if i < len(m.Hist.Bounds) {
-						le = fnum(m.Hist.Bounds[i])
-					}
-					if _, err := fmt.Fprintf(w, "%s,%s,%s,le=%s,%d\n",
-						f.Name, f.Type, labels, le, c); err != nil {
-						return err
-					}
-				}
-				if _, err := fmt.Fprintf(w, "%s,%s,%s,sum,%s\n", f.Name, f.Type, labels, fnum(m.Hist.Sum)); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s,%s,%s,count,%d\n", f.Name, f.Type, labels, m.Hist.Count); err != nil {
-					return err
-				}
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "%s,%s,%s,value,%s\n", f.Name, f.Type, labels, fnum(m.Value)); err != nil {
 				return err
 			}
 		}

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // HistOpts describes a log-bucketed histogram: Buckets upper bounds
 // starting at Start and growing by Factor, plus an implicit +Inf
@@ -61,37 +58,4 @@ type HistSnapshot struct {
 	Counts []uint64  `json:"counts"`
 	Count  uint64    `json:"count"`
 	Sum    float64   `json:"sum"`
-}
-
-// Quantile returns an estimate of the q-quantile (0..1) assuming values
-// sit at their bucket's upper bound — a deliberately conservative
-// (over-) estimate that is stable across runs. Returns 0 on an empty
-// histogram; the overflow bucket reports +Inf.
-func (h *HistSnapshot) Quantile(q float64) float64 {
-	if h == nil || h.Count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(h.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= rank {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
-// Mean returns Sum/Count (0 when empty).
-func (h *HistSnapshot) Mean() float64 {
-	if h == nil || h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
 }

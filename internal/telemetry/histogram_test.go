@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestBucketBoundaries(t *testing.T) {
 	opts := HistOpts{Start: 1, Factor: 2, Buckets: 4} // bounds 1,2,4,8 + Inf
@@ -56,25 +53,5 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 		if snap.Counts[i] != wantCounts[i] {
 			t.Fatalf("counts = %v, want %v", snap.Counts, wantCounts)
 		}
-	}
-	if q := snap.Quantile(0.5); q != 2 {
-		t.Fatalf("p50 = %g, want 2", q)
-	}
-	if q := snap.Quantile(0.99); !math.IsInf(q, 1) {
-		t.Fatalf("p99 = %g, want +Inf (overflow bucket)", q)
-	}
-	if m := snap.Mean(); math.Abs(m-32.5/6) > 1e-12 {
-		t.Fatalf("mean = %g", m)
-	}
-}
-
-func TestEmptyHistogramStats(t *testing.T) {
-	var h *HistSnapshot
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Fatal("nil histogram stats should be 0")
-	}
-	e := &HistSnapshot{Bounds: []float64{1}, Counts: []uint64{0, 0}}
-	if e.Quantile(0.9) != 0 || e.Mean() != 0 {
-		t.Fatal("empty histogram stats should be 0")
 	}
 }

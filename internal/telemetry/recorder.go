@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"detournet/internal/tracelog"
 )
@@ -43,8 +42,7 @@ type FlightRecorder struct {
 	perJob   int
 	retained int
 
-	live atomic.Int64 // handles begun and not yet finished
-	free sync.Pool    // *traceBuf, recycled by Finish
+	free sync.Pool // *traceBuf, recycled by Finish
 
 	mu     sync.Mutex
 	kept   []JobTrace // terminal traces, FIFO-bounded at retained
@@ -211,7 +209,6 @@ func (r *FlightRecorder) Begin() Trace {
 	}
 	// No lock: only the Finish that put b in the pool wrote gen, and a
 	// Put synchronizes before the Get that returns the same buffer.
-	r.live.Add(1)
 	return Trace{rec: r, buf: b, gen: b.gen}
 }
 
@@ -277,7 +274,6 @@ func (r *FlightRecorder) Finish(tr Trace, job string, failed bool) {
 		b.seen, b.dropped = 0, 0
 		b.mu.Unlock()
 		r.free.Put(b)
-		r.live.Add(-1)
 	}
 	r.mu.Lock()
 	r.fin++
@@ -322,14 +318,6 @@ func (r *FlightRecorder) Retained() []JobTrace {
 		return out[i].Job < out[j].Job
 	})
 	return out
-}
-
-// Live returns the number of in-flight traces.
-func (r *FlightRecorder) Live() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.live.Load())
 }
 
 // Counts reports (finished, failed-and-retained-in-full).

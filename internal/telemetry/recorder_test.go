@@ -47,9 +47,6 @@ func TestRecorderRetentionOnFailure(t *testing.T) {
 	if fin, _ := r.Counts(); fin != 1 {
 		t.Fatalf("double finish counted: fin = %d", fin)
 	}
-	if r.Live() != 0 {
-		t.Fatalf("live = %d", r.Live())
-	}
 }
 
 func TestRecorderTruncationOnSuccess(t *testing.T) {
@@ -64,9 +61,6 @@ func TestRecorderTruncationOnSuccess(t *testing.T) {
 	}
 	if kept[0].Seen != 2 || len(kept[0].Events) != 0 {
 		t.Fatalf("success trace should keep counts but drop events: %+v", kept[0])
-	}
-	if r.Live() != 0 {
-		t.Fatalf("live = %d", r.Live())
 	}
 }
 
@@ -218,9 +212,6 @@ func TestRecorderStaleHandle(t *testing.T) {
 	}
 	if fin, failed := r.Counts(); fin != 400 || failed != 200 {
 		t.Fatalf("counts = %d/%d, want 400/200", fin, failed)
-	}
-	if r.Live() != 0 {
-		t.Fatalf("live = %d", r.Live())
 	}
 	if reused == 0 {
 		t.Fatal("no Begin reused a finished buffer; the test raced nothing")

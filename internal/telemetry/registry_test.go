@@ -162,28 +162,6 @@ func TestExportFormats(t *testing.T) {
 			t.Fatalf("prometheus dump missing %q:\n%s", want, prom.String())
 		}
 	}
-
-	var js bytes.Buffer
-	if err := snap.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(js.String(), `"bytes_total"`) {
-		t.Fatalf("json dump missing family:\n%s", js.String())
-	}
-
-	var csv bytes.Buffer
-	if err := snap.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"bytes_total,counter,direct,value,1.25e+06",
-		"lat_seconds,histogram,,le=+Inf,2",
-		"lat_seconds,histogram,,count,3",
-	} {
-		if !strings.Contains(csv.String(), want) {
-			t.Fatalf("csv dump missing %q:\n%s", want, csv.String())
-		}
-	}
 }
 
 // TestRegistryHotPathRace hammers one child from many goroutines; run

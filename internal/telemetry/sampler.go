@@ -249,17 +249,3 @@ func (s *Sampler) Snapshot() []SeriesSnapshot {
 	}
 	return out
 }
-
-// Series returns the snapshot of one named series (zero value if the
-// name is untracked).
-func (s *Sampler) Series(name string) SeriesSnapshot {
-	if s == nil {
-		return SeriesSnapshot{Name: name}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ser, ok := s.series[name]; ok {
-		return ser.snapshot(name)
-	}
-	return SeriesSnapshot{Name: name}
-}

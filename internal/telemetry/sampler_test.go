@@ -40,7 +40,7 @@ func TestSamplerGridAlignmentAndPause(t *testing.T) {
 	depth = 2
 	eng.RunUntil(12) // ticks at 5, 10
 	samp.StopAll()
-	snap := samp.Series("depth")
+	snap := samp.Snapshot()[0]
 	if len(snap.Times) != 2 || snap.Times[0] != 5 || snap.Times[1] != 10 {
 		t.Fatalf("tick times = %v, want [5 10]", snap.Times)
 	}
@@ -54,7 +54,7 @@ func TestSamplerGridAlignmentAndPause(t *testing.T) {
 	depth = 7
 	eng.RunUntil(31)
 	samp.StopAll()
-	snap = samp.Series("depth")
+	snap = samp.Snapshot()[0]
 	if len(snap.Times) != 4 || snap.Times[2] != 25 || snap.Times[3] != 30 {
 		t.Fatalf("tick times after pause = %v, want [5 10 25 30]", snap.Times)
 	}

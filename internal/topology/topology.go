@@ -493,7 +493,7 @@ func (g *Graph) LinkPath(nodes []*Node) ([]*fluid.Link, error) {
 // until Gen or the router's epoch moves, or SetRouter installs another
 // router. A pair with a pinned override, enabled or not, is never
 // memoized, and neither is any pair under a router that reports no
-// epoch (MinWeight, whose weights may read anything).
+// epoch, since its weights may read anything.
 func (g *Graph) RoutedLinks(src, dst string) ([]*fluid.Link, error) {
 	k := pair{src, dst}
 	r, memo := g.router.(EpochRouter)
@@ -589,19 +589,8 @@ func NoStubTransit(stubDomains ...string) EdgeFilter {
 	}
 }
 
-// WeightFunc scores an edge for MinWeight routing; lower is preferred.
+// WeightFunc scores an edge for a route search; lower is preferred.
 type WeightFunc func(e *Edge) float64
-
-// MinWeight routes by an arbitrary edge weight.
-type MinWeight struct{ Weight WeightFunc }
-
-// Path implements PathFinder.
-func (r MinWeight) Path(g *Graph, src, dst *Node) ([]*Node, error) {
-	if r.Weight == nil {
-		return nil, fmt.Errorf("topology: MinWeight with nil weight func")
-	}
-	return route(g, src, dst, r.Weight, nil)
-}
 
 // route is the routers' search: down edges are never used, and allow,
 // when set, vets every other edge.

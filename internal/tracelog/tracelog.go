@@ -122,14 +122,6 @@ func (l *Log) Len() int {
 	return len(l.events)
 }
 
-// Events returns a copy of the retained events in emission order.
-func (l *Log) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	return append([]Event(nil), l.events...)
-}
-
 // Filter returns events whose kind matches the prefix (dotted segments).
 func (l *Log) Filter(prefix string) []Event {
 	if l == nil {

@@ -15,7 +15,7 @@ func TestEmitAndEvents(t *testing.T) {
 	eng.Schedule(5, func() { l.Emit("a.b", map[string]any{"x": 1}) })
 	eng.Schedule(7, func() { l.Emit("a.c", nil) })
 	eng.Run()
-	evs := l.Events()
+	evs := l.events
 	if len(evs) != 2 || l.Len() != 2 {
 		t.Fatalf("events = %d", len(evs))
 	}
@@ -30,7 +30,7 @@ func TestEmitAndEvents(t *testing.T) {
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Emit("anything", nil) // must not panic
-	if l.Len() != 0 || l.Events() != nil || l.Filter("x") != nil {
+	if l.Len() != 0 || l.Filter("x") != nil {
 		t.Fatal("nil log not inert")
 	}
 	if err := l.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -71,7 +71,7 @@ func TestCapEvictsOldest(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Emit("e", map[string]any{"i": i})
 	}
-	evs := l.Events()
+	evs := l.events
 	if len(evs) != 3 || evs[0].Attrs["i"] != 7 {
 		t.Fatalf("evicted wrong events: %+v", evs)
 	}

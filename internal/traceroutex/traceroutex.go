@@ -81,32 +81,6 @@ func (r *Result) Format() string {
 	return b.String()
 }
 
-// HopNames returns the visible hop hostnames in order, with hidden hops
-// as "*".
-func (r *Result) HopNames() []string {
-	out := make([]string, len(r.Hops))
-	for i, h := range r.Hops {
-		if h.Hidden {
-			out[i] = "*"
-		} else {
-			out[i] = h.Node.Hostname
-		}
-	}
-	return out
-}
-
-// CrossesHost reports whether a visible hop resolves to the given
-// hostname — how the paper establishes that both routes cross
-// vncv1rtr2.canarie.ca.
-func (r *Result) CrossesHost(hostname string) bool {
-	for _, h := range r.Hops {
-		if !h.Hidden && h.Node.Hostname == hostname {
-			return true
-		}
-	}
-	return false
-}
-
 // GeoHop is a geolocated hop, the paper's Fig 3 data.
 type GeoHop struct {
 	Hop  Hop

@@ -37,9 +37,8 @@ func TestRunBasic(t *testing.T) {
 	if len(res.Hops) != 3 {
 		t.Fatalf("hops = %d, want 3", len(res.Hops))
 	}
-	names := res.HopNames()
-	if names[0] != "border.example.edu" || names[1] != "*" || names[2] != "www.googleapis.com" {
-		t.Fatalf("hop names = %v", names)
+	if res.Hops[0].Node.Hostname != "border.example.edu" || !res.Hops[1].Hidden || res.Hops[2].Node.Hostname != "www.googleapis.com" {
+		t.Fatalf("hops = %+v, want border, hidden, www", res.Hops)
 	}
 	// RTTs are cumulative and monotone.
 	if !(res.Hops[0].RTTms[0] < res.Hops[1].RTTms[0] && res.Hops[1].RTTms[0] < res.Hops[2].RTTms[0]) {
@@ -63,20 +62,6 @@ func TestFormatLooksLikeTraceroute(t *testing.T) {
 	}
 	if !strings.Contains(out, "border.example.edu (10.0.1.1)") {
 		t.Fatal("hop line missing host (ip)")
-	}
-}
-
-func TestCrossesHost(t *testing.T) {
-	g := buildGraph()
-	res, _ := Run(g, "src", "dst", Options{})
-	if !res.CrossesHost("border.example.edu") {
-		t.Fatal("CrossesHost missed a visible hop")
-	}
-	if res.CrossesHost("dark.transit.net") {
-		t.Fatal("CrossesHost matched a hidden hop")
-	}
-	if res.CrossesHost("nowhere") {
-		t.Fatal("CrossesHost matched a non-hop")
 	}
 }
 
@@ -144,6 +129,6 @@ func TestOverrideChangesTrace(t *testing.T) {
 	g.MustSetOverride("src", "dst")
 	res, _ := Run(g, "src", "dst", Options{})
 	if len(res.Hops) != 1 || res.Hops[0].Node.Name != "dst" {
-		t.Fatalf("override trace = %v", res.HopNames())
+		t.Fatalf("override trace:\n%s", res.Format())
 	}
 }

@@ -188,20 +188,17 @@ func TestRTTAccessors(t *testing.T) {
 	l := n.MustListen("server", 80)
 	r.Go("srv", func(p *simproc.Proc) {
 		c, _ := l.Accept(p)
-		if c.LocalHost() != "server" || c.RemoteHost() != "client" {
-			t.Errorf("server conn identity: %s %s", c.LocalHost(), c.RemoteHost())
-		}
-		if c.TLS() {
-			t.Error("plain conn reports TLS")
+		if c.local != "server" || c.RemoteHost() != "client" {
+			t.Errorf("server conn identity: %s %s", c.local, c.RemoteHost())
 		}
 		c.Close()
 	})
 	r.Go("cli", func(p *simproc.Proc) {
 		c, _ := n.Dial(p, "client", "server", 80, DialOpts{})
-		if c.LocalHost() != "client" || c.RemoteHost() != "server" {
-			t.Errorf("client conn identity: %s %s", c.LocalHost(), c.RemoteHost())
+		if c.local != "client" || c.RemoteHost() != "server" {
+			t.Errorf("client conn identity: %s %s", c.local, c.RemoteHost())
 		}
-		if c.RTT() <= 0 {
+		if c.rtt <= 0 {
 			t.Error("non-positive RTT")
 		}
 		_, _ = c.Recv(p) // wait for peer close

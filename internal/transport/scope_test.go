@@ -13,7 +13,7 @@ import (
 // same shared conn yields differently-scoped labels per Send.
 func TestFlowLabelCarriesProcScope(t *testing.T) {
 	n, r := world(t)
-	fl := n.Graph().Fluid()
+	fl := n.g.Fluid()
 	l := n.MustListen("server", 80)
 	r.Go("srv", func(p *simproc.Proc) {
 		c, _ := l.Accept(p)

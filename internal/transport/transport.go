@@ -72,9 +72,6 @@ func NewNet(g *topology.Graph, r *simproc.Runner, params tcpmodel.Params) *Net {
 	}
 }
 
-// Graph returns the underlying topology.
-func (n *Net) Graph() *topology.Graph { return n.g }
-
 // Runner returns the process runner.
 func (n *Net) Runner() *simproc.Runner { return n.runner }
 
@@ -163,7 +160,6 @@ type Conn struct {
 	local  string
 	remote string
 	port   int
-	tls    bool
 
 	rtt      float64
 	fwdLinks []*fluid.Link
@@ -213,8 +209,8 @@ func (n *Net) Dial(p *simproc.Proc, srcHost, dstHost string, port int, opts Dial
 		return nil, fmt.Errorf("%w: %s", ErrRefused, addrKey(dstHost, port))
 	}
 
-	client := n.newConn(srcHost, dstHost, port, opts.TLS, rtt, fwd)
-	server := n.newConn(dstHost, srcHost, port, opts.TLS, rtt, rev)
+	client := n.newConn(srcHost, dstHost, port, rtt, fwd)
+	server := n.newConn(dstHost, srcHost, port, rtt, rev)
 	client.peer = server
 	server.peer = client
 	l.backlog.Push(server)
@@ -222,9 +218,9 @@ func (n *Net) Dial(p *simproc.Proc, srcHost, dstHost string, port int, opts Dial
 }
 
 // newConn builds one endpoint sending over links.
-func (n *Net) newConn(local, remote string, port int, tls bool, rtt float64, links []*fluid.Link) *Conn {
+func (n *Net) newConn(local, remote string, port int, rtt float64, links []*fluid.Link) *Conn {
 	c := &Conn{
-		net: n, local: local, remote: remote, port: port, tls: tls,
+		net: n, local: local, remote: remote, port: port,
 		rtt:      rtt,
 		fwdLinks: links, fwdDelay: fluid.PathDelay(links),
 		sendCwnd: *tcpmodel.NewCwnd(),
@@ -240,17 +236,8 @@ func (n *Net) newConn(local, remote string, port int, tls bool, rtt float64, lin
 	return c
 }
 
-// LocalHost returns this endpoint's host name.
-func (c *Conn) LocalHost() string { return c.local }
-
 // RemoteHost returns the peer's host name.
 func (c *Conn) RemoteHost() string { return c.remote }
-
-// RTT returns the connection's round-trip propagation delay in seconds.
-func (c *Conn) RTT() float64 { return c.rtt }
-
-// TLS reports whether the connection carried a TLS handshake.
-func (c *Conn) TLS() bool { return c.tls }
 
 // acquireSend serializes senders in this direction, FIFO.
 func (c *Conn) acquireSend(p *simproc.Proc) {

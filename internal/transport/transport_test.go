@@ -77,7 +77,7 @@ func TestHandshakeDelay(t *testing.T) {
 			return
 		}
 		connectedAt = p.Now()
-		rtt = c.RTT()
+		rtt = c.rtt
 		if _, err := c.Recv(p); !errors.Is(err, EOF) {
 			t.Errorf("Recv after peer close = %v, want EOF", err)
 		}

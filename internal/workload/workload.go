@@ -128,14 +128,6 @@ func (p Poisson) NextGap(rng *rand.Rand) float64 {
 	return rng.ExpFloat64() / p.RatePerSec
 }
 
-// Periodic arrivals with a fixed gap.
-type Periodic struct {
-	GapSec float64
-}
-
-// NextGap implements Arrival.
-func (p Periodic) NextGap(*rand.Rand) float64 { return p.GapSec }
-
 // Phase is one constant-rate segment of a piecewise arrival process.
 type Phase struct {
 	// RatePerSec is the Poisson arrival rate during the phase.

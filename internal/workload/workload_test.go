@@ -126,9 +126,14 @@ func TestPoissonMeanGap(t *testing.T) {
 	}
 }
 
+// periodic arrivals come a fixed number of seconds apart.
+type periodic float64
+
+func (p periodic) NextGap(*rand.Rand) float64 { return float64(p) }
+
 func TestGenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	jobs := Generate(50, Fixed{Bytes: 1e6}, Periodic{GapSec: 10}, rng)
+	jobs := Generate(50, Fixed{Bytes: 1e6}, periodic(10), rng)
 	if len(jobs) != 50 {
 		t.Fatalf("len = %d", len(jobs))
 	}

@@ -140,13 +140,6 @@ func (p *Process) interval() float64 {
 
 func (p *Process) value() float64 { return p.load }
 
-// Load returns the process's current load fraction, syncing a dormant
-// process first; a stopped one reports the load it had at its stop.
-func (p *Process) Load() float64 {
-	p.Sync()
-	return p.load
-}
-
 // OnOffConfig shapes a two-state Markov-modulated load process: the link
 // alternates between a quiet state and a congestion episode, with
 // exponentially distributed holding times. Long-transfer runs inevitably
@@ -209,14 +202,6 @@ func (p *OnOffProcess) value() float64 {
 		return clampLoad(p.cfg.BadLoad)
 	}
 	return clampLoad(p.cfg.GoodLoad)
-}
-
-// Bad reports whether the link is currently in a congestion episode,
-// syncing a dormant process first; a stopped one reports its state at
-// its stop.
-func (p *OnOffProcess) Bad() bool {
-	p.Sync()
-	return p.bad
 }
 
 // model is one process's random stream: step draws a re-sample (an
@@ -421,6 +406,3 @@ func (c *Controller) Restart() {
 	}
 	c.stopped = false
 }
-
-// Len returns the number of tracked processes.
-func (c *Controller) Len() int { return len(c.procs) }

@@ -142,8 +142,8 @@ func TestControllerStopAll(t *testing.T) {
 		l := fl.AddLink("x", 100, 0)
 		c.Attach(fl, l, Config{MeanLoad: 0.5, Burstiness: 0.5}, rng)
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.procs) != 4 {
+		t.Fatalf("tracked %d processes, want 4", len(c.procs))
 	}
 	eng.Advance(20)
 	c.StopAll()
