@@ -304,9 +304,6 @@ func NewClient(net *transport.Net, fromHost string, port int, tls bool) *Client 
 	}
 }
 
-// From returns the client's source host.
-func (c *Client) From() string { return c.from }
-
 // conn returns the kept-alive connection to host, dialing if needed.
 // Concurrent first users coalesce onto a single dial: the handshake
 // parks the dialing process, and without coalescing a second caller

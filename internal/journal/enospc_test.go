@@ -144,7 +144,7 @@ func TestFileDeviceENOSPC(t *testing.T) {
 		t.Fatalf("append after compaction: %v", err)
 	}
 	// Reopen: the surviving log is exactly the snapshot plus the tail.
-	g, err := OpenFileDevice(f.Path())
+	g, err := OpenFileDevice(f.path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -339,9 +339,6 @@ func OpenFileDevice(path string) (*FileDevice, error) {
 	return &FileDevice{path: path, buf: b}, nil
 }
 
-// Path returns the backing file path.
-func (f *FileDevice) Path() string { return f.path }
-
 // Bytes implements Device.
 func (f *FileDevice) Bytes() []byte { return f.buf }
 

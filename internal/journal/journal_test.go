@@ -104,7 +104,7 @@ var deviceKinds = []struct {
 			return f
 		},
 		reopen: func(t *testing.T, dev faultDevice) Device {
-			f, err := OpenFileDevice(dev.(*FileDevice).Path())
+			f, err := OpenFileDevice(dev.(*FileDevice).path)
 			if err != nil {
 				t.Fatal(err)
 			}

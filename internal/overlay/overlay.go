@@ -43,9 +43,6 @@ func NewDaemon(tn *transport.Net, host string) *Daemon {
 	return &Daemon{tn: tn, host: host}
 }
 
-// Host returns the member host name.
-func (d *Daemon) Host() string { return d.host }
-
 // Start binds the daemon and serves until the listener closes.
 func (d *Daemon) Start() *transport.Listener {
 	l := d.tn.MustListen(d.host, Port)
@@ -194,15 +191,6 @@ func NewMesh(tn *transport.Net, from string, members []string) *Mesh {
 		ProbeBytes:       1 << 20,
 		Alpha:            0.4,
 	}
-}
-
-// Stat returns the current estimate for a directed pair.
-func (m *Mesh) Stat(src, dst string) (Stat, bool) {
-	s, ok := m.stats[[2]string{src, dst}]
-	if !ok {
-		return Stat{}, false
-	}
-	return *s, true
 }
 
 // Probe measures src->dst once by commanding src's daemon and folds the

@@ -91,9 +91,6 @@ type coro struct {
 // through its defers and its coroutine ends quietly.
 type closing struct{}
 
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
 // Scope returns the process's flow scope (empty by default).
 func (p *Proc) Scope() string { return p.scope }
 

@@ -317,7 +317,7 @@ func TestManyProcsDeterministic(t *testing.T) {
 				p.Sleep(float64(i % 3))
 				q.Push(i)
 				p.Sleep(0.5)
-				trace = append(trace, p.Name())
+				trace = append(trace, p.name)
 			})
 		}
 		r.Go("drain", func(p *Proc) {

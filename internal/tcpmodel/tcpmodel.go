@@ -83,9 +83,6 @@ func NewCwnd() *Cwnd {
 	return &Cwnd{bytes: initCwndSegments * mss}
 }
 
-// Bytes returns the current window size in bytes.
-func (c *Cwnd) Bytes() float64 { return c.bytes }
-
 // RateCap returns the window-limited rate for a path RTT.
 func (c *Cwnd) RateCap(rtt float64) float64 {
 	if rtt <= 0 {

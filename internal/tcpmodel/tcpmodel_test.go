@@ -37,8 +37,8 @@ func TestMaxRate(t *testing.T) {
 
 func TestCwndStartsAtIW(t *testing.T) {
 	c := NewCwnd()
-	if c.Bytes() != 14600 {
-		t.Fatalf("initial cwnd = %v, want 14600", c.Bytes())
+	if c.bytes != 14600 {
+		t.Fatalf("initial cwnd = %v, want 14600", c.bytes)
 	}
 	if r := c.RateCap(0.1); math.Abs(r-146000) > 1e-9 {
 		t.Fatalf("RateCap = %v", r)
@@ -66,8 +66,8 @@ func TestRampDoublesToRwnd(t *testing.T) {
 	if got := f.Cap(); math.Abs(got-want) > 1 {
 		t.Fatalf("saturated cap = %v, want %v", got, want)
 	}
-	if cwnd.Bytes() != 1<<20 {
-		t.Fatalf("cwnd = %v, want rwnd", cwnd.Bytes())
+	if cwnd.bytes != 1<<20 {
+		t.Fatalf("cwnd = %v, want rwnd", cwnd.bytes)
 	}
 	fl.CancelFlow(f)
 	eng.Run()
@@ -96,11 +96,11 @@ func TestRampStopCancels(t *testing.T) {
 	f := fl.StartFlow([]*fluid.Link{l}, 1e12, fluid.FlowOpts{})
 	r := NewRamp(fl, cwnd, params, 0.1)
 	r.Start(f)
-	before := cwnd.Bytes()
+	before := cwnd.bytes
 	r.Stop()
 	r.Stop() // idempotent
 	eng.Advance(1)
-	if cwnd.Bytes() != before {
+	if cwnd.bytes != before {
 		t.Fatal("cwnd grew after Stop")
 	}
 	fl.CancelFlow(f)
@@ -126,8 +126,8 @@ func TestRampRestartsInPlace(t *testing.T) {
 			t.Fatalf("transfer %d: %d events left after Stop", i, n)
 		}
 	}
-	if want := 14600.0 * (1 << 10); cwnd.Bytes() != want {
-		t.Fatalf("cwnd %v after 5 x 2 doublings, want %v", cwnd.Bytes(), want)
+	if want := 14600.0 * (1 << 10); cwnd.bytes != want {
+		t.Fatalf("cwnd %v after 5 x 2 doublings, want %v", cwnd.bytes, want)
 	}
 	f1 := fl.StartFlow([]*fluid.Link{l}, 1e15, fluid.FlowOpts{})
 	f2 := fl.StartFlow([]*fluid.Link{l}, 1e15, fluid.FlowOpts{})
@@ -153,13 +153,13 @@ func TestCwndSharedAcrossTransfers(t *testing.T) {
 	f1 := fl.StartFlow([]*fluid.Link{l}, 5e6, fluid.FlowOpts{})
 	r.Start(f1)
 	eng.Run()
-	rampedTo := cwnd.Bytes()
+	rampedTo := cwnd.bytes
 	if rampedTo <= 14600 {
 		t.Fatalf("cwnd never grew: %v", rampedTo)
 	}
 	f2 := fl.StartFlow([]*fluid.Link{l}, 5e6, fluid.FlowOpts{})
 	r.Start(f2)
-	if f2.Cap() != cwnd.RateCap(0.05) || cwnd.Bytes() != rampedTo {
+	if f2.Cap() != cwnd.RateCap(0.05) || cwnd.bytes != rampedTo {
 		t.Fatal("second transfer did not inherit ramped window")
 	}
 	eng.Run()

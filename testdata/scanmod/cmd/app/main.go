@@ -6,4 +6,7 @@ import (
 	"scanmod/lib"
 )
 
-func main() { fmt.Println(lib.Used()) }
+func main() {
+	var s lib.Shape = lib.Square{}
+	fmt.Println(lib.Used(), s.Area(), lib.Tally{})
+}

@@ -3,7 +3,7 @@ package lib
 import "testing"
 
 func TestPlanted(t *testing.T) {
-	if Planted() != 2 {
-		t.Fatal("Planted() != 2")
+	if Planted() != 2 || (Tally{}).Area(3) != 3 {
+		t.Fatal("planted names broken")
 	}
 }

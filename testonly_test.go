@@ -12,6 +12,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -69,7 +70,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 }
 
 // TestScanFindsPlantedExport runs the scan over a tiny module holding
-// a test-only export with an unexported helper behind it.
+// a test-only export with an unexported helper behind it, a method
+// reached only through an interface, and a method of a used type that
+// implements no interface and only a test calls.
 func TestScanFindsPlantedExport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the scan checks source, not concurrency")
@@ -84,11 +87,11 @@ func TestScanFindsPlantedExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(res.keys(), " "); got != "lib.Planted lib.helper" {
-		t.Fatalf("reported %q, want the planted export and its helper", got)
+	if got := strings.Join(res.keys(), " "); got != "lib.Planted lib.Tally.Area lib.helper" {
+		t.Fatalf("reported %q, want the planted export, its helper and Tally.Area", got)
 	}
-	if unlisted, stale := res.against(allow); len(unlisted) != 0 || strings.Join(stale, " ") != "lib.Stale" {
-		t.Fatalf("unlisted %v, stale %v; want none and [lib.Stale]", unlisted, stale)
+	if unlisted, stale := res.against(allow); strings.Join(unlisted, " ") != "lib.Tally.Area" || strings.Join(stale, " ") != "lib.Stale" {
+		t.Fatalf("unlisted %v, stale %v; want [lib.Tally.Area] and [lib.Stale]", unlisted, stale)
 	}
 
 	// Once a non-test file references the export, neither it nor its
@@ -119,8 +122,8 @@ func TestScanFindsPlantedExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.lines) != 0 {
-		t.Fatalf("reported %v after a non-test reference, want nothing", res.keys())
+	if got := strings.Join(res.keys(), " "); got != "lib.Tally.Area" {
+		t.Fatalf("reported %q after a non-test reference, want only Tally.Area", got)
 	}
 	if _, stale := res.against(allow); len(stale) != 3 {
 		t.Fatalf("stale %v, want all three entries", stale)
@@ -181,9 +184,9 @@ func (r scanResult) against(allow map[string]string) (unlisted, stale []string) 
 // declaration in rootDirs and in the nested modules, the declarations
 // of rootFiles (test files of the root package) and init functions. A
 // reference counts only from a declaration that is itself live,
-// iterated to a fixpoint, and a method named like a method of an
-// interface the module declares or uses (String and Error included) is
-// live once its receiver type is. What the scan reports is every other
+// iterated to a fixpoint, and a method through which its type
+// implements an interface the module declares or uses (any String or
+// Error method included) is live once its receiver type is. What the scan reports is every other
 // exported name, exported method and unexported top-level function
 // outside the roots.
 func scanTestOnly(root string, rootDirs, rootFiles []string) (scanResult, error) {
@@ -192,7 +195,6 @@ func scanTestOnly(root string, rootDirs, rootFiles []string) (scanResult, error)
 		std:   importer.Default(),
 		pkgs:  map[string]*scanPkg{},
 		edges: map[types.Object][]types.Object{},
-		names: map[string]bool{"String": true, "Error": true},
 	}
 	if err := s.walk(root, "", rootDirs, rootFiles); err != nil {
 		return scanResult{}, err
@@ -210,14 +212,12 @@ func scanTestOnly(root string, rootDirs, rootFiles []string) (scanResult, error)
 	for _, p := range paths {
 		s.graph(s.pkgs[p])
 	}
-	// A method named like an interface method is live once its receiver
-	// type is: a call through an interface names no method object.
 	impls := map[types.Object][]types.Object{}
-	for obj := range s.edges {
-		if f, ok := obj.(*types.Func); ok && s.names[f.Name()] {
-			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-				tn := s.namedIn(recv.Type())
-				impls[tn] = append(impls[tn], f)
+	for _, p := range paths {
+		scope := s.pkgs[p].types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				impls[tn] = s.implsOf(tn)
 			}
 		}
 	}
@@ -247,13 +247,13 @@ func scanTestOnly(root string, rootDirs, rootFiles []string) (scanResult, error)
 }
 
 type scanner struct {
-	fset  *token.FileSet
-	std   types.Importer
-	pkgs  map[string]*scanPkg
-	edges map[types.Object][]types.Object // declaration -> what it references
-	names map[string]bool                 // interface method names
-	seed  []types.Object
-	cands []scanCand
+	fset   *token.FileSet
+	std    types.Importer
+	pkgs   map[string]*scanPkg
+	edges  map[types.Object][]types.Object // declaration -> what it references
+	ifaces []*types.Interface              // every interface the module declares or uses
+	seed   []types.Object
+	cands  []scanCand
 }
 
 type scanPkg struct {
@@ -368,7 +368,7 @@ func (s *scanner) Import(p string) (*types.Package, error) {
 }
 
 // graph records each top-level declaration's references, seeds the
-// roots, collects the interface method names and lists the candidates.
+// roots, collects the interfaces and lists the candidates.
 func (s *scanner) graph(pkg *scanPkg) {
 	for _, tv := range pkg.info.Types {
 		s.addIface(tv.Type)
@@ -423,6 +423,9 @@ func (s *scanner) graph(pkg *scanPkg) {
 						obj := pkg.info.Defs[id]
 						if root {
 							s.seed = append(s.seed, refs...)
+							if obj != nil {
+								s.seed = append(s.seed, obj)
+							}
 							continue
 						}
 						if obj == nil || id.Name == "_" {
@@ -443,11 +446,67 @@ func (s *scanner) addIface(t types.Type) {
 	if t == nil {
 		return
 	}
-	if it, ok := t.Underlying().(*types.Interface); ok {
+	if n, ok := t.(*types.Named); ok && n.TypeParams().Len() > 0 {
+		return
+	}
+	if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !slices.Contains(s.ifaces, it) {
+		s.ifaces = append(s.ifaces, it)
+	}
+}
+
+// implsOf lists the methods, promoted ones included, through which tn
+// satisfies an interface the module declares or uses, and its String
+// and Error methods: fmt and errors find those through any. They are
+// live once tn is, since a call through an interface names no method
+// object. A generic type matches an interface by method names alone.
+func (s *scanner) implsOf(tn *types.TypeName) []types.Object {
+	named, ok := tn.Type().(*types.Named)
+	if !ok || tn.IsAlias() {
+		return nil
+	}
+	if _, ok := named.Underlying().(*types.Interface); ok {
+		return nil
+	}
+	ptr := types.NewPointer(named)
+	var out []types.Object
+	add := func(name string, pkg *types.Package) bool {
+		f, ok := s.methodOf(ptr, name, pkg)
+		if ok {
+			out = append(out, f)
+		}
+		return ok
+	}
+	add("String", nil)
+	add("Error", nil)
+	for _, it := range s.ifaces {
+		if named.TypeParams().Len() > 0 {
+			all := true
+			for i := 0; i < it.NumMethods(); i++ {
+				_, ok := s.methodOf(ptr, it.Method(i).Name(), it.Method(i).Pkg())
+				all = all && ok
+			}
+			if !all {
+				continue
+			}
+		} else if !types.Implements(named, it) && !types.Implements(ptr, it) {
+			continue
+		}
 		for i := 0; i < it.NumMethods(); i++ {
-			s.names[it.Method(i).Name()] = true
+			add(it.Method(i).Name(), it.Method(i).Pkg())
 		}
 	}
+	return out
+}
+
+// methodOf finds the method name in t's method set, promoted methods
+// included, as declared.
+func (s *scanner) methodOf(t types.Type, name string, pkg *types.Package) (types.Object, bool) {
+	obj, _, _ := types.LookupFieldOrMethod(t, true, pkg, name)
+	f, ok := obj.(*types.Func)
+	if !ok {
+		return nil, false
+	}
+	return f.Origin(), true
 }
 
 // refs lists the module objects that node references by name, and the
