@@ -184,11 +184,11 @@ func (r scanResult) against(allow map[string]string) (unlisted, stale []string) 
 // declaration in rootDirs and in the nested modules, the declarations
 // of rootFiles (test files of the root package) and init functions. A
 // reference counts only from a declaration that is itself live,
-// iterated to a fixpoint, and a method through which its type
-// implements an interface the module declares or uses (any String or
-// Error method included) is live once its receiver type is. What the scan reports is every other
-// exported name, exported method and unexported top-level function
-// outside the roots.
+// iterated to a fixpoint, and a method through which a type implements
+// an interface the module declares or uses (any String or Error method
+// included) is live once that type is. What the scan reports is every
+// other exported name, exported method and unexported top-level
+// function outside the roots.
 func scanTestOnly(root string, rootDirs, rootFiles []string) (scanResult, error) {
 	s := &scanner{
 		fset:  token.NewFileSet(),
@@ -469,12 +469,10 @@ func (s *scanner) implsOf(tn *types.TypeName) []types.Object {
 	}
 	ptr := types.NewPointer(named)
 	var out []types.Object
-	add := func(name string, pkg *types.Package) bool {
-		f, ok := s.methodOf(ptr, name, pkg)
-		if ok {
+	add := func(name string, pkg *types.Package) {
+		if f, ok := s.methodOf(ptr, name, pkg); ok {
 			out = append(out, f)
 		}
-		return ok
 	}
 	add("String", nil)
 	add("Error", nil)
@@ -488,7 +486,7 @@ func (s *scanner) implsOf(tn *types.TypeName) []types.Object {
 			if !all {
 				continue
 			}
-		} else if !types.Implements(named, it) && !types.Implements(ptr, it) {
+		} else if !types.Implements(ptr, it) {
 			continue
 		}
 		for i := 0; i < it.NumMethods(); i++ {
