@@ -2,8 +2,12 @@ package replay
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -132,14 +136,28 @@ var arms = []arm{
 }
 
 // armWork is an arm's simulated work — simclock events processed and
-// fluid reallocations — and the workers it ran on.
+// fluid reallocations — the hash of the transfer times it reported, and
+// the workers it ran on.
 type armWork struct {
-	events, reallocs uint64
-	workers          int
+	events, reallocs, times uint64
+	workers                 int
 }
 
 func workOf(o Outcome) armWork {
-	return armWork{o.World.Eng.Processed(), o.World.Graph.Fluid().Reallocations, o.Config.Workers}
+	h := fnv.New64a()
+	for _, r := range o.Results {
+		hashFloat(h, r.Seconds)
+		hashFloat(h, r.QueueDelay)
+	}
+	return armWork{o.World.Eng.Processed(), o.World.Graph.Fluid().Reallocations, h.Sum64(), o.Config.Workers}
+}
+
+// hashFloat adds f's bits to h, so a time that moves in its last bit
+// moves the hash.
+func hashFloat(h hash.Hash64, f float64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+	h.Write(b[:])
 }
 
 // armWorks holds the work of each arm TestInvariants ran last in this
@@ -169,17 +187,27 @@ func TestInvariants(t *testing.T) {
 // protocol and of each replay arm that runs on one worker matches
 // testdata/golden/work.txt exactly. A change that keeps every output
 // byte but adds or removes work fails here; rerun with -update to
-// rewrite the table on purpose.
+// rewrite the table on purpose. The times column is an FNV-64a over the
+// bits of every transfer time the run reports (a paper pair's runs,
+// cell by cell; an arm's Seconds and QueueDelay, result by result), so
+// a time that moves in its last bit shows even where every printed
+// figure rounds it away.
 func TestGoldenWork(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the plain test run compares the work table; the race detector only slows it down")
 	}
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "%-40s %10s %10s\n", "run", "events", "reallocs")
+	fmt.Fprintf(&b, "%-40s %10s %10s %16s\n", "run", "events", "reallocs", "times")
 	for _, c := range scenario.Clients {
 		for _, p := range scenario.ProviderNames {
 			pr := experiments.RunPair(experiments.Default(), c, p)
-			fmt.Fprintf(&b, "%-40s %10d %10d\n", "paper/"+c+"/"+p, pr.Events, pr.Reallocs)
+			h := fnv.New64a()
+			for _, cell := range pr.Grid.Cells {
+				for _, s := range cell.Runs {
+					hashFloat(h, s)
+				}
+			}
+			fmt.Fprintf(&b, "%-40s %10d %10d %016x\n", "paper/"+c+"/"+p, pr.Events, pr.Reallocs, h.Sum64())
 		}
 	}
 	for _, a := range arms {
@@ -190,7 +218,7 @@ func TestGoldenWork(t *testing.T) {
 		if w.workers != 1 {
 			continue // real worker interleaving: the work varies between runs
 		}
-		fmt.Fprintf(&b, "%-40s %10d %10d\n", a.name, w.events, w.reallocs)
+		fmt.Fprintf(&b, "%-40s %10d %10d %016x\n", a.name, w.events, w.reallocs, w.times)
 	}
 	goldentest.Check(t, "work.txt", b.Bytes())
 }
