@@ -179,6 +179,9 @@ const (
 	FlowDone
 	// FlowCancelled means the flow was aborted before completion.
 	FlowCancelled
+	// flowReleased marks a flow handed back by Release: no mutation
+	// applies to it, and a second Release panics.
+	flowReleased
 )
 
 // Flow is an in-progress bulk transfer over a fixed path.
@@ -254,6 +257,9 @@ type Network struct {
 	// the flows still rising and the links that still carry them.
 	live    []*Flow
 	hotLink []*Link
+
+	// free holds released flows, handed out again by StartFlow.
+	free []*Flow
 
 	// Reallocations counts global rate recomputations (settlings, one
 	// per event that changed the network), exposed for performance
@@ -353,7 +359,15 @@ func (n *Network) attach(path []*Link, bytes float64, opts FlowOpts) *Flow {
 	if cap <= 0 {
 		cap = Inf
 	}
-	f := &Flow{
+	var f *Flow
+	if k := len(n.free) - 1; k >= 0 {
+		f = n.free[k]
+		n.free[k] = nil
+		n.free = n.free[:k]
+	} else {
+		f = new(Flow)
+	}
+	*f = Flow{
 		net:        n,
 		id:         n.nextFlow,
 		Label:      opts.Label,
@@ -376,6 +390,26 @@ func (n *Network) attach(path []*Link, bytes float64, opts FlowOpts) *Flow {
 		l.flows = append(l.flows, f)
 	}
 	return f
+}
+
+// Release hands a finished flow back to the network, which reuses its
+// struct for a later StartFlow: the handle is dead afterwards, and
+// every read of it is undefined. Only the flow's sole owner may release
+// it, once nothing else can still reach it — its callbacks have run and
+// no ramp, map or slice keeps it. A reused flow takes a fresh id, so
+// flow order, rates and events are those of a new allocation. Releasing
+// an active flow, or one twice, panics.
+func (n *Network) Release(f *Flow) {
+	switch {
+	case f.state == FlowActive:
+		panic("fluid: release of an active flow")
+	case f.state == flowReleased:
+		panic("fluid: flow released twice")
+	case f.net != n:
+		panic("fluid: release of another network's flow")
+	}
+	*f = Flow{state: flowReleased}
+	n.free = append(n.free, f)
 }
 
 // SetFlowCap changes a flow's external rate cap (bytes/sec; <=0 means

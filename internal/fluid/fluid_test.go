@@ -1463,6 +1463,105 @@ func TestFlowLifecycleAllocs(t *testing.T) {
 	if allocs != 1 {
 		t.Fatalf("StartFlow and its completion allocate %v times, want 1", allocs)
 	}
+	// A released flow is the next start's struct, so the cycle allocates
+	// nothing.
+	allocs = testing.AllocsPerRun(100, func() {
+		f := n.StartFlow(path, 1e3, FlowOpts{})
+		eng.Step()
+		n.Release(f)
+	})
+	if allocs != 0 {
+		t.Fatalf("StartFlow, its completion and Release allocate %v times, want 0", allocs)
+	}
+}
+
+// Release hands a finished flow's struct to the next StartFlow, which
+// gives it a fresh id; releasing an active flow, a released one or
+// another network's panics, and a released handle takes no mutation.
+func TestReleaseRecyclesFlow(t *testing.T) {
+	eng := simclock.NewEngine()
+	n := New(eng)
+	l := n.AddLink("l", 100, 0)
+	f := n.StartFlow([]*Link{l}, 100, FlowOpts{Label: "a"})
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("releasing an active flow", func() { n.Release(f) })
+	eng.Run()
+	mustPanic("releasing another network's flow", func() { New(eng).Release(f) })
+	id := f.id
+	n.Release(f)
+	mustPanic("releasing a flow twice", func() { n.Release(f) })
+	if n.KillFlow(f) || n.CancelFlow(f) {
+		t.Fatal("a released flow was aborted")
+	}
+	n.SetFlowCap(f, 5)
+	g := n.StartFlow([]*Link{l}, 100, FlowOpts{Label: "b"})
+	if g != f || g.id != id+1 || g.Label != "b" || g.State() != FlowActive || g.Cap() != Inf {
+		t.Fatalf("restart got %p id %d label %q state %v cap %v, want the released %p with id %d, label b, active, uncapped",
+			g, g.id, g.Label, g.State(), g.Cap(), f, id+1)
+	}
+	eng.Run()
+	if g.State() != FlowDone || g.FinishedAt() != 2 {
+		t.Fatalf("recycled flow state %v, finished at %v, want done at 2", g.State(), g.FinishedAt())
+	}
+}
+
+// Recycling moves nothing: chains of back-to-back flows on shared links,
+// started from each finished flow's completion as transport's sends are,
+// under load changes, finish at the same bits in the same events whether
+// each finished flow is released or left to the collector.
+func TestReleaseKeepsTimes(t *testing.T) {
+	run := func(release bool) []string {
+		eng := simclock.NewEngine()
+		n := New(eng)
+		links := make([]*Link, 5)
+		for i := range links {
+			links[i] = n.AddLink(fmt.Sprint("l", i), 1e6*float64(i+1), 0)
+		}
+		rng := rand.New(rand.NewSource(11))
+		var log []string
+		var send func(chain, left int)
+		send = func(chain, left int) {
+			path := []*Link{links[rng.Intn(len(links))], links[rng.Intn(len(links))]}
+			n.StartFlow(path, 1e4+rng.Float64()*1e6, FlowOpts{
+				RateCap: float64(rng.Intn(3)) * 3e5,
+				OnComplete: func(f *Flow) {
+					log = append(log, fmt.Sprintf("%d %d %x", chain, f.id, math.Float64bits(float64(f.finishedAt))))
+					if release {
+						n.Release(f)
+					}
+					if left > 0 {
+						send(chain, left-1)
+					}
+				},
+			})
+		}
+		for c := 0; c < 8; c++ {
+			send(c, 30)
+		}
+		for i := 0; i < 40; i++ {
+			l := links[i%len(links)]
+			eng.Schedule(simclock.Time(i)*0.05, func() { n.SetLinkLoad(l, rng.Float64()) })
+		}
+		eng.Run()
+		return append(log, fmt.Sprintf("events %d reallocs %d", eng.Processed(), n.Reallocations))
+	}
+	kept, released := run(false), run(true)
+	if len(kept) != 8*31+1 {
+		t.Fatalf("%d log lines, want %d", len(kept), 8*31+1)
+	}
+	for i := range kept {
+		if released[i] != kept[i] {
+			t.Fatalf("line %d: released %q, kept %q", i, released[i], kept[i])
+		}
+	}
 }
 
 // TestEqualTimeCompletionsRunInFlowOrder pins the tie order a full

@@ -292,7 +292,10 @@ func (c *Conn) Send(p *simproc.Proc, payload any, size float64) error {
 	flow := fl.StartFlow(c.fwdLinks, wire, opts)
 	c.sendRamp.Start(flow)
 	ok := c.sendDone.Pop(p)
+	// The flow has finished and its callback has run; with the ramp
+	// stopped nothing else holds it, so it goes back to the network.
 	c.sendRamp.Stop()
+	fl.Release(flow)
 	if !ok {
 		// The path died mid-transfer: tear the connection down so both
 		// ends (and any parked receivers) observe the failure.

@@ -355,10 +355,10 @@ func TestNegativeSizeRejected(t *testing.T) {
 	r.Run()
 }
 
-// A warm connection's ping-pong allocates little per message: the flow
+// A warm connection's ping-pong allocates nothing per message: the flow
 // label, ramp, completion callbacks, arrival callback and their events
-// are made once per connection and recycled, leaving the fluid flow
-// itself.
+// are made once per connection and recycled, and each send releases its
+// fluid flow for the next one.
 func TestWarmPingPongAllocs(t *testing.T) {
 	n, r := world(t)
 	l := n.MustListen("server", 80)
@@ -400,12 +400,68 @@ func TestWarmPingPongAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ { // warm up: ramp, queues and free list
 		round()
 	}
-	// Measured: 2 per message (the fluid flow and its completion
-	// callback), with and without -race; 17.5 before the per-connection
-	// recycling. The bound is the measured value.
-	if perMsg := testing.AllocsPerRun(200, round) / 2; perMsg > 2 {
-		t.Fatalf("%v allocations per message on a warm connection, want <= 2", perMsg)
+	// Measured: 0 per message, with and without -race; 1 (the fluid
+	// flow) before sends released their flows, 17.5 before the
+	// per-connection recycling.
+	if perMsg := testing.AllocsPerRun(200, round) / 2; perMsg != 0 {
+		t.Fatalf("%v allocations per message on a warm connection, want 0", perMsg)
 	}
 	kick.Push(false)
 	r.Run()
+}
+
+// A warm connection's sends run on one recycled fluid flow: each Send
+// releases its finished flow, and the next Send's StartFlow takes it
+// back, so a connection allocates no Flow after its first message. An
+// observer reads the flow crossing the first link halfway through each
+// of three 1 MB sends.
+func TestWarmSendReusesFlow(t *testing.T) {
+	n, r := world(t)
+	l := n.MustListen("server", 80)
+	r.Go("srv", func(p *simproc.Proc) {
+		c, err := l.Accept(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for {
+			if _, err := c.Recv(p); err != nil {
+				return
+			}
+		}
+	})
+	var seen []*fluid.Flow
+	r.Go("cli", func(p *simproc.Proc) {
+		c, err := n.Dial(p, "client", "server", 80, DialOpts{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 3; i++ {
+			start := p.Now()
+			r.Go("observer", func(q *simproc.Proc) {
+				q.Sleep(0.1)
+				if fl := c.fwdLinks[0].Flows(); len(fl) == 1 {
+					seen = append(seen, fl[0])
+				}
+			})
+			if err := c.Send(p, nil, 1e6); err != nil {
+				t.Error(err)
+				return
+			}
+			if d := float64(p.Now() - start); d < 0.2 {
+				t.Errorf("send %d took %v s, too short for the observer", i, d)
+			}
+		}
+		c.Close()
+	})
+	r.Run()
+	if len(seen) != 3 {
+		t.Fatalf("observed %d sends, want 3", len(seen))
+	}
+	for i, f := range seen[1:] {
+		if f != seen[0] {
+			t.Fatalf("send %d ran on flow %p, send 0 on %p: a warm send allocated a new flow", i+1, f, seen[0])
+		}
+	}
 }
