@@ -1,10 +1,10 @@
 package cloudsim
 
 import (
-	"encoding/json"
 	"strings"
 
 	"detournet/internal/httpsim"
+	"detournet/internal/jsonwire"
 )
 
 // Server-side compose: concatenate previously uploaded part objects, in
@@ -19,18 +19,12 @@ import (
 //	Dropbox:      POST /2/files/compose
 //	OneDrive:     POST /v1.0/drive/compose
 //
-// Body: {"name": ..., "md5": ..., "parts": ["part0", "part1", ...]}.
+// Body: {"md5": ..., "name": ..., "parts": ["part0", "part1", ...]}.
 // Every part must exist; the final size is the sum of part sizes; the
 // md5 is the client's whole-file digest (echoed into the stored
 // metadata exactly like the X-Content-MD5 header on uploads). Parts are
 // deleted on success — compose is a move, not a copy, so the quota
 // accounting stays flat.
-type composeReq struct {
-	Name  string   `json:"name"`
-	MD5   string   `json:"md5,omitempty"`
-	Parts []string `json:"parts"`
-}
-
 func (s *Service) mountCompose() {
 	var path string
 	switch s.Style {
@@ -45,8 +39,8 @@ func (s *Service) mountCompose() {
 }
 
 func (s *Service) compose(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
-	var cr composeReq
-	if err := json.Unmarshal(req.Body, &cr); err != nil || cr.Name == "" || len(cr.Parts) == 0 {
+	var cr jsonwire.ComposeRequest
+	if err := cr.Decode(req.Body); err != nil || cr.Name == "" || len(cr.Parts) == 0 {
 		return errResp(httpsim.StatusBadRequest, "compose needs a name and at least one part")
 	}
 	// Idempotent replay: a crash between a committed compose and its
@@ -58,7 +52,7 @@ func (s *Service) compose(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respons
 			if s.Style == OneDrive {
 				status = httpsim.StatusCreated
 			}
-			return jsonResp(status, metaOf(o))
+			return metaResp(status, o)
 		}
 	}
 	var total float64
@@ -120,5 +114,5 @@ func (s *Service) compose(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respons
 	if s.Style == OneDrive {
 		status = httpsim.StatusCreated
 	}
-	return jsonResp(status, metaOf(o))
+	return metaResp(status, o)
 }

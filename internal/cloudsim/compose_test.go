@@ -1,19 +1,16 @@
 package cloudsim
 
 import (
-	"encoding/json"
 	"testing"
 
 	"detournet/internal/httpsim"
+	"detournet/internal/jsonwire"
 	"detournet/internal/simclock"
 )
 
 func composeReqBody(t *testing.T, name string, parts ...string) *httpsim.Request {
 	t.Helper()
-	body, err := json.Marshal(composeReq{Name: name, Parts: parts})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := jsonwire.ComposeRequest{Name: name, Parts: parts}.AppendJSON(nil)
 	return &httpsim.Request{Method: "POST", Body: body}
 }
 

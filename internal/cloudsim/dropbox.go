@@ -1,9 +1,8 @@
 package cloudsim
 
 import (
-	"encoding/json"
-
 	"detournet/internal/httpsim"
+	"detournet/internal/jsonwire"
 )
 
 // Dropbox API v2 subset: single-shot upload plus chunked upload
@@ -26,28 +25,13 @@ func (s *Service) mountDropbox() {
 	s.HTTP.Handle("POST", "/2/files/delete_v2", s.protect(s.dbxDelete))
 }
 
-type dbxArg struct {
-	Path   string     `json:"path,omitempty"`
-	Cursor *dbxCursor `json:"cursor,omitempty"`
-	Commit *dbxCommit `json:"commit,omitempty"`
-}
-
-type dbxCursor struct {
-	SessionID string  `json:"session_id"`
-	Offset    float64 `json:"offset"`
-}
-
-type dbxCommit struct {
-	Path string `json:"path"`
-}
-
-func dbxParseArg(req *httpsim.Request) (dbxArg, *httpsim.Response) {
-	var a dbxArg
+func dbxParseArg(req *httpsim.Request) (jsonwire.DropboxArg, *httpsim.Response) {
+	var a jsonwire.DropboxArg
 	raw, ok := req.Header.Value("Dropbox-API-Arg")
 	if !ok {
 		return a, errResp(httpsim.StatusBadRequest, "missing Dropbox-API-Arg")
 	}
-	if err := json.Unmarshal([]byte(raw), &a); err != nil {
+	if err := a.Decode(raw); err != nil {
 		return a, errResp(httpsim.StatusBadRequest, "bad Dropbox-API-Arg")
 	}
 	return a, nil
@@ -65,7 +49,7 @@ func (s *Service) dbxUpload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respo
 	if err != nil {
 		return s.putErr(err)
 	}
-	return jsonResp(httpsim.StatusOK, metaOf(o))
+	return metaResp(httpsim.StatusOK, o)
 }
 
 func (s *Service) dbxStart(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
@@ -74,7 +58,7 @@ func (s *Service) dbxStart(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respon
 	}
 	sess := s.newSession("", 0)
 	sess.received = req.ContentLength() // start may carry the first chunk
-	return jsonResp(httpsim.StatusOK, map[string]string{"session_id": sess.id})
+	return jsonResp(httpsim.StatusOK, jsonwire.SessionStart{SessionID: sess.id}.AppendJSON(make([]byte, 0, 32)))
 }
 
 func (s *Service) dbxAppend(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
@@ -90,11 +74,7 @@ func (s *Service) dbxAppend(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respo
 		return errResp(httpsim.StatusNotFound, "unknown session")
 	}
 	if a.Cursor.Offset != sess.received {
-		// The real API reports the server's offset so clients can
-		// self-correct after an interruption.
-		return jsonResp(httpsim.StatusConflict, map[string]any{
-			"error": "incorrect_offset", "correct_offset": sess.received,
-		})
+		return offsetConflict(sess.received)
 	}
 	if resp := s.admitSessionBytes(req.ContentLength()); resp != nil {
 		return resp
@@ -116,11 +96,7 @@ func (s *Service) dbxFinish(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respo
 		return errResp(httpsim.StatusNotFound, "unknown session")
 	}
 	if a.Cursor.Offset != sess.received {
-		// The real API reports the server's offset so clients can
-		// self-correct after an interruption.
-		return jsonResp(httpsim.StatusConflict, map[string]any{
-			"error": "incorrect_offset", "correct_offset": sess.received,
-		})
+		return offsetConflict(sess.received)
 	}
 	if resp := s.admitSessionBytes(req.ContentLength()); resp != nil {
 		return resp
@@ -131,7 +107,7 @@ func (s *Service) dbxFinish(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respo
 	if err != nil {
 		return s.putErr(err)
 	}
-	return jsonResp(httpsim.StatusOK, metaOf(o))
+	return metaResp(httpsim.StatusOK, o)
 }
 
 func (s *Service) dbxDownload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
@@ -144,7 +120,7 @@ func (s *Service) dbxDownload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Res
 		return errResp(httpsim.StatusNotFound, "path/not_found")
 	}
 	return &httpsim.Response{Status: httpsim.StatusOK, BodySize: o.Size,
-		Header: httpsim.Header{{Key: "Dropbox-API-Result", Value: mustJSON(metaOf(o))}}}
+		Header: httpsim.Header{{Key: "Dropbox-API-Result", Value: string(metaOf(o).AppendJSON(nil))}}}
 }
 
 func (s *Service) dbxDelete(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
@@ -157,13 +133,13 @@ func (s *Service) dbxDelete(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respo
 		return errResp(httpsim.StatusNotFound, "path_lookup/not_found")
 	}
 	s.Store.Delete(a.Path)
-	return jsonResp(httpsim.StatusOK, metaOf(o))
+	return metaResp(httpsim.StatusOK, o)
 }
 
-func mustJSON(v any) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return string(b)
+// offsetConflict is the 409 the real API answers an append or finish at
+// the wrong offset with: it reports the server's offset so clients can
+// self-correct after an interruption.
+func offsetConflict(received float64) *httpsim.Response {
+	return jsonResp(httpsim.StatusConflict,
+		jsonwire.OffsetConflict{CorrectOffset: received, Error: "incorrect_offset"}.AppendJSON(nil))
 }

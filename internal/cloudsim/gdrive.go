@@ -1,12 +1,12 @@
 package cloudsim
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"detournet/internal/httpsim"
+	"detournet/internal/jsonwire"
 )
 
 // Google Drive v3 subset: resumable upload (initiate + PUT with
@@ -33,7 +33,7 @@ func (s *Service) gdList(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response
 	if strings.HasPrefix(query, "q=name=") {
 		name = strings.Trim(strings.TrimPrefix(query, "q=name="), "'")
 	}
-	var files []fileMeta
+	var files []jsonwire.FileMeta
 	if name != "" {
 		if o, ok := s.Store.Get(name); ok {
 			files = append(files, metaOf(o))
@@ -43,20 +43,15 @@ func (s *Service) gdList(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response
 			files = append(files, metaOf(o))
 		}
 	}
-	return jsonResp(httpsim.StatusOK, map[string]any{"files": files})
-}
-
-type gdInitiateReq struct {
-	Name string  `json:"name"`
-	Size float64 `json:"size"`
+	return jsonResp(httpsim.StatusOK, jsonwire.FileList{Files: files}.AppendJSON(nil))
 }
 
 func (s *Service) gdInitiate(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
 	if !strings.Contains(req.Path, "uploadType=resumable") {
 		return errResp(httpsim.StatusBadRequest, "only resumable uploads supported")
 	}
-	var init gdInitiateReq
-	if err := json.Unmarshal(req.Body, &init); err != nil || init.Name == "" {
+	var init jsonwire.DriveInit
+	if err := init.Decode(req.Body); err != nil || init.Name == "" {
 		return errResp(httpsim.StatusBadRequest, "bad metadata")
 	}
 	sess := s.newSession(init.Name, init.Size)
@@ -117,7 +112,7 @@ func (s *Service) gdUpload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respon
 	if err != nil {
 		return s.putErr(err)
 	}
-	return jsonResp(httpsim.StatusOK, metaOf(o))
+	return metaResp(httpsim.StatusOK, o)
 }
 
 func (s *Service) gdGet(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
@@ -130,7 +125,7 @@ func (s *Service) gdGet(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response 
 	if hasQuery && strings.Contains(rest, "alt=media") {
 		return &httpsim.Response{Status: httpsim.StatusOK, BodySize: o.Size}
 	}
-	return jsonResp(httpsim.StatusOK, metaOf(o))
+	return metaResp(httpsim.StatusOK, o)
 }
 
 func (s *Service) gdDelete(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {

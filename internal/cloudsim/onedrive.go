@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"detournet/internal/httpsim"
+	"detournet/internal/jsonwire"
 )
 
 // OneDrive (Microsoft Graph era) subset: upload sessions with
@@ -41,10 +42,10 @@ func (s *Service) odCreateSession(_ *httpsim.Ctx, req *httpsim.Request) *httpsim
 		return errResp(httpsim.StatusBadRequest, "bad item path")
 	}
 	sess := s.newSession(name, 0)
-	return jsonResp(httpsim.StatusOK, map[string]any{
-		"uploadUrl":          "/v1.0/upload/" + sess.id,
-		"expirationDateTime": "simulated",
-	})
+	return jsonResp(httpsim.StatusOK, jsonwire.UploadSession{
+		ExpirationDateTime: "simulated",
+		UploadURL:          "/v1.0/upload/" + sess.id,
+	}.AppendJSON(make([]byte, 0, 96)))
 }
 
 func (s *Service) odUpload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
@@ -74,16 +75,16 @@ func (s *Service) odUpload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Respon
 	}
 	sess.received += hi - lo + 1
 	if sess.received < sess.total {
-		return jsonResp(202, map[string]any{
-			"nextExpectedRanges": []string{fmt.Sprintf("%.0f-%.0f", sess.received, sess.total-1)},
-		})
+		return jsonResp(202, jsonwire.NextRanges{
+			NextExpectedRanges: []string{fmt.Sprintf("%.0f-%.0f", sess.received, sess.total-1)},
+		}.AppendJSON(make([]byte, 0, 64)))
 	}
 	sess.done = true
 	o, err := s.Store.PutIdempotent(sess.name, sess.received, req.Header.Get("X-Content-MD5"), req.Header.Get("X-Attempt-Id"))
 	if err != nil {
 		return s.putErr(err)
 	}
-	return jsonResp(httpsim.StatusCreated, metaOf(o))
+	return metaResp(httpsim.StatusCreated, o)
 }
 
 func (s *Service) odDownload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
@@ -92,7 +93,7 @@ func (s *Service) odDownload(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Resp
 		// Bare item path: return metadata.
 		if name, ok = odItemPath(req.Path, ""); ok {
 			if o, found := s.Store.Get(name); found {
-				return jsonResp(httpsim.StatusOK, metaOf(o))
+				return metaResp(httpsim.StatusOK, o)
 			}
 		}
 		return errResp(httpsim.StatusNotFound, "itemNotFound")

@@ -1,7 +1,6 @@
 package cloudsim
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +9,7 @@ import (
 	"strings"
 
 	"detournet/internal/httpsim"
+	"detournet/internal/jsonwire"
 	"detournet/internal/oauthsim"
 	"detournet/internal/simclock"
 	"detournet/internal/transport"
@@ -397,29 +397,24 @@ func (s *Service) throttle() *httpsim.Response {
 	return nil
 }
 
-func jsonResp(status int, v any) *httpsim.Response {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return &httpsim.Response{Status: httpsim.StatusInternalServerError, Body: []byte(err.Error())}
-	}
+// jsonResp answers with a JSON body a jsonwire encoder wrote.
+func jsonResp(status int, body []byte) *httpsim.Response {
 	return &httpsim.Response{Status: status, Body: body,
 		Header: httpsim.Header{{Key: "Content-Type", Value: "application/json"}}}
 }
 
 func errResp(status int, msg string) *httpsim.Response {
-	return jsonResp(status, map[string]any{"error": msg})
+	return jsonResp(status, jsonwire.ErrorBody{Error: msg}.AppendJSON(nil))
 }
 
-// fileMeta is the metadata shape shared by the provider responses.
-type fileMeta struct {
-	ID   string  `json:"id"`
-	Name string  `json:"name"`
-	Size float64 `json:"size"`
-	MD5  string  `json:"md5,omitempty"`
+// metaOf is the metadata the provider responses carry for an object.
+func metaOf(o *Object) jsonwire.FileMeta {
+	return jsonwire.FileMeta{ID: o.ID, Name: o.Name, Size: o.Size, MD5: o.MD5}
 }
 
-func metaOf(o *Object) fileMeta {
-	return fileMeta{ID: o.ID, Name: o.Name, Size: o.Size, MD5: o.MD5}
+// metaResp answers with an object's metadata, the body of every commit.
+func metaResp(status int, o *Object) *httpsim.Response {
+	return jsonResp(status, metaOf(o).AppendJSON(make([]byte, 0, 128)))
 }
 
 // parseContentRange parses "bytes lo-hi/total": lo, hi and total are

@@ -10,12 +10,12 @@
 package oauthsim
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/url"
 	"strings"
 
 	"detournet/internal/httpsim"
+	"detournet/internal/jsonwire"
 	"detournet/internal/simclock"
 	"detournet/internal/simproc"
 )
@@ -76,18 +76,6 @@ func (a *AuthServer) RegisterClient(clientID, clientSecret string) string {
 	return rt
 }
 
-// tokenResponse is the RFC 6749 §5.1 success body.
-type tokenResponse struct {
-	AccessToken string  `json:"access_token"`
-	TokenType   string  `json:"token_type"`
-	ExpiresIn   float64 `json:"expires_in"`
-}
-
-// tokenError is the RFC 6749 §5.2 error body.
-type tokenError struct {
-	Error string `json:"error"`
-}
-
 // Mount installs the token endpoint on an API server.
 func (a *AuthServer) Mount(s *httpsim.Server) {
 	s.Handle("POST", TokenPath, a.handleToken)
@@ -114,13 +102,13 @@ func (a *AuthServer) handleToken(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.
 		clientID: form.Get("client_id"),
 		expires:  a.eng.Now() + simclock.Time(a.TTL),
 	}
-	body, _ := json.Marshal(tokenResponse{AccessToken: tok, TokenType: "Bearer", ExpiresIn: a.TTL})
+	body := jsonwire.Token{AccessToken: tok, TokenType: "Bearer", ExpiresIn: a.TTL}.AppendJSON(make([]byte, 0, 80))
 	return &httpsim.Response{Status: httpsim.StatusOK, Body: body}
 }
 
+// oauthErr answers with an RFC 6749 §5.2 error body.
 func oauthErr(status int, code string) *httpsim.Response {
-	body, _ := json.Marshal(tokenError{Error: code})
-	return &httpsim.Response{Status: status, Body: body}
+	return &httpsim.Response{Status: status, Body: jsonwire.ErrorBody{Error: code}.AppendJSON(nil)}
 }
 
 // Validate checks an Authorization header value and returns the client
@@ -185,27 +173,21 @@ func (ts *TokenSource) Token(p *simproc.Proc) (string, error) {
 	if ts.tok != "" && ts.eng.Now() < ts.expires-simclock.Time(ts.Skew) {
 		return ts.tok, nil
 	}
-	form := url.Values{
-		"grant_type":    {"refresh_token"},
-		"client_id":     {ts.clientID},
-		"client_secret": {ts.clientSecret},
-		"refresh_token": {ts.refreshToken},
-	}
 	resp, err := ts.client.Do(p, &httpsim.Request{
 		Method: "POST", Path: TokenPath, Host: ts.host,
 		Header: httpsim.Header{{Key: "Content-Type", Value: "application/x-www-form-urlencoded"}},
-		Body:   []byte(form.Encode()),
+		Body:   refreshForm(ts.clientID, ts.clientSecret, ts.refreshToken),
 	})
 	if err != nil {
 		return "", err
 	}
 	if !resp.OK() {
-		var te tokenError
-		_ = json.Unmarshal(resp.Body, &te)
+		var te jsonwire.ErrorBody
+		_ = te.Decode(resp.Body) // a body that does not decode leaves the code empty
 		return "", fmt.Errorf("oauthsim: token refresh failed: %s", te.Error)
 	}
-	var tr tokenResponse
-	if err := json.Unmarshal(resp.Body, &tr); err != nil {
+	var tr jsonwire.Token
+	if err := tr.Decode(resp.Body); err != nil {
 		return "", fmt.Errorf("oauthsim: bad token response: %w", err)
 	}
 	ts.tok = tr.AccessToken
@@ -213,6 +195,19 @@ func (ts *TokenSource) Token(p *simproc.Proc) (string, error) {
 	ts.expires = ts.eng.Now() + simclock.Time(tr.ExpiresIn)
 	ts.Fetches++
 	return ts.tok, nil
+}
+
+// refreshForm is the refresh_token grant's body, the bytes
+// url.Values.Encode writes for it: keys in sorted order, each value
+// query-escaped.
+func refreshForm(clientID, clientSecret, refreshToken string) []byte {
+	b := make([]byte, 0, 96)
+	b = append(b, "client_id="...)
+	b = append(b, url.QueryEscape(clientID)...)
+	b = append(b, "&client_secret="...)
+	b = append(b, url.QueryEscape(clientSecret)...)
+	b = append(b, "&grant_type=refresh_token&refresh_token="...)
+	return append(b, url.QueryEscape(refreshToken)...)
 }
 
 // AuthHeader returns a ready Authorization header value.

@@ -1,6 +1,7 @@
 package oauthsim
 
 import (
+	"net/url"
 	"strings"
 	"testing"
 
@@ -239,4 +240,24 @@ func TestSkewTriggersEarlyRefresh(t *testing.T) {
 			t.Error("token not refreshed inside skew window")
 		}
 	})
+}
+
+// The refresh form is byte for byte what url.Values.Encode writes, for
+// credentials that need escaping too: its length is wire size.
+func TestRefreshFormMatchesEncode(t *testing.T) {
+	for _, c := range [][3]string{
+		{"dtn-ubc", "s3cret", "rt-dtn-ubc-0"},
+		{"a b&c=d", "ü/é?#%", "rt+1;\x00\xff"},
+		{"", "", ""},
+	} {
+		want := url.Values{
+			"grant_type":    {"refresh_token"},
+			"client_id":     {c[0]},
+			"client_secret": {c[1]},
+			"refresh_token": {c[2]},
+		}.Encode()
+		if got := string(refreshForm(c[0], c[1], c[2])); got != want {
+			t.Errorf("%q: form %q, url.Values %q", c, got, want)
+		}
+	}
 }

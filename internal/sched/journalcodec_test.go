@@ -153,7 +153,7 @@ func checkCodec(t testing.TB, rec encodable) {
 	want, err := json.Marshal(rec)
 	got, panicked := encode(rec)
 	if err != nil {
-		if msg := "sched: journal marshal: " + err.Error(); panicked != msg {
+		if msg := "jsonwire: " + err.Error(); panicked != msg {
 			t.Fatalf("%T: json.Marshal fails with %v; the encoder gave %q, panic %q, want panic %q",
 				rec, err, got, panicked, msg)
 		}

@@ -1,9 +1,9 @@
 package sdk
 
 import (
-	"encoding/json"
 	"fmt"
 
+	"detournet/internal/jsonwire"
 	"detournet/internal/simproc"
 )
 
@@ -17,9 +17,8 @@ func (b *base) compose(p *simproc.Proc, path, name string, parts []string, md5 s
 	if err != nil {
 		return FileInfo{}, err
 	}
-	body, _ := json.Marshal(map[string]any{"name": name, "md5": md5, "parts": parts})
 	req.Header.Set("Content-Type", "application/json")
-	req.Body = body
+	req.Body = jsonwire.ComposeRequest{MD5: md5, Name: name, Parts: parts}.AppendJSON(nil)
 	resp, err := b.do(p, req)
 	if err != nil {
 		return FileInfo{}, fmt.Errorf("sdk: compose %q: %w", name, err)

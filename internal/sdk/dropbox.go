@@ -1,10 +1,10 @@
 package sdk
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"detournet/internal/cloudsim"
+	"detournet/internal/jsonwire"
 	"detournet/internal/simclock"
 	"detournet/internal/simproc"
 	"detournet/internal/transport"
@@ -25,16 +25,18 @@ func NewDropbox(eng *simclock.Engine, tn *transport.Net, from, host string, cred
 // ProviderName implements Client.
 func (d *Dropbox) ProviderName() string { return "Dropbox" }
 
-func (d *Dropbox) apiCall(p *simproc.Proc, path string, arg any, bodySize float64, md5, attempt string) ([]byte, error) {
+// argBuf sizes the stack buffer the per-chunk Dropbox-API-Args are
+// encoded into; a longer one grows onto the heap.
+const argBuf = 128
+
+// apiCall posts to a Dropbox endpoint with arg, a jsonwire encoder's
+// bytes, as its Dropbox-API-Arg header.
+func (d *Dropbox) apiCall(p *simproc.Proc, path string, arg []byte, bodySize float64, md5, attempt string) ([]byte, error) {
 	req, err := d.authed(p, "POST", path)
 	if err != nil {
 		return nil, err
 	}
-	argJSON, err := json.Marshal(arg)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Dropbox-API-Arg", string(argJSON))
+	req.Header.Set("Dropbox-API-Arg", string(arg))
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if md5 != "" {
 		req.Header.Set("X-Content-MD5", md5)
@@ -48,27 +50,6 @@ func (d *Dropbox) apiCall(p *simproc.Proc, path string, arg any, bodySize float6
 	return resp.Body, nil
 }
 
-type dbxCursor struct {
-	SessionID string  `json:"session_id"`
-	Offset    float64 `json:"offset"`
-}
-
-// Dropbox-API-Arg bodies. Their fields are in key order, so each
-// encodes to the bytes json.Marshal gives the map with the same keys:
-// the header's length is part of the request's wire size.
-type (
-	dbxPathArg struct {
-		Path string `json:"path"`
-	}
-	dbxAppendArg struct {
-		Cursor dbxCursor `json:"cursor"`
-	}
-	dbxFinishArg struct {
-		Commit dbxPathArg `json:"commit"`
-		Cursor dbxCursor  `json:"cursor"`
-	}
-)
-
 // Upload implements Client: one single-shot call when the file fits in
 // a chunk, otherwise a session whose start carries the first chunk.
 func (d *Dropbox) Upload(p *simproc.Proc, name string, size float64, md5 string) (FileInfo, error) {
@@ -76,7 +57,8 @@ func (d *Dropbox) Upload(p *simproc.Proc, name string, size float64, md5 string)
 		return FileInfo{}, fmt.Errorf("sdk: negative size")
 	}
 	if size <= d.chunk {
-		body, err := d.apiCall(p, "/2/files/upload", dbxPathArg{Path: name}, size, md5, "")
+		var buf [argBuf]byte
+		body, err := d.apiCall(p, "/2/files/upload", jsonwire.DropboxPath{Path: name}.AppendJSON(buf[:0]), size, md5, "")
 		if err != nil {
 			return FileInfo{}, fmt.Errorf("sdk: dropbox upload: %w", err)
 		}
@@ -95,25 +77,24 @@ func (d *Dropbox) Download(p *simproc.Proc, name string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	argJSON, _ := json.Marshal(dbxPathArg{Path: name})
-	req.Header.Set("Dropbox-API-Arg", string(argJSON))
+	req.Header.Set("Dropbox-API-Arg", string(jsonwire.DropboxPath{Path: name}.AppendJSON(nil)))
 	resp, err := d.do(p, req)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	var fi FileInfo
+	var m jsonwire.FileMeta
 	if raw, ok := resp.Header.Value("Dropbox-API-Result"); ok {
-		if err := json.Unmarshal([]byte(raw), &fi); err != nil {
+		if err := m.Decode([]byte(raw)); err != nil {
 			return FileInfo{}, fmt.Errorf("sdk: bad Dropbox-API-Result: %w", err)
 		}
 	}
-	fi.Size = resp.BodySize
-	return fi, nil
+	m.Size = resp.BodySize
+	return FileInfo(m), nil
 }
 
 // Delete implements Client.
 func (d *Dropbox) Delete(p *simproc.Proc, name string) error {
-	_, err := d.apiCall(p, "/2/files/delete_v2", dbxPathArg{Path: name}, 0, "", "")
+	_, err := d.apiCall(p, "/2/files/delete_v2", jsonwire.DropboxPath{Path: name}.AppendJSON(nil), 0, "", "")
 	return err
 }
 

@@ -1,10 +1,10 @@
 package sdk
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"detournet/internal/cloudsim"
+	"detournet/internal/jsonwire"
 	"detournet/internal/simclock"
 	"detournet/internal/simproc"
 	"detournet/internal/transport"
@@ -61,16 +61,14 @@ func (g *GoogleDrive) lookup(p *simproc.Proc, name string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	var out struct {
-		Files []FileInfo `json:"files"`
-	}
-	if err := json.Unmarshal(resp.Body, &out); err != nil {
+	var out jsonwire.FileList
+	if err := out.Decode(resp.Body); err != nil {
 		return FileInfo{}, fmt.Errorf("sdk: bad list response: %w", err)
 	}
 	if len(out.Files) == 0 {
 		return FileInfo{}, fmt.Errorf("sdk: drive: no file named %q", name)
 	}
-	return out.Files[0], nil
+	return FileInfo(out.Files[0]), nil
 }
 
 // Stat implements Stater: a metadata-only lookup by name.

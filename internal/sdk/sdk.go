@@ -15,12 +15,12 @@
 package sdk
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 
 	"detournet/internal/cloudsim"
 	"detournet/internal/httpsim"
+	"detournet/internal/jsonwire"
 	"detournet/internal/oauthsim"
 	"detournet/internal/simclock"
 	"detournet/internal/simproc"
@@ -191,11 +191,11 @@ func (b *base) doRaw(p *simproc.Proc, req *httpsim.Request) (*httpsim.Response, 
 }
 
 func decodeMeta(body []byte) (FileInfo, error) {
-	var fi FileInfo
-	if err := json.Unmarshal(body, &fi); err != nil {
+	var m jsonwire.FileMeta
+	if err := m.Decode(body); err != nil {
 		return FileInfo{}, fmt.Errorf("sdk: bad metadata: %w", err)
 	}
-	return fi, nil
+	return FileInfo(m), nil
 }
 
 // writeAll writes the rest of a session in chunk-sized pieces, the last

@@ -8,6 +8,7 @@ import (
 
 	"detournet/internal/cloudsim"
 	"detournet/internal/fluid"
+	"detournet/internal/jsonwire"
 	"detournet/internal/simclock"
 	"detournet/internal/simproc"
 	"detournet/internal/tcpmodel"
@@ -432,20 +433,66 @@ func TestThrottlingSlowsButPreservesSemantics(t *testing.T) {
 	}
 }
 
-// The typed Dropbox-API-Arg bodies encode to exactly the bytes of the
+// The Dropbox-API-Args the client writes are exactly the bytes of the
 // maps with the same keys: the header's length is wire size.
 func TestDropboxArgsEncodeLikeMaps(t *testing.T) {
-	cur := dbxCursor{SessionID: "s<1>&", Offset: 4194304}
-	for _, c := range []struct{ typed, m any }{
-		{dbxPathArg{Path: "/a b/ü.bin"}, map[string]string{"path": "/a b/ü.bin"}},
-		{struct{}{}, map[string]any{}},
-		{dbxAppendArg{Cursor: cur}, map[string]any{"cursor": cur}},
-		{dbxFinishArg{Commit: dbxPathArg{Path: "f"}, Cursor: cur}, map[string]any{"cursor": cur, "commit": map[string]string{"path": "f"}}},
-	} {
-		a, err1 := json.Marshal(c.typed)
-		b, err2 := json.Marshal(c.m)
-		if err1 != nil || err2 != nil || string(a) != string(b) {
-			t.Errorf("typed %s, map %s (%v, %v)", a, b, err1, err2)
+	for _, cur := range []jsonwire.DropboxCursor{{SessionID: "s<1>&", Offset: 4194304}, {SessionID: "sess-0", Offset: 1e21}} {
+		for _, c := range []struct {
+			typed []byte
+			m     any
+		}{
+			{jsonwire.DropboxPath{Path: "/a b/ü.bin"}.AppendJSON(nil), map[string]string{"path": "/a b/ü.bin"}},
+			{[]byte("{}"), map[string]any{}},
+			{jsonwire.DropboxAppend{Cursor: cur}.AppendJSON(nil), map[string]any{"cursor": cur}},
+			{jsonwire.DropboxFinish{Commit: jsonwire.DropboxPath{Path: "f"}, Cursor: cur}.AppendJSON(nil),
+				map[string]any{"cursor": cur, "commit": map[string]string{"path": "f"}}},
+		} {
+			b, err := json.Marshal(c.m)
+			if err != nil || string(c.typed) != string(b) {
+				t.Errorf("typed %s, map %s (%v)", c.typed, b, err)
+			}
 		}
 	}
+}
+
+// A warm Dropbox append round trip — the client encodes the cursor
+// argument, the server decodes it and answers, the client reads the
+// answer — allocates a pinned number of times: the request and its
+// header fields, the header's string, the server's handler context, the
+// decoded cursor and the response. The pin is the measured count, 19
+// when the JSON went through reflection and every send allocated a
+// fluid flow; the race detector's allocations would move it.
+func TestDropboxAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	w := newWorld(t)
+	c := w.client(t, cloudsim.Dropbox, Options{})
+	kick := simproc.NewQueue[bool](w.r)
+	w.r.Go("uploader", func(p *simproc.Proc) {
+		sess, err := c.BeginUpload(p, "alloc.bin", 0, "", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for kick.Pop(p) {
+			if _, err := sess.WriteChunk(p, 1000, false); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	round := func() {
+		kick.Push(true)
+		w.r.Drive()
+	}
+	for i := 0; i < 10; i++ { // warm up: connection, ramp, free lists
+		round()
+	}
+	const pinned = 6
+	if got := testing.AllocsPerRun(200, round); got != pinned {
+		t.Fatalf("%v allocations per append round trip, pinned at %d", got, pinned)
+	}
+	kick.Push(false)
+	w.r.Drive()
 }

@@ -1,7 +1,6 @@
 package sdk
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +8,7 @@ import (
 	"strings"
 
 	"detournet/internal/httpsim"
+	"detournet/internal/jsonwire"
 	"detournet/internal/simproc"
 )
 
@@ -146,13 +146,8 @@ func (g *GoogleDrive) initiate(p *simproc.Proc, name string, size float64) (stri
 	if err != nil {
 		return "", err
 	}
-	// Fields in key order: the bytes of the map with the same keys.
-	meta, _ := json.Marshal(struct {
-		Name string  `json:"name"`
-		Size float64 `json:"size"`
-	}{name, size})
 	req.Header.Set("Content-Type", "application/json")
-	req.Body = meta
+	req.Body = jsonwire.DriveInit{Name: name, Size: size}.AppendJSON(make([]byte, 0, 64))
 	resp, err := g.do(p, req)
 	if err != nil {
 		return "", fmt.Errorf("sdk: drive initiate: %w", err)
@@ -227,14 +222,12 @@ func (d *Dropbox) BeginUpload(p *simproc.Proc, name string, size float64, md5, a
 // start opens an upload session; the start call itself carries the
 // file's first `first` bytes.
 func (d *Dropbox) start(p *simproc.Proc, name, md5, attempt string, first float64) (UploadSession, error) {
-	body, err := d.apiCall(p, "/2/files/upload_session/start", struct{}{}, first, "", "")
+	body, err := d.apiCall(p, "/2/files/upload_session/start", []byte("{}"), first, "", "")
 	if err != nil {
 		return nil, fmt.Errorf("sdk: dropbox session start: %w", err)
 	}
-	var start struct {
-		SessionID string `json:"session_id"`
-	}
-	if err := json.Unmarshal(body, &start); err != nil || start.SessionID == "" {
+	var start jsonwire.SessionStart
+	if err := start.Decode(body); err != nil || start.SessionID == "" {
 		return nil, fmt.Errorf("sdk: dropbox session start: bad response")
 	}
 	return &dropboxSession{d: d, name: name, md5: md5, sessionID: start.SessionID, sent: first, attempt: attempt}, nil
@@ -248,9 +241,10 @@ func (s *dropboxSession) WriteChunk(p *simproc.Proc, n float64, last bool) (File
 	if n < 0 {
 		return FileInfo{}, fmt.Errorf("sdk: negative chunk")
 	}
-	cursor := dbxCursor{SessionID: s.sessionID, Offset: s.sent}
+	var buf [argBuf]byte
+	cursor := jsonwire.DropboxCursor{SessionID: s.sessionID, Offset: s.sent}
 	if last {
-		arg := dbxFinishArg{Commit: dbxPathArg{Path: s.name}, Cursor: cursor}
+		arg := jsonwire.DropboxFinish{Commit: jsonwire.DropboxPath{Path: s.name}, Cursor: cursor}.AppendJSON(buf[:0])
 		body, err := s.d.apiCall(p, "/2/files/upload_session/finish", arg, n, s.md5, s.attempt)
 		if err != nil {
 			return FileInfo{}, fmt.Errorf("sdk: dropbox finish: %w", err)
@@ -258,7 +252,7 @@ func (s *dropboxSession) WriteChunk(p *simproc.Proc, n float64, last bool) (File
 		s.sent += n
 		return decodeMeta(body)
 	}
-	arg := dbxAppendArg{Cursor: cursor}
+	arg := jsonwire.DropboxAppend{Cursor: cursor}.AppendJSON(buf[:0])
 	if _, err := s.d.apiCall(p, "/2/files/upload_session/append_v2", arg, n, "", ""); err != nil {
 		return FileInfo{}, fmt.Errorf("sdk: dropbox append at %.0f: %w", s.sent, err)
 	}
@@ -287,14 +281,12 @@ func (d *Dropbox) Resume(p *simproc.Proc, tok SessionToken, attempt string) (Upl
 		return nil, fmt.Errorf("sdk: negative resume offset")
 	}
 	sess := &dropboxSession{d: d, name: tok.Name, md5: tok.MD5, sessionID: tok.Ref, sent: tok.Offset, attempt: attempt}
-	arg := dbxAppendArg{Cursor: dbxCursor{SessionID: tok.Ref, Offset: tok.Offset}}
+	arg := jsonwire.DropboxAppend{Cursor: jsonwire.DropboxCursor{SessionID: tok.Ref, Offset: tok.Offset}}.AppendJSON(nil)
 	if _, err := d.apiCall(p, "/2/files/upload_session/append_v2", arg, 0, "", ""); err != nil {
 		var se *httpsim.StatusError
 		if errors.As(err, &se) && se.Status == httpsim.StatusConflict {
-			var body struct {
-				CorrectOffset float64 `json:"correct_offset"`
-			}
-			if jerr := json.Unmarshal([]byte(se.Body), &body); jerr == nil {
+			var body jsonwire.OffsetConflict
+			if jerr := body.Decode([]byte(se.Body)); jerr == nil {
 				sess.sent = body.CorrectOffset
 				return sess, nil
 			}
@@ -320,10 +312,8 @@ func (o *OneDrive) BeginUpload(p *simproc.Proc, name string, size float64, md5, 
 	if err != nil {
 		return nil, fmt.Errorf("sdk: onedrive session: %w", err)
 	}
-	var sess struct {
-		UploadURL string `json:"uploadUrl"`
-	}
-	if err := json.Unmarshal(resp.Body, &sess); err != nil || sess.UploadURL == "" {
+	var sess jsonwire.UploadSession
+	if err := sess.Decode(resp.Body); err != nil || sess.UploadURL == "" {
 		return nil, fmt.Errorf("sdk: onedrive session: bad response")
 	}
 	return &rangeSession{rangeProto: oneDriveRanges, b: &o.base, url: sess.UploadURL, size: size, md5: md5, attempt: attempt}, nil
