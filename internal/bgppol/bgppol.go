@@ -493,11 +493,7 @@ func nearestBorder(g *topology.Graph, start *topology.Node, dom, next string) ([
 	}
 	var border, exit *topology.Node
 	cost := math.Inf(1)
-	for _, n := range g.Nodes() {
-		d, ok := t.Dist(n) // settled nodes are dom's
-		if !ok {
-			continue
-		}
+	t.Settled(func(n *topology.Node, d float64) { // settled nodes are dom's
 		var far *topology.Node
 		for _, e := range g.Edges(n.Name) {
 			if e.To.Domain == next {
@@ -506,12 +502,12 @@ func nearestBorder(g *topology.Graph, start *topology.Node, dom, next string) ([
 			}
 		}
 		if far == nil {
-			continue
+			return
 		}
 		if d < cost || (d == cost && far.Name < exit.Name) {
 			border, exit, cost = n, far, d
 		}
-	}
+	})
 	if exit == nil {
 		return nil, nil, fmt.Errorf("no border router towards %s", next)
 	}

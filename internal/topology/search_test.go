@@ -182,6 +182,22 @@ func TestSearchTree(t *testing.T) {
 	if _, ok := tr.Dist(g.MustNode("x")); ok || tr.Path(g.MustNode("x")) != nil {
 		t.Fatal("unreachable x settled")
 	}
+	// Settled walks the settled nodes, x left out, in insertion order:
+	// from d they settle as d, c, b, a.
+	fromD, err := Search{}.Run(g, g.MustNode("d"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walked []string
+	fromD.Settled(func(n *Node, d float64) {
+		if want, _ := fromD.Dist(n); d != want {
+			t.Fatalf("Settled gives %s at %v, Dist %v", n.Name, d, want)
+		}
+		walked = append(walked, n.Name)
+	})
+	if got := strings.Join(walked, ","); got != "a,b,c,d" {
+		t.Fatalf("Settled walks %s, want a,b,c,d", got)
+	}
 	// A node filter fences the search in; a rejected source reaches
 	// nothing, not even itself.
 	near := Search{Node: func(n *Node) bool { return n.Domain == "" }}

@@ -689,12 +689,14 @@ func (s Search) Run(g *Graph, src, dst *Node) (Tree, error) {
 	}
 }
 
-// Dist returns the search distance to n and whether n was settled.
-func (t Tree) Dist(n *Node) (float64, bool) {
-	if n.g != t.g || !t.slots[n.idx].settled {
-		return 0, false
+// Settled calls fn with every settled node and its distance, in the
+// graph's insertion order, without copying the node list.
+func (t Tree) Settled(fn func(n *Node, dist float64)) {
+	for i := range t.slots {
+		if sl := &t.slots[i]; sl.settled {
+			fn(t.g.order[i], sl.dist)
+		}
 	}
-	return t.slots[n.idx].dist, true
 }
 
 // Path returns the node path from the source to n, or nil when n was
