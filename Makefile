@@ -71,9 +71,9 @@ loc:
 # exported name or unexported function that only tests reach outside
 # its allowlist, every benchmark in the module, which `go test` only
 # compiles, runs one iteration, the delta-encoding, journal-decode,
-# journal-encode, Content-Range and fluid allocator-versus-reference
-# fuzzers hold up for a short smoke run, and every golden matches (the
-# race leg skips the golden runs).
+# journal-encode, wire-decode, Content-Range and fluid
+# allocator-versus-reference fuzzers hold up for a short smoke run, and
+# every golden matches (the race leg skips the golden runs).
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
@@ -83,6 +83,7 @@ check:
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
 	$(GO) test -fuzz=FuzzJournalRecord -fuzztime=5s ./internal/sched
+	$(GO) test -fuzz=FuzzWireDecode -fuzztime=5s ./internal/jsonwire
 	$(GO) test -fuzz=FuzzParseContentRange -fuzztime=5s ./internal/cloudsim
 	$(GO) test -fuzz=FuzzAllocatorMatchesReference -fuzztime=5s ./internal/fluid
 	$(MAKE) --no-print-directory golden-check
