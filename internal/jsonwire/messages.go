@@ -7,6 +7,8 @@ package jsonwire
 // takes the encoder's form. TestWireCodecMatchesMarshal and
 // FuzzWireDecode hold both to encoding/json: a field added to a message
 // must be added to its encoder and its parser, in declaration order.
+// Each type spells its Decode out: a generic one would call read through
+// a dictionary, which moves the scanner to the heap.
 
 // FileMeta is a stored object's metadata: the body of every commit's
 // answer and of Drive's and OneDrive's metadata reads, and Dropbox's
