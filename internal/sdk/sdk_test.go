@@ -496,3 +496,18 @@ func TestDropboxAppendAllocs(t *testing.T) {
 	kick.Push(false)
 	w.r.Drive()
 }
+
+// Drive's initiate body carries the size, and JSON has no NaN or ±Inf:
+// BeginUpload refuses such a size with an error before anything is
+// encoded.
+func TestDriveSessionRefusesNonFiniteSize(t *testing.T) {
+	w := newWorld(t)
+	c := w.client(t, cloudsim.GoogleDrive, Options{})
+	w.run(t, func(p *simproc.Proc) {
+		for _, size := range []float64{math.NaN(), math.Inf(1), -1, 0} {
+			if _, err := c.BeginUpload(p, "bad.bin", size, "", ""); err == nil {
+				t.Errorf("size %v: session opened", size)
+			}
+		}
+	})
+}

@@ -161,8 +161,9 @@ func (g *GoogleDrive) initiate(p *simproc.Proc, name string, size float64) (stri
 
 // BeginUpload implements Client: it initiates a resumable session.
 func (g *GoogleDrive) BeginUpload(p *simproc.Proc, name string, size float64, md5, attempt string) (UploadSession, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("sdk: session needs positive size")
+	// The size rides in the initiate body, and JSON has no NaN or ±Inf.
+	if !(size > 0) || math.IsInf(size, 1) {
+		return nil, fmt.Errorf("sdk: session needs a positive, finite size")
 	}
 	location, err := g.initiate(p, name, size)
 	if err != nil {
