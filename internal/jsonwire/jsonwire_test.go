@@ -250,21 +250,10 @@ var decodeSeeds = []string{
 	`{"path":"a"`, `{"path"`, `{`, ``, `null`, `[]`, `"a"`,
 }
 
-// TestWireDecodeSeeds runs the fuzz seeds through every parser: each
-// agrees with json.Unmarshal, and the encoders' forms take the fast path.
-func TestWireDecodeSeeds(t *testing.T) {
-	fast := 0
-	for _, data := range decodeSeeds {
-		for _, proto := range readers() {
-			if checkDecode(t, proto, data) {
-				fast++
-			}
-		}
-	}
-	if fast == 0 {
-		t.Fatal("no seed took the fast path")
-	}
-	// Every encoder's output is in its own parser's fast form.
+// TestEncoderOutputIsFastForm: what an encoder writes for strings of
+// printable ASCII without escapes is in its own parser's fast form, and
+// every encoder's output decodes to json.Unmarshal's value.
+func TestEncoderOutputIsFastForm(t *testing.T) {
 	src := randSource{rand.New(rand.NewSource(41))}
 	for i := 0; i < 1000; i++ {
 		for _, proto := range readers() {
