@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"encoding/json"
 	"strings"
 
 	"detournet/internal/httpsim"
@@ -40,7 +41,7 @@ func (s *Service) mountCompose() {
 
 func (s *Service) compose(_ *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
 	var cr jsonwire.ComposeRequest
-	if err := cr.Decode(req.Body); err != nil || cr.Name == "" || len(cr.Parts) == 0 {
+	if err := json.Unmarshal(req.Body, &cr); err != nil || cr.Name == "" || len(cr.Parts) == 0 {
 		return errResp(httpsim.StatusBadRequest, "compose needs a name and at least one part")
 	}
 	// Idempotent replay: a crash between a committed compose and its

@@ -13,12 +13,16 @@
 // escapes it. json cannot carry NaN or ±Inf: one reaching an encoder is
 // a simulator bug, and the encoder panics.
 //
-// Decoding: each message on the upload path has a typed parser for its
-// encoder's own form only — exactly its keys, in its encoder's order,
+// Decoding: each message read on every upload (a Dropbox-API-Arg, file
+// metadata, the token answer, a session start) has a typed parser for
+// its encoder's own form only — exactly its keys, in its encoder's order,
 // with no whitespace, strings of printable ASCII without escapes, and
 // JSON numbers. On that form the parser's value is json.Unmarshal's;
 // any other input, valid JSON or not, goes to json.Unmarshal itself, so
-// a decoder accepts and rejects what json.Unmarshal does.
+// a decoder accepts and rejects what json.Unmarshal does. A message
+// read only on a cold path (an error body, a 409 offset conflict, a
+// compose request, Drive's file list) has no parser: its reader calls
+// json.Unmarshal.
 package jsonwire
 
 import (
@@ -157,31 +161,6 @@ func (s *scanner) field(key string) bool {
 	return true
 }
 
-// elem reports whether the open array has another element, and if so
-// consumes the comma before it unless it is the first.
-func (s *scanner) elem() bool {
-	switch c := s.next(); {
-	case c == 0 || c == ']':
-		return false
-	case s.data[s.i-1] == '[':
-		return true
-	case c == ',':
-		s.i++
-		return true
-	}
-	s.bad = true
-	return false
-}
-
-// null consumes a null and reports whether there was one.
-func (s *scanner) null() bool {
-	if s.bad || len(s.data)-s.i < 4 || s.data[s.i:s.i+4] != "null" {
-		return false
-	}
-	s.i += 4
-	return true
-}
-
 // str reads a string of printable ASCII without escapes.
 func (s *scanner) str() string {
 	s.want('"')
@@ -254,20 +233,6 @@ func (s *scanner) digits() bool {
 		s.i++
 	}
 	return s.i > start
-}
-
-// strs reads a string array, or null as nil.
-func (s *scanner) strs() []string {
-	if s.null() {
-		return nil
-	}
-	s.want('[')
-	out := []string{}
-	for s.elem() {
-		out = append(out, s.str())
-	}
-	s.want(']')
-	return out
 }
 
 // end reports whether the scanner read the whole input in the fast form.

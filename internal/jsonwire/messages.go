@@ -3,8 +3,9 @@ package jsonwire
 // The JSON messages of the simulated provider and OAuth APIs. A message
 // a side writes has an AppendJSON encoder, its fields in json.Marshal's
 // order (a body the real API wrote as a map declares its fields in key
-// order); a message a side reads has a Decode method whose parser, read,
-// takes the encoder's form. TestWireCodecMatchesMarshal and
+// order); a message a side reads on every upload has a Decode method
+// whose parser, read, takes the encoder's form (the others are read with
+// json.Unmarshal). TestWireCodecMatchesMarshal and
 // FuzzWireDecode hold both to encoding/json: a field added to a message
 // must be added to its encoder and its parser, in declaration order.
 // Each type spells its Decode out: a generic one would call read through
@@ -85,31 +86,6 @@ func (l FileList) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-func (l *FileList) read(s *scanner) {
-	*l = FileList{}
-	s.want('{')
-	if s.field("files") && !s.null() {
-		s.want('[')
-		l.Files = []FileMeta{}
-		for s.elem() {
-			var m FileMeta
-			m.read(s)
-			l.Files = append(l.Files, m)
-		}
-		s.want(']')
-	}
-	s.want('}')
-}
-
-// Decode sets l to the message in data, as json.Unmarshal would.
-func (l *FileList) Decode(data []byte) (err error) {
-	s := scanner{data: string(data)}
-	if l.read(&s); !s.end() {
-		*l, err = unmarshal[FileList](data)
-	}
-	return err
-}
-
 // ErrorBody is a failed request's answer: the providers' error bodies
 // and the OAuth token endpoint's (RFC 6749 §5.2).
 type ErrorBody struct {
@@ -121,24 +97,6 @@ func (e ErrorBody) AppendJSON(b []byte) []byte {
 	b = append(b, `{"error":`...)
 	b = AppendString(b, e.Error)
 	return append(b, '}')
-}
-
-func (e *ErrorBody) read(s *scanner) {
-	*e = ErrorBody{}
-	s.want('{')
-	if s.field("error") {
-		e.Error = s.str()
-	}
-	s.want('}')
-}
-
-// Decode sets e to the message in data, as json.Unmarshal would.
-func (e *ErrorBody) Decode(data []byte) (err error) {
-	s := scanner{data: string(data)}
-	if e.read(&s); !s.end() {
-		*e, err = unmarshal[ErrorBody](data)
-	}
-	return err
 }
 
 // Token is the OAuth token endpoint's answer (RFC 6749 §5.1).
@@ -288,30 +246,6 @@ func (c ComposeRequest) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-func (c *ComposeRequest) read(s *scanner) {
-	*c = ComposeRequest{}
-	s.want('{')
-	if s.field("md5") {
-		c.MD5 = s.str()
-	}
-	if s.field("name") {
-		c.Name = s.str()
-	}
-	if s.field("parts") {
-		c.Parts = s.strs()
-	}
-	s.want('}')
-}
-
-// Decode sets c to the message in data, as json.Unmarshal would.
-func (c *ComposeRequest) Decode(data []byte) (err error) {
-	s := scanner{data: string(data)}
-	if c.read(&s); !s.end() {
-		*c, err = unmarshal[ComposeRequest](data)
-	}
-	return err
-}
-
 // --- Dropbox ---
 
 // SessionStart is Dropbox's upload_session/start answer.
@@ -358,27 +292,6 @@ func (o OffsetConflict) AppendJSON(b []byte) []byte {
 	b = append(b, `,"error":`...)
 	b = AppendString(b, o.Error)
 	return append(b, '}')
-}
-
-func (o *OffsetConflict) read(s *scanner) {
-	*o = OffsetConflict{}
-	s.want('{')
-	if s.field("correct_offset") {
-		o.CorrectOffset = s.num()
-	}
-	if s.field("error") {
-		o.Error = s.str()
-	}
-	s.want('}')
-}
-
-// Decode sets o to the message in data, as json.Unmarshal would.
-func (o *OffsetConflict) Decode(data []byte) (err error) {
-	s := scanner{data: string(data)}
-	if o.read(&s); !s.end() {
-		*o, err = unmarshal[OffsetConflict](data)
-	}
-	return err
 }
 
 // DropboxPath is a Dropbox-API-Arg naming a file, and the commit of a

@@ -10,6 +10,7 @@
 package oauthsim
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/url"
 	"strings"
@@ -183,7 +184,7 @@ func (ts *TokenSource) Token(p *simproc.Proc) (string, error) {
 	}
 	if !resp.OK() {
 		var te jsonwire.ErrorBody
-		_ = te.Decode(resp.Body) // a body that does not decode leaves the code empty
+		_ = json.Unmarshal(resp.Body, &te) // a body that does not decode leaves the code empty
 		return "", fmt.Errorf("oauthsim: token refresh failed: %s", te.Error)
 	}
 	var tr jsonwire.Token

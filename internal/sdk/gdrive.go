@@ -1,6 +1,7 @@
 package sdk
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"detournet/internal/cloudsim"
@@ -62,7 +63,7 @@ func (g *GoogleDrive) lookup(p *simproc.Proc, name string) (FileInfo, error) {
 		return FileInfo{}, err
 	}
 	var out jsonwire.FileList
-	if err := out.Decode(resp.Body); err != nil {
+	if err := json.Unmarshal(resp.Body, &out); err != nil {
 		return FileInfo{}, fmt.Errorf("sdk: bad list response: %w", err)
 	}
 	if len(out.Files) == 0 {
