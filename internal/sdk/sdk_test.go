@@ -511,3 +511,42 @@ func TestDriveSessionRefusesNonFiniteSize(t *testing.T) {
 		}
 	})
 }
+
+// A Dropbox session's offset rides in every Dropbox-API-Arg: a chunk or
+// a resume offset that is NaN, infinite or negative is refused with an
+// error before anything is encoded, and leaves the session's offset as
+// it was.
+func TestDropboxSessionRefusesNonFiniteOffset(t *testing.T) {
+	w := newWorld(t)
+	d := w.client(t, cloudsim.Dropbox, Options{}).(*Dropbox)
+	w.run(t, func(p *simproc.Proc) {
+		sess, err := d.BeginUpload(p, "bad.bin", 10e6, "", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := sess.WriteChunk(p, 4e6, false); err != nil {
+			t.Error(err)
+			return
+		}
+		bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
+		for _, n := range bad {
+			if _, err := sess.WriteChunk(p, n, false); err == nil {
+				t.Errorf("chunk %v: written", n)
+			}
+		}
+		if got := sess.Written(); got != 4e6 {
+			t.Errorf("offset %v after refused chunks, want 4e6", got)
+		}
+		for _, off := range bad {
+			tok := sess.Token()
+			tok.Offset = off
+			if _, err := d.Resume(p, tok, ""); err == nil {
+				t.Errorf("offset %v: resumed", off)
+			}
+		}
+		if _, err := sess.WriteChunk(p, 6e6, true); err != nil {
+			t.Error(err)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package sdk
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -239,8 +240,9 @@ func (s *dropboxSession) Written() float64 { return s.sent }
 
 // WriteChunk implements UploadSession.
 func (s *dropboxSession) WriteChunk(p *simproc.Proc, n float64, last bool) (FileInfo, error) {
-	if n < 0 {
-		return FileInfo{}, fmt.Errorf("sdk: negative chunk")
+	// The offset the chunk moves rides in the next Dropbox-API-Arg.
+	if !(n >= 0) || math.IsInf(n, 1) {
+		return FileInfo{}, fmt.Errorf("sdk: chunk must be non-negative and finite")
 	}
 	var buf [argBuf]byte
 	cursor := jsonwire.DropboxCursor{SessionID: s.sessionID, Offset: s.sent}
@@ -278,8 +280,10 @@ func (d *Dropbox) Resume(p *simproc.Proc, tok SessionToken, attempt string) (Upl
 	if tok.Ref == "" {
 		return nil, fmt.Errorf("sdk: resume needs a session id")
 	}
-	if tok.Offset < 0 {
-		return nil, fmt.Errorf("sdk: negative resume offset")
+	// The offset rides in the probe's Dropbox-API-Arg, and JSON has no
+	// NaN or ±Inf.
+	if !(tok.Offset >= 0) || math.IsInf(tok.Offset, 1) {
+		return nil, fmt.Errorf("sdk: resume offset must be non-negative and finite")
 	}
 	sess := &dropboxSession{d: d, name: tok.Name, md5: tok.MD5, sessionID: tok.Ref, sent: tok.Offset, attempt: attempt}
 	arg := jsonwire.DropboxAppend{Cursor: jsonwire.DropboxCursor{SessionID: tok.Ref, Offset: tok.Offset}}.AppendJSON(nil)
@@ -287,7 +291,7 @@ func (d *Dropbox) Resume(p *simproc.Proc, tok SessionToken, attempt string) (Upl
 		var se *httpsim.StatusError
 		if errors.As(err, &se) && se.Status == httpsim.StatusConflict {
 			var body jsonwire.OffsetConflict
-			if jerr := body.Decode([]byte(se.Body)); jerr == nil {
+			if jerr := json.Unmarshal([]byte(se.Body), &body); jerr == nil {
 				sess.sent = body.CorrectOffset
 				return sess, nil
 			}
