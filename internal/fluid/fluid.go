@@ -396,7 +396,9 @@ func (n *Network) attach(path []*Link, bytes float64, opts FlowOpts) *Flow {
 // struct for a later StartFlow: the handle is dead afterwards, and
 // every read of it is undefined. Only the flow's sole owner may release
 // it, once nothing else can still reach it — its callbacks have run and
-// no ramp, map or slice keeps it. A reused flow takes a fresh id, so
+// no ramp, map or slice keeps it. A hook that was handed the flow, such
+// as topology.Graph.OnFlowKilled, sees it only during its call and must
+// copy what it keeps. A reused flow takes a fresh id, so
 // flow order, rates and events are those of a new allocation. Releasing
 // an active flow, or one twice, panics.
 func (n *Network) Release(f *Flow) {

@@ -101,7 +101,10 @@ type Graph struct {
 	// OnFlowKilled, when set, observes every in-flight fluid flow torn
 	// down by SetLinkState taking an edge down, KillEdgeFlows, or
 	// KillDomainBoundaryFlows. It runs inside the simulation, after the
-	// flow's own OnAbort callback.
+	// flow's own OnAbort callback. The flow is valid only during the
+	// call: its owner may release it afterwards (fluid.Network.Release),
+	// and a later flow reuses the struct, so a hook that keeps anything
+	// must copy the fields it wants, not the pointer.
 	OnFlowKilled func(from, to string, f *fluid.Flow)
 }
 
