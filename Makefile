@@ -37,10 +37,11 @@ stress:
 # Golden outputs, pinned byte for byte under testdata/golden/ and
 # compared by the TestGolden* tests that tier-1 `go test ./...` runs:
 # the stdout of the five examples (each example's TestGolden), the
-# seven deterministic scheduler replays and the 15 paper figures and
-# tables (cmd/detourbench's TestGolden), the two one-worker daemon runs
-# detourd-default.txt and detourd-chaos.txt (cmd/detourd's TestGolden),
-# and the simulated work of every paper pair and one-worker replay arm
+# seven deterministic scheduler replays, the 15 paper figures and
+# tables and every ablation and extension study
+# (detourbench-studies.txt; cmd/detourbench's TestGolden), the two
+# one-worker daemon runs detourd-default.txt and detourd-chaos.txt
+# (cmd/detourd's TestGolden), and the simulated work of every paper pair and one-worker replay arm
 # (internal/replay's TestGoldenWork, work.txt). Every detourbench
 # replay has a golden; multi-worker runs (detourd's TestChaosWorkers)
 # pin only their exit code, since their workers interleave for real.
@@ -70,17 +71,16 @@ loc:
 # race leg skips it and this leg runs it without -race) finds no
 # exported name or unexported function that only tests reach outside
 # its allowlist, every benchmark in the module, which `go test` only
-# compiles, runs one iteration, the delta-encoding, journal-decode,
-# journal-encode, wire-decode, Content-Range and fluid
-# allocator-versus-reference fuzzers hold up for a short smoke run, and
-# every golden matches (the race leg skips the golden runs).
+# compiles, runs one iteration, the journal-decode, journal-encode,
+# wire-decode, Content-Range and fluid allocator-versus-reference
+# fuzzers hold up for a short smoke run, and every golden matches (the
+# race leg skips the golden runs).
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) -C detourledger vet ./...
 	$(GO) test -count=1 -run '^(TestNoTestOnlyExports|TestScanFindsPlantedExport)$$' .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
 	$(GO) test -fuzz=FuzzJournalRecord -fuzztime=5s ./internal/sched
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=5s ./internal/jsonwire

@@ -12,7 +12,7 @@ import (
 
 // TestGolden: every name with a golden, run with default flags, prints
 // exactly the bytes committed for it under testdata/golden: the paper's
-// 15 figures and tables and the 7 scheduler replays. Every replay (an
+// 15 figures and tables, the studies and the 7 scheduler replays. Every replay (an
 // entry with a seed) must have one: an unpinned replay is an error.
 // With -update it rewrites the files instead.
 func TestGolden(t *testing.T) {
@@ -40,8 +40,8 @@ func TestGolden(t *testing.T) {
 			goldentest.Check(t, e.golden, out.Bytes())
 		})
 	}
-	if pinned != 22 {
-		t.Errorf("%d names have a golden, want 22: 15 paper figures and tables, 7 replays", pinned)
+	if pinned != 23 {
+		t.Errorf("%d names have a golden, want 23: 15 paper figures and tables, the studies, 7 replays", pinned)
 	}
 }
 

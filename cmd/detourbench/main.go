@@ -1,17 +1,22 @@
 // Command detourbench regenerates every table and figure of the paper's
-// evaluation from the simulated world, the extensions built on it, and
+// evaluation from the simulated world, the studies built on it, and
 // every scheduler replay, and prints them as text.
 //
 // Usage:
 //
 //	detourbench [-experiment all|fig2|table2|fig3|fig4|fig5|fig6|fig7|table3|fig8|fig9|table4|fig10|fig11|table1|table5
-//	                        |report|download|sensitivity|contention|workload|dump
+//	                        |report|studies|dump
 //	                        |churn|crashsafe|grayfail|multipath|overload|pressure|telemetry]
 //	            [-seed N] [-runs N] [-keep N] [-sizes 10,20,...] [-quick] [-format csv|json]
 //
 // all, the default, prints every figure and table in paper order.
-// Names are case-insensitive. The default -seed 2015 with the full
-// protocol reproduces the values recorded in EXPERIMENTS.md.
+// studies prints every ablation and extension study
+// (experiments.WriteStudies): the PacificWave sensitivity sweep, DTN
+// contention, the workload replay and the download direction for every
+// client, the pipelined relay, chunk size, the k-hop overlay and the
+// Vancouver provider POP. Names are case-insensitive. The default
+// -seed 2015 with the full protocol reproduces the values recorded in
+// EXPERIMENTS.md.
 // A bad name, size or protocol (-runs below 1, -keep outside 1..runs)
 // exits 2 before any world is built.
 //
@@ -34,7 +39,6 @@ import (
 	"strings"
 
 	"detournet/internal/experiments"
-	"detournet/internal/measure"
 	"detournet/internal/replay"
 	"detournet/internal/report"
 	"detournet/internal/scenario"
@@ -100,10 +104,9 @@ var (
 		paper("table1", (*experiments.Suite).TableI),
 		paper("table5", (*experiments.Suite).TableV),
 		{name: "report", run: writeReport},
-		{name: "download", run: writeDownload},
-		{name: "sensitivity", run: writeSensitivity},
-		{name: "contention", run: writeContention},
-		{name: "workload", run: writeWorkload},
+		{name: "studies", golden: "detourbench-studies.txt", run: func(s *experiments.Suite, out io.Writer) error {
+			return experiments.WriteStudies(out, s.Options)
+		}},
 		{name: "dump", run: writeDump},
 		replayMode("churn", 2015, func(out io.Writer, seed int64) error {
 			replay.WriteChurn(out, seed)
@@ -210,59 +213,9 @@ func parse(fs *flag.FlagSet, args []string) ([]experiment, experiments.Options, 
 	return todo, o, nil
 }
 
-// writeReport prints the full evaluation report with its extensions.
+// writeReport prints the full evaluation report with its studies.
 func writeReport(s *experiments.Suite, out io.Writer) error {
-	return report.Write(out, report.Config{Options: s.Options, Extensions: true})
-}
-
-// writeDownload prints the reverse direction for every client, Google
-// Drive.
-func writeDownload(s *experiments.Suite, out io.Writer) error {
-	o := s.Options
-	for _, c := range scenario.Clients {
-		w := scenario.Build(o.Seed)
-		g := measure.RunGrid(w, measure.GridSpec{
-			Client: c, Provider: scenario.GoogleDrive,
-			Direction: measure.Download,
-			SizesMB:   o.SizesMB, Runs: o.Runs, Keep: o.Keep, Seed: o.Seed,
-		})
-		fmt.Fprintf(out, "Download times %s <- GoogleDrive\n%s\n", c, g.FormatTable())
-	}
-	return nil
-}
-
-// writeSensitivity sweeps the PacificWave hand-off's rate.
-func writeSensitivity(s *experiments.Suite, out io.Writer) error {
-	points := experiments.SensitivityPacificWave(s.Options, []float64{0.6, 1.25, 2.5, 4, 6, 8})
-	fmt.Fprintln(out, experiments.FormatSensitivity(points))
-	return nil
-}
-
-// writeContention prints one to three campuses uploading at once.
-func writeContention(s *experiments.Suite, out io.Writer) error {
-	results, err := experiments.ContentionStudy(s.Options, [][]string{
-		{scenario.UBC},
-		{scenario.UBC, scenario.Purdue},
-		{scenario.UBC, scenario.Purdue, scenario.UCLA},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, experiments.FormatContention(results))
-	return nil
-}
-
-// writeWorkload prints each client's mixed-workload study to Google
-// Drive.
-func writeWorkload(s *experiments.Suite, out io.Writer) error {
-	for _, c := range scenario.Clients {
-		results, err := experiments.WorkloadStudy(s.Options, c, scenario.GoogleDrive, 12)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, experiments.FormatWorkloadStudy(c, scenario.GoogleDrive, results))
-	}
-	return nil
+	return report.Write(out, report.Config{Options: s.Options})
 }
 
 // writeDump exports every grid in -format, for plotting.

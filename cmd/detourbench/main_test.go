@@ -12,9 +12,9 @@ import (
 )
 
 // TestSelected: one case-insensitive lookup serves every name — figure,
-// extension and replay — and all runs the paper's 15 figures and tables.
+// study and replay — and all runs the paper's 15 figures and tables.
 func TestSelected(t *testing.T) {
-	for _, name := range []string{"fig2", "FIG2", "Report", "dump", "Churn", "telemetry", "Overload"} {
+	for _, name := range []string{"fig2", "FIG2", "Report", "Studies", "dump", "Churn", "telemetry", "Overload"} {
 		if got := selected(name); len(got) != 1 || got[0].name != strings.ToLower(name) {
 			t.Errorf("selected(%q) = %d entries", name, len(got))
 		}

@@ -85,18 +85,7 @@ type Suite struct {
 
 func pairKey(client, provider string) string { return client + "|" + provider }
 
-// Run executes the full evaluation suite.
-func Run(o Options) *Suite {
-	s := &Suite{Options: o, Pairs: make(map[string]*PairResult)}
-	for _, c := range scenario.Clients {
-		for _, p := range scenario.ProviderNames {
-			s.Pairs[pairKey(c, p)] = RunPair(o, c, p)
-		}
-	}
-	return s
-}
-
-// Pair returns a grid, running it lazily if the suite was built empty.
+// Pair returns a grid, running it on first use.
 func (s *Suite) Pair(client, provider string) *PairResult {
 	if s.Pairs == nil {
 		s.Pairs = make(map[string]*PairResult)

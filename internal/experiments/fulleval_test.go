@@ -14,7 +14,7 @@ func TestFullEvaluationTableI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full protocol; skipped with -short")
 	}
-	s := Run(Default())
+	s := &Suite{Options: Default()}
 	type expect struct {
 		client, provider string
 		fastestKind      core.RouteKind

@@ -51,6 +51,7 @@ func SensitivityPacificWave(o Options, capsMBps []float64) []SensitivityPoint {
 			}
 			pt.DetourSeconds = rep.Total
 		})
+		w.Close()
 		out = append(out, pt)
 	}
 	return out
@@ -114,6 +115,7 @@ func ContentionStudy(o Options, clientSets [][]string) ([]ContentionResult, erro
 				res.Seconds[i] = simproc.Await(p, fut)
 			}
 		})
+		w.Close()
 		if firstErr != nil {
 			return nil, firstErr
 		}

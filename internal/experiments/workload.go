@@ -68,6 +68,7 @@ func WorkloadStudy(o Options, client, provider string, n int) ([]WorkloadResult,
 
 func runWorkloadPolicy(o Options, client, provider string, jobs []workload.Job, policy WorkloadPolicy) (WorkloadResult, error) {
 	w := scenario.Build(pairSeed(o, client, provider))
+	defer w.Close()
 	res := WorkloadResult{Policy: policy}
 	var runErr error
 	w.RunWorkload("workload-"+string(policy), func(p *simproc.Proc) {

@@ -293,8 +293,8 @@ func TestRerouteManyWorkers(t *testing.T) {
 	}
 }
 
-// TestWorldsShutDown: every replay mode, and one paper pair, ends the
-// worlds it builds. A world's server loops park until the world is
+// TestWorldsShutDown: every replay mode, one paper pair and the studies
+// end the worlds they build. A world's server loops park until the world is
 // closed, each on a goroutine of its own, so a world left open shows
 // as goroutines that outlive the run and keep the world reachable.
 func TestWorldsShutDown(t *testing.T) {
@@ -317,6 +317,11 @@ func TestWorldsShutDown(t *testing.T) {
 		{"overload", func(*testing.T) { WriteOverload(io.Discard, 2015) }},
 		{"paper-pair", func(*testing.T) {
 			experiments.RunPair(experiments.Quick(), scenario.UBC, scenario.GoogleDrive)
+		}},
+		{"studies", func(t *testing.T) {
+			if err := experiments.WriteStudies(io.Discard, experiments.Quick()); err != nil {
+				t.Fatal(err)
+			}
 		}},
 	}
 	for _, m := range modes {

@@ -1,5 +1,5 @@
 // Package report renders a complete reproduction report — every table,
-// figure series, traceroute, and extension study — as a single markdown
+// figure series, traceroute, and study — as a single markdown
 // document. `detourbench -experiment report` writes it to stdout; the
 // committed EXPERIMENTS.md is the hand-annotated version of this
 // output.
@@ -15,12 +15,10 @@ import (
 	"detournet/internal/scenario"
 )
 
-// Config selects what the report includes.
+// Config sets how the report is measured.
 type Config struct {
 	// Options is the measurement protocol.
 	Options experiments.Options
-	// Extensions adds the sensitivity/contention/workload studies.
-	Extensions bool
 }
 
 // Write renders the report to w.
@@ -32,9 +30,7 @@ func Write(w io.Writer, cfg Config) error {
 	r.tables()
 	r.traceroutes()
 	r.geography()
-	if cfg.Extensions {
-		r.extensions(cfg)
-	}
+	r.studies(cfg)
 	return r.err
 }
 
@@ -125,26 +121,15 @@ func (r *renderer) geography() {
 	r.code(r.suite.TableV())
 }
 
-func (r *renderer) extensions(cfg Config) {
-	r.section("Extension studies")
-	points := experiments.SensitivityPacificWave(cfg.Options, []float64{0.6, 1.25, 2.5, 4, 8})
-	r.code(experiments.FormatSensitivity(points))
-	r.printf("\n")
-	cont, err := experiments.ContentionStudy(cfg.Options, [][]string{
-		{scenario.UBC},
-		{scenario.UBC, scenario.Purdue},
-		{scenario.UBC, scenario.Purdue, scenario.UCLA},
-	})
-	if err != nil {
-		r.err = err
+// studies embeds experiments.WriteStudies, the output of
+// `detourbench -experiment studies`.
+func (r *renderer) studies(cfg Config) {
+	r.section("Ablation and extension studies")
+	if r.err != nil {
 		return
 	}
-	r.code(experiments.FormatContention(cont))
-	r.printf("\n")
-	wl, err := experiments.WorkloadStudy(cfg.Options, scenario.Purdue, scenario.GoogleDrive, 12)
-	if err != nil {
-		r.err = err
-		return
+	var b strings.Builder
+	if r.err = experiments.WriteStudies(&b, cfg.Options); r.err == nil {
+		r.code(b.String())
 	}
-	r.code(experiments.FormatWorkloadStudy(scenario.Purdue, scenario.GoogleDrive, wl))
 }

@@ -10,7 +10,7 @@ import (
 
 func TestWriteFullReport(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, Config{Options: experiments.Quick(), Extensions: true}); err != nil {
+	if err := Write(&buf, Config{Options: experiments.Quick()}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -20,7 +20,8 @@ func TestWriteFullReport(t *testing.T) {
 		"Fig 2", "Fig 4", "Fig 7", "Fig 8", "Fig 9", "Fig 10", "Fig 11",
 		"Table I", "Table II", "Table III", "Table IV", "Table V",
 		"traceroute to", "* * *",
-		"Sensitivity", "Contention", "Workload study",
+		"Sensitivity", "Contention", "Workload study", "Download times",
+		"Ablation: store-and-forward", "Vancouver POP",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
@@ -32,16 +33,6 @@ func TestWriteFullReport(t *testing.T) {
 	}
 	if len(out) < 4000 {
 		t.Errorf("report suspiciously short: %d bytes", len(out))
-	}
-}
-
-func TestWriteWithoutExtensions(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, Config{Options: experiments.Quick()}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "Sensitivity") {
-		t.Fatal("extensions rendered despite Extensions=false")
 	}
 }
 

@@ -16,17 +16,14 @@ const Port = 873
 type Staged struct {
 	Name string
 	Size float64
-	Data []byte // nil for sized-only transfers
 	MD5  string
 }
 
-// Daemon is the DTN-side rsync server: it answers signature requests,
-// applies deltas, and stages the results for the second detour hop.
+// Daemon is the DTN-side rsync server: it receives pushes and stages
+// them for the second detour hop.
 type Daemon struct {
 	tn   *transport.Net
 	host string
-	// BlockSize for signatures; DefaultBlockSize when zero.
-	BlockSize int
 	// DiskBps, when positive, throttles the staging disk's write path to
 	// this many bytes/second — the gray-failure injector's dying-disk
 	// knob. Pushes still succeed (no errors, ever); they just crawl.
@@ -231,18 +228,19 @@ func (d *Daemon) Start() *transport.Listener {
 // Wire message types. Sizes are charged explicitly per message.
 
 type pushReq struct {
-	Name    string
-	Size    float64
-	HasData bool
+	Name string
+	Size float64
 }
 
-type sigResp struct {
-	Sig *Signature // nil when no basis exists
-}
+// sigResp is rsync's basis-signature reply. The paper deletes the
+// staged copy before each run, so there is never a basis and the reply
+// is empty; it still costs its control message on the wire.
+type sigResp struct{}
 
+// deltaMsg carries a sized push's payload: with no basis, the delta is
+// the whole file.
 type deltaMsg struct {
-	Delta *Delta // nil in sized-only mode
-	MD5   string
+	MD5 string
 }
 
 type deleteReq struct {
@@ -283,7 +281,6 @@ type fetchResp struct {
 	Err  string
 	Size float64
 	MD5  string
-	Data []byte
 }
 
 type ack struct {
@@ -336,7 +333,7 @@ func (d *Daemon) serve(p *simproc.Proc, c *transport.Conn) {
 				_ = c.Send(p, fetchResp{OK: false, Err: "not staged: " + m.Name}, ctrlBytes)
 				continue
 			}
-			resp := fetchResp{OK: true, Size: st.Size, MD5: st.MD5, Data: st.Data}
+			resp := fetchResp{OK: true, Size: st.Size, MD5: st.MD5}
 			_ = c.Send(p, resp, st.Size+ctrlBytes)
 		default:
 			_ = c.Send(p, ack{OK: false, Err: "protocol error"}, ctrlBytes)
@@ -346,21 +343,12 @@ func (d *Daemon) serve(p *simproc.Proc, c *transport.Conn) {
 }
 
 func (d *Daemon) handlePush(p *simproc.Proc, c *transport.Conn, req pushReq) {
-	// 1. Answer with the signature of whatever basis we hold.
-	var sig *Signature
-	if base, ok := d.staging[req.Name]; ok && base.Data != nil {
-		sig = Sign(base.Data, d.BlockSize)
-	}
-	resp := sigResp{Sig: sig}
-	sigBytes := float64(ctrlBytes)
-	if sig != nil {
-		sigBytes += sig.WireSize()
-	}
-	if err := c.Send(p, resp, sigBytes); err != nil {
+	// 1. Answer with the (empty) basis signature.
+	if err := c.Send(p, sigResp{}, ctrlBytes); err != nil {
 		return
 	}
 
-	// 2. Receive the delta (or sized payload) and stage the result.
+	// 2. Receive the payload and stage the result.
 	msg, err := c.Recv(p)
 	if err != nil {
 		return
@@ -391,28 +379,6 @@ func (d *Daemon) handlePush(p *simproc.Proc, c *transport.Conn, req pushReq) {
 		p.Sleep(req.Size / d.DiskBps)
 	}
 	st := &Staged{Name: req.Name, Size: req.Size, MD5: dm.MD5}
-	if req.HasData {
-		if dm.Delta == nil {
-			_ = c.Send(p, ack{OK: false, Err: "missing delta"}, ctrlBytes)
-			return
-		}
-		var basis []byte
-		if base, ok := d.staging[req.Name]; ok {
-			basis = base.Data
-		}
-		data, err := Apply(basis, dm.Delta)
-		if err != nil {
-			_ = c.Send(p, ack{OK: false, Err: err.Error()}, ctrlBytes)
-			return
-		}
-		if dm.MD5 != "" && Checksum(data) != dm.MD5 {
-			_ = c.Send(p, ack{OK: false, Err: "checksum mismatch"}, ctrlBytes)
-			return
-		}
-		st.Data = data
-		st.Size = float64(len(data))
-		st.MD5 = Checksum(data)
-	}
 	d.staging[req.Name] = st
 	d.touch(req.Name)
 	d.Pushes++
@@ -518,8 +484,6 @@ type Client struct {
 	tn   *transport.Net
 	from string
 	dtn  string
-	// BlockSize for delta computation; DefaultBlockSize when zero.
-	BlockSize int
 	// Progress, when non-nil, receives the cumulative payload bytes the
 	// daemon has acked during a chunked push — the live feed a stall
 	// watchdog keys on. Advisory only; wire accounting is the return
@@ -548,51 +512,21 @@ func (cl *Client) dial(p *simproc.Proc) (*transport.Conn, error) {
 	return cl.tn.Dial(p, cl.from, cl.dtn, Port, transport.DialOpts{})
 }
 
-// Push transfers data under name using the full rsync protocol: fetch
-// the basis signature, compute and ship the delta, verify the ack.
-func (cl *Client) Push(p *simproc.Proc, name string, data []byte) error {
-	c, err := cl.dial(p)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if err := c.Send(p, pushReq{Name: name, Size: float64(len(data)), HasData: true}, ctrlBytes); err != nil {
-		return err
-	}
-	msg, err := c.Recv(p)
-	if err != nil {
-		return err
-	}
-	sr, ok := msg.Payload.(sigResp)
-	if !ok {
-		return fmt.Errorf("rsyncx: expected signature, got %T", msg.Payload)
-	}
-	sig := sr.Sig
-	if sig == nil {
-		sig = Sign(nil, cl.BlockSize)
-	}
-	delta := ComputeDelta(sig, data)
-	dm := deltaMsg{Delta: delta, MD5: Checksum(data)}
-	if err := c.Send(p, dm, delta.WireSize()+ctrlBytes); err != nil {
-		return err
-	}
-	return recvAck(p, c)
-}
-
 // PushSized transfers a file of the given size without materializing its
 // bytes: the paper's staged files are random (incompressible, no basis),
 // so the wire cost is simply the size plus protocol overhead. md5
 // optionally carries an end-to-end digest for the relay to forward.
 func (cl *Client) PushSized(p *simproc.Proc, name string, size float64, md5 string) error {
-	if size < 0 {
-		return fmt.Errorf("rsyncx: negative size")
+	// The size is wire time: NaN or +Inf would never finish sending.
+	if !(size >= 0) || math.IsInf(size, 1) {
+		return fmt.Errorf("rsyncx: size %v must be non-negative and finite", size)
 	}
 	c, err := cl.dial(p)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	if err := c.Send(p, pushReq{Name: name, Size: size, HasData: false}, ctrlBytes); err != nil {
+	if err := c.Send(p, pushReq{Name: name, Size: size}, ctrlBytes); err != nil {
 		return err
 	}
 	if _, err := c.Recv(p); err != nil { // signature (always empty here)
@@ -647,7 +581,7 @@ func (cl *Client) Stat(p *simproc.Proc, name string) (StatInfo, error) {
 // callers can account rewritten vs. resumed bytes; on error, re-Stat to
 // learn where the daemon's partial actually stands.
 func (cl *Client) PushSizedResumable(p *simproc.Proc, name string, size, offset, chunkBytes float64, md5 string) (sent float64, err error) {
-	if size < 0 || offset < 0 || offset > size {
+	if !(size >= 0) || math.IsInf(size, 1) || !(offset >= 0) || offset > size {
 		return 0, fmt.Errorf("rsyncx: bad size/offset %v/%v", size, offset)
 	}
 	if chunkBytes <= 0 {
@@ -717,7 +651,7 @@ func (cl *Client) Fetch(p *simproc.Proc, name string) (*Staged, error) {
 	if !fr.OK {
 		return nil, fmt.Errorf("rsyncx: fetch: %s", fr.Err)
 	}
-	return &Staged{Name: name, Size: fr.Size, MD5: fr.MD5, Data: fr.Data}, nil
+	return &Staged{Name: name, Size: fr.Size, MD5: fr.MD5}, nil
 }
 
 // Delete removes a staged file on the daemon.

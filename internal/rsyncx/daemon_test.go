@@ -1,8 +1,6 @@
 package rsyncx
 
 import (
-	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -48,64 +46,6 @@ func (rg *rig) run(t *testing.T, fn func(p *simproc.Proc, cl *Client)) {
 	}
 }
 
-func TestPushStoresVerifiedData(t *testing.T) {
-	rg := newRig(t)
-	rng := rand.New(rand.NewSource(1))
-	data := randBytes(rng, 50000)
-	rg.run(t, func(p *simproc.Proc, cl *Client) {
-		if err := cl.Push(p, "f.bin", data); err != nil {
-			t.Errorf("push: %v", err)
-			return
-		}
-		st, ok := rg.d.Staged("f.bin")
-		if !ok {
-			t.Error("file not staged")
-			return
-		}
-		if st.MD5 != Checksum(data) || st.Size != float64(len(data)) {
-			t.Errorf("staged meta wrong: %+v", st)
-		}
-		if !bytes.Equal(st.Data, data) {
-			t.Error("staged bytes differ")
-		}
-	})
-	if rg.d.Pushes != 1 {
-		t.Fatalf("Pushes = %d", rg.d.Pushes)
-	}
-}
-
-func TestSecondPushUsesDelta(t *testing.T) {
-	rg := newRig(t)
-	rng := rand.New(rand.NewSource(2))
-	data := randBytes(rng, 2_000_000)
-	var t1, t2 float64
-	rg.run(t, func(p *simproc.Proc, cl *Client) {
-		t0 := p.Now()
-		if err := cl.Push(p, "f.bin", data); err != nil {
-			t.Error(err)
-			return
-		}
-		t1 = float64(p.Now() - t0)
-		// Mutate a single byte: second push should ship a tiny delta and
-		// be much faster.
-		data2 := append([]byte(nil), data...)
-		data2[100] ^= 0xff
-		t0 = p.Now()
-		if err := cl.Push(p, "f.bin", data2); err != nil {
-			t.Error(err)
-			return
-		}
-		t2 = float64(p.Now() - t0)
-		st, _ := rg.d.Staged("f.bin")
-		if !bytes.Equal(st.Data, data2) {
-			t.Error("updated bytes wrong")
-		}
-	})
-	if t2 >= t1/3 {
-		t.Fatalf("delta push not cheaper: first=%v second=%v", t1, t2)
-	}
-}
-
 func TestPushSizedChargesWireTime(t *testing.T) {
 	rg := newRig(t)
 	var dur float64
@@ -117,7 +57,7 @@ func TestPushSizedChargesWireTime(t *testing.T) {
 		}
 		dur = float64(p.Now() - t0)
 		st, ok := rg.d.Staged("big.bin")
-		if !ok || st.Size != 10e6 || st.Data != nil || st.MD5 != "digest" {
+		if !ok || st.Size != 10e6 || st.MD5 != "digest" {
 			t.Errorf("staged = %+v %v", st, ok)
 		}
 	})
@@ -151,9 +91,6 @@ func TestPushToUnreachableDaemon(t *testing.T) {
 	rg := newRig(t)
 	rg.run(t, func(p *simproc.Proc, _ *Client) {
 		cl := NewClient(rg.tn, "user", "user") // no daemon there
-		if err := cl.Push(p, "f", []byte("x")); err == nil {
-			t.Error("push to non-daemon succeeded")
-		}
 		if err := cl.PushSized(p, "f", 10, ""); err == nil {
 			t.Error("sized push to non-daemon succeeded")
 		}

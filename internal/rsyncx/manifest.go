@@ -19,9 +19,8 @@ import (
 // wire, not materialized), so chunk sums are derived deterministically
 // from the whole-file digest: both ends compute the same expected sum
 // per chunk, and the daemon reports a perturbed sum for any chunk its
-// disk has marked rotten. When real bytes are staged, bit rot also
-// flips them, but the rot set remains the source of truth for the
-// manifest — one code path for both modes.
+// disk has marked rotten: the rot set is the manifest's source of
+// truth.
 
 // ManifestChunk is the chunk granularity of integrity manifests —
 // deliberately the resumable-push chunk size, so a repair re-sends
@@ -65,10 +64,9 @@ func rotSum(md5 string, idx int) string {
 // --- daemon-side rot tracking ---
 
 // RotChunk marks chunk idx of name as corrupted on the daemon's disk —
-// the bit-rot injector's entry point. When staged bytes are
-// materialized the corresponding byte is flipped too. Rot never errors
-// and is silent until a manifest or stat read detects it; it reports
-// whether anything on disk was actually touched.
+// the bit-rot injector's entry point. Rot never errors and is silent
+// until a manifest or stat read detects it; it reports whether anything
+// on disk was actually touched.
 func (d *Daemon) RotChunk(name string, idx int) bool {
 	if idx < 0 {
 		return false
@@ -76,12 +74,6 @@ func (d *Daemon) RotChunk(name string, idx int) bool {
 	if st, ok := d.staging[name]; ok {
 		if float64(idx)*ManifestChunk >= st.Size && !(st.Size == 0 && idx == 0) {
 			return false
-		}
-		if st.Data != nil {
-			off := idx * ManifestChunk
-			if off < len(st.Data) {
-				st.Data[off] ^= 0xFF
-			}
 		}
 		d.markRot(name, idx)
 		return true
@@ -191,12 +183,6 @@ func (d *Daemon) repairChunk(p *simproc.Proc, name string, idx int) error {
 	}
 	if d.DiskBps > 0 && span > 0 {
 		p.Sleep(span / d.DiskBps)
-	}
-	if st.Data != nil {
-		off := idx * ManifestChunk
-		if off < len(st.Data) && d.rot[name][idx] {
-			st.Data[off] ^= 0xFF // un-flip: the re-sent chunk is healthy
-		}
 	}
 	if d.rot[name] != nil {
 		delete(d.rot[name], idx)

@@ -6,6 +6,15 @@ import (
 	"detournet/internal/simproc"
 )
 
+func TestChecksumStable(t *testing.T) {
+	a := Checksum([]byte("hello"))
+	b := Checksum([]byte("hello"))
+	c := Checksum([]byte("world"))
+	if a != b || a == c || len(a) != 32 {
+		t.Fatalf("checksums: %s %s %s", a, b, c)
+	}
+}
+
 func TestChunkSums(t *testing.T) {
 	if ChunkSum("abc", 0) == ChunkSum("abc", 1) {
 		t.Fatal("chunk sums must differ by index")

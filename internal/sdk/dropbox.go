@@ -2,6 +2,7 @@ package sdk
 
 import (
 	"fmt"
+	"math"
 
 	"detournet/internal/cloudsim"
 	"detournet/internal/jsonwire"
@@ -53,8 +54,9 @@ func (d *Dropbox) apiCall(p *simproc.Proc, path string, arg []byte, bodySize flo
 // Upload implements Client: one single-shot call when the file fits in
 // a chunk, otherwise a session whose start carries the first chunk.
 func (d *Dropbox) Upload(p *simproc.Proc, name string, size float64, md5 string) (FileInfo, error) {
-	if size < 0 {
-		return FileInfo{}, fmt.Errorf("sdk: negative size")
+	// The chunk loop runs until the size is written: NaN or +Inf never is.
+	if !(size >= 0) || math.IsInf(size, 1) {
+		return FileInfo{}, fmt.Errorf("sdk: size %v must be non-negative and finite", size)
 	}
 	if size <= d.chunk {
 		var buf [argBuf]byte

@@ -41,6 +41,7 @@ var testOnlyAllowlist = map[string]string{
 	"internal/sched.taggedError.Is":                 "errors.Is target",
 	"internal/sched.taggedError.Unwrap":             "errors.Unwrap target",
 	"internal/simclock.Engine.Advance":              "the hand-driven test clock of fluid, tcpmodel and xtraffic tests",
+	"internal/simproc.Runner.Run":                   "the deadlock-checking run loop: simproc's, transport's, httpsim's and oauthsim's tests and BenchmarkProcSwitch drain a closed simulation with it and fail on a parked process",
 	"internal/simclock.Engine.Pending":              "the settle point tests use to read an allocation between events",
 	"internal/tcpmodel.Params.EstimateTransferTime": "the slow-start transfer-time model kept for size-aware route prediction, still undecided",
 	"internal/tcpmodel.Params.MaxRate":              "the rate cap EstimateTransferTime applies",
@@ -55,7 +56,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the scan checks source, not concurrency")
 	}
-	res, err := scanTestOnly(".", []string{"cmd", "examples"}, []string{"bench_test.go"})
+	res, err := scanTestOnly(".", []string{"cmd", "examples"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestScanFindsPlantedExport(t *testing.T) {
 		"lib.helper":  "kept for the self-test",
 		"lib.Stale":   "names nothing",
 	}
-	res, err := scanTestOnly(src, []string{"cmd"}, nil)
+	res, err := scanTestOnly(src, []string{"cmd"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestScanFindsPlantedExport(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "cmd", "app", "planted.go"), []byte(use), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err = scanTestOnly(dir, []string{"cmd"}, nil)
+	res, err = scanTestOnly(dir, []string{"cmd"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,22 +182,22 @@ func (r scanResult) against(allow map[string]string) (unlisted, stale []string) 
 // scanTestOnly type-checks every package of the module at root, and of
 // every module nested under it, through one importer, so objects
 // compare by identity. Live code starts from the roots: every
-// declaration in rootDirs and in the nested modules, the declarations
-// of rootFiles (test files of the root package) and init functions. A
+// declaration in rootDirs and in the nested modules, and init
+// functions. A
 // reference counts only from a declaration that is itself live,
 // iterated to a fixpoint, and a method through which a type implements
 // an interface the module declares or uses (any String or Error method
 // included) is live once that type is. What the scan reports is every
 // other exported name, exported method and unexported top-level
 // function outside the roots.
-func scanTestOnly(root string, rootDirs, rootFiles []string) (scanResult, error) {
+func scanTestOnly(root string, rootDirs []string) (scanResult, error) {
 	s := &scanner{
 		fset:  token.NewFileSet(),
 		std:   importer.Default(),
 		pkgs:  map[string]*scanPkg{},
 		edges: map[types.Object][]types.Object{},
 	}
-	if err := s.walk(root, "", rootDirs, rootFiles); err != nil {
+	if err := s.walk(root, "", rootDirs); err != nil {
 		return scanResult{}, err
 	}
 	var paths []string
@@ -259,8 +260,7 @@ type scanner struct {
 type scanPkg struct {
 	path, dir, rel string
 	root           bool     // every declaration is a root
-	files          []string // non-test files, then rootFiles
-	rootFiles      map[string]bool
+	files          []string // non-test files
 	syntax         []*ast.File
 	types          *types.Package
 	info           *types.Info
@@ -275,7 +275,7 @@ type scanCand struct {
 
 // walk registers the module at dir and its packages; a nested module
 // found below it is registered as a root module.
-func (s *scanner) walk(dir, rel string, rootDirs, rootFiles []string) error {
+func (s *scanner) walk(dir, rel string, rootDirs []string) error {
 	mod, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 	if err != nil {
 		return err
@@ -301,7 +301,7 @@ func (s *scanner) walk(dir, rel string, rootDirs, rootFiles []string) error {
 		}
 		if sub != "." {
 			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
-				if err := s.walk(p, path.Join(rel, sub), nil, nil); err != nil {
+				if err := s.walk(p, path.Join(rel, sub), nil); err != nil {
 					return err
 				}
 				return filepath.SkipDir
@@ -315,19 +315,13 @@ func (s *scanner) walk(dir, rel string, rootDirs, rootFiles []string) error {
 			}
 			return err
 		}
-		pkg := &scanPkg{path: modPath, dir: p, rel: path.Join(rel, sub), files: bp.GoFiles, root: nested, rootFiles: map[string]bool{}}
+		pkg := &scanPkg{path: modPath, dir: p, rel: path.Join(rel, sub), files: bp.GoFiles, root: nested}
 		if sub != "." {
 			pkg.path += "/" + sub
 		}
 		for _, r := range rootDirs {
 			if sub == r || strings.HasPrefix(sub, r+"/") {
 				pkg.root = true
-			}
-		}
-		for _, f := range rootFiles {
-			if path.Dir(f) == sub {
-				pkg.files = append(pkg.files, path.Base(f))
-				pkg.rootFiles[path.Base(f)] = true
 			}
 		}
 		if len(pkg.files) > 0 {
@@ -381,9 +375,8 @@ func (s *scanner) graph(pkg *scanPkg) {
 			}
 		}
 	}
+	root := pkg.root
 	for _, f := range pkg.syntax {
-		name := filepath.Base(s.fset.Position(f.Pos()).Filename)
-		root := pkg.root || pkg.rootFiles[name]
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
