@@ -69,9 +69,10 @@ loc:
 # module (which `./...` skips) compiles and vets against the scheduler,
 # the test-only-export scan (root package; it checks source, so the
 # race leg skips it and this leg runs it without -race) finds no
-# exported name or unexported function that only tests reach outside
-# its allowlist, every benchmark in the module, which `go test` only
-# compiles, runs one iteration, the journal-decode, journal-encode,
+# exported name or unexported function that only tests reach, and no
+# exported struct field that only tests set, outside its allowlist,
+# every benchmark in the module, which `go test` only compiles, runs
+# one iteration, the journal-decode, journal-encode,
 # wire-decode, Content-Range and fluid allocator-versus-reference
 # fuzzers hold up for a short smoke run, and every golden matches (the
 # race leg skips the golden runs).

@@ -38,7 +38,7 @@ func main() {
 		}
 		return
 	}
-	res, err := traceroutex.Run(w.Graph, *from, *to, traceroutex.Options{})
+	res, err := traceroutex.Run(w.Graph, *from, *to)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "straceroute: %v\n", err)
 		os.Exit(1)

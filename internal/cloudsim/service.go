@@ -75,14 +75,6 @@ type Service struct {
 	// Requests counts API requests served (excluding the token endpoint),
 	// exposed for tests and ablations.
 	Requests int
-	// Throttled counts requests rejected with 429.
-	Throttled int
-
-	// RateLimit, when positive, caps API requests per RateWindow seconds
-	// (token-bucket style); excess requests get 429 with a Retry-After
-	// header, as the real providers throttle heavy uploaders.
-	RateLimit  int
-	RateWindow float64
 
 	// Fault-injection knobs, driven by internal/faults.
 	//
@@ -90,27 +82,12 @@ type Service struct {
 	// provider-PoP outage. ErrorRate and ThrottleRate inject seeded
 	// transient 500s/429s on protected requests with the given
 	// probability (both require FaultRand; the sim serializes requests,
-	// so a seeded source keeps runs deterministic). FailNext fails the
-	// next N protected requests with FailStatus (500 when zero) — the
-	// surgical interruption hook for resume tests.
+	// so a seeded source keeps runs deterministic).
 	Down         bool
 	ErrorRate    float64
 	ThrottleRate float64
 	FaultRand    *rand.Rand
-	FailNext     int
-	FailStatus   int
 
-	// SessionTTL, when positive, expires upload sessions idle for longer
-	// than that many virtual seconds; touching an expired session
-	// returns 404, as the real providers garbage-collect stale resumable
-	// uploads.
-	SessionTTL float64
-
-	// QuotaRetryAfter is the Retry-After pacing hint (virtual seconds)
-	// stamped on 507 insufficient-storage responses; defaultQuotaRetryAfter
-	// when zero. Schedulers floor their backoff with it when parking a
-	// quota-exhausted job.
-	QuotaRetryAfter float64
 	// SessionsReclaimed counts abandoned upload sessions garbage-
 	// collected by ReclaimQuota.
 	SessionsReclaimed int
@@ -127,9 +104,6 @@ type Service struct {
 
 	// InjectedFaults counts requests failed by the knobs above.
 	InjectedFaults int
-
-	windowStart simclock.Time
-	windowCount int
 }
 
 type uploadSession struct {
@@ -189,9 +163,10 @@ func (s *Service) newSession(name string, total float64) *uploadSession {
 	return sess
 }
 
-// defaultQuotaRetryAfter is the 507 Retry-After hint when the service
-// has no explicit QuotaRetryAfter configured.
-const defaultQuotaRetryAfter = 15.0
+// quotaRetryAfter is the Retry-After pacing hint (virtual seconds)
+// stamped on 507 insufficient-storage responses. Schedulers floor
+// their backoff with it when parking a quota-exhausted job.
+const quotaRetryAfter = 15.0
 
 // pendingSessionBytes sums the bytes received into upload sessions
 // that have not committed yet. Live sessions hold real storage — the
@@ -228,12 +203,8 @@ func (s *Service) admitSessionBytes(n float64) *httpsim.Response {
 // insufficientStorage builds the 507 response with the Retry-After
 // pacing hint quota-parked schedulers honor.
 func (s *Service) insufficientStorage(msg string) *httpsim.Response {
-	ra := s.QuotaRetryAfter
-	if ra <= 0 {
-		ra = defaultQuotaRetryAfter
-	}
 	resp := errResp(httpsim.StatusInsufficientStorage, msg)
-	resp.Header.Set("Retry-After", fmt.Sprintf("%.3f", ra))
+	resp.Header.Set("Retry-After", fmt.Sprintf("%.3f", quotaRetryAfter))
 	return resp
 }
 
@@ -299,31 +270,23 @@ func (s *Service) DropSession(id string) bool {
 	return true
 }
 
-// session looks up an upload session, enforcing SessionTTL: an expired
-// session is deleted and reported absent, so clients see the same 404
-// an unknown session gets.
+// session looks up an upload session and marks it used now, which
+// keeps it from ReclaimQuota's idle sweep.
 func (s *Service) session(id string) (*uploadSession, bool) {
 	sess, ok := s.sessions[id]
 	if !ok {
-		return nil, false
-	}
-	if s.SessionTTL > 0 && float64(s.eng.Now()-sess.lastUsed) > s.SessionTTL {
-		delete(s.sessions, id)
 		return nil, false
 	}
 	sess.lastUsed = s.eng.Now()
 	return sess, true
 }
 
-// protect wraps a handler with OAuth, rate limiting, and request
+// protect wraps a handler with OAuth, fault injection, and request
 // counting.
 func (s *Service) protect(fn httpsim.HandlerFunc) httpsim.HandlerFunc {
 	inner := s.Auth.Protect(fn)
 	return func(ctx *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
 		if resp := s.injectFault(); resp != nil {
-			return resp
-		}
-		if resp := s.throttle(); resp != nil {
 			return resp
 		}
 		s.Requests++
@@ -344,15 +307,6 @@ func (s *Service) injectFault() *httpsim.Response {
 		s.InjectedFaults++
 		return errResp(httpsim.StatusServiceUnavailable, "service unavailable")
 	}
-	if s.FailNext > 0 {
-		s.FailNext--
-		s.InjectedFaults++
-		status := s.FailStatus
-		if status == 0 {
-			status = httpsim.StatusInternalServerError
-		}
-		return errResp(status, "injected fault")
-	}
 	if s.FaultRand != nil {
 		if s.ThrottleRate > 0 && s.FaultRand.Float64() < s.ThrottleRate {
 			s.InjectedFaults++
@@ -367,33 +321,6 @@ func (s *Service) injectFault() *httpsim.Response {
 			return errResp(httpsim.StatusInternalServerError, "injected error")
 		}
 	}
-	return nil
-}
-
-// throttle enforces the request rate limit; nil means admitted.
-func (s *Service) throttle() *httpsim.Response {
-	if s.RateLimit <= 0 {
-		return nil
-	}
-	window := s.RateWindow
-	if window <= 0 {
-		window = 1
-	}
-	now := s.eng.Now()
-	if float64(now-s.windowStart) >= window {
-		s.windowStart = now
-		s.windowCount = 0
-	}
-	if s.windowCount >= s.RateLimit {
-		s.Throttled++
-		retry := window - float64(now-s.windowStart)
-		return &httpsim.Response{
-			Status: httpsim.StatusTooManyRequests,
-			Header: httpsim.Header{{Key: "Retry-After", Value: fmt.Sprintf("%.3f", retry)}},
-			Body:   []byte("rate limit exceeded"),
-		}
-	}
-	s.windowCount++
 	return nil
 }
 

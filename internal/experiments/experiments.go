@@ -221,7 +221,7 @@ func (s *Suite) tableIVOverlap() string {
 // Fig5 renders the UBC → Google Drive traceroute.
 func (s *Suite) Fig5() string {
 	w := scenario.Build(s.Options.Seed)
-	res, err := traceroutex.Run(w.Graph, scenario.UBC, scenario.GDriveDC, traceroutex.Options{})
+	res, err := traceroutex.Run(w.Graph, scenario.UBC, scenario.GDriveDC)
 	if err != nil {
 		return "traceroute failed: " + err.Error()
 	}
@@ -231,7 +231,7 @@ func (s *Suite) Fig5() string {
 // Fig6 renders the UAlberta → Google Drive traceroute.
 func (s *Suite) Fig6() string {
 	w := scenario.Build(s.Options.Seed)
-	res, err := traceroutex.Run(w.Graph, scenario.UAlberta, scenario.GDriveDC, traceroutex.Options{})
+	res, err := traceroutex.Run(w.Graph, scenario.UAlberta, scenario.GDriveDC)
 	if err != nil {
 		return "traceroute failed: " + err.Error()
 	}

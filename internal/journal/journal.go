@@ -182,8 +182,6 @@ type MemDevice struct {
 	// tornFrac, when in (0,1), truncates the next Append to that
 	// fraction of the frame.
 	tornFrac float64
-	// Appends counts Append calls (for crash-point scheduling).
-	Appends int
 	// Capacity bounds the log size in bytes; zero means unbounded. An
 	// Append that would exceed it persists nothing and returns
 	// ErrNoSpace (whole-frame rejection, never a torn frame). Swap is
@@ -212,8 +210,19 @@ func (m *MemDevice) Size() int { return m.size }
 
 // Append implements Device, honoring a pending torn-write injection.
 func (m *MemDevice) Append(b []byte) (int, error) {
-	m.Appends++
-	if m.Capacity > 0 && m.size+len(b) > m.Capacity {
+	n, err := m.admit(b)
+	if err != nil {
+		return 0, err
+	}
+	m.write(b[:n])
+	return n, nil
+}
+
+// admit judges an append of b against the capacity and returns how
+// many of its bytes persist: all of them, or a pending torn write's
+// fraction, which it disarms.
+func (m *MemDevice) admit(b []byte) (int, error) {
+	if m.over(m.size + len(b)) {
 		return 0, ErrNoSpace
 	}
 	n := len(b)
@@ -227,9 +236,11 @@ func (m *MemDevice) Append(b []byte) (int, error) {
 		}
 		m.tornFrac = 0
 	}
-	m.write(b[:n])
 	return n, nil
 }
+
+// over reports whether a log of size bytes exceeds the capacity.
+func (m *MemDevice) over(size int) bool { return m.Capacity > 0 && size > m.Capacity }
 
 // write stores b at the end of the log, filling the last segment and
 // taking spare or new ones as it goes.
@@ -258,7 +269,7 @@ func (m *MemDevice) write(b []byte) {
 // capacity is refused; a swap that shrinks (or fits) always succeeds,
 // even on a full device — compaction must be able to reclaim space.
 func (m *MemDevice) Swap(b []byte) error {
-	if m.Capacity > 0 && len(b) > m.Capacity {
+	if m.over(len(b)) {
 		return ErrNoSpace
 	}
 	for i := len(m.segs) - 1; i >= 0; i-- {
@@ -313,20 +324,13 @@ func (m *MemDevice) UnclampCapacity() {
 
 // FileDevice persists the log in a file; Swap writes a temp file in the
 // same directory and renames it over the log, the standard atomic
-// -install idiom. It carries the same crash-injection hooks as
-// MemDevice (TornNextAppend, FlipByte) so the fault layer can tear and
+// -install idiom. It keeps the log's image in a MemDevice, so capacity,
+// ENOSPC clamping and the crash-injection hooks (TornNextAppend,
+// FlipByte) behave exactly as there, and the fault layer can tear and
 // rot a real on-disk journal.
 type FileDevice struct {
-	path     string
-	buf      []byte
-	tornFrac float64
-	// Capacity bounds the log size in bytes; zero means unbounded.
-	// Semantics match MemDevice: Append past the bound persists
-	// nothing and returns ErrNoSpace; Swap succeeds whenever the new
-	// content fits.
-	Capacity int
-	savedCap int
-	clamped  bool
+	MemDevice
+	path string
 }
 
 // OpenFileDevice opens (or creates) the journal file at path and loads
@@ -336,47 +340,34 @@ func OpenFileDevice(path string) (*FileDevice, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
-	return &FileDevice{path: path, buf: b}, nil
+	f := &FileDevice{path: path}
+	f.write(b)
+	return f, nil
 }
 
-// Bytes implements Device.
-func (f *FileDevice) Bytes() []byte { return f.buf }
-
-// Size implements Device.
-func (f *FileDevice) Size() int { return len(f.buf) }
-
-// Append implements Device, honoring a pending torn-write injection.
+// Append implements Device: the bytes MemDevice admits go to the file,
+// and the image keeps what the file took.
 func (f *FileDevice) Append(b []byte) (int, error) {
-	if f.Capacity > 0 && len(f.buf)+len(b) > f.Capacity {
-		return 0, ErrNoSpace
-	}
-	if f.tornFrac > 0 && f.tornFrac < 1 {
-		n := int(float64(len(b)) * f.tornFrac)
-		if n >= len(b) {
-			n = len(b) - 1
-		}
-		if n < 1 {
-			n = 1
-		}
-		f.tornFrac = 0
-		b = b[:n]
+	n, err := f.admit(b)
+	if err != nil {
+		return 0, err
 	}
 	fh, err := os.OpenFile(f.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return 0, err
 	}
-	n, err := fh.Write(b)
+	n, err = fh.Write(b[:n])
 	if cerr := fh.Close(); err == nil {
 		err = cerr
 	}
-	f.buf = append(f.buf, b[:n]...)
+	f.write(b[:n])
 	return n, err
 }
 
 // Swap implements Device via temp-file + rename. Like MemDevice, a
 // swap is refused only when the new content itself exceeds Capacity.
 func (f *FileDevice) Swap(b []byte) error {
-	if f.Capacity > 0 && len(b) > f.Capacity {
+	if f.over(len(b)) {
 		return ErrNoSpace
 	}
 	tmp := f.path + ".tmp"
@@ -387,50 +378,20 @@ func (f *FileDevice) Swap(b []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	f.buf = append(f.buf[:0:0], b...)
-	return nil
-}
-
-// TornNextAppend arms a torn write: the next Append persists only frac
-// of its bytes (clamped to at least 1 and at most len-1).
-func (f *FileDevice) TornNextAppend(frac float64) {
-	if frac <= 0 || frac >= 1 {
-		frac = 0.5
-	}
-	f.tornFrac = frac
+	return f.MemDevice.Swap(b)
 }
 
 // FlipByte XORs the byte at off with 0xFF, in memory and on disk,
 // silently ignoring an out-of-range offset — bit rot never errors.
 func (f *FileDevice) FlipByte(off int) {
-	if off < 0 || off >= len(f.buf) {
+	if off < 0 || off >= f.size {
 		return
 	}
-	f.buf[off] ^= 0xFF
+	f.MemDevice.FlipByte(off)
 	fh, err := os.OpenFile(f.path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return
 	}
-	fh.WriteAt(f.buf[off:off+1], int64(off)) //nolint:errcheck // silent by construction
+	fh.WriteAt([]byte{f.segs[off/segmentSize][off%segmentSize]}, int64(off)) //nolint:errcheck // silent by construction
 	fh.Close()
-}
-
-// ClampCapacity arms an ENOSPC condition (see MemDevice.ClampCapacity).
-func (f *FileDevice) ClampCapacity() {
-	if f.clamped {
-		return
-	}
-	f.savedCap, f.clamped = f.Capacity, true
-	f.Capacity = len(f.buf)
-	if f.Capacity == 0 {
-		f.Capacity = 1
-	}
-}
-
-// UnclampCapacity restores the capacity ClampCapacity saved.
-func (f *FileDevice) UnclampCapacity() {
-	if !f.clamped {
-		return
-	}
-	f.Capacity, f.clamped = f.savedCap, false
 }

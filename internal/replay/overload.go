@@ -17,6 +17,7 @@ import (
 	"detournet/internal/faults"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
+	"detournet/internal/stats"
 	"detournet/internal/workload"
 )
 
@@ -175,5 +176,5 @@ func WriteOverload(out io.Writer, seed int64) {
 	}
 	// The flash aggressor is excluded: it demands several times its fair
 	// share by construction, so equal ratios are not the goal for it.
-	fmt.Fprintf(out, "Jain's index over steady tenants: %.3f\n", sched.JainIndex(steady))
+	fmt.Fprintf(out, "Jain's index over steady tenants: %.3f\n", stats.JainFairness(steady))
 }

@@ -28,6 +28,12 @@ func TestNonFiniteSizeRefused(t *testing.T) {
 			_, err := c.Upload(p, "f.bin", x, "")
 			return err
 		}},
+		{"OneDrive.Upload", func(w *World, p *simproc.Proc, x float64) error {
+			c := w.NewSDKClient(UBC, OneDrive)
+			defer c.Close()
+			_, err := c.Upload(p, "f.bin", x, "")
+			return err
+		}},
 		{"PushSized", func(w *World, p *simproc.Proc, x float64) error {
 			return push(w).PushSized(p, "f.bin", x, "")
 		}},

@@ -39,7 +39,7 @@ func TestBuildIsDeterministic(t *testing.T) {
 func TestUBCTraceroutesMatchPaper(t *testing.T) {
 	w := Build(1)
 	// Fig 5: UBC -> Google Drive crosses vncv1rtr2 then PacificWave.
-	res, err := traceroutex.Run(w.Graph, UBC, GDriveDC, traceroutex.Options{})
+	res, err := traceroutex.Run(w.Graph, UBC, GDriveDC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestUBCTraceroutesMatchPaper(t *testing.T) {
 
 	// Fig 6: UAlberta -> Google Drive crosses the same canarie router but
 	// NOT pacificwave; the peering hop is anonymous.
-	res, err = traceroutex.Run(w.Graph, UAlberta, GDriveDC, traceroutex.Options{})
+	res, err = traceroutex.Run(w.Graph, UAlberta, GDriveDC)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -167,6 +168,41 @@ func TestSubmitRejectsInvalidUTF8(t *testing.T) {
 	s.Drain()
 	if cj.AttemptID(ok.Name) == "" {
 		t.Fatal("accepted job has no idempotency key")
+	}
+}
+
+// TestSubmitRejectsNonFinite: the journal's JSON has no NaN or ±Inf, so
+// a job whose size or deadline is not finite would panic the journal
+// encoder. Submit refuses such jobs before anything is journaled. The
+// scheduler is never started, so a panic fails the test at once.
+func TestSubmitRejectsNonFinite(t *testing.T) {
+	cj, _, err := NewControlJournal(journal.NewMemDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, Executor: newCountingExec(0), Planner: &staticPlanner{route: core.DirectRoute},
+		Sleep: noSleep, Journal: cj})
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, mut := range map[string]func(*Job){
+			"size":     func(j *Job) { j.Size = x },
+			"deadline": func(j *Job) { j.Deadline = x },
+		} {
+			j := csJob("nonfinite.bin")
+			mut(&j)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s %v panicked: %v", field, x, r)
+					}
+				}()
+				if err := s.Submit(j); err == nil {
+					t.Errorf("%s %v accepted", field, x)
+				}
+			}()
+		}
+	}
+	if n := cj.DeviceSize(); n != 0 {
+		t.Fatalf("rejected jobs journaled %d B", n)
 	}
 }
 

@@ -184,21 +184,3 @@ func (r *sampleRing) percentile(q float64) float64 {
 	}
 	return sorted[i]
 }
-
-// JainIndex is Jain's fairness index over per-tenant allocations:
-// (Σx)² / (n·Σx²), 1.0 when perfectly equal, →1/n when one tenant
-// takes everything. Zero-valued inputs count; an empty input is 0.
-func JainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sq)
-}

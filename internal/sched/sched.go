@@ -23,6 +23,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -605,8 +606,8 @@ func (s *Scheduler) Submit(j Job) error {
 	if j.Tenant == "" || j.Client == "" || j.Provider == "" || j.Name == "" {
 		return fmt.Errorf("sched: job needs tenant, client, provider, and name: %+v", j)
 	}
-	if j.Size <= 0 {
-		return fmt.Errorf("sched: job %q has non-positive size", j.Name)
+	if !(j.Size > 0) || math.IsInf(j.Size, 1) || math.IsNaN(j.Deadline) || math.IsInf(j.Deadline, 0) {
+		return fmt.Errorf("sched: job %q needs a positive, finite size and a finite deadline", j.Name)
 	}
 	if field := invalidUTF8Field(j); field != "" {
 		return fmt.Errorf("sched: job %q has a %s that is not valid UTF-8", j.Name, field)

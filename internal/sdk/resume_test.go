@@ -8,8 +8,8 @@ import (
 	"detournet/internal/simproc"
 )
 
-// TestDriveResumeAfterInjectedFailure interrupts a WriteChunk with an
-// injected server error: the local session's offset runs ahead of the
+// TestDriveResumeAfterInjectedFailure interrupts a WriteChunk with a
+// provider outage: the local session's offset runs ahead of the
 // server's, and Resume must recover the true offset from the
 // status query.
 func TestDriveResumeAfterInjectedFailure(t *testing.T) {
@@ -27,11 +27,12 @@ func TestDriveResumeAfterInjectedFailure(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		svc.FailNext = 1 // the next chunk dies server-side
+		svc.Down = true // the next chunk dies server-side
 		if _, err := sess.WriteChunk(p, 10e6, false); err == nil {
 			t.Error("chunk through injected fault succeeded")
 			return
 		}
+		svc.Down = false
 		// The failed chunk bumped the local offset to 20e6, but the
 		// server only confirmed 10e6.
 		tok := sess.Token()
@@ -135,14 +136,13 @@ func TestDropboxResumeOffsetMismatch(t *testing.T) {
 	})
 }
 
-// TestResumeExpiredSession ages sessions past the service TTL; both
-// providers' resume paths must surface the 404.
+// TestResumeExpiredSession lets sessions sit idle until the provider's
+// ReclaimQuota sweep collects them; both providers' resume paths must
+// surface the 404.
 func TestResumeExpiredSession(t *testing.T) {
 	w := newWorld(t)
 	g := w.client(t, cloudsim.GoogleDrive, Options{}).(*GoogleDrive)
 	d := w.client(t, cloudsim.Dropbox, Options{}).(*Dropbox)
-	w.svc[cloudsim.GoogleDrive].SessionTTL = 600
-	w.svc[cloudsim.Dropbox].SessionTTL = 600
 	w.run(t, func(p *simproc.Proc) {
 		gs, err := g.BeginUpload(p, "old.bin", 10e6, "", "")
 		if err != nil {
@@ -163,7 +163,12 @@ func TestResumeExpiredSession(t *testing.T) {
 			return
 		}
 
-		p.Sleep(3600) // outlive the TTL
+		p.Sleep(3600)
+		for _, style := range []cloudsim.Style{cloudsim.GoogleDrive, cloudsim.Dropbox} {
+			if freed := w.svc[style].ReclaimQuota(600); freed != 5e6 {
+				t.Errorf("%v reclaimed %v bytes, want 5e6", style, freed)
+			}
+		}
 
 		if _, err := g.Resume(p, gs.Token(), ""); err == nil {
 			t.Error("drive resume of expired session succeeded")

@@ -3,6 +3,7 @@ package sdk
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -348,11 +349,18 @@ func TestUploadTimesAreFinite(t *testing.T) {
 	})
 }
 
+// throttle makes svc answer each protected request 429 with
+// probability rate, through the seeded fault knobs internal/faults
+// drives.
+func throttle(svc *cloudsim.Service, rate float64) {
+	svc.ThrottleRate = rate
+	svc.FaultRand = rand.New(rand.NewSource(1))
+}
+
 func TestRateLimitedUploadRetriesAndSucceeds(t *testing.T) {
 	w := newWorld(t)
 	svc := w.svc[cloudsim.GoogleDrive]
-	svc.RateLimit = 2 // 2 requests/second: a chunked upload must back off
-	svc.RateWindow = 1
+	throttle(svc, 0.5) // half the requests answer 429: a chunked upload must back off
 	c := w.client(t, cloudsim.GoogleDrive, Options{ChunkBytes: 2 << 20})
 	var dur float64
 	w.run(t, func(p *simproc.Proc) {
@@ -368,8 +376,8 @@ func TestRateLimitedUploadRetriesAndSucceeds(t *testing.T) {
 		dur = float64(p.Now() - t0)
 		c.Close()
 	})
-	if svc.Throttled == 0 {
-		t.Fatal("rate limit never triggered")
+	if svc.InjectedFaults == 0 {
+		t.Fatal("throttle never triggered")
 	}
 	if o, ok := svc.Store.Get("f.bin"); !ok || o.Size != float64(10<<20) {
 		t.Fatalf("object not stored: %+v %v", o, ok)
@@ -382,15 +390,13 @@ func TestRateLimitedUploadRetriesAndSucceeds(t *testing.T) {
 func TestRateLimitExhaustionSurfacesError(t *testing.T) {
 	w := newWorld(t)
 	svc := w.svc[cloudsim.Dropbox]
-	svc.RateLimit = 1
-	svc.RateWindow = 1e7 // effectively never resets within the test
 	c := w.client(t, cloudsim.Dropbox, Options{})
 	w.run(t, func(p *simproc.Proc) {
-		// First call consumes the only slot.
 		if _, err := c.Upload(p, "a.bin", 1e6, ""); err != nil {
 			t.Errorf("first upload: %v", err)
 		}
-		// Second call retries maxThrottleRetries times, then errors.
+		throttle(svc, 1) // every request from here on answers 429
+		// The first request retries maxThrottleRetries times, then errors.
 		if _, err := c.Upload(p, "b.bin", 1e6, ""); err == nil {
 			t.Error("exhausted rate limit did not surface an error")
 		} else if !strings.Contains(err.Error(), "429") {
@@ -398,17 +404,19 @@ func TestRateLimitExhaustionSurfacesError(t *testing.T) {
 		}
 		c.Close()
 	})
+	if svc.InjectedFaults != maxThrottleRetries+1 {
+		t.Errorf("injected 429s = %d, want %d", svc.InjectedFaults, maxThrottleRetries+1)
+	}
 }
 
 func TestThrottlingSlowsButPreservesSemantics(t *testing.T) {
 	// The same upload with and without throttling stores identical
 	// objects; only the time differs.
-	base := func(limit int) (float64, float64) {
+	base := func(rate float64) (float64, float64) {
 		w := newWorld(t)
 		svc := w.svc[cloudsim.OneDrive]
-		if limit > 0 {
-			svc.RateLimit = limit
-			svc.RateWindow = 2
+		if rate > 0 {
+			throttle(svc, rate)
 		}
 		c := w.client(t, cloudsim.OneDrive, Options{})
 		var dur float64
@@ -420,11 +428,14 @@ func TestThrottlingSlowsButPreservesSemantics(t *testing.T) {
 			dur = float64(p.Now() - t0)
 			c.Close()
 		})
+		if rate > 0 && svc.InjectedFaults == 0 {
+			t.Errorf("throttle at %v never triggered", rate)
+		}
 		o, _ := svc.Store.Get("f.bin")
 		return dur, o.Size
 	}
 	freeDur, freeSize := base(0)
-	limDur, limSize := base(1)
+	limDur, limSize := base(0.5)
 	if freeSize != limSize {
 		t.Fatalf("sizes differ: %v vs %v", freeSize, limSize)
 	}

@@ -306,8 +306,9 @@ func (d *Dropbox) Resume(p *simproc.Proc, tok SessionToken, attempt string) (Upl
 // BeginUpload implements Client: it creates a OneDrive upload session;
 // OneDrive requires the total size for fragment range math.
 func (o *OneDrive) BeginUpload(p *simproc.Proc, name string, size float64, md5, attempt string) (UploadSession, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("sdk: session needs positive size")
+	// Every fragment's Content-Range carries the size as an integer.
+	if !(size > 0) || math.IsInf(size, 1) {
+		return nil, fmt.Errorf("sdk: session needs a positive, finite size")
 	}
 	req, err := o.authed(p, "POST", "/v1.0/drive/root:/"+name+":/createUploadSession")
 	if err != nil {

@@ -97,15 +97,6 @@ type Graph struct {
 	// gen counts structural changes (nodes, edges, edge up/down flips);
 	// route memos keyed on it stay valid while it holds still.
 	gen uint64
-
-	// OnFlowKilled, when set, observes every in-flight fluid flow torn
-	// down by SetLinkState taking an edge down, KillEdgeFlows, or
-	// KillDomainBoundaryFlows. It runs inside the simulation, after the
-	// flow's own OnAbort callback. The flow is valid only during the
-	// call: its owner may release it afterwards (fluid.Network.Release),
-	// and a later flow reuses the struct, so a hook that keeps anything
-	// must copy the fields it wants, not the pointer.
-	OnFlowKilled func(from, to string, f *fluid.Flow)
 }
 
 type pair struct{ src, dst string }
@@ -301,8 +292,8 @@ func (g *Graph) Edge(from, to string) (*Edge, bool) {
 // crushed to a trickle so any flow started before the teardown below
 // lands would stall rather than silently completing, and — the part a
 // routing change alone cannot express — every in-flight fluid flow
-// traversing the edge is killed, running each flow's OnAbort callback
-// and then the graph's OnFlowKilled hook. This is the primary
+// traversing the edge is killed, running each flow's OnAbort callback.
+// This is the primary
 // failure-injection entry point for resilience tests. It reports
 // whether the edge exists.
 func (g *Graph) SetLinkState(from, to string, up bool) bool {
@@ -320,9 +311,7 @@ func (g *Graph) SetLinkState(from, to string, up bool) bool {
 	}
 	g.fl.SetLinkLoad(e.Link, 1) // clamped to the max load internally
 	for _, f := range e.Link.Flows() {
-		if g.fl.KillFlow(f) && g.OnFlowKilled != nil {
-			g.OnFlowKilled(from, to, f)
-		}
+		g.fl.KillFlow(f)
 	}
 	return true
 }
@@ -389,8 +378,8 @@ func (g *Graph) SetOverrideVeto(veto func(hops []*Node) bool) {
 }
 
 // KillEdgeFlows kills every in-flight fluid flow on the from->to edge
-// (without taking the link down), running abort callbacks and the
-// OnFlowKilled hook. It returns the number of flows killed.
+// (without taking the link down), running their abort callbacks. It
+// returns the number of flows killed.
 func (g *Graph) KillEdgeFlows(from, to string) int {
 	e, ok := g.Edge(from, to)
 	if !ok {
@@ -399,9 +388,6 @@ func (g *Graph) KillEdgeFlows(from, to string) int {
 	n := 0
 	for _, f := range e.Link.Flows() {
 		if g.fl.KillFlow(f) {
-			if g.OnFlowKilled != nil {
-				g.OnFlowKilled(from, to, f)
-			}
 			n++
 		}
 	}

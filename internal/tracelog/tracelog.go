@@ -87,8 +87,6 @@ func formatAttr(v any) string {
 type Log struct {
 	eng    *simclock.Engine
 	events []Event
-	// Cap bounds retained events (FIFO eviction); zero means unbounded.
-	Cap int
 }
 
 // New returns an empty log on the clock.
@@ -109,9 +107,6 @@ func (l *Log) Emit(kind string, attrs map[string]any) {
 		panic("tracelog: empty event kind")
 	}
 	l.events = append(l.events, Event{At: float64(l.eng.Now()), Kind: kind, Attrs: attrs})
-	if l.Cap > 0 && len(l.events) > l.Cap {
-		l.events = l.events[len(l.events)-l.Cap:]
-	}
 }
 
 // Len returns the number of retained events.

@@ -65,18 +65,6 @@ func TestFilterByPrefix(t *testing.T) {
 	}
 }
 
-func TestCapEvictsOldest(t *testing.T) {
-	l := New(simclock.NewEngine())
-	l.Cap = 3
-	for i := 0; i < 10; i++ {
-		l.Emit("e", map[string]any{"i": i})
-	}
-	evs := l.events
-	if len(evs) != 3 || evs[0].Attrs["i"] != 7 {
-		t.Fatalf("evicted wrong events: %+v", evs)
-	}
-}
-
 func TestWriteJSONL(t *testing.T) {
 	eng := simclock.NewEngine()
 	l := New(eng)

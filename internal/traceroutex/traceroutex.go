@@ -7,7 +7,6 @@ package traceroutex
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"detournet/internal/geo"
@@ -28,18 +27,12 @@ type Result struct {
 	Hops     []Hop
 }
 
-// Options tune a trace.
-type Options struct {
-	// Jitter, when non-nil, perturbs probe RTTs like real queueing noise;
-	// nil keeps probes deterministic.
-	Jitter *rand.Rand
-}
-
 // maxTTL truncates long paths, like the real tool's default.
 const maxTTL = 30
 
-// Run traces from src to dst along the currently routed path.
-func Run(g *topology.Graph, src, dst string, opts Options) (*Result, error) {
+// Run traces from src to dst along the currently routed path. Each
+// hop's three probes read the path's round-trip propagation delay.
+func Run(g *topology.Graph, src, dst string) (*Result, error) {
 	path, err := g.Path(src, dst)
 	if err != nil {
 		return nil, err
@@ -52,14 +45,8 @@ func Run(g *topology.Graph, src, dst string, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("traceroutex: broken path at %s", path[i].Name)
 		}
 		cum += e.Link.PropDelay
-		hop := Hop{TTL: i, Node: path[i], Hidden: !path[i].RespondsICMP}
-		for pr := 0; pr < 3; pr++ {
-			rtt := 2 * cum * 1000
-			if opts.Jitter != nil {
-				rtt *= 1 + 0.05*opts.Jitter.Float64()
-			}
-			hop.RTTms[pr] = rtt
-		}
+		rtt := 2 * cum * 1000
+		hop := Hop{TTL: i, Node: path[i], Hidden: !path[i].RespondsICMP, RTTms: [3]float64{rtt, rtt, rtt}}
 		res.Hops = append(res.Hops, hop)
 	}
 	return res, nil

@@ -2,7 +2,6 @@ package traceroutex
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -30,7 +29,7 @@ func buildGraph() *topology.Graph {
 
 func TestRunBasic(t *testing.T) {
 	g := buildGraph()
-	res, err := Run(g, "src", "dst", Options{})
+	res, err := Run(g, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestRunBasic(t *testing.T) {
 
 func TestFormatLooksLikeTraceroute(t *testing.T) {
 	g := buildGraph()
-	res, _ := Run(g, "src", "dst", Options{})
+	res, _ := Run(g, "src", "dst")
 	out := res.Format()
 	if !strings.HasPrefix(out, "traceroute to www.googleapis.com (216.58.216.138)") {
 		t.Fatalf("header: %q", strings.SplitN(out, "\n", 2)[0])
@@ -67,7 +66,7 @@ func TestFormatLooksLikeTraceroute(t *testing.T) {
 
 func TestGeolocateAndPathKm(t *testing.T) {
 	g := buildGraph()
-	res, _ := Run(g, "src", "dst", Options{})
+	res, _ := Run(g, "src", "dst")
 	db := geo.NewDB()
 	db.MustAdd("10.0.1.0/24", geo.UBC)
 	db.MustAdd("216.58.216.0/24", geo.GoogleDriveDC)
@@ -85,15 +84,6 @@ func TestGeolocateAndPathKm(t *testing.T) {
 	}
 }
 
-func TestJitterPerturbsProbes(t *testing.T) {
-	g := buildGraph()
-	res, _ := Run(g, "src", "dst", Options{Jitter: rand.New(rand.NewSource(1))})
-	h := res.Hops[0]
-	if h.RTTms[0] == h.RTTms[1] && h.RTTms[1] == h.RTTms[2] {
-		t.Fatal("jittered probes identical")
-	}
-}
-
 // TestMaxTTLTruncates: a chain of 40 hops is traced only to maxTTL.
 func TestMaxTTLTruncates(t *testing.T) {
 	g := topology.New(fluid.New(simclock.NewEngine()))
@@ -104,7 +94,7 @@ func TestMaxTTLTruncates(t *testing.T) {
 			g.MustConnect(fmt.Sprint("n", i-1), fmt.Sprint("n", i), spec)
 		}
 	}
-	res, err := Run(g, "n0", "n40", Options{})
+	res, err := Run(g, "n0", "n40")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +107,7 @@ func TestNoRouteErrors(t *testing.T) {
 	g := topology.New(fluid.New(simclock.NewEngine()))
 	g.MustAddNode(&topology.Node{Name: "a"})
 	g.MustAddNode(&topology.Node{Name: "b"})
-	if _, err := Run(g, "a", "b", Options{}); err == nil {
+	if _, err := Run(g, "a", "b"); err == nil {
 		t.Fatal("trace across disconnected graph succeeded")
 	}
 }
@@ -127,7 +117,7 @@ func TestOverrideChangesTrace(t *testing.T) {
 	// Add an alternate direct edge and pin the route over it.
 	g.MustConnect("src", "dst", topology.LinkSpec{CapacityBps: 1e6, DelaySec: 0.050})
 	g.MustSetOverride("src", "dst")
-	res, _ := Run(g, "src", "dst", Options{})
+	res, _ := Run(g, "src", "dst")
 	if len(res.Hops) != 1 || res.Hops[0].Node.Name != "dst" {
 		t.Fatalf("override trace:\n%s", res.Format())
 	}

@@ -38,8 +38,6 @@ type Lognormal struct {
 	// Sigma is the log-space standard deviation; 1.5–2.5 gives the
 	// heavy tails seen in storage traces.
 	Sigma float64
-	// MaxBytes truncates the tail (0 = untruncated).
-	MaxBytes float64
 }
 
 // Sample implements SizeDist.
@@ -47,9 +45,6 @@ func (l Lognormal) Sample(rng *rand.Rand) float64 {
 	x := l.MedianBytes * math.Exp(l.Sigma*rng.NormFloat64())
 	if x < 1 {
 		x = 1
-	}
-	if l.MaxBytes > 0 && x > l.MaxBytes {
-		x = l.MaxBytes
 	}
 	return x
 }

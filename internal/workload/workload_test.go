@@ -47,16 +47,6 @@ func TestLognormalShape(t *testing.T) {
 	}
 }
 
-func TestLognormalTruncation(t *testing.T) {
-	d := Lognormal{MedianBytes: 1e6, Sigma: 2.5, MaxBytes: 10e6}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10000; i++ {
-		if x := d.Sample(rng); x > 10e6 {
-			t.Fatalf("truncation failed: %v", x)
-		}
-	}
-}
-
 func TestEmpiricalValidation(t *testing.T) {
 	if _, err := NewEmpirical(nil, nil); err == nil {
 		t.Fatal("empty accepted")

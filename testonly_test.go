@@ -47,11 +47,18 @@ var testOnlyAllowlist = map[string]string{
 	"internal/tcpmodel.Params.MaxRate":              "the rate cap EstimateTransferTime applies",
 	"internal/topology.Edge.Down":                   "faults' tests read an edge's admin state after a scripted flap",
 	"internal/topology.Graph.MustNode":              "node lookup for the bgppol and topology route tests",
+
+	// Fields that non-test code reads and only tests set.
+	"internal/replay.CrashLeg.JournalPath": "the only on-disk journal leg: durability code the crash-safety tests drive through a real file",
+	"internal/sched.Job.MaxPaths":          "a journaled field: dropping it moves example-crashsafe.txt's truncated bytes and the pressure replay's ENOSPC saves, so it goes with a golden-moving change",
+	"internal/simclock.Engine.MaxEvents":   "a runaway-loop guard that tests arm",
+	"internal/topology.Node.Site":          "topology's own tests build links whose delay ConnectAsym derives from site coordinates; every scenario link states its delay, and dropping it takes geo.PropagationDelay and its tests along",
 }
 
 // TestNoTestOnlyExports fails on an exported name, or an unexported
-// top-level function, that only tests keep alive, and on an allowlist
-// entry that production code now reaches or that is gone.
+// top-level function, that only tests keep alive, on an exported
+// struct field that non-test code reads and only tests set, and on an
+// allowlist entry that production code now reaches or that is gone.
 func TestNoTestOnlyExports(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the scan checks source, not concurrency")
@@ -62,18 +69,20 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	unlisted, stale := res.against(testOnlyAllowlist)
 	for _, k := range unlisted {
-		t.Errorf("%s (%s) is reached only from tests: delete it, move it into the package's export_test.go, or allowlist it with a reason", k, res.pos[k])
+		t.Errorf("%s (%s) is reached or set only from tests: delete it, move it into the package's export_test.go, or allowlist it with a reason", k, res.pos[k])
 	}
 	for _, k := range stale {
-		t.Errorf("allowlist entry %s is stale: non-test code reaches it now, or it is gone", k)
+		t.Errorf("allowlist entry %s is stale: non-test code reaches or sets it now, or it is gone", k)
 	}
-	t.Logf("%d test-only names over %d non-test lines", len(res.lines), res.totalLines())
+	t.Logf("%d test-only names and fields over %d non-test lines", len(res.lines), res.totalLines())
 }
 
 // TestScanFindsPlantedExport runs the scan over a tiny module holding
 // a test-only export with an unexported helper behind it, a method
-// reached only through an interface, and a method of a used type that
-// implements no interface and only a test calls.
+// reached only through an interface, a method of a used type that
+// implements no interface and only a test calls, a field that live
+// code reads and only a test sets, and fields whose only writes are a
+// positional literal, a conversion and an index write.
 func TestScanFindsPlantedExport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the scan checks source, not concurrency")
@@ -88,15 +97,16 @@ func TestScanFindsPlantedExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(res.keys(), " "); got != "lib.Planted lib.Tally.Area lib.helper" {
-		t.Fatalf("reported %q, want the planted export, its helper and Tally.Area", got)
+	if got := strings.Join(res.keys(), " "); got != "lib.Config.Limit lib.Planted lib.Tally.Area lib.helper" {
+		t.Fatalf("reported %q, want Config.Limit, the planted export, its helper and Tally.Area", got)
 	}
-	if unlisted, stale := res.against(allow); strings.Join(unlisted, " ") != "lib.Tally.Area" || strings.Join(stale, " ") != "lib.Stale" {
-		t.Fatalf("unlisted %v, stale %v; want [lib.Tally.Area] and [lib.Stale]", unlisted, stale)
+	if unlisted, stale := res.against(allow); strings.Join(unlisted, " ") != "lib.Config.Limit lib.Tally.Area" || strings.Join(stale, " ") != "lib.Stale" {
+		t.Fatalf("unlisted %v, stale %v; want [lib.Config.Limit lib.Tally.Area] and [lib.Stale]", unlisted, stale)
 	}
 
-	// Once a non-test file references the export, neither it nor its
-	// helper is test-only, and both allowlist entries go stale.
+	// Once a non-test file references the export and sets Limit,
+	// neither the export, its helper nor the field is test-only, and
+	// both allowlist entries go stale.
 	dir := t.TempDir()
 	err = filepath.WalkDir(src, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -115,7 +125,7 @@ func TestScanFindsPlantedExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	use := "package main\n\nimport \"scanmod/lib\"\n\nfunc planted() int { return lib.Planted() }\n"
+	use := "package main\n\nimport \"scanmod/lib\"\n\nfunc planted() int { return lib.Planted() + lib.Config{Limit: 3}.Cap() }\n"
 	if err := os.WriteFile(filepath.Join(dir, "cmd", "app", "planted.go"), []byte(use), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +199,16 @@ func (r scanResult) against(allow map[string]string) (unlisted, stale []string) 
 // an interface the module declares or uses (any String or Error method
 // included) is live once that type is. What the scan reports is every
 // other exported name, exported method and unexported top-level
-// function outside the roots.
+// function outside the roots, and every exported field of a struct
+// type outside the roots that live code reads but never writes: only a
+// test sets it, so it is a knob no run turns.
 func scanTestOnly(root string, rootDirs []string) (scanResult, error) {
 	s := &scanner{
 		fset:  token.NewFileSet(),
 		std:   importer.Default(),
 		pkgs:  map[string]*scanPkg{},
 		edges: map[types.Object][]types.Object{},
+		decls: map[types.Object][]scanDecl{},
 	}
 	if err := s.walk(root, "", rootDirs); err != nil {
 		return scanResult{}, err
@@ -237,9 +250,22 @@ func scanTestOnly(root string, rootDirs []string) (scanResult, error) {
 			s.seed = append(s.seed, tn)
 		}
 	}
+	reads, writes := map[types.Object]bool{}, map[types.Object]bool{}
+	for _, d := range s.rootDecls {
+		s.access(d, reads, writes)
+	}
+	for obj := range live {
+		for _, d := range s.decls[obj] {
+			s.access(d, reads, writes)
+		}
+	}
 	res := scanResult{lines: map[string]int{}, pos: map[string]string{}}
 	for _, c := range s.cands {
-		if !live[c.obj] {
+		testOnly := !live[c.obj]
+		if v, ok := c.obj.(*types.Var); ok && v.IsField() {
+			testOnly = reads[v] && !writes[v]
+		}
+		if testOnly {
 			res.lines[c.key] += c.lines
 			res.pos[c.key] = c.pos
 		}
@@ -255,6 +281,14 @@ type scanner struct {
 	ifaces []*types.Interface              // every interface the module declares or uses
 	seed   []types.Object
 	cands  []scanCand
+
+	decls     map[types.Object][]scanDecl // declaration -> its syntax, read once it is live
+	rootDecls []scanDecl
+}
+
+type scanDecl struct {
+	pkg  *scanPkg
+	node ast.Node
 }
 
 type scanPkg struct {
@@ -349,9 +383,10 @@ func (s *scanner) Import(p string) (*types.Package, error) {
 		pkg.syntax = append(pkg.syntax, f)
 	}
 	pkg.info = &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	tp, err := (&types.Config{Importer: s}).Check(p, s.fset, pkg.syntax, pkg.info)
 	if err != nil {
@@ -361,8 +396,9 @@ func (s *scanner) Import(p string) (*types.Package, error) {
 	return tp, nil
 }
 
-// graph records each top-level declaration's references, seeds the
-// roots, collects the interfaces and lists the candidates.
+// graph records each top-level declaration's references and syntax,
+// seeds the roots, collects the interfaces and lists the candidates,
+// struct fields included.
 func (s *scanner) graph(pkg *scanPkg) {
 	for _, tv := range pkg.info.Types {
 		s.addIface(tv.Type)
@@ -384,11 +420,13 @@ func (s *scanner) graph(pkg *scanPkg) {
 				refs := s.refs(pkg, d)
 				if root || (d.Recv == nil && d.Name.Name == "init") {
 					s.seed = append(s.seed, refs...)
+					s.rootDecls = append(s.rootDecls, scanDecl{pkg, d})
 					continue
 				}
 				s.edges[obj] = refs
+				s.decls[obj] = append(s.decls[obj], scanDecl{pkg, d})
 				if d.Recv == nil || d.Name.IsExported() {
-					s.cand(pkg, obj, d.Doc, d)
+					s.cand(pkg, obj, "", d.Doc, d)
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -403,6 +441,9 @@ func (s *scanner) graph(pkg *scanPkg) {
 						if sp.Doc != nil {
 							doc = sp.Doc
 						}
+						if st, ok := sp.Type.(*ast.StructType); ok && !root {
+							s.fieldCands(pkg, sp.Name.Name, st)
+						}
 					case *ast.ValueSpec:
 						ids = sp.Names
 						if sp.Doc != nil {
@@ -412,6 +453,9 @@ func (s *scanner) graph(pkg *scanPkg) {
 						continue
 					}
 					refs := s.refs(pkg, spec)
+					if root {
+						s.rootDecls = append(s.rootDecls, scanDecl{pkg, spec})
+					}
 					for _, id := range ids {
 						obj := pkg.info.Defs[id]
 						if root {
@@ -425,8 +469,9 @@ func (s *scanner) graph(pkg *scanPkg) {
 							continue
 						}
 						s.edges[obj] = refs
+						s.decls[obj] = append(s.decls[obj], scanDecl{pkg, spec})
 						if id.IsExported() {
-							s.cand(pkg, obj, doc, spec)
+							s.cand(pkg, obj, "", doc, spec)
 						}
 					}
 				}
@@ -539,8 +584,127 @@ func (s *scanner) namedIn(t types.Type) types.Object {
 	return n.Origin().Obj()
 }
 
-func (s *scanner) cand(pkg *scanPkg, obj types.Object, doc *ast.CommentGroup, node ast.Node) {
+// fieldCands lists the exported, named fields of the struct type
+// typeName.
+func (s *scanner) fieldCands(pkg *scanPkg, typeName string, st *ast.StructType) {
+	for _, f := range st.Fields.List {
+		for _, id := range f.Names {
+			if id.IsExported() {
+				s.cand(pkg, pkg.info.Defs[id], typeName, f.Doc, f)
+			}
+		}
+	}
+}
+
+// access records the module struct fields that a live declaration
+// reads and the ones it writes. A write is an assignment, op-assign or
+// ++/-- to the field or to an element or field of its value, a
+// composite-literal key, a positional literal or a conversion to the
+// struct type (every field), taking the field's address, and calling
+// a pointer method on its value. Every other selection is a read.
+func (s *scanner) access(d scanDecl, reads, writes map[types.Object]bool) {
+	info := d.pkg.info
+	field := func(x *ast.SelectorExpr) (types.Object, *types.Selection) {
+		sel := info.Selections[x]
+		if sel == nil || sel.Kind() != types.FieldVal {
+			return nil, nil
+		}
+		return sel.Obj().(*types.Var).Origin(), sel
+	}
+	// written marks the field e selects, and while the value written
+	// is held in place (an element, or a field reached with no pointer
+	// in between), the field that holds it.
+	written := func(e ast.Expr) {
+		for e != nil {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				obj, sel := field(x)
+				if obj == nil {
+					return
+				}
+				writes[obj] = true
+				e = x.X
+				if sel.Indirect() {
+					e = nil
+				}
+			default:
+				return
+			}
+		}
+	}
+	allFields := func(t types.Type) {
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				writes[st.Field(i).Origin()] = true
+			}
+		}
+	}
+	stored := map[ast.Expr]bool{} // plain-assignment targets, written and not read
+	ast.Inspect(d.node, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range x.Lhs {
+				written(l)
+				if x.Tok == token.ASSIGN {
+					stored[ast.Unparen(l)] = true
+				}
+			}
+		case *ast.RangeStmt:
+			if x.Tok == token.ASSIGN {
+				for _, l := range []ast.Expr{x.Key, x.Value} {
+					written(l)
+					stored[ast.Unparen(l)] = true
+				}
+			}
+		case *ast.IncDecStmt:
+			written(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				written(x.X)
+			}
+		case *ast.CompositeLit:
+			if len(x.Elts) > 0 {
+				if _, keyed := x.Elts[0].(*ast.KeyValueExpr); !keyed {
+					allFields(info.TypeOf(x))
+				}
+			}
+			for _, e := range x.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					key, _ := kv.Key.(*ast.Ident)
+					if v, ok := info.Uses[key].(*types.Var); ok && v.IsField() {
+						writes[v.Origin()] = true
+					}
+				}
+			}
+		case *ast.CallExpr:
+			if tv, ok := info.Types[x.Fun]; ok && tv.IsType() {
+				allFields(tv.Type)
+			}
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.MethodVal {
+				if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+					if _, isPtr := sel.Recv().Underlying().(*types.Pointer); !isPtr {
+						written(x.X)
+					}
+				}
+			}
+			if obj, _ := field(x); obj != nil && !stored[x] {
+				reads[obj] = true
+			}
+		}
+		return true
+	})
+}
+
+// cand lists obj as a candidate; owner, when set, is the struct type
+// that declares the field obj.
+func (s *scanner) cand(pkg *scanPkg, obj types.Object, owner string, doc *ast.CommentGroup, node ast.Node) {
 	key := obj.Name()
+	if owner != "" {
+		key = owner + "." + key
+	}
 	if f, ok := obj.(*types.Func); ok {
 		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
 			if tn := s.namedIn(recv.Type()); tn != nil {
