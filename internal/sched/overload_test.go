@@ -811,3 +811,22 @@ func TestSimHedgeCommitsUnderJobKey(t *testing.T) {
 		}
 	}
 }
+
+// TestJainIndex pins the fairness index TestOverloadAcceptance gates on
+// and the overload report prints: equal tenant ratios score 1, one
+// tenant taking everything scores 1/n, and an empty tenant set is a
+// caller error rather than a silent 0.
+func TestJainIndex(t *testing.T) {
+	if j := stats.JainFairness([]float64{1, 1, 1, 1}); j < 0.999 {
+		t.Fatalf("equal shares: %v", j)
+	}
+	if j := stats.JainFairness([]float64{1, 0, 0, 0}); j > 0.26 {
+		t.Fatalf("one-taker: %v, want ~0.25", j)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("empty: no panic")
+		}
+	}()
+	stats.JainFairness(nil)
+}
