@@ -1,6 +1,8 @@
 package cloudsim
 
 import (
+	"slices"
+
 	"detournet/internal/httpsim"
 	"detournet/internal/simproc"
 	"detournet/internal/transport"
@@ -46,6 +48,7 @@ func StartPOP(tn *transport.Net, svc *Service, popHost string) *POP {
 			c := conn
 			r.Go("pop-conn:"+c.RemoteHost(), func(hp *simproc.Proc) {
 				pop.serve(hp, c)
+				c.Release() // serve closed it
 			})
 		}
 	})
@@ -65,9 +68,13 @@ func (pop *POP) serve(p *simproc.Proc, c *transport.Conn) {
 		}
 		// Forward upstream with the datacenter as the new host. The
 		// upstream connection is kept alive across requests, so chunked
-		// uploads ride one ramped connection POP->DC.
+		// uploads ride one ramped connection POP->DC. The forwarded
+		// copy has its own header: when the upstream exchange fails the
+		// POP answers at once, and the client may then reuse its request
+		// while the datacenter still reads the copy.
 		fwd := *req
 		fwd.Host = pop.svc.Host
+		fwd.Header = slices.Clone(req.Header)
 		resp, err := pop.upstream.Do(p, &fwd)
 		if err != nil {
 			resp = &httpsim.Response{

@@ -150,3 +150,51 @@ func TestPOPFasterThanSlowDirectPath(t *testing.T) {
 		t.Fatalf("POP (%v) should at least halve the slow direct path (%v)", viaPOP, direct)
 	}
 }
+
+// When the upstream exchange fails, the POP answers 500 at once while
+// the datacenter's handler may still be reading the forwarded request.
+// The forwarded copy has its own header, so a client that reuses its
+// request after the 500 (as the SDK clients do) cannot change what the
+// handler reads.
+func TestPOPForwardedHeaderIsItsOwn(t *testing.T) {
+	eng := simclock.NewEngine()
+	r := simproc.New(eng)
+	g := topology.New(fluid.New(eng))
+	for _, n := range []string{"client", "pop", "dc"} {
+		g.MustAddNode(&topology.Node{Name: n, Kind: topology.Host, RespondsICMP: true})
+	}
+	g.MustConnect("client", "pop", topology.LinkSpec{CapacityBps: 8e6, DelaySec: 0.004})
+	g.MustConnect("pop", "dc", topology.LinkSpec{CapacityBps: 8e6, DelaySec: 0.012})
+	tn := transport.NewNet(g, r, tcpmodel.Params{RwndBytes: 4 << 20})
+	svc := NewService(eng, tn, "GoogleDrive", "dc", GoogleDrive)
+	l := svc.Start(tn)
+	pop := StartPOP(tn, svc, "pop")
+	var read string
+	svc.HTTP.Handle("GET", "/probe", func(ctx *httpsim.Ctx, req *httpsim.Request) *httpsim.Response {
+		ctx.Proc.Sleep(1)
+		read = req.Header.Get("X-Probe")
+		return &httpsim.Response{Status: httpsim.StatusOK}
+	})
+	r.Go("outage", func(p *simproc.Proc) {
+		// Mid-handler: the datacenter stops listening and the POP's
+		// upstream conn drops, so the POP's redial is refused.
+		p.Sleep(0.5)
+		l.Close()
+		pop.upstream.CloseIdle()
+	})
+	runProc(t, r, func(p *simproc.Proc) {
+		c := httpsim.NewClient(tn, "client", APIPort, true)
+		req := &httpsim.Request{Method: "GET", Path: "/probe", Host: "pop",
+			Header: httpsim.Header{{Key: "X-Probe", Value: "sent"}}}
+		resp, err := c.Do(p, req)
+		if err != nil || resp.Status != httpsim.StatusInternalServerError {
+			t.Errorf("got %v %v, want the POP's 500", resp, err)
+		}
+		req.Header[0].Value = "reused"
+		p.Sleep(2)
+		c.CloseIdle()
+	})
+	if read != "sent" {
+		t.Fatalf("the datacenter's handler read %q, want %q", read, "sent")
+	}
+}

@@ -190,6 +190,7 @@ func (a *Agent) Start() *transport.Listener {
 			r.Go("detourd-conn:"+c.RemoteHost(), func(hp *simproc.Proc) {
 				defer delete(a.conns, c)
 				a.serve(hp, c)
+				c.Release() // serve closed it
 			})
 		}
 	})
@@ -451,6 +452,13 @@ func NewDetourClient(tn *transport.Net, from, dtn string) *DetourClient {
 	}
 }
 
+// hangUp closes an agent connection the calling process alone used
+// and hands it back to the transport.
+func hangUp(c *transport.Conn) {
+	c.Close()
+	c.Release()
+}
+
 // Route returns the detour's route label.
 func (d *DetourClient) Route() Route { return ViaRoute(d.dtn) }
 
@@ -473,7 +481,7 @@ func (d *DetourClient) Upload(p *simproc.Proc, provider, name string, size float
 	if err != nil {
 		return Report{}, fmt.Errorf("core: detour agent dial: %w", err)
 	}
-	defer c.Close()
+	defer hangUp(c)
 	msg, err := c.Exchange(p, relayUpload{Name: name, Provider: provider}, ctrlBytes)
 	if err != nil {
 		return Report{}, fmt.Errorf("core: detour agent: %w", err)
@@ -522,7 +530,7 @@ func (d *DetourClient) ProbeHop2(p *simproc.Proc, provider string, bytes float64
 	if err != nil {
 		return 0, err
 	}
-	defer c.Close()
+	defer hangUp(c)
 	msg, err := c.Exchange(p, probeReq{Provider: provider, Bytes: bytes}, ctrlBytes)
 	if err != nil {
 		return 0, err
@@ -553,7 +561,7 @@ func (d *DetourClient) UploadPipelined(p *simproc.Proc, provider, name string, s
 	if err != nil {
 		return Report{}, fmt.Errorf("core: detour agent dial: %w", err)
 	}
-	defer c.Close()
+	defer hangUp(c)
 	msg, err := c.Exchange(p, streamBegin{Name: name, Size: size, MD5: md5, Provider: provider}, ctrlBytes)
 	if err != nil {
 		return Report{}, fmt.Errorf("core: stream begin: %w", err)

@@ -60,7 +60,7 @@ func (d *DetourClient) Download(p *simproc.Proc, provider, name string) (Report,
 	if err != nil {
 		return Report{}, fmt.Errorf("core: detour agent dial: %w", err)
 	}
-	defer c.Close()
+	defer hangUp(c)
 	msg, err := c.Exchange(p, relayDownload{Name: name, Provider: provider}, ctrlBytes)
 	if err != nil {
 		return Report{}, fmt.Errorf("core: detour agent: %w", err)

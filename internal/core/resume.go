@@ -512,7 +512,7 @@ func (d *DetourClient) UploadResumable(p *simproc.Proc, provider, name string, s
 	if err != nil {
 		return Report{}, fmt.Errorf("core: detour agent dial: %w", err)
 	}
-	defer c.Close()
+	defer hangUp(c)
 	req := relayResume{Name: name, Provider: provider, Scope: p.Scope(), AttemptID: ck.AttemptID}
 	if ck.HasSession && ck.Session.Provider == provider {
 		req.HasToken, req.Token = true, ck.Session

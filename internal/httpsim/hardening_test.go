@@ -119,10 +119,16 @@ func TestClientSurvivesServerConnectionDrop(t *testing.T) {
 	r.Go("cli", func(p *simproc.Proc) {
 		c := NewClient(n, "client", 443, true)
 		for i := 0; i < 3; i++ {
-			resp, err := c.Do(p, &Request{Method: "GET", Path: "/", Host: "server"})
+			req := &Request{Method: "GET", Path: "/", Host: "server"}
+			resp, err := c.Do(p, req)
 			if err != nil || resp.Status != StatusOK {
 				t.Errorf("request %d: %v %v", i, resp, err)
 				break
+			}
+			// Only the first request found no dead kept-alive conn; the
+			// others went out twice, the second time on a fresh dial.
+			if got, want := req.Resent(), i > 0; got != want {
+				t.Errorf("request %d: Resent() = %v, want %v", i, got, want)
 			}
 			// Give the close EOF time to land in the kept-alive conn.
 			p.Sleep(1)
@@ -172,6 +178,41 @@ func TestNilHandlerResponseBecomes500(t *testing.T) {
 		} else if resp.Status != StatusInternalServerError {
 			t.Errorf("status = %d, want 500", resp.Status)
 		}
+		c.CloseIdle()
+		l.Close()
+	})
+	r.Run()
+}
+
+// CloseIdle while another process waits on the same conn for its
+// response: the waiter sees the close, redials and gets its answer.
+// The dropped conn is released only once no process is inside an
+// exchange on the client; releasing it at once would clear the close
+// the waiter has yet to read, and it would park forever.
+func TestCloseIdleDuringExchange(t *testing.T) {
+	n, r := world(t)
+	l := startServer(t, n, func(s *Server) {
+		s.Handle("GET", "/slow", func(ctx *Ctx, req *Request) *Response {
+			ctx.Proc.Sleep(1)
+			return &Response{Status: StatusOK}
+		})
+	})
+	c := NewClient(n, "client", 443, true)
+	done := simproc.NewFuture[bool](r)
+	r.Go("waiter", func(p *simproc.Proc) {
+		req := &Request{Method: "GET", Path: "/slow", Host: "server"}
+		resp, err := c.Do(p, req)
+		if err != nil || resp.Status != StatusOK {
+			t.Errorf("slow request: %v %v", resp, err)
+		} else if !req.Resent() {
+			t.Error("the request survived CloseIdle without a resend")
+		}
+		done.Set(true)
+	})
+	r.Go("closer", func(p *simproc.Proc) {
+		p.Sleep(0.5)
+		c.CloseIdle()
+		simproc.Await(p, done)
 		c.CloseIdle()
 		l.Close()
 	})

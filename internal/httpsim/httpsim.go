@@ -100,7 +100,14 @@ type Request struct {
 	Body   []byte
 	// BodySize is the body's wire size in bytes when Body is nil.
 	BodySize float64
+
+	resent bool // see Resent
 }
+
+// Resent reports whether Client.Do sent the request a second time, on
+// a fresh connection after the first one died. The server that got the
+// first copy may still be reading it, so its sender must not reuse it.
+func (r *Request) Resent() bool { return r.resent }
 
 // Size returns the request's wire size in bytes.
 func (r *Request) Size() float64 {
@@ -250,6 +257,7 @@ func (s *Server) Serve(l *transport.Listener) {
 			c := conn
 			r.Go("http-conn:"+c.RemoteHost(), func(hp *simproc.Proc) {
 				s.serveConn(hp, c)
+				c.Release() // serveConn closed it
 			})
 		}
 	})
@@ -289,6 +297,12 @@ type Client struct {
 
 	conns   map[string]*transport.Conn
 	dialing map[string]*simproc.Future[*transport.Conn]
+
+	// busy counts the processes inside an exchange. A conn dropped from
+	// conns waits in dropped until none is, since one of them may still
+	// be using it, and is then released to the transport.
+	busy    int
+	dropped []*transport.Conn
 }
 
 // NewClient returns a client dialing from fromHost. tls and port apply
@@ -307,7 +321,8 @@ func NewClient(net *transport.Net, fromHost string, port int, tls bool) *Client 
 // conn returns the kept-alive connection to host, dialing if needed.
 // Concurrent first users coalesce onto a single dial: the handshake
 // parks the dialing process, and without coalescing a second caller
-// would dial again and leak the first connection.
+// would dial again and leak the first connection. A waiter counts as
+// busy, so the conn it is handed cannot be released before it looks.
 func (c *Client) conn(p *simproc.Proc, host string) (*transport.Conn, error) {
 	for {
 		if cc, ok := c.conns[host]; ok && !cc.Closed() {
@@ -317,7 +332,11 @@ func (c *Client) conn(p *simproc.Proc, host string) (*transport.Conn, error) {
 		if !inflight {
 			break
 		}
-		if cc := simproc.Await(p, f); cc != nil && !cc.Closed() {
+		c.busy++
+		cc := simproc.Await(p, f)
+		c.busy--
+		c.releaseDropped()
+		if cc != nil && !cc.Closed() {
 			return cc, nil
 		}
 		// The coalesced dial failed or the conn already died; try again.
@@ -335,6 +354,32 @@ func (c *Client) conn(p *simproc.Proc, host string) (*transport.Conn, error) {
 	return cc, nil
 }
 
+// drop closes cc and takes host's entry out of conns. Only the conn
+// that entry holds is released, once: a second user of a conn that
+// died finds the entry gone, or holding a newer conn, which it deletes
+// unreleased, as before releases existed.
+func (c *Client) drop(host string, cc *transport.Conn) {
+	cc.Close()
+	if c.conns[host] == cc {
+		c.dropped = append(c.dropped, cc)
+	}
+	delete(c.conns, host)
+	c.releaseDropped()
+}
+
+// releaseDropped releases the dropped conns once no process is inside
+// an exchange.
+func (c *Client) releaseDropped() {
+	if c.busy > 0 {
+		return
+	}
+	for i, cc := range c.dropped {
+		cc.Release()
+		c.dropped[i] = nil
+	}
+	c.dropped = c.dropped[:0]
+}
+
 // Do sends the request to req.Host and blocks for the response, redialing
 // once if a kept-alive connection turned out dead.
 func (c *Client) Do(p *simproc.Proc, req *Request) (*Response, error) {
@@ -346,12 +391,17 @@ func (c *Client) Do(p *simproc.Proc, req *Request) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
+		if attempt > 0 {
+			req.resent = true
+		}
+		c.busy++
 		msg, err := cc.Exchange(p, req, req.Size())
+		c.busy--
 		if err != nil {
-			cc.Close()
-			delete(c.conns, req.Host)
+			c.drop(req.Host, cc)
 			continue
 		}
+		c.releaseDropped()
 		resp, ok := msg.Payload.(*Response)
 		if !ok {
 			return nil, fmt.Errorf("httpsim: non-response payload %T", msg.Payload)
@@ -364,7 +414,6 @@ func (c *Client) Do(p *simproc.Proc, req *Request) (*Response, error) {
 // CloseIdle closes all kept-alive connections.
 func (c *Client) CloseIdle() {
 	for k, cc := range c.conns {
-		cc.Close()
-		delete(c.conns, k)
+		c.drop(k, cc)
 	}
 }

@@ -219,6 +219,7 @@ func (d *Daemon) Start() *transport.Listener {
 			r.Go("rsyncd-conn:"+c.RemoteHost(), func(hp *simproc.Proc) {
 				defer delete(d.conns, c)
 				d.serve(hp, c)
+				c.Release() // serve closed it
 			})
 		}
 	})
@@ -508,8 +509,16 @@ func NewClient(tn *transport.Net, from, dtn string) *Client {
 	return &Client{tn: tn, from: from, dtn: dtn}
 }
 
+// dial opens a connection to the daemon; the caller hangs it up.
 func (cl *Client) dial(p *simproc.Proc) (*transport.Conn, error) {
 	return cl.tn.Dial(p, cl.from, cl.dtn, Port, transport.DialOpts{})
+}
+
+// hangUp closes a connection the calling process alone used and hands
+// it back to the transport.
+func hangUp(c *transport.Conn) {
+	c.Close()
+	c.Release()
 }
 
 // PushSized transfers a file of the given size without materializing its
@@ -525,7 +534,7 @@ func (cl *Client) PushSized(p *simproc.Proc, name string, size float64, md5 stri
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer hangUp(c)
 	if err := c.Send(p, pushReq{Name: name, Size: size}, ctrlBytes); err != nil {
 		return err
 	}
@@ -559,7 +568,7 @@ func (cl *Client) Stat(p *simproc.Proc, name string) (StatInfo, error) {
 	if err != nil {
 		return StatInfo{}, err
 	}
-	defer c.Close()
+	defer hangUp(c)
 	if err := c.Send(p, statReq{Name: name}, ctrlBytes); err != nil {
 		return StatInfo{}, err
 	}
@@ -591,7 +600,7 @@ func (cl *Client) PushSizedResumable(p *simproc.Proc, name string, size, offset,
 	if err != nil {
 		return 0, err
 	}
-	defer c.Close()
+	defer hangUp(c)
 	if err := c.Send(p, chunkedPushReq{Name: name, Size: size, Offset: offset, MD5: md5}, ctrlBytes); err != nil {
 		return 0, err
 	}
@@ -636,7 +645,7 @@ func (cl *Client) Fetch(p *simproc.Proc, name string) (*Staged, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
+	defer hangUp(c)
 	if err := c.Send(p, fetchReq{Name: name}, ctrlBytes); err != nil {
 		return nil, err
 	}
@@ -660,7 +669,7 @@ func (cl *Client) Delete(p *simproc.Proc, name string) error {
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer hangUp(c)
 	if err := c.Send(p, deleteReq{Name: name}, ctrlBytes); err != nil {
 		return err
 	}

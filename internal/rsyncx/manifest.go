@@ -221,7 +221,7 @@ func (cl *Client) Manifest(p *simproc.Proc, name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
+	defer hangUp(c)
 	if err := c.Send(p, manifestReq{Name: name}, ctrlBytes); err != nil {
 		return nil, err
 	}
@@ -247,7 +247,7 @@ func (cl *Client) RepairChunk(p *simproc.Proc, name string, idx int, bytes float
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer hangUp(c)
 	if err := c.Send(p, repairChunkReq{Name: name, Index: idx, Bytes: bytes}, bytes+ctrlBytes); err != nil {
 		return err
 	}

@@ -106,6 +106,11 @@ type base struct {
 	host  string
 	from  string
 	chunk float64
+
+	// free holds requests that nothing reads any more, for authed to
+	// reuse: each one's final response arrived, and the server that
+	// answered it was the only one that got it.
+	free []*httpsim.Request
 }
 
 func newBase(eng *simclock.Engine, tn *transport.Net, from, host string, creds Credentials, style cloudsim.Style, opts Options) base {
@@ -134,17 +139,40 @@ func tagAttempt(req *httpsim.Request, attempt string) {
 	}
 }
 
-// authed builds a request with a fresh bearer token.
+// authed returns a request with a fresh bearer token, reusing one from
+// the free list when there is one. A client shared by concurrent
+// transfers hands each call its own request.
 func (b *base) authed(p *simproc.Proc, method, path string) (*httpsim.Request, error) {
 	hdr, err := b.ts.AuthHeader(p)
 	if err != nil {
 		return nil, err
 	}
-	// Room for the fields a request adds after the token (a chunk PUT
-	// sets four, a Dropbox call up to five), so Set does not regrow.
-	h := make(httpsim.Header, 1, 5)
+	var req *httpsim.Request
+	var h httpsim.Header
+	if k := len(b.free); k > 0 {
+		req = b.free[k-1]
+		b.free[k-1] = nil
+		b.free = b.free[:k-1]
+		h = req.Header[:1]
+		*req = httpsim.Request{}
+	} else {
+		// Room for the fields a request adds after the token (a chunk
+		// PUT sets four, a Dropbox call up to five), so Set does not
+		// regrow.
+		req, h = new(httpsim.Request), make(httpsim.Header, 1, 5)
+	}
 	h[0] = httpsim.Field{Key: "Authorization", Value: hdr}
-	return &httpsim.Request{Method: method, Path: path, Host: b.host, Header: h}, nil
+	req.Method, req.Path, req.Host, req.Header = method, path, b.host, h
+	return req, nil
+}
+
+// recycle puts a request whose final response has arrived back on the
+// free list, unless Do resent it: the server that got the first copy
+// may still be reading it.
+func (b *base) recycle(req *httpsim.Request) {
+	if !req.Resent() {
+		b.free = append(b.free, req)
+	}
 }
 
 // maxThrottleRetries bounds 429 retries per request.
@@ -162,7 +190,9 @@ func (b *base) do(p *simproc.Proc, req *httpsim.Request) (*httpsim.Response, err
 }
 
 // doRaw issues the request, sleeping out 429 Retry-After responses with
-// exponential backoff the way the official client libraries do.
+// exponential backoff the way the official client libraries do. Once
+// the final response is in, the request goes back to the free list: its
+// caller must not touch it again.
 func (b *base) doRaw(p *simproc.Proc, req *httpsim.Request) (*httpsim.Response, error) {
 	backoff := 0.5
 	for attempt := 0; ; attempt++ {
@@ -171,6 +201,7 @@ func (b *base) doRaw(p *simproc.Proc, req *httpsim.Request) (*httpsim.Response, 
 			return nil, err
 		}
 		if resp.Status != httpsim.StatusTooManyRequests || attempt >= maxThrottleRetries {
+			b.recycle(req)
 			return resp, nil
 		}
 		wait := backoff

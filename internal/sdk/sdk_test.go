@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"detournet/internal/cloudsim"
 	"detournet/internal/fluid"
+	"detournet/internal/httpsim"
 	"detournet/internal/jsonwire"
 	"detournet/internal/simclock"
 	"detournet/internal/simproc"
@@ -468,11 +470,12 @@ func TestDropboxArgsEncodeLikeMaps(t *testing.T) {
 
 // A warm Dropbox append round trip — the client encodes the cursor
 // argument, the server decodes it and answers, the client reads the
-// answer — allocates a pinned number of times: the request and its
-// header fields, the header's string, the server's handler context, the
-// decoded cursor and the response. The pin is the measured count, 19
-// when the JSON went through reflection and every send allocated a
-// fluid flow; the race detector's allocations would move it.
+// answer — allocates a pinned number of times: the header's string, the
+// server's handler context, the decoded cursor and the response. The
+// request and its header fields come off the client's free list. The
+// pin is the measured count: 19 when the JSON went through reflection
+// and every send allocated a fluid flow, 6 before requests were reused;
+// the race detector's allocations would move it.
 func TestDropboxAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -500,7 +503,7 @@ func TestDropboxAppendAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ { // warm up: connection, ramp, free lists
 		round()
 	}
-	const pinned = 6
+	const pinned = 4
 	if got := testing.AllocsPerRun(200, round); got != pinned {
 		t.Fatalf("%v allocations per append round trip, pinned at %d", got, pinned)
 	}
@@ -560,4 +563,72 @@ func TestDropboxSessionRefusesNonFiniteOffset(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// A request goes back on its client's free list once its response is
+// in, unless httpsim.Client.Do sent it twice: the server that got the
+// first copy may still be reading it. Here every API call goes through
+// an edge that serves one request per connection and then hangs up,
+// so each call after the first finds its kept-alive conn dead and is
+// resent on a fresh dial; none of them may be reused. A client talking
+// to the service directly reuses its request.
+func TestResentRequestNotReused(t *testing.T) {
+	eng := simclock.NewEngine()
+	r := simproc.New(eng)
+	g := topology.New(fluid.New(eng))
+	for _, h := range []string{"client", "edge", "dropbox-dc"} {
+		g.MustAddNode(&topology.Node{Name: h, Kind: topology.Host, RespondsICMP: true})
+	}
+	g.MustConnect("client", "edge", topology.LinkSpec{CapacityBps: 8e6, DelaySec: 0.005})
+	g.MustConnect("edge", "dropbox-dc", topology.LinkSpec{CapacityBps: 8e6, DelaySec: 0.010})
+	tn := transport.NewNet(g, r, tcpmodel.Params{RwndBytes: 4 << 20})
+	svc := cloudsim.NewService(eng, tn, "Dropbox", "dropbox-dc", cloudsim.Dropbox)
+	svc.Start(tn)
+	creds := Register(svc, "bench-app", "secret")
+
+	l := tn.MustListen("edge", cloudsim.APIPort)
+	up := httpsim.NewClient(tn, "edge", cloudsim.APIPort, true)
+	r.Go("edge", func(p *simproc.Proc) {
+		for {
+			c, err := l.Accept(p)
+			if err != nil {
+				return
+			}
+			r.Go("one-shot", func(hp *simproc.Proc) {
+				defer c.Close()
+				msg, err := c.Recv(hp)
+				if err != nil {
+					return
+				}
+				fwd := *msg.Payload.(*httpsim.Request)
+				fwd.Host, fwd.Header = svc.Host, slices.Clone(fwd.Header)
+				resp, err := up.Do(hp, &fwd)
+				if err != nil {
+					resp = &httpsim.Response{Status: httpsim.StatusInternalServerError}
+				}
+				_ = c.Send(hp, resp, resp.Size())
+			})
+		}
+	})
+	viaEdge := NewDropbox(eng, tn, "client", "edge", creds, Options{})
+	direct := NewDropbox(eng, tn, "edge", svc.Host, creds, Options{})
+	done := false
+	r.Go("test", func(p *simproc.Proc) {
+		for _, d := range []*Dropbox{viaEdge, direct} {
+			for i := 0; i < 3; i++ {
+				if _, err := d.Upload(p, "resend.bin", 1000, ""); err != nil {
+					t.Errorf("%s: upload %d: %v", d.Host(), i, err)
+				}
+				p.Sleep(1)
+			}
+		}
+		done = true
+	})
+	r.RunUntil(simclock.Time(1e6))
+	if !done {
+		t.Fatal("test proc did not finish")
+	}
+	if len(viaEdge.free) != 0 || len(direct.free) != 1 {
+		t.Fatalf("free lists hold %d requests via the edge and %d direct, want 0 and 1", len(viaEdge.free), len(direct.free))
+	}
 }

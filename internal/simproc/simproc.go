@@ -332,6 +332,16 @@ func (q *Queue[T]) Push(v T) {
 	}
 }
 
+// Reset drops every queued item and keeps the queue's storage for
+// reuse. Resetting a queue a process is parked on panics.
+func (q *Queue[T]) Reset() {
+	if len(q.recvs) > 0 {
+		panic("simproc: reset of a queue with parked receivers")
+	}
+	clear(q.items)
+	q.items = q.items[:0]
+}
+
 // Pop removes and returns the head item, parking p while the queue is
 // empty. Multiple receivers are served FIFO.
 func (q *Queue[T]) Pop(p *Proc) T {

@@ -174,6 +174,19 @@ func (r *Ramp) Stop() {
 	}
 }
 
+// Reset readies a stopped ramp for a new connection with the given
+// RTT; its doubling event and step callback are kept. Resetting a
+// running ramp panics.
+func (r *Ramp) Reset(rtt float64) {
+	if !r.stopped {
+		panic("tcpmodel: reset of a running ramp")
+	}
+	if rtt <= 0 {
+		panic("tcpmodel: non-positive rtt")
+	}
+	r.rtt = rtt
+}
+
 // EstimateTransferTime returns the closed-form time to move size bytes
 // over a path with the given steady rate and RTT under this model:
 // slow-start doublings from the initial window, then the steady rate.

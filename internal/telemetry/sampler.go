@@ -8,8 +8,10 @@ import (
 	"detournet/internal/simclock"
 )
 
-// Series is a bounded ring buffer of (time, value) samples. Once full,
-// new samples overwrite the oldest and Dropped counts the evictions.
+// Series is a bounded ring buffer of (time, value) samples. It grows
+// by append up to its capacity, so a series sampled a few times holds
+// only those samples; once full, new samples overwrite the oldest and
+// Dropped counts the evictions.
 type Series struct {
 	capacity int
 	times    []float64
@@ -23,17 +25,14 @@ func newSeries(capacity int) *Series {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Series{
-		capacity: capacity,
-		times:    make([]float64, capacity),
-		values:   make([]float64, capacity),
-	}
+	return &Series{capacity: capacity}
 }
 
 func (s *Series) push(t, v float64) {
 	if s.n < s.capacity {
-		idx := (s.start + s.n) % s.capacity
-		s.times[idx], s.values[idx] = t, v
+		// Not yet full, so start is 0 and the next slot is the end.
+		s.times = append(s.times, t)
+		s.values = append(s.values, v)
 		s.n++
 		return
 	}

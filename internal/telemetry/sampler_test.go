@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 
 	"detournet/internal/simclock"
@@ -25,6 +26,56 @@ func TestSeriesWraparound(t *testing.T) {
 	}
 	if snap.Last() != 90 || snap.Min() != 60 || snap.Max() != 90 {
 		t.Fatalf("last/min/max = %g/%g/%g", snap.Last(), snap.Min(), snap.Max())
+	}
+}
+
+// refRing is the series as a ring preallocated to its capacity, the
+// oracle for the one that grows by append.
+type refRing struct {
+	times, values  []float64
+	start, n, drop int
+}
+
+func (r *refRing) push(t, v float64) {
+	c := len(r.times)
+	if r.n < c {
+		idx := (r.start + r.n) % c
+		r.times[idx], r.values[idx] = t, v
+		r.n++
+		return
+	}
+	r.times[r.start], r.values[r.start] = t, v
+	r.start = (r.start + 1) % c
+	r.drop++
+}
+
+func (r *refRing) snapshot(name string) SeriesSnapshot {
+	c := len(r.times)
+	out := SeriesSnapshot{Name: name, Times: make([]float64, r.n), Values: make([]float64, r.n), Dropped: r.drop}
+	for i := 0; i < r.n; i++ {
+		out.Times[i], out.Values[i] = r.times[(r.start+i)%c], r.values[(r.start+i)%c]
+	}
+	return out
+}
+
+// A series that grows by append gives the same snapshot as the
+// preallocated ring at every length: empty, part full, exactly full,
+// and wrapped around more than once.
+func TestSeriesGrowsLikePreallocatedRing(t *testing.T) {
+	for _, capacity := range []int{1, 5, 1024} {
+		s := newSeries(capacity)
+		ref := &refRing{times: make([]float64, capacity), values: make([]float64, capacity)}
+		for i := 0; i <= 3*capacity+2; i++ {
+			got, want := s.snapshot("g"), ref.snapshot("g")
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("capacity %d after %d samples: snapshot %+v, want %+v", capacity, i, got, want)
+			}
+			s.push(float64(i)*15, float64(i*i%97))
+			ref.push(float64(i)*15, float64(i*i%97))
+		}
+		if s.n != capacity || s.dropped != 2*capacity+3 {
+			t.Fatalf("capacity %d: ring holds %d samples and dropped %d", capacity, s.n, s.dropped)
+		}
 	}
 }
 

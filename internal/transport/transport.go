@@ -13,6 +13,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"detournet/internal/fluid"
@@ -54,8 +55,19 @@ type Net struct {
 	// DefaultOverheadFactor.
 	OverheadFactor float64
 
-	listeners map[string]*Listener
+	listeners map[addr]*Listener
+	// free holds the client ends of released pairs, each linked to its
+	// server end, for the next Dial to reuse (see Conn.Release).
+	free []*Conn
 }
+
+// addr is a listener's bind address.
+type addr struct {
+	host string
+	port int
+}
+
+func (a addr) String() string { return fmt.Sprintf("%s:%d", a.host, a.port) }
 
 // NewNet returns a transport over the graph. params zero-values are
 // filled with tcpmodel defaults.
@@ -68,14 +80,12 @@ func NewNet(g *topology.Graph, r *simproc.Runner, params tcpmodel.Params) *Net {
 		runner:         r,
 		params:         params.WithDefaults(),
 		OverheadFactor: DefaultOverheadFactor,
-		listeners:      make(map[string]*Listener),
+		listeners:      make(map[addr]*Listener),
 	}
 }
 
 // Runner returns the process runner.
 func (n *Net) Runner() *simproc.Runner { return n.runner }
-
-func addrKey(host string, port int) string { return fmt.Sprintf("%s:%d", host, port) }
 
 // Listener accepts incoming connections at a host:port.
 type Listener struct {
@@ -91,7 +101,7 @@ func (n *Net) Listen(host string, port int) (*Listener, error) {
 	if _, ok := n.g.Node(host); !ok {
 		return nil, fmt.Errorf("transport: unknown host %q", host)
 	}
-	key := addrKey(host, port)
+	key := addr{host, port}
 	if _, ok := n.listeners[key]; ok {
 		return nil, fmt.Errorf("transport: address %s already bound", key)
 	}
@@ -127,12 +137,12 @@ func (l *Listener) Close() {
 		return
 	}
 	l.closed = true
-	delete(l.net.listeners, addrKey(l.host, l.port))
+	delete(l.net.listeners, addr{l.host, l.port})
 	l.backlog.Push(nil)
 }
 
 // Addr returns the listener's bind address.
-func (l *Listener) Addr() string { return addrKey(l.host, l.port) }
+func (l *Listener) Addr() string { return addr{l.host, l.port}.String() }
 
 // DialOpts tunes one connection.
 type DialOpts struct {
@@ -182,18 +192,21 @@ type Conn struct {
 	inflight []inboxItem
 	arrive   func() // c.deliver, bound once
 
-	inbox  *simproc.Queue[inboxItem]
-	peer   *Conn
-	closed bool
+	inbox    *simproc.Queue[inboxItem]
+	peer     *Conn
+	closed   bool
+	released bool
+	dialer   bool // the pair's client end, the one the free list holds
 }
 
 // Dial connects from srcHost to dstHost:port, blocking through the
 // routing lookup and TCP/TLS handshakes. The returned connection's
 // server end is delivered to the destination listener.
 func (n *Net) Dial(p *simproc.Proc, srcHost, dstHost string, port int, opts DialOpts) (*Conn, error) {
-	l, ok := n.listeners[addrKey(dstHost, port)]
+	to := addr{dstHost, port}
+	l, ok := n.listeners[to]
 	if !ok || l.closed {
-		return nil, fmt.Errorf("%w: %s", ErrRefused, addrKey(dstHost, port))
+		return nil, fmt.Errorf("%w: %s", ErrRefused, to)
 	}
 	fwd, err := n.g.RoutedLinks(srcHost, dstHost)
 	if err != nil {
@@ -206,25 +219,30 @@ func (n *Net) Dial(p *simproc.Proc, srcHost, dstHost string, port int, opts Dial
 	rtt := fluid.PathDelay(fwd) + fluid.PathDelay(rev)
 	p.Sleep(tcpmodel.ConnectDelay(rtt, opts.TLS))
 	if l.closed { // listener vanished during the handshake
-		return nil, fmt.Errorf("%w: %s", ErrRefused, addrKey(dstHost, port))
+		return nil, fmt.Errorf("%w: %s", ErrRefused, to)
 	}
 
-	client := n.newConn(srcHost, dstHost, port, rtt, fwd)
-	server := n.newConn(dstHost, srcHost, port, rtt, rev)
-	client.peer = server
-	server.peer = client
+	var client, server *Conn
+	if k := len(n.free); k > 0 {
+		client, server = n.free[k-1], n.free[k-1].peer
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+	} else {
+		client, server = n.newConn(rtt), n.newConn(rtt)
+		client.dialer = true
+	}
+	client.open(srcHost, dstHost, port, rtt, fwd, server)
+	server.open(dstHost, srcHost, port, rtt, rev, client)
 	l.backlog.Push(server)
 	return client, nil
 }
 
-// newConn builds one endpoint sending over links.
-func (n *Net) newConn(local, remote string, port int, rtt float64, links []*fluid.Link) *Conn {
+// newConn builds one endpoint's Go objects; open sets it up for a
+// connection.
+func (n *Net) newConn(rtt float64) *Conn {
 	c := &Conn{
-		net: n, local: local, remote: remote, port: port,
-		rtt:      rtt,
-		fwdLinks: links, fwdDelay: fluid.PathDelay(links),
-		sendCwnd: *tcpmodel.NewCwnd(),
-		inbox:    simproc.NewQueue[inboxItem](n.runner),
+		net:   n,
+		inbox: simproc.NewQueue[inboxItem](n.runner),
 	}
 	c.sendRamp = tcpmodel.NewRamp(n.g.Fluid(), &c.sendCwnd, n.params, rtt)
 	c.sendDone = simproc.NewQueue[bool](n.runner)
@@ -234,6 +252,22 @@ func (n *Net) newConn(local, remote string, port int, rtt float64, links []*flui
 	}
 	c.arrive = c.deliver
 	return c
+}
+
+// open makes c the local end of a fresh connection to peer, sending
+// over links: a new or recycled end starts with an initial window and
+// a stopped ramp, with an empty inbox and nothing in flight.
+func (c *Conn) open(local, remote string, port int, rtt float64, links []*fluid.Link, peer *Conn) {
+	if c.local != local || c.remote != remote || c.port != port {
+		c.label = ""
+	}
+	c.local, c.remote, c.port = local, remote, port
+	c.rtt = rtt
+	c.fwdLinks, c.fwdDelay = links, fluid.PathDelay(links)
+	c.sendCwnd = *tcpmodel.NewCwnd()
+	c.sendRamp.Reset(rtt)
+	c.peer = peer
+	c.closed, c.released = false, false
 }
 
 // RemoteHost returns the peer's host name.
@@ -268,6 +302,10 @@ func (c *Conn) Send(p *simproc.Proc, payload any, size float64) error {
 	}
 	if size < 0 {
 		return fmt.Errorf("transport: negative size %v", size)
+	}
+	// The size is wire time: a NaN or infinite flow never finishes.
+	if math.IsNaN(size) || math.IsInf(size, 1) {
+		return fmt.Errorf("transport: size %v is not finite", size)
 	}
 	c.acquireSend(p)
 	defer c.releaseSend()
@@ -315,12 +353,15 @@ func (c *Conn) post(it inboxItem) {
 }
 
 // deliver hands the oldest in-flight item to the peer, unless the peer
-// has closed.
+// has closed. The last arrival from a released end may free its pair.
 func (c *Conn) deliver() {
 	it := c.inflight[0]
 	c.inflight = slices.Delete(c.inflight, 0, 1)
 	if !c.peer.closed {
 		c.peer.inbox.Push(it)
+	}
+	if c.released {
+		c.recycle()
 	}
 }
 
@@ -347,6 +388,45 @@ func (c *Conn) Close() {
 
 // Closed reports whether this end was closed locally.
 func (c *Conn) Closed() bool { return c.closed }
+
+// Release hands a closed end back to its Net. Only the end's sole
+// owner calls it, once it is done with the end: no process may still
+// use the end or wait on it. Once both ends of a connection are
+// released and neither has a message or EOF in flight, the pair's Go
+// objects go to the Net, and a later Dial reuses them as a fresh
+// connection, handshake and slow start included. An end that is never
+// released is left to the garbage collector, as before. Releasing an
+// open end, an end twice, or an end a process still sends on or waits
+// to receive from, panics.
+func (c *Conn) Release() {
+	switch {
+	case !c.closed:
+		panic("transport: release of an open connection")
+	case c.released:
+		panic("transport: connection released twice")
+	}
+	if c.sendBusy || len(c.sendWaiters) > 0 {
+		panic("transport: release of a connection in use")
+	}
+	// Nothing reads the inbox of a closed end again: the peer's
+	// arrivals are dropped, so what is left in it is garbage.
+	c.inbox.Reset()
+	c.released = true
+	c.recycle()
+}
+
+// recycle puts a released pair on the free list once nothing can reach
+// it any more: both ends released, no arrival pending either way.
+func (c *Conn) recycle() {
+	d := c.peer
+	if !c.released || !d.released || len(c.inflight) > 0 || len(d.inflight) > 0 {
+		return
+	}
+	if d.dialer {
+		c = d
+	}
+	c.net.free = append(c.net.free, c)
+}
 
 // Exchange is the common request/response idiom: send a message, then
 // block for the reply.

@@ -341,14 +341,22 @@ func TestNoRouteDialFails(t *testing.T) {
 	}
 }
 
+// A size that is negative, NaN or infinite is refused with an error
+// before any flow starts: a NaN or infinite flow would never finish.
 func TestNegativeSizeRejected(t *testing.T) {
 	n, r := world(t)
 	l := n.MustListen("server", 80)
 	r.Go("srv", func(p *simproc.Proc) { _, _ = l.Accept(p) })
 	r.Go("cli", func(p *simproc.Proc) {
 		c, _ := n.Dial(p, "client", "server", 80, DialOpts{})
-		if err := c.Send(p, nil, -5); err == nil {
-			t.Error("negative size accepted")
+		for _, size := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t0 := p.Now()
+			if err := c.Send(p, nil, size); err == nil {
+				t.Errorf("size %v accepted", size)
+			}
+			if p.Now() != t0 || len(c.fwdLinks[0].Flows()) != 0 {
+				t.Errorf("size %v: a flow started", size)
+			}
 		}
 		c.Close()
 	})
